@@ -63,7 +63,7 @@
 
 use std::sync::Arc;
 
-use rdb_exec::{collect_all, ExecContext, FnRegistry, MaterializedResult, ResumedAgg};
+use rdb_exec::{ExecContext, FnRegistry, MaterializedResult, ResumedAgg};
 use rdb_expr::{eval, AggFunc};
 use rdb_plan::{JoinKind, Plan};
 use rdb_storage::{Catalog, CatalogSnapshot, Table};
@@ -310,12 +310,11 @@ fn delta_catalog(snapshot: &CatalogSnapshot, delta: &Delta, rows: &Batch) -> Cat
 }
 
 /// Evaluate a bound plan serially (DOP 1, no recycler) over `catalog`.
-/// Returns `None` if the plan fails to build — the caller falls back to
-/// eviction rather than erroring the write path.
+/// Returns `None` if the plan fails to build or to run — the caller
+/// falls back to eviction rather than erroring the write path.
 fn run_serial(plan: &Plan, catalog: Catalog, functions: &Arc<FnRegistry>) -> Option<Vec<Batch>> {
     let ctx = ExecContext::new(Arc::new(catalog)).with_functions(functions.clone());
-    let mut tree = rdb_exec::build(plan, &ctx).ok()?;
-    Some(collect_all(tree.root.as_mut()))
+    rdb_exec::build(plan, &ctx).ok()?.drain().ok()
 }
 
 /// Evaluate `plan` over the delta rows only: the appended output rows for
@@ -340,9 +339,7 @@ pub fn eval_full(
     snapshot: &CatalogSnapshot,
     functions: &Arc<FnRegistry>,
 ) -> Option<Batch> {
-    let ctx = ExecContext::new(Arc::new(snapshot.to_catalog())).with_functions(functions.clone());
-    let mut tree = rdb_exec::build(plan, &ctx).ok()?;
-    let batches = collect_all(tree.root.as_mut());
+    let batches = run_serial(plan, snapshot.to_catalog(), functions)?;
     Some(Batch::concat_or_empty(schema, &batches))
 }
 
@@ -614,7 +611,7 @@ mod tests {
     fn materialize(plan: &Plan, cat: &Catalog, schema: &Schema) -> MaterializedResult {
         let ctx = ExecContext::new(Arc::new(cat_clone(cat)));
         let mut tree = rdb_exec::build(plan, &ctx).unwrap();
-        let batches = collect_all(tree.root.as_mut());
+        let batches = tree.drain().unwrap();
         MaterializedResult::from_batches(schema.clone(), &batches)
     }
 

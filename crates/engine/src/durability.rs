@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
-use rdb_exec::{build, run_to_batch, ExecContext, FnRegistry, MaterializedResult};
+use rdb_exec::{build, ExecContext, FnRegistry, MaterializedResult};
 use rdb_plan::PlanError;
 use rdb_recycler::{LineageEntry, Recycler};
 use rdb_storage::Catalog;
@@ -119,8 +119,10 @@ pub(crate) fn warm_recycler(
         let Ok(mut tree) = build(&entry.plan, &ctx) else {
             continue;
         };
-        let batch = run_to_batch(tree.root.as_mut());
-        let result = Arc::new(MaterializedResult::from_batches(schema, &[batch]));
+        let Ok(batches) = tree.drain() else {
+            continue;
+        };
+        let result = Arc::new(MaterializedResult::from_batches(schema, &batches));
         if recycler.warm(entry, catalog, result) {
             hits += 1;
         }

@@ -5,9 +5,6 @@
 //! ```text
 //! EngineBuilder -> Arc<Engine> -> Session -> Prepared -> QueryHandle
 //! ```
-//!
-//! [`Engine::run`] survives as a deprecated compatibility shim over that
-//! path.
 
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
@@ -17,7 +14,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use rdb_delta::{Delta, Repairability};
 use rdb_exec::{FnRegistry, WorkerPool};
-use rdb_expr::{eval_predicate, Expr};
+use rdb_expr::{CompiledPredicate, Expr};
 use rdb_plan::{Plan, PlanError};
 use rdb_recycler::{Recycler, RecyclerConfig, RecyclerEvent};
 use rdb_storage::{Catalog, Table};
@@ -51,11 +48,6 @@ pub struct EngineConfig {
     /// Results are byte-identical at every DOP. Requests beyond the host's
     /// available parallelism are clamped (see [`effective_dop`]).
     pub parallelism: usize,
-    /// Whether scan-rooted filter/project/join-probe chains execute as
-    /// fused push-style pipelines (`rdb_exec::fuse`). On by default;
-    /// results and cache entries are byte-identical either way, so this
-    /// exists for A/B benchmarking and equivalence tests.
-    pub fusion: bool,
 }
 
 impl Default for EngineConfig {
@@ -67,7 +59,6 @@ impl Default for EngineConfig {
             // Env-driven default so whole test/bench suites can be swept
             // across DOPs without code changes (the CI DOP matrix).
             parallelism: default_parallelism_from_env(),
-            fusion: true,
         }
     }
 }
@@ -218,13 +209,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enable or disable fused pipeline execution (on by default; see
-    /// [`EngineConfig::fusion`]).
-    pub fn fusion(mut self, on: bool) -> EngineBuilder {
-        self.config.fusion = on;
-        self
-    }
-
     /// Apply a whole [`EngineConfig`] at once.
     pub fn config(mut self, config: EngineConfig) -> EngineBuilder {
         self.config = config;
@@ -271,7 +255,6 @@ impl EngineBuilder {
             )),
             pool: (parallelism > 1).then(|| WorkerPool::new(parallelism)),
             parallelism,
-            fusion: self.config.fusion,
             epoch: Instant::now(),
             durability,
             subscriptions: Mutex::new(Vec::new()),
@@ -638,8 +621,6 @@ pub struct Engine {
     pub(crate) pool: Option<Arc<WorkerPool>>,
     /// Engine-default DOP.
     pub(crate) parallelism: usize,
-    /// Fused pipeline execution (see [`EngineConfig::fusion`]).
-    pub(crate) fusion: bool,
     pub(crate) epoch: Instant,
     /// WAL + checkpoint state (`None` without a data directory).
     pub(crate) durability: Option<DurabilityState>,
@@ -654,25 +635,6 @@ impl Engine {
     /// Start building an engine over `catalog`.
     pub fn builder(catalog: Arc<Catalog>) -> EngineBuilder {
         EngineBuilder::new(catalog)
-    }
-
-    /// Build an engine over a catalog (no table functions).
-    #[deprecated(note = "use Engine::builder(catalog)")]
-    pub fn new(catalog: Arc<Catalog>, config: EngineConfig) -> Arc<Engine> {
-        EngineBuilder::new(catalog).config(config).build()
-    }
-
-    /// Build an engine with table functions.
-    #[deprecated(note = "use Engine::builder(catalog).functions(..)")]
-    pub fn with_functions(
-        catalog: Arc<Catalog>,
-        functions: Arc<FnRegistry>,
-        config: EngineConfig,
-    ) -> Arc<Engine> {
-        EngineBuilder::new(catalog)
-            .functions(functions)
-            .config(config)
-            .build()
     }
 
     /// Open a session: the unit of client interaction that owns prepared
@@ -699,11 +661,6 @@ impl Engine {
     /// The engine-default degree of intra-query parallelism.
     pub fn parallelism(&self) -> usize {
         self.parallelism
-    }
-
-    /// Whether fused pipeline execution is enabled.
-    pub fn fusion(&self) -> bool {
-        self.fusion
     }
 
     /// Flush the recycler cache (no-op when recycling is off).
@@ -789,11 +746,18 @@ impl Engine {
         // they are the typed delta the repair path retracts from dependent
         // cache entries.
         let all_cols: Vec<usize> = (0..vt.schema().len()).collect();
+        let pred = CompiledPredicate::compile(&bound);
         let (captured, snap) = vt
             .delete_where_capturing(|t| {
-                let mut mask = Vec::with_capacity(t.rows());
+                let mut mask = vec![false; t.rows()];
+                let mut doomed: Vec<u32> = Vec::new();
+                let mut offset = 0;
                 for b in t.batches(&all_cols) {
-                    mask.extend(eval_predicate(&bound, &b));
+                    pred.select_physical_into(&b, &mut doomed);
+                    for &i in &doomed {
+                        mask[offset + i as usize] = true;
+                    }
+                    offset += b.physical_rows();
                 }
                 mask
             })
@@ -1034,13 +998,6 @@ impl Engine {
     /// Whether [`Engine::shutdown`] has been called.
     pub fn is_shutting_down(&self) -> bool {
         self.gate.snapshot().closed
-    }
-
-    /// Execute one query to completion (named or bound plan). Blocks while
-    /// the engine is at its concurrency limit.
-    #[deprecated(note = "use Engine::session(), Session::prepare(), and Prepared::execute()")]
-    pub fn run(self: &Arc<Self>, plan: &Plan) -> Result<QueryOutcome, PlanError> {
-        Ok(self.session().query(plan)?.into_outcome())
     }
 
     /// Run several query streams concurrently (one session and thread per
@@ -1401,18 +1358,5 @@ mod tests {
         assert!(engine.is_shutting_down());
         let err = engine.session().query(&agg_query(5)).expect_err("closed");
         assert!(matches!(err.kind, rdb_plan::PlanErrorKind::ShuttingDown));
-    }
-
-    #[test]
-    fn deprecated_run_shim_matches_session_path() {
-        let engine = Engine::builder(catalog(5_000))
-            .recycler(det_config())
-            .build();
-        let q = agg_query(10);
-        #[allow(deprecated)]
-        let a = engine.run(&q).unwrap();
-        let b = run(&engine, &q);
-        assert_eq!(a.batch.to_rows(), b.batch.to_rows());
-        assert!(b.reused(), "second execution reuses the first's result");
     }
 }

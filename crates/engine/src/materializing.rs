@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rdb_exec::{
-    build, run_to_batch, ExecContext, FnRegistry, MaterializedResult, ResultStore,
-    SpeculationEstimate, StoreVerdict,
+    build, ExecContext, FnRegistry, MaterializedResult, ResultStore, SpeculationEstimate,
+    StoreVerdict,
 };
 use rdb_plan::{structural_eq, structural_hash, Plan, PlanError};
 use rdb_storage::Catalog;
@@ -262,9 +262,9 @@ impl MaterializingEngine {
             .with_functions(self.functions.clone())
             .with_store(store as Arc<dyn ResultStore>);
         let mut tree = build(&single, &ctx)?;
-        let batch = run_to_batch(tree.root.as_mut());
+        let batches = tree.drain().map_err(|e| PlanError::msg(e.to_string()))?;
         let schema = plan.schema(&self.catalog)?;
-        let result = Arc::new(MaterializedResult::from_batches(schema, &[batch]));
+        let result = Arc::new(MaterializedResult::from_batches(schema, &batches));
         let cost = t0.elapsed().as_nanos() as f64 + child_cost;
         if let Some(cache) = &self.cache {
             cache.lock().admit(plan, result.clone(), cost);

@@ -568,14 +568,14 @@ impl Prepared {
     fn render_explain(&self, plan: &Plan) -> String {
         use std::fmt::Write as _;
         fn go(plan: &Plan, engine: &Engine, depth: usize, in_span: bool, out: &mut String) {
-            // Annotate the top of each fusable chain with the number of
-            // operators the executor collapses into one push-style loop.
-            // Interior chain nodes are part of the same span, so only the
+            // Annotate the top of each pipelining span with the number of
+            // plan nodes the executor runs as one push-style chain.
+            // Interior nodes are part of the same span, so only the
             // outermost node carries the tag.
-            let span = if engine.fusion && !in_span {
-                rdb_exec::fused_span(plan)
-            } else {
+            let span = if in_span {
                 None
+            } else {
+                rdb_exec::fused_span(plan)
             };
             let fused = match span {
                 Some(n) => format!(" [fused x{n}]"),
@@ -610,8 +610,8 @@ impl Prepared {
                 plan.label(),
                 indent = depth * 2
             );
-            // The fused chain runs down the first child (filter/project
-            // input, join probe side); a join's build side starts a fresh
+            // The chain runs down the first child (filter/project input,
+            // join probe side); a join's build side starts a fresh
             // pipeline and may open its own span.
             for (i, c) in plan.children().into_iter().enumerate() {
                 go(
@@ -713,7 +713,6 @@ impl Prepared {
         let with_parallelism = |mut ctx: ExecContext| {
             ctx = ctx
                 .with_parallelism(dop)
-                .with_fusion(engine.fusion)
                 .with_cancel(Some(self.cancel.clone()));
             match &engine.pool {
                 Some(pool) => ctx.with_pool(pool.clone()),

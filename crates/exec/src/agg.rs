@@ -668,28 +668,10 @@ impl Operator for HashAggExec {
 mod tests {
     use super::*;
     use crate::op::run_to_batch;
-
-    struct Source {
-        batches: Vec<Batch>,
-    }
-
-    impl Operator for Source {
-        fn next_batch(&mut self) -> Option<Batch> {
-            if self.batches.is_empty() {
-                None
-            } else {
-                Some(self.batches.remove(0))
-            }
-        }
-        fn progress(&self) -> f64 {
-            1.0
-        }
-    }
+    use crate::op::testing::BatchSource;
 
     fn src(cols: Vec<Column>) -> Box<dyn Operator> {
-        Box::new(Source {
-            batches: vec![Batch::new(cols)],
-        })
+        BatchSource::boxed(vec![Batch::new(cols)])
     }
 
     #[test]
@@ -737,12 +719,10 @@ mod tests {
     fn emission_is_sorted_by_group_key_not_arrival_order() {
         // Keys arrive in descending order interleaved across batches; the
         // breaker must emit ascending regardless.
-        let child = Box::new(Source {
-            batches: vec![
-                Batch::new(vec![Column::from_ints(vec![9, 3, 7])]),
-                Batch::new(vec![Column::from_ints(vec![1, 9, 5])]),
-            ],
-        });
+        let child = BatchSource::boxed(vec![
+            Batch::new(vec![Column::from_ints(vec![9, 3, 7])]),
+            Batch::new(vec![Column::from_ints(vec![1, 9, 5])]),
+        ]);
         let mut agg = HashAggExec::new(
             child,
             vec![Expr::col(0)],
@@ -806,7 +786,7 @@ mod tests {
 
     #[test]
     fn global_aggregation_on_empty_input() {
-        let child = Box::new(Source { batches: vec![] });
+        let child = BatchSource::boxed(vec![]);
         let mut agg = HashAggExec::new(
             child,
             vec![],

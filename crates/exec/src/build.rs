@@ -1,28 +1,32 @@
 //! Plan-to-executor builder.
 //!
-//! With `ExecContext::parallelism > 1` the builder splits scan-rooted
-//! pipelines across a worker pool at the natural consumer points — the
-//! plan root, store tees, and the blocking breakers (aggregate, top-N,
-//! sort) — falling back to the serial operators everywhere else. Serial
-//! and parallel builds of the same plan produce byte-identical output
-//! streams (see [`crate::parallel`]).
+//! Every span of pipelining nodes (`Select`, `Project`, join probes)
+//! becomes one [`crate::fuse::FusedChain`] over its source — a morsel
+//! dispenser when the span sits on a base-table scan, the built child
+//! operator otherwise. With `ExecContext::parallelism > 1` the builder
+//! additionally splits scan-rooted chains across a worker pool at the
+//! natural consumer points — the plan root, store tees, and the blocking
+//! breakers (aggregate, top-N, sort) — and drives the same chain serially
+//! everywhere else. Serial and parallel builds of the same plan produce
+//! byte-identical output streams (see [`crate::parallel`]).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rdb_expr::Expr;
 use rdb_plan::{Plan, PlanError, StoreMode};
-use rdb_vector::{DataType, Schema};
+use rdb_vector::{Batch, DataType, Schema};
 
 use crate::agg::HashAggExec;
 use crate::context::ExecContext;
-use crate::error::FailSlot;
-use crate::filter::{FilterExec, ProjectExec};
-use crate::fuse::FusedPipelineExec;
-use crate::join::{BuildPublish, BuildSide, HashJoinExec, SharedBuild};
+use crate::error::{ExecError, FailSlot};
+use crate::fuse::{build_stages, collect_chain, ChainSource, FusedPipelineExec};
+use crate::join::{BuildPublish, BuildSide, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
-use crate::op::Operator;
-use crate::parallel::{build_source, BuildChild, GatherExec, ParallelAggExec, ParallelTopNExec};
+use crate::op::{collect_all, Operator};
+use crate::parallel::{
+    build_source, GatherExec, MorselDispenser, ParallelAggExec, ParallelTopNExec,
+};
 use crate::scan::{FnScanExec, ScanExec};
 use crate::sort::{LimitExec, SortExec, TopNExec, UnionAllExec};
 use crate::store::{
@@ -39,9 +43,22 @@ pub struct ExecTree {
     pub metrics: MetricsNode,
     /// Output schema.
     pub schema: Schema,
-    /// Failure slot shared with the execution's parallel workers; consult
-    /// after the stream ends to distinguish completion from worker death.
+    /// Failure slot shared with the execution's pipeline drivers; consult
+    /// after the stream ends to distinguish completion from a failed stage
+    /// or worker.
     pub fail: Arc<FailSlot>,
+}
+
+impl ExecTree {
+    /// Drain the root to completion. `Err` when the execution recorded a
+    /// failure: the stream then ended short and its batches are dropped.
+    pub fn drain(&mut self) -> Result<Vec<Batch>, ExecError> {
+        let batches = collect_all(self.root.as_mut());
+        match self.fail.get() {
+            Some(e) => Err(e),
+            None => Ok(batches),
+        }
+    }
 }
 
 /// Build a physical operator tree from a *bound* plan.
@@ -81,15 +98,14 @@ fn state_variant(keys: &[Expr]) -> u64 {
 /// recycler's operator-state cache when one is attached: a warm build is
 /// adopted as-is (the right subtree never executes) and a cold build is
 /// offered back to the cache once the first prober materializes it. Used
-/// by both the serial join arm and parallel probe stages, so the same
-/// artifact serves any DOP.
+/// by every probe stage, so the same artifact serves any source kind and
+/// any DOP.
 pub(crate) fn join_build(
     right: &Plan,
     right_keys: &[Expr],
     right_types: &[DataType],
     m: &Arc<OpMetrics>,
     ctx: &ExecContext,
-    build_child: &mut BuildChild<'_>,
 ) -> Result<(Arc<SharedBuild>, MetricsNode), PlanError> {
     let variant = state_variant(right_keys);
     let recycling = ctx.state_recycling(right);
@@ -106,14 +122,15 @@ pub(crate) fn join_build(
             ));
         }
     }
-    let (right_op, right_metrics) = build_child(right)?;
+    let (right_op, right_metrics) = build_node(right, ctx)?;
     let publish = recycling.map(|(store, epochs)| {
         let plan = right.clone();
         let cancel = ctx.cancel.clone();
+        let fail = ctx.fail.clone();
         let rm = right_metrics.clone();
         Box::new(move |built: &Arc<BuildSide>, cost: StateCost| {
-            if cancel.as_ref().is_some_and(|c| c.load(Ordering::Acquire)) {
-                return; // cancelled mid-build: the index may be truncated
+            if cancel.as_ref().is_some_and(|c| c.load(Ordering::Acquire)) || fail.is_set() {
+                return; // cancelled or failed mid-build: the index may be truncated
             }
             // Reconstruction work = draining the build subtree plus
             // indexing its rows (the deterministic analog of cost_ns).
@@ -142,6 +159,39 @@ pub(crate) fn join_build(
     ))
 }
 
+/// Resolve a scan's table version (the pinned snapshot's, if any) and its
+/// column projection.
+fn resolve_scan(
+    table: &str,
+    cols: &[String],
+    ctx: &ExecContext,
+) -> Result<(Arc<rdb_storage::Table>, Vec<usize>), PlanError> {
+    let t = ctx
+        .table(table)
+        .ok_or_else(|| PlanError::unknown_table(table))?;
+    let projection = cols
+        .iter()
+        .map(|c| {
+            t.schema()
+                .index_of(c)
+                .ok_or_else(|| PlanError::unknown_column(c, format!("table '{table}'")))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((t, projection))
+}
+
+/// The morsel source of a scan-rooted chain, with the scan's metrics leaf.
+pub(crate) fn scan_dispenser(
+    table: &str,
+    cols: &[String],
+    ctx: &ExecContext,
+) -> Result<(Arc<MorselDispenser>, MetricsNode), PlanError> {
+    let (t, projection) = resolve_scan(table, cols, ctx)?;
+    let m = OpMetrics::shared();
+    let dispenser = MorselDispenser::new(t, projection, m.clone()).with_cancel(ctx.cancel.clone());
+    Ok((Arc::new(dispenser), MetricsNode::leaf(m)))
+}
+
 /// Build `plan` as an order-preserving parallel pipeline if it is a
 /// suitable scan-rooted chain, else serially. Used at every point where a
 /// consumer accepts the canonical batch sequence: the plan root, store
@@ -150,7 +200,7 @@ fn build_gathered(
     plan: &Plan,
     ctx: &ExecContext,
 ) -> Result<(Box<dyn Operator>, MetricsNode), PlanError> {
-    if let Some(source) = build_source(plan, ctx, ctx.parallelism, &mut |p| build_node(p, ctx))? {
+    if let Some(source) = build_source(plan, ctx)? {
         let metrics = source.metrics.clone();
         return Ok((Box::new(GatherExec::new(source)), metrics));
     }
@@ -161,34 +211,10 @@ fn build_node(
     plan: &Plan,
     ctx: &ExecContext,
 ) -> Result<(Box<dyn Operator>, MetricsNode), PlanError> {
-    // Fused serial execution of scan-rooted filter/project/probe chains:
-    // one push-style loop per morsel instead of one pull hop per operator
-    // per batch (see `crate::fuse`). Same batches, same metrics shape.
-    if ctx.fusion {
-        if let Some(fused) =
-            crate::fuse::build_fused_pipeline(plan, ctx, false, &mut |p| build_node(p, ctx))?
-        {
-            let metrics = fused.metrics.clone();
-            return Ok((
-                Box::new(FusedPipelineExec::new(fused.dispenser, fused.chain)),
-                metrics,
-            ));
-        }
-    }
     let m = OpMetrics::shared();
     Ok(match plan {
         Plan::Scan { table, cols } => {
-            let t = ctx
-                .table(table)
-                .ok_or_else(|| PlanError::unknown_table(table))?;
-            let projection: Vec<usize> = cols
-                .iter()
-                .map(|c| {
-                    t.schema()
-                        .index_of(c)
-                        .ok_or_else(|| PlanError::unknown_column(c, format!("table '{table}'")))
-                })
-                .collect::<Result<_, _>>()?;
+            let (t, projection) = resolve_scan(table, cols, ctx)?;
             (
                 Box::new(ScanExec::new(t, projection, m.clone()).with_cancel(ctx.cancel.clone())),
                 MetricsNode::leaf(m),
@@ -217,19 +243,22 @@ fn build_node(
                 MetricsNode::leaf(m),
             )
         }
-        Plan::Select { child, predicate } => {
-            let (c, cm) = build_node(child, ctx)?;
-            (
-                Box::new(FilterExec::new(c, predicate.clone(), m.clone())),
-                MetricsNode::new(m, vec![cm]),
-            )
-        }
-        Plan::Project { child, exprs, .. } => {
-            let (c, cm) = build_node(child, ctx)?;
-            (
-                Box::new(ProjectExec::new(c, exprs.clone(), m.clone())),
-                MetricsNode::new(m, vec![cm]),
-            )
+        Plan::Select { .. } | Plan::Project { .. } | Plan::Join { .. } => {
+            // One chain for the whole pipelining span, over whatever sits
+            // below it (see `crate::fuse`).
+            let (stages, source) = collect_chain(plan);
+            let (source, source_metrics) = match source {
+                Plan::Scan { table, cols } => {
+                    let (dispenser, sm) = scan_dispenser(table, cols, ctx)?;
+                    (ChainSource::Morsels(dispenser), sm)
+                }
+                other => {
+                    let (op, sm) = build_node(other, ctx)?;
+                    (ChainSource::Operator(op), sm)
+                }
+            };
+            let (chain, metrics) = build_stages(&stages, source_metrics, ctx)?;
+            (Box::new(FusedPipelineExec::new(source, chain)), metrics)
         }
         Plan::Aggregate {
             child,
@@ -266,9 +295,7 @@ fn build_node(
             // cache replay across DOPs.
             let mut built: Option<(Box<dyn Operator>, MetricsNode)> = None;
             if crate::agg::exact_accumulation(aggs, &input_types) {
-                if let Some(source) =
-                    build_source(child, ctx, ctx.parallelism, &mut |p| build_node(p, ctx))?
-                {
+                if let Some(source) = build_source(child, ctx)? {
                     let cm = source.metrics.clone();
                     built = Some((
                         Box::new(ParallelAggExec::new(
@@ -324,54 +351,11 @@ fn build_node(
             }
             (agg_op, node)
         }
-        Plan::Join {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-        } => {
-            let right_types = types_of(&right.schema(&ctx.catalog)?);
-            let (l, lm) = build_node(left, ctx)?;
-            if ctx.state_recycling(right).is_some() {
-                // Route the build side through the operator-state cache;
-                // probing a shared build is identical to owning one.
-                let (build, rm) = join_build(right, right_keys, &right_types, &m, ctx, &mut |p| {
-                    build_node(p, ctx)
-                })?;
-                return Ok((
-                    Box::new(HashJoinExec::with_shared_build(
-                        l,
-                        build,
-                        *kind,
-                        left_keys.clone(),
-                        right_types,
-                        m.clone(),
-                    )),
-                    MetricsNode::new(m, vec![lm, rm]),
-                ));
-            }
-            let (r, rm) = build_node(right, ctx)?;
-            (
-                Box::new(HashJoinExec::new(
-                    l,
-                    r,
-                    *kind,
-                    left_keys.clone(),
-                    right_keys.clone(),
-                    right_types,
-                    m.clone(),
-                )),
-                MetricsNode::new(m, vec![lm, rm]),
-            )
-        }
         Plan::TopN { child, keys, n } => {
             let output_types = types_of(&child.schema(&ctx.catalog)?);
             // Partitioned parallel top-N: per-worker heap runs merged at
             // this breaker (position tie-breaks keep it deterministic).
-            if let Some(source) =
-                build_source(child, ctx, ctx.parallelism, &mut |p| build_node(p, ctx))?
-            {
+            if let Some(source) = build_source(child, ctx)? {
                 let cm = source.metrics.clone();
                 return Ok((
                     Box::new(ParallelTopNExec::new(

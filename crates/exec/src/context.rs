@@ -91,16 +91,10 @@ pub struct ExecContext {
     /// it, so the connection layer's own check-and-clear still observes
     /// the cancel and reports `57014` to the client.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Whether the builder may collapse filter → project → join-probe
-    /// chains into fused push-style pipelines (see [`crate::fuse`]).
-    /// Fusion changes iteration shape only — observable results and cache
-    /// entries are byte-identical either way — so this is a performance
-    /// switch, kept as a flag for A/B equivalence testing and benchmarks.
-    pub fusion: bool,
-    /// Shared failure slot for this execution: parallel pipeline workers
-    /// record structured errors here instead of panicking across the
-    /// gather channel (see [`crate::error`]). Store tees also consult it
-    /// to suppress publishing truncated results.
+    /// Shared failure slot for this execution: pipeline chains and
+    /// parallel workers record structured errors here instead of
+    /// panicking through their driver (see [`crate::error`]). Store tees
+    /// also consult it to suppress publishing truncated results.
     pub fail: Arc<FailSlot>,
 }
 
@@ -115,15 +109,8 @@ impl ExecContext {
             parallelism: 1,
             pool: None,
             cancel: None,
-            fusion: true,
             fail: FailSlot::shared(),
         }
-    }
-
-    /// Enable or disable pipeline fusion (on by default).
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
-        self
     }
 
     /// Set the degree of parallelism (clamped to at least 1).

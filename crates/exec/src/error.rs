@@ -1,16 +1,13 @@
-//! Structured execution failure reporting for parallel pipelines.
+//! Structured execution failure reporting.
 //!
-//! Serial operators fail by panicking on the query's own thread, which the
-//! session layer can catch and attribute. Parallel pipeline workers run on
-//! pool threads under `catch_unwind` ([`crate::pool`]); before this module
-//! existed, a dead worker surfaced as a *consumer-side panic* ("worker
-//! failed before morsel N") with the original cause swallowed. Now every
-//! worker records its failure into the query's shared [`FailSlot`] before
-//! its channel sender drops, and the consuming operator ends the stream
-//! cleanly instead of panicking — the error then travels through
-//! [`crate::stream::ExecStream::error`] to the session layer, which aborts
-//! recycler bookkeeping (a truncated stream must never publish) and reports
-//! the cause.
+//! A failure inside a running pipeline — a stage of a
+//! [`crate::fuse::FusedChain`] that panics or rejects its input, a
+//! parallel worker that dies — is recorded as an [`ExecError`] in the
+//! query's shared [`FailSlot`], and the operator that observes it ends
+//! its stream cleanly instead of unwinding through its consumer. The
+//! error then travels through [`crate::stream::ExecStream::error`] to the
+//! session layer, which aborts recycler bookkeeping (a truncated stream
+//! must never publish) and reports the cause.
 
 use std::sync::Arc;
 

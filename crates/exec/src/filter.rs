@@ -1,259 +1,149 @@
-//! Pipelining operators: selection and projection.
+//! Selection and projection semantics of the pipeline chain.
 //!
-//! Both are zero-copy on the common path: [`FilterExec`] narrows batches
-//! with a selection vector instead of gathering survivors, and
-//! [`ProjectExec`] computes over the shared physical columns and carries
-//! the input's selection onto its output. Column data is only moved at a
+//! Both stages ([`crate::fuse::FusedStage::Filter`] and
+//! [`crate::fuse::FusedStage::Project`]) are zero-copy on the common
+//! path: a filter narrows the chain's live selection instead of gathering
+//! survivors, and a projection computes over the shared physical columns
+//! and leaves the selection alone. Column data is only moved at a
 //! pipeline breaker or store boundary — with one deliberate exception:
 //! when a filter keeps fewer than 1 in [`COMPACT_FRACTION`] rows it
 //! compacts immediately, because downstream expression evaluation works
 //! over *physical* rows and, at very low selectivity, computing over the
 //! dead rows costs more than one small gather.
-
-use std::sync::Arc;
-
-use rdb_expr::{eval, CompiledPredicate, Expr};
-use rdb_vector::Batch;
-
-use crate::metrics::OpMetrics;
-use crate::op::{timed_next, Operator};
+//!
+//! The hand-computed cases below pin those semantics against the chain,
+//! over both source kinds and over dense and selection-carrying input.
 
 /// Below `physical_rows / COMPACT_FRACTION` surviving rows a filter
-/// gathers instead of attaching a selection (see module docs).
+/// gathers instead of narrowing the selection (see module docs).
 pub const COMPACT_FRACTION: usize = 16;
-
-/// Vectorized selection: the predicate is compiled once at construction
-/// and evaluated per batch by the allocation-free selection kernel,
-/// writing qualifying row indices into a reusable scratch buffer. All-true
-/// batches pass through untouched; all-false batches are skipped without
-/// emitting anything; very sparse survivors are compacted on the spot.
-pub struct FilterExec {
-    child: Box<dyn Operator>,
-    pred: CompiledPredicate,
-    scratch: Vec<u32>,
-    metrics: Arc<OpMetrics>,
-}
-
-impl FilterExec {
-    /// Filter `child` by `predicate` (bound, boolean).
-    pub fn new(child: Box<dyn Operator>, predicate: Expr, metrics: Arc<OpMetrics>) -> Self {
-        FilterExec {
-            child,
-            pred: CompiledPredicate::compile(&predicate),
-            scratch: Vec::new(),
-            metrics,
-        }
-    }
-}
-
-impl Operator for FilterExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        let FilterExec {
-            child,
-            pred,
-            scratch,
-            ..
-        } = self;
-        timed_next(&metrics, || {
-            // Loop until a non-empty output batch or end of input, so
-            // downstream operators never see empty batches.
-            loop {
-                let batch = child.next_batch()?;
-                pred.select_into(&batch, scratch);
-                if scratch.is_empty() {
-                    continue;
-                }
-                if scratch.len() == batch.rows() {
-                    return Some(batch);
-                }
-                if scratch.len() * COMPACT_FRACTION < batch.physical_rows() {
-                    return Some(batch.take_physical(scratch));
-                }
-                return Some(batch.with_selection(Arc::new(std::mem::take(scratch))));
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        self.child.progress()
-    }
-}
-
-/// Vectorized projection: computes one output column per expression over
-/// the physical rows and carries the input's selection vector onto the
-/// output (column references pass through as shared, uncopied columns).
-pub struct ProjectExec {
-    child: Box<dyn Operator>,
-    exprs: Vec<Expr>,
-    metrics: Arc<OpMetrics>,
-}
-
-impl ProjectExec {
-    /// Project `child` through `exprs` (bound).
-    pub fn new(child: Box<dyn Operator>, exprs: Vec<Expr>, metrics: Arc<OpMetrics>) -> Self {
-        ProjectExec {
-            child,
-            exprs,
-            metrics,
-        }
-    }
-}
-
-impl Operator for ProjectExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            let batch = self.child.next_batch()?;
-            let out = Batch::new(self.exprs.iter().map(|e| eval(e, &batch)).collect());
-            Some(match batch.sel_arc() {
-                Some(sel) => out.with_selection(sel),
-                None => out,
-            })
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        self.child.progress()
-    }
-}
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::op::run_to_batch;
-    use rdb_vector::Column;
+    use crate::fuse::testing::*;
+    use crate::op::Operator;
+    use rdb_expr::Expr;
+    use rdb_vector::{Batch, Column, Value};
 
-    struct Source {
-        batches: Vec<Batch>,
-        emitted: usize,
-        total: usize,
-    }
-
-    impl Source {
-        fn ints(groups: Vec<Vec<i64>>) -> Self {
-            let total = groups.len();
-            Source {
-                batches: groups
-                    .into_iter()
-                    .map(|g| Batch::new(vec![Column::from_ints(g)]))
-                    .collect(),
-                emitted: 0,
-                total,
-            }
-        }
-    }
-
-    impl Operator for Source {
-        fn next_batch(&mut self) -> Option<Batch> {
-            if self.batches.is_empty() {
-                None
-            } else {
-                self.emitted += 1;
-                Some(self.batches.remove(0))
-            }
-        }
-        fn progress(&self) -> f64 {
-            self.emitted as f64 / self.total.max(1) as f64
-        }
+    fn ints(groups: Vec<Vec<i64>>) -> Vec<Batch> {
+        groups
+            .into_iter()
+            .map(|g| Batch::new(vec![Column::from_ints(g)]))
+            .collect()
     }
 
     #[test]
     fn filter_compacts_and_skips_empty() {
-        let src = Source::ints(vec![vec![1, 2, 3], vec![4, 5], vec![100]]);
-        let mut f = FilterExec::new(
-            Box::new(src),
-            Expr::col(0).ge(Expr::lit(4)),
-            OpMetrics::shared(),
+        let out = run_every_way(
+            vec![filter(Expr::col(0).ge(Expr::lit(4)))],
+            ints(vec![vec![1, 2, 3], vec![4, 5], vec![100]]),
         );
-        let out = run_to_batch(&mut f);
         assert_eq!(out.column(0).as_ints(), &[4, 5, 100]);
     }
 
     #[test]
     fn filter_emits_selection_and_shares_columns() {
-        let src = Source::ints(vec![vec![1, 2, 3, 4]]);
-        let mut f = FilterExec::new(
-            Box::new(src),
-            Expr::col(0).ge(Expr::lit(3)),
-            OpMetrics::shared(),
-        );
-        let out = f.next_batch().unwrap();
-        assert_eq!(out.rows(), 2);
-        assert_eq!(out.sel(), Some(&[2u32, 3][..]), "selection, not a gather");
-        assert_eq!(out.column(0).as_ints(), &[1, 2, 3, 4], "columns untouched");
+        let stages = vec![filter(Expr::col(0).ge(Expr::lit(3)))];
+        let input = ints(vec![vec![1, 2, 3, 4]]);
+        for mut exec in [
+            over_morsels(stages.clone(), &input),
+            over_operator(stages.clone(), input.clone()),
+        ] {
+            let out = exec.next_batch().unwrap();
+            assert_eq!(out.rows(), 2);
+            assert_eq!(out.sel(), Some(&[2u32, 3][..]), "selection, not a gather");
+            assert_eq!(out.column(0).as_ints(), &[1, 2, 3, 4], "columns untouched");
+        }
+        // An input selection is narrowed in place: still no gather.
+        let sparse = with_dead_rows(&input[0]);
+        let out = over_operator(stages, vec![sparse.clone()])
+            .next_batch()
+            .unwrap();
+        assert_eq!(out.sel(), Some(&[4u32, 6][..]));
+        assert!(out.column(0).shares_storage(sparse.column(0)));
+    }
+
+    #[test]
+    fn sparse_survivors_are_compacted() {
+        // 1 survivor of 32 physical rows is below 1-in-COMPACT_FRACTION.
+        let stages = vec![filter(Expr::col(0).eq(Expr::lit(7)))];
+        let input = ints(vec![(0..32).collect()]);
+        let out = over_operator(stages, input).next_batch().unwrap();
+        assert!(out.sel().is_none(), "gathered");
+        assert_eq!(out.column(0).as_ints(), &[7]);
     }
 
     #[test]
     fn all_true_filter_passes_batch_through() {
-        let src = Source::ints(vec![vec![1, 2]]);
-        let mut f = FilterExec::new(
-            Box::new(src),
-            Expr::col(0).ge(Expr::lit(0)),
-            OpMetrics::shared(),
-        );
-        let out = f.next_batch().unwrap();
-        assert!(out.sel().is_none(), "all-true adds no selection");
-        assert_eq!(out.rows(), 2);
+        let stages = vec![filter(Expr::col(0).ge(Expr::lit(0)))];
+        let input = ints(vec![vec![1, 2]]);
+        for mut exec in [
+            over_morsels(stages.clone(), &input),
+            over_operator(stages.clone(), input.clone()),
+        ] {
+            let out = exec.next_batch().unwrap();
+            assert!(out.sel().is_none(), "all-true adds no selection");
+            assert_eq!(out.rows(), 2);
+        }
+        // Nothing narrowed: an operator source's columns come out uncopied.
+        let out = over_operator(stages.clone(), input.clone())
+            .next_batch()
+            .unwrap();
+        assert!(out.column(0).shares_storage(input[0].column(0)));
+        // Selection-carrying input keeps exactly its selection.
+        let out = over_operator(stages, vec![with_dead_rows(&input[0])])
+            .next_batch()
+            .unwrap();
+        assert_eq!(out.sel(), Some(&[0u32, 2][..]));
     }
 
     #[test]
     fn project_carries_selection() {
-        let src = Source::ints(vec![vec![10, 20, 30]]);
-        let f = FilterExec::new(
-            Box::new(src),
-            Expr::col(0).gt(Expr::lit(10)),
-            OpMetrics::shared(),
-        );
-        let mut p = ProjectExec::new(
-            Box::new(f),
-            vec![Expr::col(0).add(Expr::lit(1))],
-            OpMetrics::shared(),
-        );
-        let out = p.next_batch().unwrap();
+        let stages = vec![
+            filter(Expr::col(0).gt(Expr::lit(10))),
+            project(vec![Expr::col(0).add(Expr::lit(1))]),
+        ];
+        let input = ints(vec![vec![10, 20, 30]]);
+        let out = over_operator(stages.clone(), input.clone())
+            .next_batch()
+            .unwrap();
         assert_eq!(out.rows(), 2);
         assert_eq!(out.sel(), Some(&[1u32, 2][..]));
-        assert_eq!(
-            out.to_rows(),
-            vec![
-                vec![rdb_vector::Value::Int(21)],
-                vec![rdb_vector::Value::Int(31)]
-            ]
-        );
+        let expect = vec![vec![Value::Int(21)], vec![Value::Int(31)]];
+        assert_eq!(out.to_rows(), expect);
+        assert_eq!(run_every_way(stages, input).to_rows(), expect);
     }
 
     #[test]
     fn filter_empty_result() {
-        let src = Source::ints(vec![vec![1, 2]]);
-        let mut f = FilterExec::new(
-            Box::new(src),
-            Expr::col(0).gt(Expr::lit(10)),
-            OpMetrics::shared(),
-        );
-        assert!(f.next_batch().is_none());
+        let stages = vec![filter(Expr::col(0).gt(Expr::lit(10)))];
+        assert!(run_every_way(stages.clone(), ints(vec![vec![1, 2]])).is_empty());
+        // A zero-row input is dropped as well, not passed on as "all rows
+        // qualify": downstream operators never see empty batches.
+        let mut exec = over_operator(stages, ints(vec![vec![]]));
+        assert!(exec.next_batch().is_none());
     }
 
     #[test]
     fn project_computes_columns() {
-        let src = Source::ints(vec![vec![1, 2]]);
-        let m = OpMetrics::shared();
-        let mut p = ProjectExec::new(
-            Box::new(src),
-            vec![Expr::col(0).mul(Expr::lit(10)), Expr::col(0)],
-            m.clone(),
-        );
-        let out = run_to_batch(&mut p);
+        let stages = vec![project(vec![Expr::col(0).mul(Expr::lit(10)), Expr::col(0)])];
+        let out = run_every_way(stages, ints(vec![vec![1, 2]]));
         assert_eq!(out.column(0).as_ints(), &[10, 20]);
         assert_eq!(out.column(1).as_ints(), &[1, 2]);
-        assert_eq!(m.rows_out(), 2);
     }
 
     #[test]
-    fn progress_delegates_to_child() {
-        let src = Source::ints(vec![vec![1], vec![2]]);
-        let mut f = FilterExec::new(Box::new(src), Expr::lit(true), OpMetrics::shared());
-        assert_eq!(f.progress(), 0.0);
-        f.next_batch();
-        assert_eq!(f.progress(), 0.5);
+    fn progress_is_the_sources() {
+        let stages = vec![filter(Expr::lit(true))];
+        let input = ints(vec![vec![1], vec![2]]);
+        let mut exec = over_operator(stages.clone(), input.clone());
+        assert_eq!(exec.progress(), 0.0);
+        exec.next_batch();
+        assert_eq!(exec.progress(), 0.5);
+        // A dispenser meters morsels handed out (both rows fit in one).
+        let mut exec = over_morsels(stages, &input);
+        assert_eq!(exec.progress(), 0.0);
+        exec.next_batch();
+        assert_eq!(exec.progress(), 1.0);
     }
 }

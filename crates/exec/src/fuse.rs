@@ -1,61 +1,83 @@
-//! Fused push-style pipelines: filter → project → join-probe chains
-//! collapsed into one loop per morsel.
+//! The pipeline executor: filter → project → join-probe chains run as one
+//! push-style loop per input batch.
 //!
-//! The unfused executor runs a scan-rooted chain as a stack of pull
-//! operators; even under morsel-driven parallelism every morsel pays one
-//! virtual `next_batch` hop, one selection materialization, and one batch
-//! re-wrap *per operator*. A [`FusedChain`] runs the same chain as a
-//! single push-style loop over each morsel:
+//! A [`FusedChain`] is the only implementation of selection, projection
+//! and join-probe semantics in this crate. Every maximal span of
+//! pipelining plan nodes (`Select`, `Project`, and the probe side of
+//! `Join`) becomes one chain over one source, and the chain pushes each
+//! input batch through all of its stages before the next is pulled:
 //!
 //! * selections are **chain state** — a reusable `Vec<u32>` of surviving
-//!   physical row indices, seeded and narrowed in place by the
-//!   branch-free kernel ([`rdb_expr::CompiledPredicate`]) with no
-//!   per-batch `Vec<bool>` and no literal broadcasts;
+//!   physical row indices, seeded from the input's selection vector (if it
+//!   carries one) and narrowed in place by the branch-free kernel
+//!   ([`rdb_expr::CompiledPredicate`]) with no per-batch `Vec<bool>` and
+//!   no literal broadcasts;
 //! * probe keys are hashed in bulk ([`rdb_vector::hash_columns`]) into a
 //!   reusable buffer, and the probe loop is an array lookup plus a typed
 //!   candidate confirmation;
 //! * batches are only re-wrapped at the chain edge, not between stages.
 //!
-//! # Fusion boundary rule
+//! # Two source kinds
 //!
-//! Fusion changes the *iteration shape* of a pipeline, never its
-//! observable batch sequence. A chain fuses from a base-table scan up
-//! through pipelining stages only (`Select`, `Project`, and the probe
-//! side of `Join`) and always stops at pipeline breakers (aggregate,
-//! sort, top-N, the build side of a join), at `Store`/`StateTee` tees,
-//! and at gather points. Those boundaries are where the recycler observes
-//! batches — a store tee must publish byte-identical
-//! `MaterializedResult`s at any DOP, fused or not — so the fused chain
-//! reproduces the serial operator semantics exactly per morsel: the same
-//! logical rows in the same order, the same sparse-compaction heuristic
-//! ([`crate::filter::COMPACT_FRACTION`]), the same NULL-key and
-//! candidate-verification join behavior, and the same per-plan-node
-//! rows/work metrics the recycler's cost model consumes.
+//! A chain's source ([`ChainSource`]) is either a [`MorselDispenser`] over
+//! a base-table scan or any other child operator (aggregate, top-N,
+//! cached read, store tee, table function, union). A dispenser can be
+//! shared, so a scan-rooted chain runs serially on the caller's thread or
+//! cloned once per worker ([`crate::parallel`]) — the same code either
+//! way. An operator-sourced chain is driven serially, one input batch at
+//! a time, and reports its source's progress.
 //!
-//! Wall-time metrics are the one approximation: a fused chain cannot
-//! time stages individually, so each morsel's fused time is charged to
-//! every stage of the span (the span root's inclusive time — what the
-//! recycler reads for subtree cost — stays accurate). All counters are
-//! accumulated in per-chain [`StageLocal`]s and flushed to the shared
-//! atomics every [`FLUSH_EVERY`] morsels and at end-of-stream — per-stage
-//! atomic traffic was the dominant fused per-morsel cost before.
+//! # Boundary rule
+//!
+//! A chain changes the *iteration shape* of a pipeline, never its
+//! observable batch sequence. It spans pipelining stages only and always
+//! stops at pipeline breakers (aggregate, sort, top-N, the build side of
+//! a join), at `Store`/`StateTee` tees, and at gather points. Those
+//! boundaries are where the recycler observes batches — a store tee must
+//! publish byte-identical `MaterializedResult`s at any DOP — so per input
+//! batch a chain emits the same logical rows in the same order whoever
+//! drives it, with the sparse-compaction heuristic
+//! ([`crate::filter::COMPACT_FRACTION`]), NULL-key and
+//! candidate-verification join behavior, and the per-plan-node rows /
+//! bytes / work / calls metrics the recycler's cost model consumes.
+//!
+//! # Timing rule
+//!
+//! A chain cannot time stages individually, so one driver step — the
+//! source pull *and* the push through every stage — is measured as a
+//! whole and charged to every stage of the span. The span root's time is
+//! therefore inclusive of its whole subtree (what the recycler reads for
+//! subtree cost); interior stages over-report by the stages above them.
+//! All counters accumulate in per-chain [`StageLocal`]s and are flushed to
+//! the shared atomics every [`FLUSH_EVERY`] steps and at end of input —
+//! per-stage atomic traffic per morsel is measurable overhead.
+//!
+//! # Failure rule
+//!
+//! A stage that panics (a comparison between incompatible types bound at
+//! run time, a shared build that failed in another worker) or meets a
+//! structurally invalid input (a `single` join whose build side is not
+//! one row) does not unwind through its driver: [`FusedChain::step`]
+//! records an [`ExecError`] in the execution's [`FailSlot`] and ends the
+//! chain's stream — serially and on every worker alike.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
 use rdb_expr::{eval, CompiledPredicate, Expr};
 use rdb_plan::{JoinKind, Plan, PlanError};
-use rdb_vector::{hash_columns, morsel_count, Batch, Column, ColumnBuilder, DataType};
+use rdb_vector::{hash_columns, Batch, Column, ColumnBuilder, DataType};
 
 use crate::context::ExecContext;
+use crate::error::{panic_message, ExecError, FailSlot};
 use crate::filter::COMPACT_FRACTION;
 use crate::join::{BuildSide, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::Operator;
-use crate::parallel::{BuildChild, MorselDispenser};
+use crate::parallel::MorselDispenser;
 
-/// One fused pipeline stage. Mirrors the serial operator it replaces; the
-/// recycler-facing metrics contract (rows out, probe work) is identical.
+/// One pipeline stage, with the metrics of the plan node it executes.
 #[derive(Clone)]
 pub enum FusedStage {
     /// `Select`: narrow the live selection with a compiled predicate.
@@ -73,9 +95,10 @@ pub enum FusedStage {
         build: Arc<SharedBuild>,
         kind: JoinKind,
         left_keys: Vec<Expr>,
+        /// Build-side column types (NULL padding for left-outer joins).
         right_types: Vec<DataType>,
         metrics: Arc<OpMetrics>,
-        /// Lazily resolved build side (first morsel through this chain).
+        /// Lazily resolved build side (first input through this chain).
         built: Option<Arc<BuildSide>>,
     },
 }
@@ -92,8 +115,8 @@ impl FusedStage {
 
 /// Per-stage measurement counters accumulated *locally* in the chain and
 /// flushed to the shared atomic [`OpMetrics`] in bulk — per-morsel atomic
-/// RMWs on every stage are exactly the kind of per-row overhead fusion
-/// exists to remove.
+/// RMWs on every stage are exactly the kind of per-row overhead the push
+/// loop exists to remove.
 #[derive(Clone, Copy, Default)]
 struct StageLocal {
     time: u64,
@@ -103,19 +126,20 @@ struct StageLocal {
     work: u64,
 }
 
-/// Morsels between metric flushes: keeps the shared counters fresh enough
+/// Steps between metric flushes: keeps the shared counters fresh enough
 /// for mid-flight progress estimates while amortizing the atomic traffic.
 const FLUSH_EVERY: u32 = 64;
 
-/// A fused operator chain plus its reusable scratch buffers. One instance
-/// per worker (clones share the `Arc`ed metrics and build sides but own
-/// their scratch), driven morsel-at-a-time via [`FusedChain::push`].
+/// A chain of pipeline stages plus its reusable scratch buffers. One
+/// instance per driver (clones share the `Arc`ed metrics, build sides and
+/// failure slot but own their scratch), advanced one input batch at a
+/// time via [`FusedChain::step`].
 #[derive(Clone)]
 pub struct FusedChain {
     stages: Vec<FusedStage>,
     /// Locally accumulated per-stage counters (see [`StageLocal`]).
     locals: Vec<StageLocal>,
-    /// Morsels pushed since the last metrics flush.
+    /// Steps since the last metrics flush.
     since_flush: u32,
     /// Live selection indices (chain state between stages).
     sel_scratch: Vec<u32>,
@@ -123,11 +147,16 @@ pub struct FusedChain {
     aux_scratch: Vec<u32>,
     /// Per-row probe-key hashes.
     hash_scratch: Vec<u64>,
+    /// Where a failing stage reports (shared with the whole execution).
+    fail: Arc<FailSlot>,
+    /// Set once a step failed: the chain's stream has ended.
+    failed: bool,
 }
 
 impl FusedChain {
-    /// Chain over `stages`, bottom (nearest the scan) first.
-    pub fn new(stages: Vec<FusedStage>) -> FusedChain {
+    /// Chain over `stages`, bottom (nearest the source) first, reporting
+    /// stage failures into `fail`.
+    pub fn new(stages: Vec<FusedStage>, fail: Arc<FailSlot>) -> FusedChain {
         let locals = vec![StageLocal::default(); stages.len()];
         FusedChain {
             stages,
@@ -136,73 +165,87 @@ impl FusedChain {
             sel_scratch: Vec::new(),
             aux_scratch: Vec::new(),
             hash_scratch: Vec::new(),
+            fail,
+            failed: false,
         }
     }
 
-    /// Number of fused stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Whether the chain has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
-    /// Push one morsel through the whole chain. Returns the chain's output
-    /// batch, or `None` when the morsel's rows were all filtered out /
-    /// unmatched (the serial chain emits nothing for such a morsel either).
-    pub fn push(&mut self, morsel: Batch) -> Option<Batch> {
+    /// One driver step, shared by the serial operator and the parallel
+    /// workers: pull the next input with `pull` (which may tag it, e.g.
+    /// with its morsel index) and push it through every stage. The pull
+    /// happens inside the measured span (see the module's timing rule).
+    ///
+    /// `None` ends the chain's stream: the source is exhausted, or a stage
+    /// failed and the error is in the failure slot. `Some((tag, None))`
+    /// means this input's rows were all filtered out or unmatched.
+    pub fn step<T>(
+        &mut self,
+        pull: impl FnOnce() -> Option<(T, Batch)>,
+    ) -> Option<(T, Option<Batch>)> {
+        if self.failed {
+            return None;
+        }
         let start = Instant::now();
-        let mut sel_buf = std::mem::take(&mut self.sel_scratch);
-        let mut aux = std::mem::take(&mut self.aux_scratch);
-        let mut hashes = std::mem::take(&mut self.hash_scratch);
-        let out = run_chain(
-            &mut self.stages,
-            &mut self.locals,
-            morsel,
-            &mut sel_buf,
-            &mut aux,
-            &mut hashes,
-        );
+        let stepped = catch_unwind(AssertUnwindSafe(|| {
+            pull()
+                .map(|(tag, input)| {
+                    run_chain(
+                        &mut self.stages,
+                        &mut self.locals,
+                        input,
+                        &mut self.sel_scratch,
+                        &mut self.aux_scratch,
+                        &mut self.hash_scratch,
+                    )
+                    .map(|out| (tag, out))
+                })
+                .transpose()
+        }));
         let elapsed = start.elapsed().as_nanos() as u64;
+        // Every stage counts every pull, the exhausted one and those an
+        // earlier stage emptied included, so a call count is zero only if
+        // the chain never ran — the recycler's marker for a subtree
+        // skipped by a warm operator-state hit.
         for l in &mut self.locals {
             l.time += elapsed;
+            l.calls += 1;
         }
-        self.sel_scratch = sel_buf;
-        self.aux_scratch = aux;
-        self.hash_scratch = hashes;
+        let out = match stepped {
+            Ok(Ok(out)) => out,
+            Ok(Err(e)) => self.fail_with(e),
+            Err(p) => self.fail_with(ExecError::msg(format!(
+                "pipeline stage panicked: {}",
+                panic_message(p.as_ref())
+            ))),
+        };
         self.since_flush += 1;
-        if self.since_flush >= FLUSH_EVERY {
+        // End of input: publish before the consumer (recycler completion,
+        // a breaker counting partials) can observe the stream's end.
+        if out.is_none() || self.since_flush >= FLUSH_EVERY {
             self.flush();
         }
         out
     }
 
+    fn fail_with<T>(&mut self, err: ExecError) -> Option<T> {
+        self.fail.set(err);
+        self.failed = true;
+        None
+    }
+
     /// Publish the locally accumulated counters into the shared metrics.
-    /// Idempotent (locals drain to zero); called periodically, at
-    /// end-of-stream by the drivers, and on drop as a safety net for
-    /// cancelled / aborted executions.
+    /// Idempotent (locals drain to zero); called periodically, at end of
+    /// input, and on drop as a safety net for cancelled executions.
     pub fn flush(&mut self) {
         self.since_flush = 0;
         for (stage, l) in self.stages.iter().zip(self.locals.iter_mut()) {
             let m = stage.metrics();
-            if l.time > 0 {
-                m.add_time(l.time);
-            }
-            if l.calls > 0 {
-                m.calls
-                    .fetch_add(l.calls, std::sync::atomic::Ordering::Relaxed);
-            }
-            if l.rows > 0 {
-                m.add_rows(l.rows);
-            }
-            if l.bytes > 0 {
-                m.add_bytes(l.bytes);
-            }
-            if l.work > 0 {
-                m.add_work(l.work);
-            }
+            m.add_time(l.time);
+            m.calls
+                .fetch_add(l.calls, std::sync::atomic::Ordering::Relaxed);
+            m.add_rows(l.rows);
+            m.add_bytes(l.bytes);
+            m.add_work(l.work);
             *l = StageLocal::default();
         }
     }
@@ -216,9 +259,8 @@ impl Drop for FusedChain {
 
 /// Logical output bytes for a stage emitting `rows` of `cur` — the same
 /// selectivity-scaled estimate [`Batch::size_bytes`] reports for a
-/// selected batch, so fused byte metrics match the serial operators'.
-/// `span` caches the summed column bytes of `cur` across consecutive
-/// stages that leave the columns untouched.
+/// selected batch. `span` caches the summed column bytes of `cur` across
+/// consecutive stages that leave the columns untouched.
 fn out_bytes(cur: &Batch, rows: usize, span: &mut Option<usize>) -> u64 {
     let span =
         *span.get_or_insert_with(|| cur.columns().iter().map(|c| c.size_bytes()).sum::<usize>());
@@ -228,62 +270,56 @@ fn out_bytes(cur: &Batch, rows: usize, span: &mut Option<usize>) -> u64 {
 fn run_chain(
     stages: &mut [FusedStage],
     locals: &mut [StageLocal],
-    morsel: Batch,
+    input: Batch,
     sel_buf: &mut Vec<u32>,
     aux: &mut Vec<u32>,
     hashes: &mut Vec<u64>,
-) -> Option<Batch> {
-    // `cur` never carries a selection inside the chain: the live selection
-    // is `sel_buf` when `dense` is false, all physical rows otherwise.
-    let mut cur = morsel;
-    let mut dense = true;
-    let mut killed_at: Option<usize> = None;
+) -> Result<Option<Batch>, ExecError> {
+    // The live selection is `sel_buf` when `dense` is false, all physical
+    // rows of `cur` otherwise. A selection on `cur` itself (an operator
+    // source may hand one in) only seeds `sel_buf` and is never read
+    // again: `dense` turns true only where `cur` is rebuilt.
+    let mut cur = input;
+    let mut dense = match cur.sel() {
+        Some(sel) => {
+            sel_buf.clear();
+            sel_buf.extend_from_slice(sel);
+            false
+        }
+        None => true,
+    };
     // Summed column bytes of `cur`, invalidated whenever `cur`'s columns
     // change (compaction, projection, probe output).
     let mut span: Option<usize> = None;
-    for i in 0..stages.len() {
-        let local = &mut locals[i];
-        match &mut stages[i] {
+    for (stage, local) in stages.iter_mut().zip(locals.iter_mut()) {
+        match stage {
             FusedStage::Filter { pred, .. } => {
                 if dense {
                     pred.select_physical_into(&cur, sel_buf);
-                    dense = sel_buf.len() == cur.physical_rows();
                 } else {
                     pred.refine(&cur, sel_buf);
                 }
-                if !dense {
-                    if sel_buf.is_empty() {
-                        local.calls += 1;
-                        killed_at = Some(i);
-                        break;
-                    }
-                    // The serial filter's sparse-compaction heuristic:
-                    // below 1-in-COMPACT_FRACTION survivors, gather now so
-                    // later stages stop computing over dead rows.
-                    if sel_buf.len() * COMPACT_FRACTION < cur.physical_rows() {
-                        cur = cur.take_physical(sel_buf);
-                        dense = true;
-                        span = None;
-                    }
+                // Checked first so a zero-row input is dropped too:
+                // downstream operators never see empty batches.
+                if sel_buf.is_empty() {
+                    return Ok(None);
                 }
-                let rows = if dense {
-                    cur.physical_rows()
-                } else {
-                    sel_buf.len()
-                };
-                local.calls += 1;
+                dense = dense && sel_buf.len() == cur.physical_rows();
+                // Sparse compaction: below 1-in-COMPACT_FRACTION survivors,
+                // gather now so later stages stop computing over dead rows.
+                if !dense && sel_buf.len() * COMPACT_FRACTION < cur.physical_rows() {
+                    cur = cur.take_physical(sel_buf);
+                    dense = true;
+                    span = None;
+                }
+                let rows = live_len(&cur, dense, sel_buf);
                 local.rows += rows as u64;
                 local.bytes += out_bytes(&cur, rows, &mut span);
             }
             FusedStage::Project { exprs, .. } => {
                 cur = Batch::new(exprs.iter().map(|e| eval(e, &cur)).collect());
                 span = None;
-                let rows = if dense {
-                    cur.physical_rows()
-                } else {
-                    sel_buf.len()
-                };
-                local.calls += 1;
+                let rows = live_len(&cur, dense, sel_buf);
                 local.rows += rows as u64;
                 local.bytes += out_bytes(&cur, rows, &mut span);
             }
@@ -295,40 +331,32 @@ fn run_chain(
                 built,
                 ..
             } => {
-                let b = match built {
-                    Some(b) => b.clone(),
-                    None => {
-                        let g = build.get();
-                        *built = Some(g.clone());
-                        g
-                    }
-                };
-                let in_rows = if dense {
-                    cur.physical_rows()
-                } else {
-                    sel_buf.len()
-                };
+                let b = built.get_or_insert_with(|| build.get()).clone();
+                let in_rows = live_len(&cur, dense, sel_buf);
                 local.work += in_rows as u64;
                 match kind {
                     JoinKind::Single => {
-                        assert_eq!(
-                            b.rows(),
-                            1,
-                            "single join build side must have exactly one row"
-                        );
-                        let n = cur.physical_rows();
-                        let idx = vec![0u32; n];
-                        let right_part = b.batch().take(&idx);
+                        if b.rows() != 1 {
+                            return Err(ExecError::msg(format!(
+                                "single join build side must have exactly one row, got {}",
+                                b.rows()
+                            )));
+                        }
+                        // Broadcast the build row across the physical rows
+                        // and keep the live selection: the probe columns
+                        // stay shared, nothing is gathered.
+                        let idx = vec![0u32; cur.physical_rows()];
                         let mut cols: Vec<Column> = cur.columns().to_vec();
-                        cols.extend(right_part.into_columns());
+                        cols.extend(b.batch().take(&idx).into_columns());
                         cur = Batch::new(cols);
                         span = None;
-                        let rows = if dense { n } else { sel_buf.len() };
-                        local.calls += 1;
-                        local.rows += rows as u64;
-                        local.bytes += out_bytes(&cur, rows, &mut span);
+                        local.rows += in_rows as u64;
+                        local.bytes += out_bytes(&cur, in_rows, &mut span);
                     }
                     JoinKind::Inner | JoinKind::LeftOuter => {
+                        // Key columns are evaluated (and hashed in bulk)
+                        // over the physical rows; the live selection
+                        // decides which of them probe.
                         let key_cols: Vec<Column> =
                             left_keys.iter().map(|e| eval(e, &cur)).collect();
                         let key_refs: Vec<&Column> = key_cols.iter().collect();
@@ -336,25 +364,21 @@ fn run_chain(
                         let mut left_idx: Vec<u32> = Vec::new();
                         let mut right_idx: Vec<u32> = Vec::new();
                         let mut unmatched: Vec<u32> = Vec::new();
-                        let sel_slice = (!dense).then_some(sel_buf.as_slice());
-                        let dense_end = if dense { cur.physical_rows() as u32 } else { 0 };
-                        let rows_iter =
-                            sel_slice.into_iter().flatten().copied().chain(0..dense_end);
                         b.probe_pairs(
                             &key_refs,
                             hashes,
-                            rows_iter,
+                            live_rows(&cur, dense, sel_buf),
                             *kind == JoinKind::LeftOuter,
                             &mut left_idx,
                             &mut right_idx,
                             &mut unmatched,
                         );
-                        let matched_left = cur.take_physical(&left_idx);
-                        let matched_right = b.batch().take_physical(&right_idx);
-                        let mut cols = matched_left.into_columns();
-                        cols.extend(matched_right.into_columns());
+                        let mut cols = cur.take_physical(&left_idx).into_columns();
+                        cols.extend(b.batch().take_physical(&right_idx).into_columns());
                         let matched = Batch::new(cols);
-                        cur = if *kind == JoinKind::LeftOuter && !unmatched.is_empty() {
+                        cur = if unmatched.is_empty() {
+                            matched
+                        } else {
                             let pad_left = cur.take_physical(&unmatched);
                             let n = pad_left.rows();
                             let mut cols = pad_left.into_columns();
@@ -366,17 +390,12 @@ fn run_chain(
                                 cols.push(bld.finish());
                             }
                             Batch::concat(&[matched, Batch::new(cols)])
-                        } else {
-                            matched
                         };
                         dense = true;
                         span = None;
                         if cur.rows() == 0 {
-                            local.calls += 1;
-                            killed_at = Some(i);
-                            break;
+                            return Ok(None);
                         }
-                        local.calls += 1;
                         local.rows += cur.rows() as u64;
                         local.bytes += cur.size_bytes() as u64;
                     }
@@ -386,19 +405,20 @@ fn run_chain(
                         let key_refs: Vec<&Column> = key_cols.iter().collect();
                         hash_columns(&key_refs, cur.physical_rows(), hashes);
                         aux.clear();
-                        let sel_slice = (!dense).then_some(sel_buf.as_slice());
-                        let dense_end = if dense { cur.physical_rows() as u32 } else { 0 };
-                        let rows_iter =
-                            sel_slice.into_iter().flatten().copied().chain(0..dense_end);
-                        b.probe_keep(&key_refs, hashes, rows_iter, *kind == JoinKind::Semi, aux);
+                        b.probe_keep(
+                            &key_refs,
+                            hashes,
+                            live_rows(&cur, dense, sel_buf),
+                            *kind == JoinKind::Semi,
+                            aux,
+                        );
+                        // Zero-copy: the output is the probe batch
+                        // narrowed to the qualifying rows.
                         std::mem::swap(sel_buf, aux);
                         dense = false;
                         if sel_buf.is_empty() {
-                            local.calls += 1;
-                            killed_at = Some(i);
-                            break;
+                            return Ok(None);
                         }
-                        local.calls += 1;
                         local.rows += sel_buf.len() as u64;
                         local.bytes += out_bytes(&cur, sel_buf.len(), &mut span);
                     }
@@ -406,127 +426,117 @@ fn run_chain(
             }
         }
     }
-    if let Some(k) = killed_at {
-        // Later stages saw the (empty) morsel too: keep their call counts
-        // non-zero so the recycler's "never ran" marker stays truthful.
-        for l in &mut locals[k + 1..] {
-            l.calls += 1;
-        }
-        return None;
-    }
-    if dense {
-        Some(cur)
+    Ok(Some(if dense {
+        cur
     } else {
-        Some(cur.with_selection(Arc::new(std::mem::take(sel_buf))))
+        cur.with_selection(Arc::new(std::mem::take(sel_buf)))
+    }))
+}
+
+/// How many rows of `cur` are live.
+fn live_len(cur: &Batch, dense: bool, sel: &[u32]) -> usize {
+    if dense {
+        cur.physical_rows()
+    } else {
+        sel.len()
     }
 }
 
-/// The serial fused pipeline operator: drives a [`MorselDispenser`]
-/// through one [`FusedChain`] on the caller's thread. Under parallel
-/// execution the same chain type runs inside per-worker segments instead
-/// (see [`crate::parallel::SegmentPipe`]).
+/// The live physical rows of `cur`, in order — the probe loops' row domain.
+fn live_rows<'a>(cur: &Batch, dense: bool, sel: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    let (sel, dense_end) = if dense {
+        (&sel[..0], cur.physical_rows() as u32)
+    } else {
+        (sel, 0)
+    };
+    sel.iter().copied().chain(0..dense_end)
+}
+
+/// Where a chain's input batches come from (see the module docs).
+pub enum ChainSource {
+    /// Morsels of a base-table scan.
+    Morsels(Arc<MorselDispenser>),
+    /// Any other child operator, pulled one batch at a time.
+    Operator(Box<dyn Operator>),
+}
+
+/// The serial pipeline operator: drives one [`FusedChain`] over its source
+/// on the caller's thread. Under parallel execution clones of the same
+/// chain run inside per-worker segments instead (see
+/// [`crate::parallel::ParallelSource`]).
 pub struct FusedPipelineExec {
-    dispenser: Arc<MorselDispenser>,
+    source: ChainSource,
     chain: FusedChain,
 }
 
 impl FusedPipelineExec {
-    /// Wrap a built fused pipeline.
-    pub fn new(dispenser: Arc<MorselDispenser>, chain: FusedChain) -> FusedPipelineExec {
-        FusedPipelineExec { dispenser, chain }
+    /// Wrap a built pipeline.
+    pub fn new(source: ChainSource, chain: FusedChain) -> FusedPipelineExec {
+        FusedPipelineExec { source, chain }
     }
 }
 
 impl Operator for FusedPipelineExec {
     fn next_batch(&mut self) -> Option<Batch> {
-        while let Some((_, morsel)) = self.dispenser.next_morsel() {
-            if let Some(out) = self.chain.push(morsel) {
-                return Some(out);
+        loop {
+            let out = match &mut self.source {
+                ChainSource::Morsels(d) => self.chain.step(|| d.next_morsel())?.1,
+                ChainSource::Operator(op) => {
+                    self.chain.step(|| op.next_batch().map(|b| ((), b)))?.1
+                }
+            };
+            if out.is_some() {
+                return out;
             }
         }
-        // End of stream: publish the deferred counters before the caller
-        // (recycler completion, EXPLAIN ANALYZE) reads the shared metrics.
-        self.chain.flush();
-        None
     }
 
     fn progress(&self) -> f64 {
-        self.dispenser.progress()
-    }
-}
-
-/// A fused pipeline ready to run: the shared dispenser, a prototype chain
-/// (clone one per worker), and the metrics tree mirroring the plan span.
-pub(crate) struct FusedPipeline {
-    pub(crate) dispenser: Arc<MorselDispenser>,
-    pub(crate) chain: FusedChain,
-    pub(crate) metrics: MetricsNode,
-}
-
-/// Walk the fusable chain under `plan`: pipelining stages (top-down) over
-/// a base-table scan. `None` when `plan` does not head such a chain (or
-/// the chain is empty — a bare scan has nothing to fuse).
-fn collect_chain(plan: &Plan) -> Option<(Vec<&Plan>, &str, &[String])> {
-    let mut stages: Vec<&Plan> = Vec::new();
-    let mut cur = plan;
-    loop {
-        match cur {
-            Plan::Scan { table, cols } => {
-                if stages.is_empty() {
-                    return None;
-                }
-                return Some((stages, table, cols));
-            }
-            Plan::Select { child, .. } | Plan::Project { child, .. } => {
-                stages.push(cur);
-                cur = child;
-            }
-            Plan::Join { left, .. } => {
-                stages.push(cur);
-                cur = left;
-            }
-            _ => return None,
+        match &self.source {
+            ChainSource::Morsels(d) => d.progress(),
+            ChainSource::Operator(op) => op.progress(),
         }
     }
 }
 
-/// Number of plan nodes `plan` would fuse into one push-style span (the
-/// chain stages, excluding the scan), or `None` when `plan` does not head
-/// a fusable chain. EXPLAIN uses this to annotate fused spans.
-pub fn fused_span(plan: &Plan) -> Option<usize> {
-    collect_chain(plan).map(|(stages, _, _)| stages.len())
+/// The pipelining span headed by `plan`: its stages top-down, and the
+/// first node below them that is not a pipelining stage — the chain's
+/// source. The stage list is empty when `plan` itself is not one. This is
+/// the only place a span is recognized; the builder, the parallel source
+/// and EXPLAIN all ask here.
+pub(crate) fn collect_chain(plan: &Plan) -> (Vec<&Plan>, &Plan) {
+    let mut stages: Vec<&Plan> = Vec::new();
+    let mut cur = plan;
+    loop {
+        let below = match cur {
+            Plan::Select { child, .. } | Plan::Project { child, .. } => child,
+            Plan::Join { left, .. } => left,
+            _ => return (stages, cur),
+        };
+        stages.push(cur);
+        cur = below;
+    }
 }
 
-/// Build the fused pipeline for `plan` if it heads a fusable chain.
-/// `require_multi_morsel` gates on the scan being big enough to split
-/// (the parallel caller); the serial caller fuses any size. Join build
-/// sides route through the operator-state cache exactly like the unfused
-/// builder ([`crate::build::join_build`]) — same artifact at any DOP.
-pub(crate) fn build_fused_pipeline(
-    plan: &Plan,
+/// Number of plan nodes the executor runs as one chain headed by `plan`
+/// (the source excluded), or `None` when `plan` is not a pipelining
+/// stage. EXPLAIN uses this to annotate spans.
+pub fn fused_span(plan: &Plan) -> Option<usize> {
+    let n = collect_chain(plan).0.len();
+    (n > 0).then_some(n)
+}
+
+/// Build the chain for `stages` (top-down, as [`collect_chain`] returns
+/// them) over a source whose metrics subtree is `source_metrics`, and the
+/// metrics tree mirroring the span. Join build sides route through the
+/// operator-state cache ([`crate::build::join_build`]) — the same
+/// artifact whatever the source kind or DOP.
+pub(crate) fn build_stages(
+    stages: &[&Plan],
+    source_metrics: MetricsNode,
     ctx: &ExecContext,
-    require_multi_morsel: bool,
-    build_child: &mut BuildChild<'_>,
-) -> Result<Option<FusedPipeline>, PlanError> {
-    let Some((stages, table_name, cols)) = collect_chain(plan) else {
-        return Ok(None);
-    };
-    let Some(table) = ctx.table(table_name) else {
-        return Ok(None); // serial build reports the unknown table
-    };
-    if require_multi_morsel && morsel_count(table.rows()) < 2 {
-        return Ok(None);
-    }
-    let projection: Vec<usize> = match cols
-        .iter()
-        .map(|c| table.schema().index_of(c))
-        .collect::<Option<Vec<_>>>()
-    {
-        Some(p) => p,
-        None => return Ok(None), // serial build reports the unknown column
-    };
-    let scan_metrics = OpMetrics::shared();
-    let mut node = MetricsNode::leaf(scan_metrics.clone());
+) -> Result<(FusedChain, MetricsNode), PlanError> {
+    let mut node = source_metrics;
     let mut fused: Vec<FusedStage> = Vec::with_capacity(stages.len());
     // Bottom-up: reverse the collected top-down chain.
     for stage in stages.iter().rev() {
@@ -559,14 +569,8 @@ pub(crate) fn build_fused_pipeline(
                     .iter()
                     .map(|f| f.dtype)
                     .collect();
-                let (build, right_metrics) = crate::build::join_build(
-                    right,
-                    right_keys,
-                    &right_types,
-                    &m,
-                    ctx,
-                    build_child,
-                )?;
+                let (build, right_metrics) =
+                    crate::build::join_build(right, right_keys, &right_types, &m, ctx)?;
                 node = MetricsNode::new(m.clone(), vec![node, right_metrics]);
                 fused.push(FusedStage::Probe {
                     build,
@@ -577,15 +581,181 @@ pub(crate) fn build_fused_pipeline(
                     built: None,
                 });
             }
-            _ => unreachable!("chain walk admits only Select/Project/Join"),
+            _ => unreachable!("collect_chain admits only Select/Project/Join"),
         }
     }
-    let dispenser = Arc::new(
-        MorselDispenser::new(table, projection, scan_metrics).with_cancel(ctx.cancel.clone()),
-    );
-    Ok(Some(FusedPipeline {
-        dispenser,
-        chain: FusedChain::new(fused),
-        metrics: node,
-    }))
+    Ok((FusedChain::new(fused, ctx.fail.clone()), node))
+}
+
+/// Test drivers shared with `filter.rs` and `join.rs`, whose hand-computed
+/// cases run against the chain over both source kinds.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::op::run_to_batch;
+    pub(crate) use crate::op::testing::BatchSource;
+    use rdb_storage::Table;
+    use rdb_vector::{Field, Schema};
+
+    /// `stages` over an operator source replaying `input`.
+    pub(crate) fn over_operator(stages: Vec<FusedStage>, input: Vec<Batch>) -> FusedPipelineExec {
+        FusedPipelineExec::new(
+            ChainSource::Operator(BatchSource::boxed(input)),
+            FusedChain::new(stages, FailSlot::shared()),
+        )
+    }
+
+    /// `stages` over a morsel dispenser scanning the rows of `input`
+    /// (non-empty) as one table.
+    pub(crate) fn over_morsels(stages: Vec<FusedStage>, input: &[Batch]) -> FusedPipelineExec {
+        let all = Batch::concat(input);
+        let fields = all
+            .columns()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| Field::new(format!("c{i}"), c.data_type()))
+            .collect();
+        let projection = (0..all.width()).collect();
+        let table = Arc::new(Table::new("t", Schema::new(fields), all.into_columns()));
+        let dispenser = MorselDispenser::new(table, projection, OpMetrics::shared());
+        FusedPipelineExec::new(
+            ChainSource::Morsels(Arc::new(dispenser)),
+            FusedChain::new(stages, FailSlot::shared()),
+        )
+    }
+
+    /// `batch` with a dead copy inserted after every row and a selection
+    /// vector narrowing it back to the original rows: what a chain sees
+    /// from a source that filtered upstream.
+    pub(crate) fn with_dead_rows(batch: &Batch) -> Batch {
+        let n = batch.rows() as u32;
+        let doubled: Vec<u32> = (0..n).flat_map(|i| [i, i]).collect();
+        let live: Vec<u32> = (0..n).map(|i| 2 * i).collect();
+        batch.take(&doubled).with_selection(Arc::new(live))
+    }
+
+    /// Run `stages` over `input` every way a chain can be fed — a morsel
+    /// dispenser, an operator source with dense batches, an operator
+    /// source whose batches carry selections — assert the three agree on
+    /// the logical rows and their order, and return them.
+    pub(crate) fn run_every_way(stages: Vec<FusedStage>, input: Vec<Batch>) -> Batch {
+        let selected = input.iter().map(with_dead_rows).collect();
+        let from_morsels = run_to_batch(&mut over_morsels(stages.clone(), &input));
+        let dense = run_to_batch(&mut over_operator(stages.clone(), input));
+        let sparse = run_to_batch(&mut over_operator(stages, selected));
+        assert_eq!(
+            from_morsels.to_rows(),
+            dense.to_rows(),
+            "morsel vs operator source"
+        );
+        assert_eq!(
+            dense.to_rows(),
+            sparse.to_rows(),
+            "dense vs selection-carrying input"
+        );
+        dense
+    }
+
+    /// A `Select` stage with fresh metrics.
+    pub(crate) fn filter(pred: Expr) -> FusedStage {
+        FusedStage::Filter {
+            pred: CompiledPredicate::compile(&pred),
+            metrics: OpMetrics::shared(),
+        }
+    }
+
+    /// A `Project` stage with fresh metrics.
+    pub(crate) fn project(exprs: Vec<Expr>) -> FusedStage {
+        FusedStage::Project {
+            exprs,
+            metrics: OpMetrics::shared(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::*;
+    use super::*;
+    use crate::op::run_to_batch;
+    use rdb_plan::scan;
+
+    fn ints(v: Vec<i64>) -> Batch {
+        Batch::new(vec![Column::from_ints(v)])
+    }
+
+    fn stage_metrics(stages: &[FusedStage]) -> Vec<Arc<OpMetrics>> {
+        stages.iter().map(|s| s.metrics().clone()).collect()
+    }
+
+    #[test]
+    fn spans_are_recognized_over_any_source() {
+        let dim = scan("d", &["k"]);
+        let over_scan = scan("t", &["k"])
+            .select(Expr::col(0).gt(Expr::lit(1)))
+            .join(dim, JoinKind::Semi, vec![Expr::col(0)], vec![Expr::col(0)])
+            .project(vec![(Expr::col(0), "k")]);
+        let (stages, source) = collect_chain(&over_scan);
+        assert_eq!(stages.len(), 3, "select, probe and project are one span");
+        assert!(matches!(stages[0], Plan::Project { .. }), "top-down");
+        assert!(matches!(source, Plan::Scan { table, .. } if table == "t"));
+        assert_eq!(fused_span(&over_scan), Some(3));
+        // A breaker ends the span below it and starts no span itself.
+        let above = scan("t", &["k"])
+            .top_n(vec![], 5)
+            .select(Expr::col(0).gt(Expr::lit(1)));
+        let (stages, source) = collect_chain(&above);
+        assert_eq!(stages.len(), 1);
+        assert!(matches!(source, Plan::TopN { .. }));
+        assert_eq!(fused_span(source), None);
+        assert_eq!(fused_span(&scan("t", &["k"])), None);
+    }
+
+    #[test]
+    fn metrics_match_the_per_node_contract() {
+        // Morsel 1 is killed by the first filter, morsel 2 passes both.
+        let stages = vec![
+            filter(Expr::col(0).gt(Expr::lit(10))),
+            filter(Expr::col(0).lt(Expr::lit(13))),
+        ];
+        let ms = stage_metrics(&stages);
+        assert_eq!(ms[1].calls(), 0, "never ran: the zero-call marker");
+        let mut exec = over_operator(stages, vec![ints(vec![1, 2, 3]), ints(vec![11, 12, 13])]);
+        let out = run_to_batch(&mut exec);
+        assert_eq!(out.to_rows().len(), 2);
+        // Two inputs plus the exhausted pull, on every stage — the stage
+        // above a killed input included.
+        assert_eq!(ms[0].calls(), 3);
+        assert_eq!(ms[1].calls(), 3);
+        assert_eq!(ms[0].rows_out(), 3);
+        assert_eq!(ms[1].rows_out(), 2);
+        assert_eq!(ms[1].bytes_out(), out.size_bytes() as u64);
+        // One span time, charged to every stage.
+        assert!(ms[0].time_ns() > 0);
+        assert_eq!(ms[0].time_ns(), ms[1].time_ns());
+    }
+
+    #[test]
+    fn span_time_includes_the_source_pull() {
+        struct Slow(Option<Batch>);
+        impl Operator for Slow {
+            fn next_batch(&mut self) -> Option<Batch> {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                self.0.take()
+            }
+            fn progress(&self) -> f64 {
+                0.25
+            }
+        }
+        let stages = vec![filter(Expr::col(0).gt(Expr::lit(0)))];
+        let ms = stage_metrics(&stages);
+        let mut exec = FusedPipelineExec::new(
+            ChainSource::Operator(Box::new(Slow(Some(ints(vec![1]))))),
+            FusedChain::new(stages, FailSlot::shared()),
+        );
+        assert_eq!(exec.progress(), 0.25, "an operator source's own meter");
+        assert_eq!(run_to_batch(&mut exec).rows(), 1);
+        // Both pulls (the batch and the exhausted one) slept inside the span.
+        assert!(ms[0].time_ns() >= 10_000_000, "{} ns", ms[0].time_ns());
+    }
 }

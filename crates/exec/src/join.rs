@@ -1,16 +1,16 @@
-//! Hash joins: inner, left outer, semi, anti, and single-row broadcast.
+//! Hash-join build sides: inner, left outer, semi, anti, and single-row
+//! broadcast joins all probe a [`BuildSide`].
 //!
 //! The build side (right input) is drained into a hash table first — the
 //! only materialization a pipelined engine performs for joins — and the
-//! probe side then streams through batch-at-a-time. The index maps
-//! pre-computed 64-bit key hashes ([`rdb_vector::hash_columns`]: one typed
-//! pass per key column, no per-row byte encoding) to candidate build rows;
-//! probes hash a whole batch's keys in bulk and confirm candidates with
-//! the positional equality predicate [`rdb_vector::key_rows_eq`], so the
-//! row-at-a-time work left in the probe loop is an array lookup and a
-//! typed compare. Probe batches are consumed selection-aware: semi/anti
-//! joins emit the probe batch with a narrowed selection (zero-copy), and
-//! single-row broadcasts share the probe columns.
+//! probe side then streams through it as a stage of its pipeline's chain
+//! ([`crate::fuse::FusedStage::Probe`], where the per-kind output shaping
+//! lives). The index maps pre-computed 64-bit key hashes
+//! ([`rdb_vector::hash_columns`]: one typed pass per key column, no
+//! per-row byte encoding) to candidate build rows; probes hash a whole
+//! batch's keys in bulk and confirm candidates with the positional
+//! equality predicate [`rdb_vector::key_rows_eq`], so the row-at-a-time
+//! work left in the probe loop is an array lookup and a typed compare.
 
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ use rdb_vector::row::row_has_null_key;
 use rdb_vector::{hash_columns, key_rows_eq, Batch, Column, DataType};
 
 use crate::metrics::OpMetrics;
-use crate::op::{timed_next, Operator};
+use crate::op::Operator;
 
 pub use rdb_plan::JoinKind;
 
@@ -127,18 +127,6 @@ impl BuildSide {
             }
         }
     }
-}
-
-/// Iterate a batch's selected physical rows (its selection vector, or all
-/// physical rows when it has none) — the probe loops' row domain.
-pub(crate) fn selected_rows(batch: &Batch) -> impl Iterator<Item = u32> + '_ {
-    let sel = batch.sel();
-    let dense_end = if sel.is_some() {
-        0
-    } else {
-        batch.physical_rows() as u32
-    };
-    sel.into_iter().flatten().copied().chain(0..dense_end)
 }
 
 /// Drain `right` and index it on `right_keys` (`right_types` shape a
@@ -293,374 +281,207 @@ impl SharedBuild {
     }
 }
 
-/// Where a join instance gets its build side from.
-enum BuildSource {
-    /// This operator owns and drains the build child (serial execution).
-    Own(Box<dyn Operator>),
-    /// Shared with sibling probe workers of a parallel pipeline.
-    Shared(Arc<SharedBuild>),
-}
-
-/// Hash equi-join.
-pub struct HashJoinExec {
-    left: Box<dyn Operator>,
-    right: BuildSource,
-    kind: JoinKind,
-    left_keys: Vec<Expr>,
-    right_keys: Vec<Expr>,
-    /// Types of the right (build) side columns — needed to construct NULL
-    /// padding for left-outer joins.
-    right_types: Vec<DataType>,
-    built: Option<Arc<BuildSide>>,
-    /// Reused per-batch probe-hash buffer (allocation-free once warm).
-    hash_scratch: Vec<u64>,
-    metrics: Arc<OpMetrics>,
-}
-
-impl HashJoinExec {
-    /// Create a join; `right_types` are the build side's output types.
-    pub fn new(
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        kind: JoinKind,
-        left_keys: Vec<Expr>,
-        right_keys: Vec<Expr>,
-        right_types: Vec<DataType>,
-        metrics: Arc<OpMetrics>,
-    ) -> Self {
-        HashJoinExec {
-            left,
-            right: BuildSource::Own(right),
-            kind,
-            left_keys,
-            right_keys,
-            right_types,
-            built: None,
-            hash_scratch: Vec::new(),
-            metrics,
-        }
-    }
-
-    /// Probe-side instance of a parallel pipeline: shares `build` with its
-    /// sibling workers instead of draining a build child of its own.
-    pub fn with_shared_build(
-        left: Box<dyn Operator>,
-        build: Arc<SharedBuild>,
-        kind: JoinKind,
-        left_keys: Vec<Expr>,
-        right_types: Vec<DataType>,
-        metrics: Arc<OpMetrics>,
-    ) -> Self {
-        HashJoinExec {
-            left,
-            right: BuildSource::Shared(build),
-            kind,
-            left_keys,
-            right_keys: Vec::new(),
-            right_types,
-            built: None,
-            hash_scratch: Vec::new(),
-            metrics,
-        }
-    }
-
-    fn build(&mut self) -> Arc<BuildSide> {
-        match &mut self.right {
-            BuildSource::Own(right) => Arc::new(build_side(
-                right.as_mut(),
-                &self.right_keys,
-                &self.right_types,
-                &self.metrics,
-            )),
-            BuildSource::Shared(shared) => shared.get(),
-        }
-    }
-
-    fn probe(&mut self, left_batch: Batch) -> Batch {
-        let built = self.built.clone().expect("probe before build");
-        self.metrics.add_work(left_batch.rows() as u64);
-        match self.kind {
-            JoinKind::Single => {
-                assert_eq!(
-                    built.batch.rows(),
-                    1,
-                    "single join build side must have exactly one row"
-                );
-                // Broadcast the single build row across the probe batch's
-                // physical rows and keep the probe's selection: the probe
-                // columns stay shared, nothing is gathered.
-                let n = left_batch.physical_rows();
-                let idx = vec![0u32; n];
-                let right_part = built.batch.take(&idx);
-                let sel = left_batch.sel_arc();
-                let mut cols: Vec<Column> = left_batch.columns().to_vec();
-                cols.extend(right_part.into_columns());
-                let out = Batch::new(cols);
-                match sel {
-                    Some(s) => out.with_selection(s),
-                    None => out,
-                }
-            }
-            JoinKind::Inner | JoinKind::LeftOuter => {
-                // Key columns are evaluated (and hashed in bulk) over the
-                // physical rows; the selection decides which of them probe.
-                let key_cols: Vec<Column> = self
-                    .left_keys
-                    .iter()
-                    .map(|e| eval(e, &left_batch))
-                    .collect();
-                let key_refs: Vec<&Column> = key_cols.iter().collect();
-                hash_columns(
-                    &key_refs,
-                    left_batch.physical_rows(),
-                    &mut self.hash_scratch,
-                );
-                let mut left_idx: Vec<u32> = Vec::new();
-                let mut right_idx: Vec<u32> = Vec::new();
-                let mut unmatched: Vec<u32> = Vec::new();
-                built.probe_pairs(
-                    &key_refs,
-                    &self.hash_scratch,
-                    selected_rows(&left_batch),
-                    self.kind == JoinKind::LeftOuter,
-                    &mut left_idx,
-                    &mut right_idx,
-                    &mut unmatched,
-                );
-                let matched_left = left_batch.take_physical(&left_idx);
-                let matched_right = built.batch.take_physical(&right_idx);
-                let mut cols = matched_left.into_columns();
-                cols.extend(matched_right.into_columns());
-                let matched = Batch::new(cols);
-                if self.kind == JoinKind::LeftOuter && !unmatched.is_empty() {
-                    let pad_left = left_batch.take_physical(&unmatched);
-                    let n = pad_left.rows();
-                    let mut cols = pad_left.into_columns();
-                    for t in &self.right_types {
-                        let mut b = ColumnBuilder::new(*t, n);
-                        for _ in 0..n {
-                            b.push_null();
-                        }
-                        cols.push(b.finish());
-                    }
-                    let padded = Batch::new(cols);
-                    Batch::concat(&[matched, padded])
-                } else {
-                    matched
-                }
-            }
-            JoinKind::Semi | JoinKind::Anti => {
-                let key_cols: Vec<Column> = self
-                    .left_keys
-                    .iter()
-                    .map(|e| eval(e, &left_batch))
-                    .collect();
-                let key_refs: Vec<&Column> = key_cols.iter().collect();
-                hash_columns(
-                    &key_refs,
-                    left_batch.physical_rows(),
-                    &mut self.hash_scratch,
-                );
-                let mut keep: Vec<u32> = Vec::new();
-                built.probe_keep(
-                    &key_refs,
-                    &self.hash_scratch,
-                    selected_rows(&left_batch),
-                    self.kind == JoinKind::Semi,
-                    &mut keep,
-                );
-                // Zero-copy: the output is the probe batch narrowed to the
-                // qualifying rows.
-                left_batch.with_selection(Arc::new(keep))
-            }
-        }
-    }
-}
-
-impl Operator for HashJoinExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.built.is_none() {
-                let built = self.build();
-                self.built = Some(built);
-            }
-            loop {
-                let left_batch = self.left.next_batch()?;
-                let out = self.probe(left_batch);
-                if !out.is_empty() {
-                    return Some(out);
-                }
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        // Probe side drives the pipeline.
-        self.left.progress()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::run_to_batch;
+    use crate::error::FailSlot;
+    use crate::fuse::testing::*;
+    use crate::fuse::{ChainSource, FusedChain, FusedPipelineExec, FusedStage};
     use rdb_vector::Value;
 
-    struct Source {
-        batches: Vec<Batch>,
-    }
-
-    impl Operator for Source {
-        fn next_batch(&mut self) -> Option<Batch> {
-            if self.batches.is_empty() {
-                None
-            } else {
-                Some(self.batches.remove(0))
-            }
-        }
-        fn progress(&self) -> f64 {
-            1.0
-        }
-    }
-
-    fn src(cols: Vec<Column>) -> Box<dyn Operator> {
-        Box::new(Source {
-            batches: vec![Batch::new(cols)],
-        })
-    }
-
-    fn empty_src() -> Box<dyn Operator> {
-        Box::new(Source { batches: vec![] })
-    }
-
-    fn join(
-        kind: JoinKind,
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        right_types: Vec<DataType>,
-    ) -> HashJoinExec {
-        HashJoinExec::new(
-            left,
-            right,
+    /// A probe stage of `kind` on column 0 of both sides, over a build
+    /// side made of `right` (one batch, or none at all).
+    fn probe(kind: JoinKind, right: Option<Vec<Column>>, right_types: Vec<DataType>) -> FusedStage {
+        let keys = if kind == JoinKind::Single {
+            vec![]
+        } else {
+            vec![Expr::col(0)]
+        };
+        let metrics = OpMetrics::shared();
+        FusedStage::Probe {
+            build: SharedBuild::new(
+                BatchSource::boxed(right.map(Batch::new).into_iter().collect()),
+                keys.clone(),
+                right_types.clone(),
+                metrics.clone(),
+                None,
+            ),
             kind,
-            vec![Expr::col(0)],
-            vec![Expr::col(0)],
+            left_keys: keys,
             right_types,
-            OpMetrics::shared(),
-        )
+            metrics,
+            built: None,
+        }
+    }
+
+    fn left(cols: Vec<Column>) -> Vec<Batch> {
+        vec![Batch::new(cols)]
     }
 
     #[test]
     fn inner_join_matches_pairs() {
-        let left = src(vec![
-            Column::from_ints(vec![1, 2, 3]),
-            Column::from_strs(["a", "b", "c"]),
-        ]);
-        let right = src(vec![
+        let right = vec![
             Column::from_ints(vec![2, 3, 3]),
             Column::from_floats(vec![0.2, 0.3, 0.33]),
-        ]);
-        let mut j = join(
-            JoinKind::Inner,
-            left,
-            right,
-            vec![DataType::Int, DataType::Float],
+        ];
+        let out = run_every_way(
+            vec![probe(
+                JoinKind::Inner,
+                Some(right),
+                vec![DataType::Int, DataType::Float],
+            )],
+            left(vec![
+                Column::from_ints(vec![1, 2, 3]),
+                Column::from_strs(["a", "b", "c"]),
+            ]),
         );
-        let out = run_to_batch(&mut j);
-        assert_eq!(out.rows(), 3); // 2→1 match, 3→2 matches
-        let mut rows = out.to_rows();
-        rows.sort_by(|a, b| a[0].cmp(&b[0]).then(a[3].cmp(&b[3])));
-        assert_eq!(
-            rows[0],
-            vec![
-                Value::Int(2),
-                Value::str("b"),
-                Value::Int(2),
-                Value::Float(0.2)
-            ]
-        );
-        assert_eq!(rows[2][3], Value::Float(0.33));
+        // 2→1 match, 3→2 matches, in probe-row then build-row order.
+        assert_eq!(out.column(0).as_ints(), &[2, 3, 3]);
+        assert_eq!(out.column(1).to_values()[0], Value::str("b"));
+        assert_eq!(out.column(2).as_ints(), &[2, 3, 3]);
+        assert_eq!(out.column(3).as_floats(), &[0.2, 0.3, 0.33]);
     }
 
     #[test]
     fn left_outer_pads_with_nulls() {
-        let left = src(vec![Column::from_ints(vec![1, 2])]);
-        let right = src(vec![Column::from_ints(vec![2]), Column::from_strs(["hit"])]);
-        let mut j = join(
-            JoinKind::LeftOuter,
-            left,
-            right,
-            vec![DataType::Int, DataType::Str],
+        let right = vec![Column::from_ints(vec![2]), Column::from_strs(["hit"])];
+        let out = run_every_way(
+            vec![probe(
+                JoinKind::LeftOuter,
+                Some(right),
+                vec![DataType::Int, DataType::Str],
+            )],
+            left(vec![Column::from_ints(vec![1, 2])]),
         );
-        let out = run_to_batch(&mut j);
-        assert_eq!(out.rows(), 2);
-        let mut rows = out.to_rows();
-        rows.sort_by(|a, b| a[0].cmp(&b[0]));
-        assert_eq!(rows[0], vec![Value::Int(1), Value::Null, Value::Null]);
+        // Matched rows first, then the NULL-padded unmatched ones.
         assert_eq!(
-            rows[1],
-            vec![Value::Int(2), Value::Int(2), Value::str("hit")]
+            out.to_rows(),
+            vec![
+                vec![Value::Int(2), Value::Int(2), Value::str("hit")],
+                vec![Value::Int(1), Value::Null, Value::Null],
+            ]
         );
     }
 
     #[test]
     fn semi_and_anti() {
-        let mk = || src(vec![Column::from_ints(vec![1, 2, 3, 4])]);
-        let right = || src(vec![Column::from_ints(vec![2, 4, 4])]);
-        let mut semi = join(JoinKind::Semi, mk(), right(), vec![DataType::Int]);
-        let out = run_to_batch(&mut semi);
+        let mk = || left(vec![Column::from_ints(vec![1, 2, 3, 4])]);
+        let right = || Some(vec![Column::from_ints(vec![2, 4, 4])]);
+        let semi = probe(JoinKind::Semi, right(), vec![DataType::Int]);
+        let out = run_every_way(vec![semi.clone()], mk());
         assert_eq!(out.column(0).as_ints(), &[2, 4]); // no duplication
-        let mut anti = join(JoinKind::Anti, mk(), right(), vec![DataType::Int]);
-        let out = run_to_batch(&mut anti);
+        let anti = probe(JoinKind::Anti, right(), vec![DataType::Int]);
+        let out = run_every_way(vec![anti], mk());
         assert_eq!(out.column(0).as_ints(), &[1, 3]);
+        // Zero-copy: the probe batch comes out narrowed, not gathered.
+        let input = mk();
+        let out = over_operator(vec![semi], input.clone())
+            .next_batch()
+            .unwrap();
+        assert_eq!(out.sel(), Some(&[1u32, 3][..]));
+        assert!(out.column(0).shares_storage(input[0].column(0)));
     }
 
     #[test]
     fn single_join_broadcasts() {
-        let left = src(vec![Column::from_ints(vec![1, 2, 3])]);
-        let right = src(vec![Column::from_floats(vec![9.5])]);
-        let mut j = HashJoinExec::new(
-            left,
-            right,
+        let single = probe(
             JoinKind::Single,
-            vec![],
-            vec![],
+            Some(vec![Column::from_floats(vec![9.5])]),
             vec![DataType::Float],
-            OpMetrics::shared(),
         );
-        let out = run_to_batch(&mut j);
+        let input = left(vec![Column::from_ints(vec![1, 2, 3])]);
+        let out = run_every_way(vec![single.clone()], input.clone());
         assert_eq!(out.rows(), 3);
         assert_eq!(out.column(1).as_floats(), &[9.5, 9.5, 9.5]);
+        // The probe columns stay shared and the selection rides along.
+        let sparse = with_dead_rows(&input[0]);
+        let out = over_operator(vec![single], vec![sparse.clone()])
+            .next_batch()
+            .unwrap();
+        assert_eq!(out.sel(), sparse.sel());
+        assert!(out.column(0).shares_storage(sparse.column(0)));
+    }
+
+    #[test]
+    fn single_join_rejects_a_multi_row_build_side() {
+        let single = probe(
+            JoinKind::Single,
+            Some(vec![Column::from_floats(vec![9.5, 1.0])]),
+            vec![DataType::Float],
+        );
+        let fail = FailSlot::shared();
+        let two_inputs = [
+            left(vec![Column::from_ints(vec![1])]),
+            left(vec![Column::from_ints(vec![2])]),
+        ]
+        .concat();
+        let mut exec = FusedPipelineExec::new(
+            ChainSource::Operator(BatchSource::boxed(two_inputs)),
+            FusedChain::new(vec![single], fail.clone()),
+        );
+        assert!(exec.next_batch().is_none(), "stream ends, no panic");
+        let err = fail.get().expect("structured error recorded");
+        assert!(err.message().contains("exactly one row, got 2"), "{err}");
+        assert!(exec.next_batch().is_none(), "a failed chain stays ended");
     }
 
     #[test]
     fn empty_build_side() {
-        let left = src(vec![Column::from_ints(vec![1, 2])]);
-        let mut inner = join(JoinKind::Inner, left, empty_src(), vec![DataType::Int]);
-        assert!(run_to_batch(&mut inner).is_empty());
-        let left = src(vec![Column::from_ints(vec![1, 2])]);
-        let mut anti = join(JoinKind::Anti, left, empty_src(), vec![DataType::Int]);
-        assert_eq!(run_to_batch(&mut anti).rows(), 2);
-        let left = src(vec![Column::from_ints(vec![1, 2])]);
-        let mut outer = join(JoinKind::LeftOuter, left, empty_src(), vec![DataType::Int]);
-        let out = run_to_batch(&mut outer);
+        let mk = || left(vec![Column::from_ints(vec![1, 2])]);
+        let inner = probe(JoinKind::Inner, None, vec![DataType::Int]);
+        assert!(run_every_way(vec![inner], mk()).is_empty());
+        let anti = probe(JoinKind::Anti, None, vec![DataType::Int]);
+        assert_eq!(run_every_way(vec![anti], mk()).rows(), 2);
+        let outer = probe(JoinKind::LeftOuter, None, vec![DataType::Int]);
+        let out = run_every_way(vec![outer], mk());
         assert_eq!(out.rows(), 2);
         assert_eq!(out.column(1).null_count(), 2);
     }
 
     #[test]
     fn null_keys_never_match() {
-        let mut b = ColumnBuilder::new(DataType::Int, 2);
-        b.push(Value::Int(1));
-        b.push_null();
-        let left = src(vec![b.finish()]);
-        let mut bb = ColumnBuilder::new(DataType::Int, 2);
-        bb.push(Value::Int(1));
-        bb.push_null();
-        let right = src(vec![bb.finish()]);
-        let mut j = join(JoinKind::Inner, left, right, vec![DataType::Int]);
-        let out = run_to_batch(&mut j);
+        let nullable = || {
+            let mut b = ColumnBuilder::new(DataType::Int, 2);
+            b.push(Value::Int(1));
+            b.push_null();
+            b.finish()
+        };
+        let mk = |kind| probe(kind, Some(vec![nullable()]), vec![DataType::Int]);
+        let out = run_every_way(vec![mk(JoinKind::Inner)], left(vec![nullable()]));
         assert_eq!(out.rows(), 1, "NULL = NULL must not match");
+        let out = run_every_way(vec![mk(JoinKind::Semi)], left(vec![nullable()]));
+        assert_eq!(out.to_rows(), vec![vec![Value::Int(1)]]);
+        let out = run_every_way(vec![mk(JoinKind::Anti)], left(vec![nullable()]));
+        assert_eq!(out.to_rows(), vec![vec![Value::Null]]);
+        let out = run_every_way(vec![mk(JoinKind::LeftOuter)], left(vec![nullable()]));
+        assert_eq!(
+            out.to_rows(),
+            vec![
+                vec![Value::Int(1), Value::Int(1)],
+                vec![Value::Null, Value::Null]
+            ]
+        );
+    }
+
+    #[test]
+    fn probe_work_counts_live_input_rows() {
+        let stage = probe(
+            JoinKind::Semi,
+            Some(vec![Column::from_ints(vec![2])]),
+            vec![DataType::Int],
+        );
+        let FusedStage::Probe { metrics, .. } = &stage else {
+            unreachable!()
+        };
+        let metrics = metrics.clone();
+        let input = with_dead_rows(&Batch::new(vec![Column::from_ints(vec![1, 2, 3])]));
+        let out = over_operator(vec![stage], vec![input]).next_batch();
+        assert_eq!(out.unwrap().rows(), 1);
+        // One build row drained plus three live (not six physical) probes.
+        assert_eq!(
+            metrics.own_work(),
+            1 + 3 + 1,
+            "build + probe work + rows out"
+        );
     }
 }

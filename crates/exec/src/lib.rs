@@ -1,25 +1,26 @@
 //! Pipelined, vectorized query executor.
 //!
 //! Operators pull [`rdb_vector::Batch`]es from their children
-//! (vector-at-a-time, the Vectorwise paradigm the paper targets). Pipelines
-//! only break at blocking operators (hash aggregation, sort, top-N, join
-//! build sides) — intermediate results are *not* materialized unless the
-//! recycler decides to, which is the entire point of the paper.
+//! (vector-at-a-time, the Vectorwise paradigm the paper targets), and
+//! every span of pipelining work between them — filter → project →
+//! join-probe — runs as one push-style [`FusedChain`] per input batch
+//! ([`fuse`]): the single implementation of selection, projection and
+//! probe semantics, over a base-table scan or over any other child
+//! operator. Pipelines only break at blocking operators (hash
+//! aggregation, sort, top-N, join build sides) — intermediate results are
+//! *not* materialized unless the recycler decides to, which is the entire
+//! point of the paper.
 //!
-//! With `ExecContext::parallelism > 1` those same pipelines execute
+//! With `ExecContext::parallelism > 1` scan-rooted chains execute
 //! **morsel-driven parallel** (see [`parallel`] for the model and its
 //! determinism guarantees, and [`pool`] for the worker pool): scans split
-//! into morsels claimed by workers on demand, pipeline breakers merge
-//! per-worker partials, and order-preserving gathers keep every observable
-//! byte — including what a [`StoreExec`] tee publishes into the recycler —
-//! identical to serial execution at any degree of parallelism.
-//!
-//! Scan-rooted filter → project → join-probe chains additionally execute
-//! **fused** ([`fuse`]): one push-style loop per morsel with selection
-//! indices and probe-key hashes kept in reusable buffers, instead of one
-//! pull hop per operator per batch. Fusion never crosses pipeline
-//! breakers, store tees, or gather points — see [`fuse`] for the
-//! boundary rule and why cache entries stay byte-identical.
+//! into morsels claimed by workers on demand, each worker drives a clone
+//! of the same chain, pipeline breakers merge per-worker partials, and
+//! order-preserving gathers keep every observable byte — including what a
+//! [`StoreExec`] tee publishes into the recycler — identical to serial
+//! execution at any degree of parallelism. A chain never crosses pipeline
+//! breakers, store tees, or gather points — see [`fuse`] for the boundary,
+//! timing and failure rules.
 //!
 //! Recycler integration points (paper §II):
 //!

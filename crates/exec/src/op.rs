@@ -57,39 +57,50 @@ pub fn run_to_batch(op: &mut dyn Operator) -> Batch {
     }
 }
 
+/// The replay stub this crate's unit tests feed operators from.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testing {
     use super::*;
-    use rdb_vector::Column;
 
-    struct Fixed {
-        batches: Vec<Batch>,
+    /// Replays fixed batches; progress is the fraction handed out.
+    pub(crate) struct BatchSource {
+        batches: std::collections::VecDeque<Batch>,
+        total: usize,
     }
 
-    impl Operator for Fixed {
+    impl BatchSource {
+        pub(crate) fn boxed(batches: Vec<Batch>) -> Box<dyn Operator> {
+            let total = batches.len();
+            Box::new(BatchSource {
+                batches: batches.into(),
+                total,
+            })
+        }
+    }
+
+    impl Operator for BatchSource {
         fn next_batch(&mut self) -> Option<Batch> {
-            if self.batches.is_empty() {
-                None
-            } else {
-                Some(self.batches.remove(0))
-            }
+            self.batches.pop_front()
         }
         fn progress(&self) -> f64 {
-            1.0
+            1.0 - self.batches.len() as f64 / self.total.max(1) as f64
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::BatchSource;
+    use super::*;
+    use rdb_vector::Column;
 
     #[test]
     fn collect_and_concat() {
         let b1 = Batch::new(vec![Column::from_ints(vec![1, 2])]);
         let b2 = Batch::new(vec![Column::from_ints(vec![3])]);
-        let mut op = Fixed {
-            batches: vec![b1, b2],
-        };
-        let all = run_to_batch(&mut op);
+        let all = run_to_batch(BatchSource::boxed(vec![b1, b2]).as_mut());
         assert_eq!(all.column(0).as_ints(), &[1, 2, 3]);
-        let mut empty = Fixed { batches: vec![] };
-        assert!(run_to_batch(&mut empty).is_empty());
+        assert!(run_to_batch(BatchSource::boxed(vec![]).as_mut()).is_empty());
     }
 
     #[test]

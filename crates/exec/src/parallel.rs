@@ -1,18 +1,18 @@
 //! Morsel-driven intra-query parallelism.
 //!
-//! A *pipeline* — the stretch of pipelining operators (selection,
+//! A *pipeline* — the stretch of pipelining stages (selection,
 //! projection, join probes) between a base-table scan and the next
 //! pipeline breaker — is the unit of parallel execution. The scan is split
 //! into [`rdb_vector::BATCH_CAPACITY`]-sized **morsels** (O(1) zero-copy
 //! column windows over the pinned table snapshot); a [`MorselDispenser`]
 //! hands them out to workers on demand, which is the load balancing: fast
 //! workers simply take more morsels. Every worker owns a private clone of
-//! the pipeline's operator segment fed one morsel at a time through a
-//! [`SegmentPipe`], so no operator state is ever shared between threads —
-//! only three things are: the dispenser, the per-plan-node [`OpMetrics`]
-//! (atomic counters, summed across workers), and a hash join's
-//! [`crate::join::SharedBuild`] (built exactly once, by the first worker
-//! that needs it).
+//! the pipeline's [`FusedChain`] — the same chain the serial executor
+//! drives, advanced one morsel at a time — so no stage state is ever
+//! shared between threads. Only three things are: the dispenser, the
+//! per-plan-node [`OpMetrics`] (atomic counters, summed across workers),
+//! and a hash join's [`crate::join::SharedBuild`] (built exactly once, by
+//! the first worker that needs it).
 //!
 //! **Determinism.** Parallel execution must be observationally identical
 //! to serial execution — the recycler caches results by plan fingerprint
@@ -22,8 +22,8 @@
 //! * the morsel grid is a pure function of the table's row count
 //!   ([`rdb_vector::morsel_count`]), identical to the serial scan's batch
 //!   boundaries;
-//! * each morsel's trip through the segment is a pure function of the
-//!   morsel (operators are deterministic), so worker interleaving can only
+//! * each morsel's trip through the chain is a pure function of the
+//!   morsel (stages are deterministic), so worker interleaving can only
 //!   permute *whole morsel outputs*;
 //! * [`GatherExec`] undoes that permutation: workers tag outputs with
 //!   their morsel index and the gather re-sequences them, emitting exactly
@@ -34,21 +34,21 @@
 //!   top-N merges per-worker heap runs whose ties are broken by global
 //!   scan position (the serial top-N uses the same rule).
 //!
-//! **Failure.** A panicking worker records a structured [`ExecError`] into
-//! the query's shared [`FailSlot`] before its channel sender drops; the
-//! consumer detects the shortfall (morsels or partials missing), ends the
-//! stream cleanly, and the error surfaces through
+//! **Failure.** A failing stage ends its worker's chain with a structured
+//! [`ExecError`] in the query's shared [`FailSlot`] (see [`crate::fuse`]),
+//! and a worker panicking anywhere else records one before its channel
+//! sender drops; the consumer detects the shortfall (morsels missing, a
+//! partial missing or the slot set), ends the stream cleanly, and the
+//! error surfaces through
 //! [`crate::stream::ExecStream::error`] — no panic crosses the gather
 //! boundary, and a poisoned source can never publish a truncated result.
 //! The pool itself survives ([`crate::pool`]).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use rdb_expr::{AggFunc, Expr};
 use rdb_plan::{Plan, SortKeyExpr};
@@ -57,9 +57,7 @@ use rdb_vector::{morsel_bounds, morsel_count, Batch, DataType};
 
 use crate::agg::{emit_groups, GroupTable};
 use crate::error::{panic_message, ExecError, FailSlot};
-use crate::filter::{FilterExec, ProjectExec};
-use crate::fuse::FusedChain;
-use crate::join::{HashJoinExec, SharedBuild};
+use crate::fuse::{build_stages, collect_chain, FusedChain};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::{timed_next, Operator};
 use crate::pool::{run_jobs, Job, WorkerPool};
@@ -139,75 +137,16 @@ impl MorselDispenser {
     }
 }
 
-/// The leaf of a worker's segment: yields the one batch the worker loaded,
-/// then `None` until the next morsel is loaded.
-struct SlotSource {
-    slot: Arc<Mutex<Option<Batch>>>,
-}
-
-impl Operator for SlotSource {
-    fn next_batch(&mut self) -> Option<Batch> {
-        self.slot.lock().take()
-    }
-    fn progress(&self) -> f64 {
-        0.0
-    }
-}
-
-/// One worker's private pipeline segment, driven morsel-at-a-time. Either
-/// an operator chain over a slot leaf (load the morsel, drain the chain —
-/// the pipelining operators are restartable after `None`, so one segment
-/// serves every morsel the worker claims), or a [`FusedChain`] running the
-/// whole span as one push-style loop. Both produce identical outputs; the
-/// fused form is the default ([`crate::context::ExecContext::fusion`]).
-pub enum SegmentPipe {
-    /// Unfused: a private operator chain over a morsel slot.
-    Ops {
-        /// The slot the worker loads each morsel into.
-        slot: Arc<Mutex<Option<Batch>>>,
-        /// Chain root (pulls from the slot leaf).
-        root: Box<dyn Operator>,
-    },
-    /// Fused: one push-style loop per morsel.
-    Fused(FusedChain),
-}
-
-impl SegmentPipe {
-    /// Push one morsel through, collecting its outputs (usually 0 or 1
-    /// batches; joins may expand).
-    fn push(&mut self, batch: Batch) -> Vec<Batch> {
-        match self {
-            SegmentPipe::Ops { slot, root } => {
-                *slot.lock() = Some(batch);
-                let mut outs = Vec::new();
-                while let Some(b) = root.next_batch() {
-                    outs.push(b);
-                }
-                outs
-            }
-            SegmentPipe::Fused(chain) => chain.push(batch).into_iter().collect(),
-        }
-    }
-
-    /// Publish any deferred per-stage counters. Fused chains accumulate
-    /// metrics locally between flushes; the unfused operators update the
-    /// shared metrics inline, so this is a no-op for them.
-    fn flush(&mut self) {
-        if let SegmentPipe::Fused(chain) = self {
-            chain.flush();
-        }
-    }
-}
-
 /// A constructed parallel pipeline, ready to be wrapped by a consumer
 /// ([`GatherExec`], [`ParallelAggExec`], [`ParallelTopNExec`]).
 pub struct ParallelSource {
     /// Shared morsel source (also the progress meter).
     pub dispenser: Arc<MorselDispenser>,
-    /// One segment per worker.
-    pub segments: Vec<SegmentPipe>,
-    /// Metrics tree mirroring the pipeline's plan shape (stages share one
-    /// `OpMetrics` per plan node across workers).
+    /// One private chain per worker: clones of one prototype, sharing the
+    /// `Arc`ed per-plan-node metrics and build sides but owning their
+    /// scratch buffers.
+    pub segments: Vec<FusedChain>,
+    /// Metrics tree mirroring the pipeline's plan shape.
     pub metrics: MetricsNode,
     /// Pool to run on (`None`: plain spawned threads).
     pub pool: Option<Arc<WorkerPool>>,
@@ -215,187 +154,34 @@ pub struct ParallelSource {
     pub fail: Arc<FailSlot>,
 }
 
-/// The callback [`build_source`] uses to construct join build sides — the
-/// plan builder's own recursive entry point, so build subtrees (which may
-/// contain stores, cached reads, or nested parallel pipelines) are built
-/// exactly like serial plans.
-pub type BuildChild<'a> =
-    dyn FnMut(&Plan) -> Result<(Box<dyn Operator>, MetricsNode), rdb_plan::PlanError> + 'a;
-
-/// Try to construct a parallel pipeline over `plan` with up to `dop`
-/// workers. Returns `Ok(None)` when the subtree is not a scan-rooted
-/// pipeline (or is too small to be worth splitting); the caller then falls
-/// back to the serial build.
+/// Try to construct a parallel pipeline over `plan` with up to
+/// `ctx.parallelism` workers. Returns `Ok(None)` when parallel execution
+/// cannot pay off — decided from what is observable here: the span must
+/// be rooted at a base-table scan (only a dispenser can be shared), the
+/// scan must split into at least two morsels, and the DOP must be at
+/// least 2. The caller then builds the same chain for serial execution.
 pub fn build_source(
     plan: &Plan,
     ctx: &crate::context::ExecContext,
-    dop: usize,
-    build_child: &mut BuildChild<'_>,
 ) -> Result<Option<ParallelSource>, rdb_plan::PlanError> {
-    if dop < 2 {
+    let (stages, source) = collect_chain(plan);
+    let Plan::Scan { table, cols } = source else {
+        return Ok(None);
+    };
+    // A bare scan has no per-morsel work to parallelize.
+    if ctx.parallelism < 2 || stages.is_empty() {
         return Ok(None);
     }
-    if ctx.fusion {
-        // Fused form: build one prototype chain and clone it per worker
-        // (clones share the Arc'ed metrics and build sides but own their
-        // scratch buffers).
-        let Some(fused) = crate::fuse::build_fused_pipeline(plan, ctx, true, build_child)? else {
-            return Ok(None);
-        };
-        let dop = dop.min(fused.dispenser.total());
-        let segments = (0..dop)
-            .map(|_| SegmentPipe::Fused(fused.chain.clone()))
-            .collect();
-        return Ok(Some(ParallelSource {
-            dispenser: fused.dispenser,
-            segments,
-            metrics: fused.metrics,
-            pool: ctx.pool.clone(),
-            fail: ctx.fail.clone(),
-        }));
-    }
-    // Walk the chain: pipelining unary stages and join probes down to a
-    // base-table scan.
-    let mut stages: Vec<&Plan> = Vec::new();
-    let mut cur = plan;
-    let (table_name, cols) = loop {
-        match cur {
-            Plan::Scan { table, cols } => {
-                if stages.is_empty() {
-                    // A bare scan has no per-morsel work to parallelize.
-                    return Ok(None);
-                }
-                break (table, cols);
-            }
-            Plan::Select { child, .. } | Plan::Project { child, .. } => {
-                stages.push(cur);
-                cur = child;
-            }
-            Plan::Join { left, .. } => {
-                stages.push(cur);
-                cur = left;
-            }
-            _ => return Ok(None),
-        }
-    };
-    let Some(table) = ctx.table(table_name) else {
-        return Ok(None); // serial build reports the unknown table
-    };
-    if morsel_count(table.rows()) < 2 {
+    let (dispenser, scan_metrics) = crate::build::scan_dispenser(table, cols, ctx)?;
+    if dispenser.total() < 2 {
         return Ok(None); // single morsel: serial is strictly cheaper
     }
-    let projection: Vec<usize> = match cols
-        .iter()
-        .map(|c| table.schema().index_of(c))
-        .collect::<Option<Vec<_>>>()
-    {
-        Some(p) => p,
-        None => return Ok(None), // serial build reports the unknown column
-    };
-    let dop = dop.min(morsel_count(table.rows()));
-
-    // Shared per-plan-node metrics, plus shared build sides for joins.
-    let scan_metrics = OpMetrics::shared();
-    let mut scan_node = MetricsNode::leaf(scan_metrics.clone());
-    enum Stage {
-        Filter(Expr, Arc<OpMetrics>),
-        Project(Vec<Expr>, Arc<OpMetrics>),
-        Probe {
-            build: Arc<SharedBuild>,
-            kind: rdb_plan::JoinKind,
-            left_keys: Vec<Expr>,
-            right_types: Vec<DataType>,
-            metrics: Arc<OpMetrics>,
-        },
-    }
-    // Bottom-up: reverse the collected top-down chain.
-    let mut built_stages: Vec<Stage> = Vec::with_capacity(stages.len());
-    for stage in stages.iter().rev() {
-        let m = OpMetrics::shared();
-        match stage {
-            Plan::Select { predicate, .. } => {
-                scan_node = MetricsNode::new(m.clone(), vec![scan_node]);
-                built_stages.push(Stage::Filter(predicate.clone(), m));
-            }
-            Plan::Project { exprs, .. } => {
-                scan_node = MetricsNode::new(m.clone(), vec![scan_node]);
-                built_stages.push(Stage::Project(exprs.clone(), m));
-            }
-            Plan::Join {
-                right,
-                kind,
-                left_keys,
-                right_keys,
-                ..
-            } => {
-                let right_types: Vec<DataType> = right
-                    .schema(&ctx.catalog)?
-                    .fields()
-                    .iter()
-                    .map(|f| f.dtype)
-                    .collect();
-                // Warm-fetch / cold-publish through the operator-state
-                // cache, exactly like the serial join arm — same artifact
-                // at any DOP.
-                let (build, right_metrics) = crate::build::join_build(
-                    right,
-                    right_keys,
-                    &right_types,
-                    &m,
-                    ctx,
-                    build_child,
-                )?;
-                scan_node = MetricsNode::new(m.clone(), vec![scan_node, right_metrics]);
-                built_stages.push(Stage::Probe {
-                    build,
-                    kind: *kind,
-                    left_keys: left_keys.clone(),
-                    right_types,
-                    metrics: m,
-                });
-            }
-            _ => unreachable!("chain walk admits only Select/Project/Join"),
-        }
-    }
-
-    let dispenser = Arc::new(
-        MorselDispenser::new(table, projection, scan_metrics).with_cancel(ctx.cancel.clone()),
-    );
-    let segments = (0..dop)
-        .map(|_| {
-            let slot = Arc::new(Mutex::new(None));
-            let mut op: Box<dyn Operator> = Box::new(SlotSource { slot: slot.clone() });
-            for stage in &built_stages {
-                op = match stage {
-                    Stage::Filter(predicate, m) => {
-                        Box::new(FilterExec::new(op, predicate.clone(), m.clone()))
-                    }
-                    Stage::Project(exprs, m) => {
-                        Box::new(ProjectExec::new(op, exprs.clone(), m.clone()))
-                    }
-                    Stage::Probe {
-                        build,
-                        kind,
-                        left_keys,
-                        right_types,
-                        metrics,
-                    } => Box::new(HashJoinExec::with_shared_build(
-                        op,
-                        build.clone(),
-                        *kind,
-                        left_keys.clone(),
-                        right_types.clone(),
-                        metrics.clone(),
-                    )),
-                };
-            }
-            SegmentPipe::Ops { slot, root: op }
-        })
-        .collect();
+    let (chain, metrics) = build_stages(&stages, scan_metrics, ctx)?;
+    let segments = vec![chain; ctx.parallelism.min(dispenser.total())];
     Ok(Some(ParallelSource {
         dispenser,
         segments,
-        metrics: scan_node,
+        metrics,
         pool: ctx.pool.clone(),
         fail: ctx.fail.clone(),
     }))
@@ -410,11 +196,9 @@ pub fn build_source(
 const GATHER_BACKLOG_PER_WORKER: usize = 4;
 
 struct GatherRun {
-    rx: Receiver<(u64, Vec<Batch>)>,
+    rx: Receiver<(u64, Option<Batch>)>,
     /// Out-of-order arrivals waiting for their turn.
-    pending: BTreeMap<u64, Vec<Batch>>,
-    /// In-order batches ready to emit.
-    ready: VecDeque<Batch>,
+    pending: BTreeMap<u64, Option<Batch>>,
     /// Next morsel index to release.
     next: u64,
     total: u64,
@@ -452,7 +236,6 @@ impl GatherExec {
             dispenser,
             segments,
             pool,
-            fail,
             ..
         } = source;
         let workers = segments.len();
@@ -463,35 +246,23 @@ impl GatherExec {
             .map(|mut seg| {
                 let dispenser = dispenser.clone();
                 let tx = tx.clone();
-                let fail = fail.clone();
+                // Every fallible part of this loop runs inside `step`,
+                // which reports into the fail slot itself.
                 Box::new(move || {
-                    // Record the panic before the sender drops, so the
-                    // consumer reads the cause instead of a bare shortfall.
-                    let res = catch_unwind(AssertUnwindSafe(move || {
-                        // Hold each morsel's output until the next one is
-                        // claimed: the deferred metrics flush then happens
-                        // before this worker's final send, i.e. strictly
-                        // before the consumer can observe stream end.
-                        let mut held: Option<(u64, Vec<Batch>)> = None;
-                        while let Some((idx, morsel)) = dispenser.next_morsel() {
-                            if let Some(prev) = held.take() {
-                                if tx.send(prev).is_err() {
-                                    return; // consumer dropped the stream
-                                }
+                    // Hold each morsel's output until the next one is
+                    // claimed: the chain's end-of-input metrics flush then
+                    // happens before this worker's final send, i.e.
+                    // strictly before the consumer can observe stream end.
+                    let mut held: Option<(u64, Option<Batch>)> = None;
+                    while let Some(out) = seg.step(|| dispenser.next_morsel()) {
+                        if let Some(prev) = held.replace(out) {
+                            if tx.send(prev).is_err() {
+                                return; // consumer dropped the stream
                             }
-                            let outs = seg.push(morsel);
-                            held = Some((idx, outs));
                         }
-                        seg.flush();
-                        if let Some(prev) = held {
-                            let _ = tx.send(prev);
-                        }
-                    }));
-                    if let Err(p) = res {
-                        fail.set(ExecError::msg(format!(
-                            "parallel pipeline worker panicked: {}",
-                            panic_message(p.as_ref())
-                        )));
+                    }
+                    if let Some(prev) = held {
+                        let _ = tx.send(prev);
                     }
                 }) as Job
             })
@@ -501,7 +272,6 @@ impl GatherExec {
         GatherRun {
             rx,
             pending: BTreeMap::new(),
-            ready: VecDeque::new(),
             next: 0,
             total,
         }
@@ -522,30 +292,29 @@ impl Operator for GatherExec {
                     self.state = GatherState::Running(Self::start(source));
                 }
                 GatherState::Running(run) => {
-                    if let Some(b) = run.ready.pop_front() {
-                        return Some(b);
-                    }
                     if run.next == run.total {
                         self.state = GatherState::Done;
                         return None;
                     }
-                    if let Some(outs) = run.pending.remove(&run.next) {
-                        run.ready.extend(outs);
+                    if let Some(out) = run.pending.remove(&run.next) {
                         run.next += 1;
+                        if out.is_some() {
+                            return out;
+                        }
                         continue;
                     }
                     match run.rx.recv() {
-                        Ok((idx, outs)) => {
-                            run.pending.insert(idx, outs);
+                        Ok((idx, out)) => {
+                            run.pending.insert(idx, out);
                         }
                         Err(_) => {
                             if !self.dispenser.cancelled() {
-                                // A worker died: its panic is already in
-                                // the slot (recorded before the sender
-                                // dropped); make sure *something* is, then
-                                // end the stream. The session layer reads
-                                // the slot and aborts recycler bookkeeping
-                                // — a truncated stream never publishes.
+                                // A worker ended short: a failed stage
+                                // already put the cause in the slot; make
+                                // sure *something* is there, then end the
+                                // stream. The session layer reads the slot
+                                // and aborts recycler bookkeeping — a
+                                // truncated stream never publishes.
                                 self.fail.set(ExecError::msg(format!(
                                     "parallel pipeline worker failed before morsel {} of {}",
                                     run.next, run.total
@@ -610,14 +379,14 @@ fn run_partials<S: Send + 'static>(
             let mut state = make();
             Box::new(move || {
                 let res = catch_unwind(AssertUnwindSafe(move || {
-                    while let Some((idx, morsel)) = dispenser.next_morsel() {
-                        for out in seg.push(morsel) {
+                    // The chain flushes its deferred metrics at end of
+                    // input, i.e. before the partial is sent: the breaker
+                    // counts partials to detect completion.
+                    while let Some((idx, out)) = seg.step(|| dispenser.next_morsel()) {
+                        if let Some(out) = out {
                             fold(&mut state, idx, out);
                         }
                     }
-                    // Flush deferred metrics before the partial is sent:
-                    // the breaker counts partials to detect completion.
-                    seg.flush();
                     let _ = tx.send(state);
                 }));
                 if let Err(p) = res {
@@ -632,7 +401,9 @@ fn run_partials<S: Send + 'static>(
     drop(tx);
     run_jobs(pool.as_ref(), jobs);
     let partials: Vec<S> = rx.into_iter().collect();
-    if partials.len() != workers {
+    // A worker whose chain recorded a stage failure still winds down and
+    // sends its (truncated) partial, so the slot is checked as well.
+    if partials.len() != workers || fail.is_set() {
         return Err(fail.get().unwrap_or_else(|| {
             ExecError::msg(format!(
                 "a parallel breaker worker failed ({} of {workers} partials arrived)",

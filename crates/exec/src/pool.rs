@@ -116,7 +116,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Under the queue lock, which a worker holds from checking the flag
+        // to going to sleep: otherwise the wake-up can fall between the
+        // two and the join below never returns.
+        {
+            let _q = self.shared.queue.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for h in self.threads.lock().drain(..) {
             let _ = h.join();

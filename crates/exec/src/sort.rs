@@ -403,36 +403,14 @@ impl Operator for UnionAllExec {
 mod tests {
     use super::*;
     use crate::op::run_to_batch;
+    use crate::op::testing::BatchSource;
     use rdb_expr::Expr;
 
-    struct Source {
-        batches: Vec<Batch>,
-    }
-
-    impl Operator for Source {
-        fn next_batch(&mut self) -> Option<Batch> {
-            if self.batches.is_empty() {
-                None
-            } else {
-                Some(self.batches.remove(0))
-            }
-        }
-        fn progress(&self) -> f64 {
-            if self.batches.is_empty() {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
-
     fn src(vals: Vec<i64>, extra: Vec<f64>) -> Box<dyn Operator> {
-        Box::new(Source {
-            batches: vec![Batch::new(vec![
-                Column::from_ints(vals),
-                Column::from_floats(extra),
-            ])],
-        })
+        BatchSource::boxed(vec![Batch::new(vec![
+            Column::from_ints(vals),
+            Column::from_floats(extra),
+        ])])
     }
 
     #[test]

@@ -610,37 +610,18 @@ impl Operator for CachedExec {
 mod tests {
     use super::*;
     use crate::op::run_to_batch;
+    use crate::op::testing::BatchSource;
     use parking_lot::Mutex;
     use rdb_vector::{Column, DataType};
     use std::collections::HashMap;
 
-    struct Source {
-        batches: Vec<Batch>,
-        total: usize,
-    }
-
-    impl Operator for Source {
-        fn next_batch(&mut self) -> Option<Batch> {
-            if self.batches.is_empty() {
-                None
-            } else {
-                Some(self.batches.remove(0))
-            }
-        }
-        fn progress(&self) -> f64 {
-            1.0 - self.batches.len() as f64 / self.total.max(1) as f64
-        }
-    }
-
     fn src(groups: Vec<Vec<i64>>) -> Box<dyn Operator> {
-        let total = groups.len();
-        Box::new(Source {
-            batches: groups
+        BatchSource::boxed(
+            groups
                 .into_iter()
                 .map(|g| Batch::new(vec![Column::from_ints(g)]))
                 .collect(),
-            total,
-        })
+        )
     }
 
     #[derive(Default)]

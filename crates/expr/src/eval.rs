@@ -2,17 +2,14 @@
 //!
 //! [`eval`] produces one output column per expression per input batch. NULL
 //! handling follows SQL: comparisons and arithmetic are NULL if any operand
-//! is NULL; `AND`/`OR` use Kleene three-valued logic; [`eval_predicate`]
-//! collapses NULL to `false` (the filter boundary rule).
+//! is NULL; `AND`/`OR` use Kleene three-valued logic. Collapsing NULL to
+//! `false` is the filter boundary's job
+//! ([`crate::sel::CompiledPredicate`]), not this module's.
 //!
 //! Evaluation works at the batch's **physical** row level: output columns
 //! have `batch.physical_rows()` rows, aligned with the input columns, and
 //! any selection vector on the batch simply rides along (the vectorized
 //! convention — computing over unselected rows is cheaper than gathering).
-//! [`eval_selection`] is the filter entry point: it folds the predicate
-//! result into the batch's existing selection with all-true / all-false
-//! fast paths, so moderately selective filters never gather (the filter
-//! operator still chooses to compact when very few rows survive).
 //!
 //! The common numeric/date cases run over raw slices; rarer type
 //! combinations fall back to a per-row dispatch via [`rdb_vector::row::cmp_cell`].
@@ -115,59 +112,6 @@ pub fn eval(expr: &Expr, batch: &Batch) -> Column {
             let vals: Vec<bool> = (0..rows).map(|i| c.is_valid(i) == *negated).collect();
             Column::from_bools(vals)
         }
-    }
-}
-
-/// Evaluate a boolean predicate and collapse NULL to `false`. The mask is
-/// **physical**-length (aligned with the batch's columns, ignoring any
-/// selection vector); filters should prefer [`eval_selection`].
-///
-/// Compatibility shim over the selection kernel
-/// ([`crate::sel::CompiledPredicate`]): the kernel computes qualifying
-/// indices directly; this scatters them back into a boolean mask for
-/// callers that want one (DML delete, tests). Hot paths should compile
-/// the predicate once and keep index buffers instead.
-pub fn eval_predicate(expr: &Expr, batch: &Batch) -> Vec<bool> {
-    let mut idx = Vec::new();
-    crate::sel::CompiledPredicate::compile(expr).select_physical_into(batch, &mut idx);
-    let mut mask = vec![false; batch.physical_rows()];
-    for &i in &idx {
-        mask[i as usize] = true;
-    }
-    mask
-}
-
-/// Result of evaluating a predicate as a selection (see [`eval_selection`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Selection {
-    /// Every (already selected) row qualifies — pass the batch through
-    /// untouched.
-    All,
-    /// No row qualifies — drop the batch.
-    Empty,
-    /// The qualifying **physical** row indices, already composed with the
-    /// batch's existing selection; attach with `Batch::with_selection`.
-    Rows(Vec<u32>),
-}
-
-/// Evaluate a boolean predicate over `batch` and fold it into the batch's
-/// selection, without gathering any data.
-///
-/// NULL collapses to `false` (the filter boundary rule). The all-true and
-/// all-false outcomes are reported as [`Selection::All`] / [`Selection::Empty`]
-/// so filters can skip even the selection-vector allocation on the common
-/// "everything passes" and "nothing passes" batches.
-pub fn eval_selection(expr: &Expr, batch: &Batch) -> Selection {
-    let mut rows = Vec::new();
-    crate::sel::CompiledPredicate::compile(expr).select_into(batch, &mut rows);
-    if rows.is_empty() {
-        // Checked before the all-rows case: a zero-logical-row batch must
-        // classify as Empty so filters keep dropping empty batches.
-        Selection::Empty
-    } else if rows.len() == batch.rows() {
-        Selection::All
-    } else {
-        Selection::Rows(rows)
     }
 }
 
@@ -389,6 +333,14 @@ mod tests {
     use super::*;
     use rdb_vector::types::date_from_ymd;
 
+    /// The predicate's Bool column with NULL collapsed to `false`, read
+    /// straight off [`eval`] — independent of the selection kernel.
+    fn mask(expr: &Expr, batch: &Batch) -> Vec<bool> {
+        let c = eval(expr, batch);
+        let vals = c.as_bools();
+        (0..vals.len()).map(|i| vals[i] && c.is_valid(i)).collect()
+    }
+
     fn batch() -> Batch {
         Batch::new(vec![
             Column::from_ints(vec![1, 2, 3, 4]),
@@ -414,12 +366,12 @@ mod tests {
     fn comparisons() {
         let b = batch();
         let e = Expr::col(0).le(Expr::lit(2));
-        assert_eq!(eval_predicate(&e, &b), vec![true, true, false, false]);
+        assert_eq!(mask(&e, &b), vec![true, true, false, false]);
         let e = Expr::col(1).gt(Expr::lit(1.5));
-        assert_eq!(eval_predicate(&e, &b), vec![false, false, true, true]);
+        assert_eq!(mask(&e, &b), vec![false, false, true, true]);
         // int vs float promotion
         let e = Expr::col(0).eq(Expr::lit(2.0));
-        assert_eq!(eval_predicate(&e, &b), vec![false, true, false, false]);
+        assert_eq!(mask(&e, &b), vec![false, true, false, false]);
     }
 
     #[test]
@@ -450,22 +402,22 @@ mod tests {
         let e = Expr::col(0)
             .gt(Expr::lit(1))
             .and(Expr::col(0).lt(Expr::lit(4)));
-        assert_eq!(eval_predicate(&e, &b), vec![false, true, true, false]);
+        assert_eq!(mask(&e, &b), vec![false, true, true, false]);
         let e = Expr::col(0)
             .eq(Expr::lit(1))
             .or(Expr::col(0).eq(Expr::lit(4)));
-        assert_eq!(eval_predicate(&e, &b), vec![true, false, false, true]);
+        assert_eq!(mask(&e, &b), vec![true, false, false, true]);
         let e = Expr::col(0).gt(Expr::lit(2)).not();
-        assert_eq!(eval_predicate(&e, &b), vec![true, true, false, false]);
+        assert_eq!(mask(&e, &b), vec![true, true, false, false]);
     }
 
     #[test]
     fn like_and_substr() {
         let b = batch();
         let e = Expr::col(3).like("PROMO%");
-        assert_eq!(eval_predicate(&e, &b), vec![true, false, true, false]);
+        assert_eq!(mask(&e, &b), vec![true, false, true, false]);
         let e = Expr::col(3).not_like("%STEEL");
-        assert_eq!(eval_predicate(&e, &b), vec![false, true, true, true]);
+        assert_eq!(mask(&e, &b), vec![false, true, true, true]);
         let e = Expr::col(3).substr(1, 5);
         assert_eq!(
             eval(&e, &b).to_values(),
@@ -491,9 +443,9 @@ mod tests {
     fn in_list() {
         let b = batch();
         let e = Expr::col(0).in_list([Value::Int(1), Value::Int(3)]);
-        assert_eq!(eval_predicate(&e, &b), vec![true, false, true, false]);
+        assert_eq!(mask(&e, &b), vec![true, false, true, false]);
         let e = Expr::col(3).not_in_list([Value::str("PROMO STEEL")]);
-        assert_eq!(eval_predicate(&e, &b), vec![false, true, true, true]);
+        assert_eq!(mask(&e, &b), vec![false, true, true, true]);
     }
 
     #[test]
@@ -510,36 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn selection_fast_paths() {
-        let b = batch();
-        assert_eq!(
-            eval_selection(&Expr::col(0).ge(Expr::lit(0)), &b),
-            Selection::All
-        );
-        assert_eq!(
-            eval_selection(&Expr::col(0).gt(Expr::lit(100)), &b),
-            Selection::Empty
-        );
-        assert_eq!(
-            eval_selection(&Expr::col(0).gt(Expr::lit(2)), &b),
-            Selection::Rows(vec![2, 3])
-        );
-        // A zero-row batch classifies as Empty, not All: filters rely on
-        // this to keep dropping empty batches.
-        let empty = Batch::new(vec![Column::from_ints(vec![])]);
-        assert_eq!(
-            eval_selection(&Expr::col(0).ge(Expr::lit(0)), &empty),
-            Selection::Empty
-        );
-        // Composes with an existing selection (physical indices out).
-        let sel = batch().with_selection(std::sync::Arc::new(vec![0, 2, 3]));
-        assert_eq!(
-            eval_selection(&Expr::col(0).gt(Expr::lit(1)), &sel),
-            Selection::Rows(vec![2, 3])
-        );
-    }
-
-    #[test]
     fn null_propagation_in_cmp() {
         let mut cb = ColumnBuilder::new(DataType::Int, 3);
         cb.push(Value::Int(1));
@@ -550,7 +472,7 @@ mod tests {
         let c = eval(&e, &b);
         assert_eq!(c.null_count(), 1);
         // NULL collapses to false at the predicate boundary.
-        assert_eq!(eval_predicate(&e, &b), vec![true, false, true]);
+        assert_eq!(mask(&e, &b), vec![true, false, true]);
     }
 
     #[test]
@@ -590,14 +512,8 @@ mod tests {
         cb.push_null();
         cb.push(Value::Int(1));
         let b = Batch::new(vec![cb.finish()]);
-        assert_eq!(
-            eval_predicate(&Expr::col(0).is_null(), &b),
-            vec![true, false]
-        );
-        assert_eq!(
-            eval_predicate(&Expr::col(0).is_not_null(), &b),
-            vec![false, true]
-        );
+        assert_eq!(mask(&Expr::col(0).is_null(), &b), vec![true, false]);
+        assert_eq!(mask(&Expr::col(0).is_not_null(), &b), vec![false, true]);
     }
 
     #[test]
@@ -606,6 +522,6 @@ mod tests {
         cb.push_null();
         let b = Batch::new(vec![cb.finish()]);
         let e = Expr::col(0).in_list([Value::Int(1)]);
-        assert_eq!(eval_predicate(&e, &b), vec![false]);
+        assert_eq!(mask(&e, &b), vec![false]);
     }
 }

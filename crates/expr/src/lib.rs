@@ -26,7 +26,7 @@ pub mod sel;
 
 pub use agg::AggFunc;
 pub use error::ExprError;
-pub use eval::{eval, eval_predicate, eval_selection, Selection};
+pub use eval::eval;
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use normalize::normalize_expr;
 pub use params::Params;

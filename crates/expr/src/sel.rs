@@ -1,10 +1,10 @@
 //! Allocation-free selection kernel: predicates compiled into per-batch
 //! index loops.
 //!
-//! The old filter hot path materialized a physical-length `Vec<bool>` per
-//! batch per predicate ([`crate::eval::eval_predicate`]) and, for every
-//! comparison against a literal, broadcast the literal into a full column
-//! first. This module replaces both costs:
+//! Evaluating a filter through [`crate::eval::eval`] alone materializes a
+//! physical-length Bool column per batch per predicate and, for every
+//! comparison against a literal, broadcasts the literal into a full column
+//! first. This module avoids both costs:
 //!
 //! * [`CompiledPredicate::compile`] splits a predicate into its top-level
 //!   conjuncts once, at operator-construction time. Conjuncts of the shape
@@ -71,8 +71,7 @@ impl CompiledPredicate {
     }
 
     /// [`CompiledPredicate::select_into`] over **all** physical rows,
-    /// ignoring any selection vector on the batch (the `eval_predicate`
-    /// compatibility domain).
+    /// ignoring any selection vector on the batch.
     pub fn select_physical_into(&self, batch: &Batch, out: &mut Vec<u32>) {
         self.run(batch, out, true);
     }
@@ -311,7 +310,6 @@ fn apply_general(e: &Expr, batch: &Batch, out: &mut Vec<u32>, seeded: bool, phys
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_predicate;
     use rdb_vector::column::ColumnBuilder;
     use std::sync::Arc;
 
@@ -400,18 +398,19 @@ mod tests {
     #[test]
     fn general_expressions_fall_back_and_agree() {
         let b = batch();
-        // OR is not splittable: general path, same outcome as the mask.
+        // OR is not splittable: general path, same outcome as the Bool
+        // column `eval` computes (`value && valid`) — col 2 is NULL in
+        // row 1, so the second disjunct exercises the NULL collapse.
         let e = Expr::col(0)
             .eq(Expr::lit(1))
-            .or(Expr::col(0).eq(Expr::lit(5)));
-        let mask = eval_predicate(&e, &b);
-        let idx = select(&e, &b);
-        let from_mask: Vec<u32> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| m.then_some(i as u32))
+            .or(Expr::col(2).ge(Expr::lit(40)));
+        let c = eval(&e, &b);
+        let from_eval: Vec<u32> = (0..b.rows())
+            .filter(|&i| c.as_bools()[i] && c.is_valid(i))
+            .map(|i| i as u32)
             .collect();
-        assert_eq!(idx, from_mask);
+        assert_eq!(from_eval, vec![0, 3, 4]);
+        assert_eq!(select(&e, &b), from_eval);
     }
 
     #[test]

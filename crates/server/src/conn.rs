@@ -430,6 +430,12 @@ impl Conn {
             );
             return false;
         }
+        // Likewise a stream a failed stage or worker ended short: report
+        // the recorded error, not a row count.
+        if let Some(e) = handle.error() {
+            pg::error_response(&mut self.outbuf, "XX000", e.message(), None, None);
+            return false;
+        }
         pg::command_complete(&mut self.outbuf, &format!("SELECT {rows}"));
         true
     }

@@ -339,7 +339,7 @@ fn reactor_loop(
         if draining {
             for mut conn in idle.drain(..) {
                 conn.close_for_shutdown();
-                retire(&shared, &conn);
+                retire(&shared, conn.pid());
             }
             if active.load(Ordering::Acquire) == 0 {
                 shared.state.store(STATE_STOPPED, Ordering::Release);
@@ -387,24 +387,46 @@ fn dispatch(
     shared: &Arc<ServerShared>,
     active: &Arc<AtomicU64>,
 ) {
+    /// Counts the pump out — and, unless the connection went back to the
+    /// reactor, retires it — when dropped, so a panicking `pump` cannot
+    /// leave shutdown waiting for an `active` count that never reaches
+    /// zero or a cancel entry for a connection nobody serves.
+    struct InFlight {
+        shared: Arc<ServerShared>,
+        active: Arc<AtomicU64>,
+        pid: Option<i32>,
+    }
+    impl Drop for InFlight {
+        fn drop(&mut self) {
+            if let Some(pid) = self.pid {
+                retire(&self.shared, pid);
+            }
+            self.active.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
     let tx = tx.clone();
-    let shared = Arc::clone(shared);
-    let active = Arc::clone(active);
     active.fetch_add(1, Ordering::AcqRel);
+    let in_flight = InFlight {
+        shared: Arc::clone(shared),
+        active: Arc::clone(active),
+        pid: Some(conn.pid()),
+    };
     pool.run(Box::new(move || {
-        match conn.pump() {
+        // Bound here so the whole guard (not one field of it) moves into
+        // the job and drops when the job ends or unwinds.
+        let mut in_flight = in_flight;
+        if let Pump::Idle = conn.pump() {
             // The reactor only exits after active drops to zero, so the
             // receiver is still alive; a failed send can only mean
             // teardown, where dropping the conn is correct.
-            Pump::Idle => drop(tx.send(conn)),
-            Pump::Closed => retire(&shared, &conn),
+            in_flight.pid = None;
+            drop(tx.send(conn));
         }
-        active.fetch_sub(1, Ordering::AcqRel);
     }));
 }
 
 /// Remove a finished connection's cancel entry and count it out.
-fn retire(shared: &ServerShared, conn: &Conn) {
-    shared.cancel_registry.lock().remove(&conn.pid());
+fn retire(shared: &ServerShared, pid: i32) {
+    shared.cancel_registry.lock().remove(&pid);
     shared.connections.fetch_sub(1, Ordering::Relaxed);
 }

@@ -75,7 +75,8 @@ impl Batch {
 
     /// Attach a selection vector of **physical** row indices, replacing any
     /// existing selection (callers compose selections before attaching —
-    /// see `rdb_expr::eval_selection`). Zero-copy: the columns are shared.
+    /// see `rdb_expr::CompiledPredicate::select_into`). Zero-copy: the
+    /// columns are shared.
     pub fn with_selection(mut self, sel: Arc<Vec<u32>>) -> Self {
         debug_assert!(
             sel.iter().all(|&i| (i as usize) < self.physical),

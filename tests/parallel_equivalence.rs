@@ -13,7 +13,10 @@
 //! * seeded random plans (filters / projections / joins of every kind /
 //!   aggregates / top-N / sort) over NULL-bearing random tables get the
 //!   same checks, including selection-vector edge cases (all-true,
-//!   all-false, sparse-compacted filters);
+//!   all-false, sparse-compacted filters) and every source a pipeline
+//!   chain can sit on: a scan, a table function, a union arm, and — with
+//!   stages *above* a breaker — an aggregate / top-N / sort, the store tee
+//!   the recycler wraps around it, and its cached result;
 //! * the hash-aggregate breaker's output order is regression-pinned:
 //!   sorted by group key, independent of DOP and of input arrival order.
 
@@ -22,12 +25,12 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use recycler_db::engine::{Engine, MaterializingEngine};
-use recycler_db::exec::FnRegistry;
+use recycler_db::exec::{FnRegistry, TableFunction};
 use recycler_db::expr::{AggFunc, Expr};
-use recycler_db::plan::{scan, JoinKind, Plan, SortKeyExpr};
+use recycler_db::plan::{fn_scan, scan, union_all, JoinKind, Plan, SortKeyExpr};
 use recycler_db::recycler::RecyclerConfig;
 use recycler_db::storage::{Catalog, TableBuilder};
-use recycler_db::vector::{DataType, Schema, Value};
+use recycler_db::vector::{Batch, ColumnBuilder, DataType, Schema, Value};
 
 /// This suite asserts exact DOPs up to 8 regardless of host width, so it
 /// opts out of the engine's available-core clamp (`effective_dop`) — the
@@ -51,14 +54,12 @@ fn dop_matrix() -> Vec<usize> {
     dops
 }
 
-/// Execute `plan` at `dop` on a fresh recycling engine; returns the
-/// computed rows and the cache-replayed rows (order preserved).
-fn run_at_dop(
+/// A fresh engine at `dop` whose recycler caches every result it sees.
+fn recycling_engine(
     cat: &Arc<Catalog>,
     functions: Option<&Arc<FnRegistry>>,
-    plan: &Plan,
     dop: usize,
-) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
+) -> Arc<Engine> {
     let mut config = RecyclerConfig::deterministic(256 << 20);
     config.spec_min_progress = 0.0;
     let mut builder = Engine::builder(cat.clone())
@@ -67,7 +68,18 @@ fn run_at_dop(
     if let Some(f) = functions {
         builder = builder.functions(f.clone());
     }
-    let engine = builder.build();
+    builder.build()
+}
+
+/// Execute `plan` at `dop` on a fresh recycling engine; returns the
+/// computed rows and the cache-replayed rows (order preserved).
+fn run_at_dop(
+    cat: &Arc<Catalog>,
+    functions: Option<&Arc<FnRegistry>>,
+    plan: &Plan,
+    dop: usize,
+) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
+    let engine = recycling_engine(cat, functions, dop);
     let session = engine.session();
     let computed = session.query(plan).unwrap().into_outcome();
     assert_eq!(computed.dop, dop);
@@ -159,16 +171,19 @@ fn skyserver_cones_identical_at_every_dop() {
 
 // ---- random plans over NULL-bearing data -----------------------------------
 
-/// A random table: int key (clustered), nullable int, nullable float,
-/// low-cardinality string.
-fn random_catalog(rng: &mut SmallRng, rows: usize) -> Arc<Catalog> {
-    let schema = Schema::from_pairs([
+fn fact_schema() -> Schema {
+    Schema::from_pairs([
         ("k", DataType::Int),
         ("a", DataType::Int),
         ("b", DataType::Float),
         ("tag", DataType::Str),
-    ]);
-    let mut tb = TableBuilder::new("t", schema, rows);
+    ])
+}
+
+/// A random table: int key (clustered), nullable int, nullable float,
+/// low-cardinality string.
+fn random_catalog(rng: &mut SmallRng, rows: usize) -> Arc<Catalog> {
+    let mut tb = TableBuilder::new("t", fact_schema(), rows);
     for i in 0..rows {
         tb.push_row(vec![
             Value::Int(i as i64 % 97),
@@ -204,33 +219,109 @@ fn random_catalog(rng: &mut SmallRng, rows: usize) -> Arc<Catalog> {
     Arc::new(cat)
 }
 
-/// A random scan-rooted pipeline, optionally joined and topped by a
-/// breaker — shapes the builder actually parallelizes.
-fn random_plan(rng: &mut SmallRng) -> Plan {
-    let mut plan = scan("t", &["k", "a", "b", "tag"]);
-    // 0-2 filters, from a menu covering all-true, all-false, sparse, NULLs.
-    for _ in 0..rng.gen_range(0..=2) {
-        let pred = match rng.gen_range(0..6) {
-            0 => Expr::name("a").gt(Expr::lit(rng.gen_range(-60i64..60))),
-            1 => Expr::name("b").le(Expr::lit(rng.gen_range(-9.0f64..9.0))),
-            2 => Expr::name("tag").eq(Expr::lit("green")),
-            3 => Expr::name("k").lt(Expr::lit(rng.gen_range(0i64..97))),
-            4 => Expr::name("a").ge(Expr::lit(100i64)), // all-false
-            _ => Expr::name("k").ge(Expr::lit(0i64)),   // all-true
-        };
-        plan = plan.select(pred);
+/// `series(n)`: `n` deterministic NULL-bearing rows shaped like table
+/// `t`, in batches of 700 — a table function for chains to sit on.
+struct Series;
+
+impl TableFunction for Series {
+    fn schema(&self, _args: &[Value]) -> Schema {
+        fact_schema()
     }
-    if rng.gen_bool(0.4) {
-        let dim = scan("dim", &["dk", "w"]);
-        let kind = match rng.gen_range(0..4) {
-            0 => JoinKind::Inner,
-            1 => JoinKind::LeftOuter,
-            2 => JoinKind::Semi,
-            _ => JoinKind::Anti,
+
+    fn execute(&self, args: &[Value], work: &mut u64) -> Vec<Batch> {
+        let Value::Int(n) = args[0] else {
+            panic!("series(n) takes an int")
         };
-        plan = plan.join(dim, kind, vec![Expr::name("k")], vec![Expr::name("dk")]);
+        *work += n as u64;
+        let rows: Vec<i64> = (0..n).collect();
+        rows.chunks(700)
+            .map(|chunk| {
+                let types = [DataType::Int, DataType::Int, DataType::Float, DataType::Str];
+                let mut cols = types.map(|t| ColumnBuilder::new(t, chunk.len()));
+                for &i in chunk {
+                    cols[0].push(Value::Int(i % 97));
+                    cols[1].push(if i % 6 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i * 7 % 101 - 50)
+                    });
+                    cols[2].push(if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float((i * 13 % 160) as f64 / 10.0 - 8.0)
+                    });
+                    cols[3].push(Value::str(
+                        ["red", "green", "blue", "cyan"][(i % 4) as usize],
+                    ));
+                }
+                Batch::new(cols.into_iter().map(|c| c.finish()).collect())
+            })
+            .collect()
     }
-    match rng.gen_range(0..5) {
+}
+
+fn series_registry() -> Arc<FnRegistry> {
+    let mut fns = FnRegistry::new();
+    fns.register("series", Arc::new(Series));
+    Arc::new(fns)
+}
+
+/// A filter from a menu covering all-true, all-false, sparse, NULLs.
+fn random_filter(rng: &mut SmallRng) -> Expr {
+    match rng.gen_range(0..6) {
+        0 => Expr::name("a").gt(Expr::lit(rng.gen_range(-60i64..60))),
+        1 => Expr::name("b").le(Expr::lit(rng.gen_range(-9.0f64..9.0))),
+        2 => Expr::name("tag").eq(Expr::lit("green")),
+        3 => Expr::name("k").lt(Expr::lit(rng.gen_range(0i64..97))),
+        4 => Expr::name("a").ge(Expr::lit(100i64)), // all-false
+        _ => Expr::name("k").ge(Expr::lit(0i64)),   // all-true
+    }
+}
+
+fn random_join_kind(rng: &mut SmallRng) -> JoinKind {
+    match rng.gen_range(0..4) {
+        0 => JoinKind::Inner,
+        1 => JoinKind::LeftOuter,
+        2 => JoinKind::Semi,
+        _ => JoinKind::Anti,
+    }
+}
+
+fn dim() -> Plan {
+    scan("dim", &["dk", "w"])
+}
+
+/// A random pipeline — the one generator of this repository's plan-shape
+/// property tests. Source: a scan (the shape the builder parallelizes), a
+/// table function, or a union of two filtered scan arms. Then 0–3
+/// filters, a probe of any kind half the time, and a breaker or a
+/// projection on top. Half the breaker-topped plans get more pipeline
+/// stages *above* the breaker; for those the breaker-rooted prefix is
+/// returned too, so a caller can cache it first and make the upper chain
+/// read it back.
+fn random_plan(rng: &mut SmallRng) -> (Plan, Option<Plan>) {
+    let mut plan = match rng.gen_range(0..8) {
+        0 => fn_scan(
+            "series",
+            vec![Value::Int(rng.gen_range(1..3_000))],
+            fact_schema(),
+        ),
+        1 => union_all(
+            (0..2)
+                .map(|_| scan("t", &["k", "a", "b", "tag"]).select(random_filter(rng)))
+                .collect(),
+        ),
+        _ => scan("t", &["k", "a", "b", "tag"]),
+    };
+    for _ in 0..rng.gen_range(0..=3) {
+        plan = plan.select(random_filter(rng));
+    }
+    if rng.gen_bool(0.5) {
+        let kind = random_join_kind(rng);
+        plan = plan.join(dim(), kind, vec![Expr::name("k")], vec![Expr::name("dk")]);
+    }
+    let top = rng.gen_range(0..5);
+    let plan = match top {
         // Exact accumulators only: the builder partitions this aggregate
         // across workers (arbitrary merge order, still bit-identical).
         0 => plan.aggregate(
@@ -264,27 +355,97 @@ fn random_plan(rng: &mut SmallRng) -> Plan {
             SortKeyExpr::asc(Expr::name("tag")),
             SortKeyExpr::desc(Expr::name("b")),
         ]),
-        _ => plan.project(vec![
-            (Expr::name("k").add(Expr::name("a")), "ka"),
-            (Expr::name("b"), "b"),
-        ]),
+        // A projection extends the chain; nothing to put "above" it.
+        _ => {
+            return (
+                plan.project(vec![
+                    (Expr::name("k").add(Expr::name("a")), "ka"),
+                    (Expr::name("b"), "b"),
+                ]),
+                None,
+            )
+        }
+    };
+    if rng.gen_bool(0.5) {
+        return (plan, None);
+    }
+    // Stages above the breaker: a chain whose source is an operator.
+    let prefix = plan.clone();
+    let upper = if top == 0 || top == 4 {
+        // Aggregate output: (tag, ..., n, ...).
+        let filtered = plan.select(Expr::name("n").gt(Expr::lit(rng.gen_range(0i64..300))));
+        if rng.gen_bool(0.5) {
+            filtered.project(vec![
+                (Expr::name("tag"), "tag"),
+                (Expr::name("n").mul(Expr::lit(2)), "n2"),
+            ])
+        } else {
+            let kind = random_join_kind(rng);
+            filtered
+                .project(vec![(Expr::name("tag"), "tag"), (Expr::name("n"), "n")])
+                .join(dim(), kind, vec![Expr::name("n")], vec![Expr::name("dk")])
+        }
+    } else {
+        // Top-N / sort output: the probe-side columns come first.
+        let narrowed = plan
+            .select(Expr::name("a").gt(Expr::lit(rng.gen_range(-60i64..60))))
+            .project(vec![
+                (Expr::name("k"), "k2"),
+                (Expr::name("a").add(Expr::lit(1)), "a1"),
+                (Expr::name("b"), "b"),
+            ]);
+        if rng.gen_bool(0.5) {
+            narrowed
+        } else {
+            let kind = random_join_kind(rng);
+            narrowed.join(dim(), kind, vec![Expr::name("k2")], vec![Expr::name("dk")])
+        }
+    };
+    (upper, Some(prefix))
+}
+
+/// With `prefix` (a breaker-rooted subplan of `plan`) already cached, the
+/// stages above it run as a chain over a cached read; at every DOP that
+/// must reproduce the rows of computing `plan` from scratch.
+fn check_over_cached_prefix(
+    cat: &Arc<Catalog>,
+    functions: &Arc<FnRegistry>,
+    prefix: &Plan,
+    plan: &Plan,
+    label: &str,
+) {
+    let (from_scratch, _) = run_at_dop(cat, Some(functions), plan, 1);
+    for dop in dop_matrix() {
+        let engine = recycling_engine(cat, Some(functions), dop);
+        let session = engine.session();
+        session.query(prefix).unwrap().into_outcome();
+        let over_cache = session.query(plan).unwrap().into_outcome();
+        assert!(
+            over_cache.reused(),
+            "{label}: DOP={dop} did not read the cached prefix"
+        );
+        assert_eq!(
+            from_scratch,
+            over_cache.batch.to_rows(),
+            "{label}: DOP={dop} rows over the cached prefix diverge"
+        );
     }
 }
 
 #[test]
 fn random_plans_identical_at_every_dop() {
     allow_oversubscribe();
-    for seed in 0..12u64 {
+    let fns = series_registry();
+    for seed in 0..24u64 {
         let mut rng = SmallRng::seed_from_u64(7_000 + seed);
         let rows = rng.gen_range(1..9_000);
         let cat = random_catalog(&mut rng, rows);
-        let plan = random_plan(&mut rng);
-        check_plan(
-            &cat,
-            None,
-            &plan,
-            &format!("random plan seed {seed} ({rows} rows)"),
-        );
+        let (plan, prefix) = random_plan(&mut rng);
+        let label = format!("random plan seed {seed} ({rows} rows)");
+        check_plan(&cat, Some(&fns), &plan, &label);
+        if let Some(prefix) = prefix {
+            check_over_cached_prefix(&cat, &fns, &prefix, &plan, &label);
+        }
     }
 }
 

@@ -185,6 +185,29 @@ fn extended_protocol_binds_positional_params() {
 }
 
 #[test]
+fn failed_execution_reports_xx000_not_a_row_count() {
+    // Parse with no parameter types, then bind text that can only be a
+    // string against an integer comparison: the statement fails when the
+    // comparison runs. The client must get an ErrorResponse — not a
+    // `SELECT n` for the truncated stream, not silence — then
+    // ReadyForQuery, and the connection must keep working.
+    let server = recycling_server(1000);
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    client.set_read_timeout(Some(std::time::Duration::from_secs(20)));
+    let cycle = client
+        .extended("SELECT k FROM t WHERE k < $1", &[Some("abc")])
+        .unwrap();
+    assert_eq!(cycle.first_error().sqlstate(), "XX000");
+    assert!(!cycle.first_error().error_message().is_empty());
+    assert!(cycle.command_tags().is_empty(), "no completion tag");
+    let cycle = client
+        .extended("SELECT k FROM t WHERE k < $1", &[Some("1")])
+        .unwrap();
+    assert_eq!(cycle.rows().len(), 10);
+    client.terminate();
+}
+
+#[test]
 fn named_statements_rebind_and_reexecute() {
     let server = recycling_server(1000);
     let mut client = PgClient::connect(server.local_addr()).unwrap();

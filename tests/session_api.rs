@@ -1,10 +1,10 @@
 //! End-to-end tests of the session-based query API: prepared statements,
-//! parameter binding, streaming batch results, and the `Engine::run`
-//! compatibility shim.
+//! parameter binding, streaming batch results, and structured execution
+//! failures.
 
 use std::sync::Arc;
 
-use recycler_db::engine::{Engine, QueryOutcome};
+use recycler_db::engine::Engine;
 use recycler_db::expr::{AggFunc, Expr, Params};
 use recycler_db::plan::{scan, Plan};
 use recycler_db::recycler::RecyclerConfig;
@@ -144,28 +144,62 @@ fn dropped_stream_does_not_poison_cache_or_leak_slot() {
 }
 
 #[test]
-fn run_shim_stays_behaviourally_identical() {
-    // The deprecated Engine::run must behave exactly like the old API:
-    // named plans accepted, full materialization, recycler events intact.
-    let engine = det_engine(20_000);
-    let concrete = scan("facts", &["k", "v"])
-        .select(Expr::name("k").lt(Expr::lit(10)))
-        .aggregate(
-            vec![(Expr::name("k"), "k")],
-            vec![(AggFunc::Sum(Expr::name("v")), "sv")],
+fn stage_failures_end_the_stream_with_an_error_at_any_dop() {
+    // Both drivers of the pipeline chain — the serial operator and the
+    // morsel workers — must turn a failing stage into a structured error
+    // on the handle: no panic, nothing cached, engine still serving.
+    std::env::set_var("RDB_ALLOW_OVERSUBSCRIBE", "1");
+    // `k < 'abc'` only fails when the comparison runs.
+    let wrong_type = scan("facts", &["k"]).select(Expr::name("k").lt(Expr::param("p")));
+    let p = Params::new().set("p", Value::str("abc"));
+    // A `single` join promises a one-row build side; this one has two.
+    let two_rows = scan("facts", &["v"]).limit(2);
+    let bad_single = scan("facts", &["k"])
+        .select(Expr::name("k").ge(Expr::lit(0)))
+        .single_join(two_rows);
+    for dop in [1usize, 2] {
+        let mut c = RecyclerConfig::deterministic(1 << 24);
+        c.spec_min_progress = 0.0;
+        let engine = Engine::builder(catalog(20_000))
+            .recycler(c)
+            .parallelism(dop)
+            .max_concurrent_queries(1)
+            .build();
+        let session = engine.session();
+        // The only artifact either statement may leave behind is the
+        // single join's build side: it was drained to completion and is
+        // valid on its own; what failed is the probe.
+        for (label, plan, params, artifacts) in [
+            ("wrong-typed parameter", &wrong_type, &p, 0),
+            ("two-row single join", &bad_single, &Params::none(), 1),
+        ] {
+            // Twice: the failed first run must have cached no result the
+            // second could be served from.
+            for attempt in 0..2 {
+                let mut handle = session.prepare(plan).unwrap().execute(params).unwrap();
+                assert_eq!(handle.dop(), dop);
+                assert!(!handle.reused(), "{label} at DOP {dop}, attempt {attempt}");
+                while handle.next().is_some() {}
+                let err = handle
+                    .error()
+                    .unwrap_or_else(|| panic!("{label} at DOP {dop}: no error on the handle"));
+                assert!(!err.message().is_empty());
+            }
+            assert!(
+                engine.recycler().unwrap().cache_len() <= artifacts,
+                "{label} at DOP {dop}: a failed stream must publish nothing"
+            );
+        }
+        assert_eq!(
+            session.stats().aborted,
+            4,
+            "failed streams count as aborted"
         );
-    #[allow(deprecated)]
-    let first: QueryOutcome = engine.run(&concrete).unwrap();
-    assert!(!first.reused());
-    assert!(first.materialized(), "speculation caches the aggregate");
-    assert_eq!(first.batch.rows(), 10);
-    #[allow(deprecated)]
-    let second = engine.run(&concrete).unwrap();
-    assert!(second.reused(), "second run hits the cache");
-    assert_eq!(first.batch.to_rows(), second.batch.to_rows());
-    // And the shim shares one cache with the session path.
-    let via_session = engine.session().query(&concrete).unwrap().into_outcome();
-    assert!(via_session.reused());
+        // Slot released and the engine still answers.
+        let ok = scan("facts", &["k"]).select(Expr::name("k").lt(Expr::lit(3)));
+        let out = session.query(&ok).unwrap().into_outcome();
+        assert!(out.batch.rows() > 0);
+    }
 }
 
 #[test]

@@ -309,6 +309,9 @@ fn explain_reports_fingerprints_and_cache_states() {
         "never-executed plan is cold: {cold}"
     );
     assert!(!cold.contains("[cached]"), "{cold}");
+    // The WHERE below the aggregate is a one-stage pipeline span; every
+    // span is tagged, once, at its top node.
+    assert_eq!(cold.matches("[fused x1]").count(), 1, "{cold}");
     // Execute; the aggregate result materializes, and EXPLAIN shows it.
     let out = prepared.execute(&Params::none()).unwrap().into_outcome();
     assert!(out.materialized(), "deterministic config caches this");

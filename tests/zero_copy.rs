@@ -23,8 +23,8 @@ use recycler_db::exec::{
     build, run_to_batch, ExecContext, MaterializedResult, ResultStore, SpeculationEstimate,
     StoreVerdict,
 };
-use recycler_db::expr::{eval_predicate, eval_selection, Expr, Selection};
-use recycler_db::plan::{scan, Plan, StoreMode};
+use recycler_db::expr::{eval, AggFunc, CompiledPredicate, Expr};
+use recycler_db::plan::{scan, JoinKind, Plan, StoreMode};
 use recycler_db::recycler::RecyclerConfig;
 use recycler_db::storage::{Catalog, TableBuilder};
 use recycler_db::vector::{Batch, Column, DataType, Schema, Value};
@@ -226,10 +226,11 @@ fn cache_replay_hands_out_shared_batches() {
 // ---- selection-vector equivalence -----------------------------------------
 
 #[test]
-fn eval_selection_matches_predicate_mask() {
+fn selection_kernel_matches_eval_mask() {
     // Random NULL-bearing data, random comparison predicates, with and
-    // without a pre-existing selection: eval_selection must agree with the
-    // physical mask from eval_predicate restricted to selected rows.
+    // without a pre-existing selection: the selection kernel must agree
+    // with the Bool column `eval` computes (`value && valid`, an
+    // independent path) restricted to the selected rows.
     let mut r = rng(7);
     for case in 0..300 {
         let rows = r.gen_range(1..200);
@@ -244,7 +245,10 @@ fn eval_selection_matches_predicate_mask() {
         let batch = Batch::new(vec![b.finish()]);
         let cut = r.gen_range(-60..60);
         let pred = Expr::col(0).gt(Expr::lit(cut));
-        let mask = eval_predicate(&pred, &batch);
+        let truth = eval(&pred, &batch);
+        let mask: Vec<bool> = (0..rows)
+            .map(|i| truth.as_bools()[i] && truth.is_valid(i))
+            .collect();
 
         // Optionally narrow the batch first.
         let (batch, selected): (Batch, Vec<u32>) = if r.gen_bool(0.5) {
@@ -258,52 +262,135 @@ fn eval_selection_matches_predicate_mask() {
             .copied()
             .filter(|&p| mask[p as usize])
             .collect();
-        let got = eval_selection(&pred, &batch);
-        match got {
-            Selection::All => assert_eq!(expect.len(), batch.rows(), "case {case}"),
-            Selection::Empty => assert!(expect.is_empty(), "case {case}"),
-            Selection::Rows(rows) => assert_eq!(rows, expect, "case {case}"),
-        }
+        let mut got = Vec::new();
+        CompiledPredicate::compile(&pred).select_into(&batch, &mut got);
+        assert_eq!(got, expect, "case {case}");
     }
 }
 
 #[test]
 fn selected_execution_matches_ground_truth_with_nulls() {
     // Random nullable tables through the full engine vs a row-at-a-time
-    // ground truth computed from the raw values.
+    // ground truth computed from the raw values: a bare filter, then
+    // filter → projection → probe for each of the five join kinds, with
+    // NULLs among the probe keys and the build keys. (The materializing
+    // engine shares the chain code, so it is no oracle for operator
+    // semantics; this is.)
     let mut r = rng(11);
+    let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+    let sorted = |mut rows: Vec<Vec<Value>>| {
+        rows.sort();
+        rows
+    };
     for case in 0..25 {
-        let rows = r.gen_range(1..400);
+        let rows = r.gen_range(1..2500);
         let schema = Schema::from_pairs([("a", DataType::Int), ("b", DataType::Float)]);
         let mut tb = TableBuilder::new("t", schema, rows);
         let mut raw: Vec<(Option<i64>, Option<f64>)> = Vec::with_capacity(rows);
         for _ in 0..rows {
             let a = (!r.gen_bool(0.25)).then(|| r.gen_range(-20i64..20));
             let b = (!r.gen_bool(0.25)).then(|| r.gen_range(-5.0f64..5.0));
-            tb.push_row(vec![
-                a.map_or(Value::Null, Value::Int),
-                b.map_or(Value::Null, Value::Float),
-            ]);
+            tb.push_row(vec![int(a), b.map_or(Value::Null, Value::Float)]);
             raw.push((a, b));
+        }
+        let dim_rows = r.gen_range(0..30);
+        let dim_schema = Schema::from_pairs([("dk", DataType::Int), ("w", DataType::Int)]);
+        let mut db = TableBuilder::new("d", dim_schema, dim_rows);
+        let mut dim: Vec<(Option<i64>, i64)> = Vec::with_capacity(dim_rows);
+        for w in 0..dim_rows as i64 {
+            let dk = (!r.gen_bool(0.2)).then(|| r.gen_range(-20i64..20));
+            db.push_row(vec![int(dk), Value::Int(w)]);
+            dim.push((dk, w));
         }
         let mut cat = Catalog::new();
         cat.register(tb.finish()).expect("register table");
+        cat.register(db.finish()).expect("register table");
         let engine = Engine::builder(Arc::new(cat)).no_recycler().build();
-        let cut = r.gen_range(-20i64..20);
+        let run = |plan: &Plan| {
+            engine
+                .session()
+                .query(plan)
+                .unwrap()
+                .collect_batch()
+                .to_rows()
+        };
+
         // NULL a collapses to false at the filter boundary.
+        let cut = r.gen_range(-20i64..20);
         let plan = scan("t", &["a", "b"]).select(Expr::name("a").gt(Expr::lit(cut)));
-        let got = engine
-            .session()
-            .query(&plan)
-            .unwrap()
-            .collect_batch()
-            .to_rows();
         let expect: Vec<Vec<Value>> = raw
             .iter()
             .filter(|(a, _)| a.is_some_and(|a| a > cut))
             .map(|(a, b)| vec![Value::Int(a.unwrap()), b.map_or(Value::Null, Value::Float)])
             .collect();
-        assert_eq!(got, expect, "case {case} (cut {cut}, rows {rows})");
+        assert_eq!(run(&plan), expect, "case {case} (cut {cut}, rows {rows})");
+
+        // Filter on b (so NULL a survives to probe), project, then probe.
+        let cutf = r.gen_range(-5.0f64..5.0);
+        let probe_side = || {
+            scan("t", &["a", "b"])
+                .select(Expr::name("b").gt(Expr::lit(cutf)))
+                .project(vec![
+                    (Expr::name("a"), "a"),
+                    (Expr::name("a").add(Expr::lit(1)), "a1"),
+                ])
+        };
+        let live: Vec<Vec<Value>> = raw
+            .iter()
+            .filter(|(_, b)| b.is_some_and(|b| b > cutf))
+            .map(|(a, _)| vec![int(*a), int(a.map(|a| a + 1))])
+            .collect();
+        // SQL equality: a NULL on either side matches nothing.
+        let matches = |probe: &Value| -> Vec<Vec<Value>> {
+            dim.iter()
+                .filter(|(dk, _)| !probe.is_null() && int(*dk) == *probe)
+                .map(|(dk, w)| vec![int(*dk), Value::Int(*w)])
+                .collect()
+        };
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::LeftOuter,
+            JoinKind::Semi,
+            JoinKind::Anti,
+        ] {
+            let plan = probe_side().join(
+                scan("d", &["dk", "w"]),
+                kind,
+                vec![Expr::name("a")],
+                vec![Expr::name("dk")],
+            );
+            let mut expect: Vec<Vec<Value>> = Vec::new();
+            for l in &live {
+                let ms = matches(&l[0]);
+                match kind {
+                    JoinKind::Semi if !ms.is_empty() => expect.push(l.clone()),
+                    JoinKind::Anti if ms.is_empty() => expect.push(l.clone()),
+                    JoinKind::LeftOuter if ms.is_empty() => {
+                        expect.push([l.clone(), vec![Value::Null, Value::Null]].concat())
+                    }
+                    JoinKind::Inner | JoinKind::LeftOuter => {
+                        expect.extend(ms.into_iter().map(|m| [l.clone(), m].concat()))
+                    }
+                    _ => {}
+                }
+            }
+            // Within a batch a left-outer probe emits its matched rows
+            // before its padded ones, so compare as sets here; emission
+            // order is pinned by `parallel_equivalence`.
+            assert_eq!(
+                sorted(run(&plan)),
+                sorted(expect),
+                "case {case} {kind:?} (cutf {cutf}, rows {rows}, dim {dim_rows})"
+            );
+        }
+        // Single: a one-row build side broadcast onto every live row.
+        let plan = probe_side()
+            .single_join(scan("d", &["dk"]).aggregate(vec![], vec![(AggFunc::CountStar, "n")]));
+        let expect: Vec<Vec<Value>> = live
+            .iter()
+            .map(|l| [l.clone(), vec![Value::Int(dim_rows as i64)]].concat())
+            .collect();
+        assert_eq!(run(&plan), expect, "case {case} single (rows {rows})");
     }
 }
 
