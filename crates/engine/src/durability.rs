@@ -20,7 +20,9 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 use rdb_exec::{build, ExecContext, FnRegistry, MaterializedResult};
@@ -49,6 +51,23 @@ pub(crate) struct DurabilityState {
     pub(crate) recovery_warm_hits: AtomicU64,
     /// Serializes checkpoints (manual + background).
     pub(crate) checkpoint_lock: Mutex<()>,
+    /// The background checkpointer, while it runs: dropping the sender
+    /// ends its wait between polls at once.
+    checkpointer: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
+}
+
+impl DurabilityState {
+    /// Stop the background checkpointer and wait for it — through a
+    /// checkpoint it is in the middle of — so that nothing of this engine
+    /// writes to the data directory afterwards. Idempotent.
+    pub(crate) fn stop_checkpointer(&self) {
+        let Some((stop, thread)) = self.checkpointer.lock().take() else {
+            return;
+        };
+        drop(stop);
+        // A checkpointer that panicked has stopped as well.
+        let _ = thread.join();
+    }
 }
 
 /// Point-in-time durability counters, surfaced through `rdb_stats()`.
@@ -92,6 +111,7 @@ pub(crate) fn open_durability(
         recovery_replayed: report.replayed_records,
         recovery_warm_hits: AtomicU64::new(0),
         checkpoint_lock: Mutex::new(()),
+        checkpointer: Mutex::new(None),
     };
     Ok((state, report))
 }
@@ -202,21 +222,25 @@ impl Engine {
 
 /// Spawn the background checkpointer: polls the WAL growth counter and
 /// checkpoints once it crosses the configured threshold. Holds only a
-/// [`Weak`] engine reference, so dropping the engine (or shutdown) ends
-/// the thread at its next poll.
+/// [`Weak`] engine reference and waits between polls on a channel whose
+/// sender the engine owns, so dropping the engine ends the thread at once
+/// and [`Engine::shutdown`] can join it.
 pub(crate) fn spawn_checkpointer(engine: &Arc<Engine>) {
     let weak: Weak<Engine> = Arc::downgrade(engine);
-    let (poll, threshold) = {
-        let d = engine.durability.as_ref().expect("durability configured");
-        (
-            d.config.checkpoint_poll,
-            d.config.checkpoint_threshold_bytes,
-        )
-    };
-    std::thread::Builder::new()
+    let d = engine.durability.as_ref().expect("durability configured");
+    let (poll, threshold) = (
+        d.config.checkpoint_poll,
+        d.config.checkpoint_threshold_bytes,
+    );
+    let (stop, stopped) = std::sync::mpsc::channel::<()>();
+    let thread = std::thread::Builder::new()
         .name("rdb-checkpointer".to_string())
         .spawn(move || loop {
-            std::thread::sleep(poll);
+            // Nothing is ever sent: anything but a timeout means the
+            // engine let go of the sender.
+            if stopped.recv_timeout(poll) != Err(RecvTimeoutError::Timeout) {
+                return;
+            }
             let Some(engine) = weak.upgrade() else {
                 return;
             };
@@ -235,4 +259,5 @@ pub(crate) fn spawn_checkpointer(engine: &Arc<Engine>) {
             }
         })
         .expect("spawn rdb-checkpointer");
+    *d.checkpointer.lock() = Some((stop, thread));
 }

@@ -747,8 +747,13 @@ impl Engine {
         // cache entries.
         let all_cols: Vec<usize> = (0..vt.schema().len()).collect();
         let pred = CompiledPredicate::compile(&bound);
-        let (captured, snap) = vt
-            .delete_where_capturing(|t| {
+        // A predicate that cannot be evaluated (a value of a type its
+        // column does not compare with) fails like a query stage does: a
+        // structured error, not a panic through the caller. The mask runs
+        // before anything is swapped and under no lock, so nothing is
+        // half-done when it gives up.
+        let committed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            vt.delete_where_capturing(|t| {
                 let mut mask = vec![false; t.rows()];
                 let mut doomed: Vec<u32> = Vec::new();
                 let mut offset = 0;
@@ -761,7 +766,14 @@ impl Engine {
                 }
                 mask
             })
-            .map_err(|e| self.write_error(e))?;
+        }))
+        .map_err(|panic| {
+            PlanError::msg(format!(
+                "delete predicate for '{table}' failed: {}",
+                rdb_exec::error::panic_message(panic.as_ref())
+            ))
+        })?;
+        let (captured, snap) = committed.map_err(|e| self.write_error(e))?;
         let deleted = captured.len();
         let (invalidated, repaired, repair_fallbacks, deltas_applied) = if deleted == 0 {
             // No-op delete: no epoch committed, cache stays hot.
@@ -987,11 +999,16 @@ impl Engine {
     /// live subscription (queued events still drain; iteration then
     /// ends). Executions already holding a slot drain normally; queued
     /// and future executions fail with
-    /// [`rdb_plan::PlanErrorKind::ShuttingDown`]. Idempotent.
+    /// [`rdb_plan::PlanErrorKind::ShuttingDown`]. The background
+    /// checkpointer is stopped and joined, so once this returns nothing
+    /// of this engine writes a checkpoint unasked. Idempotent.
     pub fn shutdown(&self) {
         self.gate.close();
         for entry in self.subscriptions.lock().iter() {
             entry.queue.close();
+        }
+        if let Some(d) = &self.durability {
+            d.stop_checkpointer();
         }
     }
 

@@ -1,14 +1,22 @@
 //! One client connection: startup negotiation, the simple and extended
 //! query cycles, cancellation, and buffered, backpressured output.
 //!
-//! A connection is a state machine pumped by pool workers whenever its
-//! socket turns readable (see `server.rs` for the readiness loop). Reads
-//! are nonblocking — [`Conn::pump`] drains whatever the kernel has, acts
-//! on every *complete* frame, and returns with partial frames left in the
-//! input buffer. Writes are the opposite: responses accumulate in a
-//! bounded output buffer that is flushed with *blocking* writes, so a
-//! client that stops reading stalls only its own statement (TCP
-//! backpressure), never the reactor.
+//! A connection is a state machine pumped by a pool worker (see
+//! `server.rs` for who holds it when). [`Conn::pump`] waits for bytes with
+//! *one* `read` — blocking, bounded by the linger timeout — acts on every
+//! *complete* frame, flushes, and returns with partial frames left in the
+//! input buffer. Responses accumulate in a bounded output buffer that is
+//! flushed with blocking writes, so a client that stops reading stalls
+//! only its own statement (TCP backpressure), never the reactor.
+//!
+//! # Socket mode
+//!
+//! The mode has one owner at a time and changes only at a hand-off:
+//! **nonblocking while parked on the reactor** ([`Conn::new`],
+//! [`Conn::park`]) so its `peek` sweep never waits, **blocking with the
+//! linger as read timeout while on a worker** ([`Conn::attach`]) so a
+//! worker waiting for the next request sleeps in the kernel. Nothing in
+//! between toggles it — not `fill`, not `flush`.
 //!
 //! Error discipline follows Postgres: SQL-level failures produce an
 //! `ErrorResponse` and leave the connection healthy (the extended
@@ -28,6 +36,7 @@ use rdb_plan::PlanErrorKind;
 use rdb_sql::{BindErrorKind, BoundStatement, CatalogWithFunctions, Span, SqlError, SqlErrorKind};
 
 use crate::protocol::{self as pg, Frontend, MAX_FRAME};
+use crate::server::LINGER;
 use crate::stats::ServerShared;
 
 /// Flush the output buffer once it holds this much encoded data. Bounds
@@ -38,10 +47,20 @@ pub(crate) const FLUSH_THRESHOLD: usize = 64 << 10;
 /// What one pump round left behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pump {
-    /// No complete frame pending; hand the socket back to the reactor.
+    /// Bytes arrived and every complete frame was answered; the client may
+    /// well have more to say.
     Idle,
+    /// Nothing arrived for one linger; park the socket on the reactor.
+    Quiet,
     /// The connection is finished (Terminate, EOF, error); drop it.
     Closed,
+}
+
+/// What one read brought.
+enum Fill {
+    Data,
+    TimedOut,
+    Eof,
 }
 
 /// A statement prepared over the wire, classified at Parse time. Queries
@@ -49,16 +68,20 @@ pub(crate) enum Pump {
 /// normalization, same recycler fingerprints as an embedded
 /// `Session::prepare_sql`. DML keeps its text and re-binds at Execute
 /// (the engine's write path takes values, not a prepared template).
+///
+/// `wire_params` names the parameter each Bind value goes to, in wire
+/// order (see [`wire_params`]).
 enum Statement {
     Query {
         sql: String,
         prepared: Prepared,
         param_oids: Vec<i32>,
+        wire_params: Vec<String>,
     },
     Dml {
         sql: String,
         param_oids: Vec<i32>,
-        nparams: usize,
+        wire_params: Vec<String>,
     },
     Empty,
 }
@@ -106,7 +129,9 @@ impl Conn {
         shared: Arc<ServerShared>,
         engine: Arc<Engine>,
     ) -> std::io::Result<Conn> {
+        // Born parked: the reactor holds it until the startup packet shows.
         stream.set_nonblocking(true)?;
+        stream.set_read_timeout(Some(LINGER))?;
         let _ = stream.set_nodelay(true);
         Ok(Conn {
             stream,
@@ -134,8 +159,20 @@ impl Conn {
         &self.stream
     }
 
+    /// Take the socket for a worker: reads block, up to the linger.
+    pub(crate) fn attach(&mut self) -> std::io::Result<()> {
+        self.stream.set_nonblocking(false)
+    }
+
+    /// Give the socket back to the reactor: reads and `peek` never block.
+    pub(crate) fn park(&mut self) -> std::io::Result<()> {
+        self.stream.set_nonblocking(true)
+    }
+
     /// Close an idle connection during graceful shutdown: tell the client
-    /// why, then sever the socket.
+    /// why, then sever the socket. Runs on the reactor, so the (tiny)
+    /// write is nonblocking: a client whose window is full misses the
+    /// reason, not the close.
     pub(crate) fn close_for_shutdown(&mut self) {
         pg::error_response(
             &mut self.outbuf,
@@ -149,9 +186,14 @@ impl Conn {
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 
-    /// Drain readable bytes, act on every complete frame, flush responses.
+    /// Wait (at most one linger) for bytes, act on every complete frame,
+    /// flush responses.
     pub(crate) fn pump(&mut self) -> Pump {
-        let eof = self.fill();
+        let eof = match self.fill() {
+            Fill::TimedOut => return Pump::Quiet,
+            Fill::Data => false,
+            Fill::Eof => true,
+        };
         while !self.dead {
             match self.next_frame() {
                 Ok(None) => break,
@@ -174,22 +216,28 @@ impl Conn {
         }
     }
 
-    /// Nonblocking read of everything available (capped at one max frame
-    /// beyond what's buffered — a firehosing client waits in the kernel
-    /// buffer, which is the read-side backpressure). Returns whether the
-    /// peer hit EOF.
-    fn fill(&mut self) -> bool {
+    /// One `read` per wake, blocking up to the socket's read timeout (the
+    /// linger). Every complete frame is consumed before the next read and
+    /// [`Conn::next_frame`] refuses a frame longer than [`MAX_FRAME`], so
+    /// the buffer never holds more than one partial frame plus a chunk — a
+    /// firehosing client waits in the kernel buffer, which is the
+    /// read-side backpressure.
+    fn fill(&mut self) -> Fill {
+        use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
         let mut chunk = [0u8; 16 << 10];
-        while self.inbuf.len() <= MAX_FRAME + 5 {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return true,
-                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return true,
-            }
+        loop {
+            return match self.stream.read(&mut chunk) {
+                Ok(0) => Fill::Eof,
+                Ok(n) => {
+                    self.inbuf.extend_from_slice(&chunk[..n]);
+                    Fill::Data
+                }
+                // A timed-out blocking read reports either, by platform.
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => Fill::TimedOut,
+                Err(e) if e.kind() == Interrupted => continue,
+                Err(_) => Fill::Eof,
+            };
         }
-        false
     }
 
     fn next_frame(&mut self) -> Result<Option<Raw>, String> {
@@ -475,15 +523,17 @@ impl Conn {
                     .expect("startup completed")
                     .prepare(&plan)
                     .map_err(|pe| SqlError::from_plan(Span::new(0, text.len()), pe))?;
+                let wire_params = wire_params(prepared.param_names(), text)?;
                 Ok(Statement::Query {
                     sql: text.to_string(),
                     prepared,
                     param_oids,
+                    wire_params,
                 })
             }
             BoundStatement::Insert { .. } | BoundStatement::Delete { .. } => Ok(Statement::Dml {
                 sql: text.to_string(),
-                nparams: positional_param_count(text),
+                wire_params: numbered_params(positional_param_count(text), text)?,
                 param_oids,
             }),
         }
@@ -501,18 +551,21 @@ impl Conn {
             self.fail_extended();
             return;
         };
-        let (names, oids): (Vec<String>, &[i32]) = match stmt {
+        // `template`: the names a query's execute accepts. A numbered
+        // statement may skip a number; its value is decoded and dropped.
+        let (names, template, oids): (&[String], Option<&[String]>, &[i32]) = match stmt {
             Statement::Query {
                 prepared,
                 param_oids,
+                wire_params,
                 ..
-            } => (prepared.param_names().to_vec(), param_oids),
+            } => (wire_params, Some(prepared.param_names()), param_oids),
             Statement::Dml {
-                nparams,
+                wire_params,
                 param_oids,
                 ..
-            } => ((1..=*nparams).map(|i| i.to_string()).collect(), param_oids),
-            Statement::Empty => (Vec::new(), &[]),
+            } => (wire_params, None, param_oids),
+            Statement::Empty => (&[], None, &[]),
         };
         if raw.len() != names.len() {
             let (got, want) = (raw.len(), names.len());
@@ -533,7 +586,11 @@ impl Conn {
         for (i, value) in raw.iter().enumerate() {
             let oid = oids.get(i).copied().unwrap_or(0);
             match pg::decode_param(oid, value.as_deref()) {
-                Ok(v) => params = params.set(names[i].clone(), v),
+                Ok(v) => {
+                    if template.is_none_or(|t| t.contains(&names[i])) {
+                        params = params.set(names[i].clone(), v);
+                    }
+                }
                 Err(e) => {
                     pg::error_response(&mut self.outbuf, "22P02", &e.to_string(), None, None);
                     self.fail_extended();
@@ -562,10 +619,10 @@ impl Conn {
                 Statement::Query {
                     prepared,
                     param_oids,
+                    wire_params,
                     ..
                 } => {
-                    let n = prepared.param_names().len();
-                    let oids: Vec<i32> = (0..n)
+                    let oids: Vec<i32> = (0..wire_params.len())
                         .map(|i| param_oids.get(i).copied().unwrap_or(0))
                         .collect();
                     pg::parameter_description(&mut self.outbuf, &oids);
@@ -577,11 +634,11 @@ impl Conn {
                     }
                 }
                 Statement::Dml {
-                    nparams,
+                    wire_params,
                     param_oids,
                     ..
                 } => {
-                    let oids: Vec<i32> = (0..*nparams)
+                    let oids: Vec<i32> = (0..wire_params.len())
                         .map(|i| param_oids.get(i).copied().unwrap_or(0))
                         .collect();
                     pg::parameter_description(&mut self.outbuf, &oids);
@@ -719,16 +776,15 @@ impl Conn {
         );
     }
 
-    /// Blocking flush of the output buffer — the write-side backpressure
-    /// point. A dead peer surfaces here and closes the connection.
+    /// Flush the output buffer — blocking on a worker, which is the
+    /// write-side backpressure point. A dead peer surfaces here and closes
+    /// the connection.
     fn flush(&mut self) -> bool {
         if self.outbuf.is_empty() {
             return !self.dead;
         }
         let buf = std::mem::take(&mut self.outbuf);
-        let _ = self.stream.set_nonblocking(false);
-        let ok = self.stream.write_all(&buf).is_ok() && self.stream.flush().is_ok();
-        let _ = self.stream.set_nonblocking(true);
+        let ok = self.stream.write_all(&buf).is_ok();
         if !ok {
             self.dead = true;
         }
@@ -783,6 +839,38 @@ fn sqlstate(e: &SqlError) -> &'static str {
     }
 }
 
+/// The parameter each Bind value goes to, in wire order. Numbered
+/// placeholders bind by number: value *i* is `$i+1` whatever order
+/// normalization left the template's names in, and a number the statement
+/// skips still takes a value. Named placeholders have no wire order of
+/// their own and keep the template's.
+fn wire_params(template: &[String], sql: &str) -> Result<Vec<String>, SqlError> {
+    let numbers: Option<Vec<usize>> = template
+        .iter()
+        .map(|name| {
+            let n: usize = name.parse().ok()?;
+            (n >= 1 && n.to_string() == *name).then_some(n)
+        })
+        .collect();
+    match numbers.and_then(|ns| ns.into_iter().max()) {
+        Some(max) => numbered_params(max, sql),
+        None => Ok(template.to_vec()),
+    }
+}
+
+/// `$1..$n` as parameter names. A Bind counts its values in an `i16`: a
+/// statement asking for more can never be bound, and its `$N` must not
+/// size an allocation.
+fn numbered_params(n: usize, sql: &str) -> Result<Vec<String>, SqlError> {
+    if n > i16::MAX as usize {
+        return Err(SqlError::bind(
+            Span::new(0, sql.len()),
+            format!("parameter ${n} is beyond the {} a Bind can carry", i16::MAX),
+        ));
+    }
+    Ok((1..=n).map(|i| i.to_string()).collect())
+}
+
 /// Highest `$N` positional parameter in `sql` (outside single-quoted
 /// strings); the parameter count of a DML statement.
 fn positional_param_count(sql: &str) -> usize {
@@ -797,7 +885,9 @@ fn positional_param_count(sql: &str) -> usize {
                 let mut j = i + 1;
                 let mut n = 0usize;
                 while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    n = n * 10 + (bytes[j] - b'0') as usize;
+                    n = n
+                        .saturating_mul(10)
+                        .saturating_add((bytes[j] - b'0') as usize);
                     j += 1;
                 }
                 if j > i + 1 {

@@ -24,17 +24,25 @@
 //!
 //! Three kinds of thread, none per-connection:
 //!
-//! * **reactor** (one): owns the listener and every idle connection;
-//!   accepts, then sweeps the idle set with nonblocking `peek`. An idle
-//!   connection costs a map entry, not a thread — thousands of parked
-//!   clients are fine.
+//! * **reactor** (one): owns the listener and every *parked* connection;
+//!   accepts, then sweeps the parked set with nonblocking `peek`. A
+//!   parked connection costs a map entry, not a thread — thousands of
+//!   quiet clients are fine.
 //! * **connection handlers** (a small pool, [`ServerBuilder::workers`]):
 //!   a readable connection is pumped here — frames decoded, statements
-//!   executed, responses encoded — until no complete frame remains, then
-//!   handed back to the reactor. The pool overflows instead of queueing,
-//!   so a slow statement never blocks another connection's pump.
+//!   executed, responses encoded — and then *kept*, the thread asleep in
+//!   the kernel on the socket, for a few milliseconds: the next request
+//!   of a client in a request/reply loop wakes its worker directly, with
+//!   no reactor trip in between. A connection that stays quiet goes back
+//!   to the reactor, and while more connections are on workers than the
+//!   pool has residents nobody is kept at all. The pool overflows instead
+//!   of queueing, so neither a slow statement nor a lingering worker
+//!   blocks another connection's pump.
 //! * **engine workers**: intra-query parallelism, unchanged from the
 //!   embedded engine.
+//!
+//! A socket is nonblocking while parked and blocking (with the linger as
+//! its read timeout) while on a worker; see `server.rs` and `conn.rs`.
 //!
 //! Admission control is the engine's FIFO-fair gate: at most
 //! [`ServerBuilder::max_concurrent_queries`] statements execute at once,
@@ -45,20 +53,22 @@
 //!
 //! # Backpressure
 //!
-//! Bounded on both sides of every connection. Reads stop once a maximum
-//! frame's worth of bytes is buffered. Responses accumulate in an encode
-//! buffer flushed with *blocking* writes whenever it passes ~64 KiB — a
-//! client that stops reading stalls its own statement through the TCP
-//! window and nothing else; the reactor never writes.
+//! Bounded on both sides of every connection. A worker reads one chunk
+//! per wake and answers every complete frame before it reads again.
+//! Responses accumulate in an encode buffer flushed with *blocking*
+//! writes whenever it passes ~64 KiB — a client that stops reading stalls
+//! its own statement through the TCP window and nothing else; the reactor
+//! never blocks on a socket.
 //!
 //! # Shutdown
 //!
 //! [`Server::shutdown`] stops accepting (new connections are refused
-//! with `57P03`), closes idle connections with `57P01`, and lets
-//! statements already executing stream to completion — no in-flight
-//! result is lost. Stragglers past the drain deadline are aborted through
-//! the cancel path and their sockets severed. Dropping the [`Server`]
-//! shuts down with a 5-second deadline.
+//! with `57P03`), closes idle connections — parked or lingering — with
+//! `57P01`, and lets statements already executing stream to completion —
+//! no in-flight result is lost. Stragglers past the drain deadline are
+//! aborted through the cancel path and their sockets severed. Dropping
+//! the [`Server`] shuts down with a 5-second deadline, then shuts the
+//! engine down (joining its checkpointer) and lets go of it.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -3,34 +3,61 @@
 //!
 //! # Threading model
 //!
-//! One **reactor** thread owns the listener and every *idle* connection.
-//! It accepts new sockets (nonblocking) and sweeps the idle set with
-//! `peek` — a connection with readable bytes (or EOF) is handed to the
-//! shared [`WorkerPool`], pumped until its input has no complete frame,
-//! and sent back. Idle connections therefore cost a map entry and one
-//! `peek` per sweep, not a thread: thousands of mostly-idle clients park
-//! on the reactor while the pool's threads serve only the active ones.
-//! The pool overflows rather than queues (see `rdb_exec::pool`), so one
-//! slow statement never delays another connection's pump behind it.
+//! A connection is in one of two places. **Parked** connections belong to
+//! the one **reactor** thread, which also owns the listener: it accepts
+//! new sockets and sweeps the parked set with a nonblocking `peek`. A
+//! connection with readable bytes (or EOF) is handed to the shared
+//! [`WorkerPool`], and from then on it is **on a worker**: the pool thread
+//! pumps it — one blocking `read`, every complete frame answered, one
+//! flush — and then *keeps* it, asleep in the kernel on the socket, for up
+//! to `LINGER`. The next request of a client in a request/reply loop
+//! wakes that same thread directly; no sweep, no hand-off, no channel trip
+//! stands between a statement and the hit that serves it. A connection
+//! goes back to the reactor when it stays quiet for one linger, or at once
+//! after a pump when the pool is *crowded* — more connections on workers
+//! than the pool has resident threads — because a lingering worker would
+//! then be a thread that another connection's request has to spawn.
+//!
+//! So a parked connection costs a map entry and one `peek` per sweep,
+//! never a thread: thousands of mostly-idle clients sit on the reactor
+//! while threads go to the connections that are talking, and past the
+//! pool's size every request is one pump per hand-off. The pool overflows
+//! rather than queues (see `rdb_exec::pool`), so neither a slow statement
+//! nor a lingering worker delays another connection's pump. Between
+//! sweeps the reactor waits on the channel connections come back through,
+//! so a returning connection gets its `peek` at once.
+//!
+//! The socket's mode follows its place — nonblocking while parked,
+//! blocking with the linger as read timeout while on a worker — and
+//! changes only at the hand-off (see `conn.rs`).
 //!
 //! # Backpressure
 //!
-//! Per connection and bounded on both sides: reads stop once a full
-//! frame's worth of bytes is buffered, and responses accumulate in a
-//! bounded encode buffer flushed with *blocking* writes — a client that
-//! stops reading stalls exactly its own statement via the TCP window.
+//! Per connection and bounded on both sides: a worker reads one chunk per
+//! wake and answers every complete frame before reading again, so at most
+//! one partial frame is buffered and a firehosing client waits in the
+//! kernel buffer; responses accumulate in a bounded encode buffer flushed
+//! with *blocking* writes — a client that stops reading stalls exactly
+//! its own statement via the TCP window. A client that sends half a frame
+//! and stalls holds a worker for one linger, then parks like any quiet
+//! connection until the rest arrives.
 //!
 //! # Shutdown
 //!
 //! [`Server::shutdown`] drains: the reactor stops accepting, idle
 //! connections are closed with `57P01`, and statements already executing
-//! run to completion — no result in flight is lost. Connections still
-//! busy past the drain deadline are aborted (cancel flag + socket
-//! shutdown). Dropping the server shuts it down with a default deadline.
+//! run to completion — no result in flight is lost. A lingering
+//! connection is idle: its worker parks it within one linger (or right
+//! after the statement it was serving), and the reactor closes it like
+//! the rest. Connections still busy past the drain deadline are aborted
+//! (cancel flag + socket shutdown, which also ends a blocked read or
+//! write). Dropping the server shuts it down with a default deadline and
+//! then shuts its engine down, which joins the checkpointer; the engine
+//! is freed with the last reference to it.
 
 use std::hash::{BuildHasher, Hasher};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,6 +76,14 @@ use crate::stats::{
 
 /// Reactor sweep interval while nothing is ready.
 const SWEEP_PAUSE: Duration = Duration::from_micros(500);
+
+/// How long a worker keeps a connection that has gone quiet, blocked in
+/// the kernel on its socket, before parking it on the reactor. Long
+/// enough to cover a client's turnaround between a reply and its next
+/// request; short enough that a client that stops talking (or stalls
+/// mid-frame) gives the thread back, and shutdown finds it idle, within
+/// a few milliseconds.
+pub(crate) const LINGER: Duration = Duration::from_millis(5);
 
 /// Configure and start a [`Server`].
 pub struct ServerBuilder {
@@ -183,7 +218,7 @@ impl ServerBuilder {
         let engine = builder
             .try_build()
             .map_err(|e| std::io::Error::other(format!("engine build failed: {e}")))?;
-        let _ = shared.engine.set(Arc::clone(&engine));
+        let _ = shared.engine.set(Arc::downgrade(&engine));
 
         let listener = TcpListener::bind(&self.addr)?;
         listener.set_nonblocking(true)?;
@@ -266,12 +301,16 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown(Duration::from_secs(5));
+        // The server built this engine and nothing serves from it any
+        // more: stop its checkpointer here, where a successor opening the
+        // same data directory can rely on it.
+        self.engine.shutdown();
     }
 }
 
 /// The reactor: accept, sweep, dispatch, drain. Owns the listener and all
-/// idle connections; active connections live on pool threads and come
-/// back through the channel.
+/// parked connections; the others live on pool threads and come back
+/// through the channel.
 fn reactor_loop(
     listener: TcpListener,
     shared: Arc<ServerShared>,
@@ -279,15 +318,16 @@ fn reactor_loop(
     pool: Arc<WorkerPool>,
 ) {
     let (tx, rx): (Sender<Conn>, Receiver<Conn>) = std::sync::mpsc::channel();
-    let mut idle: Vec<Conn> = Vec::new();
-    // Connections currently on a pool thread. The reactor may only exit
-    // once these have all come back (or retired).
-    let active = Arc::new(AtomicU64::new(0));
+    let mut parked: Vec<Conn> = Vec::new();
     let mut next_pid: i32 = 1;
     let secret_seed = std::collections::hash_map::RandomState::new();
 
     loop {
         let draining = shared.draining();
+        // Read before the channel is drained: a worker sends its
+        // connection back *before* it counts itself out, so a zero seen
+        // here means everything that will ever come back is in the channel.
+        let workers_done = shared.connections_on_workers.load(Ordering::Acquire) == 0;
         let mut progressed = false;
 
         // 1. Accept (until draining).
@@ -320,7 +360,7 @@ fn reactor_loop(
                             );
                             shared.connections.fetch_add(1, Ordering::Relaxed);
                             shared.connections_total.fetch_add(1, Ordering::Relaxed);
-                            idle.push(conn);
+                            parked.push(conn);
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -332,37 +372,40 @@ fn reactor_loop(
         // 2. Collect connections coming back from pool threads.
         while let Ok(conn) = rx.try_recv() {
             progressed = true;
-            idle.push(conn);
+            parked.push(conn);
         }
 
-        // 3. Draining: idle connections are closed, not kept.
+        // 3. Draining: parked connections are closed, not kept.
         if draining {
-            for mut conn in idle.drain(..) {
+            for mut conn in parked.drain(..) {
                 conn.close_for_shutdown();
                 retire(&shared, conn.pid());
             }
-            if active.load(Ordering::Acquire) == 0 {
+            if workers_done {
                 shared.state.store(STATE_STOPPED, Ordering::Release);
                 return;
             }
-            std::thread::sleep(SWEEP_PAUSE);
-            continue;
-        }
-
-        // 4. Sweep: dispatch every readable (or dead) idle connection.
-        let mut i = 0;
-        while i < idle.len() {
-            if readable(&idle[i]) {
-                progressed = true;
-                let conn = idle.swap_remove(i);
-                dispatch(conn, &pool, &tx, &shared, &active);
-            } else {
-                i += 1;
+        } else {
+            // 4. Sweep: dispatch every readable (or dead) parked connection.
+            let mut i = 0;
+            while i < parked.len() {
+                if readable(&parked[i]) {
+                    progressed = true;
+                    let conn = parked.swap_remove(i);
+                    dispatch(conn, &pool, &tx, &shared);
+                } else {
+                    i += 1;
+                }
             }
         }
 
+        // 5. Nothing moved: wait a sweep interval, or less — a connection
+        // coming back wakes the reactor at once, and gets its `peek` (or,
+        // draining, its `57P01`) without waiting out the pause.
         if !progressed {
-            std::thread::sleep(SWEEP_PAUSE);
+            if let Ok(conn) = rx.recv_timeout(SWEEP_PAUSE) {
+                parked.push(conn);
+            }
         }
     }
 }
@@ -378,48 +421,72 @@ fn readable(conn: &Conn) -> bool {
     }
 }
 
-/// Run one pump on a pool thread; the connection comes back via `tx`
-/// unless it closed.
-fn dispatch(
-    mut conn: Conn,
-    pool: &Arc<WorkerPool>,
-    tx: &Sender<Conn>,
-    shared: &Arc<ServerShared>,
-    active: &Arc<AtomicU64>,
-) {
-    /// Counts the pump out — and, unless the connection went back to the
-    /// reactor, retires it — when dropped, so a panicking `pump` cannot
-    /// leave shutdown waiting for an `active` count that never reaches
-    /// zero or a cancel entry for a connection nobody serves.
-    struct InFlight {
+/// Hand a readable connection to a pool thread, which pumps it for as
+/// long as requests keep arriving within [`LINGER`] of each other and the
+/// pool is not crowded. The connection comes back via `tx` unless it
+/// closed.
+fn dispatch(conn: Conn, pool: &Arc<WorkerPool>, tx: &Sender<Conn>, shared: &Arc<ServerShared>) {
+    /// Counts the connection off its worker — and, unless it went back to
+    /// the reactor, retires it — when dropped, so a panicking `pump`
+    /// cannot leave shutdown waiting for a count that never reaches zero
+    /// or a cancel entry for a connection nobody serves.
+    struct OnWorker {
         shared: Arc<ServerShared>,
-        active: Arc<AtomicU64>,
         pid: Option<i32>,
     }
-    impl Drop for InFlight {
+    impl Drop for OnWorker {
         fn drop(&mut self) {
             if let Some(pid) = self.pid {
                 retire(&self.shared, pid);
             }
-            self.active.fetch_sub(1, Ordering::AcqRel);
+            self.shared
+                .connections_on_workers
+                .fetch_sub(1, Ordering::AcqRel);
         }
     }
-    let tx = tx.clone();
-    active.fetch_add(1, Ordering::AcqRel);
-    let in_flight = InFlight {
+    shared.reactor_dispatches.fetch_add(1, Ordering::Relaxed);
+    shared.connections_on_workers.fetch_add(1, Ordering::AcqRel);
+    let on_worker = OnWorker {
         shared: Arc::clone(shared),
-        active: Arc::clone(active),
         pid: Some(conn.pid()),
     };
+    let tx = tx.clone();
+    let residents = pool.size() as u64;
     pool.run(Box::new(move || {
-        // Bound here so the whole guard (not one field of it) moves into
-        // the job and drops when the job ends or unwinds.
-        let mut in_flight = in_flight;
-        if let Pump::Idle = conn.pump() {
-            // The reactor only exits after active drops to zero, so the
+        // Bound here, guard first, so that the job ending or unwinding
+        // drops the connection (and its hold on the engine) before the
+        // guard counts it out: once the count is zero nothing of this
+        // connection is left.
+        let mut on_worker = on_worker;
+        let mut conn = conn;
+        let shared = &on_worker.shared;
+        if conn.attach().is_err() {
+            return;
+        }
+        let mut kept = false;
+        loop {
+            match conn.pump() {
+                Pump::Closed => return,
+                Pump::Quiet => break,
+                Pump::Idle => {}
+            }
+            if kept {
+                shared.hot_pumps.fetch_add(1, Ordering::Relaxed);
+            }
+            // Keep the connection only while every connection on a worker
+            // can have a resident thread: beyond that a lingering worker
+            // would be one some other connection's request has to spawn.
+            let crowded = shared.connections_on_workers.load(Ordering::Acquire) > residents;
+            if crowded || shared.draining() {
+                break;
+            }
+            kept = true;
+        }
+        if conn.park().is_ok() {
+            // The reactor only exits after the count drops to zero, so the
             // receiver is still alive; a failed send can only mean
             // teardown, where dropping the conn is correct.
-            in_flight.pid = None;
+            on_worker.pid = None;
             drop(tx.send(conn));
         }
     }));

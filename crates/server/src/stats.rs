@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -41,14 +41,27 @@ pub(crate) struct CancelEntry {
 pub struct ServerShared {
     /// Filled right after the engine is constructed (the `rdb_stats()`
     /// function is registered *before* the engine exists, so it reaches
-    /// the engine through here).
-    pub(crate) engine: OnceLock<Arc<Engine>>,
+    /// the engine through here). Weak, because the engine's function
+    /// registry owns `rdb_stats()` and `rdb_stats()` owns this struct: a
+    /// strong reference would close a cycle that keeps a dropped server's
+    /// engine alive. Once the engine is gone its counters read zero.
+    pub(crate) engine: OnceLock<Weak<Engine>>,
     /// Lifecycle phase: RUNNING → DRAINING → STOPPED.
     pub(crate) state: AtomicU8,
     /// Currently open connections.
     pub(crate) connections: AtomicU64,
     /// Connections ever accepted.
     pub(crate) connections_total: AtomicU64,
+    /// Connections held by a pool thread right now (executing or
+    /// lingering). The reactor may only exit once this is back to zero,
+    /// and a worker compares it with the pool's resident count to decide
+    /// whether its connection may linger.
+    pub(crate) connections_on_workers: AtomicU64,
+    /// Hand-offs of a readable connection from the reactor to the pool.
+    pub(crate) reactor_dispatches: AtomicU64,
+    /// Pumps served by a worker that kept its connection: requests that
+    /// never made a reactor trip.
+    pub(crate) hot_pumps: AtomicU64,
     /// Statements executed (queries + DML + failed).
     pub(crate) queries: AtomicU64,
     /// Statements currently executing or streaming.
@@ -68,6 +81,9 @@ impl Default for ServerShared {
             state: AtomicU8::new(STATE_RUNNING),
             connections: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
+            connections_on_workers: AtomicU64::new(0),
+            reactor_dispatches: AtomicU64::new(0),
+            hot_pumps: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             queries_active: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -130,7 +146,8 @@ impl ServerShared {
             deltas_applied: u64,
             subscriptions_active: u64,
         }
-        let ec = match self.engine.get() {
+        let engine = self.engine.get().and_then(Weak::upgrade);
+        let ec = match &engine {
             Some(engine) => {
                 let adm = engine.admission();
                 let mut ec = EngineCounters {
@@ -156,14 +173,21 @@ impl ServerShared {
             }
             None => EngineCounters::default(),
         };
-        let durability = self
-            .engine
-            .get()
+        let durability = engine
+            .as_ref()
             .map(|e| e.durability_stats())
             .unwrap_or_default();
+        // Two loads, not one instant: saturate rather than wrap when a
+        // connection retires in between.
+        let connections = self.connections.load(Ordering::Relaxed);
+        let on_workers = self.connections_on_workers.load(Ordering::Relaxed);
         ServerStatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
+            connections,
             connections_total: self.connections_total.load(Ordering::Relaxed),
+            connections_on_workers: on_workers,
+            connections_parked: connections.saturating_sub(on_workers),
+            reactor_dispatches: self.reactor_dispatches.load(Ordering::Relaxed),
+            hot_pumps: self.hot_pumps.load(Ordering::Relaxed),
             statements: self.queries.load(Ordering::Relaxed),
             statements_active: self.queries_active.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
@@ -198,6 +222,17 @@ pub struct ServerStatsSnapshot {
     pub connections: u64,
     /// Connections ever accepted.
     pub connections_total: u64,
+    /// Connections held by a pool thread right now (executing a statement
+    /// or lingering for the next one).
+    pub connections_on_workers: u64,
+    /// Connections no thread holds: parked on the reactor, or on their way
+    /// back to it.
+    pub connections_parked: u64,
+    /// Hand-offs of a readable connection from the reactor to the pool.
+    pub reactor_dispatches: u64,
+    /// Pumps served by a worker that had kept its connection — requests
+    /// answered without a reactor trip.
+    pub hot_pumps: u64,
     /// Statements executed.
     pub statements: u64,
     /// Statements currently executing or streaming.
@@ -260,6 +295,10 @@ impl ServerStatsSnapshot {
         vec![
             ("connections", self.connections as f64),
             ("connections_total", self.connections_total as f64),
+            ("connections_on_workers", self.connections_on_workers as f64),
+            ("connections_parked", self.connections_parked as f64),
+            ("reactor_dispatches", self.reactor_dispatches as f64),
+            ("hot_pumps", self.hot_pumps as f64),
             ("statements", self.statements as f64),
             ("statements_active", self.statements_active as f64),
             ("errors", self.errors as f64),
@@ -323,4 +362,39 @@ pub(crate) fn wait_until(timeout: Duration, mut pred: impl FnMut() -> bool) -> b
         std::thread::sleep(Duration::from_micros(500));
     }
     pred()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdb_expr::Params;
+    use rdb_storage::{Catalog, TableBuilder};
+
+    #[test]
+    fn engine_counters_read_zero_once_the_engine_is_gone() {
+        let mut catalog = Catalog::new();
+        let mut t = TableBuilder::new("t", Schema::from_pairs([("k", DataType::Int)]), 1);
+        t.push_row(vec![Value::Int(1)]);
+        catalog.register(t.finish()).expect("register table");
+        let engine = Engine::builder(Arc::new(catalog)).build();
+        let shared = ServerShared::default();
+        shared
+            .engine
+            .set(Arc::downgrade(&engine))
+            .expect("engine set once");
+        shared.connections_total.fetch_add(3, Ordering::Relaxed);
+        let rows = engine
+            .session()
+            .sql("SELECT k FROM t", &Params::none())
+            .expect("query runs");
+        if let rdb_engine::SqlOutcome::Rows(handle) = rows {
+            handle.for_each(drop);
+        }
+        assert_eq!(shared.snapshot().recycler_lookups, 1);
+
+        drop(engine);
+        let after = shared.snapshot();
+        assert_eq!(after.recycler_lookups, 0, "nothing left to ask");
+        assert_eq!(after.connections_total, 3, "the server's own counters stay");
+    }
 }

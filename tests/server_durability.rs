@@ -189,3 +189,54 @@ fn rdb_stats_exposes_durability_metrics() {
     client.terminate();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn dropping_the_server_frees_its_engine_and_stops_its_checkpointer() {
+    let dir = temp_dir("drop");
+    // Auto-checkpointing on, with a trigger low enough that the
+    // checkpointer is at work while the client writes.
+    let busy = || DurabilityConfig {
+        checkpoint_threshold_bytes: 64,
+        checkpoint_poll: std::time::Duration::from_millis(1),
+        ..DurabilityConfig::default()
+    };
+    let server = ServerBuilder::new(catalog(10))
+        .data_dir(&dir)
+        .durability(busy())
+        .serve()
+        .unwrap();
+    let engine = Arc::downgrade(server.engine());
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    for k in 100..140 {
+        let cycle = client
+            .query(&format!("INSERT INTO t VALUES ({k}, 1.0)"))
+            .unwrap();
+        assert_eq!(cycle.command_tags(), vec!["INSERT 0 1".to_string()]);
+    }
+    // `rdb_stats()` lives in the engine's function registry and reaches
+    // back to the engine: that must not be a cycle.
+    assert!(client.query("SELECT * FROM rdb_stats()").is_ok());
+    client.terminate();
+    drop(server);
+    assert!(
+        engine.upgrade().is_none(),
+        "the engine must not outlive its server"
+    );
+
+    // Nothing of the old engine writes to the directory any more, so a
+    // successor can open it straight away — no explicit checkpoint, no
+    // grace period — and finds every acknowledged insert.
+    let server = ServerBuilder::new(catalog(10))
+        .data_dir(&dir)
+        .durability(busy())
+        .serve()
+        .unwrap();
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    let cycle = client
+        .query("SELECT count(*) FROM t WHERE k >= 100")
+        .unwrap();
+    assert_eq!(cycle.rows(), vec![vec![Some("40".to_string())]]);
+    client.terminate();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}

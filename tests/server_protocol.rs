@@ -204,6 +204,15 @@ fn failed_execution_reports_xx000_not_a_row_count() {
         .extended("SELECT k FROM t WHERE k < $1", &[Some("1")])
         .unwrap();
     assert_eq!(cycle.rows().len(), 10);
+    // The same for a write whose predicate cannot be evaluated: an
+    // error, nothing deleted, and the connection (and its worker) live on.
+    let cycle = client
+        .extended("DELETE FROM t WHERE k = $1", &[Some("abc")])
+        .unwrap();
+    assert_eq!(cycle.first_error().sqlstate(), "XX000");
+    assert!(cycle.command_tags().is_empty(), "no completion tag");
+    let cycle = client.query("SELECT count(*) FROM t").unwrap();
+    assert_eq!(cycle.rows(), vec![vec![Some("1000".to_string())]]);
     client.terminate();
 }
 
@@ -269,21 +278,23 @@ fn many_clients_share_recycler_results_across_connections() {
     );
 }
 
+/// One value of an `rdb_stats()` reply.
+fn metric(cycle: &pg_client::Cycle, name: &str) -> f64 {
+    cycle
+        .rows()
+        .iter()
+        .find(|r| r[0].as_deref() == Some(name))
+        .unwrap_or_else(|| panic!("metric {name} missing"))[1]
+        .as_deref()
+        .unwrap()
+        .parse()
+        .unwrap()
+}
+
 #[test]
 fn rdb_stats_is_queryable_and_never_stale() {
     let server = recycling_server(1000);
     let mut client = PgClient::connect(server.local_addr()).unwrap();
-    let metric = |cycle: &pg_client::Cycle, name: &str| -> f64 {
-        cycle
-            .rows()
-            .iter()
-            .find(|r| r[0].as_deref() == Some(name))
-            .unwrap_or_else(|| panic!("metric {name} missing"))[1]
-            .as_deref()
-            .unwrap()
-            .parse()
-            .unwrap()
-    };
     let first = client.query("SELECT * FROM rdb_stats()").unwrap();
     assert_eq!(
         first.row_description().unwrap().column_names(),
@@ -529,4 +540,276 @@ fn ssl_and_gssenc_requests_are_refused_then_startup_proceeds() {
     // A normal client still works.
     let mut client = PgClient::connect(addr).unwrap();
     assert!(client.query("SELECT k FROM t WHERE k < 1").is_ok());
+}
+
+// ---------------------------------------------------------------------------
+// Numbered parameters
+// ---------------------------------------------------------------------------
+
+/// The rows of `sql` from an embedded session on the server's engine, in
+/// the wire's text format.
+fn embedded_rows(server: &Server, sql: &str) -> Vec<Vec<Option<String>>> {
+    use recycler_db::engine::SqlOutcome;
+    use recycler_db::expr::Params;
+    use recycler_db::server::protocol::text_value;
+    let session = server.engine().session();
+    let Ok(SqlOutcome::Rows(handle)) = session.sql(sql, &Params::none()) else {
+        panic!("embedded query failed: {sql}");
+    };
+    let mut rows = Vec::new();
+    for batch in handle {
+        for row in batch.to_rows() {
+            rows.push(row.iter().map(text_value).collect());
+        }
+    }
+    rows
+}
+
+#[test]
+fn numbered_parameters_bind_by_number_not_by_position_in_the_text() {
+    let server = recycling_server(1000);
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    // (statement, values for $1.., the same statement with them written in)
+    let cases: [(&str, &[Option<&str>], &str); 4] = [
+        (
+            "SELECT k, v FROM t WHERE v < $2 AND k >= $1",
+            &[Some("5"), Some("20.5")],
+            "SELECT k, v FROM t WHERE v < 20.5 AND k >= 5",
+        ),
+        (
+            "SELECT k, v FROM t WHERE k >= $2 AND v < $1 AND k <= $2",
+            &[Some("300.0"), Some("7")],
+            "SELECT k, v FROM t WHERE k >= 7 AND v < 300.0 AND k <= 7",
+        ),
+        (
+            "SELECT k, s FROM t WHERE s = $3 AND k < $1 AND v < $2",
+            &[Some("9"), Some("100.0"), Some("red")],
+            "SELECT k, s FROM t WHERE s = 'red' AND k < 9 AND v < 100.0",
+        ),
+        // A number the statement skips still takes a value.
+        (
+            "SELECT k FROM t WHERE k < $2",
+            &[Some("77"), Some("3")],
+            "SELECT k FROM t WHERE k < 3",
+        ),
+    ];
+    for (sql, values, inlined) in cases {
+        let cycle = client.extended(sql, values).unwrap();
+        assert!(cycle.errors().is_empty(), "{sql}: {:?}", cycle.errors());
+        let mut got = cycle.rows();
+        let mut want = embedded_rows(&server, inlined);
+        assert!(!want.is_empty(), "{inlined} selects nothing");
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "{sql}");
+    }
+
+    // Declared types belong to their numbers too: $1 is the float, $2 the
+    // int, whichever the text mentions first.
+    client
+        .send_parse(
+            "typed",
+            "SELECT k FROM t WHERE k >= $2 AND v < $1",
+            &[701, 20],
+        )
+        .unwrap();
+    client.send_describe(b'S', "typed").unwrap();
+    client
+        .send_bind("", "typed", &[Some("300"), Some("7")])
+        .unwrap();
+    client.send_execute("", 0).unwrap();
+    client.send_sync().unwrap();
+    let cycle = client.read_cycle().unwrap();
+    assert!(cycle.errors().is_empty(), "{:?}", cycle.errors());
+    let described = cycle
+        .messages
+        .iter()
+        .find(|m| m.tag == b't')
+        .expect("ParameterDescription");
+    let mut want = 2i16.to_be_bytes().to_vec();
+    want.extend_from_slice(&701i32.to_be_bytes());
+    want.extend_from_slice(&20i32.to_be_bytes());
+    assert_eq!(described.body, want, "OIDs in $n order");
+    assert_eq!(
+        cycle.rows().len(),
+        embedded_rows(&server, "SELECT k FROM t WHERE k >= 7 AND v < 300.0").len()
+    );
+
+    // Too few values for the highest number is an arity error.
+    let cycle = client
+        .extended("SELECT k FROM t WHERE k < $2", &[Some("3")])
+        .unwrap();
+    assert_eq!(cycle.first_error().sqlstate(), "08P01");
+    // A parameter number no Bind could ever carry is refused at Parse,
+    // not allocated for.
+    for sql in [
+        "SELECT k FROM t WHERE k < $4000000000",
+        "DELETE FROM t WHERE k = $4000000000",
+    ] {
+        let cycle = client.extended(sql, &[]).unwrap();
+        assert_eq!(cycle.first_error().sqlstate(), "42601", "{sql}");
+    }
+    client.terminate();
+}
+
+// ---------------------------------------------------------------------------
+// Hot connections stay on their worker
+// ---------------------------------------------------------------------------
+
+/// Poll `pred` until it holds; a state the server never reaches fails the
+/// test with `what` instead of hanging it.
+fn wait_for(what: &str, mut pred: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while !pred() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting until {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn silent_connections_hold_no_pool_thread_after_one_linger() {
+    let server = recycling_server(100);
+    let mut clients: Vec<PgClient> = (0..64)
+        .map(|_| PgClient::connect(server.local_addr()).unwrap())
+        .collect();
+    // Each was on a worker for its startup; none says anything more.
+    wait_for("all 64 connections are parked", || {
+        let s = server.stats();
+        s.connections_on_workers == 0 && s.connections_parked == 64
+    });
+    assert!(server.stats().reactor_dispatches >= 64);
+
+    // The same gauges from SQL: the one asking is the one on a worker.
+    let stats = clients[0].query("SELECT * FROM rdb_stats()").unwrap();
+    assert_eq!(metric(&stats, "connections"), 64.0);
+    assert_eq!(metric(&stats, "connections_on_workers"), 1.0);
+    assert_eq!(metric(&stats, "connections_parked"), 63.0);
+
+    // A client in a request/reply loop stays on its worker: most of its
+    // statements never see the reactor, and the counters say so.
+    let dispatched = metric(&stats, "reactor_dispatches");
+    let hot = metric(&stats, "hot_pumps");
+    let statements = 200;
+    for _ in 0..statements {
+        let cycle = clients[0].query("SELECT k FROM t WHERE k < 2").unwrap();
+        assert_eq!(cycle.rows().len(), 2);
+    }
+    let stats = clients[0].query("SELECT * FROM rdb_stats()").unwrap();
+    let (dispatched, hot) = (
+        metric(&stats, "reactor_dispatches") - dispatched,
+        metric(&stats, "hot_pumps") - hot,
+    );
+    assert!(
+        hot >= statements as f64 / 2.0 && dispatched <= statements as f64 / 2.0,
+        "{statements} back-to-back statements: {hot} hot pumps, {dispatched} reactor dispatches"
+    );
+    // And it gives the thread back once it stops talking.
+    wait_for("the talker is parked again", || {
+        let s = server.stats();
+        s.connections_on_workers == 0 && s.connections_parked == 64
+    });
+}
+
+#[test]
+fn nobody_lingers_while_the_pool_is_crowded() {
+    let mut config = RecyclerConfig::deterministic(64 << 20);
+    config.spec_min_progress = 0.0;
+    let server = ServerBuilder::new(catalog(20_000))
+        .recycler(config)
+        .workers(1)
+        .serve()
+        .expect("bind server");
+    // One resident thread, and this connection pins it: a million-row
+    // result nobody reads blocks its worker in `write` once the socket
+    // buffers are full.
+    let mut hog = PgClient::connect(server.local_addr()).unwrap();
+    hog.send_raw(&pg_client::frame::query(
+        "SELECT a.v, b.v FROM t AS a JOIN t AS b ON a.k = b.k WHERE a.k < 25",
+    ))
+    .unwrap();
+    assert_eq!(hog.read_message().unwrap().tag, b'T');
+    wait_for("the hog is alone on a worker", || {
+        let s = server.stats();
+        s.connections_on_workers == 1 && s.statements_active == 1
+    });
+
+    // Every other connection is now one more than the pool has residents:
+    // each of its statements is one pump, then back to the reactor.
+    let before = server.stats();
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    let statements = 20;
+    for _ in 0..statements {
+        let cycle = client.query("SELECT k FROM t WHERE k < 1").unwrap();
+        assert_eq!(cycle.rows().len(), 200);
+    }
+    let after = server.stats();
+    assert_eq!(after.statements_active, 1, "the hog is still streaming");
+    assert_eq!(after.hot_pumps, before.hot_pumps, "nobody was kept");
+    assert!(
+        after.reactor_dispatches - before.reactor_dispatches >= statements,
+        "every statement came through the reactor: {before:?} -> {after:?}"
+    );
+    client.terminate();
+    // Hang up on the hog so the server's drain has nothing to wait for.
+    drop(hog);
+}
+
+#[test]
+fn a_lingering_connection_is_idle_for_shutdown() {
+    let mut server = recycling_server(1000);
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(20)));
+    for _ in 0..50 {
+        client.query("SELECT k FROM t WHERE k < 2").unwrap();
+    }
+    assert!(
+        server.stats().hot_pumps > 0,
+        "a request/reply loop keeps its worker"
+    );
+    // The last reply is a moment old: the connection is lingering on its
+    // worker (or, on a slow day, already parked — idle either way).
+    let started = std::time::Instant::now();
+    server.shutdown(Duration::from_secs(30));
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "an idle connection must not hold the drain to its deadline: {took:?}"
+    );
+    let notice = client
+        .read_message()
+        .expect("the reason precedes the close");
+    assert_eq!(notice.tag, b'E');
+    assert_eq!(notice.sqlstate(), "57P01");
+    assert!(client.read_message().is_err(), "then the socket closes");
+}
+
+#[test]
+fn a_request_split_across_a_linger_expiry_is_answered_once() {
+    let server = recycling_server(1000);
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(20)));
+    let request = pg_client::frame::query("SELECT k FROM t WHERE k < 3");
+    let (head, tail) = request.split_at(request.len() / 2);
+    // Bytes reach a worker through the reactor or, if the connection is
+    // still lingering after its startup, directly.
+    let pumps = |s: recycler_db::server::ServerStatsSnapshot| s.reactor_dispatches + s.hot_pumps;
+    let pumped = pumps(server.stats());
+    client.send_raw(head).unwrap();
+    // Half a frame reached a worker, which waited one linger for the rest
+    // and then parked the connection, buffer and all.
+    wait_for("the half-sent request is parked", || {
+        let s = server.stats();
+        pumps(s) > pumped && s.connections_on_workers == 0 && s.connections_parked == 1
+    });
+    client.send_raw(tail).unwrap();
+    let cycle = client.read_cycle().unwrap();
+    assert!(cycle.errors().is_empty(), "{:?}", cycle.errors());
+    assert_eq!(cycle.command_tags(), vec!["SELECT 30".to_string()]);
+    // Exactly one answer: the next cycle is the next statement's.
+    let cycle = client.query("SELECT k FROM t WHERE k < 1").unwrap();
+    assert_eq!(cycle.command_tags(), vec!["SELECT 10".to_string()]);
+    client.terminate();
 }

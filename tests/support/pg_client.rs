@@ -195,10 +195,7 @@ impl PgClient {
 
     /// Send one tagged frontend message.
     pub fn send(&mut self, tag: u8, body: &[u8]) -> std::io::Result<()> {
-        let mut pkt = vec![tag];
-        pkt.extend_from_slice(&((body.len() + 4) as i32).to_be_bytes());
-        pkt.extend_from_slice(body);
-        self.stream.write_all(&pkt)
+        self.stream.write_all(&frame::tagged(tag, body))
     }
 
     /// Read one backend message (blocking).
@@ -226,9 +223,7 @@ impl PgClient {
 
     /// Simple query: send `Q`, collect the whole cycle.
     pub fn query(&mut self, sql: &str) -> std::io::Result<Cycle> {
-        let mut body = sql.as_bytes().to_vec();
-        body.push(0);
-        self.send(b'Q', &body)?;
+        self.send_raw(&frame::query(sql))?;
         self.read_cycle()
     }
 
@@ -245,16 +240,7 @@ impl PgClient {
     }
 
     pub fn send_parse(&mut self, name: &str, sql: &str, oids: &[i32]) -> std::io::Result<()> {
-        let mut body = Vec::new();
-        body.extend_from_slice(name.as_bytes());
-        body.push(0);
-        body.extend_from_slice(sql.as_bytes());
-        body.push(0);
-        body.extend_from_slice(&(oids.len() as i16).to_be_bytes());
-        for oid in oids {
-            body.extend_from_slice(&oid.to_be_bytes());
-        }
-        self.send(b'P', &body)
+        self.send_raw(&frame::parse(name, sql, oids))
     }
 
     pub fn send_bind(
@@ -263,43 +249,19 @@ impl PgClient {
         statement: &str,
         params: &[Option<&str>],
     ) -> std::io::Result<()> {
-        let mut body = Vec::new();
-        body.extend_from_slice(portal.as_bytes());
-        body.push(0);
-        body.extend_from_slice(statement.as_bytes());
-        body.push(0);
-        body.extend_from_slice(&0i16.to_be_bytes()); // all-text param formats
-        body.extend_from_slice(&(params.len() as i16).to_be_bytes());
-        for p in params {
-            match p {
-                None => body.extend_from_slice(&(-1i32).to_be_bytes()),
-                Some(text) => {
-                    body.extend_from_slice(&(text.len() as i32).to_be_bytes());
-                    body.extend_from_slice(text.as_bytes());
-                }
-            }
-        }
-        body.extend_from_slice(&0i16.to_be_bytes()); // all-text result formats
-        self.send(b'B', &body)
+        self.send_raw(&frame::bind(portal, statement, params))
     }
 
     pub fn send_describe(&mut self, kind: u8, name: &str) -> std::io::Result<()> {
-        let mut body = vec![kind];
-        body.extend_from_slice(name.as_bytes());
-        body.push(0);
-        self.send(b'D', &body)
+        self.send_raw(&frame::describe(kind, name))
     }
 
     pub fn send_execute(&mut self, portal: &str, max_rows: i32) -> std::io::Result<()> {
-        let mut body = Vec::new();
-        body.extend_from_slice(portal.as_bytes());
-        body.push(0);
-        body.extend_from_slice(&max_rows.to_be_bytes());
-        self.send(b'E', &body)
+        self.send_raw(&frame::execute(portal, max_rows))
     }
 
     pub fn send_sync(&mut self) -> std::io::Result<()> {
-        self.send(b'S', &[])
+        self.send_raw(&frame::sync())
     }
 
     /// Fire a CancelRequest at this client's backend over a fresh
@@ -322,5 +284,88 @@ impl PgClient {
 
     pub fn set_read_timeout(&self, d: Option<Duration>) {
         let _ = self.stream.set_read_timeout(d);
+    }
+}
+
+/// Frontend messages as bytes, for callers that pipeline several frames in
+/// one write or cut a frame across writes.
+pub mod frame {
+    pub fn tagged(tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut pkt = vec![tag];
+        pkt.extend_from_slice(&((body.len() + 4) as i32).to_be_bytes());
+        pkt.extend_from_slice(body);
+        pkt
+    }
+
+    fn cstr(body: &mut Vec<u8>, s: &str) {
+        body.extend_from_slice(s.as_bytes());
+        body.push(0);
+    }
+
+    pub fn query(sql: &str) -> Vec<u8> {
+        let mut body = Vec::new();
+        cstr(&mut body, sql);
+        tagged(b'Q', &body)
+    }
+
+    pub fn parse(name: &str, sql: &str, oids: &[i32]) -> Vec<u8> {
+        let mut body = Vec::new();
+        cstr(&mut body, name);
+        cstr(&mut body, sql);
+        body.extend_from_slice(&(oids.len() as i16).to_be_bytes());
+        for oid in oids {
+            body.extend_from_slice(&oid.to_be_bytes());
+        }
+        tagged(b'P', &body)
+    }
+
+    /// Text-format parameters (`None` = NULL), text-format results.
+    pub fn bind(portal: &str, statement: &str, params: &[Option<&str>]) -> Vec<u8> {
+        let mut body = Vec::new();
+        cstr(&mut body, portal);
+        cstr(&mut body, statement);
+        body.extend_from_slice(&0i16.to_be_bytes()); // all-text param formats
+        body.extend_from_slice(&(params.len() as i16).to_be_bytes());
+        for p in params {
+            match p {
+                None => body.extend_from_slice(&(-1i32).to_be_bytes()),
+                Some(text) => {
+                    body.extend_from_slice(&(text.len() as i32).to_be_bytes());
+                    body.extend_from_slice(text.as_bytes());
+                }
+            }
+        }
+        body.extend_from_slice(&0i16.to_be_bytes()); // all-text result formats
+        tagged(b'B', &body)
+    }
+
+    /// Describe (`D`) or Close (`C`) of a statement (`S`) or portal (`P`).
+    fn named(tag: u8, kind: u8, name: &str) -> Vec<u8> {
+        let mut body = vec![kind];
+        cstr(&mut body, name);
+        tagged(tag, &body)
+    }
+
+    pub fn describe(kind: u8, name: &str) -> Vec<u8> {
+        named(b'D', kind, name)
+    }
+
+    pub fn close(kind: u8, name: &str) -> Vec<u8> {
+        named(b'C', kind, name)
+    }
+
+    pub fn execute(portal: &str, max_rows: i32) -> Vec<u8> {
+        let mut body = Vec::new();
+        cstr(&mut body, portal);
+        body.extend_from_slice(&max_rows.to_be_bytes());
+        tagged(b'E', &body)
+    }
+
+    pub fn sync() -> Vec<u8> {
+        tagged(b'S', &[])
+    }
+
+    pub fn flush() -> Vec<u8> {
+        tagged(b'H', &[])
     }
 }
