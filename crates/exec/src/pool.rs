@@ -11,9 +11,11 @@
 //!   join's shared build side can contain a nested parallel pipeline, and a
 //!   pipeline job blocks on its gather channel under backpressure). A job
 //!   is queued only when an idle worker can be *reserved* for it — the
-//!   idle count and the queue live under one lock, and `queued ≤ idle` is
-//!   an invariant — otherwise [`WorkerPool::run`] spawns a fresh overflow
-//!   thread. A submitted job therefore never waits behind a blocked one.
+//!   idle count and the queue live under one lock, and `queued ≤ idle`
+//!   holds for everything [`WorkerPool::run`] submits — otherwise it
+//!   spawns a fresh overflow thread. A job submitted that way never waits
+//!   behind a blocked one. ([`WorkerPool::queue`] is the opt-out for a
+//!   caller that owns the pool and does its own counting.)
 //! * **Panic isolation.** A panicking job must not take the pool down with
 //!   it: jobs run under `catch_unwind`, and the failure surfaces to the
 //!   consumer through its closed result channel (the gather operator
@@ -111,6 +113,17 @@ impl WorkerPool {
             }
         }
         std::thread::spawn(move || run_quietly(job));
+    }
+
+    /// Queue `job` for the next resident thread to come free, with no idle
+    /// one reserved for it and no overflow thread spawned: for a caller
+    /// that keeps count of what it has running here, knows a resident is
+    /// on its way back, and would rather wait for that thread than start
+    /// another. The job may sit behind a running one until then — which
+    /// is why [`WorkerPool::run`] never does this on its own.
+    pub fn queue(&self, job: Job) {
+        self.shared.queue.lock().jobs.push_back(job);
+        self.shared.available.notify_one();
     }
 }
 
@@ -227,5 +240,30 @@ mod tests {
         outer_rx
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("nested submission must not deadlock");
+    }
+
+    #[test]
+    fn a_queued_job_waits_for_the_resident_instead_of_spawning() {
+        let pool = WorkerPool::new(1);
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (ran_tx, ran_rx) = mpsc::channel();
+        let first = ran_tx.clone();
+        pool.queue(Box::new(move || {
+            gate_rx.recv().expect("gate opens");
+            let _ = first.send(std::thread::current().id());
+        }));
+        // The only resident is taken: `run` would spawn, `queue` waits.
+        pool.queue(Box::new(move || {
+            let _ = ran_tx.send(std::thread::current().id());
+        }));
+        assert!(
+            ran_rx
+                .recv_timeout(std::time::Duration::from_millis(50))
+                .is_err(),
+            "nothing runs while the resident is held"
+        );
+        gate_tx.send(()).unwrap();
+        let resident = ran_rx.recv().expect("held job finished");
+        assert_eq!(ran_rx.recv().expect("queued job ran"), resident);
     }
 }

@@ -35,9 +35,11 @@
 //!   of a client in a request/reply loop wakes its worker directly, with
 //!   no reactor trip in between. A connection that stays quiet goes back
 //!   to the reactor, and while more connections are on workers than the
-//!   pool has residents nobody is kept at all. The pool overflows instead
-//!   of queueing, so neither a slow statement nor a lingering worker
-//!   blocks another connection's pump.
+//!   pool has residents nobody is kept at all. Kept connections change
+//!   threads every few milliseconds (`RESEAT` in `server.rs`), so none
+//!   lives on one placement of its worker. Past its residents the pool
+//!   overflows instead of queueing, so neither a slow statement nor a
+//!   lingering worker blocks another connection's pump.
 //! * **engine workers**: intra-query parallelism, unchanged from the
 //!   embedded engine.
 //!

@@ -21,11 +21,26 @@
 //! So a parked connection costs a map entry and one `peek` per sweep,
 //! never a thread: thousands of mostly-idle clients sit on the reactor
 //! while threads go to the connections that are talking, and past the
-//! pool's size every request is one pump per hand-off. The pool overflows
-//! rather than queues (see `rdb_exec::pool`), so neither a slow statement
-//! nor a lingering worker delays another connection's pump. Between
+//! pool's size every request is one pump per hand-off. Past its size the
+//! pool overflows rather than queues (see `rdb_exec::pool`), so neither a
+//! slow statement nor a lingering worker delays another connection's
+//! pump; up to its size the reactor counts the residents out itself
+//! (*seats*, see `dispatch`), so a connection on its way back finds the
+//! resident it left instead of a thread spawned in the gap. Between
 //! sweeps the reactor waits on the channel connections come back through,
 //! so a returning connection gets its `peek` at once.
+//!
+//! Which thread keeps which connection is not for keeps. Pool threads
+//! stay on the CPU they last ran on, and a client on the same machine
+//! pays for every wake that crosses CPUs, so a seating is a draw — and
+//! once drawn it would last as long as both sides keep talking. While two
+//! or more connections are kept, the reactor therefore calls them all
+//! back every `RESEAT`: each returns after the pump it is in and is dealt
+//! out again with its next request, last back first, to the resident
+//! longest idle — to another thread than before if another is free. Over
+//! any stretch longer than a few deals every connection has then sat
+//! everywhere, and what a client sees is the mean of the draws and not
+//! one of them.
 //!
 //! The socket's mode follows its place — nonblocking while parked,
 //! blocking with the linger as read timeout while on a worker — and
@@ -61,7 +76,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rdb_engine::{DurabilityConfig, Engine, EngineBuilder, IoFault};
 use rdb_exec::{FnRegistry, WorkerPool};
@@ -84,6 +99,19 @@ const SWEEP_PAUSE: Duration = Duration::from_micros(500);
 /// mid-frame) gives the thread back, and shutdown finds it idle, within
 /// a few milliseconds.
 pub(crate) const LINGER: Duration = Duration::from_millis(5);
+
+/// How often the reactor calls the kept connections back to seat them
+/// afresh, once two or more are kept.
+///
+/// Pool threads stay on the CPU they ran on last, so where a connection is
+/// seated decides what its statements cost: a client on the same machine
+/// and its worker wake each other, and the trip is cheap when the two
+/// share a CPU and dear when they do not (two cores, one local client
+/// each: ~160 µs against ~250 µs a statement). Left alone a seating lasts
+/// for seconds, and what a client sees is the seating it drew. Dealing the
+/// kept connections out again this often lets none of them keep a lucky or
+/// an unlucky seat for long; each pays one sweep wait per `RESEAT` for it.
+const RESEAT: Duration = Duration::from_millis(8);
 
 /// Configure and start a [`Server`].
 pub struct ServerBuilder {
@@ -321,6 +349,7 @@ fn reactor_loop(
     let mut parked: Vec<Conn> = Vec::new();
     let mut next_pid: i32 = 1;
     let secret_seed = std::collections::hash_map::RandomState::new();
+    let mut reseat_at = Instant::now() + RESEAT;
 
     loop {
         let draining = shared.draining();
@@ -386,15 +415,24 @@ fn reactor_loop(
                 return;
             }
         } else {
-            // 4. Sweep: dispatch every readable (or dead) parked connection.
-            let mut i = 0;
-            while i < parked.len() {
+            // 4. Sweep: dispatch every readable (or dead) parked connection,
+            // last come first served. Residents are woken longest idle
+            // first, so of the connections that came back since the last
+            // sweep none goes to the thread it came from if another is free.
+            for i in (0..parked.len()).rev() {
                 if readable(&parked[i]) {
                     progressed = true;
                     let conn = parked.swap_remove(i);
                     dispatch(conn, &pool, &tx, &shared);
-                } else {
-                    i += 1;
+                }
+            }
+            // Time for a new deal (see `RESEAT`)? One kept connection has
+            // nobody to change seats with.
+            let now = Instant::now();
+            if now >= reseat_at {
+                reseat_at = now + RESEAT;
+                if shared.connections_on_workers.load(Ordering::Acquire) >= 2 {
+                    shared.reseat.fetch_add(1, Ordering::Release);
                 }
             }
         }
@@ -422,20 +460,39 @@ fn readable(conn: &Conn) -> bool {
 }
 
 /// Hand a readable connection to a pool thread, which pumps it for as
-/// long as requests keep arriving within [`LINGER`] of each other and the
-/// pool is not crowded. The connection comes back via `tx` unless it
-/// closed.
+/// long as requests keep arriving within [`LINGER`] of each other, the
+/// pool is not crowded and the reactor has not called for a new deal. The
+/// connection comes back via `tx` unless it closed.
+///
+/// The job takes a *seat* — one of the pool's resident threads — if one
+/// is left, and is then queued for it; only past the last seat does the
+/// pool spawn. A resident that has just sent its connection back is
+/// still a few instructions short of idle, and the pool, asked then,
+/// would start a thread for the next request (and the allocator an arena
+/// for the thread) while the resident it was meant for goes to sleep. The
+/// seat count is the server's own and exact: a job gives its seat up
+/// before it gives its connection up.
 fn dispatch(conn: Conn, pool: &Arc<WorkerPool>, tx: &Sender<Conn>, shared: &Arc<ServerShared>) {
-    /// Counts the connection off its worker — and, unless it went back to
-    /// the reactor, retires it — when dropped, so a panicking `pump`
-    /// cannot leave shutdown waiting for a count that never reaches zero
-    /// or a cancel entry for a connection nobody serves.
+    /// Counts the connection off its worker, gives the seat back — and,
+    /// unless the connection went back to the reactor, retires it — when
+    /// dropped, so a panicking `pump` cannot leave shutdown waiting for a
+    /// count that never reaches zero, a seat nobody sits on, or a cancel
+    /// entry for a connection nobody serves.
     struct OnWorker {
         shared: Arc<ServerShared>,
         pid: Option<i32>,
+        seated: bool,
+    }
+    impl OnWorker {
+        fn unseat(&mut self) {
+            if std::mem::take(&mut self.seated) {
+                self.shared.seats_taken.fetch_sub(1, Ordering::AcqRel);
+            }
+        }
     }
     impl Drop for OnWorker {
         fn drop(&mut self) {
+            self.unseat();
             if let Some(pid) = self.pid {
                 retire(&self.shared, pid);
             }
@@ -444,25 +501,32 @@ fn dispatch(conn: Conn, pool: &Arc<WorkerPool>, tx: &Sender<Conn>, shared: &Arc<
                 .fetch_sub(1, Ordering::AcqRel);
         }
     }
+    let residents = pool.size() as u64;
+    // Only the reactor takes seats, so what it reads it can take.
+    let seated = shared.seats_taken.load(Ordering::Acquire) < residents;
+    if seated {
+        shared.seats_taken.fetch_add(1, Ordering::AcqRel);
+    }
     shared.reactor_dispatches.fetch_add(1, Ordering::Relaxed);
     shared.connections_on_workers.fetch_add(1, Ordering::AcqRel);
     let on_worker = OnWorker {
         shared: Arc::clone(shared),
         pid: Some(conn.pid()),
+        seated,
     };
     let tx = tx.clone();
-    let residents = pool.size() as u64;
-    pool.run(Box::new(move || {
+    let job = Box::new(move || {
         // Bound here, guard first, so that the job ending or unwinding
         // drops the connection (and its hold on the engine) before the
         // guard counts it out: once the count is zero nothing of this
         // connection is left.
         let mut on_worker = on_worker;
         let mut conn = conn;
-        let shared = &on_worker.shared;
+        let shared = Arc::clone(&on_worker.shared);
         if conn.attach().is_err() {
             return;
         }
+        let deal = shared.reseat.load(Ordering::Acquire);
         let mut kept = false;
         loop {
             match conn.pump() {
@@ -477,7 +541,7 @@ fn dispatch(conn: Conn, pool: &Arc<WorkerPool>, tx: &Sender<Conn>, shared: &Arc<
             // can have a resident thread: beyond that a lingering worker
             // would be one some other connection's request has to spawn.
             let crowded = shared.connections_on_workers.load(Ordering::Acquire) > residents;
-            if crowded || shared.draining() {
+            if crowded || shared.draining() || shared.reseat.load(Ordering::Acquire) != deal {
                 break;
             }
             kept = true;
@@ -487,9 +551,15 @@ fn dispatch(conn: Conn, pool: &Arc<WorkerPool>, tx: &Sender<Conn>, shared: &Arc<
             // receiver is still alive; a failed send can only mean
             // teardown, where dropping the conn is correct.
             on_worker.pid = None;
+            on_worker.unseat();
             drop(tx.send(conn));
         }
-    }));
+    });
+    if seated {
+        pool.queue(job);
+    } else {
+        pool.run(job);
+    }
 }
 
 /// Remove a finished connection's cancel entry and count it out.

@@ -57,6 +57,13 @@ pub struct ServerShared {
     /// and a worker compares it with the pool's resident count to decide
     /// whether its connection may linger.
     pub(crate) connections_on_workers: AtomicU64,
+    /// Resident pool threads spoken for: one per connection job that was
+    /// queued for a resident, from dispatch until the job lets go of its
+    /// connection (see `server::dispatch`).
+    pub(crate) seats_taken: AtomicU64,
+    /// Bumped by the reactor every `server::RESEAT`; a worker that sees it
+    /// move sends its connection back to be seated afresh.
+    pub(crate) reseat: AtomicU64,
     /// Hand-offs of a readable connection from the reactor to the pool.
     pub(crate) reactor_dispatches: AtomicU64,
     /// Pumps served by a worker that kept its connection: requests that
@@ -82,6 +89,8 @@ impl Default for ServerShared {
             connections: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
             connections_on_workers: AtomicU64::new(0),
+            seats_taken: AtomicU64::new(0),
+            reseat: AtomicU64::new(0),
             reactor_dispatches: AtomicU64::new(0),
             hot_pumps: AtomicU64::new(0),
             queries: AtomicU64::new(0),

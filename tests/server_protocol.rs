@@ -714,6 +714,40 @@ fn silent_connections_hold_no_pool_thread_after_one_linger() {
 }
 
 #[test]
+fn kept_connections_are_dealt_out_again() {
+    let server = ServerBuilder::new(catalog(100))
+        .workers(2)
+        .serve()
+        .expect("bind server");
+    let addr = server.local_addr();
+    // Two clients in request/reply loops, as many as the pool has
+    // residents, for a dozen reseat intervals.
+    let talk = move || {
+        let mut client = PgClient::connect(addr).unwrap();
+        let until = std::time::Instant::now() + Duration::from_millis(100);
+        while std::time::Instant::now() < until {
+            let cycle = client.query("SELECT k FROM t WHERE k < 2").unwrap();
+            assert_eq!(cycle.rows().len(), 2);
+        }
+        client.terminate();
+    };
+    let before = server.stats();
+    let talkers = [std::thread::spawn(talk), std::thread::spawn(talk)];
+    for t in talkers {
+        t.join().unwrap();
+    }
+    let after = server.stats();
+    let dispatched = after.reactor_dispatches - before.reactor_dispatches;
+    let hot = after.hot_pumps - before.hot_pumps;
+    // Each came through the reactor once to start with; every further
+    // dispatch is a new deal (or, on a slow day, a linger that ran out).
+    assert!(
+        dispatched >= 2 + 4 && hot >= 2 * dispatched,
+        "kept, but not for good: {hot} hot pumps, {dispatched} reactor dispatches"
+    );
+}
+
+#[test]
 fn nobody_lingers_while_the_pool_is_crowded() {
     let mut config = RecyclerConfig::deterministic(64 << 20);
     config.spec_min_progress = 0.0;
