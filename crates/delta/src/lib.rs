@@ -700,14 +700,9 @@ mod tests {
         let (deleted, _) = vt
             .delete_where(|t| t.column(0).as_ints().iter().map(|&k| k == 2).collect())
             .unwrap();
-        assert_eq!(deleted, 1);
+        assert_eq!(deleted, [vec![Value::Int(2), Value::Float(3.0)]]);
         let snap = cat.snapshot();
-        let delta = Delta::delete(
-            "t",
-            snap.get("t").unwrap().schema().clone(),
-            1,
-            &[vec![Value::Int(2), Value::Float(3.0)]],
-        );
+        let delta = Delta::delete("t", snap.get("t").unwrap().schema().clone(), 1, &deleted);
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("count-gated repair");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);

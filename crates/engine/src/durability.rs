@@ -6,8 +6,8 @@
 //! a data directory it recovers checkpoint + WAL tail, installs the WAL as
 //! the catalog-wide commit hook (so every epoch is logged **before** its
 //! pointer swap), re-executes persisted lineage to re-seed the recycler,
-//! and runs a background checkpointer that snapshots base tables and
-//! prunes covered WAL segments.
+//! and runs a background checkpointer that persists the chunks born since
+//! the last checkpoint and prunes covered WAL segments.
 //!
 //! # Read-only degradation
 //!
@@ -28,8 +28,8 @@ use parking_lot::Mutex;
 use rdb_exec::{build, ExecContext, FnRegistry, MaterializedResult};
 use rdb_plan::PlanError;
 use rdb_recycler::{LineageEntry, Recycler};
-use rdb_storage::Catalog;
-use rdb_wal::{Checkpoint, RecoveryReport, TableCheckpoint, Wal};
+use rdb_storage::{Catalog, Table};
+use rdb_wal::{CheckpointWriter, RecoveryReport, Wal};
 
 pub use rdb_wal::{DurabilityConfig, FsyncPolicy, IoFault, NoFault, ScriptedFault, WalError};
 
@@ -39,7 +39,6 @@ use crate::engine::Engine;
 /// directory.
 pub(crate) struct DurabilityState {
     pub(crate) wal: Arc<Wal>,
-    pub(crate) dir: PathBuf,
     pub(crate) config: DurabilityConfig,
     /// Highest table epoch covered by the last checkpoint written (or
     /// recovered) in this process.
@@ -49,8 +48,9 @@ pub(crate) struct DurabilityState {
     /// Lineage entries successfully re-materialized into the recycler at
     /// boot.
     pub(crate) recovery_warm_hits: AtomicU64,
-    /// Serializes checkpoints (manual + background).
-    pub(crate) checkpoint_lock: Mutex<()>,
+    /// Writes checkpoints and knows which chunk is in which file; the
+    /// lock serializes checkpoints (manual + background).
+    pub(crate) checkpoints: Mutex<CheckpointWriter>,
     /// The background checkpointer, while it runs: dropping the sender
     /// ends its wait between polls at once.
     checkpointer: Mutex<Option<(Sender<()>, JoinHandle<()>)>>,
@@ -98,19 +98,21 @@ pub(crate) fn open_durability(
 ) -> Result<(DurabilityState, RecoveryReport), PlanError> {
     let report = rdb_wal::recover(&dir, catalog)
         .map_err(|e| PlanError::msg(format!("recovery from '{}' failed: {e}", dir.display())))?;
-    let wal = Wal::open(&dir, &config, fault)
-        .map_err(|e| PlanError::msg(format!("wal open in '{}' failed: {e}", dir.display())))?;
+    let open_failed =
+        |e: WalError| PlanError::msg(format!("wal open in '{}' failed: {e}", dir.display()));
+    let checkpoints =
+        CheckpointWriter::open(&dir, fault.clone(), &report.chunks).map_err(open_failed)?;
+    let wal = Wal::open(&dir, &config, fault).map_err(open_failed)?;
     // From here on, every commit on every table is logged before its
     // pointer swap.
     catalog.set_commit_hook(wal.clone());
     let state = DurabilityState {
         wal,
-        dir,
         config,
         last_checkpoint_epoch: AtomicU64::new(report.checkpoint_epoch),
         recovery_replayed: report.replayed_records,
         recovery_warm_hits: AtomicU64::new(0),
-        checkpoint_lock: Mutex::new(()),
+        checkpoints: Mutex::new(checkpoints),
         checkpointer: Mutex::new(None),
     };
     Ok((state, report))
@@ -176,17 +178,20 @@ impl Engine {
         }
     }
 
-    /// Write a checkpoint now: snapshot every base table plus the
-    /// recycler's top-K lineage, fsync it durably, and prune WAL segments
-    /// the checkpoint fully covers. Returns `Ok(false)` when the engine
-    /// has no data directory. Concurrent writers are safe: commits racing
-    /// the snapshot land in segments the prune provably keeps (see
+    /// Write a checkpoint now: persist every chunk of every base table
+    /// that no earlier checkpoint wrote, then the manifest naming each
+    /// table's chunks plus the recycler's top-K lineage, sweep the chunk
+    /// files nothing references any more, and prune WAL segments the
+    /// checkpoint fully covers. Costs the rows committed since the last
+    /// checkpoint, not the tables. Returns `Ok(false)` when the engine has
+    /// no data directory. Concurrent writers are safe: commits racing the
+    /// snapshot land in segments the prune provably keeps (see
     /// `Wal::prune`).
     pub fn checkpoint(&self) -> Result<bool, PlanError> {
         let Some(d) = &self.durability else {
             return Ok(false);
         };
-        let _serialize = d.checkpoint_lock.lock();
+        let mut checkpoints = d.checkpoints.lock();
         if d.wal.is_poisoned() {
             return Err(PlanError::read_only());
         }
@@ -196,25 +201,19 @@ impl Engine {
             .as_ref()
             .map(|r| r.lineage_top(d.config.warm_top_k))
             .unwrap_or_default();
-        let epochs = snap.epochs();
-        let mut tables = Vec::with_capacity(epochs.len());
-        for (name, epoch) in &epochs {
-            let t = snap.get(name).expect("snapshot table");
-            tables.push(TableCheckpoint {
-                name: name.clone(),
-                epoch: *epoch,
-                schema: t.schema().clone(),
-                rows: t.to_rows(),
-            });
-        }
-        let ckpt = Checkpoint { tables, lineage };
-        let max_epoch = ckpt.max_epoch();
-        rdb_wal::write_checkpoint(&d.dir, &ckpt)
+        let cover: HashMap<String, u64> = snap.epochs().into_iter().collect();
+        let mut tables: Vec<Arc<Table>> = cover
+            .keys()
+            .map(|name| snap.get(name).expect("snapshot table").clone())
+            .collect();
+        tables.sort_by(|a, b| a.name().cmp(b.name()));
+        checkpoints
+            .write(&tables, &lineage)
             .map_err(|e| PlanError::msg(format!("checkpoint failed: {e}")))?;
-        let cover: HashMap<String, u64> = epochs.into_iter().collect();
         d.wal
             .prune(&cover)
             .map_err(|e| PlanError::msg(format!("wal prune failed: {e}")))?;
+        let max_epoch = cover.values().copied().max().unwrap_or(0);
         d.last_checkpoint_epoch.store(max_epoch, Ordering::Relaxed);
         Ok(true)
     }

@@ -740,24 +740,33 @@ impl Engine {
             ));
         }
         // The mask is evaluated against the exact snapshot being replaced
-        // (VersionedTable::delete_where_capturing re-runs it if a
-        // concurrent writer commits first), so interleaved writers compose
-        // linearizably. The deleted rows are captured inside the commit —
-        // they are the typed delta the repair path retracts from dependent
-        // cache entries.
-        let all_cols: Vec<usize> = (0..vt.schema().len()).collect();
-        let pred = CompiledPredicate::compile(&bound);
+        // (VersionedTable::delete_where re-runs it if a concurrent writer
+        // commits first), so interleaved writers compose linearizably. The
+        // deleted rows are captured inside the commit — they are the typed
+        // delta the repair path retracts from dependent cache entries.
+        // Only the columns the predicate reads are scanned (one column, for
+        // the row count, when it reads none: `WHERE TRUE`).
+        let mut used = Vec::new();
+        bound.columns_used(&mut used);
+        if used.is_empty() {
+            used.push(0);
+        }
+        let mut position = vec![0; vt.schema().len()];
+        for (at, &col) in used.iter().enumerate() {
+            position[col] = at;
+        }
+        let pred = CompiledPredicate::compile(&bound.remap_cols(&position));
         // A predicate that cannot be evaluated (a value of a type its
         // column does not compare with) fails like a query stage does: a
         // structured error, not a panic through the caller. The mask runs
         // before anything is swapped and under no lock, so nothing is
         // half-done when it gives up.
         let committed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            vt.delete_where_capturing(|t| {
+            vt.delete_where(|t| {
                 let mut mask = vec![false; t.rows()];
                 let mut doomed: Vec<u32> = Vec::new();
                 let mut offset = 0;
-                for b in t.batches(&all_cols) {
+                for b in t.batches(&used) {
                     pred.select_physical_into(&b, &mut doomed);
                     for &i in &doomed {
                         mask[offset + i as usize] = true;

@@ -122,13 +122,9 @@ impl TableFunction for FGetNearbyObjEq {
         let dec0 = args[1].as_float().expect("dec").to_radians();
         let radius_deg = args[2].as_float().expect("radius") / 60.0; // arcmin → deg
         let cos_limit = radius_deg.to_radians().cos();
-        let objid = self
-            .table
-            .column_by_name("p_objid")
-            .expect("objid")
-            .as_ints();
-        let ra = self.table.column_by_name("p_ra").expect("ra").as_floats();
-        let dec = self.table.column_by_name("p_dec").expect("dec").as_floats();
+        let column = |name: &str| self.table.column_by_name(name).expect(name);
+        let (objid, ra, dec) = (column("p_objid"), column("p_ra"), column("p_dec"));
+        let (objid, ra, dec) = (objid.as_ints(), ra.as_floats(), dec.as_floats());
         *work += self.table.rows() as u64;
         let mut hits: Vec<(i64, f64)> = Vec::new();
         for i in 0..self.table.rows() {

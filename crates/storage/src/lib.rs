@@ -7,13 +7,14 @@
 //! results must be invalidated when their base tables change (§V) — tables
 //! here are **mutable through versioning**:
 //!
-//! * [`Table`] is one immutable, epoch-stamped snapshot; its columns are
-//!   `Arc`-shared, so holding a snapshot costs nothing and survives any
-//!   number of later commits;
+//! * [`Table`] is one immutable, epoch-stamped snapshot: an ordered list
+//!   of `Arc`-shared column [`Chunk`]s, so holding a snapshot costs
+//!   nothing and survives any number of later commits;
 //! * [`VersionedTable`] is the mutable wrapper: `append`/`delete_where`
-//!   commit a new snapshot with the epoch bumped by one, while concurrent
-//!   readers keep their pinned version (O(1) snapshot reads, no torn
-//!   scans);
+//!   commit a new snapshot with the epoch bumped by one — sharing every
+//!   chunk the write did not touch, so a write costs its delta — while
+//!   concurrent readers keep their pinned version (O(1) snapshot reads,
+//!   no torn scans);
 //! * [`Catalog`] maps names to versioned tables and hands out
 //!   [`CatalogSnapshot`]s — the per-query unit of consistency whose epoch
 //!   vector also keys the recycler's cache-freshness checks;
@@ -29,7 +30,9 @@ pub mod catalog;
 pub mod table;
 
 pub use catalog::{Catalog, CatalogSnapshot};
-pub use table::{CommitHook, CommitRecord, Table, TableBuilder, TableDelta, VersionedTable};
+pub use table::{
+    Chunk, CommitHook, CommitRecord, Table, TableBuilder, TableDelta, VersionedTable, SEAL_ROWS,
+};
 
 /// Errors from catalog registration and table mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]

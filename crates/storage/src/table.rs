@@ -1,4 +1,5 @@
-//! Columnar tables: immutable snapshots and versioned mutable wrappers.
+//! Columnar tables: immutable chunked snapshots and versioned mutable
+//! wrappers.
 
 use std::sync::Arc;
 
@@ -8,14 +9,120 @@ use rdb_vector::{Batch, DataType, Schema, Value, BATCH_CAPACITY};
 
 use crate::StorageError;
 
+/// Rows at which a chunk is **sealed**: it no longer takes part in the
+/// tail merges of [`VersionedTable::append`], so it is copied (and
+/// checkpointed) exactly once. A constant multiple of [`BATCH_CAPACITY`]
+/// — at most one scan batch in that many straddles a sealed seam.
+pub const SEAL_ROWS: usize = 64 * BATCH_CAPACITY;
+
+/// An immutable run of rows, stored as one full-length [`Column`] per
+/// schema field. Chunks are the unit snapshots share by refcount, the
+/// unit a delete rewrites, and the unit a checkpoint persists.
+#[derive(Debug)]
+pub struct Chunk {
+    columns: Vec<Column>,
+    rows: usize,
+}
+
+impl Chunk {
+    /// Wrap equal-length columns.
+    pub fn new(columns: Vec<Column>) -> Chunk {
+        let rows = columns.first().map_or(0, Column::len);
+        assert!(
+            columns.iter().all(|c| c.len() == rows),
+            "chunk column length mismatch"
+        );
+        Chunk { columns, rows }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The columns, schema order.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// Rows to columns: the one place row-major values (an append, a
+    /// logged delta) become a chunk. `rows` must already be validated
+    /// against `schema`.
+    fn from_rows(schema: &Schema, rows: &[Vec<Value>]) -> Chunk {
+        let columns = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let mut b = ColumnBuilder::new(f.dtype, rows.len());
+                for row in rows {
+                    b.push(row[i].clone());
+                }
+                b.finish()
+            })
+            .collect();
+        Chunk {
+            columns,
+            rows: rows.len(),
+        }
+    }
+
+    /// One chunk holding the rows of `parts`, in order.
+    fn concat(parts: &[&Chunk]) -> Chunk {
+        let columns = (0..parts[0].columns.len())
+            .map(|i| {
+                let cols: Vec<&Column> = parts.iter().map(|p| &p.columns[i]).collect();
+                Column::concat(&cols)
+            })
+            .collect();
+        Chunk {
+            columns,
+            rows: parts.iter().map(|p| p.rows).sum(),
+        }
+    }
+
+    /// Why this chunk cannot belong to a table of `schema`, if it cannot.
+    fn mismatch(&self, schema: &Schema) -> Option<String> {
+        if self.columns.len() != schema.len() {
+            return Some(format!(
+                "chunk has {} columns, schema has {}",
+                self.columns.len(),
+                schema.len()
+            ));
+        }
+        schema
+            .fields()
+            .iter()
+            .zip(&self.columns)
+            .find(|(f, c)| c.data_type() != f.dtype)
+            .map(|(f, c)| {
+                format!(
+                    "column '{}' type mismatch: chunk holds {}, schema says {}",
+                    f.name,
+                    c.data_type(),
+                    f.dtype
+                )
+            })
+    }
+
+    fn row_values(&self, i: usize) -> Vec<Value> {
+        self.columns.iter().map(|c| c.get(i)).collect()
+    }
+}
+
 /// An immutable, fully in-memory columnar **snapshot** of a table at one
-/// epoch. In-flight scans hold an `Arc<Table>` and keep reading their
-/// version's Arc'd columns however many updates commit concurrently.
+/// epoch: an ordered list of `Arc`-shared [`Chunk`]s. In-flight scans hold
+/// an `Arc<Table>` and keep reading their version's chunks however many
+/// updates commit concurrently; consecutive versions share every chunk a
+/// write did not touch.
 #[derive(Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
-    columns: Vec<Column>,
+    /// Non-empty chunks, row order.
+    chunks: Vec<Arc<Chunk>>,
+    /// `starts[k]` is the table row at which `chunks[k]` begins.
+    starts: Vec<usize>,
     rows: usize,
     epoch: u64,
 }
@@ -26,7 +133,7 @@ impl Table {
         Table::new_at_epoch(name, schema, columns, 0)
     }
 
-    /// Build a table snapshot stamped with an explicit epoch.
+    /// Build a single-chunk table snapshot stamped with an explicit epoch.
     pub fn new_at_epoch(
         name: impl Into<String>,
         schema: Schema,
@@ -37,12 +144,39 @@ impl Table {
         let rows = columns.first().map_or(0, |c| c.len());
         for (f, c) in schema.fields().iter().zip(&columns) {
             assert_eq!(c.len(), rows, "column '{}' length mismatch", f.name);
-            assert_eq!(c.data_type(), f.dtype, "column '{}' type mismatch", f.name);
         }
+        Table::from_chunks(name, schema, vec![Arc::new(Chunk::new(columns))], epoch)
+    }
+
+    /// Build a snapshot over existing chunks (shared, not copied). Empty
+    /// chunks are dropped; a chunk that does not fit `schema` is a
+    /// programming error and panics.
+    pub fn from_chunks(
+        name: impl Into<String>,
+        schema: Schema,
+        mut chunks: Vec<Arc<Chunk>>,
+        epoch: u64,
+    ) -> Self {
+        for c in &chunks {
+            if let Some(why) = c.mismatch(&schema) {
+                panic!("{why}");
+            }
+        }
+        chunks.retain(|c| c.rows > 0);
+        let mut rows = 0;
+        let starts = chunks
+            .iter()
+            .map(|c| {
+                let start = rows;
+                rows += c.rows;
+                start
+            })
+            .collect();
         Table {
             name: name.into(),
             schema,
-            columns,
+            chunks,
+            starts,
             rows,
             epoch,
         }
@@ -69,32 +203,76 @@ impl Table {
         self.rows
     }
 
-    /// Full column by position.
-    pub fn column(&self, i: usize) -> &Column {
-        &self.columns[i]
+    /// The chunks, row order (none of them empty).
+    pub fn chunks(&self) -> &[Arc<Chunk>] {
+        &self.chunks
     }
 
-    /// Full column by name.
-    pub fn column_by_name(&self, name: &str) -> Option<&Column> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
+    /// Full column by position, as one contiguous [`Column`]: a zero-copy
+    /// clone while the table is a single chunk (every freshly loaded
+    /// table), a gather over all rows otherwise. Loader and test
+    /// convenience — scans go through [`Table::scan_batch`].
+    pub fn column(&self, i: usize) -> Column {
+        match self.chunks.as_slice() {
+            [] => ColumnBuilder::new(self.schema.field(i).dtype, 0).finish(),
+            chunks => {
+                let cols: Vec<&Column> = chunks.iter().map(|c| &c.columns[i]).collect();
+                Column::concat(&cols)
+            }
+        }
+    }
+
+    /// Full column by name (see [`Table::column`]).
+    pub fn column_by_name(&self, name: &str) -> Option<Column> {
+        self.schema.index_of(name).map(|i| self.column(i))
     }
 
     /// Approximate in-memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.columns.iter().map(|c| c.size_bytes()).sum()
+        self.chunks
+            .iter()
+            .flat_map(|c| &c.columns)
+            .map(|c| c.size_bytes())
+            .sum()
     }
 
     /// One scan batch: rows `[offset, offset+len)` of the columns at
-    /// positions `projection`. Zero-copy: each batch column is an O(1)
-    /// slice sharing the table's storage.
+    /// positions `projection`. A range inside one chunk — every batch of a
+    /// freshly loaded table, all but one in 64 over sealed appended chunks
+    /// — is zero-copy: each batch column is an O(1) slice sharing the
+    /// chunk's storage. A range that
+    /// straddles a chunk seam is gathered into fresh columns, `len` rows of
+    /// copying. Either way the rows are the same, so callers keep cutting
+    /// batches on the grid of the table's row count alone.
     pub fn scan_batch(&self, projection: &[usize], offset: usize, len: usize) -> Batch {
         let len = len.min(self.rows.saturating_sub(offset));
-        Batch::new(
-            projection
-                .iter()
-                .map(|&i| self.columns[i].slice(offset, len))
-                .collect(),
-        )
+        let (mut at, end) = (offset, offset + len);
+        let mut k = self.starts.partition_point(|&s| s <= at).saturating_sub(1);
+        if len > 0 && end <= self.starts[k] + self.chunks[k].rows {
+            let (chunk, local) = (&self.chunks[k], at - self.starts[k]);
+            return Batch::new(
+                projection
+                    .iter()
+                    .map(|&i| chunk.columns[i].slice(local, len))
+                    .collect(),
+            );
+        }
+        // A seam (or no rows at all): gather what each chunk contributes.
+        let mut builders: Vec<ColumnBuilder> = projection
+            .iter()
+            .map(|&i| ColumnBuilder::new(self.schema.field(i).dtype, len))
+            .collect();
+        while at < end {
+            let chunk = &self.chunks[k];
+            let local = at - self.starts[k];
+            let take = (chunk.rows - local).min(end - at);
+            for (b, &i) in builders.iter_mut().zip(projection) {
+                b.append_column(&chunk.columns[i].slice(local, take));
+            }
+            at += take;
+            k += 1;
+        }
+        Batch::new(builders.into_iter().map(|b| b.finish()).collect())
     }
 
     /// Iterate the whole table as batches of at most [`BATCH_CAPACITY`] rows
@@ -111,15 +289,21 @@ impl Table {
         out
     }
 
-    /// One row as owned values (checkpoint/serialization helper; scans go
-    /// through the zero-copy [`Table::scan_batch`] path).
+    /// One row as owned values (serialization helper; scans go through
+    /// [`Table::scan_batch`]).
     pub fn row_values(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(i)).collect()
+        assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
+        let k = self.starts.partition_point(|&s| s <= i) - 1;
+        self.chunks[k].row_values(i - self.starts[k])
     }
 
-    /// All rows as owned values, row-major (checkpoint helper).
+    /// All rows as owned values, row-major (test helper, and the logged
+    /// form of a wholesale replacement).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        (0..self.rows).map(|i| self.row_values(i)).collect()
+        self.chunks
+            .iter()
+            .flat_map(|c| (0..c.rows).map(|i| c.row_values(i)))
+            .collect()
     }
 }
 
@@ -237,18 +421,25 @@ impl TableBuilder {
 /// A mutable table: a sequence of immutable [`Table`] snapshots, one per
 /// epoch. Readers take an O(1) [`VersionedTable::snapshot`] (an `Arc`
 /// clone under a read lock held for nanoseconds) and are never blocked by
-/// or exposed to later writes; writers rebuild the column vector
+/// or exposed to later writes; writers build the successor's chunk list
 /// **outside** any lock against the snapshot they started from, then
 /// commit with an epoch compare-and-swap — the write lock is held only
 /// for the pointer swap, so heavy writers cannot starve readers, and a
 /// writer that lost a race rebuilds against the winner's snapshot.
 ///
-/// Cost model: snapshots never copy anything (`Arc` clone); commits
-/// rebuild the touched columns, which with the current flat column
-/// layout is an O(resident rows) copy per append/delete — the trade
-/// taken for O(1) zero-copy scans of a contiguous column. A chunked
-/// column layout could make appends O(tail) later without changing this
-/// API.
+/// Cost model: snapshots never copy anything (`Arc` clone), and a commit
+/// costs its delta, not the table. An append builds one tail chunk from
+/// the new rows and shares every older chunk by refcount; while the chunk
+/// before the tail is unsealed (under [`SEAL_ROWS`]) and smaller than
+/// twice the tail, the two merge, so unsealed chunks at least halve in
+/// size towards the end of the table: a row is copied O(log
+/// [`SEAL_ROWS`]) times before its chunk seals and never again, and a
+/// table holds O(rows appended / [`SEAL_ROWS`] + log [`SEAL_ROWS`])
+/// chunks with no compaction thread. A delete rewrites only the chunks
+/// that hold a doomed row and shares the rest: the cost of a recently
+/// appended row is its small tail chunk, of a row in a sealed chunk that
+/// whole chunk (a bulk load is one chunk, whatever its size). Finding the
+/// doomed rows is the caller's scan of the columns its predicate names.
 pub struct VersionedTable {
     name: String,
     schema: Schema,
@@ -268,12 +459,58 @@ impl std::fmt::Debug for VersionedTable {
     }
 }
 
-/// What a writer's build step produced: a new column vector (plus its
+/// What a writer's build step produced: a new chunk list (plus its
 /// loggable delta) to commit as the next epoch, or nothing to change (no
 /// epoch is spent on no-ops).
 enum NextVersion<R> {
-    Commit(R, Vec<Column>, TableDelta),
+    Commit(R, Vec<Arc<Chunk>>, TableDelta),
     Noop(R),
+}
+
+/// `chunks` followed by `tail`, merged geometrically: every trailing
+/// unsealed chunk smaller than twice what follows it is folded into one
+/// new chunk with the tail (one copy, however many fold). Everything
+/// before that is shared.
+fn push_tail(chunks: &[Arc<Chunk>], tail: Chunk) -> Vec<Arc<Chunk>> {
+    let mut keep = chunks.len();
+    let mut merged = tail.rows;
+    while keep > 0 && chunks[keep - 1].rows < SEAL_ROWS && chunks[keep - 1].rows < 2 * merged {
+        keep -= 1;
+        merged += chunks[keep].rows;
+    }
+    let mut out = chunks[..keep].to_vec();
+    if keep == chunks.len() {
+        out.push(Arc::new(tail));
+    } else {
+        let mut parts: Vec<&Chunk> = chunks[keep..].iter().map(|c| &**c).collect();
+        parts.push(&tail);
+        out.push(Arc::new(Chunk::concat(&parts)));
+    }
+    out
+}
+
+/// The chunks of `old` without the rows `doomed` marks (one flag per row
+/// of `old`): a chunk holding no doomed row is shared, the others are
+/// rewritten, or dropped when nothing of them is left.
+fn without_rows(old: &Table, doomed: &[bool]) -> Vec<Arc<Chunk>> {
+    old.chunks
+        .iter()
+        .zip(&old.starts)
+        .filter_map(|(chunk, &start)| {
+            let doomed = &doomed[start..start + chunk.rows];
+            if !doomed.contains(&true) {
+                return Some(chunk.clone());
+            }
+            let kept: Vec<u32> = (0..chunk.rows as u32)
+                .filter(|&i| !doomed[i as usize])
+                .collect();
+            (!kept.is_empty()).then(|| {
+                Arc::new(Chunk::new(
+                    chunk.columns.iter().map(|c| c.take(&kept)).collect(),
+                ))
+            })
+        })
+        .collect()
 }
 
 impl VersionedTable {
@@ -320,12 +557,21 @@ impl VersionedTable {
         self.current.read().epoch()
     }
 
+    fn version(&self, chunks: Vec<Arc<Chunk>>, epoch: u64) -> Arc<Table> {
+        Arc::new(Table::from_chunks(
+            self.name.clone(),
+            self.schema.clone(),
+            chunks,
+            epoch,
+        ))
+    }
+
     /// Commit `next(old)` as the successor of the current snapshot, or
     /// keep the current one if the build reports a no-op. The build runs
     /// outside any lock; the commit re-checks the epoch under the write
     /// lock (held only for the swap) and rebuilds on a lost race, so
     /// writers serialize logically without ever blocking readers behind
-    /// O(rows) work.
+    /// the build.
     ///
     /// If a [`CommitHook`] is installed it runs under the write lock,
     /// after the epoch check and before the swap: only the CAS winner
@@ -338,17 +584,12 @@ impl VersionedTable {
     ) -> Result<(R, Arc<Table>), StorageError> {
         loop {
             let old = self.snapshot();
-            let (out, columns, delta) = match next(&old)? {
-                NextVersion::Commit(out, columns, delta) => (out, columns, delta),
+            let (out, chunks, delta) = match next(&old)? {
+                NextVersion::Commit(out, chunks, delta) => (out, chunks, delta),
                 // Nothing changed: no new epoch, no snapshot churn.
                 NextVersion::Noop(out) => return Ok((out, old)),
             };
-            let candidate = Arc::new(Table::new_at_epoch(
-                self.name.clone(),
-                self.schema.clone(),
-                columns,
-                old.epoch() + 1,
-            ));
+            let candidate = self.version(chunks, old.epoch() + 1);
             let mut cur = self.current.write();
             if cur.epoch() == old.epoch() {
                 let hook = self.hook.read().clone();
@@ -368,31 +609,20 @@ impl VersionedTable {
     }
 
     /// Append `rows` (validated against the schema) and commit a new
-    /// snapshot. Returns the new snapshot. The commit rebuilds each
-    /// column (O(resident rows), see the type-level cost model); existing
-    /// snapshots keep their own storage untouched. An empty `rows` is a
-    /// no-op: the current snapshot is returned and no epoch is committed.
+    /// snapshot, which is returned. The commit costs the new rows plus
+    /// the tail merges they trigger (see the type-level cost model); every
+    /// older chunk is shared with the snapshots that already hold it. An
+    /// empty `rows` is a no-op: the current snapshot is returned and no
+    /// epoch is committed.
     pub fn append(&self, rows: &[Vec<Value>]) -> Result<Arc<Table>, StorageError> {
-        for row in rows {
-            self.validate_row(row)?;
-        }
+        self.validate_rows(rows)?;
         let ((), next) = self.commit(|old| {
             if rows.is_empty() {
                 return Ok(NextVersion::Noop(()));
             }
-            let columns = (0..self.schema.len())
-                .map(|i| {
-                    let mut b = ColumnBuilder::new(self.schema.field(i).dtype, rows.len());
-                    for row in rows {
-                        b.push(row[i].clone());
-                    }
-                    let tail = b.finish();
-                    Column::concat(&[old.column(i), &tail])
-                })
-                .collect();
             Ok(NextVersion::Commit(
                 (),
-                columns,
+                push_tail(old.chunks(), Chunk::from_rows(&self.schema, rows)),
                 TableDelta::Append {
                     rows: rows.to_vec(),
                 },
@@ -405,92 +635,49 @@ impl VersionedTable {
     /// snapshot. The mask is always evaluated against the snapshot
     /// actually being replaced (re-evaluated if a concurrent writer commits
     /// first), so interleaved deletes compose linearizably. Returns the
-    /// number of rows deleted and the new snapshot. A mask matching no
-    /// rows is a no-op: nothing is rebuilt and no epoch is committed.
+    /// deleted rows' full values (in predecessor order, captured inside
+    /// the commit so callers can derive a typed delta without racing other
+    /// writers) and the new snapshot. Only chunks holding a deleted row
+    /// are rewritten. A mask matching no rows is a no-op: nothing is
+    /// rebuilt and no epoch is committed. The logged
+    /// [`TableDelta::Delete`] carries positions only.
     pub fn delete_where(
-        &self,
-        mask_of: impl Fn(&Table) -> Vec<bool>,
-    ) -> Result<(usize, Arc<Table>), StorageError> {
-        self.commit(|old| {
-            let delete = mask_of(old);
-            if delete.len() != old.rows() {
-                return Err(StorageError(format!(
-                    "delete mask has {} entries for {} rows of '{}'",
-                    delete.len(),
-                    old.rows(),
-                    self.name
-                )));
-            }
-            let deleted = delete.iter().filter(|&&d| d).count();
-            if deleted == 0 {
-                return Ok(NextVersion::Noop(0));
-            }
-            let keep: Vec<bool> = delete.iter().map(|&d| !d).collect();
-            let columns = (0..self.schema.len())
-                .map(|i| old.column(i).filter(&keep))
-                .collect();
-            let indices = delete
-                .iter()
-                .enumerate()
-                .filter(|(_, &d)| d)
-                .map(|(i, _)| i as u64)
-                .collect();
-            Ok(NextVersion::Commit(
-                deleted,
-                columns,
-                TableDelta::Delete { deleted: indices },
-            ))
-        })
-    }
-
-    /// [`delete_where`](Self::delete_where), but additionally capturing the
-    /// deleted rows' full values (in predecessor order) inside the commit,
-    /// so callers can derive a typed delta without racing other writers.
-    /// The logged [`TableDelta::Delete`] is unchanged — positions only —
-    /// keeping the WAL format stable.
-    pub fn delete_where_capturing(
         &self,
         mask_of: impl Fn(&Table) -> Vec<bool>,
     ) -> Result<(Vec<Vec<Value>>, Arc<Table>), StorageError> {
         self.commit(|old| {
-            let delete = mask_of(old);
-            if delete.len() != old.rows() {
+            let doomed = mask_of(old);
+            if doomed.len() != old.rows() {
                 return Err(StorageError(format!(
                     "delete mask has {} entries for {} rows of '{}'",
-                    delete.len(),
+                    doomed.len(),
                     old.rows(),
                     self.name
                 )));
             }
-            if !delete.iter().any(|&d| d) {
+            let indices: Vec<u64> = doomed
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &d)| d.then_some(i as u64))
+                .collect();
+            if indices.is_empty() {
                 return Ok(NextVersion::Noop(Vec::new()));
             }
-            let captured: Vec<Vec<Value>> = delete
+            let captured = indices
                 .iter()
-                .enumerate()
-                .filter(|(_, &d)| d)
-                .map(|(i, _)| old.row_values(i))
-                .collect();
-            let keep: Vec<bool> = delete.iter().map(|&d| !d).collect();
-            let columns = (0..self.schema.len())
-                .map(|i| old.column(i).filter(&keep))
-                .collect();
-            let indices = delete
-                .iter()
-                .enumerate()
-                .filter(|(_, &d)| d)
-                .map(|(i, _)| i as u64)
+                .map(|&i| old.row_values(i as usize))
                 .collect();
             Ok(NextVersion::Commit(
                 captured,
-                columns,
+                without_rows(old, &doomed),
                 TableDelta::Delete { deleted: indices },
             ))
         })
     }
 
     /// Replace the contents wholesale with `table` (same schema required),
-    /// committing it as the next epoch. Returns the new snapshot.
+    /// committing it as the next epoch. The new version shares `table`'s
+    /// chunks. Returns the new snapshot.
     pub fn replace(&self, table: &Table) -> Result<Arc<Table>, StorageError> {
         if table.schema() != &self.schema {
             return Err(StorageError(format!(
@@ -501,9 +688,7 @@ impl VersionedTable {
         let ((), next) = self.commit(|_| {
             Ok(NextVersion::Commit(
                 (),
-                (0..table.schema().len())
-                    .map(|i| table.column(i).clone())
-                    .collect(),
+                table.chunks().to_vec(),
                 TableDelta::Replace {
                     rows: table.to_rows(),
                 },
@@ -512,30 +697,19 @@ impl VersionedTable {
         Ok(next)
     }
 
-    /// Force-install `rows` as the contents at `epoch`, bypassing the
+    /// Force-install `chunks` as the contents at `epoch`, bypassing the
     /// commit hook and the CAS loop. Recovery only: this is how a
     /// checkpoint image is loaded before WAL replay. Not linearizable
     /// against concurrent writers — recovery runs single-threaded before
     /// the engine serves anything.
-    pub fn restore(&self, rows: &[Vec<Value>], epoch: u64) -> Result<Arc<Table>, StorageError> {
-        for row in rows {
-            self.validate_row(row)?;
+    pub fn restore(&self, chunks: Vec<Arc<Chunk>>, epoch: u64) -> Result<Arc<Table>, StorageError> {
+        if let Some(why) = chunks.iter().find_map(|c| c.mismatch(&self.schema)) {
+            return Err(StorageError(format!(
+                "restored chunk does not fit '{}': {why}",
+                self.name
+            )));
         }
-        let columns = (0..self.schema.len())
-            .map(|i| {
-                let mut b = ColumnBuilder::new(self.schema.field(i).dtype, rows.len());
-                for row in rows {
-                    b.push(row[i].clone());
-                }
-                b.finish()
-            })
-            .collect();
-        let table = Arc::new(Table::new_at_epoch(
-            self.name.clone(),
-            self.schema.clone(),
-            columns,
-            epoch,
-        ));
+        let table = self.version(chunks, epoch);
         *self.current.write() = table.clone();
         Ok(table)
     }
@@ -544,7 +718,9 @@ impl VersionedTable {
     /// hook (recovery: WAL replay). `epoch` must be exactly the successor
     /// of the current epoch; records at or below the current epoch are
     /// already reflected (covered by a checkpoint) and report `Ok(false)`.
-    /// A gap is an error — the log is missing records.
+    /// A gap is an error — the log is missing records. Costs what the
+    /// original commit cost: an append adds a tail chunk, a delete
+    /// rewrites the chunks it touches.
     pub fn apply_logged(&self, delta: &TableDelta, epoch: u64) -> Result<bool, StorageError> {
         let old = self.snapshot();
         if epoch <= old.epoch() {
@@ -558,63 +734,37 @@ impl VersionedTable {
                 epoch
             )));
         }
-        let columns: Vec<Column> = match delta {
+        let chunks = match delta {
             TableDelta::Append { rows } => {
-                for row in rows {
-                    self.validate_row(row)?;
-                }
-                (0..self.schema.len())
-                    .map(|i| {
-                        let mut b = ColumnBuilder::new(self.schema.field(i).dtype, rows.len());
-                        for row in rows {
-                            b.push(row[i].clone());
-                        }
-                        let tail = b.finish();
-                        Column::concat(&[old.column(i), &tail])
-                    })
-                    .collect()
+                self.validate_rows(rows)?;
+                push_tail(old.chunks(), Chunk::from_rows(&self.schema, rows))
             }
             TableDelta::Delete { deleted } => {
-                let mut keep = vec![true; old.rows()];
+                let mut doomed = vec![false; old.rows()];
                 for &i in deleted {
-                    let i = i as usize;
-                    if i >= keep.len() {
-                        return Err(StorageError(format!(
+                    let slot = doomed.get_mut(i as usize).ok_or_else(|| {
+                        StorageError(format!(
                             "replay delete index {} out of range for {} rows of '{}'",
                             i,
                             old.rows(),
                             self.name
-                        )));
-                    }
-                    keep[i] = false;
+                        ))
+                    })?;
+                    *slot = true;
                 }
-                (0..self.schema.len())
-                    .map(|i| old.column(i).filter(&keep))
-                    .collect()
+                without_rows(&old, &doomed)
             }
             TableDelta::Replace { rows } => {
-                for row in rows {
-                    self.validate_row(row)?;
-                }
-                (0..self.schema.len())
-                    .map(|i| {
-                        let mut b = ColumnBuilder::new(self.schema.field(i).dtype, rows.len());
-                        for row in rows {
-                            b.push(row[i].clone());
-                        }
-                        b.finish()
-                    })
-                    .collect()
+                self.validate_rows(rows)?;
+                vec![Arc::new(Chunk::from_rows(&self.schema, rows))]
             }
         };
-        let table = Arc::new(Table::new_at_epoch(
-            self.name.clone(),
-            self.schema.clone(),
-            columns,
-            epoch,
-        ));
-        *self.current.write() = table;
+        *self.current.write() = self.version(chunks, epoch);
         Ok(true)
+    }
+
+    fn validate_rows(&self, rows: &[Vec<Value>]) -> Result<(), StorageError> {
+        rows.iter().try_for_each(|row| self.validate_row(row))
     }
 
     fn validate_row(&self, row: &[Value]) -> Result<(), StorageError> {
@@ -647,6 +797,8 @@ impl VersionedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use rdb_vector::DataType;
 
     fn table() -> Arc<Table> {
@@ -676,14 +828,18 @@ mod tests {
         // Over-long request clamps to table end.
         let b = t.scan_batch(&[0], 3, 100);
         assert_eq!(b.rows(), 1);
+        // Past the end: no rows, the projected types.
+        let b = t.scan_batch(&[1], 9, 5);
+        assert_eq!(b.rows(), 0);
+        assert_eq!(b.column(0).data_type(), DataType::Str);
     }
 
     #[test]
     fn scan_batches_share_table_storage() {
         let t = table();
         let b = t.scan_batch(&[0, 1], 1, 2);
-        assert!(b.column(0).shares_storage(t.column(0)));
-        assert!(b.column(1).shares_storage(t.column(1)));
+        assert!(b.column(0).shares_storage(&t.column(0)));
+        assert!(b.column(1).shares_storage(&t.column(1)));
     }
 
     #[test]
@@ -711,6 +867,14 @@ mod tests {
         VersionedTable::new(table())
     }
 
+    fn ids(t: &Table) -> Vec<i64> {
+        t.column(0).as_ints().to_vec()
+    }
+
+    fn id_in(doomed: impl Fn(i64) -> bool) -> impl Fn(&Table) -> Vec<bool> {
+        move |t| ids(t).into_iter().map(&doomed).collect()
+    }
+
     #[test]
     fn append_bumps_epoch_and_preserves_snapshots() {
         let vt = versioned();
@@ -725,7 +889,7 @@ mod tests {
         assert_eq!(after.epoch(), 1);
         assert_eq!(vt.epoch(), 1);
         assert_eq!(after.rows(), 6);
-        assert_eq!(after.column(0).as_ints(), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(ids(&after), &[0, 1, 2, 3, 4, 5]);
         assert_eq!(after.column(1).get(5), Value::Null);
         // The pinned snapshot is untouched.
         assert_eq!(before.rows(), 4);
@@ -747,14 +911,22 @@ mod tests {
     }
 
     #[test]
-    fn delete_where_filters_and_bumps_epoch() {
+    fn delete_where_filters_captures_and_bumps_epoch() {
         let vt = versioned();
-        let (deleted, after) = vt
-            .delete_where(|t| t.column(0).as_ints().iter().map(|&x| x % 2 == 0).collect())
-            .unwrap();
-        assert_eq!(deleted, 2);
+        let (deleted, after) = vt.delete_where(id_in(|x| x % 2 == 0)).unwrap();
+        assert_eq!(
+            deleted,
+            vec![
+                vec![Value::Int(0), Value::str("r0")],
+                vec![Value::Int(2), Value::str("r2")]
+            ]
+        );
         assert_eq!(after.epoch(), 1);
-        assert_eq!(after.column(0).as_ints(), &[1, 3]);
+        assert_eq!(ids(&after), &[1, 3]);
+        // A mask matching nothing spends no epoch.
+        let (deleted, same) = vt.delete_where(id_in(|_| false)).unwrap();
+        assert!(deleted.is_empty());
+        assert!(Arc::ptr_eq(&same, &after));
         // Mask length is checked against the locked snapshot.
         assert!(vt.delete_where(|_| vec![true]).is_err());
         assert_eq!(vt.epoch(), 1, "failed delete commits nothing");
@@ -782,8 +954,7 @@ mod tests {
         let hook = Arc::new(RecordingHook::default());
         vt.set_commit_hook(hook.clone());
         vt.append(&[vec![Value::Int(4), Value::str("r4")]]).unwrap();
-        vt.delete_where(|t| t.column(0).as_ints().iter().map(|&x| x == 0).collect())
-            .unwrap();
+        vt.delete_where(id_in(|x| x == 0)).unwrap();
         // No-ops spend no epoch and reach no hook.
         vt.append(&[]).unwrap();
         let records = hook.records.lock();
@@ -821,9 +992,9 @@ mod tests {
                 vec![Value::Int(5), Value::Null],
             ])
             .unwrap();
-        source
-            .delete_where(|t| t.column(0).as_ints().iter().map(|&x| x % 2 == 1).collect())
-            .unwrap();
+        source.delete_where(id_in(|x| x % 2 == 1)).unwrap();
+        source.replace(&table()).unwrap();
+        source.append(&[vec![Value::Int(6), Value::Null]]).unwrap();
 
         let replica = versioned();
         for record in hook.records.lock().iter() {
@@ -831,23 +1002,35 @@ mod tests {
         }
         let (a, b) = (source.snapshot(), replica.snapshot());
         assert_eq!(a.epoch(), b.epoch());
-        assert_eq!(a.column(0).as_ints(), b.column(0).as_ints());
+        assert_eq!(a.to_rows(), b.to_rows());
 
-        // Already-applied records are skipped, gaps are errors.
+        // Already-applied records are skipped, gaps are errors, and so is
+        // a delete of a row that is not there.
         let first = hook.records.lock()[0].clone();
         assert!(!replica.apply_logged(&first.delta, first.epoch).unwrap());
         assert!(replica.apply_logged(&first.delta, 99).is_err());
+        let wild = TableDelta::Delete { deleted: vec![77] };
+        assert!(replica.apply_logged(&wild, b.epoch() + 1).is_err());
+        assert_eq!(replica.epoch(), b.epoch());
     }
 
     #[test]
-    fn restore_installs_rows_at_epoch() {
+    fn restore_installs_chunks_at_epoch() {
         let vt = versioned();
-        vt.restore(&[vec![Value::Int(7), Value::str("x")]], 5)
-            .unwrap();
+        let chunk = |ids: Vec<i64>| {
+            let names = Column::from_strs(ids.iter().map(|i| format!("x{i}")));
+            Arc::new(Chunk::new(vec![Column::from_ints(ids), names]))
+        };
+        let (a, b) = (chunk(vec![7, 8]), chunk(vec![9]));
+        vt.restore(vec![a.clone(), b.clone()], 5).unwrap();
         let snap = vt.snapshot();
         assert_eq!(snap.epoch(), 5);
-        assert_eq!(snap.rows(), 1);
-        assert_eq!(snap.column(0).as_ints(), &[7]);
+        assert_eq!(ids(&snap), &[7, 8, 9]);
+        assert!(Arc::ptr_eq(&snap.chunks()[0], &a) && Arc::ptr_eq(&snap.chunks()[1], &b));
+        // A chunk of another shape is refused and nothing is installed.
+        let alien = Arc::new(Chunk::new(vec![Column::from_ints(vec![1])]));
+        assert!(vt.restore(vec![alien], 6).is_err());
+        assert_eq!(vt.epoch(), 5);
     }
 
     #[test]
@@ -856,6 +1039,277 @@ mod tests {
         let a = vt.snapshot();
         let b = vt.snapshot();
         assert!(Arc::ptr_eq(&a, &b), "snapshot is a pointer clone");
-        assert!(a.column(0).shares_storage(b.column(0)));
+        assert!(a.column(0).shares_storage(&b.column(0)));
+    }
+
+    // ---- chunk sharing, merging, seams ------------------------------------
+
+    fn wide_schema() -> Schema {
+        Schema::from_pairs([
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("f", DataType::Float),
+        ])
+    }
+
+    /// Row `k` of the reference data: NULLs and strings included.
+    fn wide_row(k: i64) -> Vec<Value> {
+        vec![
+            Value::Int(k),
+            if k % 7 == 3 {
+                Value::Null
+            } else {
+                Value::str(format!("s{k}"))
+            },
+            if k % 11 == 5 {
+                Value::Null
+            } else {
+                Value::Float(k as f64 / 4.0)
+            },
+        ]
+    }
+
+    fn wide_rows(keys: std::ops::Range<i64>) -> Vec<Vec<Value>> {
+        keys.map(wide_row).collect()
+    }
+
+    fn wide_table(rows: i64) -> VersionedTable {
+        let mut b = TableBuilder::new("w", wide_schema(), rows as usize);
+        for r in wide_rows(0..rows) {
+            b.push_row(r);
+        }
+        VersionedTable::new(b.finish())
+    }
+
+    fn chunk_rows(t: &Table) -> Vec<usize> {
+        t.chunks().iter().map(|c| c.rows()).collect()
+    }
+
+    /// `table` holds exactly `model`: by rows, and by `scan_batch` over
+    /// the whole morsel grid, full and partial projections.
+    fn assert_matches(table: &Table, model: &[Vec<Value>], what: &str) {
+        assert_eq!(table.rows(), model.len(), "{what}: row count");
+        assert_eq!(
+            table.rows(),
+            chunk_rows(table).iter().sum::<usize>(),
+            "{what}: chunks cover the table"
+        );
+        assert!(
+            chunk_rows(table).iter().all(|&r| r > 0),
+            "{what}: an empty chunk"
+        );
+        let all: Vec<usize> = (0..table.schema().len()).collect();
+        let last = [all.len() - 1];
+        for idx in 0..rdb_vector::morsel_count(table.rows()) {
+            let (offset, len) = rdb_vector::morsel_bounds(table.rows(), idx);
+            let full = table.scan_batch(&all, offset, len);
+            let narrow = table.scan_batch(&last, offset, len);
+            assert_eq!(full.rows(), len, "{what}: morsel {idx}");
+            for i in 0..len {
+                assert_eq!(
+                    full.physical_row(i),
+                    model[offset + i],
+                    "{what}: row {}",
+                    offset + i
+                );
+                assert_eq!(narrow.column(0).get(i), model[offset + i][last[0]]);
+            }
+        }
+    }
+
+    #[test]
+    fn append_shares_every_prior_chunk_and_merges_small_tails() {
+        let vt = wide_table(4096);
+        let base = vt.snapshot();
+        assert_eq!(chunk_rows(&base), [4096]);
+        // 4096 >= 2 * 10: the base is shared, the tail is its own chunk.
+        let one = vt.append(&wide_rows(4096..4106)).unwrap();
+        assert_eq!(chunk_rows(&one), [4096, 10]);
+        assert!(Arc::ptr_eq(&one.chunks()[0], &base.chunks()[0]));
+        // 10 < 2 * 10: the two tails merge; the base is still shared.
+        let two = vt.append(&wide_rows(4106..4116)).unwrap();
+        assert_eq!(chunk_rows(&two), [4096, 20]);
+        assert!(Arc::ptr_eq(&two.chunks()[0], &base.chunks()[0]));
+        // 20 >= 2 * 5: nothing merges, both prior chunks are shared.
+        let three = vt.append(&wide_rows(4116..4121)).unwrap();
+        assert_eq!(chunk_rows(&three), [4096, 20, 5]);
+        for k in 0..2 {
+            assert!(Arc::ptr_eq(&three.chunks()[k], &two.chunks()[k]));
+        }
+        // A tail that outgrows everything unsealed before it folds it all.
+        let four = vt.append(&wide_rows(4121..7000)).unwrap();
+        assert_eq!(chunk_rows(&four), [7000]);
+        assert_matches(&four, &wide_rows(0..7000), "after four appends");
+        // Older snapshots kept their own chunk lists.
+        assert_matches(&three, &wide_rows(0..4121), "third snapshot");
+        assert_matches(&base, &wide_rows(0..4096), "base snapshot");
+    }
+
+    #[test]
+    fn sealed_chunks_never_merge_and_chunk_count_stays_logarithmic() {
+        let sealed = SEAL_ROWS as i64 + 100;
+        let vt = wide_table(sealed);
+        let base = vt.snapshot();
+        // A tail larger than half the base would merge with an unsealed
+        // base; a sealed one is left alone.
+        let big = sealed + SEAL_ROWS as i64 - 1;
+        let after = vt.append(&wide_rows(sealed..big)).unwrap();
+        assert_eq!(chunk_rows(&after), [sealed as usize, SEAL_ROWS - 1]);
+        assert!(Arc::ptr_eq(&after.chunks()[0], &base.chunks()[0]));
+        // Single-row appends: sizes at least halve from chunk to chunk, so
+        // there are never more than log2(SEAL_ROWS) + 1 unsealed chunks.
+        let mut next = big;
+        for _ in 0..300 {
+            let t = vt.append(&wide_rows(next..next + 1)).unwrap();
+            next += 1;
+            let sizes = chunk_rows(&t);
+            assert!(Arc::ptr_eq(&t.chunks()[0], &base.chunks()[0]));
+            assert!(sizes.len() <= 2 + SEAL_ROWS.ilog2() as usize, "{sizes:?}");
+            for pair in sizes[1..].windows(2) {
+                assert!(pair[0] >= SEAL_ROWS || pair[0] >= 2 * pair[1], "{sizes:?}");
+            }
+        }
+        assert_matches(&vt.snapshot(), &wide_rows(0..next), "after the single rows");
+    }
+
+    #[test]
+    fn delete_shares_every_untouched_chunk() {
+        let vt = wide_table(4096);
+        vt.append(&wide_rows(4096..4106)).unwrap();
+        let before = vt.append(&wide_rows(4106..4110)).unwrap();
+        assert_eq!(chunk_rows(&before), [4096, 10, 4]);
+        // A doomed row in the middle chunk: only that chunk is rewritten.
+        let (gone, after) = vt.delete_where(id_in(|k| k == 4100)).unwrap();
+        assert_eq!(gone, vec![wide_row(4100)]);
+        assert_eq!(chunk_rows(&after), [4096, 9, 4]);
+        assert!(Arc::ptr_eq(&after.chunks()[0], &before.chunks()[0]));
+        assert!(!Arc::ptr_eq(&after.chunks()[1], &before.chunks()[1]));
+        assert!(Arc::ptr_eq(&after.chunks()[2], &before.chunks()[2]));
+        // A chunk emptied by a delete disappears; its neighbours are shared.
+        let (gone, last) = vt.delete_where(id_in(|k| k >= 4106)).unwrap();
+        assert_eq!(gone.len(), 4);
+        assert_eq!(chunk_rows(&last), [4096, 9]);
+        assert!(Arc::ptr_eq(&last.chunks()[0], &before.chunks()[0]));
+        assert!(Arc::ptr_eq(&last.chunks()[1], &after.chunks()[1]));
+        // Replacement shares the replacement's chunks, not the old ones.
+        let fresh = wide_table(3).snapshot();
+        let replaced = vt.replace(&fresh).unwrap();
+        assert!(Arc::ptr_eq(&replaced.chunks()[0], &fresh.chunks()[0]));
+        assert_matches(&before, &wide_rows(0..4110), "snapshot before the deletes");
+    }
+
+    #[test]
+    fn morsels_straddling_two_and_three_chunks_gather_the_same_rows() {
+        let chunk = |keys: std::ops::Range<i64>| {
+            Arc::new(Chunk::from_rows(&wide_schema(), &wide_rows(keys)))
+        };
+        // Morsel 0 = rows 0..1024 spans three chunks (1000 + 10 + 14 of
+        // 30), morsel 1 two (16 of 30 + 1008 of 1500), morsel 2 none.
+        let chunks = vec![
+            chunk(0..1000),
+            chunk(1000..1010),
+            chunk(1010..1040),
+            chunk(1040..2540),
+        ];
+        let t = Table::from_chunks("w", wide_schema(), chunks, 3);
+        let model = wide_rows(0..2540);
+        assert_matches(&t, &model, "four chunks");
+        let all = [0, 1, 2];
+        let seam3 = t.scan_batch(&all, 0, 1024);
+        let seam2 = t.scan_batch(&all, 1024, 1024);
+        let inside = t.scan_batch(&all, 2048, 492);
+        for (c, &i) in all.iter().enumerate() {
+            assert!(!seam3.column(c).shares_storage(&t.chunks()[0].columns()[i]));
+            assert!(!seam2.column(c).shares_storage(&t.chunks()[3].columns()[i]));
+            assert!(
+                inside.column(c).shares_storage(&t.chunks()[3].columns()[i]),
+                "a range inside one chunk is a zero-copy slice"
+            );
+        }
+        // NULLs survive the gather on both sides of a seam.
+        assert_eq!(seam3.physical_row(1005), wide_row(1005)); // k % 11 == 5
+        assert_eq!(seam3.physical_row(1011), wide_row(1011)); // k % 7 == 3
+        assert_eq!(t.row_values(1039), wide_row(1039));
+        assert_eq!(t.column(1).to_values()[1039], wide_row(1039)[1]);
+    }
+
+    /// Any interleaving of append / delete / replace on the chunked table
+    /// equals a flat reference at every snapshot still held.
+    #[test]
+    fn chunked_table_equals_flat_reference_under_random_writes() {
+        // Optimized builds (CI runs this crate's tests with --release too)
+        // afford ten times the cases, and tables that cross the seal.
+        let cases: u64 = if cfg!(debug_assertions) { 30 } else { 300 };
+        for seed in 0..cases {
+            let mut rng = SmallRng::seed_from_u64(0x5EA1 ^ seed);
+            let sealed_base = !cfg!(debug_assertions) && seed % 25 == 0;
+            let base = if sealed_base {
+                SEAL_ROWS as i64 + rng.gen_range(0..2000)
+            } else {
+                rng.gen_range(0..3000)
+            };
+            let vt = wide_table(base);
+            let mut model = wide_rows(0..base);
+            let mut next_key = base;
+            let mut held: Vec<(Arc<Table>, Vec<Vec<Value>>)> = vec![(vt.snapshot(), model.clone())];
+            for step in 0..if sealed_base { 10 } else { 40 } {
+                match rng.gen_range(0..10) {
+                    0..=5 => {
+                        let n = match rng.gen_range(0..4) {
+                            0 => 1,
+                            1 => rng.gen_range(1..16),
+                            2 => rng.gen_range(16..1500),
+                            _ => rng.gen_range(1..4) * 1024,
+                        };
+                        let rows = wide_rows(next_key..next_key + n);
+                        next_key += n;
+                        vt.append(&rows).unwrap();
+                        model.extend(rows);
+                    }
+                    6..=8 => {
+                        // One row, a contiguous run, or a sprinkle.
+                        let rows = model.len();
+                        let mut doomed = vec![false; rows];
+                        match rng.gen_range(0..3) {
+                            _ if rows == 0 => {}
+                            0 => doomed[rng.gen_range(0..rows)] = true,
+                            1 => {
+                                let lo = rng.gen_range(0..rows);
+                                let hi = (lo + rng.gen_range(1..2000)).min(rows);
+                                doomed[lo..hi].fill(true);
+                            }
+                            _ => doomed.iter_mut().for_each(|d| *d = rng.gen_bool(0.05)),
+                        }
+                        let (gone, _) = vt.delete_where(|_| doomed.clone()).unwrap();
+                        let mut flags = doomed.iter();
+                        let mut expect_gone = Vec::new();
+                        model.retain(|row| {
+                            let d = *flags.next().unwrap();
+                            if d {
+                                expect_gone.push(row.clone());
+                            }
+                            !d
+                        });
+                        assert_eq!(gone, expect_gone, "seed {seed} step {step}: captured rows");
+                    }
+                    _ => {
+                        let n = rng.gen_range(0..2500);
+                        let fresh = wide_table(n).snapshot();
+                        vt.replace(&fresh).unwrap();
+                        model = wide_rows(0..n);
+                    }
+                }
+                held.push((vt.snapshot(), model.clone()));
+                if held.len() > 4 {
+                    held.remove(rng.gen_range(0..held.len()));
+                }
+                for (snap, rows) in &held {
+                    let what = format!("seed {seed} step {step} epoch {}", snap.epoch());
+                    assert_matches(snap, rows, &what);
+                }
+            }
+            let (last, rows) = held.last().unwrap();
+            assert_eq!(&last.to_rows(), rows, "seed {seed}: to_rows");
+        }
     }
 }

@@ -580,17 +580,24 @@ mod tests {
             seed: 3,
         });
         let li = cat.get("lineitem").unwrap();
-        let q = li.column_by_name("l_quantity").unwrap().as_floats();
-        assert!(q.iter().all(|&x| (1.0..=50.0).contains(&x)));
-        let d = li.column_by_name("l_discount").unwrap().as_floats();
-        assert!(d.iter().all(|&x| (0.0..=0.1 + 1e-9).contains(&x)));
+        let q = li.column_by_name("l_quantity").unwrap();
+        assert!(q.as_floats().iter().all(|&x| (1.0..=50.0).contains(&x)));
+        let d = li.column_by_name("l_discount").unwrap();
+        assert!(d
+            .as_floats()
+            .iter()
+            .all(|&x| (0.0..=0.1 + 1e-9).contains(&x)));
         let part = cat.get("part").unwrap();
-        let sizes = part.column_by_name("p_size").unwrap().as_ints();
-        assert!(sizes.iter().all(|&s| (1..=50).contains(&s)));
+        let sizes = part.column_by_name("p_size").unwrap();
+        assert!(sizes.as_ints().iter().all(|&s| (1..=50).contains(&s)));
         // Ship < receipt always.
-        let ship = li.column_by_name("l_shipdate").unwrap().as_dates();
-        let rec = li.column_by_name("l_receiptdate").unwrap().as_dates();
-        assert!(ship.iter().zip(rec).all(|(s, r)| s < r));
+        let ship = li.column_by_name("l_shipdate").unwrap();
+        let rec = li.column_by_name("l_receiptdate").unwrap();
+        assert!(ship
+            .as_dates()
+            .iter()
+            .zip(rec.as_dates())
+            .all(|(s, r)| s < r));
     }
 
     #[test]
@@ -600,7 +607,8 @@ mod tests {
             seed: 3,
         });
         let orders = cat.get("orders").unwrap();
-        let comments = orders.column_by_name("o_comment").unwrap().as_strs();
+        let comments = orders.column_by_name("o_comment").unwrap();
+        let comments = comments.as_strs();
         let hits = comments
             .iter()
             .filter(|c| rdb_expr::like::like_match(c, "%special%requests%"))

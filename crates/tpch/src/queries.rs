@@ -1180,12 +1180,11 @@ mod tests {
         assert_eq!(out.rows(), 1);
         // Recompute by hand over the raw table.
         let li = cat.get("lineitem").unwrap();
-        let (ship, disc, qty, price) = (
-            li.column_by_name("l_shipdate").unwrap().as_dates(),
-            li.column_by_name("l_discount").unwrap().as_floats(),
-            li.column_by_name("l_quantity").unwrap().as_floats(),
-            li.column_by_name("l_extendedprice").unwrap().as_floats(),
-        );
+        let column = |name: &str| li.column_by_name(name).unwrap();
+        let (ship, disc) = (column("l_shipdate"), column("l_discount"));
+        let (qty, price) = (column("l_quantity"), column("l_extendedprice"));
+        let (ship, disc) = (ship.as_dates(), disc.as_floats());
+        let (qty, price) = (qty.as_floats(), price.as_floats());
         // Extract the parameters back out of the plan's predicate — easier:
         // re-derive them from the same seeded rng.
         let mut rng2 = SmallRng::seed_from_u64(5);

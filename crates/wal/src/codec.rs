@@ -14,6 +14,7 @@ use rdb_expr::{AggFunc, ArithOp, CmpOp, Expr};
 use rdb_plan::{JoinKind, Plan, SortKeyExpr};
 use rdb_recycler::LineageEntry;
 use rdb_storage::{CommitRecord, TableDelta};
+use rdb_vector::column::{Column, ColumnData, ColumnSlice};
 use rdb_vector::{DataType, Schema, SortOrder, Value};
 
 use crate::WalError;
@@ -111,7 +112,7 @@ impl<'a> Reader<'a> {
     /// corrupt count cannot drive a huge allocation.
     pub(crate) fn count(&mut self) -> Result<usize, WalError> {
         let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
+        if n > self.remaining() {
             return Err(corrupt(format!("count {n} exceeds remaining payload")));
         }
         Ok(n)
@@ -121,10 +122,17 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, WalError> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    pub(crate) fn str_ref(&mut self) -> Result<&'a str, WalError> {
         let n = self.count()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("invalid UTF-8 string"))
+        std::str::from_utf8(self.take(n)?).map_err(|_| corrupt("invalid UTF-8 string"))
+    }
+
+    pub(crate) fn str(&mut self) -> Result<String, WalError> {
+        self.str_ref().map(str::to_string)
     }
 }
 
@@ -232,6 +240,80 @@ fn read_rows(r: &mut Reader) -> Result<Vec<Vec<Value>>, WalError> {
         rows.push(row);
     }
     Ok(rows)
+}
+
+// ---- columns --------------------------------------------------------------
+
+pub(crate) fn put_dtype(out: &mut Vec<u8>, dt: DataType) {
+    put_u8(out, dtype_tag(dt));
+}
+
+pub(crate) fn read_dtype(r: &mut Reader) -> Result<DataType, WalError> {
+    dtype_from(r.u8()?)
+}
+
+/// Encode the rows of `col` as columns are stored: a validity flag, the
+/// validity bytes if any row is NULL, then the payload straight from the
+/// typed slice. No per-row tag, no [`Value`].
+pub(crate) fn put_column(out: &mut Vec<u8>, col: &Column) {
+    match col.validity() {
+        Some(mask) if mask.contains(&false) => {
+            put_u8(out, 1);
+            out.extend(mask.iter().map(|&v| v as u8));
+        }
+        _ => put_u8(out, 0),
+    }
+    match col.values() {
+        ColumnSlice::Bool(v) => out.extend(v.iter().map(|&b| b as u8)),
+        ColumnSlice::Int(v) => v.iter().for_each(|&x| put_i64(out, x)),
+        ColumnSlice::Float(v) => v.iter().for_each(|&x| put_f64(out, x)),
+        ColumnSlice::Date(v) => v.iter().for_each(|&x| put_i32(out, x)),
+        ColumnSlice::Str(v) => v.iter().for_each(|s| put_str(out, s)),
+    }
+}
+
+/// Decode `rows` rows of a `dtype` column written by [`put_column`].
+pub(crate) fn read_column(
+    r: &mut Reader,
+    dtype: DataType,
+    rows: usize,
+) -> Result<Column, WalError> {
+    let validity = match r.u8()? {
+        0 => None,
+        1 => Some(r.take(rows)?.iter().map(|&b| b != 0).collect::<Vec<bool>>()),
+        t => return Err(corrupt(format!("unknown validity flag {t}"))),
+    };
+    // `rows` values of `N` little-endian bytes each, bounds-checked by
+    // `take` before anything is allocated.
+    fn fixed<const N: usize, T>(
+        r: &mut Reader,
+        rows: usize,
+        from: fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, WalError> {
+        let bytes = rows
+            .checked_mul(N)
+            .ok_or_else(|| corrupt("column size overflows"))?;
+        let values = r.take(bytes)?.chunks_exact(N);
+        Ok(values.map(|b| from(b.try_into().unwrap())).collect())
+    }
+    let data = match dtype {
+        DataType::Bool => ColumnData::bools(fixed(r, rows, |[b]: [u8; 1]| b != 0)?),
+        DataType::Int => ColumnData::ints(fixed(r, rows, i64::from_le_bytes)?),
+        DataType::Float => ColumnData::floats(fixed(r, rows, f64::from_le_bytes)?),
+        DataType::Date => ColumnData::dates(fixed(r, rows, i32::from_le_bytes)?),
+        DataType::Str => {
+            // A string needs at least its length prefix.
+            if rows > r.remaining() / 4 {
+                return Err(corrupt(format!("{rows} strings exceed remaining payload")));
+            }
+            let strs = (0..rows).map(|_| r.str_ref().map(std::sync::Arc::from));
+            ColumnData::strs(strs.collect::<Result<_, _>>()?)
+        }
+    };
+    Ok(match validity {
+        Some(mask) => Column::with_validity(data, mask),
+        None => Column::new(data),
+    })
 }
 
 // ---- commit records -------------------------------------------------------

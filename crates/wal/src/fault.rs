@@ -1,11 +1,12 @@
-//! Fault injection for the WAL writer.
+//! Fault injection for the WAL and checkpoint writers.
 //!
-//! Every physical write and fsync the WAL performs is routed through an
-//! [`IoFault`] first, so tests (and the crash harness) can simulate the
-//! disk failing in the ways real disks fail: torn writes (a prefix of
-//! the frame lands), short writes, fsync errors, and disk-full — all
-//! without a real faulty device. Production uses [`NoFault`], which
-//! compiles down to nothing.
+//! Every physical write and fsync the WAL and the checkpoint writer
+//! perform is routed through an [`IoFault`] first, so tests (and the
+//! crash harness) can simulate the disk failing in the ways real disks
+//! fail: torn writes (a prefix of the frame lands), short writes, fsync
+//! errors, and disk-full — all without a real faulty device — and can
+//! count the bytes a piece of work puts on disk. Production uses
+//! [`NoFault`], which compiles down to nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,7 +29,7 @@ pub enum WriteFault {
 /// Decides the fate of each WAL write and fsync. Threaded through the
 /// writer; see the module docs.
 pub trait IoFault: Send + Sync {
-    /// Called before each frame write with the frame length.
+    /// Called before each physical write with its length in bytes.
     fn on_write(&self, len: usize) -> WriteFault {
         let _ = len;
         WriteFault::Allow
@@ -38,6 +39,33 @@ pub trait IoFault: Send + Sync {
     fn on_fsync(&self) -> bool {
         false
     }
+}
+
+/// Write `bytes` to `out` the way `fault` decides: whole, as a torn
+/// prefix followed by an error, or not at all.
+pub(crate) fn write_through(
+    fault: &dyn IoFault,
+    out: &mut impl std::io::Write,
+    bytes: &[u8],
+) -> std::io::Result<()> {
+    use std::io::{Error, ErrorKind};
+    match fault.on_write(bytes.len()) {
+        WriteFault::Allow => out.write_all(bytes),
+        WriteFault::Short { bytes: landed } => {
+            // The torn prefix lands on disk — recovery must cope.
+            let _ = out.write_all(&bytes[..landed]);
+            Err(Error::new(ErrorKind::WriteZero, "injected torn write"))
+        }
+        WriteFault::DiskFull => Err(Error::new(ErrorKind::StorageFull, "injected disk full")),
+    }
+}
+
+/// Fsync `file` unless `fault` fails the call.
+pub(crate) fn sync_through(fault: &dyn IoFault, file: &std::fs::File) -> std::io::Result<()> {
+    if fault.on_fsync() {
+        return Err(std::io::Error::other("injected fsync failure"));
+    }
+    file.sync_data()
 }
 
 /// The production fault layer: never fails anything.

@@ -5,6 +5,8 @@
 //! past the buffer) or whose CRC does not match — everything before that
 //! point is trusted, everything from it on is a tail to truncate.
 
+use crate::WalError;
+
 /// Bytes of frame header (`len` + `crc32`).
 pub const FRAME_HEADER: usize = 8;
 
@@ -46,10 +48,55 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Encode one frame around `payload`.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    begin_frame(&mut out);
     out.extend_from_slice(payload);
+    end_frame(&mut out);
     out
+}
+
+/// Start a frame in a reusable buffer: empty `buf` and leave room for the
+/// header. The caller appends the payload and closes with [`end_frame`],
+/// so a payload is encoded once, in place, with no second copy.
+pub fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+}
+
+/// Fill in the header of the frame [`begin_frame`] started in `buf`.
+pub fn end_frame(buf: &mut [u8]) {
+    let (header, payload) = buf.split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Read exactly one frame from `input`, leaving its payload in `buf`.
+/// Input that ends early, a length beyond [`MAX_FRAME_LEN`] and a CRC
+/// mismatch are all [`WalError::Corrupt`]: the caller knows how
+/// many frames its file must hold.
+pub fn read_frame(input: &mut impl std::io::Read, buf: &mut Vec<u8>) -> Result<(), WalError> {
+    let mut exact = |dst: &mut [u8]| {
+        input.read_exact(dst).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => {
+                WalError::Corrupt("frame is cut short".to_string())
+            }
+            _ => WalError::Io(e),
+        })
+    };
+    let mut header = [0u8; FRAME_HEADER];
+    exact(&mut header)?;
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+    let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    if len > MAX_FRAME_LEN {
+        return Err(WalError::Corrupt(format!(
+            "frame length {len} is beyond any frame written"
+        )));
+    }
+    buf.resize(len as usize, 0);
+    exact(buf)?;
+    if crc32(buf) != crc {
+        return Err(WalError::Corrupt("frame CRC mismatch".to_string()));
+    }
+    Ok(())
 }
 
 /// Why a frame scan stopped before the end of the buffer.
@@ -135,6 +182,31 @@ mod tests {
         assert_eq!(scan.clean_len, buf.len());
         let got: Vec<&[u8]> = scan.payloads.iter().map(|&(o, l)| &buf[o..o + l]).collect();
         assert_eq!(got, vec![&b"alpha"[..], &b""[..], &b"gamma!"[..]]);
+    }
+
+    #[test]
+    fn streamed_frames_roundtrip_and_report_damage() {
+        let mut buf = Vec::new();
+        begin_frame(&mut buf);
+        buf.extend_from_slice(b"in place");
+        end_frame(&mut buf);
+        assert_eq!(buf, encode_frame(b"in place"));
+        let mut file = buf.clone();
+        file.extend(encode_frame(b""));
+        let mut input = &file[..];
+        let mut payload = Vec::new();
+        read_frame(&mut input, &mut payload).unwrap();
+        assert_eq!(payload, b"in place");
+        read_frame(&mut input, &mut payload).unwrap();
+        assert!(payload.is_empty());
+        // Nothing left, a cut frame, a flipped bit, an absurd length.
+        assert!(read_frame(&mut input, &mut payload).is_err());
+        assert!(read_frame(&mut &buf[..buf.len() - 1], &mut payload).is_err());
+        let mut bad = buf.clone();
+        *bad.last_mut().unwrap() ^= 1;
+        assert!(read_frame(&mut &bad[..], &mut payload).is_err());
+        bad[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(read_frame(&mut &bad[..], &mut payload).is_err());
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Durability for the epoch-versioned storage layer: a write-ahead log of
-//! table commits, base-table checkpoints with persisted recycler lineage,
-//! and crash recovery that replays both.
+//! table commits, chunk-granular columnar checkpoints with persisted
+//! recycler lineage, and crash recovery that replays both.
 //!
 //! # On-disk format
 //!
 //! A data directory holds numbered **segment files** and at most one
-//! **checkpoint**:
+//! **checkpoint**: a manifest and the chunk files it names.
 //!
 //! ```text
 //! data/
 //!   wal-000001.seg      segment: "RDBWAL01" magic + seq, then frames
 //!   wal-000002.seg
-//!   checkpoint.bin      "RDBCKPT1" magic, one CRC-framed body
+//!   checkpoint.bin      manifest: "RDBCKPT2" magic, one CRC-framed body
+//!   chunk-00000001.col  one table chunk: "RDBCHNK1" magic, CRC-framed columns
+//!   chunk-00000002.col
 //! ```
 //!
 //! Every record in a segment is a **frame**:
@@ -23,10 +25,12 @@
 //! `crc32` is the IEEE CRC-32 of the payload. A frame payload is one
 //! [`CommitRecord`]: kind (append / delete / replace), table name, the
 //! schema it committed under (so replay detects drift), the epoch it
-//! produced, and the row data or deleted row positions. The checkpoint
-//! body carries every base table (name, epoch, schema, rows) plus the
-//! top-K benefit entries of the recycler cache as [`LineageEntry`]
-//! lineage — plans and statistics, not result bytes.
+//! produced, and the row data or deleted row positions. The manifest
+//! carries every base table (name, epoch, schema, ordered chunk ids) plus
+//! the top-K benefit entries of the recycler cache as [`LineageEntry`]
+//! lineage — plans and statistics, not result bytes; each chunk file holds
+//! one immutable table chunk as columns and is written once (see
+//! [`checkpoint`]).
 //!
 //! # Logging and recovery contract
 //!
@@ -82,7 +86,9 @@ pub mod recover;
 pub mod segment;
 pub mod wal;
 
-pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, TableCheckpoint};
+pub use checkpoint::{
+    read_checkpoint, read_chunk, Checkpoint, CheckpointWriter, ChunkRef, TableCheckpoint,
+};
 pub use fault::{IoFault, NoFault, ScriptedFault, WriteFault};
 pub use recover::{recover, RecoveryReport};
 pub use wal::Wal;

@@ -10,10 +10,12 @@
 
 use std::path::Path;
 
-use rdb_recycler::LineageEntry;
-use rdb_storage::Catalog;
+use std::sync::Arc;
 
-use crate::checkpoint::read_checkpoint;
+use rdb_recycler::LineageEntry;
+use rdb_storage::{Catalog, Chunk};
+
+use crate::checkpoint::{read_checkpoint, read_chunk};
 use crate::segment::{list_segments, scan_segment};
 use crate::WalError;
 
@@ -35,15 +37,18 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// Persisted lineage entries, ready for recycler warm-up.
     pub lineage: Vec<LineageEntry>,
+    /// Every chunk loaded from the checkpoint, with the id of its file:
+    /// what [`crate::CheckpointWriter::open`] needs to not write them again.
+    pub chunks: Vec<(u64, Arc<Chunk>)>,
     /// Highest epoch recovered across all tables.
     pub max_epoch: u64,
 }
 
-/// Recover `dir` into `catalog`: load the checkpoint (if any), truncate
-/// damaged tails, and replay the surviving WAL records in order. The
-/// catalog must already contain every table the log mentions (schemas
-/// are code, data is log) with its seed contents; recovered tables are
-/// force-restored over the seed.
+/// Recover `dir` into `catalog`: load the checkpoint's chunks as columns
+/// (if there is one), truncate damaged tails, and replay the surviving WAL
+/// records in order. The catalog must already contain every table the log
+/// mentions (schemas are code, data is log) with its seed contents;
+/// recovered tables are force-restored over the seed.
 ///
 /// Runs before the engine serves anything — single-threaded, no
 /// concurrent writers.
@@ -67,7 +72,13 @@ pub fn recover(dir: &Path, catalog: &Catalog) -> Result<RecoveryReport, WalError
                     t.name
                 )));
             }
-            vt.restore(&t.rows, t.epoch)
+            let mut chunks = Vec::with_capacity(t.chunks.len());
+            for &chunk in &t.chunks {
+                let loaded = Arc::new(read_chunk(dir, chunk, &t.schema)?);
+                report.chunks.push((chunk.id, loaded.clone()));
+                chunks.push(loaded);
+            }
+            vt.restore(chunks, t.epoch)
                 .map_err(|e| WalError::Corrupt(e.to_string()))?;
             report.max_epoch = report.max_epoch.max(t.epoch);
         }

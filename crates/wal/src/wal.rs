@@ -26,7 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rdb_storage::{CommitHook, CommitRecord, StorageError};
 
-use crate::fault::{IoFault, WriteFault};
+use crate::fault::{sync_through, write_through, IoFault};
 use crate::frame::encode_frame;
 use crate::segment::{
     list_segments, scan_segment, segment_file_name, segment_header, SEGMENT_HEADER,
@@ -175,30 +175,11 @@ impl Wal {
                 return Err(e);
             }
         }
-        match self.fault.on_write(frame.len()) {
-            WriteFault::Allow => {
-                if let Err(e) = w.file.write_all(&frame) {
-                    self.poison();
-                    return Err(WalError::Io(e));
-                }
-            }
-            WriteFault::Short { bytes } => {
-                // The torn prefix lands on disk — recovery must cope.
-                let _ = w.file.write_all(&frame[..bytes]);
-                let _ = w.file.sync_data();
-                self.poison();
-                return Err(WalError::Io(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "injected torn write",
-                )));
-            }
-            WriteFault::DiskFull => {
-                self.poison();
-                return Err(WalError::Io(std::io::Error::new(
-                    std::io::ErrorKind::StorageFull,
-                    "injected disk full",
-                )));
-            }
+        if let Err(e) = write_through(&*self.fault, &mut w.file, &frame) {
+            // Whatever part of the frame landed is on its way to the disk.
+            let _ = w.file.sync_data();
+            self.poison();
+            return Err(WalError::Io(e));
         }
         let sync_due = match self.policy {
             FsyncPolicy::Always => true,
@@ -228,12 +209,7 @@ impl Wal {
     }
 
     fn sync_locked(&self, w: &mut Writer) -> Result<(), WalError> {
-        if self.fault.on_fsync() {
-            return Err(WalError::Io(std::io::Error::other(
-                "injected fsync failure",
-            )));
-        }
-        w.file.sync_data()?;
+        sync_through(&*self.fault, &w.file)?;
         self.unsynced.store(0, Ordering::Relaxed);
         Ok(())
     }

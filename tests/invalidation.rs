@@ -481,6 +481,10 @@ fn dml_works_with_recycling_off() {
     assert!(err.to_string().contains("parameter"), "{err}");
     // No failed statement committed an epoch.
     assert_eq!(engine.catalog().epoch_of("t"), Some(2));
+    // A predicate that reads no column still sees every row.
+    let out = session.delete("t", &Expr::lit(true)).unwrap();
+    assert_eq!(out.rows_affected, 2);
+    assert_eq!(engine.catalog().get("t").unwrap().rows(), 0);
 }
 
 #[test]

@@ -93,11 +93,57 @@ fn scan_batches_share_table_storage() {
     for b in &batches {
         for (i, col) in b.columns().iter().enumerate() {
             assert!(
-                col.shares_storage(table.column(i)),
+                col.shares_storage(&table.column(i)),
                 "scan batches must be zero-copy slices of the table"
             );
         }
     }
+}
+
+#[test]
+fn writes_share_untouched_chunks_and_scans_copy_only_at_a_seam() {
+    let cat = small_catalog(3000);
+    let engine = Engine::builder(cat.clone()).no_recycler().build();
+    let base = cat.get("t").unwrap();
+    let extra = |k: i64| vec![Value::Int(k), Value::Null, Value::str("new")];
+
+    // An append shares every prior chunk with the snapshots that hold it.
+    engine.append("t", &[extra(3000), extra(3001)]).unwrap();
+    let appended = cat.get("t").unwrap();
+    assert_eq!(appended.chunks().len(), 2);
+    assert!(Arc::ptr_eq(&appended.chunks()[0], &base.chunks()[0]));
+    // A delete rewrites the chunk holding the doomed row and shares the rest.
+    engine
+        .delete("t", &Expr::name("k").eq(Expr::lit(3000)))
+        .unwrap();
+    let deleted = cat.get("t").unwrap();
+    assert!(Arc::ptr_eq(&deleted.chunks()[0], &base.chunks()[0]));
+    assert!(!Arc::ptr_eq(&deleted.chunks()[1], &appended.chunks()[1]));
+    engine
+        .delete("t", &Expr::name("k").eq(Expr::lit(7)))
+        .unwrap();
+    let shrunk = cat.get("t").unwrap();
+    assert!(!Arc::ptr_eq(&shrunk.chunks()[0], &base.chunks()[0]));
+    assert!(Arc::ptr_eq(&shrunk.chunks()[1], &deleted.chunks()[1]));
+
+    // Scanning the appended version: the batches inside the first chunk
+    // are zero-copy slices of it; only the one straddling the seam (rows
+    // 2048..3002 of 3000 + 2) is gathered. Same rows as the flat columns.
+    let batches = appended.batches(&[0, 1, 2]);
+    assert_eq!(batches.len(), 3);
+    for (n, b) in batches.iter().enumerate() {
+        for (i, col) in b.columns().iter().enumerate() {
+            assert_eq!(
+                col.shares_storage(&appended.chunks()[0].columns()[i]),
+                n < 2,
+                "batch {n} column {i}"
+            );
+        }
+    }
+    let rows: Vec<Vec<Value>> = batches.iter().flat_map(|b| b.to_rows()).collect();
+    assert_eq!(rows, appended.to_rows());
+    assert_eq!(rows.len(), 3002);
+    assert_eq!(rows[3001], extra(3001));
 }
 
 /// Minimal `ResultStore` capturing published results.
@@ -138,7 +184,7 @@ fn store_tee_shares_storage_end_to_end() {
     let published = store.fetch(7).expect("result published");
     for (i, col) in published.batch.columns().iter().enumerate() {
         assert!(
-            col.shares_storage(table.column(i)),
+            col.shares_storage(&table.column(i)),
             "store tee must not copy column {i}"
         );
         assert!(
@@ -148,7 +194,7 @@ fn store_tee_shares_storage_end_to_end() {
     }
     // Replay re-chunks zero-copy as well.
     for b in published.batches() {
-        assert!(b.column(0).shares_storage(table.column(0)));
+        assert!(b.column(0).shares_storage(&table.column(0)));
     }
 }
 
@@ -166,7 +212,7 @@ fn filter_emits_selection_without_gathering() {
     assert_eq!(b.rows(), 300, "logical rows narrowed");
     assert!(b.sel().is_some(), "partial filter emits a selection vector");
     assert!(
-        b.column(0).shares_storage(table.column(0)),
+        b.column(0).shares_storage(&table.column(0)),
         "filter must not gather"
     );
     // Very sparse survivors are compacted on the spot instead (downstream
@@ -179,7 +225,7 @@ fn filter_emits_selection_without_gathering() {
     let b = tree.root.next_batch().expect("one batch");
     assert_eq!(b.rows(), 10);
     assert!(b.sel().is_none(), "sparse filter compacts");
-    assert!(!b.column(0).shares_storage(table.column(0)));
+    assert!(!b.column(0).shares_storage(&table.column(0)));
     // An all-true filter passes batches through without even a selection.
     let plan = scan("t", &["k", "v"])
         .select(Expr::name("k").ge(Expr::lit(0)))
@@ -188,7 +234,7 @@ fn filter_emits_selection_without_gathering() {
     let mut tree = build(&plan, &ctx).unwrap();
     let b = tree.root.next_batch().expect("one batch");
     assert!(b.sel().is_none(), "all-true filter adds no selection");
-    assert!(b.column(0).shares_storage(table.column(0)));
+    assert!(b.column(0).shares_storage(&table.column(0)));
 }
 
 #[test]
@@ -217,7 +263,7 @@ fn cache_replay_hands_out_shared_batches() {
         // The whole chain — scan slice → store tee → publish → replay —
         // never copied: replays still hand out the base table's storage.
         assert!(
-            second.batch.column(i).shares_storage(table.column(i)),
+            second.batch.column(i).shares_storage(&table.column(i)),
             "replay must be zero-copy all the way to the table (column {i})"
         );
     }
