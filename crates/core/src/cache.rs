@@ -6,6 +6,17 @@
 //! benefit order. A new entry replaces a set of same-group entries only if
 //! that set has lower average benefit and frees enough space.
 //!
+//! The order is kept incrementally. Under lazy aging every entry's benefit
+//! decays by the same factor α per query tick, so the order between two
+//! entries does not depend on the tick: each entry is ranked by the
+//! tick-invariant `ln(benefit at tick t) − t·ln α`, and each group is an
+//! ordered set keyed by (rank, id). An entry is "moved to a different
+//! position in the group whenever its benefit changes" (§III-E) literally:
+//! [`RecyclerCache::rerank`] is one O(log n) remove and insert, and the
+//! recycler calls it only for entries whose Eq. 1 inputs changed. An
+//! entry's benefit at the current tick is computed only where one is read
+//! — a victim scan or [`RecyclerCache::benefit`].
+//!
 //! The cache no longer holds only materialized result sets: a cache entry
 //! is a [`CacheArtifact`] — a result, a hash-join build side, or an
 //! aggregation table — each charged by its own byte footprint and ranked
@@ -16,10 +27,11 @@
 //! Benefit ordering is NaN-safe with a *NaN-lowest* policy: a benefit that
 //! arrives as NaN (e.g. a zero-cost/zero-heat division) is normalized to
 //! `0.0` at the boundary, so it sorts at the bottom of its group, is the
-//! first eviction victim, and can never poison a `total_cmp` sort or an
+//! first eviction victim, and can never poison the order or an
 //! average-benefit sum.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use rdb_exec::{ArtifactKind, BuildSide, MaterializedResult, OperatorState};
@@ -108,8 +120,6 @@ pub struct CacheEntry {
     pub artifact: CacheArtifact,
     /// Size charged against the cache budget.
     pub size: u64,
-    /// Benefit at last recomputation (B(R) of Eq. 1), NaN-normalized.
-    pub benefit: f64,
     /// Measured construction cost under the active cost model. Results
     /// re-derive their benefit from the graph; operator-state artifacts
     /// re-derive it from this cost (`cost · h / size`).
@@ -119,7 +129,42 @@ pub struct CacheEntry {
     /// snapshot pins any of these tables at a different epoch must not
     /// reuse the entry.
     pub epochs: Vec<(String, u64)>,
+    /// Benefit (B(R) of Eq. 1) at tick `valued_at`, NaN-normalized; read
+    /// it at the current tick through [`RecyclerCache::benefit`].
+    benefit: f64,
+    valued_at: u64,
+    /// `benefit` as a tick-invariant rank: the entry's key in benefit
+    /// order.
+    rank: Rank,
 }
+
+/// Log-domain, tick-invariant benefit: `ln(benefit at tick t) − t·ln α`
+/// (`−∞` for a zero benefit). Totally ordered.
+#[derive(Debug, Clone, Copy)]
+struct Rank(f64);
+
+impl PartialEq for Rank {
+    fn eq(&self, other: &Rank) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Rank {}
+
+impl PartialOrd for Rank {
+    fn partial_cmp(&self, other: &Rank) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Rank {
+    fn cmp(&self, other: &Rank) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// An entry's key in benefit order: ties between equal ranks break by id.
+type Ranked = (Rank, ArtifactId);
 
 impl CacheEntry {
     /// The materialized result (panics on operator-state artifacts; used
@@ -132,13 +177,22 @@ impl CacheEntry {
 }
 
 /// The finite artifact cache.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RecyclerCache {
     capacity: u64,
     used: u64,
     entries: HashMap<ArtifactId, CacheEntry>,
-    /// log2(size) → artifact ids, each list sorted by increasing benefit.
-    groups: BTreeMap<u32, Vec<ArtifactId>>,
+    /// Node → its cached artifacts, any kind.
+    by_node: HashMap<NodeId, Vec<ArtifactId>>,
+    /// log2(size) → the group's entries in increasing benefit order.
+    groups: BTreeMap<u32, BTreeSet<Ranked>>,
+    /// Every entry in increasing benefit order, across groups.
+    order: BTreeSet<Ranked>,
+    /// Aging factor: an entry valued at tick `t` is worth
+    /// `benefit · alpha^(tick − t)` now.
+    alpha: f64,
+    /// The current query tick (the graph's aging clock).
+    tick: u64,
     /// Counters for reporting.
     pub admissions: u64,
     /// Evictions performed by the replacement policy.
@@ -153,22 +207,75 @@ fn group_of(size: u64) -> u32 {
 
 /// The NaN-lowest policy: a NaN benefit normalizes to `0.0` — the floor —
 /// before it is stored or compared, so ordering stays total and benefit
-/// sums stay finite.
+/// sums stay finite. Eq. 1 is never negative; a negative input is floored
+/// too, so every rank is a logarithm of a non-negative number.
 fn sane_benefit(b: f64) -> f64 {
-    if b.is_nan() {
-        0.0
-    } else {
+    if b > 0.0 {
         b
+    } else {
+        0.0
     }
 }
 
 impl RecyclerCache {
-    /// Cache with the given byte capacity.
+    /// Cache with the given byte capacity whose benefits do not age.
     pub fn new(capacity: u64) -> Self {
+        RecyclerCache::with_aging(capacity, 1.0)
+    }
+
+    /// Cache with the given byte capacity whose benefits age by `alpha`
+    /// per tick, as the graph's `hR` does (Eq. 5).
+    pub fn with_aging(capacity: u64, alpha: f64) -> Self {
         RecyclerCache {
             capacity,
-            ..Default::default()
+            used: 0,
+            entries: HashMap::new(),
+            by_node: HashMap::new(),
+            groups: BTreeMap::new(),
+            order: BTreeSet::new(),
+            alpha,
+            tick: 0,
+            admissions: 0,
+            evictions: 0,
+            rejections: 0,
         }
+    }
+
+    /// Move the aging clock to `tick`; benefits passed in afterwards are
+    /// taken as valued at `tick`.
+    pub fn set_tick(&mut self, tick: u64) {
+        self.tick = tick;
+    }
+
+    /// The benefit of `id` at the current tick.
+    pub fn benefit(&self, id: ArtifactId) -> Option<f64> {
+        self.entries.get(&id).map(|e| self.benefit_now(e))
+    }
+
+    fn benefit_now(&self, e: &CacheEntry) -> f64 {
+        let dt = self.tick.saturating_sub(e.valued_at);
+        e.benefit * self.alpha.powi(dt as i32)
+    }
+
+    /// The rank of a (sane) benefit valued at the current tick.
+    fn rank_of(&self, benefit: f64) -> Rank {
+        Rank(benefit.ln() - self.tick as f64 * self.alpha.ln())
+    }
+
+    fn link(&mut self, key: Ranked, size: u64) {
+        self.groups.entry(group_of(size)).or_default().insert(key);
+        self.order.insert(key);
+    }
+
+    fn unlink(&mut self, key: Ranked, size: u64) {
+        let group = group_of(size);
+        if let Some(set) = self.groups.get_mut(&group) {
+            set.remove(&key);
+            if set.is_empty() {
+                self.groups.remove(&group);
+            }
+        }
+        self.order.remove(&key);
     }
 
     /// Capacity in bytes.
@@ -208,11 +315,7 @@ impl RecyclerCache {
 
     /// The cached artifacts of `node`, any kind.
     pub fn artifacts_of(&self, node: NodeId) -> Vec<ArtifactId> {
-        self.entries
-            .keys()
-            .filter(|a| a.node == node)
-            .copied()
-            .collect()
+        self.by_node.get(&node).cloned().unwrap_or_default()
     }
 
     /// Would the admission/replacement policy accept an artifact of this
@@ -235,82 +338,38 @@ impl RecyclerCache {
     /// candidate's. The same-size group is scanned first (Dantzig locality);
     /// if it cannot free enough space the scan widens to all entries, so a
     /// high-benefit newcomer is never starved just because the incumbents
-    /// happen to sit in other size groups.
+    /// happen to sit in other size groups. Either scan stops at the first
+    /// entry whose benefit matches or beats the candidate's, so a
+    /// low-benefit candidate against a full cache costs O(1).
     fn find_victims(&self, size: u64, benefit: f64) -> Option<Vec<ArtifactId>> {
         if let Some(group) = self.groups.get(&group_of(size)) {
-            if let Some(victims) = self.scan_victims(group.iter().copied(), size, benefit) {
+            if let Some(victims) = self.scan_victims(group, size, benefit) {
                 return Some(victims);
             }
         }
-        // Cross-group fallback. Early bail without allocating: each group
-        // list is in increasing benefit order, so the global minimum
-        // benefit is the cheapest group head — if even that entry matches
-        // or beats the candidate, the very first merge pick would fail the
-        // average-benefit test anyway. This keeps the per-batch speculation
-        // path (would_admit under the recycler lock, full cache,
-        // low-benefit candidate) at O(groups) instead of O(entries).
-        // Stored benefits are NaN-normalized, so `f64::min` (which skips
-        // NaN) is a genuine minimum here.
-        let global_min = self
-            .groups
-            .values()
-            .filter_map(|g| g.first())
-            .map(|id| self.entries[id].benefit)
-            .fold(f64::INFINITY, f64::min);
-        if global_min >= benefit {
-            return None;
-        }
-        // Merge the per-group lists (each already in increasing benefit
-        // order) instead of collecting and sorting every entry. Benefits
-        // are resolved once per group list up front (one hash lookup per
-        // entry total, not per merge step).
-        let groups: Vec<Vec<(ArtifactId, f64)>> = self
-            .groups
-            .values()
-            .filter(|g| !g.is_empty())
-            .map(|g| {
-                g.iter()
-                    .map(|&id| (id, self.entries[&id].benefit))
-                    .collect()
-            })
-            .collect();
-        let mut pos = vec![0usize; groups.len()];
-        let merged = std::iter::from_fn(move || {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, g) in groups.iter().enumerate() {
-                if let Some(&(_, b)) = g.get(pos[i]) {
-                    if best.is_none_or(|(_, bb)| b.total_cmp(&bb).is_lt()) {
-                        best = Some((i, b));
-                    }
-                }
-            }
-            let (i, _) = best?;
-            let id = groups[i][pos[i]].0;
-            pos[i] += 1;
-            Some(id)
-        });
-        self.scan_victims(merged, size, benefit)
+        self.scan_victims(&self.order, size, benefit)
     }
 
     fn scan_victims(
         &self,
-        candidates: impl Iterator<Item = ArtifactId>,
+        candidates: &BTreeSet<Ranked>,
         size: u64,
         benefit: f64,
     ) -> Option<Vec<ArtifactId>> {
         let mut victims = Vec::new();
         let mut freed = 0u64;
         let mut benefit_sum = 0.0;
-        for id in candidates {
+        for &(_, id) in candidates {
             let e = &self.entries[&id];
+            let b = self.benefit_now(e);
             // (a) average benefit must stay below the new entry's.
-            let avg = (benefit_sum + e.benefit) / (victims.len() + 1) as f64;
+            let avg = (benefit_sum + b) / (victims.len() + 1) as f64;
             if avg >= benefit {
                 return None;
             }
             victims.push(id);
             freed += e.size;
-            benefit_sum += e.benefit;
+            benefit_sum += b;
             // (b) enough space including globally free bytes.
             if self.used - freed + size <= self.capacity {
                 return Some(victims);
@@ -376,24 +435,29 @@ impl RecyclerCache {
                 }
             }
         }
-        self.used += size;
-        self.entries.insert(
+        let rank = self.rank_of(benefit);
+        self.place(
             id,
             CacheEntry {
                 artifact,
                 size,
-                benefit,
                 cost,
                 epochs,
+                benefit,
+                valued_at: self.tick,
+                rank,
             },
         );
-        let group = self.groups.entry(group_of(size)).or_default();
-        let pos = group
-            .binary_search_by(|x| self.entries[x].benefit.total_cmp(&benefit))
-            .unwrap_or_else(|p| p);
-        group.insert(pos, id);
         self.admissions += 1;
         Some(evicted)
+    }
+
+    /// Store `entry` under `id` and index it (budget, node, benefit order).
+    fn place(&mut self, id: ArtifactId, entry: CacheEntry) {
+        self.used += entry.size;
+        self.link((entry.rank, id), entry.size);
+        self.by_node.entry(id.node).or_default().push(id);
+        self.entries.insert(id, entry);
     }
 
     /// Replace a cached artifact's payload in place (incremental repair):
@@ -434,18 +498,34 @@ impl RecyclerCache {
                 None => return None,
             }
         }
-        self.used += new_size;
         entry.artifact = artifact;
         entry.size = new_size;
         entry.benefit = benefit;
+        entry.valued_at = self.tick;
+        entry.rank = self.rank_of(benefit);
         entry.epochs = epochs;
-        self.entries.insert(id, entry);
-        let group = self.groups.entry(group_of(new_size)).or_default();
-        let pos = group
-            .binary_search_by(|x| self.entries[x].benefit.total_cmp(&benefit))
-            .unwrap_or_else(|p| p);
-        group.insert(pos, id);
+        self.place(id, entry);
         Some(evicted)
+    }
+
+    /// Re-value `id` at the current tick and move it to its new position
+    /// in benefit order (paper §III-E: "whenever the benefit of a result
+    /// changes ... the result is moved to a different position in the
+    /// group"). O(log n).
+    pub fn rerank(&mut self, id: ArtifactId, benefit: f64) {
+        let benefit = sane_benefit(benefit);
+        let (rank, tick) = (self.rank_of(benefit), self.tick);
+        let Some(e) = self.entries.get_mut(&id) else {
+            return;
+        };
+        let (old, size) = (e.rank, e.size);
+        e.benefit = benefit;
+        e.valued_at = tick;
+        e.rank = rank;
+        if old != rank {
+            self.unlink((old, id), size);
+            self.link((rank, id), size);
+        }
     }
 
     /// Remove a node's result entry (eviction or invalidation).
@@ -457,8 +537,12 @@ impl RecyclerCache {
     pub fn remove_artifact(&mut self, id: ArtifactId) -> Option<CacheEntry> {
         let e = self.entries.remove(&id)?;
         self.used -= e.size;
-        if let Some(group) = self.groups.get_mut(&group_of(e.size)) {
-            group.retain(|&x| x != id);
+        self.unlink((e.rank, id), e.size);
+        if let Some(ids) = self.by_node.get_mut(&id.node) {
+            ids.retain(|&a| a != id);
+            if ids.is_empty() {
+                self.by_node.remove(&id.node);
+            }
         }
         Some(e)
     }
@@ -481,25 +565,18 @@ impl RecyclerCache {
         ids
     }
 
-    /// Recompute benefits with `f` and restore group ordering (paper:
-    /// "whenever the benefit of a result changes ... the result is moved to
-    /// a different position in the group"). `f` sees the artifact id and
-    /// its entry (for the stored construction cost of state artifacts).
-    pub fn rebenefit(&mut self, f: impl Fn(ArtifactId, &CacheEntry) -> f64) {
-        for (id, e) in self.entries.iter_mut() {
-            e.benefit = sane_benefit(f(*id, e));
-        }
-        for group in self.groups.values_mut() {
-            group.sort_by(|a, b| self.entries[a].benefit.total_cmp(&self.entries[b].benefit));
-        }
+    /// Every cached artifact, highest benefit first (ties: highest id).
+    pub fn highest_benefit_first(&self) -> impl Iterator<Item = ArtifactId> + '_ {
+        self.order.iter().rev().map(|&(_, id)| id)
     }
 
-    /// Cached *result* node ids (unordered).
-    pub fn ids(&self) -> Vec<NodeId> {
-        self.entries
-            .keys()
-            .filter(|a| a.kind == ArtifactKind::Result)
-            .map(|a| a.node)
+    /// Each size group's artifacts in the group's benefit order, smallest
+    /// sizes first.
+    #[cfg(test)]
+    pub(crate) fn group_orders(&self) -> Vec<Vec<ArtifactId>> {
+        self.groups
+            .values()
+            .map(|set| set.iter().map(|&(_, id)| id).collect())
             .collect()
     }
 
@@ -539,7 +616,28 @@ mod tests {
         assert!(c.contains(NodeId(1)));
         assert_eq!(c.used(), 80);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(NodeId(1)).unwrap().benefit, 5.0);
+        assert_eq!(c.benefit(ArtifactId::result(NodeId(1))), Some(5.0));
+    }
+
+    #[test]
+    fn benefits_age_without_reordering() {
+        let mut c = RecyclerCache::with_aging(10_000, 0.5);
+        c.insert(NodeId(1), result(10), 8.0, vec![]);
+        c.set_tick(2);
+        // Valued two ticks later: 3.0 now beats the aged 8.0 (= 2.0).
+        c.insert(NodeId(2), result(10), 3.0, vec![]);
+        let id = |n| ArtifactId::result(NodeId(n));
+        assert_eq!(c.benefit(id(1)), Some(2.0));
+        assert_eq!(c.group_orders(), vec![vec![id(1), id(2)]]);
+        // Time passing moves every benefit, never the order.
+        c.set_tick(5);
+        assert_eq!(c.benefit(id(1)), Some(0.25));
+        assert_eq!(c.benefit(id(2)), Some(0.375));
+        assert_eq!(c.group_orders(), vec![vec![id(1), id(2)]]);
+        assert_eq!(
+            c.highest_benefit_first().collect::<Vec<_>>(),
+            vec![id(2), id(1)]
+        );
     }
 
     #[test]
@@ -625,7 +723,8 @@ mod tests {
         c.insert(NodeId(1), result(10), 1.0, vec![]);
         c.insert(NodeId(2), result(10), 2.0, vec![]);
         // Invert benefits; victim search should now pick NodeId(2) first.
-        c.rebenefit(|id, _| if id.node == NodeId(1) { 9.0 } else { 0.5 });
+        c.rerank(ArtifactId::result(NodeId(1)), 9.0);
+        c.rerank(ArtifactId::result(NodeId(2)), 0.5);
         let mut c2 = c;
         c2.capacity = 160;
         c2.used = 160;
@@ -647,10 +746,15 @@ mod tests {
         // not panic the group sort, and it must be the first victim.
         let mut c = RecyclerCache::new(160);
         assert!(c.insert(NodeId(1), result(10), f64::NAN, vec![]).is_some());
-        assert_eq!(c.get(NodeId(1)).unwrap().benefit, 0.0, "NaN-lowest");
+        assert_eq!(
+            c.benefit(ArtifactId::result(NodeId(1))),
+            Some(0.0),
+            "NaN-lowest"
+        );
         c.insert(NodeId(2), result(10), 2.0, vec![]);
-        // Re-benefit with a NaN-producing function: still total ordering.
-        c.rebenefit(|id, _| if id.node == NodeId(1) { f64::NAN } else { 2.0 });
+        // Re-rank with a NaN benefit: still total ordering.
+        c.rerank(ArtifactId::result(NodeId(1)), f64::NAN);
+        c.rerank(ArtifactId::result(NodeId(2)), 2.0);
         let evicted = c.insert(NodeId(3), result(10), 1.0, vec![]).unwrap();
         assert_eq!(evicted, vec![ArtifactId::result(NodeId(1))]);
         // A NaN candidate is floored to 0 benefit: it cannot displace a

@@ -50,7 +50,7 @@ pub struct RecyclerConfig {
     /// How long a query stalls waiting for a concurrent materialization of
     /// the same result before giving up and recomputing.
     pub stall_timeout: Duration,
-    /// Consult subsumption edges when exact matching fails (§IV-A).
+    /// Look for a materialized subsumer when exact matching fails (§IV-A).
     pub enable_subsumption: bool,
     /// Repair dependent cache entries in place from DML deltas instead of
     /// evicting them, where the classification allows it (`rdb_delta`).

@@ -11,10 +11,24 @@
 //! hash-key; non-leaf candidates are the *parents* of the already-matched
 //! child, indexed per node by a small hash table (hash-key → parent ids) and
 //! pruned by the column-bitmask signature, exactly as §III-A describes.
+//!
+//! Subsumption (§IV-A) is found on demand rather than stored as OR-edges:
+//! every rule needs identical children and the same operator kind, and
+//! only a materialized subsumer is of use, so the candidates for a node are
+//! the materialized nodes of its kind over its first child — an index that
+//! materialization and eviction maintain. Inserting a node is therefore
+//! hash probes plus a push, whatever the number of siblings, and a check
+//! compares children by id and a `Select`'s ranges analysed at insertion.
+//!
+//! Every change to a node's Eq. 1 inputs (`hR`, measured cost and size,
+//! the set of directly materialized descendants) queues the node in a
+//! changed list, which the recycler drains to re-rank exactly those cache
+//! entries.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::mem::{discriminant, Discriminant};
 
-use rdb_expr::implies;
+use rdb_expr::{implies, Ranges};
 use rdb_plan::{local_eq, local_hash, signature, Plan};
 use rdb_vector::Schema;
 
@@ -69,15 +83,6 @@ pub enum Derivation {
     Retopn,
 }
 
-/// A subsumption edge: this node's result is derivable from `subsumer`.
-#[derive(Debug, Clone)]
-pub struct SubsumptionEdge {
-    /// The node whose result subsumes ours.
-    pub subsumer: NodeId,
-    /// How to derive our result from it.
-    pub derivation: Derivation,
-}
-
 /// One operator node in the recycler graph.
 #[derive(Debug)]
 pub struct GraphNode {
@@ -105,8 +110,12 @@ pub struct GraphNode {
     pub stats: NodeStats,
     /// Whether the result currently sits in the recycler cache.
     pub materialized: bool,
-    /// Subsumption OR-edges (consulted only after exact matching fails).
-    pub subsumed_by: Vec<SubsumptionEdge>,
+    /// A `Select`'s predicate ranges, analysed once at insertion for
+    /// subsumption checks (`None` for other operators and for predicates
+    /// outside the analysable fragment).
+    pub ranges: Option<Ranges>,
+    /// Whether the node sits in [`RecyclerGraph`]'s changed list.
+    changed: bool,
 }
 
 impl GraphNode {
@@ -151,9 +160,21 @@ pub struct RecyclerGraph {
     nodes: Vec<GraphNode>,
     /// Global leaf hash table: leaf hash-key → leaf node ids.
     leaf_index: HashMap<u64, Vec<NodeId>>,
+    /// Scan leaves per base table, where a walk over the table's
+    /// dependents starts.
+    table_leaves: HashMap<String, Vec<NodeId>>,
+    /// Materialized nodes by (first child, operator kind): the only nodes
+    /// that can subsume one another.
+    materialized_siblings: HashMap<SiblingKey, Vec<NodeId>>,
+    /// Nodes whose Eq. 1 inputs changed since the last
+    /// [`RecyclerGraph::take_changed`], each once.
+    changed: Vec<NodeId>,
     /// Query counter driving lazy aging.
     tick: u64,
 }
+
+/// A node's first child and operator kind.
+type SiblingKey = (NodeId, Discriminant<Plan>);
 
 impl RecyclerGraph {
     /// Empty graph.
@@ -302,6 +323,10 @@ impl RecyclerGraph {
             .iter()
             .map(|t| rdb_delta::classify(plan, t))
             .collect();
+        let ranges = match plan {
+            Plan::Select { predicate, .. } => Ranges::of(predicate),
+            _ => None,
+        };
         self.nodes.push(GraphNode {
             subtree: plan.clone(),
             schema,
@@ -316,92 +341,108 @@ impl RecyclerGraph {
                 ..Default::default()
             },
             materialized: false,
-            subsumed_by: Vec::new(),
+            ranges,
+            changed: false,
         });
         if child_ids.is_empty() {
             self.leaf_index.entry(key).or_default().push(id);
+            if let Plan::Scan { table, .. } = plan {
+                self.table_leaves.entry(table.clone()).or_default().push(id);
+            }
         } else {
             for &c in child_ids {
                 self.node_mut(c).parents.entry(key).or_default().push(id);
             }
         }
-        self.compute_subsumption_edges(id);
         id
     }
 
-    // ---- subsumption edges (§IV-A) ----------------------------------------
+    // ---- subsumption (§IV-A), found on demand -----------------------------
 
-    /// On insertion, connect the new node to siblings (other parents of its
-    /// first child, or other leaves of the same table) that subsume it.
-    /// Also add reverse edges from siblings the new node subsumes.
-    fn compute_subsumption_edges(&mut self, id: NodeId) {
-        let siblings: Vec<NodeId> = {
-            let n = self.node(id);
-            match n.children.first() {
-                Some(&c) => self
-                    .node(c)
-                    .parents
-                    .values()
-                    .flatten()
-                    .copied()
-                    .filter(|&p| p != id)
-                    .collect(),
-                None => match &n.subtree {
-                    Plan::Scan { table, .. } => {
-                        let t = table.clone();
-                        self.leaf_candidates_for_table(&t, id)
-                    }
-                    _ => Vec::new(),
-                },
-            }
-        };
-        let mut forward = Vec::new();
-        let mut reverse: Vec<(NodeId, SubsumptionEdge)> = Vec::new();
-        for s in siblings {
-            if let Some(d) = derive_subsumption(&self.node(id).subtree, &self.node(s).subtree) {
-                forward.push(SubsumptionEdge {
-                    subsumer: s,
-                    derivation: d,
-                });
-            }
-            if let Some(d) = derive_subsumption(&self.node(s).subtree, &self.node(id).subtree) {
-                reverse.push((
-                    s,
-                    SubsumptionEdge {
-                        subsumer: id,
-                        derivation: d,
-                    },
-                ));
-            }
+    fn sibling_key(&self, id: NodeId) -> Option<SiblingKey> {
+        let n = self.node(id);
+        n.children.first().map(|&c| (c, discriminant(&n.subtree)))
+    }
+
+    /// The nodes that could subsume `id`: materialized nodes of its
+    /// operator kind over the same first child (possibly `id` itself).
+    pub fn subsumption_candidates(&self, id: NodeId) -> &[NodeId] {
+        self.sibling_key(id)
+            .and_then(|k| self.materialized_siblings.get(&k))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// How `sub`'s result derives from `sup`'s, for two graph nodes:
+    /// [`derive_subsumption`]'s rules with children compared by id and a
+    /// `Select`'s implication decided on the ranges analysed at insertion.
+    fn derive_between(&self, sub: NodeId, sup: NodeId) -> Option<Derivation> {
+        let (a, b) = (self.node(sub), self.node(sup));
+        if sub == sup || a.children != b.children {
+            return None;
         }
-        self.node_mut(id).subsumed_by = forward;
-        for (s, e) in reverse {
-            self.node_mut(s).subsumed_by.push(e);
+        match (&a.subtree, &b.subtree) {
+            (Plan::Select { predicate: p, .. }, Plan::Select { predicate: q, .. }) => {
+                let implied = match (&a.ranges, &b.ranges) {
+                    (Some(rp), Some(rq)) => p != q && rp.implies(rq),
+                    _ => false,
+                };
+                implied.then_some(Derivation::Reselect)
+            }
+            (sub, sup) => derive_local(sub, sup),
         }
     }
 
-    fn leaf_candidates_for_table(&self, table: &str, excluding: NodeId) -> Vec<NodeId> {
-        self.leaf_index
-            .values()
-            .flatten()
-            .copied()
-            .filter(|&l| {
-                l != excluding
-                    && matches!(&self.node(l).subtree, Plan::Scan { table: t, .. } if t == table)
-            })
-            .collect()
-    }
-
-    /// Materialized subsumers of `id`, best (cheapest derivation) first.
-    pub fn materialized_subsumers(&self, id: NodeId) -> Vec<&SubsumptionEdge> {
-        self.node(id)
-            .subsumed_by
+    /// Materialized subsumers of `id` with their derivations, in the order
+    /// materialization indexed them.
+    pub fn materialized_subsumers(&self, id: NodeId) -> Vec<(NodeId, Derivation)> {
+        self.subsumption_candidates(id)
             .iter()
-            .filter(|e| self.node(e.subsumer).materialized)
+            .filter_map(|&s| self.derive_between(id, s).map(|d| (s, d)))
             .collect()
     }
 
     // ---- hR bookkeeping (§III-C) ------------------------------------------
+
+    /// Queue `id` for re-ranking: one of its Eq. 1 inputs changed.
+    pub(crate) fn mark_changed(&mut self, id: NodeId) {
+        let n = self.node_mut(id);
+        if !n.changed {
+            n.changed = true;
+            self.changed.push(id);
+        }
+    }
+
+    /// Drain the nodes whose Eq. 1 inputs changed since the last call.
+    pub(crate) fn take_changed(&mut self) -> Vec<NodeId> {
+        let changed = std::mem::take(&mut self.changed);
+        for &id in &changed {
+            self.node_mut(id).changed = false;
+        }
+        changed
+    }
+
+    /// Queue the nearest materialized ancestors of `id` — the nodes that
+    /// have it, or would have it, as a DMD, so whose true cost (Eq. 2)
+    /// moves when its cost or materialization does.
+    fn mark_materialized_ancestors(&mut self, id: NodeId) {
+        let mut stack = vec![id];
+        let mut seen = HashSet::new();
+        let mut found = Vec::new();
+        while let Some(n) = stack.pop() {
+            for &p in self.node(n).parents.values().flatten() {
+                if seen.insert(p) {
+                    if self.node(p).materialized {
+                        found.push(p);
+                    } else {
+                        stack.push(p);
+                    }
+                }
+            }
+        }
+        for p in found {
+            self.mark_changed(p);
+        }
+    }
 
     /// `hR` of `id` decayed to the current tick (read-only).
     pub fn decayed_h(&self, id: NodeId, alpha: f64) -> f64 {
@@ -427,6 +468,7 @@ impl RecyclerGraph {
     pub fn bump_h(&mut self, id: NodeId, alpha: f64) {
         self.age_to_now(id, alpha);
         self.node_mut(id).stats.h_r += 1.0;
+        self.mark_changed(id);
     }
 
     /// Install persisted reference heat on `id` (recovery warm-up): the
@@ -436,14 +478,15 @@ impl RecyclerGraph {
         self.age_to_now(id, alpha);
         let s = &mut self.node_mut(id).stats;
         s.h_r = s.h_r.max(h);
+        self.mark_changed(id);
     }
 
     /// Mark `id` materialized and propagate Eq. 3: descendants down to (and
     /// including) each DMD lose `h_id` (Algorithm 2).
     pub fn on_materialized(&mut self, id: NodeId, alpha: f64) {
+        self.set_materialized(id, true);
         self.age_to_now(id, alpha);
         let h = self.node(id).stats.h_r;
-        self.node_mut(id).materialized = true;
         let children = self.node(id).children.clone();
         for c in children {
             self.update_h_r(c, h, alpha);
@@ -452,13 +495,31 @@ impl RecyclerGraph {
 
     /// Unmark `id` and propagate Eq. 4 (the reverse of Eq. 3).
     pub fn on_evicted(&mut self, id: NodeId, alpha: f64) {
+        self.set_materialized(id, false);
         self.age_to_now(id, alpha);
         let h = self.node(id).stats.h_r;
-        self.node_mut(id).materialized = false;
         let children = self.node(id).children.clone();
         for c in children {
             self.update_h_r(c, -h, alpha);
         }
+    }
+
+    /// Flip `id`'s materialized flag, keep the subsumption index in step,
+    /// and queue the nodes whose benefit depends on the flag: `id` and its
+    /// nearest materialized ancestors (their DMD sets change).
+    fn set_materialized(&mut self, id: NodeId, materialized: bool) {
+        self.node_mut(id).materialized = materialized;
+        if let Some(key) = self.sibling_key(id) {
+            let list = self.materialized_siblings.entry(key).or_default();
+            list.retain(|&n| n != id);
+            if materialized {
+                list.push(id);
+            } else if list.is_empty() {
+                self.materialized_siblings.remove(&key);
+            }
+        }
+        self.mark_changed(id);
+        self.mark_materialized_ancestors(id);
     }
 
     /// Algorithm 2: `h_m -= delta`; stop at materialized nodes, else recurse.
@@ -466,6 +527,7 @@ impl RecyclerGraph {
         self.age_to_now(m, alpha);
         let s = &mut self.node_mut(m).stats;
         s.h_r = (s.h_r - delta).max(0.0);
+        self.mark_changed(m);
         if self.node(m).materialized {
             return;
         }
@@ -501,6 +563,12 @@ impl RecyclerGraph {
         s.bytes = bytes;
         s.executions += 1;
         s.measured = true;
+        self.mark_changed(id);
+        // A materialized node is a DMD of its nearest materialized
+        // ancestors: its base cost is part of their true cost.
+        if self.node(id).materialized {
+            self.mark_materialized_ancestors(id);
+        }
     }
 
     /// Direct materialized descendants of `id` (paper's DMDs).
@@ -551,28 +619,18 @@ impl RecyclerGraph {
     // ---- invalidation (PAPER.md §V) ----------------------------------------
 
     /// Every node whose result depends on `table`, found by walking the
-    /// operator graph upward from the changed leaf: collect the scan
+    /// operator graph upward from the changed leaf: start at the scan
     /// leaves over `table`, then follow parent edges transitively. This is
     /// exactly the set an update to `table` makes stale — nodes over other
     /// tables are never visited, which is what makes invalidation precise.
     pub fn dependents_of_table(&self, table: &str) -> Vec<NodeId> {
-        let mut queue: Vec<NodeId> = self
-            .leaf_index
-            .values()
-            .flatten()
-            .copied()
-            .filter(|&l| matches!(&self.node(l).subtree, Plan::Scan { table: t, .. } if t == table))
-            .collect();
-        let mut seen: Vec<bool> = vec![false; self.nodes.len()];
-        for &id in &queue {
-            seen[id.0 as usize] = true;
-        }
+        let mut queue: Vec<NodeId> = self.table_leaves.get(table).cloned().unwrap_or_default();
+        let mut seen: HashSet<NodeId> = queue.iter().copied().collect();
         let mut out = Vec::new();
         while let Some(id) = queue.pop() {
             out.push(id);
             for &p in self.node(id).parents.values().flatten() {
-                if !seen[p.0 as usize] {
-                    seen[p.0 as usize] = true;
+                if seen.insert(p) {
                     queue.push(p);
                 }
             }
@@ -591,8 +649,10 @@ impl RecyclerGraph {
 }
 
 /// Can `sub`'s result be derived from `sup`'s result (both canonical plans
-/// with identical children)? Implements the paper's column and tuple
-/// subsumption plus top-N widening.
+/// with identical children)? Implements the paper's tuple subsumption for
+/// selections, column and tuple subsumption for aggregations, and top-N
+/// widening. Bare scans have no rule: the recycler never stores one, so
+/// there is never a cached scan to derive from.
 pub fn derive_subsumption(sub: &Plan, sup: &Plan) -> Option<Derivation> {
     // Children must be structurally identical for all rules below.
     let sub_children = sub.children();
@@ -608,32 +668,16 @@ pub fn derive_subsumption(sub: &Plan, sup: &Plan) -> Option<Derivation> {
     match (sub, sup) {
         // Tuple subsumption for selections: σ_p ⊂ σ_q when p ⇒ q.
         (Plan::Select { predicate: p, .. }, Plan::Select { predicate: q, .. }) => {
-            if p != q && implies(p, q) {
-                Some(Derivation::Reselect)
-            } else {
-                None
-            }
+            (p != q && implies(p, q)).then_some(Derivation::Reselect)
         }
-        // Column subsumption for scans: a narrower projection of the same
-        // table.
-        (
-            Plan::Scan {
-                table: t1,
-                cols: c1,
-            },
-            Plan::Scan {
-                table: t2,
-                cols: c2,
-            },
-        ) => {
-            if t1 == t2 && c1 != c2 {
-                let positions: Option<Vec<usize>> =
-                    c1.iter().map(|c| c2.iter().position(|x| x == c)).collect();
-                positions.map(Derivation::ProjectCols)
-            } else {
-                None
-            }
-        }
+        _ => derive_local(sub, sup),
+    }
+}
+
+/// The rules of [`derive_subsumption`] that look at operator parameters
+/// only (children are already known to be identical).
+fn derive_local(sub: &Plan, sup: &Plan) -> Option<Derivation> {
+    match (sub, sup) {
         (
             Plan::Aggregate {
                 group_by: g1,
@@ -846,20 +890,27 @@ mod tests {
         );
         let mw = g.match_or_insert(&wide, &sch);
         let mn = g.match_or_insert(&narrow, &sch);
-        let edges = &g.node(mn.id).subsumed_by;
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].subsumer, mw.id);
-        assert_eq!(edges[0].derivation, Derivation::Reselect);
-        // No materialized subsumers yet.
+        assert_eq!(g.derive_between(mn.id, mw.id), Some(Derivation::Reselect));
+        assert_eq!(g.derive_between(mw.id, mn.id), None);
+        // Nothing materialized: no candidates at all.
+        assert!(g.subsumption_candidates(mn.id).is_empty());
         assert!(g.materialized_subsumers(mn.id).is_empty());
         g.on_materialized(mw.id, 1.0);
-        assert_eq!(g.materialized_subsumers(mn.id).len(), 1);
+        assert_eq!(
+            g.materialized_subsumers(mn.id),
+            vec![(mw.id, Derivation::Reselect)]
+        );
+        // A materialized node is never its own subsumer.
+        assert!(g.materialized_subsumers(mw.id).is_empty());
+        g.on_evicted(mw.id, 1.0);
+        assert!(g.subsumption_candidates(mn.id).is_empty());
     }
 
     #[test]
     fn reverse_subsumption_edge_on_insert() {
-        // Insert the narrow select first, then the wide one: the wide
-        // insertion must add an edge narrow ⊂ wide.
+        // Insert the narrow select first, then the wide one: once the wide
+        // one is materialized the lookup finds narrow ⊂ wide, whatever the
+        // insertion order.
         let mut g = RecyclerGraph::new();
         let narrow = scan("t", &["a"]).select(
             Expr::col(0)
@@ -869,8 +920,17 @@ mod tests {
         let wide = scan("t", &["a"]).select(Expr::col(0).ge(Expr::lit(0)));
         let mn = g.match_or_insert(&narrow, &sch);
         let mw = g.match_or_insert(&wide, &sch);
-        let edges = &g.node(mn.id).subsumed_by;
-        assert!(edges.iter().any(|e| e.subsumer == mw.id));
+        g.on_materialized(mw.id, 1.0);
+        assert_eq!(
+            g.materialized_subsumers(mn.id),
+            vec![(mw.id, Derivation::Reselect)]
+        );
+        // Candidates share the operator kind: an aggregate over the same
+        // scan, materialized, is not one.
+        let agg = scan("t", &["a"]).aggregate(vec![], vec![(AggFunc::CountStar, "n")]);
+        let ma = g.match_or_insert(&agg, &sch);
+        g.on_materialized(ma.id, 1.0);
+        assert_eq!(g.subsumption_candidates(mn.id), &[mw.id]);
     }
 
     #[test]
@@ -918,17 +978,6 @@ mod tests {
             vec![(AggFunc::Avg(Expr::col(2)), "a")],
         );
         assert!(derive_subsumption(&coarse_avg, &fine_avg).is_none());
-    }
-
-    #[test]
-    fn scan_column_subsumption() {
-        let narrow = scan("t", &["b"]);
-        let wide = scan("t", &["a", "b"]);
-        match derive_subsumption(&narrow, &wide) {
-            Some(Derivation::ProjectCols(pos)) => assert_eq!(pos, vec![1]),
-            other => panic!("expected project, got {other:?}"),
-        }
-        assert!(derive_subsumption(&wide, &narrow).is_none());
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   speculation policy (§II, §III-D);
 //! * [`proactive`] — top-N widening and cube caching with selections /
 //!   binning (§IV-B);
-//! * subsumption edges and derivations live in [`graph`] (§IV-A).
+//! * subsumption (§IV-A) is found on demand among a node's materialized
+//!   siblings in [`graph`], which also holds the derivations.
 //!
 //! ## Updates & invalidation (PAPER.md §V)
 //!
@@ -64,8 +65,8 @@
 //! [`cache::CacheArtifact`] charged against the same byte budget, with a
 //! uniform benefit currency:
 //!
-//! * **results** re-derive benefit from the graph each completion (Eq. 1:
-//!   true cost × decayed `hR` / bytes);
+//! * **results** re-derive benefit from the graph whenever one of its
+//!   inputs changes (Eq. 1: true cost × decayed `hR` / bytes);
 //! * **state artifacts** use their *measured construction cost* (reported
 //!   at publish time via [`rdb_exec::StateCost`], in the configured
 //!   [`config::CostModel`]'s units) times the producing node's decayed
@@ -88,7 +89,7 @@ pub mod recycler;
 
 pub use cache::{ArtifactId, CacheArtifact, CacheEntry, RecyclerCache};
 pub use config::{CostModel, RecyclerConfig, RecyclerMode};
-pub use graph::{Derivation, MatchTree, NodeId, RecyclerGraph, SubsumptionEdge};
+pub use graph::{Derivation, MatchTree, NodeId, RecyclerGraph};
 pub use rdb_delta::Repairability;
 pub use recycler::{
     CacheState, LineageEntry, PreparedQuery, Recycler, RecyclerEvent, RecyclerStats, RepairOutcome,

@@ -18,13 +18,19 @@
 //! currently being materialized by another query **stall** on a condition
 //! variable until it is published or abandoned (paper §V: "the recycler
 //! stalls all but one").
+//!
+//! Bookkeeping under that mutex is proportional to what a call touched:
+//! releasing the lock re-ranks only the cache entries whose Eq. 1 inputs
+//! changed while it was held (see [`crate::cache`]), and subsumption looks
+//! only at materialized siblings (see [`crate::graph`]).
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rdb_delta::Delta;
 use rdb_exec::{
     ArtifactKind, FnRegistry, MaterializedResult, MetricsNode, OperatorState, ResultStore,
@@ -34,7 +40,7 @@ use rdb_plan::{Plan, StoreMode};
 use rdb_storage::{Catalog, CatalogSnapshot};
 use rdb_vector::Schema;
 
-use crate::cache::{ArtifactId, CacheArtifact, RecyclerCache};
+use crate::cache::{ArtifactId, CacheArtifact, CacheEntry, RecyclerCache};
 use crate::config::{CostModel, RecyclerConfig, RecyclerMode};
 use crate::graph::{Derivation, MatchTree, NodeId, RecyclerGraph};
 
@@ -195,6 +201,79 @@ impl State {
             self.in_flight.remove(&node);
         }
     }
+
+    /// Re-rank the cache entries of every graph node whose Eq. 1 inputs
+    /// changed since the last call. Returns how many entries it re-ranked.
+    fn rerank_changed(&mut self, cfg: &RecyclerConfig) -> u64 {
+        let mut reranked = 0;
+        for node in self.graph.take_changed() {
+            for aid in self.cache.artifacts_of(node) {
+                let Some(entry) = self.cache.get_artifact(aid) else {
+                    continue;
+                };
+                let benefit = benefit_of(&self.graph, aid, entry, cfg);
+                self.cache.rerank(aid, benefit);
+                reranked += 1;
+            }
+        }
+        reranked
+    }
+}
+
+/// Eq. 1 for one cache entry at the current tick. A result earns its
+/// node's true cost per byte of the node's measured size; operator state
+/// earns its own construction cost per byte it holds (a warm hit saves the
+/// build, not the whole subtree). Both are weighted by the node's decayed
+/// `hR`.
+fn benefit_of(
+    graph: &RecyclerGraph,
+    aid: ArtifactId,
+    entry: &CacheEntry,
+    cfg: &RecyclerConfig,
+) -> f64 {
+    match aid.kind {
+        ArtifactKind::Result => graph.benefit(aid.node, cfg.cost_model, cfg.aging_alpha),
+        ArtifactKind::HashBuild | ArtifactKind::AggTable => {
+            entry.cost * graph.decayed_h(aid.node, cfg.aging_alpha) / entry.size.max(1) as f64
+        }
+    }
+}
+
+/// The recycler state under its lock. Releasing it re-ranks the cache
+/// entries whose benefit inputs changed meanwhile, so the benefit order is
+/// current whenever the lock is free. Every path that mutates the graph
+/// takes the lock through [`Recycler::lock`].
+struct Locked<'a> {
+    guard: MutexGuard<'a, State>,
+    recycler: &'a Recycler,
+}
+
+impl Deref for Locked<'_> {
+    type Target = State;
+    fn deref(&self) -> &State {
+        &self.guard
+    }
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut State {
+        &mut self.guard
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        // A panic under the lock is a bug already being reported; a
+        // second one here would abort the process instead.
+        if std::thread::panicking() {
+            return;
+        }
+        let reranked = self.guard.rerank_changed(&self.recycler.config);
+        self.recycler
+            .stats
+            .reranks
+            .fetch_add(reranked, Ordering::Relaxed);
+    }
 }
 
 /// Aggregate counters (exposed for tests, examples, and benches).
@@ -234,6 +313,11 @@ pub struct RecyclerStats {
     pub match_ns_total: AtomicU64,
     /// Nodes inserted into the recycler graph.
     pub nodes_inserted: AtomicU64,
+    /// Materialized subsumer candidates the rewriter examined (one
+    /// derivation check each).
+    pub subsumption_checks: AtomicU64,
+    /// Cache entries re-ranked because their node's Eq. 1 inputs changed.
+    pub reranks: AtomicU64,
 }
 
 macro_rules! bump {
@@ -247,6 +331,7 @@ macro_rules! bump {
 /// directly.
 pub struct Recycler {
     config: RecyclerConfig,
+    /// Mutate only through [`Recycler::lock`].
     state: Mutex<State>,
     resolved_cond: Condvar,
     /// Aggregate counters.
@@ -259,7 +344,7 @@ impl Recycler {
         Arc::new(Recycler {
             state: Mutex::new(State {
                 graph: RecyclerGraph::new(),
-                cache: RecyclerCache::new(config.cache_bytes),
+                cache: RecyclerCache::with_aging(config.cache_bytes, config.aging_alpha),
                 tags: HashMap::new(),
                 in_flight: HashMap::new(),
                 table_epochs: HashMap::new(),
@@ -274,6 +359,13 @@ impl Recycler {
     /// The active configuration.
     pub fn config(&self) -> &RecyclerConfig {
         &self.config
+    }
+
+    fn lock(&self) -> Locked<'_> {
+        Locked {
+            guard: self.state.lock(),
+            recycler: self,
+        }
     }
 
     /// Number of nodes in the recycler graph.
@@ -294,7 +386,7 @@ impl Recycler {
     /// Flush the cache (Fig. 6's simulated refresh): evict everything and
     /// restore reference counts per Eq. 4.
     pub fn flush_cache(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let alpha = self.config.aging_alpha;
         for id in st.cache.flush() {
             if id.kind == ArtifactKind::Result {
@@ -315,7 +407,7 @@ impl Recycler {
     /// engine's DML path does this); callers mutating storage behind the
     /// engine's back get stale reuse until they do.
     pub fn invalidate(&self, table: &str, new_epoch: u64) -> Vec<RecyclerEvent> {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let cur = st.table_epochs.entry(table.to_string()).or_insert(0);
         *cur = (*cur).max(new_epoch);
         let alpha = self.config.aging_alpha;
@@ -408,7 +500,7 @@ impl Recycler {
         // into repair candidates and immediate evictions.
         let mut candidates: Vec<Candidate> = Vec::new();
         {
-            let mut st = self.state.lock();
+            let mut st = self.lock();
             let cur = st.table_epochs.entry(table.to_string()).or_insert(0);
             *cur = (*cur).max(new_epoch);
             for id in st.graph.dependents_of_table(table) {
@@ -489,7 +581,7 @@ impl Recycler {
         // Phase 3 (locked): re-validate each candidate and patch in place,
         // falling back to eviction when the kernel refused, the entry
         // changed underneath us, or the repaired payload no longer fits.
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         for c in candidates {
             let id = c.aid.node;
             let Some(entry) = st.cache.get_artifact(c.aid) else {
@@ -592,8 +684,9 @@ impl Recycler {
         let schema_of =
             |p: &Plan| -> Schema { p.schema(catalog).expect("bound plan must have a schema") };
 
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let qid = st.graph.advance_tick();
+        st.cache.set_tick(qid);
 
         // --- matching + insertion (Algorithm 1) ---
         let match_start = Instant::now();
@@ -617,6 +710,7 @@ impl Recycler {
         let outcome = loop {
             let mut rw = RewriteRun {
                 cfg: &self.config,
+                stats: &self.stats,
                 qid,
                 epoch_of,
                 tags: Vec::new(),
@@ -638,7 +732,11 @@ impl Recycler {
                     let deadline = waited + self.config.stall_timeout;
                     let mut timed_out = false;
                     while st.in_flight.contains_key(&stall_on) {
-                        if self.resolved_cond.wait_until(&mut st, deadline).timed_out() {
+                        if self
+                            .resolved_cond
+                            .wait_until(&mut st.guard, deadline)
+                            .timed_out()
+                        {
                             timed_out = true;
                             break;
                         }
@@ -701,7 +799,7 @@ impl Recycler {
         prepared: &PreparedQuery,
         metrics: Option<&MetricsNode>,
     ) -> Vec<RecyclerEvent> {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         // Annotate each computed node with its measured statistics (only
         // when the query ran to completion).
         if let Some(metrics) = metrics {
@@ -771,22 +869,8 @@ impl Recycler {
         for t in &prepared.tags {
             st.tags.remove(t);
         }
-        // Benefits depend on the just-annotated statistics; refresh cached
-        // entries' ordering.
-        let model = self.config.cost_model;
-        let alpha = self.config.aging_alpha;
-        let State { graph, cache, .. } = &mut *st;
-        cache.rebenefit(|id, entry| match id.kind {
-            // Results re-derive benefit from the graph (Eq. 1 over the
-            // node's measured statistics).
-            ArtifactKind::Result => graph.benefit(id.node, model, alpha),
-            // Operator state re-derives it from its own measured
-            // construction cost and the node's decayed heat: the saving of
-            // a warm hit is the build cost, amortized per byte held.
-            ArtifactKind::HashBuild | ArtifactKind::AggTable => {
-                entry.cost * graph.decayed_h(id.node, alpha) / entry.size.max(1) as f64
-            }
-        });
+        // Releasing the lock re-ranks the entries of the nodes annotated
+        // above.
         drop(st);
         if notify {
             self.resolved_cond.notify_all();
@@ -846,42 +930,33 @@ impl Recycler {
     pub fn lineage_top(&self, k: usize) -> Vec<LineageEntry> {
         let st = self.state.lock();
         let alpha = self.config.aging_alpha;
-        let mut out: Vec<LineageEntry> = st
-            .cache
-            .ids()
-            .into_iter()
-            .filter_map(|id| {
-                let entry = st.cache.get(id)?;
-                let node = st.graph.node(id);
+        st.cache
+            .highest_benefit_first()
+            .filter(|aid| aid.kind == ArtifactKind::Result)
+            .take(k)
+            .filter_map(|aid| {
+                let entry = st.cache.get_artifact(aid)?;
+                let node = st.graph.node(aid.node);
                 Some(LineageEntry {
                     plan: node.subtree.clone(),
                     epochs: entry.epochs.clone(),
-                    benefit: entry.benefit,
-                    heat: st.graph.decayed_h(id, alpha),
+                    benefit: st.cache.benefit(aid)?,
+                    heat: st.graph.decayed_h(aid.node, alpha),
                     cost_ns: node.stats.bcost_ns,
                     cost_work: node.stats.bcost_work,
                     rows: node.stats.rows,
                     bytes: node.stats.bytes,
                 })
             })
-            .collect();
-        // `total_cmp`, descending. Cached benefits are NaN-normalized at
-        // the cache boundary (NaN-lowest policy), but rank defensively
-        // anyway: a NaN smuggled in through checkpoint round-tripping must
-        // sort *last*, never panic or float to the top.
-        out.sort_by(|a, b| {
-            let key = |x: f64| if x.is_nan() { f64::NEG_INFINITY } else { x };
-            key(b.benefit).total_cmp(&key(a.benefit))
-        });
-        out.truncate(k);
-        out
+            .collect()
     }
 
     /// Recovery warm-up: install `result` — a fresh execution of
     /// `entry.plan` against the recovered `catalog` — as a cached entry,
     /// seeding the graph node with the checkpointed cost/heat statistics
     /// so benefit ranking survives the restart. Returns whether the entry
-    /// is cached afterwards (the admission policy may still reject it).
+    /// is cached afterwards (the admission policy may still reject it, and
+    /// a bare scan, a copy of a base table, is never cached).
     pub fn warm(
         &self,
         entry: &LineageEntry,
@@ -889,8 +964,11 @@ impl Recycler {
         result: Arc<MaterializedResult>,
     ) -> bool {
         assert!(!entry.plan.has_named(), "lineage plans are bound");
+        if matches!(entry.plan, Plan::Scan { .. }) {
+            return false;
+        }
         let alpha = self.config.aging_alpha;
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let schema_of =
             |p: &Plan| -> Schema { p.schema(catalog).expect("lineage plan must have a schema") };
         let id = st.graph.match_or_insert(&entry.plan, &schema_of).id;
@@ -1027,6 +1105,7 @@ fn bump_references(graph: &mut RecyclerGraph, mt: &MatchTree, mat_above: bool, a
 /// One rewrite attempt (may be retried after a stall).
 struct RewriteRun<'a> {
     cfg: &'a RecyclerConfig,
+    stats: &'a RecyclerStats,
     qid: u64,
     /// Epoch at which the query's snapshot pins each base table.
     epoch_of: &'a dyn Fn(&str) -> u64,
@@ -1173,29 +1252,39 @@ impl<'a> RewriteRun<'a> {
     }
 
     /// Substitute a materialized subsuming result if one exists and is
-    /// fresh for this query's snapshot.
+    /// fresh for this query's snapshot. Among several, the one holding the
+    /// fewest rows is derived from (the least re-filtering or
+    /// re-aggregation), the lowest node id on a tie — the same choice in
+    /// every process.
     fn try_subsumption(&mut self, st: &mut State, plan: &Plan, id: NodeId) -> Option<Plan> {
-        let edge = st
-            .graph
-            .materialized_subsumers(id)
-            .first()
-            .map(|e| (*e).clone())?;
-        let entry = st.cache.get(edge.subsumer)?;
-        if !self.entry_fresh(entry) {
+        let checks = st.graph.subsumption_candidates(id).len() as u64;
+        if checks == 0 {
             return None;
         }
-        let result = entry.result().clone();
-        let schema = st.graph.node(edge.subsumer).schema.clone();
+        self.stats
+            .subsumption_checks
+            .fetch_add(checks, Ordering::Relaxed);
+        let (subsumer, derivation, result) = st
+            .graph
+            .materialized_subsumers(id)
+            .into_iter()
+            .filter_map(|(s, d)| {
+                let entry = st.cache.get(s)?;
+                self.entry_fresh(entry)
+                    .then(|| (s, d, entry.result().clone()))
+            })
+            .min_by_key(|(s, _, r)| (r.rows(), *s))?;
+        let schema = st.graph.node(subsumer).schema.clone();
         let tag = new_lease(st, result);
         self.tags.push(tag);
         let cached = Plan::Cached { tag, schema };
-        let derived = match &edge.derivation {
+        let derived = match &derivation {
             Derivation::Reselect => match plan {
                 Plan::Select { predicate, .. } => cached.select(predicate.clone()),
                 _ => return None,
             },
             Derivation::ProjectCols(cols) => {
-                let sup_schema = &st.graph.node(edge.subsumer).schema;
+                let sup_schema = &st.graph.node(subsumer).schema;
                 let items: Vec<(rdb_expr::Expr, &str)> = cols
                     .iter()
                     .map(|&c| (rdb_expr::Expr::col(c), sup_schema.field(c).name.as_str()))
@@ -1236,7 +1325,7 @@ impl<'a> RewriteRun<'a> {
         };
         self.events.push(RecyclerEvent::SubsumptionReused {
             node: id,
-            via: edge.subsumer,
+            via: subsumer,
         });
         Some(derived)
     }
@@ -1330,7 +1419,7 @@ impl ResultStore for Recycler {
     }
 
     fn publish(&self, tag: u64, result: MaterializedResult) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let Some(TagEntry::StoreTarget {
             node,
             qid,
@@ -1443,7 +1532,7 @@ impl ResultStore for Recycler {
         variant: u64,
         epochs: &[(String, u64)],
     ) -> Option<OperatorState> {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let id = st.graph.find_exact(plan)?;
         let aid = ArtifactId {
             node: id,
@@ -1483,7 +1572,7 @@ impl ResultStore for Recycler {
         cost: StateCost,
         epochs: &[(String, u64)],
     ) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let Some(id) = st.graph.find_exact(plan) else {
             // Subplan unknown to the graph (e.g. a recycler-off path):
             // nothing to key the artifact by.
@@ -1517,7 +1606,8 @@ impl ResultStore for Recycler {
         };
         // Benefit mirrors Eq. 1 with the artifact's own construction cost:
         // a warm hit saves the build, not the whole subtree. First-seen
-        // nodes fall back to the speculation constant h.
+        // nodes fall back to the speculation constant h for admission;
+        // once admitted, the entry is ranked on Eq. 1 like every other.
         let alpha = self.config.aging_alpha;
         let h = st.graph.decayed_h(id, alpha).max(self.config.spec_h);
         let benefit = model_cost * h / size.max(1) as f64;
@@ -1534,6 +1624,7 @@ impl ResultStore for Recycler {
                     st.graph.on_evicted(e.node, alpha);
                 }
             }
+            st.graph.mark_changed(id);
             bump!(self.stats, state_publishes);
         }
     }
@@ -1566,3 +1657,6 @@ impl ResultStore for Recycler {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -30,5 +30,5 @@ pub use eval::eval;
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use normalize::normalize_expr;
 pub use params::Params;
-pub use ranges::{analyze_conjunction, implies, Interval};
+pub use ranges::{analyze_conjunction, implies, Interval, Ranges};
 pub use sel::CompiledPredicate;

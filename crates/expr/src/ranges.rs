@@ -223,21 +223,44 @@ fn apply_cmp(iv: &mut Interval, op: CmpOp, v: Value) {
     }
 }
 
+/// A predicate's per-key interval constraints, analysed once so that
+/// implication between two analysed predicates is a comparison of
+/// intervals, with no further walk over either expression.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ranges(BTreeMap<RangeKey, Interval>);
+
+impl Ranges {
+    /// Analyse `expr`; `None` when it is outside the decidable fragment.
+    /// `Ne` conjuncts are dropped by [`analyze_conjunction`]; dropping one
+    /// from an implied predicate would be unsound, so a predicate
+    /// containing `<>` is outside the fragment here.
+    pub fn of(expr: &Expr) -> Option<Ranges> {
+        if contains_ne(expr) {
+            return None;
+        }
+        analyze_conjunction(expr).map(Ranges)
+    }
+
+    /// Whether every row satisfying `self`'s predicate satisfies
+    /// `other`'s: each constraint in `other` must be implied by `self`'s
+    /// constraint on that key.
+    pub fn implies(&self, other: &Ranges) -> bool {
+        other
+            .0
+            .iter()
+            .all(|(key, oiv)| self.0.get(key).is_some_and(|siv| siv.implies(oiv)))
+    }
+}
+
 /// Does predicate `p` imply predicate `q` (within the decidable fragment)?
 ///
-/// Conservative: returns `false` when either predicate cannot be analyzed.
-/// Note `Ne` conjuncts are dropped from both sides; dropping from `q` would
-/// be unsound, so predicates containing `<>` are rejected entirely.
+/// Conservative: returns `false` when either predicate cannot be analyzed
+/// (see [`Ranges::of`]).
 pub fn implies(p: &Expr, q: &Expr) -> bool {
-    if contains_ne(p) || contains_ne(q) {
-        return false;
+    match (Ranges::of(p), Ranges::of(q)) {
+        (Some(rp), Some(rq)) => rp.implies(&rq),
+        _ => false,
     }
-    let (Some(cp), Some(cq)) = (analyze_conjunction(p), analyze_conjunction(q)) else {
-        return false;
-    };
-    // Every constraint in q must be implied by p's constraint on that key.
-    cq.iter()
-        .all(|(key, qiv)| cp.get(key).is_some_and(|piv| piv.implies(qiv)))
 }
 
 fn contains_ne(e: &Expr) -> bool {
