@@ -90,7 +90,7 @@ impl CacheArtifact {
     /// Memory footprint charged against the cache budget.
     pub fn size_bytes(&self) -> usize {
         match self {
-            CacheArtifact::Result(r) | CacheArtifact::AggTable(r) => r.size_bytes,
+            CacheArtifact::Result(r) | CacheArtifact::AggTable(r) => r.size_bytes(),
             CacheArtifact::HashBuild(b) => b.size_bytes(),
         }
     }
@@ -165,6 +165,11 @@ impl Ord for Rank {
 
 /// An entry's key in benefit order: ties between equal ranks break by id.
 type Ranked = (Rank, ArtifactId);
+
+/// An entry taken out of the cache, payload included: methods that
+/// remove or replace an entry hand its payload back, so the recycler can
+/// drop it after releasing its lock.
+pub type Removed = (ArtifactId, CacheEntry);
 
 impl CacheEntry {
     /// The materialized result (panics on operator-state artifacts; used
@@ -379,16 +384,19 @@ impl RecyclerCache {
     }
 
     /// Try to insert a node's *result*, valid at the given base-table
-    /// `epochs`. Returns `Some(evicted)` on success (possibly empty),
-    /// `None` if the policy rejected it. The caller is responsible for
-    /// graph-side bookkeeping (Eq. 3/4) on the returned evictions.
+    /// `epochs`. Returns `Ok(evicted)` on success (possibly empty), or
+    /// hands the result back as `Err` if the policy rejected it. An `id`
+    /// already cached is left alone: `Ok` with nothing evicted, and the
+    /// newcomer dropped (callers that may race check first). The
+    /// caller is responsible for graph-side bookkeeping (Eq. 3/4) on the
+    /// returned evictions.
     pub fn insert(
         &mut self,
         id: NodeId,
         result: Arc<MaterializedResult>,
         benefit: f64,
         epochs: Vec<(String, u64)>,
-    ) -> Option<Vec<ArtifactId>> {
+    ) -> Result<Vec<Removed>, CacheArtifact> {
         self.insert_artifact(
             ArtifactId::result(id),
             CacheArtifact::Result(result),
@@ -408,33 +416,17 @@ impl RecyclerCache {
         benefit: f64,
         cost: f64,
         epochs: Vec<(String, u64)>,
-    ) -> Option<Vec<ArtifactId>> {
+    ) -> Result<Vec<Removed>, CacheArtifact> {
         debug_assert_eq!(artifact.kind(), id.kind);
         let benefit = sane_benefit(benefit);
         let size = (artifact.size_bytes() as u64).max(1);
         if self.entries.contains_key(&id) {
-            return Some(Vec::new()); // already cached (concurrent publish)
+            return Ok(Vec::new()); // already cached (concurrent publish)
         }
-        if size > self.capacity {
+        let Some(evicted) = self.make_room(size, benefit) else {
             self.rejections += 1;
-            return None;
-        }
-        let mut evicted = Vec::new();
-        if self.used + size > self.capacity {
-            match self.find_victims(size, benefit) {
-                Some(victims) => {
-                    for v in victims {
-                        self.remove_artifact(v);
-                        self.evictions += 1;
-                        evicted.push(v);
-                    }
-                }
-                None => {
-                    self.rejections += 1;
-                    return None;
-                }
-            }
-        }
+            return Err(artifact);
+        };
         let rank = self.rank_of(benefit);
         self.place(
             id,
@@ -449,7 +441,27 @@ impl RecyclerCache {
             },
         );
         self.admissions += 1;
-        Some(evicted)
+        Ok(evicted)
+    }
+
+    /// Evict victims until `size` more bytes fit, if the policy lets a
+    /// newcomer of `benefit` displace them; `None` leaves the cache as it
+    /// was.
+    fn make_room(&mut self, size: u64, benefit: f64) -> Option<Vec<Removed>> {
+        if size > self.capacity {
+            return None;
+        }
+        if self.used + size <= self.capacity {
+            return Some(Vec::new());
+        }
+        let victims = self.find_victims(size, benefit)?;
+        self.evictions += victims.len() as u64;
+        Some(
+            victims
+                .into_iter()
+                .filter_map(|v| self.remove_artifact(v).map(|e| (v, e)))
+                .collect(),
+        )
     }
 
     /// Store `entry` under `id` and index it (budget, node, benefit order).
@@ -466,46 +478,37 @@ impl RecyclerCache {
     /// epoch vector. Deliberately *not* counted as an admission — repair
     /// updates an entry the policy already accepted.
     ///
-    /// Returns `Some(evicted)` on success (victims displaced when the
-    /// repaired payload grew past free space). Returns `None` when the
-    /// cache cannot hold the repaired payload — **the entry is removed**
-    /// in that case, since its pre-repair bytes are stale either way; the
-    /// caller records the eviction.
+    /// Returns `Ok((replaced, evicted))`: the payload the entry held and
+    /// the victims displaced when the repaired payload grew past free
+    /// space. Returns `Err(payloads)` when the cache cannot hold the
+    /// repaired payload — **the entry is removed** in that case, since its
+    /// pre-repair bytes are stale either way; the caller records the
+    /// eviction — or when `id` is not cached. Either way no payload is
+    /// freed here.
     pub fn patch_artifact(
         &mut self,
         id: ArtifactId,
         artifact: CacheArtifact,
         benefit: f64,
         epochs: Vec<(String, u64)>,
-    ) -> Option<Vec<ArtifactId>> {
+    ) -> Result<(CacheArtifact, Vec<Removed>), Vec<CacheArtifact>> {
         debug_assert_eq!(artifact.kind(), id.kind);
         let benefit = sane_benefit(benefit);
         let new_size = (artifact.size_bytes() as u64).max(1);
-        let mut entry = self.remove_artifact(id)?;
-        if new_size > self.capacity {
-            return None;
-        }
-        let mut evicted = Vec::new();
-        if self.used + new_size > self.capacity {
-            match self.find_victims(new_size, benefit) {
-                Some(victims) => {
-                    for v in victims {
-                        self.remove_artifact(v);
-                        self.evictions += 1;
-                        evicted.push(v);
-                    }
-                }
-                None => return None,
-            }
-        }
-        entry.artifact = artifact;
+        let Some(mut entry) = self.remove_artifact(id) else {
+            return Err(vec![artifact]);
+        };
+        let Some(evicted) = self.make_room(new_size, benefit) else {
+            return Err(vec![entry.artifact, artifact]);
+        };
+        let replaced = std::mem::replace(&mut entry.artifact, artifact);
         entry.size = new_size;
         entry.benefit = benefit;
         entry.valued_at = self.tick;
         entry.rank = self.rank_of(benefit);
         entry.epochs = epochs;
         self.place(id, entry);
-        Some(evicted)
+        Ok((replaced, evicted))
     }
 
     /// Re-value `id` at the current tick and move it to its new position
@@ -555,14 +558,13 @@ impl RecyclerCache {
             .collect()
     }
 
-    /// Drop everything (the Fig. 6 "refresh" scenario). Returns the evicted
-    /// ids for graph-side bookkeeping.
-    pub fn flush(&mut self) -> Vec<ArtifactId> {
+    /// Empty the cache (the Fig. 6 "refresh" scenario). Returns the
+    /// removed entries for graph-side bookkeeping.
+    pub fn flush(&mut self) -> Vec<Removed> {
         let ids: Vec<ArtifactId> = self.entries.keys().copied().collect();
-        for &id in &ids {
-            self.remove_artifact(id);
-        }
-        ids
+        ids.into_iter()
+            .filter_map(|id| self.remove_artifact(id).map(|e| (id, e)))
+            .collect()
     }
 
     /// Every cached artifact, highest benefit first (ties: highest id).
@@ -599,6 +601,18 @@ mod tests {
         ))
     }
 
+    /// Insert a result; the evicted ids, or `None` when rejected.
+    fn put(
+        c: &mut RecyclerCache,
+        node: u32,
+        r: Arc<MaterializedResult>,
+        benefit: f64,
+    ) -> Option<Vec<ArtifactId>> {
+        c.insert(NodeId(node), r, benefit, vec![])
+            .ok()
+            .map(|evicted| evicted.into_iter().map(|(id, _)| id).collect())
+    }
+
     #[test]
     fn group_classification() {
         assert_eq!(group_of(1), 1);
@@ -612,7 +626,7 @@ mod tests {
     fn insert_and_lookup() {
         let mut c = RecyclerCache::new(10_000);
         let r = result(10); // 80 bytes
-        assert_eq!(c.insert(NodeId(1), r.clone(), 5.0, vec![]), Some(vec![]));
+        assert_eq!(put(&mut c, 1, r.clone(), 5.0), Some(vec![]));
         assert!(c.contains(NodeId(1)));
         assert_eq!(c.used(), 80);
         assert_eq!(c.len(), 1);
@@ -622,10 +636,10 @@ mod tests {
     #[test]
     fn benefits_age_without_reordering() {
         let mut c = RecyclerCache::with_aging(10_000, 0.5);
-        c.insert(NodeId(1), result(10), 8.0, vec![]);
+        put(&mut c, 1, result(10), 8.0);
         c.set_tick(2);
         // Valued two ticks later: 3.0 now beats the aged 8.0 (= 2.0).
-        c.insert(NodeId(2), result(10), 3.0, vec![]);
+        put(&mut c, 2, result(10), 3.0);
         let id = |n| ArtifactId::result(NodeId(n));
         assert_eq!(c.benefit(id(1)), Some(2.0));
         assert_eq!(c.group_orders(), vec![vec![id(1), id(2)]]);
@@ -643,7 +657,7 @@ mod tests {
     #[test]
     fn oversized_result_rejected() {
         let mut c = RecyclerCache::new(50);
-        assert_eq!(c.insert(NodeId(1), result(100), 100.0, vec![]), None);
+        assert_eq!(put(&mut c, 1, result(100), 100.0), None);
         assert_eq!(c.rejections, 1);
     }
 
@@ -651,12 +665,12 @@ mod tests {
     fn replacement_evicts_lower_benefit_same_group() {
         // Capacity fits exactly two 80-byte results.
         let mut c = RecyclerCache::new(160);
-        c.insert(NodeId(1), result(10), 1.0, vec![]);
-        c.insert(NodeId(2), result(10), 2.0, vec![]);
+        put(&mut c, 1, result(10), 1.0);
+        put(&mut c, 2, result(10), 2.0);
         assert_eq!(c.used(), 160);
         // Higher-benefit newcomer evicts the lowest-benefit same-group
         // entry.
-        let evicted = c.insert(NodeId(3), result(10), 3.0, vec![]).unwrap();
+        let evicted = put(&mut c, 3, result(10), 3.0).unwrap();
         assert_eq!(evicted, vec![ArtifactId::result(NodeId(1))]);
         assert!(c.contains(NodeId(2)));
         assert!(c.contains(NodeId(3)));
@@ -666,9 +680,9 @@ mod tests {
     #[test]
     fn replacement_refuses_when_average_benefit_higher() {
         let mut c = RecyclerCache::new(160);
-        c.insert(NodeId(1), result(10), 5.0, vec![]);
-        c.insert(NodeId(2), result(10), 6.0, vec![]);
-        assert_eq!(c.insert(NodeId(3), result(10), 4.0, vec![]), None);
+        put(&mut c, 1, result(10), 5.0);
+        put(&mut c, 2, result(10), 6.0);
+        assert_eq!(put(&mut c, 3, result(10), 4.0), None);
         assert!(c.contains(NodeId(1)));
         assert!(c.contains(NodeId(2)));
         assert_eq!(c.rejections, 1);
@@ -681,22 +695,22 @@ mod tests {
         // sizes: 10 ints = 80 bytes → group 7; 5 ints = 40 bytes → group 6.
         // Use three 80-byte entries and capacity 240.
         let mut c = RecyclerCache::new(240);
-        c.insert(NodeId(1), result(10), 1.0, vec![]);
-        c.insert(NodeId(2), result(10), 2.0, vec![]);
-        c.insert(NodeId(3), result(10), 9.0, vec![]);
+        put(&mut c, 1, result(10), 1.0);
+        put(&mut c, 2, result(10), 2.0);
+        put(&mut c, 3, result(10), 9.0);
         // Need 80 free; nothing free → evict 1 (benefit 1): enough.
-        let evicted = c.insert(NodeId(4), result(10), 5.0, vec![]).unwrap();
+        let evicted = put(&mut c, 4, result(10), 5.0).unwrap();
         assert_eq!(evicted, vec![ArtifactId::result(NodeId(1))]);
         // Now insert something that needs two evictions: fill up again.
-        let evicted = c.insert(NodeId(5), result(10), 10.0, vec![]).unwrap();
+        let evicted = put(&mut c, 5, result(10), 10.0).unwrap();
         assert_eq!(evicted, vec![ArtifactId::result(NodeId(2))]);
     }
 
     #[test]
     fn would_admit_previews_without_mutation() {
         let mut c = RecyclerCache::new(160);
-        c.insert(NodeId(1), result(10), 5.0, vec![]);
-        c.insert(NodeId(2), result(10), 6.0, vec![]);
+        put(&mut c, 1, result(10), 5.0);
+        put(&mut c, 2, result(10), 6.0);
         assert!(!c.would_admit(80, 4.0));
         assert!(c.would_admit(80, 7.0));
         assert_eq!(c.len(), 2, "preview must not mutate");
@@ -705,9 +719,9 @@ mod tests {
     #[test]
     fn flush_empties_and_reports() {
         let mut c = RecyclerCache::new(1000);
-        c.insert(NodeId(1), result(5), 1.0, vec![]);
-        c.insert(NodeId(2), result(5), 2.0, vec![]);
-        let mut flushed = c.flush();
+        put(&mut c, 1, result(5), 1.0);
+        put(&mut c, 2, result(5), 2.0);
+        let mut flushed: Vec<ArtifactId> = c.flush().into_iter().map(|(id, _)| id).collect();
         flushed.sort();
         assert_eq!(
             flushed,
@@ -720,23 +734,23 @@ mod tests {
     #[test]
     fn rebenefit_reorders_groups() {
         let mut c = RecyclerCache::new(1000);
-        c.insert(NodeId(1), result(10), 1.0, vec![]);
-        c.insert(NodeId(2), result(10), 2.0, vec![]);
+        put(&mut c, 1, result(10), 1.0);
+        put(&mut c, 2, result(10), 2.0);
         // Invert benefits; victim search should now pick NodeId(2) first.
         c.rerank(ArtifactId::result(NodeId(1)), 9.0);
         c.rerank(ArtifactId::result(NodeId(2)), 0.5);
         let mut c2 = c;
         c2.capacity = 160;
         c2.used = 160;
-        let evicted = c2.insert(NodeId(3), result(10), 5.0, vec![]).unwrap();
+        let evicted = put(&mut c2, 3, result(10), 5.0).unwrap();
         assert_eq!(evicted, vec![ArtifactId::result(NodeId(2))]);
     }
 
     #[test]
     fn duplicate_insert_is_noop() {
         let mut c = RecyclerCache::new(1000);
-        c.insert(NodeId(1), result(5), 1.0, vec![]);
-        assert_eq!(c.insert(NodeId(1), result(5), 1.0, vec![]), Some(vec![]));
+        put(&mut c, 1, result(5), 1.0);
+        assert_eq!(put(&mut c, 1, result(5), 1.0), Some(vec![]));
         assert_eq!(c.len(), 1);
     }
 
@@ -745,17 +759,17 @@ mod tests {
         // A zero-cost/zero-heat entry arrives with a NaN benefit: it must
         // not panic the group sort, and it must be the first victim.
         let mut c = RecyclerCache::new(160);
-        assert!(c.insert(NodeId(1), result(10), f64::NAN, vec![]).is_some());
+        assert!(put(&mut c, 1, result(10), f64::NAN).is_some());
         assert_eq!(
             c.benefit(ArtifactId::result(NodeId(1))),
             Some(0.0),
             "NaN-lowest"
         );
-        c.insert(NodeId(2), result(10), 2.0, vec![]);
+        put(&mut c, 2, result(10), 2.0);
         // Re-rank with a NaN benefit: still total ordering.
         c.rerank(ArtifactId::result(NodeId(1)), f64::NAN);
         c.rerank(ArtifactId::result(NodeId(2)), 2.0);
-        let evicted = c.insert(NodeId(3), result(10), 1.0, vec![]).unwrap();
+        let evicted = put(&mut c, 3, result(10), 1.0).unwrap();
         assert_eq!(evicted, vec![ArtifactId::result(NodeId(1))]);
         // A NaN candidate is floored to 0 benefit: it cannot displace a
         // positive-benefit incumbent.
@@ -767,7 +781,7 @@ mod tests {
         // A result and an agg-table artifact for the *same node* coexist,
         // and the evictor trades one against the other on benefit alone.
         let mut c = RecyclerCache::new(160);
-        c.insert(NodeId(1), result(10), 1.0, vec![]);
+        put(&mut c, 1, result(10), 1.0);
         let agg = ArtifactId {
             node: NodeId(1),
             kind: ArtifactKind::AggTable,
@@ -775,16 +789,56 @@ mod tests {
         };
         assert!(c
             .insert_artifact(agg, CacheArtifact::AggTable(result(10)), 5.0, 100.0, vec![])
-            .is_some());
+            .is_ok());
         assert_eq!(c.len(), 2);
         assert_eq!(c.artifacts_of(NodeId(1)).len(), 2);
         // A newcomer beats the result but not the agg table.
-        let evicted = c.insert(NodeId(2), result(10), 3.0, vec![]).unwrap();
+        let evicted = put(&mut c, 2, result(10), 3.0).unwrap();
         assert_eq!(evicted, vec![ArtifactId::result(NodeId(1))]);
         assert!(c.get_artifact(agg).is_some(), "agg table survived");
         // remove_node sweeps every kind.
         let removed = c.remove_node(NodeId(1));
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].0, agg);
+    }
+
+    #[test]
+    fn removals_and_patches_hand_payloads_back() {
+        // The cache frees no payload itself: what it replaces, evicts or
+        // refuses comes back to the caller (the recycler frees it after
+        // releasing its lock).
+        let mut c = RecyclerCache::new(160);
+        let old = result(10);
+        put(&mut c, 1, old.clone(), 1.0);
+        put(&mut c, 2, result(10), 5.0);
+        let id = ArtifactId::result(NodeId(1));
+        // A patch that fits swaps the payload and returns the old one.
+        let new = result(10);
+        let (replaced, evicted) = c
+            .patch_artifact(id, CacheArtifact::Result(new.clone()), 1.0, vec![])
+            .unwrap();
+        assert!(Arc::ptr_eq(replaced.as_result().unwrap(), &old));
+        assert!(evicted.is_empty());
+        assert!(Arc::ptr_eq(c.get(NodeId(1)).unwrap().result(), &new));
+        // A patch the cache cannot hold removes the entry and returns both
+        // payloads.
+        let huge = CacheArtifact::Result(result(100));
+        let Err(back) = c.patch_artifact(id, huge, 1.0, vec![]) else {
+            panic!("an 800-byte payload does not fit 160 bytes");
+        };
+        assert_eq!(back.len(), 2);
+        assert!(Arc::ptr_eq(back[0].as_result().unwrap(), &new));
+        assert!(!c.contains(NodeId(1)));
+        // A refused insert hands the newcomer back; an admission returns
+        // its victims' payloads.
+        let Err(refused) = c.insert(NodeId(3), result(100), 9.0, vec![]) else {
+            panic!("oversized");
+        };
+        assert_eq!(refused.size_bytes(), 800);
+        put(&mut c, 4, result(10), 6.0);
+        let evicted = c.insert(NodeId(5), result(10), 7.0, vec![]).unwrap();
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].0, ArtifactId::result(NodeId(2)));
+        assert_eq!(evicted[0].1.artifact.size_bytes(), 80);
     }
 }

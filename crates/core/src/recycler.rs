@@ -40,7 +40,7 @@ use rdb_plan::{Plan, StoreMode};
 use rdb_storage::{Catalog, CatalogSnapshot};
 use rdb_vector::Schema;
 
-use crate::cache::{ArtifactId, CacheArtifact, CacheEntry, RecyclerCache};
+use crate::cache::{ArtifactId, CacheArtifact, CacheEntry, RecyclerCache, Removed};
 use crate::config::{CostModel, RecyclerConfig, RecyclerMode};
 use crate::graph::{Derivation, MatchTree, NodeId, RecyclerGraph};
 
@@ -243,9 +243,34 @@ fn benefit_of(
 /// entries whose benefit inputs changed meanwhile, so the benefit order is
 /// current whenever the lock is free. Every path that mutates the graph
 /// takes the lock through [`Recycler::lock`].
+///
+/// Payloads taken out of the cache under the lock are parked in
+/// `displaced` and freed only after the mutex is released: fields drop in
+/// declaration order, and `guard` comes first. A displaced result can be
+/// megabytes of columns, and every statement waits on this lock.
 struct Locked<'a> {
     guard: MutexGuard<'a, State>,
     recycler: &'a Recycler,
+    displaced: Vec<CacheArtifact>,
+}
+
+impl Locked<'_> {
+    /// Free `payload` once the lock is released.
+    fn displace(&mut self, payload: CacheArtifact) {
+        self.displaced.push(payload);
+    }
+
+    /// Graph bookkeeping (Eq. 4) for entries the cache evicted; their
+    /// payloads are freed once the lock is released.
+    fn evicted(&mut self, removed: Vec<Removed>) {
+        let alpha = self.recycler.config.aging_alpha;
+        for (id, entry) in removed {
+            if id.kind == ArtifactKind::Result {
+                self.guard.graph.on_evicted(id.node, alpha);
+            }
+            self.displaced.push(entry.artifact);
+        }
+    }
 }
 
 impl Deref for Locked<'_> {
@@ -365,6 +390,7 @@ impl Recycler {
         Locked {
             guard: self.state.lock(),
             recycler: self,
+            displaced: Vec::new(),
         }
     }
 
@@ -387,12 +413,8 @@ impl Recycler {
     /// restore reference counts per Eq. 4.
     pub fn flush_cache(&self) {
         let mut st = self.lock();
-        let alpha = self.config.aging_alpha;
-        for id in st.cache.flush() {
-            if id.kind == ArtifactKind::Result {
-                st.graph.on_evicted(id.node, alpha);
-            }
-        }
+        let flushed = st.cache.flush();
+        st.evicted(flushed);
     }
 
     /// A base table committed `new_epoch`: walk the operator graph upward
@@ -410,7 +432,6 @@ impl Recycler {
         let mut st = self.lock();
         let cur = st.table_epochs.entry(table.to_string()).or_insert(0);
         *cur = (*cur).max(new_epoch);
-        let alpha = self.config.aging_alpha;
         let mut events = Vec::new();
         for id in st.graph.dependents_of_table(table) {
             // Every artifact kind of the dependent node is a candidate: a
@@ -430,14 +451,13 @@ impl Recycler {
                     continue;
                 }
                 if let Some(entry) = st.cache.remove_artifact(aid) {
-                    if aid.kind == ArtifactKind::Result {
-                        st.graph.on_evicted(id, alpha);
-                    }
+                    let bytes = entry.size;
+                    st.evicted(vec![(aid, entry)]);
                     self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
                     events.push(RecyclerEvent::Invalidated {
                         node: id,
                         kind: aid.kind,
-                        bytes: entry.size,
+                        bytes,
                         table: table.to_string(),
                     });
                 }
@@ -553,14 +573,13 @@ impl Recycler {
                         }
                         _ => {
                             if let Some(entry) = st.cache.remove_artifact(aid) {
-                                if aid.kind == ArtifactKind::Result {
-                                    st.graph.on_evicted(id, alpha);
-                                }
+                                let bytes = entry.size;
+                                st.evicted(vec![(aid, entry)]);
                                 bump!(self.stats, invalidations);
                                 out.events.push(RecyclerEvent::Invalidated {
                                     node: id,
                                     kind: aid.kind,
-                                    bytes: entry.size,
+                                    bytes,
                                     table: table.to_string(),
                                 });
                             }
@@ -571,18 +590,24 @@ impl Recycler {
         }
 
         // Phase 2 (unlocked): evaluate repair kernels, memoized per node.
-        let mut repaired_by_node: HashMap<NodeId, Option<MaterializedResult>> = HashMap::new();
+        // A select-class repair shares every sealed chunk of the cached
+        // result, so it costs the delta, not the result.
+        let mut repaired_by_node: HashMap<NodeId, Option<Arc<MaterializedResult>>> =
+            HashMap::new();
         for c in &candidates {
             repaired_by_node.entry(c.aid.node).or_insert_with(|| {
-                rdb_delta::repair(&c.plan, &c.cached, delta, snapshot, functions)
+                rdb_delta::repair(&c.plan, &c.cached, delta, snapshot, functions).map(Arc::new)
             });
         }
 
-        // Phase 3 (locked): re-validate each candidate and patch in place,
-        // falling back to eviction when the kernel refused, the entry
-        // changed underneath us, or the repaired payload no longer fits.
+        // Phase 3 (locked): re-validate each candidate and swap in its
+        // repaired payload, falling back to eviction when the kernel
+        // refused, the entry changed underneath us, or the repaired payload
+        // no longer fits. Every payload this takes out of the cache is
+        // freed after the lock is released, as are the candidates' pins on
+        // the pre-repair payloads (`candidates` outlives the guard).
         let mut st = self.lock();
-        for c in candidates {
+        for c in &candidates {
             let id = c.aid.node;
             let Some(entry) = st.cache.get_artifact(c.aid) else {
                 continue; // already gone (raced invalidate/flush)
@@ -592,50 +617,54 @@ impl Recycler {
             }
             let old_bytes = entry.size;
             let entry_cost = entry.cost;
-            let mut patched = false;
-            if let Some(r) = repaired_by_node.get(&id).and_then(|r| r.as_ref()) {
-                let new_epochs: Vec<(String, u64)> = c
-                    .epochs
-                    .iter()
-                    .map(|(t, e)| (t.clone(), if t == table { new_epoch } else { *e }))
-                    .collect();
-                let bytes = r.size_bytes as u64;
-                let rows = r.rows() as u64;
-                let benefit = match c.aid.kind {
-                    ArtifactKind::Result => st.graph.benefit(id, model, alpha),
-                    _ => entry_cost * st.graph.decayed_h(id, alpha) / bytes.max(1) as f64,
-                };
-                let artifact = match c.aid.kind {
-                    ArtifactKind::Result => CacheArtifact::Result(Arc::new(r.clone())),
-                    ArtifactKind::AggTable => CacheArtifact::AggTable(Arc::new(r.clone())),
-                    ArtifactKind::HashBuild => unreachable!("hash builds never repair"),
-                };
-                if let Some(evicted) = st
-                    .cache
-                    .patch_artifact(c.aid, artifact, benefit, new_epochs)
-                {
-                    for e in evicted {
-                        if e.kind == ArtifactKind::Result {
-                            st.graph.on_evicted(e.node, alpha);
+            let patched = match repaired_by_node.get(&id).cloned().flatten() {
+                None => {
+                    if let Some(stale) = st.cache.remove_artifact(c.aid) {
+                        st.displace(stale.artifact);
+                    }
+                    false
+                }
+                Some(r) => {
+                    let new_epochs: Vec<(String, u64)> = c
+                        .epochs
+                        .iter()
+                        .map(|(t, e)| (t.clone(), if t == table { new_epoch } else { *e }))
+                        .collect();
+                    let bytes = r.size_bytes() as u64;
+                    let rows = r.rows() as u64;
+                    let benefit = match c.aid.kind {
+                        ArtifactKind::Result => st.graph.benefit(id, model, alpha),
+                        _ => entry_cost * st.graph.decayed_h(id, alpha) / bytes.max(1) as f64,
+                    };
+                    let artifact = match c.aid.kind {
+                        ArtifactKind::Result => CacheArtifact::Result(r),
+                        ArtifactKind::AggTable => CacheArtifact::AggTable(r),
+                        ArtifactKind::HashBuild => unreachable!("hash builds never repair"),
+                    };
+                    match st.cache.patch_artifact(c.aid, artifact, benefit, new_epochs) {
+                        Ok((replaced, evicted)) => {
+                            st.displace(replaced);
+                            st.evicted(evicted);
+                            out.repaired += 1;
+                            bump!(self.stats, repaired);
+                            out.events.push(RecyclerEvent::Repaired {
+                                node: id,
+                                kind: c.aid.kind,
+                                bytes,
+                                table: table.to_string(),
+                                rows,
+                            });
+                            true
+                        }
+                        // The entry is gone: it could not hold the repair.
+                        Err(payloads) => {
+                            payloads.into_iter().for_each(|p| st.displace(p));
+                            false
                         }
                     }
-                    out.repaired += 1;
-                    bump!(self.stats, repaired);
-                    out.events.push(RecyclerEvent::Repaired {
-                        node: id,
-                        kind: c.aid.kind,
-                        bytes,
-                        table: table.to_string(),
-                        rows,
-                    });
-                    patched = true;
                 }
-            }
+            };
             if !patched {
-                // `patch_artifact` removes the entry when the payload no
-                // longer fits; cover both that path and the kernel-refusal
-                // path where the stale entry is still cached.
-                st.cache.remove_artifact(c.aid);
                 if c.aid.kind == ArtifactKind::Result {
                     st.graph.on_evicted(id, alpha);
                 }
@@ -650,6 +679,7 @@ impl Recycler {
                 });
             }
         }
+        drop(st);
         out
     }
 
@@ -865,9 +895,12 @@ impl Recycler {
                 }
             }
         }
-        // Release this query's tags (leases drop their pins).
+        // Release this query's tags. A lease may be the last pin on a
+        // result the cache already let go of: free it after the lock.
         for t in &prepared.tags {
-            st.tags.remove(t);
+            if let Some(TagEntry::Lease(r)) = st.tags.remove(t) {
+                st.displace(CacheArtifact::Result(r));
+            }
         }
         // Releasing the lock re-ranks the entries of the nodes annotated
         // above.
@@ -999,18 +1032,17 @@ impl Recycler {
             return true;
         }
         match st.cache.insert(id, result, entry.benefit, epochs) {
-            Some(evicted) => {
-                for e in evicted {
-                    if e.kind == ArtifactKind::Result {
-                        st.graph.on_evicted(e.node, alpha);
-                    }
-                }
+            Ok(evicted) => {
+                st.evicted(evicted);
                 if !st.graph.node(id).materialized {
                     st.graph.on_materialized(id, alpha);
                 }
                 true
             }
-            None => false,
+            Err(refused) => {
+                st.displace(refused);
+                false
+            }
         }
     }
 }
@@ -1457,7 +1489,7 @@ impl ResultStore for Recycler {
             self.resolved_cond.notify_all();
             return;
         }
-        let bytes = result.size_bytes as u64;
+        let bytes = result.size_bytes() as u64;
         let model = self.config.cost_model;
         let alpha = self.config.aging_alpha;
         // Benefit: measured statistics if the node has history, else the
@@ -1468,24 +1500,27 @@ impl ResultStore for Recycler {
             let cost = last_est.as_ref().map(|e| e.est_cost_ns).unwrap_or(0.0);
             cost * self.config.spec_h / bytes.max(1) as f64
         };
-        let admitted = match st
-            .cache
-            .insert(node, Arc::new(result), benefit, base_epochs)
-        {
-            Some(evicted) => {
-                for e in evicted {
-                    if e.kind == ArtifactKind::Result {
-                        st.graph.on_evicted(e.node, alpha);
+        let result = Arc::new(result);
+        let admitted = if st.cache.contains(node) {
+            // A concurrent duplicate publish (two fresh producers racing)
+            // already cached it: this copy is freed after the lock.
+            st.displace(CacheArtifact::Result(result));
+            true
+        } else {
+            match st.cache.insert(node, result, benefit, base_epochs) {
+                Ok(evicted) => {
+                    st.evicted(evicted);
+                    // Eq. 3's hR propagation runs once per materialization.
+                    if !st.graph.node(node).materialized {
+                        st.graph.on_materialized(node, alpha);
                     }
+                    true
                 }
-                // Guard against a concurrent duplicate publish (two fresh
-                // producers racing): Eq. 3's hR propagation must run once.
-                if !st.graph.node(node).materialized {
-                    st.graph.on_materialized(node, alpha);
+                Err(refused) => {
+                    st.displace(refused);
+                    false
                 }
-                true
             }
-            None => false,
         };
         if admitted {
             self.stats.materializations.fetch_add(1, Ordering::Relaxed);
@@ -1615,17 +1650,16 @@ impl ResultStore for Recycler {
             OperatorState::HashBuild(b) => CacheArtifact::HashBuild(b),
             OperatorState::AggTable(r) => CacheArtifact::AggTable(r),
         };
-        if let Some(evicted) =
-            st.cache
-                .insert_artifact(aid, artifact, benefit, model_cost, epochs.to_vec())
+        match st
+            .cache
+            .insert_artifact(aid, artifact, benefit, model_cost, epochs.to_vec())
         {
-            for e in evicted {
-                if e.kind == ArtifactKind::Result {
-                    st.graph.on_evicted(e.node, alpha);
-                }
+            Ok(evicted) => {
+                st.evicted(evicted);
+                st.graph.mark_changed(id);
+                bump!(self.stats, state_publishes);
             }
-            st.graph.mark_changed(id);
-            bump!(self.stats, state_publishes);
+            Err(refused) => st.displace(refused),
         }
     }
 

@@ -478,7 +478,7 @@ fn bare_scans_are_never_materialized() {
             cost_ns: 1.0,
             cost_work: 1.0,
             rows: result.rows() as u64,
-            bytes: result.size_bytes as u64,
+            bytes: result.size_bytes() as u64,
         };
         assert!(!rc.warm(&lineage, &catalog, result));
     }

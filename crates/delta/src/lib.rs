@@ -17,7 +17,7 @@
 //!
 //! | class               | shape                                                | append                     | delete                          |
 //! |---------------------|------------------------------------------------------|----------------------------|---------------------------------|
-//! | `repairable-select` | Select/Project/probe-side-safe Join chain over the scan | run plan over delta, append | evict (no row identity)        |
+//! | `repairable-select` | Select/Project/probe-side-safe Join chain over the scan | run plan over delta, pushed as a tail chunk | evict (no row identity) |
 //! | `repairable-agg`    | that chain under a root Aggregate, resumable aggs    | resume fold, fold delta    | count-gated retraction, else evict |
 //! | `repairable-topn`   | that chain under a root TopN                         | stable merge with top-N of delta | evict                     |
 //! | `evict-only`        | everything else                                      | evict                      | evict                           |
@@ -60,6 +60,17 @@
 //! swapped for a table holding only the delta rows. Evaluation is serial
 //! (DOP 1) — delta batches are tiny, and serial order is what the resume
 //! fold and the top-N merge tie-breaks are defined against.
+//!
+//! # Cost
+//!
+//! A cached result is a chunk list (`rdb_storage::ChunkList`), the type
+//! base-table snapshots use. A select-class repair pushes the delta's
+//! output rows as a tail chunk ([`MaterializedResult::append`]): it costs
+//! the delta plus amortized O(log `SEAL_ROWS`) tail merges, and the
+//! repaired version shares every sealed chunk with the one it replaces, so
+//! a four-row append to a 100k-row selection neither copies nor frees the
+//! selection. Aggregate and top-N results are small; their kernels gather
+//! the cached rows into one batch and rebuild a single chunk.
 
 use std::sync::Arc;
 
@@ -161,7 +172,8 @@ fn batch_from_rows(schema: &Schema, rows: &[Vec<Value>]) -> Batch {
 /// See the module docs for the full rules table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Repairability {
-    /// Select/Project/probe-safe-Join chain: append delta output rows.
+    /// Select/Project/probe-safe-Join chain: the delta's output rows are
+    /// pushed as a tail chunk.
     Select,
     /// Root aggregate over such a chain with resumable aggregates.
     Agg,
@@ -371,9 +383,7 @@ pub fn repair(
             }
             let cat = delta_catalog(snapshot, delta, &delta.appended);
             let tail = run_serial(plan, cat, functions)?;
-            let mut all = vec![cached.batch.clone()];
-            all.extend(tail);
-            Some(MaterializedResult::from_batches(schema.clone(), &all))
+            Some(cached.append(&tail))
         }
         Repairability::Agg => {
             let Plan::Aggregate {
@@ -403,9 +413,10 @@ pub fn repair(
                 .collect();
             let output_types: Vec<_> = schema.fields().iter().map(|f| f.dtype).collect();
             let delta_input = run_serial(child, cat, functions)?;
+            let old = cached.to_batch();
             let out = if appending {
                 let mut resumed = ResumedAgg::resume(
-                    &cached.batch,
+                    &old,
                     group_by.clone(),
                     aggs.clone(),
                     input_types,
@@ -420,7 +431,7 @@ pub fn repair(
                     return None;
                 }
                 rdb_exec::retract_count_groups(
-                    &cached.batch,
+                    &old,
                     group_by.clone(),
                     aggs.clone(),
                     input_types,
@@ -440,12 +451,8 @@ pub fn repair(
             let cat = delta_catalog(snapshot, delta, &delta.appended);
             let delta_out = run_serial(plan, cat, functions)?;
             let delta_batch = Batch::concat_or_empty(schema, &delta_out);
-            let merged = merge_top_n(&cached.batch, &delta_batch, keys, *n, schema)?;
-            Some(MaterializedResult {
-                schema: schema.clone(),
-                size_bytes: merged.size_bytes(),
-                batch: merged,
-            })
+            let merged = merge_top_n(&cached.to_batch(), &delta_batch, keys, *n, schema)?;
+            Some(MaterializedResult::from_batches(schema.clone(), &[merged]))
         }
     }
 }
@@ -512,10 +519,12 @@ fn merge_top_n(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use rdb_expr::Expr;
     use rdb_plan::builder::scan;
     use rdb_plan::SortKeyExpr;
-    use rdb_storage::TableBuilder;
+    use rdb_storage::{TableBuilder, SEAL_ROWS};
     use rdb_vector::DataType;
 
     fn catalog_with(rows: &[(i64, f64)]) -> Catalog {
@@ -640,8 +649,8 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
-        assert_eq!(repaired.batch.to_rows(), recomputed.batch.to_rows());
-        assert_eq!(repaired.size_bytes, recomputed.size_bytes);
+        assert_eq!(repaired.to_batch().to_rows(), recomputed.to_batch().to_rows());
+        assert_eq!(repaired.size_bytes(), recomputed.size_bytes());
     }
 
     #[test]
@@ -674,8 +683,8 @@ mod tests {
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
         assert_eq!(
-            repaired.batch.to_rows(),
-            recomputed.batch.to_rows(),
+            repaired.to_batch().to_rows(),
+            recomputed.to_batch().to_rows(),
             "resumed float fold must be bit-exact"
         );
     }
@@ -706,7 +715,7 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("count-gated repair");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
-        assert_eq!(repaired.batch.to_rows(), recomputed.batch.to_rows());
+        assert_eq!(repaired.to_batch().to_rows(), recomputed.to_batch().to_rows());
         assert_eq!(repaired.rows(), 1, "k == 2 group fully retracted");
     }
 
@@ -758,7 +767,7 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
-        assert_eq!(repaired.batch.to_rows(), recomputed.batch.to_rows());
+        assert_eq!(repaired.to_batch().to_rows(), recomputed.to_batch().to_rows());
     }
 
     #[test]
@@ -777,5 +786,229 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         assert_eq!(repaired.rows(), 0, "no delta row passes the predicate");
+    }
+
+    // ---- append repair over shared chunk lists ----------------------------
+
+    fn wide_schema() -> Schema {
+        Schema::from_pairs([
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("f", DataType::Float),
+        ])
+    }
+
+    /// One of 40 group strings, of lengths 1 to 9.
+    fn group(n: u64) -> Value {
+        Value::str(format!("{}{}", "s".repeat(n as usize % 7), n % 40))
+    }
+
+    /// Floats on a 1/8 grid, so top-N keys tie often.
+    fn grid_float(n: u64) -> Value {
+        Value::Float((n % 2000) as f64 / 8.0 - 125.0)
+    }
+
+    /// A base row: never a NULL key, so `k >= cut` keeps all but `cut`
+    /// rows and the cached selection is past `SEAL_ROWS`.
+    fn base_row(k: i64) -> Vec<Value> {
+        let n = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        vec![
+            Value::Int(k),
+            if n % 13 == 0 { Value::Null } else { group(n) },
+            if n % 11 == 0 {
+                Value::Null
+            } else {
+                grid_float(n)
+            },
+        ]
+    }
+
+    /// An appended row: NULLs in every column, the key included.
+    fn appended_row(rng: &mut SmallRng, k: i64) -> Vec<Value> {
+        let mut maybe = |v: Value| if rng.gen_bool(0.1) { Value::Null } else { v };
+        let n = k as u64 * 31 + 7;
+        vec![maybe(Value::Int(k)), maybe(group(n)), maybe(grid_float(n))]
+    }
+
+    /// `plan` run from scratch over `cat`: its output stream, compacted.
+    fn recompute(plan: &Plan, cat: Catalog) -> Vec<Batch> {
+        let ctx = ExecContext::new(Arc::new(cat));
+        let mut tree = rdb_exec::build(plan, &ctx).unwrap();
+        tree.drain().unwrap().iter().map(Batch::compact).collect()
+    }
+
+    /// Rows `[offset, offset + len)` of a batch stream, as columns.
+    fn window(stream: &[Batch], mut offset: usize, len: usize) -> Vec<Column> {
+        let mut parts: Vec<Batch> = Vec::new();
+        let mut left = len;
+        for b in stream {
+            if left == 0 {
+                break;
+            }
+            if offset >= b.rows() {
+                offset -= b.rows();
+                continue;
+            }
+            let take = (b.rows() - offset).min(left);
+            parts.push(b.slice(offset, take));
+            (offset, left) = (0, left - take);
+        }
+        Batch::concat(&parts).into_columns()
+    }
+
+    /// Asserts that `repaired` is what recomputation produced — the same
+    /// rows, cut into batches on the morsel grid of the row count — that
+    /// it shares every sealed chunk of `prev`, that its chunk count stays
+    /// within the chunk list's bound, and that its byte count is the sum
+    /// over its chunks.
+    ///
+    /// With `trust_shared`, a batch lying wholly inside the leading chunks
+    /// `repaired` shares with `prev` is not compared again: it is a window
+    /// of the very same chunk at the same rows as in `prev`, which an
+    /// earlier call checked.
+    fn assert_repaired(
+        what: &str,
+        prev: &MaterializedResult,
+        repaired: &MaterializedResult,
+        recomputed: &[Batch],
+        trust_shared: bool,
+    ) {
+        let (before, after) = (prev.chunks().chunks(), repaired.chunks().chunks());
+        let shared_rows: usize = before
+            .iter()
+            .zip(after)
+            .take_while(|(a, b)| trust_shared && Arc::ptr_eq(a, b))
+            .map(|(a, _)| a.rows())
+            .sum();
+        let rows = repaired.rows();
+        assert_eq!(
+            rows,
+            recomputed.iter().map(Batch::rows).sum::<usize>(),
+            "{what}: rows"
+        );
+        let got = repaired.batches();
+        assert_eq!(got.len(), rdb_vector::morsel_count(rows), "{what}: batch count");
+        for (i, g) in got.iter().enumerate() {
+            let (offset, len) = rdb_vector::morsel_bounds(rows, i);
+            assert_eq!(g.rows(), len, "{what}: batch {i} length");
+            if offset + len <= shared_rows {
+                continue;
+            }
+            assert!(
+                g.columns() == window(recomputed, offset, len).as_slice(),
+                "{what}: batch {i}"
+            );
+        }
+        for (k, chunk) in before.iter().enumerate() {
+            if chunk.rows() >= SEAL_ROWS {
+                assert!(Arc::ptr_eq(chunk, &after[k]), "{what}: sealed chunk {k} copied");
+            }
+        }
+        let bound = rows / SEAL_ROWS + SEAL_ROWS.ilog2() as usize + 1;
+        assert!(after.len() <= bound, "{what}: {} chunks", after.len());
+        let scratch: usize = after
+            .iter()
+            .flat_map(|c| c.columns())
+            .map(Column::size_bytes)
+            .sum();
+        assert_eq!(repaired.size_bytes(), scratch, "{what}: size_bytes");
+    }
+
+    /// Random append sequences, NULLs and strings included, against a
+    /// selection, an aggregate and a top-N cached over a base past
+    /// `SEAL_ROWS`: every repair equals recomputation at its snapshot and
+    /// shares every sealed chunk of the version it replaces.
+    #[test]
+    fn append_repairs_share_sealed_chunks_and_equal_recompute() {
+        // Optimized builds (CI runs this crate's tests with --release too)
+        // afford ten times the cases.
+        let cases: u64 = if cfg!(debug_assertions) { 30 } else { 300 };
+        let base_rows = SEAL_ROWS as i64 + 300;
+        let mut b = TableBuilder::new("t", wide_schema(), base_rows as usize);
+        for k in 0..base_rows {
+            b.push_row(base_row(k));
+        }
+        let base = b.finish();
+        let fns = Arc::new(FnRegistry::new());
+        for seed in 0..cases {
+            let mut rng = SmallRng::seed_from_u64(0xDE17A ^ seed);
+            let mut cat = Catalog::new();
+            cat.register(base.clone()).unwrap();
+            // The selection keeps the whole base; the aggregate and the
+            // top-N read only its last rows and what is appended, so
+            // recomputing them stays cheap.
+            let chain = |cut: i64| {
+                scan("t", &["k", "s", "f"]).select(Expr::name("k").ge(Expr::lit(cut)))
+            };
+            let late = base_rows - rng.gen_range(1..200);
+            let plans = [
+                ("select", chain(0)),
+                (
+                    "agg",
+                    chain(late).aggregate(
+                        vec![(Expr::name("s"), "s")],
+                        vec![
+                            (AggFunc::Sum(Expr::name("f")), "sf"),
+                            (AggFunc::CountStar, "n"),
+                            (AggFunc::Count(Expr::name("f")), "nf"),
+                            (AggFunc::Min(Expr::name("k")), "lo"),
+                            (AggFunc::Max(Expr::name("f")), "hi"),
+                        ],
+                    ),
+                ),
+                (
+                    "top-n",
+                    chain(late).top_n(
+                        vec![
+                            SortKeyExpr::desc(Expr::name("f")),
+                            SortKeyExpr::asc(Expr::name("s")),
+                        ],
+                        rng.gen_range(1..60),
+                    ),
+                ),
+            ];
+            let plans: Vec<(&str, Plan, Schema)> = plans
+                .into_iter()
+                .map(|(what, plan)| {
+                    let plan = bound(plan, &cat);
+                    let schema = plan.schema(&cat).unwrap();
+                    (what, plan, schema)
+                })
+                .collect();
+            let mut cached: Vec<MaterializedResult> = plans
+                .iter()
+                .map(|(_, plan, schema)| materialize(plan, &cat, schema))
+                .collect();
+            assert!(cached[0].chunks().chunks()[0].rows() >= SEAL_ROWS);
+            let mut next_key = base_rows;
+            // 1 to 300 appends, most cases short: every step recomputes
+            // three plans over the whole base, and about one case in
+            // sixteen still runs past 150 appends.
+            let u: f64 = rng.gen_range(0.0..1.0);
+            let steps = 300f64.powf(u * u).round() as usize;
+            for step in 0..steps {
+                let n = match rng.gen_range(0..40) {
+                    0 => rng.gen_range(64..1100),
+                    1..=4 => rng.gen_range(9..64),
+                    _ => rng.gen_range(1..=8),
+                };
+                let rows: Vec<Vec<Value>> = (next_key..next_key + n)
+                    .map(|k| appended_row(&mut rng, k))
+                    .collect();
+                next_key += n;
+                let table = cat.versioned("t").unwrap().append(&rows).unwrap();
+                let snap = cat.snapshot();
+                let delta = Delta::append("t", wide_schema(), table.epoch(), &rows);
+                for ((what, plan, _), prev) in plans.iter().zip(cached.iter_mut()) {
+                    let what = format!("seed {seed} step {step} {what}");
+                    let repaired = repair(plan, prev, &delta, &snap, &fns)
+                        .unwrap_or_else(|| panic!("{what}: repair refused"));
+                    let recomputed = recompute(plan, snap.to_catalog());
+                    let trust_shared = step > 0 && step + 1 < steps;
+                    assert_repaired(&what, prev, &repaired, &recomputed, trust_shared);
+                    *prev = repaired;
+                }
+            }
+        }
     }
 }

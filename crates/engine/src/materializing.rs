@@ -72,7 +72,7 @@ impl MatCache {
         if self.entries.contains_key(&h) {
             return;
         }
-        let size = (result.size_bytes as u64).max(1);
+        let size = (result.size_bytes() as u64).max(1);
         if let Some(cap) = self.capacity {
             if size > cap {
                 return;
@@ -215,7 +215,7 @@ impl MaterializingEngine {
         let mut mats = 0;
         let (result, _cost) = self.eval(&bound, &mut hits, &mut mats)?;
         Ok(MatOutcome {
-            batch: result.batch.clone(),
+            batch: result.to_batch(),
             wall: start.elapsed(),
             cache_hits: hits,
             materialized: mats,

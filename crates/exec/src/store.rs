@@ -21,54 +21,97 @@
 //! buffer is concatenated into the published [`MaterializedResult`]), and
 //! replay re-chunks the cached result with O(1) column slices, so a cache
 //! hit costs O(#batches) rather than O(result bytes).
+//!
+//! A [`MaterializedResult`] holds its rows as an `rdb_storage::ChunkList`,
+//! the type base-table snapshots use. A published result is one chunk. An
+//! append repair ([`MaterializedResult::append`]) pushes a tail chunk and
+//! shares every sealed chunk with the version it replaces; replay cuts the
+//! same morsel grid of the row count as before, slicing inside a chunk and
+//! gathering only the batches that straddle a chunk seam.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use rdb_plan::Plan;
-use rdb_vector::{Batch, Schema};
+use rdb_storage::{Chunk, ChunkList};
+use rdb_vector::{morsel_bounds, morsel_count, Batch, Schema};
 
 use crate::error::FailSlot;
 use crate::join::BuildSide;
 use crate::metrics::OpMetrics;
 use crate::op::{timed_next, Operator};
 
-/// A fully materialized (intermediate or final) query result.
+/// A fully materialized (intermediate or final) query result: its rows
+/// as a [`ChunkList`], the type base-table snapshots use, so a repaired
+/// version shares every sealed chunk with the one it replaces.
 #[derive(Debug, Clone)]
 pub struct MaterializedResult {
     /// Result schema (graph-canonical names).
     pub schema: Schema,
-    /// All rows, concatenated.
-    pub batch: Batch,
-    /// Memory footprint in bytes (what the recycler cache accounts).
-    pub size_bytes: usize,
+    data: ChunkList,
 }
 
 impl MaterializedResult {
-    /// Build from collected batches.
+    /// Build from collected batches: one chunk, gathered once (zero-copy
+    /// for a single selection-free batch).
     pub fn from_batches(schema: Schema, batches: &[Batch]) -> Self {
         let batch = Batch::concat_or_empty(&schema, batches);
-        let size_bytes = batch.size_bytes();
         MaterializedResult {
             schema,
-            batch,
-            size_bytes,
+            data: ChunkList::new(vec![Arc::new(Chunk::new(batch.into_columns()))]),
+        }
+    }
+
+    /// This result followed by the rows of `tail` (an append repair):
+    /// [`ChunkList::push_tail`], so the cost is the tail plus the merges
+    /// it triggers, and every sealed chunk is shared with `self`.
+    pub fn append(&self, tail: &[Batch]) -> Self {
+        let tail = Batch::concat_or_empty(&self.schema, tail);
+        MaterializedResult {
+            schema: self.schema.clone(),
+            data: self.data.push_tail(Chunk::new(tail.into_columns())),
         }
     }
 
     /// Row count.
     pub fn rows(&self) -> usize {
-        self.batch.rows()
+        self.data.rows()
     }
 
-    /// Re-chunk into standard execution batches along the morsel grid.
-    /// Zero-copy: every batch is an O(1) slice sharing this result's
-    /// column storage.
+    /// Memory footprint in bytes (what the recycler cache accounts): the
+    /// chunks' sum, kept as chunks come and go.
+    pub fn size_bytes(&self) -> usize {
+        self.data.size_bytes()
+    }
+
+    /// The rows as chunks.
+    pub fn chunks(&self) -> &ChunkList {
+        &self.data
+    }
+
+    /// Cut into standard execution batches along the morsel grid of the
+    /// row count. A batch inside one chunk is zero-copy (O(1) slices of
+    /// the chunk's columns); one straddling a chunk seam is gathered.
     pub fn batches(&self) -> Vec<Batch> {
-        (0..self.batch.morsel_count())
-            .map(|i| self.batch.morsel(i))
+        let all: Vec<usize> = (0..self.schema.len()).collect();
+        (0..morsel_count(self.rows()))
+            .map(|i| {
+                let (offset, len) = morsel_bounds(self.rows(), i);
+                self.data.scan_batch(&self.schema, &all, offset, len)
+            })
             .collect()
+    }
+
+    /// All rows as one contiguous batch: zero-copy while the result is a
+    /// single chunk, a gather otherwise. For kernels that need the whole
+    /// result at once (aggregate resume, top-N merge) and for tests.
+    pub fn to_batch(&self) -> Batch {
+        Batch::new(
+            (0..self.schema.len())
+                .map(|i| self.data.column(&self.schema, i))
+                .collect(),
+        )
     }
 }
 
@@ -152,7 +195,7 @@ impl OperatorState {
     pub fn size_bytes(&self) -> usize {
         match self {
             OperatorState::HashBuild(b) => b.size_bytes(),
-            OperatorState::AggTable(r) => r.size_bytes,
+            OperatorState::AggTable(r) => r.size_bytes(),
         }
     }
 }
@@ -666,8 +709,8 @@ mod tests {
         let out = run_to_batch(&mut op);
         assert_eq!(out.column(0).as_ints(), &[1, 2, 3], "flow uninterrupted");
         let published = store.fetch(7).expect("result published");
-        assert_eq!(published.batch.column(0).as_ints(), &[1, 2, 3]);
-        assert!(published.size_bytes > 0);
+        assert_eq!(published.to_batch().column(0).as_ints(), &[1, 2, 3]);
+        assert!(published.size_bytes() > 0);
     }
 
     #[test]
@@ -763,7 +806,7 @@ mod tests {
     fn empty_result_materializes_with_width() {
         let r = MaterializedResult::from_batches(schema(), &[]);
         assert_eq!(r.rows(), 0);
-        assert_eq!(r.batch.width(), 1);
+        assert_eq!(r.to_batch().width(), 1);
         assert!(r.batches().is_empty());
     }
 

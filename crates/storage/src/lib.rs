@@ -7,9 +7,13 @@
 //! results must be invalidated when their base tables change (§V) — tables
 //! here are **mutable through versioning**:
 //!
-//! * [`Table`] is one immutable, epoch-stamped snapshot: an ordered list
-//!   of `Arc`-shared column [`Chunk`]s, so holding a snapshot costs
-//!   nothing and survives any number of later commits;
+//! * [`Table`] is one immutable, epoch-stamped snapshot: a name, a schema
+//!   and a [`ChunkList`], an ordered list of `Arc`-shared column
+//!   [`Chunk`]s, so holding a snapshot costs nothing and survives any
+//!   number of later commits. The chunk list is also what a cached result
+//!   (`rdb_exec::MaterializedResult`) holds: an append to either pushes a
+//!   tail chunk that merges geometrically until it seals at [`SEAL_ROWS`],
+//!   and shares every chunk before it;
 //! * [`VersionedTable`] is the mutable wrapper: `append`/`delete_where`
 //!   commit a new snapshot with the epoch bumped by one — sharing every
 //!   chunk the write did not touch, so a write costs its delta — while
@@ -27,12 +31,12 @@
 use std::fmt;
 
 pub mod catalog;
+pub mod chunks;
 pub mod table;
 
 pub use catalog::{Catalog, CatalogSnapshot};
-pub use table::{
-    Chunk, CommitHook, CommitRecord, Table, TableBuilder, TableDelta, VersionedTable, SEAL_ROWS,
-};
+pub use chunks::{Chunk, ChunkList, SEAL_ROWS};
+pub use table::{CommitHook, CommitRecord, Table, TableBuilder, TableDelta, VersionedTable};
 
 /// Errors from catalog registration and table mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]

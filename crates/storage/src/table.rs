@@ -7,123 +7,19 @@ use parking_lot::RwLock;
 use rdb_vector::column::{Column, ColumnBuilder};
 use rdb_vector::{Batch, DataType, Schema, Value, BATCH_CAPACITY};
 
+use crate::chunks::{Chunk, ChunkList};
 use crate::StorageError;
 
-/// Rows at which a chunk is **sealed**: it no longer takes part in the
-/// tail merges of [`VersionedTable::append`], so it is copied (and
-/// checkpointed) exactly once. A constant multiple of [`BATCH_CAPACITY`]
-/// — at most one scan batch in that many straddles a sealed seam.
-pub const SEAL_ROWS: usize = 64 * BATCH_CAPACITY;
-
-/// An immutable run of rows, stored as one full-length [`Column`] per
-/// schema field. Chunks are the unit snapshots share by refcount, the
-/// unit a delete rewrites, and the unit a checkpoint persists.
-#[derive(Debug)]
-pub struct Chunk {
-    columns: Vec<Column>,
-    rows: usize,
-}
-
-impl Chunk {
-    /// Wrap equal-length columns.
-    pub fn new(columns: Vec<Column>) -> Chunk {
-        let rows = columns.first().map_or(0, Column::len);
-        assert!(
-            columns.iter().all(|c| c.len() == rows),
-            "chunk column length mismatch"
-        );
-        Chunk { columns, rows }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// The columns, schema order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
-    /// Rows to columns: the one place row-major values (an append, a
-    /// logged delta) become a chunk. `rows` must already be validated
-    /// against `schema`.
-    fn from_rows(schema: &Schema, rows: &[Vec<Value>]) -> Chunk {
-        let columns = schema
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let mut b = ColumnBuilder::new(f.dtype, rows.len());
-                for row in rows {
-                    b.push(row[i].clone());
-                }
-                b.finish()
-            })
-            .collect();
-        Chunk {
-            columns,
-            rows: rows.len(),
-        }
-    }
-
-    /// One chunk holding the rows of `parts`, in order.
-    fn concat(parts: &[&Chunk]) -> Chunk {
-        let columns = (0..parts[0].columns.len())
-            .map(|i| {
-                let cols: Vec<&Column> = parts.iter().map(|p| &p.columns[i]).collect();
-                Column::concat(&cols)
-            })
-            .collect();
-        Chunk {
-            columns,
-            rows: parts.iter().map(|p| p.rows).sum(),
-        }
-    }
-
-    /// Why this chunk cannot belong to a table of `schema`, if it cannot.
-    fn mismatch(&self, schema: &Schema) -> Option<String> {
-        if self.columns.len() != schema.len() {
-            return Some(format!(
-                "chunk has {} columns, schema has {}",
-                self.columns.len(),
-                schema.len()
-            ));
-        }
-        schema
-            .fields()
-            .iter()
-            .zip(&self.columns)
-            .find(|(f, c)| c.data_type() != f.dtype)
-            .map(|(f, c)| {
-                format!(
-                    "column '{}' type mismatch: chunk holds {}, schema says {}",
-                    f.name,
-                    c.data_type(),
-                    f.dtype
-                )
-            })
-    }
-
-    fn row_values(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(i)).collect()
-    }
-}
-
 /// An immutable, fully in-memory columnar **snapshot** of a table at one
-/// epoch: an ordered list of `Arc`-shared [`Chunk`]s. In-flight scans hold
-/// an `Arc<Table>` and keep reading their version's chunks however many
-/// updates commit concurrently; consecutive versions share every chunk a
-/// write did not touch.
+/// epoch: a name, a schema, an epoch and a [`ChunkList`] of `Arc`-shared
+/// [`Chunk`]s. In-flight scans hold an `Arc<Table>` and keep reading their
+/// version's chunks however many updates commit concurrently; consecutive
+/// versions share every chunk a write did not touch.
 #[derive(Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
-    /// Non-empty chunks, row order.
-    chunks: Vec<Arc<Chunk>>,
-    /// `starts[k]` is the table row at which `chunks[k]` begins.
-    starts: Vec<usize>,
-    rows: usize,
+    data: ChunkList,
     epoch: u64,
 }
 
@@ -154,7 +50,7 @@ impl Table {
     pub fn from_chunks(
         name: impl Into<String>,
         schema: Schema,
-        mut chunks: Vec<Arc<Chunk>>,
+        chunks: Vec<Arc<Chunk>>,
         epoch: u64,
     ) -> Self {
         for c in &chunks {
@@ -162,22 +58,10 @@ impl Table {
                 panic!("{why}");
             }
         }
-        chunks.retain(|c| c.rows > 0);
-        let mut rows = 0;
-        let starts = chunks
-            .iter()
-            .map(|c| {
-                let start = rows;
-                rows += c.rows;
-                start
-            })
-            .collect();
         Table {
             name: name.into(),
             schema,
-            chunks,
-            starts,
-            rows,
+            data: ChunkList::new(chunks),
             epoch,
         }
     }
@@ -200,12 +84,12 @@ impl Table {
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.data.rows()
     }
 
     /// The chunks, row order (none of them empty).
     pub fn chunks(&self) -> &[Arc<Chunk>] {
-        &self.chunks
+        self.data.chunks()
     }
 
     /// Full column by position, as one contiguous [`Column`]: a zero-copy
@@ -213,13 +97,7 @@ impl Table {
     /// table), a gather over all rows otherwise. Loader and test
     /// convenience — scans go through [`Table::scan_batch`].
     pub fn column(&self, i: usize) -> Column {
-        match self.chunks.as_slice() {
-            [] => ColumnBuilder::new(self.schema.field(i).dtype, 0).finish(),
-            chunks => {
-                let cols: Vec<&Column> = chunks.iter().map(|c| &c.columns[i]).collect();
-                Column::concat(&cols)
-            }
-        }
+        self.data.column(&self.schema, i)
     }
 
     /// Full column by name (see [`Table::column`]).
@@ -229,60 +107,29 @@ impl Table {
 
     /// Approximate in-memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .flat_map(|c| &c.columns)
-            .map(|c| c.size_bytes())
-            .sum()
+        self.data.size_bytes()
     }
 
     /// One scan batch: rows `[offset, offset+len)` of the columns at
     /// positions `projection`. A range inside one chunk — every batch of a
     /// freshly loaded table, all but one in 64 over sealed appended chunks
-    /// — is zero-copy: each batch column is an O(1) slice sharing the
-    /// chunk's storage. A range that
-    /// straddles a chunk seam is gathered into fresh columns, `len` rows of
-    /// copying. Either way the rows are the same, so callers keep cutting
-    /// batches on the grid of the table's row count alone.
+    /// — is an O(1) slice per column; a range that straddles a chunk seam
+    /// is gathered (see [`ChunkList::scan_batch`]). Either way the rows are
+    /// the same, so callers keep cutting batches on the grid of the
+    /// table's row count alone.
     pub fn scan_batch(&self, projection: &[usize], offset: usize, len: usize) -> Batch {
-        let len = len.min(self.rows.saturating_sub(offset));
-        let (mut at, end) = (offset, offset + len);
-        let mut k = self.starts.partition_point(|&s| s <= at).saturating_sub(1);
-        if len > 0 && end <= self.starts[k] + self.chunks[k].rows {
-            let (chunk, local) = (&self.chunks[k], at - self.starts[k]);
-            return Batch::new(
-                projection
-                    .iter()
-                    .map(|&i| chunk.columns[i].slice(local, len))
-                    .collect(),
-            );
-        }
-        // A seam (or no rows at all): gather what each chunk contributes.
-        let mut builders: Vec<ColumnBuilder> = projection
-            .iter()
-            .map(|&i| ColumnBuilder::new(self.schema.field(i).dtype, len))
-            .collect();
-        while at < end {
-            let chunk = &self.chunks[k];
-            let local = at - self.starts[k];
-            let take = (chunk.rows - local).min(end - at);
-            for (b, &i) in builders.iter_mut().zip(projection) {
-                b.append_column(&chunk.columns[i].slice(local, take));
-            }
-            at += take;
-            k += 1;
-        }
-        Batch::new(builders.into_iter().map(|b| b.finish()).collect())
+        self.data.scan_batch(&self.schema, projection, offset, len)
     }
 
     /// Iterate the whole table as batches of at most [`BATCH_CAPACITY`] rows
     /// over the given column positions (test/loader helper; the executor
     /// drives its own scan cursor).
     pub fn batches(&self, projection: &[usize]) -> Vec<Batch> {
-        let mut out = Vec::with_capacity(self.rows / BATCH_CAPACITY + 1);
+        let rows = self.rows();
+        let mut out = Vec::with_capacity(rows / BATCH_CAPACITY + 1);
         let mut offset = 0;
-        while offset < self.rows {
-            let len = BATCH_CAPACITY.min(self.rows - offset);
+        while offset < rows {
+            let len = BATCH_CAPACITY.min(rows - offset);
             out.push(self.scan_batch(projection, offset, len));
             offset += len;
         }
@@ -292,18 +139,13 @@ impl Table {
     /// One row as owned values (serialization helper; scans go through
     /// [`Table::scan_batch`]).
     pub fn row_values(&self, i: usize) -> Vec<Value> {
-        assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
-        let k = self.starts.partition_point(|&s| s <= i) - 1;
-        self.chunks[k].row_values(i - self.starts[k])
+        self.data.row_values(i)
     }
 
     /// All rows as owned values, row-major (test helper, and the logged
     /// form of a wholesale replacement).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        self.chunks
-            .iter()
-            .flat_map(|c| (0..c.rows).map(|i| c.row_values(i)))
-            .collect()
+        self.data.to_rows()
     }
 }
 
@@ -428,18 +270,15 @@ impl TableBuilder {
 /// writer that lost a race rebuilds against the winner's snapshot.
 ///
 /// Cost model: snapshots never copy anything (`Arc` clone), and a commit
-/// costs its delta, not the table. An append builds one tail chunk from
-/// the new rows and shares every older chunk by refcount; while the chunk
-/// before the tail is unsealed (under [`SEAL_ROWS`]) and smaller than
-/// twice the tail, the two merge, so unsealed chunks at least halve in
-/// size towards the end of the table: a row is copied O(log
-/// [`SEAL_ROWS`]) times before its chunk seals and never again, and a
-/// table holds O(rows appended / [`SEAL_ROWS`] + log [`SEAL_ROWS`])
-/// chunks with no compaction thread. A delete rewrites only the chunks
-/// that hold a doomed row and shares the rest: the cost of a recently
-/// appended row is its small tail chunk, of a row in a sealed chunk that
-/// whole chunk (a bulk load is one chunk, whatever its size). Finding the
-/// doomed rows is the caller's scan of the columns its predicate names.
+/// costs its delta, not the table. An append is
+/// [`ChunkList::push_tail`]: one tail chunk from the new rows, every older
+/// chunk shared by refcount, geometric merges among the unsealed tail
+/// chunks. A delete is [`ChunkList::without_rows`]: it rewrites only the
+/// chunks that hold a doomed row and shares the rest, so the cost of a
+/// recently appended row is its small tail chunk, of a row in a sealed
+/// chunk that whole chunk (a bulk load is one chunk, whatever its size).
+/// Finding the doomed rows is the caller's scan of the columns its
+/// predicate names.
 pub struct VersionedTable {
     name: String,
     schema: Schema,
@@ -463,54 +302,8 @@ impl std::fmt::Debug for VersionedTable {
 /// loggable delta) to commit as the next epoch, or nothing to change (no
 /// epoch is spent on no-ops).
 enum NextVersion<R> {
-    Commit(R, Vec<Arc<Chunk>>, TableDelta),
+    Commit(R, ChunkList, TableDelta),
     Noop(R),
-}
-
-/// `chunks` followed by `tail`, merged geometrically: every trailing
-/// unsealed chunk smaller than twice what follows it is folded into one
-/// new chunk with the tail (one copy, however many fold). Everything
-/// before that is shared.
-fn push_tail(chunks: &[Arc<Chunk>], tail: Chunk) -> Vec<Arc<Chunk>> {
-    let mut keep = chunks.len();
-    let mut merged = tail.rows;
-    while keep > 0 && chunks[keep - 1].rows < SEAL_ROWS && chunks[keep - 1].rows < 2 * merged {
-        keep -= 1;
-        merged += chunks[keep].rows;
-    }
-    let mut out = chunks[..keep].to_vec();
-    if keep == chunks.len() {
-        out.push(Arc::new(tail));
-    } else {
-        let mut parts: Vec<&Chunk> = chunks[keep..].iter().map(|c| &**c).collect();
-        parts.push(&tail);
-        out.push(Arc::new(Chunk::concat(&parts)));
-    }
-    out
-}
-
-/// The chunks of `old` without the rows `doomed` marks (one flag per row
-/// of `old`): a chunk holding no doomed row is shared, the others are
-/// rewritten, or dropped when nothing of them is left.
-fn without_rows(old: &Table, doomed: &[bool]) -> Vec<Arc<Chunk>> {
-    old.chunks
-        .iter()
-        .zip(&old.starts)
-        .filter_map(|(chunk, &start)| {
-            let doomed = &doomed[start..start + chunk.rows];
-            if !doomed.contains(&true) {
-                return Some(chunk.clone());
-            }
-            let kept: Vec<u32> = (0..chunk.rows as u32)
-                .filter(|&i| !doomed[i as usize])
-                .collect();
-            (!kept.is_empty()).then(|| {
-                Arc::new(Chunk::new(
-                    chunk.columns.iter().map(|c| c.take(&kept)).collect(),
-                ))
-            })
-        })
-        .collect()
 }
 
 impl VersionedTable {
@@ -557,13 +350,14 @@ impl VersionedTable {
         self.current.read().epoch()
     }
 
-    fn version(&self, chunks: Vec<Arc<Chunk>>, epoch: u64) -> Arc<Table> {
-        Arc::new(Table::from_chunks(
-            self.name.clone(),
-            self.schema.clone(),
-            chunks,
+    /// A snapshot over `data`, whose chunks already fit the schema.
+    fn version(&self, data: ChunkList, epoch: u64) -> Arc<Table> {
+        Arc::new(Table {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            data,
             epoch,
-        ))
+        })
     }
 
     /// Commit `next(old)` as the successor of the current snapshot, or
@@ -584,12 +378,12 @@ impl VersionedTable {
     ) -> Result<(R, Arc<Table>), StorageError> {
         loop {
             let old = self.snapshot();
-            let (out, chunks, delta) = match next(&old)? {
-                NextVersion::Commit(out, chunks, delta) => (out, chunks, delta),
+            let (out, data, delta) = match next(&old)? {
+                NextVersion::Commit(out, data, delta) => (out, data, delta),
                 // Nothing changed: no new epoch, no snapshot churn.
                 NextVersion::Noop(out) => return Ok((out, old)),
             };
-            let candidate = self.version(chunks, old.epoch() + 1);
+            let candidate = self.version(data, old.epoch() + 1);
             let mut cur = self.current.write();
             if cur.epoch() == old.epoch() {
                 let hook = self.hook.read().clone();
@@ -622,7 +416,7 @@ impl VersionedTable {
             }
             Ok(NextVersion::Commit(
                 (),
-                push_tail(old.chunks(), Chunk::from_rows(&self.schema, rows)),
+                old.data.push_tail(Chunk::from_rows(&self.schema, rows)),
                 TableDelta::Append {
                     rows: rows.to_vec(),
                 },
@@ -669,7 +463,7 @@ impl VersionedTable {
                 .collect();
             Ok(NextVersion::Commit(
                 captured,
-                without_rows(old, &doomed),
+                old.data.without_rows(&doomed),
                 TableDelta::Delete { deleted: indices },
             ))
         })
@@ -688,7 +482,7 @@ impl VersionedTable {
         let ((), next) = self.commit(|_| {
             Ok(NextVersion::Commit(
                 (),
-                table.chunks().to_vec(),
+                table.data.clone(),
                 TableDelta::Replace {
                     rows: table.to_rows(),
                 },
@@ -709,7 +503,7 @@ impl VersionedTable {
                 self.name
             )));
         }
-        let table = self.version(chunks, epoch);
+        let table = self.version(ChunkList::new(chunks), epoch);
         *self.current.write() = table.clone();
         Ok(table)
     }
@@ -734,10 +528,10 @@ impl VersionedTable {
                 epoch
             )));
         }
-        let chunks = match delta {
+        let data = match delta {
             TableDelta::Append { rows } => {
                 self.validate_rows(rows)?;
-                push_tail(old.chunks(), Chunk::from_rows(&self.schema, rows))
+                old.data.push_tail(Chunk::from_rows(&self.schema, rows))
             }
             TableDelta::Delete { deleted } => {
                 let mut doomed = vec![false; old.rows()];
@@ -752,14 +546,14 @@ impl VersionedTable {
                     })?;
                     *slot = true;
                 }
-                without_rows(&old, &doomed)
+                old.data.without_rows(&doomed)
             }
             TableDelta::Replace { rows } => {
                 self.validate_rows(rows)?;
-                vec![Arc::new(Chunk::from_rows(&self.schema, rows))]
+                ChunkList::new(vec![Arc::new(Chunk::from_rows(&self.schema, rows))])
             }
         };
-        *self.current.write() = self.version(chunks, epoch);
+        *self.current.write() = self.version(data, epoch);
         Ok(true)
     }
 
@@ -797,6 +591,7 @@ impl VersionedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunks::SEAL_ROWS;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use rdb_vector::DataType;

@@ -18,7 +18,7 @@ use recycler_db::expr::{AggFunc, Expr, Params};
 use recycler_db::plan::{scan, Plan};
 use recycler_db::recycler::RecyclerConfig;
 use recycler_db::storage::{Catalog, TableBuilder};
-use recycler_db::vector::{Batch, DataType, Schema, Value};
+use recycler_db::vector::{Batch, DataType, Schema, Value, BATCH_CAPACITY};
 
 fn nullable_row(rng: &mut SmallRng) -> Vec<Value> {
     vec![
@@ -297,4 +297,73 @@ fn shutdown_closes_subscriptions_after_draining() {
     assert_eq!(events.len(), 2, "Initial + one Delta, then end: {events:?}");
     assert!(matches!(events[0], DeltaEvent::Initial(_)));
     assert!(matches!(events[1], DeltaEvent::Delta { .. }));
+}
+
+#[test]
+fn large_selection_repairs_share_its_chunks() {
+    // A cached selection past 100k rows survives 200 four-row appends.
+    // Each append is a select-class repair that pushes a small tail chunk
+    // and shares the big one, so every read is a repaired hit equal to an
+    // engine without a recycler, and replay still hands out the big
+    // chunk's own storage for every batch but the last two (the seam
+    // batch and the tail, which are gathered).
+    const BASE: usize = 120_000;
+    let catalog = || {
+        let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Float)]);
+        let mut b = TableBuilder::new("t", schema, BASE);
+        for i in 0..BASE as i64 {
+            b.push_row(vec![Value::Int(i % 50 - 5), Value::Float(i as f64 / 4.0)]);
+        }
+        let mut cat = Catalog::new();
+        cat.register(b.finish()).unwrap();
+        Arc::new(cat)
+    };
+    let mut config = RecyclerConfig::deterministic(64 << 20);
+    config.spec_min_progress = 0.0;
+    let engine = Engine::builder(catalog()).recycler(config).build();
+    let oracle = Engine::builder(catalog()).no_recycler().build();
+    let plan = scan("t", &["k", "v"]).select(Expr::name("k").ge(Expr::lit(0i64)));
+    let session = engine.session();
+    let read = || {
+        let mut handle = session.query(&plan).unwrap();
+        let batches: Vec<Batch> = handle.by_ref().collect();
+        (handle.reused(), batches)
+    };
+
+    session.query(&plan).unwrap().into_outcome();
+    let (reused, first) = read();
+    assert!(reused, "the selection is cached after its first run");
+    let cached_rows: usize = first.iter().map(Batch::rows).sum();
+    assert!(cached_rows >= 100_000, "{cached_rows} rows");
+    let inside = cached_rows / BATCH_CAPACITY;
+
+    let mut rng = SmallRng::seed_from_u64(24);
+    for step in 0..200 {
+        let rows: Vec<Vec<Value>> = (0..4).map(|_| nullable_row(&mut rng)).collect();
+        let write = engine.append("t", &rows).unwrap();
+        oracle.append("t", &rows).unwrap();
+        assert!(
+            write.repaired >= 1 && write.repair_fallbacks == 0,
+            "step {step}: {write:?}"
+        );
+        let (reused, batches) = read();
+        assert!(reused, "step {step}: the read after an append is a repaired hit");
+        let want = oracle.session().query(&plan).unwrap().into_outcome().batch;
+        assert!(
+            Batch::concat(&batches).columns() == Batch::concat(&[want]).columns(),
+            "step {step}: repaired hit diverged from recomputation"
+        );
+        for (i, b) in batches.iter().take(inside).enumerate() {
+            for c in 0..b.width() {
+                assert!(
+                    b.column(c).shares_storage(first[i].column(c)),
+                    "step {step}: batch {i} column {c} was copied"
+                );
+            }
+        }
+        assert!(batches.len() - inside <= 2, "step {step}: {} batches", batches.len());
+    }
+    let stats = &engine.recycler().unwrap().stats;
+    assert_eq!(stats.repair_fallbacks.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.deltas_applied.load(Ordering::Relaxed), 200);
 }

@@ -182,7 +182,7 @@ fn store_tee_shares_storage_end_to_end() {
     let out = run_to_batch(tree.root.as_mut());
     assert_eq!(out.rows(), 800, "tuple flow uninterrupted");
     let published = store.fetch(7).expect("result published");
-    for (i, col) in published.batch.columns().iter().enumerate() {
+    for (i, col) in published.to_batch().columns().iter().enumerate() {
         assert!(
             col.shares_storage(&table.column(i)),
             "store tee must not copy column {i}"
