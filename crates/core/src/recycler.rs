@@ -592,8 +592,7 @@ impl Recycler {
         // Phase 2 (unlocked): evaluate repair kernels, memoized per node.
         // A select-class repair shares every sealed chunk of the cached
         // result, so it costs the delta, not the result.
-        let mut repaired_by_node: HashMap<NodeId, Option<Arc<MaterializedResult>>> =
-            HashMap::new();
+        let mut repaired_by_node: HashMap<NodeId, Option<Arc<MaterializedResult>>> = HashMap::new();
         for c in &candidates {
             repaired_by_node.entry(c.aid.node).or_insert_with(|| {
                 rdb_delta::repair(&c.plan, &c.cached, delta, snapshot, functions).map(Arc::new)
@@ -641,7 +640,10 @@ impl Recycler {
                         ArtifactKind::AggTable => CacheArtifact::AggTable(r),
                         ArtifactKind::HashBuild => unreachable!("hash builds never repair"),
                     };
-                    match st.cache.patch_artifact(c.aid, artifact, benefit, new_epochs) {
+                    match st
+                        .cache
+                        .patch_artifact(c.aid, artifact, benefit, new_epochs)
+                    {
                         Ok((replaced, evicted)) => {
                             st.displace(replaced);
                             st.evicted(evicted);

@@ -649,7 +649,10 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
-        assert_eq!(repaired.to_batch().to_rows(), recomputed.to_batch().to_rows());
+        assert_eq!(
+            repaired.to_batch().to_rows(),
+            recomputed.to_batch().to_rows()
+        );
         assert_eq!(repaired.size_bytes(), recomputed.size_bytes());
     }
 
@@ -715,7 +718,10 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("count-gated repair");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
-        assert_eq!(repaired.to_batch().to_rows(), recomputed.to_batch().to_rows());
+        assert_eq!(
+            repaired.to_batch().to_rows(),
+            recomputed.to_batch().to_rows()
+        );
         assert_eq!(repaired.rows(), 1, "k == 2 group fully retracted");
     }
 
@@ -767,7 +773,10 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
-        assert_eq!(repaired.to_batch().to_rows(), recomputed.to_batch().to_rows());
+        assert_eq!(
+            repaired.to_batch().to_rows(),
+            recomputed.to_batch().to_rows()
+        );
     }
 
     #[test]
@@ -887,7 +896,11 @@ mod tests {
             "{what}: rows"
         );
         let got = repaired.batches();
-        assert_eq!(got.len(), rdb_vector::morsel_count(rows), "{what}: batch count");
+        assert_eq!(
+            got.len(),
+            rdb_vector::morsel_count(rows),
+            "{what}: batch count"
+        );
         for (i, g) in got.iter().enumerate() {
             let (offset, len) = rdb_vector::morsel_bounds(rows, i);
             assert_eq!(g.rows(), len, "{what}: batch {i} length");
@@ -901,7 +914,10 @@ mod tests {
         }
         for (k, chunk) in before.iter().enumerate() {
             if chunk.rows() >= SEAL_ROWS {
-                assert!(Arc::ptr_eq(chunk, &after[k]), "{what}: sealed chunk {k} copied");
+                assert!(
+                    Arc::ptr_eq(chunk, &after[k]),
+                    "{what}: sealed chunk {k} copied"
+                );
             }
         }
         let bound = rows / SEAL_ROWS + SEAL_ROWS.ilog2() as usize + 1;
@@ -937,9 +953,8 @@ mod tests {
             // The selection keeps the whole base; the aggregate and the
             // top-N read only its last rows and what is appended, so
             // recomputing them stays cheap.
-            let chain = |cut: i64| {
-                scan("t", &["k", "s", "f"]).select(Expr::name("k").ge(Expr::lit(cut)))
-            };
+            let chain =
+                |cut: i64| scan("t", &["k", "s", "f"]).select(Expr::name("k").ge(Expr::lit(cut)));
             let late = base_rows - rng.gen_range(1..200);
             let plans = [
                 ("select", chain(0)),

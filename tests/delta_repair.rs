@@ -347,7 +347,10 @@ fn large_selection_repairs_share_its_chunks() {
             "step {step}: {write:?}"
         );
         let (reused, batches) = read();
-        assert!(reused, "step {step}: the read after an append is a repaired hit");
+        assert!(
+            reused,
+            "step {step}: the read after an append is a repaired hit"
+        );
         let want = oracle.session().query(&plan).unwrap().into_outcome().batch;
         assert!(
             Batch::concat(&batches).columns() == Batch::concat(&[want]).columns(),
@@ -361,7 +364,11 @@ fn large_selection_repairs_share_its_chunks() {
                 );
             }
         }
-        assert!(batches.len() - inside <= 2, "step {step}: {} batches", batches.len());
+        assert!(
+            batches.len() - inside <= 2,
+            "step {step}: {} batches",
+            batches.len()
+        );
     }
     let stats = &engine.recycler().unwrap().stats;
     assert_eq!(stats.repair_fallbacks.load(Ordering::Relaxed), 0);
