@@ -4,16 +4,15 @@
 //!
 //! Part 1 — repair vs recompute latency, as the write→read round trip.
 //! A pure-SUM aggregate (TPC-H Q6) over lineitem is cached, then hit
-//! with small appends. With repair on, the commit patches the cached
-//! entries in place and the follow-up query is a cache hit; with repair
-//! off, the commit evicts and the follow-up query recomputes from
-//! scratch. Repair work is proportional to the delta, recompute to the
-//! table — the gap is the point of the subsystem.
+//! with small appends: the commit patches the cached entries in place and
+//! the follow-up query is a cache hit. The same round trip on an engine
+//! without a recycler recomputes from scratch. Repair work is
+//! proportional to the delta, recompute to the table — the gap is the
+//! point of the subsystem.
 //!
 //! Part 2 — hit-rate curve. The `update_mix` workload is swept across
-//! write fractions 0%–30%, once with repair on and once with repair off
-//! (evict-on-write). Repair holds the curve near the read-only ceiling
-//! while eviction decays with every point of write mix.
+//! write fractions 0%–30%; repair holds the curve near the read-only
+//! ceiling.
 //!
 //! Emits `BENCH_repair.json` at the workspace root (override with
 //! `RDB_BENCH_OUT`).
@@ -47,14 +46,16 @@ fn lineitem_row(rng: &mut SmallRng, orderkey: i64) -> Vec<Value> {
     ]
 }
 
-fn engine(repair: bool) -> std::sync::Arc<Engine> {
+fn engine(recycling: bool) -> std::sync::Arc<Engine> {
     let cat = generate(&TpchConfig {
         scale: 0.01,
         seed: 77,
     });
+    if !recycling {
+        return Engine::builder(cat).no_recycler().build();
+    }
     let mut c = RecyclerConfig::deterministic(256 << 20);
     c.spec_min_progress = 0.0;
-    c.repair = repair;
     Engine::builder(cat).recycler(c).build()
 }
 
@@ -70,16 +71,15 @@ struct Latency {
     repaired: u64,
 }
 
-/// Part 1: the write→read round trip with repair vs evict. In both
-/// configurations an append commits against a warm Q6 (a pure-SUM
-/// aggregate — the repairable class; Q1 carries AVGs, which are
-/// float-order-sensitive and deliberately evict-only). With repair the
-/// commit patches the cached entries in place and the follow-up query is
-/// a cache hit; with evict the follow-up query recomputes the aggregate
-/// from scratch.
-fn latency(repair: bool) -> Latency {
+/// Part 1: the write→read round trip with and without a recycler. An
+/// append commits against a warm Q6 (a pure-SUM aggregate — the
+/// repairable class; Q1 carries AVGs, which are float-order-sensitive and
+/// deliberately evict-only). With the recycler the commit patches the
+/// cached entries in place and the follow-up query is a cache hit;
+/// without one the follow-up query recomputes the aggregate from scratch.
+fn latency(recycling: bool) -> Latency {
     const APPENDS: usize = 40;
-    let engine = engine(repair);
+    let engine = engine(recycling);
     let session = engine.session();
     let mut rng = SmallRng::seed_from_u64(31);
     let q6 = templates::q6_template()
@@ -101,11 +101,9 @@ fn latency(repair: bool) -> Latency {
         let t1 = Instant::now();
         let hit = session.query(&q6).expect("after-write").into_outcome();
         after_us.push(t1.elapsed().as_secs_f64() * 1e6);
-        if repair {
+        if recycling {
             assert!(out.repaired >= 1, "append {i} must repair the cached Q6");
             assert!(hit.reused(), "the repaired entry keeps serving");
-        } else {
-            assert!(!hit.reused(), "evict-on-write must force a recompute");
         }
     }
     let repaired = engine
@@ -119,10 +117,10 @@ fn latency(repair: bool) -> Latency {
     }
 }
 
-/// Part 2: hit rate as a function of write fraction, repair vs evict.
-fn hit_rate(repair: bool, write_every: Option<usize>) -> f64 {
+/// Part 2: hit rate as a function of write fraction.
+fn hit_rate(write_every: Option<usize>) -> f64 {
     const OPS: usize = 240;
-    let engine = engine(repair);
+    let engine = engine(true);
     let session = engine.session();
     let mut rng = SmallRng::seed_from_u64(99);
     let pool: Vec<_> = {
@@ -163,19 +161,16 @@ fn main() {
     rdb_bench::banner("delta_repair — repair cost and hit-rate curve");
 
     let rep = latency(true);
-    let evi = latency(false);
-    let speedup = evi.after_write_us / rep.after_write_us;
+    let cold = latency(false);
+    let speedup = cold.after_write_us / rep.after_write_us;
     println!(
         "write→read round trip (median): repair {:.0} us commit + {:.0} us \
-         hit  vs  evict {:.0} us commit + {:.0} us recompute \
+         hit  vs  no recycler {:.0} us commit + {:.0} us recompute \
          ({} entries repaired; {speedup:.1}x faster after-write read)",
-        rep.commit_us, rep.after_write_us, evi.commit_us, evi.after_write_us, rep.repaired
+        rep.commit_us, rep.after_write_us, cold.commit_us, cold.after_write_us, rep.repaired
     );
     assert!(rep.repaired >= 40, "every append must repair the cached Q6");
-    assert!(
-        speedup > 1.0,
-        "the post-write hit must beat the post-evict recompute"
-    );
+    assert!(speedup > 1.0, "the post-write hit must beat a recompute");
 
     // Write fractions 0%..30%: `write_every = ceil(1/f)`.
     let mixes: [(f64, Option<usize>); 5] = [
@@ -185,30 +180,16 @@ fn main() {
         (0.20, Some(5)),
         (0.30, Some(3)),
     ];
-    println!(
-        "\n{:>10} {:>14} {:>14}",
-        "write mix", "repair hit%", "evict hit%"
-    );
+    println!("\n{:>10} {:>14}", "write mix", "repair hit%");
     let mut curve = String::new();
     for (frac, every) in mixes {
-        let with_repair = hit_rate(true, every);
-        let with_evict = hit_rate(false, every);
-        println!(
-            "{:>9.0}% {:>13.1}% {:>13.1}%",
-            frac * 100.0,
-            with_repair * 100.0,
-            with_evict * 100.0
-        );
-        assert!(
-            with_repair >= with_evict,
-            "repair must dominate evict at every write mix"
-        );
+        let with_repair = hit_rate(every);
+        println!("{:>9.0}% {:>13.1}%", frac * 100.0, with_repair * 100.0);
         if !curve.is_empty() {
             curve.push_str(",\n");
         }
         curve.push_str(&format!(
-            "  {{\"write_mix\": {frac:.2}, \"repair_hit_rate\": {with_repair:.4}, \
-             \"evict_hit_rate\": {with_evict:.4}}}"
+            "  {{\"write_mix\": {frac:.2}, \"repair_hit_rate\": {with_repair:.4}}}"
         ));
     }
 
@@ -218,12 +199,12 @@ fn main() {
         "{{\n\"bench\": \"delta_repair\",\n\
          \"repair_commit_us_median\": {:.1},\n\
          \"hit_after_repair_us_median\": {:.1},\n\
-         \"evict_commit_us_median\": {:.1},\n\
-         \"recompute_after_evict_us_median\": {:.1},\n\
+         \"no_recycler_commit_us_median\": {:.1},\n\
+         \"recompute_after_write_us_median\": {:.1},\n\
          \"after_write_speedup\": {speedup:.2},\n\
          \"entries_repaired\": {},\n\
          \"hit_rate_curve\": [\n{curve}\n]\n}}\n",
-        rep.commit_us, rep.after_write_us, evi.commit_us, evi.after_write_us, rep.repaired
+        rep.commit_us, rep.after_write_us, cold.commit_us, cold.after_write_us, rep.repaired
     );
     std::fs::write(&out_path, json).expect("write BENCH_repair.json");
     println!("\nsnapshot written to {out_path}");

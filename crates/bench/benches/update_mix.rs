@@ -4,12 +4,10 @@
 //! update-aware caching preserves. A stream of TPC-H Q1/Q6/Q14 executions
 //! (drawn from a small parameter pool, so repeats occur) is interleaved
 //! with DML: every `1/WRITE_FRACTION`-th operation appends a few lineitem
-//! rows, bumping the epoch. Four configurations:
+//! rows, bumping the epoch. Three configurations:
 //!
 //! * `repair` — recycling on, deltas repair cached entries in place (the
 //!   measured system, `rdb_delta`);
-//! * `evict_baseline` — recycling on, repair disabled: every write evicts
-//!   the dependent entries (PR 3's behavior);
 //! * `naive` — recycling off, same mix (the floor);
 //! * `read_only` — recycling on, no writes (the ceiling).
 //!
@@ -114,7 +112,7 @@ fn sorted_rows(b: &Batch) -> Vec<Vec<Value>> {
     rows
 }
 
-fn run(with_recycler: bool, with_writes: bool, repair: bool, verify: bool) -> RunResult {
+fn run(with_recycler: bool, with_writes: bool, verify: bool) -> RunResult {
     let cat = generate(&TpchConfig {
         scale: 0.01,
         seed: 77,
@@ -123,7 +121,6 @@ fn run(with_recycler: bool, with_writes: bool, repair: bool, verify: bool) -> Ru
     builder = if with_recycler {
         let mut c = RecyclerConfig::deterministic(256 << 20);
         c.spec_min_progress = 0.0;
-        c.repair = repair;
         builder.recycler(c)
     } else {
         builder.no_recycler()
@@ -219,19 +216,17 @@ fn run(with_recycler: bool, with_writes: bool, repair: bool, verify: bool) -> Ru
 }
 
 fn main() {
-    rdb_bench::banner("update_mix — repair vs evict under a 10% write mix");
+    rdb_bench::banner("update_mix — repair under a 10% write mix");
     // The measured run is also the verified run: every answer is compared
     // against a materializing oracle over its snapshot (oracle time is
     // kept out of the reported engine time).
-    let repair = run(true, true, true, true);
-    let evict = run(true, true, false, false);
-    let naive = run(false, true, false, false);
-    let read_only = run(true, false, true, false);
+    let repair = run(true, true, true);
+    let naive = run(false, true, false);
+    let read_only = run(true, false, false);
 
     let queries_mixed = QUERIES - repair.writes;
     let hit = |r: &RunResult, q: usize| r.reuses as f64 / q as f64;
     let hit_rate = hit(&repair, queries_mixed);
-    let hit_rate_evict = hit(&evict, queries_mixed);
     let hit_rate_ro = hit(&read_only, QUERIES);
     println!(
         "{:>16} {:>12} {:>10} {:>8} {:>10} {:>8}",
@@ -239,7 +234,6 @@ fn main() {
     );
     for (name, r, q) in [
         ("repair", &repair, queries_mixed),
-        ("evict_baseline", &evict, queries_mixed),
         ("naive", &naive, queries_mixed),
         ("read_only", &read_only, QUERIES),
     ] {
@@ -249,11 +243,10 @@ fn main() {
         );
     }
     println!(
-        "\nhit-rate under 10% writes: repair {:.1}% vs evict {:.1}% \
+        "\nhit-rate under 10% writes: repair {:.1}% \
          (read-only ceiling {:.1}%), {} entries repaired, 0 stale reads, \
          {} stale publishes rejected",
         hit_rate * 100.0,
-        hit_rate_evict * 100.0,
         hit_rate_ro * 100.0,
         repair.repaired,
         repair.stale_rejections
@@ -261,10 +254,6 @@ fn main() {
     assert!(
         repair.repaired > 0,
         "appends must repair cached entries in place"
-    );
-    assert!(
-        hit_rate >= hit_rate_evict,
-        "repair must not lose hits vs evict-on-write"
     );
     assert!(
         hit_rate >= 0.85,
@@ -280,9 +269,7 @@ fn main() {
          \"read_only_ms\": {:.1},\n\"reuses\": {},\n\"repaired\": {},\n\
          \"read_only_reuses\": {},\n\"hit_rate\": {:.4},\n\
          \"read_only_hit_rate\": {:.4},\n\"invalidations\": {},\n\
-         \"stale_rejections\": {},\n\"stale_reads\": 0,\n\
-         \"evict_baseline\": {{\n  \"hit_rate\": {:.4},\n  \"total_ms\": {:.1},\n \
-         \"reuses\": {},\n  \"invalidations\": {}\n}}\n}}\n",
+         \"stale_rejections\": {},\n\"stale_reads\": 0\n}}\n",
         queries_mixed,
         WRITE_EVERY,
         repair.writes,
@@ -295,11 +282,7 @@ fn main() {
         hit_rate,
         hit_rate_ro,
         repair.invalidations,
-        repair.stale_rejections,
-        hit_rate_evict,
-        evict.total_ms,
-        evict.reuses,
-        evict.invalidations
+        repair.stale_rejections
     );
     std::fs::write(&out_path, json).expect("write BENCH_update.json");
     println!("snapshot written to {out_path}");

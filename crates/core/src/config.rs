@@ -52,11 +52,6 @@ pub struct RecyclerConfig {
     pub stall_timeout: Duration,
     /// Look for a materialized subsumer when exact matching fails (§IV-A).
     pub enable_subsumption: bool,
-    /// Repair dependent cache entries in place from DML deltas instead of
-    /// evicting them, where the classification allows it (`rdb_delta`).
-    /// Off reproduces the pure evict-on-write behaviour of the paper's
-    /// baseline invalidation.
-    pub repair: bool,
 }
 
 impl Default for RecyclerConfig {
@@ -73,7 +68,6 @@ impl Default for RecyclerConfig {
             spec_min_progress: 0.05,
             stall_timeout: Duration::from_secs(10),
             enable_subsumption: true,
-            repair: true,
         }
     }
 }

@@ -500,7 +500,7 @@ impl Recycler {
         if delta.is_empty() {
             return out;
         }
-        if !self.config.repair || snapshot.epoch_of(table) != Some(new_epoch) {
+        if snapshot.epoch_of(table) != Some(new_epoch) {
             out.events = self.invalidate(table, new_epoch);
             return out;
         }

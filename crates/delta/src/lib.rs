@@ -823,8 +823,12 @@ mod tests {
         let n = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
         vec![
             Value::Int(k),
-            if n % 13 == 0 { Value::Null } else { group(n) },
-            if n % 11 == 0 {
+            if n.is_multiple_of(13) {
+                Value::Null
+            } else {
+                group(n)
+            },
+            if n.is_multiple_of(11) {
                 Value::Null
             } else {
                 grid_float(n)

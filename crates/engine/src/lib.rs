@@ -8,7 +8,7 @@
 //!   limit ("Vectorwise was set up to execute 12 queries in parallel"),
 //!   held as an RAII slot for the lifetime of each query handle.
 //! * [`MaterializingEngine`] — the operator-at-a-time comparison baseline
-//!   (MonetDB-style, after Ivanova et al. [10]): every operator fully
+//!   (MonetDB-style, after Ivanova et al. \[10\]): every operator fully
 //!   materializes its result, and with recycling enabled every intermediate
 //!   is admitted to the cache and matched directly against cached results.
 

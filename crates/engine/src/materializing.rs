@@ -1,7 +1,7 @@
 //! Operator-at-a-time baseline engine ("MonetDB-style").
 //!
 //! The paper contrasts its pipelined recycler with the MonetDB recycler of
-//! Ivanova et al. [10], whose execution paradigm materializes *every*
+//! Ivanova et al. \[10\], whose execution paradigm materializes *every*
 //! intermediate result as a by-product. This module reproduces that
 //! behaviour for the Fig. 6 comparison:
 //!
@@ -10,7 +10,7 @@
 //!   (materialization is free), and incoming subtrees are matched directly
 //!   against cached results;
 //! * with a bounded cache, the lowest-benefit entries are evicted
-//!   (`benefit = cost · refs / size`, as in [10]).
+//!   (`benefit = cost · refs / size`, as in \[10\]).
 //!
 //! Consequently the cache must hold *all* intermediates of a result's
 //! subtree for the final result to be cheap, which is exactly the
@@ -167,7 +167,7 @@ impl MaterializingEngine {
         }
     }
 
-    /// Engine with [10]-style recycling. `capacity` of `None` means an
+    /// Engine with \[10\]-style recycling. `capacity` of `None` means an
     /// unlimited cache (the paper's "Unlimited" configuration).
     pub fn recycling(catalog: Arc<Catalog>, capacity: Option<u64>) -> Self {
         MaterializingEngine {

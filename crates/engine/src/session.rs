@@ -390,7 +390,7 @@ impl Session {
     /// Subscribe to a query written as SQL text: parse, bind, and
     /// substitute `params` exactly like [`Session::prepare_sql`] +
     /// execute, then register the concrete plan as a live query. The
-    /// returned [`Subscription`] yields
+    /// returned [`crate::Subscription`] yields
     /// [`crate::subscribe::DeltaEvent::Initial`] with the full result as
     /// of registration, then one event per committed write touching the
     /// plan's base tables — appended rows where the plan is select-class

@@ -15,10 +15,10 @@
 //! recycler requires: fingerprint-identical plans must publish
 //! byte-identical `MaterializedResult`s whether they ran at DOP 1 or 8.
 //!
-//! The same [`GroupTable`] state backs both the serial [`HashAggExec`] and
+//! The same `GroupTable` state backs both the serial [`HashAggExec`] and
 //! the partitioned parallel aggregation: each worker folds its morsels into
 //! a private table, and the partials are merged pairwise at the breaker
-//! ([`GroupTable::merge`]), where the sort then erases the merge order.
+//! (`GroupTable::merge`), where the sort then erases the merge order.
 
 use std::sync::Arc;
 
@@ -431,7 +431,7 @@ fn resume_acc(func: &AggFunc, input_types: &[DataType], v: Value) -> Option<Acc>
 /// An aggregation table re-materialized from a cached result so that new
 /// input rows can be folded in *incrementally* — the delta-repair kernel
 /// for appends. `resume` rebuilds every group's accumulator from its
-/// finished output row (see [`resume_acc`] for which aggregates admit
+/// finished output row (see `resume_acc` for which aggregates admit
 /// this), `fold` continues the serial fold with delta rows, and `finish`
 /// re-emits the sorted groups. The emitted batches are byte-identical to
 /// recomputing the aggregate over old ++ delta input.

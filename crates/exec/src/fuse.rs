@@ -48,8 +48,8 @@
 //! whole and charged to every stage of the span. The span root's time is
 //! therefore inclusive of its whole subtree (what the recycler reads for
 //! subtree cost); interior stages over-report by the stages above them.
-//! All counters accumulate in per-chain [`StageLocal`]s and are flushed to
-//! the shared atomics every [`FLUSH_EVERY`] steps and at end of input —
+//! All counters accumulate in per-chain `StageLocal`s and are flushed to
+//! the shared atomics every `FLUSH_EVERY` steps and at end of input —
 //! per-stage atomic traffic per morsel is measurable overhead.
 //!
 //! # Failure rule

@@ -29,7 +29,7 @@
 //!   their morsel index and the gather re-sequences them, emitting exactly
 //!   the serial batch sequence;
 //! * order-insensitive breakers take the other route: parallel aggregation
-//!   merges per-worker [`GroupTable`] partials and sorts groups by key
+//!   merges per-worker `GroupTable` partials and sorts groups by key
 //!   (the serial aggregate emits in the same sorted order), and parallel
 //!   top-N merges per-worker heap runs whose ties are broken by global
 //!   scan position (the serial top-N uses the same rule).
@@ -415,7 +415,7 @@ fn run_partials<S: Send + 'static>(
 }
 
 /// Partitioned hash aggregation: every worker folds its morsels into a
-/// private [`GroupTable`]; the partials are merged at the breaker and the
+/// private `GroupTable`; the partials are merged at the breaker and the
 /// merged groups emitted sorted by key — the same order the serial
 /// aggregate emits, so the result is independent of the merge order.
 pub struct ParallelAggExec {

@@ -43,16 +43,16 @@ impl AggFunc {
         }
     }
 
-    /// Rebuild with the argument transformed by `f`.
-    pub fn map_argument(&self, f: &mut impl FnMut(&Expr) -> Expr) -> AggFunc {
+    /// The argument expression, if any, for rewriting in place.
+    pub fn argument_mut(&mut self) -> Option<&mut Expr> {
         match self {
-            AggFunc::CountStar => AggFunc::CountStar,
-            AggFunc::Count(e) => AggFunc::Count(f(e)),
-            AggFunc::Sum(e) => AggFunc::Sum(f(e)),
-            AggFunc::Min(e) => AggFunc::Min(f(e)),
-            AggFunc::Max(e) => AggFunc::Max(f(e)),
-            AggFunc::Avg(e) => AggFunc::Avg(f(e)),
-            AggFunc::CountDistinct(e) => AggFunc::CountDistinct(f(e)),
+            AggFunc::CountStar => None,
+            AggFunc::Count(e)
+            | AggFunc::Sum(e)
+            | AggFunc::Min(e)
+            | AggFunc::Max(e)
+            | AggFunc::Avg(e)
+            | AggFunc::CountDistinct(e) => Some(e),
         }
     }
 

@@ -10,7 +10,7 @@
 //!    stricter selection. [`ranges`] extracts conjunctive per-column range
 //!    constraints from predicates and decides implication.
 //!
-//! Evaluation ([`eval`]) is column-at-a-time over [`rdb_vector::Batch`]es
+//! Evaluation ([`eval`](mod@eval)) is column-at-a-time over [`rdb_vector::Batch`]es
 //! with SQL NULL semantics (three-valued logic collapses to "NULL is not
 //! true" at filter boundaries).
 

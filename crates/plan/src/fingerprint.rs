@@ -60,135 +60,23 @@ pub fn fx_hash<T: Hash + ?Sized>(v: &T) -> u64 {
     h.finish()
 }
 
-/// Operator-kind discriminant (part of the hash-key).
+/// Operator-kind discriminant (part of the hash-key): the discriminant of
+/// the node's [`Identity`](crate::node::Identity).
 pub fn kind_tag(plan: &Plan) -> u8 {
-    match plan {
-        Plan::Scan { .. } => 1,
-        Plan::FnScan { .. } => 2,
-        Plan::Select { .. } => 3,
-        Plan::Project { .. } => 4,
-        Plan::Aggregate { .. } => 5,
-        Plan::Join { .. } => 6,
-        Plan::TopN { .. } => 7,
-        Plan::Sort { .. } => 8,
-        Plan::Limit { .. } => 9,
-        Plan::UnionAll { .. } => 10,
-        Plan::Cached { .. } => 11,
-        Plan::Store { .. } => 12,
-    }
+    plan.identity().kind_tag()
 }
 
-/// The node's hash-key: operator type plus local parameters, excluding
-/// user-assigned output names and excluding children.
+/// The node's hash-key: its [`Identity`](crate::node::Identity) — operator
+/// type plus local parameters, excluding user-assigned output names and
+/// children.
 pub fn local_hash(plan: &Plan) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u8(kind_tag(plan));
-    match plan {
-        Plan::Scan { table, cols } => {
-            table.hash(&mut h);
-            cols.hash(&mut h);
-        }
-        Plan::FnScan { name, args, schema } => {
-            name.hash(&mut h);
-            args.hash(&mut h);
-            schema.len().hash(&mut h);
-        }
-        Plan::Select { predicate, .. } => predicate.hash(&mut h),
-        Plan::Project { exprs, .. } => exprs.hash(&mut h),
-        Plan::Aggregate { group_by, aggs, .. } => {
-            group_by.hash(&mut h);
-            aggs.hash(&mut h);
-        }
-        Plan::Join {
-            kind,
-            left_keys,
-            right_keys,
-            ..
-        } => {
-            kind.hash(&mut h);
-            left_keys.hash(&mut h);
-            right_keys.hash(&mut h);
-        }
-        Plan::TopN { keys, n, .. } => {
-            keys.hash(&mut h);
-            n.hash(&mut h);
-        }
-        Plan::Sort { keys, .. } => keys.hash(&mut h),
-        Plan::Limit { n, .. } => n.hash(&mut h),
-        Plan::UnionAll { children } => children.len().hash(&mut h),
-        Plan::Cached { tag, .. } | Plan::Store { tag, .. } => tag.hash(&mut h),
-    }
-    h.finish()
+    fx_hash(&plan.identity())
 }
 
-/// Exact comparison of operator type and local parameters, excluding
-/// user-assigned output names and children.
+/// Exact comparison of two nodes' identities: operator type and local
+/// parameters, excluding user-assigned output names and children.
 pub fn local_eq(a: &Plan, b: &Plan) -> bool {
-    match (a, b) {
-        (
-            Plan::Scan {
-                table: t1,
-                cols: c1,
-            },
-            Plan::Scan {
-                table: t2,
-                cols: c2,
-            },
-        ) => t1 == t2 && c1 == c2,
-        (
-            Plan::FnScan {
-                name: n1,
-                args: a1,
-                schema: s1,
-            },
-            Plan::FnScan {
-                name: n2,
-                args: a2,
-                schema: s2,
-            },
-        ) => n1 == n2 && a1 == a2 && s1.len() == s2.len(),
-        (Plan::Select { predicate: p1, .. }, Plan::Select { predicate: p2, .. }) => p1 == p2,
-        (Plan::Project { exprs: e1, .. }, Plan::Project { exprs: e2, .. }) => e1 == e2,
-        (
-            Plan::Aggregate {
-                group_by: g1,
-                aggs: a1,
-                ..
-            },
-            Plan::Aggregate {
-                group_by: g2,
-                aggs: a2,
-                ..
-            },
-        ) => g1 == g2 && a1 == a2,
-        (
-            Plan::Join {
-                kind: k1,
-                left_keys: l1,
-                right_keys: r1,
-                ..
-            },
-            Plan::Join {
-                kind: k2,
-                left_keys: l2,
-                right_keys: r2,
-                ..
-            },
-        ) => k1 == k2 && l1 == l2 && r1 == r2,
-        (
-            Plan::TopN {
-                keys: k1, n: n1, ..
-            },
-            Plan::TopN {
-                keys: k2, n: n2, ..
-            },
-        ) => k1 == k2 && n1 == n2,
-        (Plan::Sort { keys: k1, .. }, Plan::Sort { keys: k2, .. }) => k1 == k2,
-        (Plan::Limit { n: n1, .. }, Plan::Limit { n: n2, .. }) => n1 == n2,
-        (Plan::UnionAll { children: c1 }, Plan::UnionAll { children: c2 }) => c1.len() == c2.len(),
-        (Plan::Cached { tag: t1, .. }, Plan::Cached { tag: t2, .. }) => t1 == t2,
-        _ => false,
-    }
+    a.identity() == b.identity()
 }
 
 /// Structural equality of whole subtrees (local params + recursive

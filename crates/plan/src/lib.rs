@@ -6,10 +6,10 @@
 //! named column references into positional ones, and the structural
 //! fingerprints the recycler graph uses for fast matching:
 //!
-//! * [`Plan::local_hash`] — the paper's *hash-key*: a hash of the operator
+//! * [`local_hash`] — the paper's *hash-key*: a hash of the operator
 //!   type and its parameters (excluding user-assigned output names, which
 //!   are handled by name mappings, §III-B);
-//! * [`Plan::signature`] — the paper's *signature*: a 64-bit column bitmask
+//! * [`signature`] — the paper's *signature*: a 64-bit column bitmask
 //!   used to quickly eliminate candidates that do not provide the needed
 //!   columns. We derive it from the set of base-table columns the subtree
 //!   reads, which is invariant under output renaming.

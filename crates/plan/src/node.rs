@@ -1,4 +1,24 @@
-//! The plan node enum, schema derivation, and the bind pass.
+//! The plan node enum, its per-operator listings, schema derivation, and
+//! the bind pass.
+//!
+//! Each operator's parts are declared once, in three listings:
+//!
+//! * **children** — [`Plan::children`] / [`Plan::children_mut`];
+//! * **expression slots** — [`Plan::try_for_each_slot`] /
+//!   [`Plan::try_for_each_slot_mut`]: every expression the node holds,
+//!   with the child input it ranges over and whether the output type
+//!   depends on it ([`Slot`]);
+//! * **match identity** — [`Plan::identity`]: the parameters the recycler
+//!   matches on exactly, output names excluded ([`Identity`]).
+//!
+//! Everything else per operator derives from them: rebuilding with new
+//! children, binding, parameter substitution, the normalizer's expression
+//! pass, and the hash-key and exact comparison of
+//! [`crate::fingerprint`]. Adding an operator means touching the three
+//! listings plus the kind tag (the identity's discriminant,
+//! [`crate::kind_tag`]), [`Plan::label`], [`Plan::schema`] and the
+//! executor — nothing else. The WAL lineage codec stays explicit on
+//! purpose: it is a byte-pinned on-disk format.
 
 use std::fmt;
 
@@ -409,6 +429,151 @@ pub enum Plan {
     },
 }
 
+/// Where an expression slot of a node reads its columns from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// Index of the child whose output the expression ranges over; `None`
+    /// for table-function arguments, which read no input (literals or
+    /// parameter placeholders) and are never bound.
+    pub input: Option<usize>,
+    /// Whether [`Plan::schema`] derives an output column's type from the
+    /// expression (so it cannot hold a parameter before substitution).
+    pub typed: bool,
+}
+
+impl Slot {
+    const ARGUMENT: Slot = Slot {
+        input: None,
+        typed: false,
+    };
+    const FIRST: Slot = Slot {
+        input: Some(0),
+        typed: false,
+    };
+    const SECOND: Slot = Slot {
+        input: Some(1),
+        typed: false,
+    };
+    const TYPED: Slot = Slot {
+        input: Some(0),
+        typed: true,
+    };
+}
+
+/// A node's match identity (paper §III-A): operator kind plus the
+/// parameters that must match exactly, excluding user-assigned output
+/// names and children. [`crate::local_eq`] compares identities and
+/// [`crate::local_hash`] hashes one; the derived `Hash` writes the
+/// discriminant — the operator's kind tag — first, then the parameters in
+/// the order listed.
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
+#[repr(u8)]
+pub enum Identity<'a> {
+    /// Table and projected columns.
+    Scan(&'a str, &'a [String]) = 1,
+    /// Function name, arguments, declared output width.
+    FnScan(&'a str, &'a [Expr], usize) = 2,
+    /// Predicate.
+    Select(&'a Expr) = 3,
+    /// Output expressions.
+    Project(&'a [Expr]) = 4,
+    /// Grouping keys and aggregate functions.
+    Aggregate(&'a [Expr], &'a [AggFunc]) = 5,
+    /// Join variant, probe keys, build keys.
+    Join(JoinKind, &'a [Expr], &'a [Expr]) = 6,
+    /// Sort keys and row count.
+    TopN(&'a [SortKeyExpr], usize) = 7,
+    /// Sort keys.
+    Sort(&'a [SortKeyExpr]) = 8,
+    /// Row budget.
+    Limit(usize) = 9,
+    /// Number of arms.
+    UnionAll(usize) = 10,
+    /// Cache handle.
+    Cached(u64) = 11,
+    /// Cache handle.
+    Store(u64) = 12,
+}
+
+impl Identity<'_> {
+    /// The operator's kind tag: this identity's discriminant.
+    pub fn kind_tag(&self) -> u8 {
+        // SAFETY: `Identity` is `repr(u8)`, so its layout begins with the
+        // `u8` discriminant (see `std::mem::discriminant`).
+        unsafe { *(self as *const Self).cast::<u8>() }
+    }
+}
+
+/// Expands the children and expression-slot listings twice: over shared
+/// references (`children`, `try_for_each_slot`) and over mutable ones
+/// (`children_mut`, `try_for_each_slot_mut`).
+macro_rules! listings {
+    ($children:ident, $slots:ident, $iter:ident, $argument:ident $(, $mut:tt)?) => {
+        impl Plan {
+            /// Child subplans in order.
+            pub fn $children(&$($mut)? self) -> Vec<&$($mut)? Plan> {
+                match self {
+                    Plan::Scan { .. } | Plan::FnScan { .. } | Plan::Cached { .. } => vec![],
+                    Plan::Select { child, .. }
+                    | Plan::Project { child, .. }
+                    | Plan::Aggregate { child, .. }
+                    | Plan::TopN { child, .. }
+                    | Plan::Sort { child, .. }
+                    | Plan::Limit { child, .. }
+                    | Plan::Store { child, .. } => vec![child],
+                    Plan::Join { left, right, .. } => vec![left, right],
+                    Plan::UnionAll { children } => children.$iter().collect(),
+                }
+            }
+
+            /// Visit every expression held directly by this node (not its
+            /// children) with the [`Slot`] it occupies, stopping at the
+            /// first error.
+            pub fn $slots<E>(
+                &$($mut)? self,
+                f: &mut impl FnMut(&$($mut)? Expr, Slot) -> Result<(), E>,
+            ) -> Result<(), E> {
+                match self {
+                    Plan::Scan { .. }
+                    | Plan::Limit { .. }
+                    | Plan::UnionAll { .. }
+                    | Plan::Cached { .. }
+                    | Plan::Store { .. } => Ok(()),
+                    Plan::FnScan { args, .. } => args.$iter().try_for_each(|e| f(e, Slot::ARGUMENT)),
+                    Plan::Select { predicate, .. } => f(predicate, Slot::FIRST),
+                    Plan::Project { exprs, .. } => exprs.$iter().try_for_each(|e| f(e, Slot::TYPED)),
+                    Plan::Aggregate { group_by, aggs, .. } => {
+                        group_by.$iter().try_for_each(|e| f(e, Slot::TYPED))?;
+                        aggs.$iter()
+                            .filter_map(AggFunc::$argument)
+                            .try_for_each(|e| f(e, Slot::TYPED))
+                    }
+                    Plan::Join {
+                        left_keys,
+                        right_keys,
+                        ..
+                    } => {
+                        left_keys.$iter().try_for_each(|e| f(e, Slot::FIRST))?;
+                        right_keys.$iter().try_for_each(|e| f(e, Slot::SECOND))
+                    }
+                    Plan::TopN { keys, .. } | Plan::Sort { keys, .. } => keys
+                        .$iter()
+                        .try_for_each(|k| f(&$($mut)? k.expr, Slot::FIRST)),
+                }
+            }
+        }
+    };
+}
+
+listings!(children, try_for_each_slot, iter, argument);
+listings!(
+    children_mut,
+    try_for_each_slot_mut,
+    iter_mut,
+    argument_mut,
+    mut
+);
+
 impl Plan {
     // ---- fluent builders -------------------------------------------------
 
@@ -506,88 +671,39 @@ impl Plan {
 
     // ---- structure -------------------------------------------------------
 
-    /// Child subplans in order.
-    pub fn children(&self) -> Vec<&Plan> {
+    /// The node's match identity: its kind and the parameters listed in
+    /// [`Identity`].
+    pub fn identity(&self) -> Identity<'_> {
         match self {
-            Plan::Scan { .. } | Plan::FnScan { .. } | Plan::Cached { .. } => vec![],
-            Plan::Select { child, .. }
-            | Plan::Project { child, .. }
-            | Plan::Aggregate { child, .. }
-            | Plan::TopN { child, .. }
-            | Plan::Sort { child, .. }
-            | Plan::Limit { child, .. }
-            | Plan::Store { child, .. } => vec![child],
-            Plan::Join { left, right, .. } => vec![left, right],
-            Plan::UnionAll { children } => children.iter().collect(),
-        }
-    }
-
-    /// Rebuild this node with new children (same arity required).
-    pub fn with_children(&self, mut new_children: Vec<Plan>) -> Plan {
-        assert_eq!(new_children.len(), self.children().len(), "arity mismatch");
-        let mut next = || Box::new(new_children.remove(0));
-        match self {
-            Plan::Scan { .. } | Plan::FnScan { .. } | Plan::Cached { .. } => self.clone(),
-            Plan::Select { predicate, .. } => Plan::Select {
-                child: next(),
-                predicate: predicate.clone(),
-            },
-            Plan::Project { exprs, names, .. } => Plan::Project {
-                child: next(),
-                exprs: exprs.clone(),
-                names: names.clone(),
-            },
-            Plan::Aggregate {
-                group_by,
-                group_names,
-                aggs,
-                agg_names,
-                ..
-            } => Plan::Aggregate {
-                child: next(),
-                group_by: group_by.clone(),
-                group_names: group_names.clone(),
-                aggs: aggs.clone(),
-                agg_names: agg_names.clone(),
-            },
+            Plan::Scan { table, cols } => Identity::Scan(table, cols),
+            Plan::FnScan { name, args, schema } => Identity::FnScan(name, args, schema.len()),
+            Plan::Select { predicate, .. } => Identity::Select(predicate),
+            Plan::Project { exprs, .. } => Identity::Project(exprs),
+            Plan::Aggregate { group_by, aggs, .. } => Identity::Aggregate(group_by, aggs),
             Plan::Join {
                 kind,
                 left_keys,
                 right_keys,
                 ..
-            } => Plan::Join {
-                left: next(),
-                right: next(),
-                kind: *kind,
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-            },
-            Plan::TopN { keys, n, .. } => Plan::TopN {
-                child: next(),
-                keys: keys.clone(),
-                n: *n,
-            },
-            Plan::Sort { keys, .. } => Plan::Sort {
-                child: next(),
-                keys: keys.clone(),
-            },
-            Plan::Limit { n, .. } => Plan::Limit {
-                child: next(),
-                n: *n,
-            },
-            Plan::UnionAll { .. } => {
-                let mut children = Vec::new();
-                while !new_children.is_empty() {
-                    children.push(new_children.remove(0));
-                }
-                Plan::UnionAll { children }
-            }
-            Plan::Store { tag, mode, .. } => Plan::Store {
-                child: next(),
-                tag: *tag,
-                mode: *mode,
-            },
+            } => Identity::Join(*kind, left_keys, right_keys),
+            Plan::TopN { keys, n, .. } => Identity::TopN(keys, *n),
+            Plan::Sort { keys, .. } => Identity::Sort(keys),
+            Plan::Limit { n, .. } => Identity::Limit(*n),
+            Plan::UnionAll { children } => Identity::UnionAll(children.len()),
+            Plan::Cached { tag, .. } => Identity::Cached(*tag),
+            Plan::Store { tag, .. } => Identity::Store(*tag),
         }
+    }
+
+    /// Rebuild this node with new children (same arity required).
+    pub fn with_children(&self, new_children: Vec<Plan>) -> Plan {
+        let mut next = self.clone();
+        let slots = next.children_mut();
+        assert_eq!(slots.len(), new_children.len(), "arity mismatch");
+        for (slot, child) in slots.into_iter().zip(new_children) {
+            *slot = child;
+        }
+        next
     }
 
     /// Names of every base table scanned in the subtree, deduplicated in
@@ -717,12 +833,9 @@ impl Plan {
                     fields.push(Field::new(n.clone(), bound.data_type(&tys)));
                 }
                 for (a, n) in aggs.iter().zip(agg_names) {
-                    let bound =
-                        a.map_argument(&mut |e| e.bind(&input).unwrap_or_else(|_| e.clone()));
-                    if let Some(arg) = bound.argument() {
-                        if arg.has_named() {
-                            return Err(PlanError::msg(format!("unresolved column in {a}")));
-                        }
+                    let mut bound = a.clone();
+                    if let Some(arg) = bound.argument_mut() {
+                        *arg = arg.bind(&input)?;
                     }
                     fields.push(Field::new(n.clone(), bound.data_type(&tys)));
                 }
@@ -768,303 +881,115 @@ impl Plan {
     }
 
     /// Resolve every named column reference to a position, bottom-up,
-    /// producing the canonical plan the recycler matches on.
+    /// producing the canonical plan the recycler matches on. Each
+    /// expression slot binds against the schema of the input it ranges
+    /// over.
     pub fn bind(&self, catalog: &Catalog) -> Result<Plan, PlanError> {
-        let bound_children: Vec<Plan> = self
-            .children()
-            .iter()
-            .map(|c| c.bind(catalog))
-            .collect::<Result<_, _>>()?;
-        let child_schemas: Vec<Schema> = bound_children
-            .iter()
-            .map(|c| c.schema(catalog))
-            .collect::<Result<_, _>>()?;
-        let rebind = |e: &Expr, s: &Schema| e.bind(s).map_err(PlanError::from);
-        Ok(match self {
-            Plan::Scan { .. } | Plan::FnScan { .. } | Plan::Cached { .. } => self.clone(),
-            Plan::Select { predicate, .. } => Plan::Select {
-                predicate: rebind(predicate, &child_schemas[0])?,
-                child: Box::new(bound_children.into_iter().next().unwrap()),
-            },
-            Plan::Project { exprs, names, .. } => Plan::Project {
-                exprs: exprs
-                    .iter()
-                    .map(|e| rebind(e, &child_schemas[0]))
-                    .collect::<Result<_, _>>()?,
-                names: names.clone(),
-                child: Box::new(bound_children.into_iter().next().unwrap()),
-            },
-            Plan::Aggregate {
-                group_by,
-                group_names,
-                aggs,
-                agg_names,
-                ..
-            } => {
-                let s = &child_schemas[0];
-                let mut err = None;
-                let aggs_bound: Vec<AggFunc> = aggs
-                    .iter()
-                    .map(|a| {
-                        a.map_argument(&mut |e| match e.bind(s) {
-                            Ok(b) => b,
-                            Err(msg) => {
-                                err.get_or_insert(msg);
-                                e.clone()
-                            }
-                        })
-                    })
-                    .collect();
-                if let Some(msg) = err {
-                    return Err(PlanError::from(msg));
-                }
-                Plan::Aggregate {
-                    group_by: group_by
-                        .iter()
-                        .map(|e| rebind(e, s))
-                        .collect::<Result<_, _>>()?,
-                    group_names: group_names.clone(),
-                    aggs: aggs_bound,
-                    agg_names: agg_names.clone(),
-                    child: Box::new(bound_children.into_iter().next().unwrap()),
-                }
+        fn go(plan: &mut Plan, catalog: &Catalog) -> Result<(), PlanError> {
+            for c in plan.children_mut() {
+                go(c, catalog)?;
             }
-            Plan::Join {
+            let inputs = plan
+                .children()
+                .iter()
+                .map(|c| c.schema(catalog))
+                .collect::<Result<Vec<_>, _>>()?;
+            plan.try_for_each_slot_mut(&mut |e, slot| {
+                if let Some(i) = slot.input {
+                    *e = e.bind(&inputs[i])?;
+                }
+                Ok::<_, PlanError>(())
+            })?;
+            if let Plan::Join {
                 kind,
                 left_keys,
                 right_keys,
                 ..
-            } => {
-                let lk: Vec<Expr> = left_keys
-                    .iter()
-                    .map(|e| rebind(e, &child_schemas[0]))
-                    .collect::<Result<_, _>>()?;
-                let rk: Vec<Expr> = right_keys
-                    .iter()
-                    .map(|e| rebind(e, &child_schemas[1]))
-                    .collect::<Result<_, _>>()?;
-                if lk.len() != rk.len() {
+            } = plan
+            {
+                if left_keys.len() != right_keys.len() {
                     return Err(PlanError::arity("join key arity mismatch"));
                 }
-                if *kind == JoinKind::Single && !lk.is_empty() {
+                if *kind == JoinKind::Single && !left_keys.is_empty() {
                     return Err(PlanError::arity("single join takes no keys"));
                 }
-                let mut it = bound_children.into_iter();
-                Plan::Join {
-                    left: Box::new(it.next().unwrap()),
-                    right: Box::new(it.next().unwrap()),
-                    kind: *kind,
-                    left_keys: lk,
-                    right_keys: rk,
-                }
             }
-            Plan::TopN { keys, n, .. } => Plan::TopN {
-                keys: bind_keys(keys, &child_schemas[0])?,
-                n: *n,
-                child: Box::new(bound_children.into_iter().next().unwrap()),
-            },
-            Plan::Sort { keys, .. } => Plan::Sort {
-                keys: bind_keys(keys, &child_schemas[0])?,
-                child: Box::new(bound_children.into_iter().next().unwrap()),
-            },
-            Plan::Limit { n, .. } => Plan::Limit {
-                n: *n,
-                child: Box::new(bound_children.into_iter().next().unwrap()),
-            },
-            Plan::UnionAll { .. } => Plan::UnionAll {
-                children: bound_children,
-            },
-            Plan::Store { tag, mode, .. } => Plan::Store {
-                tag: *tag,
-                mode: *mode,
-                child: Box::new(bound_children.into_iter().next().unwrap()),
-            },
-        })
+            Ok(())
+        }
+        let mut plan = self.clone();
+        go(&mut plan, catalog)?;
+        Ok(plan)
+    }
+
+    /// Visit every expression in the subtree, pre-order, stopping at the
+    /// first error.
+    fn try_for_each_expr<E>(
+        &self,
+        f: &mut impl FnMut(&Expr, Slot) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.try_for_each_slot(f)?;
+        self.children()
+            .into_iter()
+            .try_for_each(|c| c.try_for_each_expr(f))
     }
 
     /// Whether any expression in the subtree still contains named references.
     pub fn has_named(&self) -> bool {
-        let local = self.local_exprs().iter().any(|e| e.has_named());
-        local || self.children().iter().any(|c| c.has_named())
+        self.try_for_each_expr(&mut |e, _| if e.has_named() { Err(()) } else { Ok(()) })
+            .is_err()
     }
 
     /// Whether any expression in the subtree contains a parameter
     /// placeholder (i.e. the plan is a prepared template, not executable
     /// as-is).
     pub fn has_params(&self) -> bool {
-        let local = self.local_exprs().iter().any(|e| e.has_params());
-        local || self.children().iter().any(|c| c.has_params())
+        self.try_for_each_expr(&mut |e, _| if e.has_params() { Err(()) } else { Ok(()) })
+            .is_err()
     }
 
     /// Names of all parameter placeholders in the subtree, deduplicated in
     /// first-occurrence order.
     pub fn param_names(&self) -> Vec<String> {
-        fn go(plan: &Plan, out: &mut Vec<String>) {
-            for e in plan.local_exprs() {
-                e.param_names(out);
-            }
-            for c in plan.children() {
-                go(c, out);
-            }
-        }
         let mut out = Vec::new();
-        go(self, &mut out);
+        let _ = self.try_for_each_expr(&mut |e, _| {
+            e.param_names(&mut out);
+            Ok::<_, ()>(())
+        });
         out
     }
 
-    /// First parameter placeholder appearing in a position whose *output
-    /// type* depends on it — projection expressions, aggregate group keys,
-    /// and aggregate arguments. Such templates cannot derive a schema
-    /// before substitution, so they are rejected at prepare time instead of
-    /// panicking inside type derivation.
-    ///
-    /// Invariant: the positions listed here must cover every expression
-    /// [`Plan::schema`] calls [`Expr::data_type`] on; extend both together
-    /// when adding an operator that types one of its expressions.
+    /// First parameter placeholder appearing in a [`Slot::typed`] position
+    /// — one whose *output type* depends on it. Such templates cannot
+    /// derive a schema before substitution, so they are rejected at
+    /// prepare time instead of panicking inside type derivation.
     pub fn param_in_typed_position(&self) -> Option<String> {
-        let local: Vec<&Expr> = match self {
-            Plan::Project { exprs, .. } => exprs.iter().collect(),
-            Plan::Aggregate { group_by, aggs, .. } => group_by
-                .iter()
-                .chain(aggs.iter().filter_map(|a| a.argument()))
-                .collect(),
-            _ => vec![],
-        };
-        for e in local {
+        self.try_for_each_expr(&mut |e, slot| {
             let mut names = Vec::new();
-            e.param_names(&mut names);
-            if let Some(n) = names.into_iter().next() {
-                return Some(n);
+            if slot.typed {
+                e.param_names(&mut names);
             }
-        }
-        self.children()
-            .iter()
-            .find_map(|c| c.param_in_typed_position())
-    }
-
-    /// Every expression held directly by this node (not its children).
-    fn local_exprs(&self) -> Vec<&Expr> {
-        match self {
-            Plan::Scan { .. } | Plan::Cached { .. } => vec![],
-            Plan::FnScan { args, .. } => args.iter().collect(),
-            Plan::Select { predicate, .. } => vec![predicate],
-            Plan::Project { exprs, .. } => exprs.iter().collect(),
-            Plan::Aggregate { group_by, aggs, .. } => group_by
-                .iter()
-                .chain(aggs.iter().filter_map(|a| a.argument()))
-                .collect(),
-            Plan::Join {
-                left_keys,
-                right_keys,
-                ..
-            } => left_keys.iter().chain(right_keys).collect(),
-            Plan::TopN { keys, .. } | Plan::Sort { keys, .. } => {
-                keys.iter().map(|k| &k.expr).collect()
-            }
-            Plan::Limit { .. } | Plan::UnionAll { .. } | Plan::Store { .. } => vec![],
-        }
+            names.into_iter().next().map_or(Ok(()), Err)
+        })
+        .err()
     }
 
     /// Replace every [`Expr::Param`] in the subtree with the literal bound
     /// to its name, producing a concrete executable plan. Errors if any
     /// placeholder has no binding.
     pub fn substitute_params(&self, params: &rdb_expr::Params) -> Result<Plan, PlanError> {
-        let new_children: Vec<Plan> = self
-            .children()
-            .iter()
-            .map(|c| c.substitute_params(params))
-            .collect::<Result<_, _>>()?;
-        let sub = |e: &Expr| e.substitute_params(params).map_err(PlanError::from);
-        Ok(match self {
-            Plan::Scan { .. } | Plan::Cached { .. } => self.clone(),
-            Plan::FnScan { name, args, schema } => Plan::FnScan {
-                name: name.clone(),
-                args: args.iter().map(sub).collect::<Result<_, _>>()?,
-                schema: schema.clone(),
-            },
-            Plan::Select { predicate, .. } => Plan::Select {
-                predicate: sub(predicate)?,
-                child: Box::new(new_children.into_iter().next().unwrap()),
-            },
-            Plan::Project { exprs, names, .. } => Plan::Project {
-                exprs: exprs.iter().map(sub).collect::<Result<_, _>>()?,
-                names: names.clone(),
-                child: Box::new(new_children.into_iter().next().unwrap()),
-            },
-            Plan::Aggregate {
-                group_by,
-                group_names,
-                aggs,
-                agg_names,
-                ..
-            } => {
-                let mut err = None;
-                let aggs_sub: Vec<AggFunc> = aggs
-                    .iter()
-                    .map(|a| {
-                        a.map_argument(&mut |e| match e.substitute_params(params) {
-                            Ok(s) => s,
-                            Err(msg) => {
-                                err.get_or_insert(msg);
-                                e.clone()
-                            }
-                        })
-                    })
-                    .collect();
-                if let Some(msg) = err {
-                    return Err(PlanError::from(msg));
-                }
-                Plan::Aggregate {
-                    group_by: group_by.iter().map(sub).collect::<Result<_, _>>()?,
-                    group_names: group_names.clone(),
-                    aggs: aggs_sub,
-                    agg_names: agg_names.clone(),
-                    child: Box::new(new_children.into_iter().next().unwrap()),
-                }
+        fn go(plan: &mut Plan, params: &rdb_expr::Params) -> Result<(), PlanError> {
+            for c in plan.children_mut() {
+                go(c, params)?;
             }
-            Plan::Join {
-                kind,
-                left_keys,
-                right_keys,
-                ..
-            } => {
-                let mut it = new_children.into_iter();
-                Plan::Join {
-                    left: Box::new(it.next().unwrap()),
-                    right: Box::new(it.next().unwrap()),
-                    kind: *kind,
-                    left_keys: left_keys.iter().map(sub).collect::<Result<_, _>>()?,
-                    right_keys: right_keys.iter().map(sub).collect::<Result<_, _>>()?,
-                }
-            }
-            Plan::TopN { keys, n, .. } => Plan::TopN {
-                keys: sub_keys(keys, params)?,
-                n: *n,
-                child: Box::new(new_children.into_iter().next().unwrap()),
-            },
-            Plan::Sort { keys, .. } => Plan::Sort {
-                keys: sub_keys(keys, params)?,
-                child: Box::new(new_children.into_iter().next().unwrap()),
-            },
-            Plan::Limit { .. } | Plan::UnionAll { .. } | Plan::Store { .. } => {
-                self.with_children(new_children)
-            }
-        })
-    }
-}
-
-fn sub_keys(
-    keys: &[SortKeyExpr],
-    params: &rdb_expr::Params,
-) -> Result<Vec<SortKeyExpr>, PlanError> {
-    keys.iter()
-        .map(|k| {
-            Ok(SortKeyExpr {
-                expr: k.expr.substitute_params(params).map_err(PlanError::from)?,
-                order: k.order,
+            plan.try_for_each_slot_mut(&mut |e, _| {
+                *e = e.substitute_params(params)?;
+                Ok(())
             })
-        })
-        .collect()
+        }
+        let mut plan = self.clone();
+        go(&mut plan, params)?;
+        Ok(plan)
+    }
 }
 
 fn keys_label(keys: &[SortKeyExpr]) -> String {
@@ -1082,17 +1007,6 @@ fn keys_label(keys: &[SortKeyExpr]) -> String {
         })
         .collect();
     format!("[{}]", parts.join(", "))
-}
-
-fn bind_keys(keys: &[SortKeyExpr], schema: &Schema) -> Result<Vec<SortKeyExpr>, PlanError> {
-    keys.iter()
-        .map(|k| {
-            Ok(SortKeyExpr {
-                expr: k.expr.bind(schema).map_err(PlanError::from)?,
-                order: k.order,
-            })
-        })
-        .collect()
 }
 
 fn input_types(schema: &Schema) -> Vec<DataType> {
@@ -1185,6 +1099,18 @@ mod tests {
         assert_eq!(s.field(2).dtype, DataType::Float);
         let bound = p.bind(&cat).unwrap();
         assert!(!bound.has_named());
+    }
+
+    #[test]
+    fn aggregate_schema_reports_unknown_argument_column() {
+        let p = scan("lineitem", &["l_qty"])
+            .aggregate(vec![], vec![(AggFunc::Sum(Expr::name("bogus")), "s")]);
+        let err = p.schema(&catalog()).unwrap_err();
+        assert!(
+            matches!(&err.kind, PlanErrorKind::UnknownColumn { column, .. } if column == "bogus"),
+            "{err}"
+        );
+        assert_eq!(err.subject(), Some("bogus"));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use rdb_expr::{normalize_expr, Expr};
 use rdb_storage::Catalog;
 
-use crate::node::{JoinKind, Plan, SortKeyExpr};
+use crate::node::{JoinKind, Plan};
 
 /// Upper bound on local rewrite iterations per node; rules strictly
 /// shrink or reorder, so this is never reached in practice.
@@ -47,171 +47,114 @@ const MAX_LOCAL_PASSES: usize = 16;
 /// derived (unknown table, parameters in typed positions) skips those
 /// rules rather than failing — normalization never errors.
 pub fn normalize(plan: &Plan, catalog: &Catalog) -> Plan {
-    // Bottom-up: children first.
-    let children: Vec<Plan> = plan
-        .children()
-        .iter()
-        .map(|c| normalize(c, catalog))
-        .collect();
-    let mut node = normalize_local_exprs(&plan.with_children(children));
-    for _ in 0..MAX_LOCAL_PASSES {
-        let next = apply_local_rules(&node, catalog);
-        if next == node {
-            break;
-        }
-        node = next;
+    normalize_owned(plan.clone(), catalog)
+}
+
+fn normalize_owned(mut plan: Plan, catalog: &Catalog) -> Plan {
+    // Bottom-up: children first, each moved out and back.
+    for c in plan.children_mut() {
+        let child = std::mem::replace(c, Plan::UnionAll { children: vec![] });
+        *c = normalize_owned(child, catalog);
     }
-    node
+    normalize_local_exprs(&mut plan);
+    for _ in 0..MAX_LOCAL_PASSES {
+        match apply_local_rules(plan, catalog) {
+            Ok(next) => plan = next,
+            Err(unchanged) => return unchanged,
+        }
+    }
+    plan
 }
 
 /// Canonicalize every expression held directly by this node.
-fn normalize_local_exprs(plan: &Plan) -> Plan {
-    match plan {
-        Plan::Scan { .. } | Plan::Cached { .. } | Plan::Limit { .. } | Plan::UnionAll { .. } => {
-            plan.clone()
-        }
-        Plan::FnScan { name, args, schema } => Plan::FnScan {
-            name: name.clone(),
-            args: args.iter().map(normalize_expr).collect(),
-            schema: schema.clone(),
-        },
-        Plan::Select { child, predicate } => Plan::Select {
-            child: child.clone(),
-            predicate: normalize_expr(predicate),
-        },
-        Plan::Project {
-            child,
-            exprs,
-            names,
-        } => Plan::Project {
-            child: child.clone(),
-            exprs: exprs.iter().map(normalize_expr).collect(),
-            names: names.clone(),
-        },
-        Plan::Aggregate {
-            child,
-            group_by,
-            group_names,
-            aggs,
-            agg_names,
-        } => Plan::Aggregate {
-            child: child.clone(),
-            group_by: group_by.iter().map(normalize_expr).collect(),
-            group_names: group_names.clone(),
-            aggs: aggs
-                .iter()
-                .map(|a| a.map_argument(&mut |e| normalize_expr(e)))
-                .collect(),
-            agg_names: agg_names.clone(),
-        },
-        Plan::Join {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-        } => {
-            // An equi-join is a conjunction of per-pair equalities, so the
-            // pair order is semantically irrelevant; sort pairs for a
-            // canonical order (the executor keys on pair positions, so the
-            // two sides must be permuted together).
-            let mut pairs: Vec<(Expr, Expr)> = left_keys
-                .iter()
-                .map(normalize_expr)
-                .zip(right_keys.iter().map(normalize_expr))
-                .collect();
-            pairs.sort_by_cached_key(|(l, r)| (l.to_string(), r.to_string()));
-            let (lk, rk) = pairs.into_iter().unzip();
-            Plan::Join {
-                left: left.clone(),
-                right: right.clone(),
-                kind: *kind,
-                left_keys: lk,
-                right_keys: rk,
-            }
-        }
-        Plan::TopN { child, keys, n } => Plan::TopN {
-            child: child.clone(),
-            keys: normalize_keys(keys),
-            n: *n,
-        },
-        Plan::Sort { child, keys } => Plan::Sort {
-            child: child.clone(),
-            keys: normalize_keys(keys),
-        },
-        Plan::Store { .. } => plan.clone(),
+fn normalize_local_exprs(plan: &mut Plan) {
+    let _ = plan.try_for_each_slot_mut(&mut |e, _| {
+        *e = normalize_expr(e);
+        Ok::<_, ()>(())
+    });
+    // An equi-join is a conjunction of per-pair equalities, so the pair
+    // order is semantically irrelevant; sort pairs for a canonical order
+    // (the executor keys on pair positions, so the two sides must be
+    // permuted together).
+    if let Plan::Join {
+        left_keys,
+        right_keys,
+        ..
+    } = plan
+    {
+        let mut pairs: Vec<(Expr, Expr)> = std::mem::take(left_keys)
+            .into_iter()
+            .zip(std::mem::take(right_keys))
+            .collect();
+        pairs.sort_by_cached_key(|(l, r)| (l.to_string(), r.to_string()));
+        (*left_keys, *right_keys) = pairs.into_iter().unzip();
     }
 }
 
-fn normalize_keys(keys: &[SortKeyExpr]) -> Vec<SortKeyExpr> {
-    keys.iter()
-        .map(|k| SortKeyExpr {
-            expr: normalize_expr(&k.expr),
-            order: k.order,
-        })
-        .collect()
-}
-
-/// One round of structural rewrites at this node.
-fn apply_local_rules(plan: &Plan, catalog: &Catalog) -> Plan {
+/// One round of structural rewrites at this node: `Ok` with the rewritten
+/// node when a rule fired, `Err` with the node unchanged otherwise.
+fn apply_local_rules(plan: Plan, catalog: &Catalog) -> Result<Plan, Plan> {
     match plan {
-        Plan::Select { child, predicate } => {
-            // σ_TRUE(x) → x.
-            if *predicate == Expr::lit(true) {
-                return (**child).clone();
-            }
-            match &**child {
-                // σ_p(σ_q(x)) → σ_{p ∧ q}(x).
-                Plan::Select {
-                    child: inner,
-                    predicate: q,
-                } => Plan::Select {
-                    child: inner.clone(),
-                    predicate: normalize_expr(&predicate.clone().and(q.clone())),
-                },
-                // σ over a join: sink single-sided conjuncts.
-                Plan::Join { .. } => push_below_join(predicate, child, catalog),
-                _ => plan.clone(),
-            }
-        }
+        // σ_TRUE(x) → x.
+        Plan::Select { child, predicate } if predicate == Expr::lit(true) => Ok(*child),
+        Plan::Select { child, predicate } => match *child {
+            // σ_p(σ_q(x)) → σ_{p ∧ q}(x).
+            Plan::Select {
+                child: inner,
+                predicate: q,
+            } => Ok(Plan::Select {
+                child: inner,
+                predicate: normalize_expr(&predicate.and(q)),
+            }),
+            // σ over a join: sink single-sided conjuncts.
+            join @ Plan::Join { .. } => push_below_join(predicate, join, catalog),
+            child => Err(Plan::Select {
+                child: Box::new(child),
+                predicate,
+            }),
+        },
         Plan::Project {
             child,
             exprs,
             names,
-        } => {
+        } => match *child {
             // π ∘ π composes.
-            if let Plan::Project {
+            Plan::Project {
                 child: inner_child,
                 exprs: inner_exprs,
                 ..
-            } = &**child
-            {
-                let composed: Vec<Expr> = exprs
+            } => Ok(Plan::Project {
+                child: inner_child,
+                exprs: exprs
                     .iter()
-                    .map(|e| normalize_expr(&subst_cols(e, inner_exprs)))
-                    .collect();
-                return Plan::Project {
-                    child: inner_child.clone(),
-                    exprs: composed,
-                    names: names.clone(),
-                };
-            }
+                    .map(|e| normalize_expr(&subst_cols(e, &inner_exprs)))
+                    .collect(),
+                names,
+            }),
             // Identity projection (same positions, same names) vanishes.
-            let identity_positions = exprs.iter().enumerate().all(|(i, e)| *e == Expr::Col(i));
-            if identity_positions {
-                if let Ok(child_schema) = schema_of(child, catalog) {
-                    if child_schema.len() == exprs.len()
-                        && child_schema.names()
-                            == names.iter().map(|s| s.as_str()).collect::<Vec<_>>()
-                    {
-                        return (**child).clone();
-                    }
-                }
-            }
-            plan.clone()
-        }
-        _ => plan.clone(),
+            child if is_identity_projection(&child, &exprs, &names, catalog) => Ok(child),
+            child => Err(Plan::Project {
+                child: Box::new(child),
+                exprs,
+                names,
+            }),
+        },
+        other => Err(other),
     }
+}
+
+/// Whether `π_{exprs as names}(child)` reproduces `child` exactly.
+fn is_identity_projection(
+    child: &Plan,
+    exprs: &[Expr],
+    names: &[String],
+    catalog: &Catalog,
+) -> bool {
+    exprs.iter().enumerate().all(|(i, e)| *e == Expr::Col(i))
+        && schema_of(child, catalog).is_ok_and(|s| {
+            s.len() == exprs.len()
+                && s.names() == names.iter().map(|s| s.as_str()).collect::<Vec<_>>()
+        })
 }
 
 /// Schema derivation that cannot panic on parameterized templates: typed
@@ -231,6 +174,14 @@ fn subst_cols(e: &Expr, exprs: &[Expr]) -> Expr {
     }
 }
 
+/// Where a conjunct above a join can go.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Left,
+    Right,
+    Above,
+}
+
 /// Sink the conjuncts of `predicate` below `join` where safe:
 ///
 /// * conjuncts reading only left columns move into the left input — valid
@@ -241,7 +192,9 @@ fn subst_cols(e: &Expr, exprs: &[Expr]) -> Expr {
 ///   not input rows; for semi/anti the predicate cannot reference the
 ///   right side at all);
 /// * everything else stays above the join.
-fn push_below_join(predicate: &Expr, join: &Plan, catalog: &Catalog) -> Plan {
+///
+/// `Err` returns `σ_predicate(join)` unchanged when nothing moves.
+fn push_below_join(predicate: Expr, join: Plan, catalog: &Catalog) -> Result<Plan, Plan> {
     let Plan::Join {
         left,
         right,
@@ -252,81 +205,99 @@ fn push_below_join(predicate: &Expr, join: &Plan, catalog: &Catalog) -> Plan {
     else {
         unreachable!("caller matched a join");
     };
-    if *kind == JoinKind::Single {
-        // The broadcast side must produce exactly one row; filtering it
-        // could change that invariant's failure mode. Leave alone.
-        return Plan::Select {
-            child: Box::new(join.clone()),
-            predicate: predicate.clone(),
-        };
+    // The broadcast side of a single join must produce exactly one row;
+    // filtering it could change that invariant's failure mode. Leave alone.
+    let left_width = match kind {
+        JoinKind::Single => None,
+        _ => schema_of(&left, catalog).ok().map(|s| s.len()),
+    };
+    let conjuncts: &[Expr] = match &predicate {
+        Expr::And(items) => items,
+        other => std::slice::from_ref(other),
+    };
+    let sides: Vec<Side> = conjuncts
+        .iter()
+        .map(|c| {
+            let Some(lw) = left_width else {
+                return Side::Above;
+            };
+            let mut cols = Vec::new();
+            c.columns_used(&mut cols);
+            if cols.iter().all(|&i| i < lw) {
+                Side::Left
+            } else if cols.iter().all(|&i| i >= lw) && kind == JoinKind::Inner {
+                Side::Right
+            } else {
+                Side::Above
+            }
+        })
+        .collect();
+    if sides.iter().all(|&s| s == Side::Above) {
+        return Err(Plan::Select {
+            child: Box::new(Plan::Join {
+                left,
+                right,
+                kind,
+                left_keys,
+                right_keys,
+            }),
+            predicate,
+        });
     }
-    let Ok(left_schema) = schema_of(left, catalog) else {
-        return Plan::Select {
-            child: Box::new(join.clone()),
-            predicate: predicate.clone(),
-        };
+    let lw = left_width.unwrap_or(0);
+    let shift = if sides.contains(&Side::Right) {
+        shift_map(lw, plan_width(&right, catalog))
+    } else {
+        Vec::new()
     };
-    let lw = left_schema.len();
-    let conjuncts: Vec<Expr> = match predicate {
-        Expr::And(items) => items.clone(),
-        other => vec![other.clone()],
+    let conjuncts = match predicate {
+        Expr::And(items) => items,
+        other => vec![other],
     };
-    let mut to_left = Vec::new();
-    let mut to_right = Vec::new();
-    let mut residual = Vec::new();
-    for c in conjuncts {
-        let mut cols = Vec::new();
-        c.columns_used(&mut cols);
-        if cols.iter().all(|&i| i < lw) {
-            to_left.push(c);
-        } else if cols.iter().all(|&i| i >= lw) && *kind == JoinKind::Inner {
-            to_right.push(c.remap_cols(&shift_map(lw, plan_width(right, catalog))));
-        } else {
-            residual.push(c);
+    let (mut to_left, mut to_right, mut residual) = (Vec::new(), Vec::new(), Vec::new());
+    for (c, side) in conjuncts.into_iter().zip(sides) {
+        match side {
+            Side::Left => to_left.push(c),
+            Side::Right => to_right.push(c.remap_cols(&shift)),
+            Side::Above => residual.push(c),
         }
     }
-    if to_left.is_empty() && to_right.is_empty() {
-        return Plan::Select {
-            child: Box::new(join.clone()),
-            predicate: predicate.clone(),
-        };
-    }
-    let wrap = |child: &Plan, mut preds: Vec<Expr>| -> Plan {
+    let wrap = |child: Box<Plan>, mut preds: Vec<Expr>| -> Box<Plan> {
         if preds.is_empty() {
-            return child.clone();
+            return child;
         }
         // Merge into an existing selection rather than stacking a second
         // one — stacked selects would differ from the equivalent
         // single-select plan and break idempotency.
-        let inner = match child {
+        let inner = match *child {
             Plan::Select {
                 child: inner,
                 predicate,
             } => {
-                preds.push(predicate.clone());
-                inner.as_ref().clone()
+                preds.push(predicate);
+                inner
             }
-            other => other.clone(),
+            other => Box::new(other),
         };
-        Plan::Select {
-            child: Box::new(inner),
+        Box::new(Plan::Select {
+            child: inner,
             predicate: normalize_expr(&Expr::and_all(preds)),
-        }
+        })
     };
     let new_join = Plan::Join {
-        left: Box::new(wrap(left, to_left)),
-        right: Box::new(wrap(right, to_right)),
-        kind: *kind,
-        left_keys: left_keys.clone(),
-        right_keys: right_keys.clone(),
+        left: wrap(left, to_left),
+        right: wrap(right, to_right),
+        kind,
+        left_keys,
+        right_keys,
     };
     if residual.is_empty() {
-        new_join
+        Ok(new_join)
     } else {
-        Plan::Select {
+        Ok(Plan::Select {
             child: Box::new(new_join),
             predicate: normalize_expr(&Expr::and_all(residual)),
-        }
+        })
     }
 }
 

@@ -2,7 +2,7 @@
 //! query cycles, cancellation, and buffered, backpressured output.
 //!
 //! A connection is a state machine pumped by a pool worker (see
-//! `server.rs` for who holds it when). [`Conn::pump`] waits for bytes with
+//! `server.rs` for who holds it when). `Conn::pump` waits for bytes with
 //! *one* `read` — blocking, bounded by the linger timeout — acts on every
 //! *complete* frame, flushes, and returns with partial frames left in the
 //! input buffer. Responses accumulate in a bounded output buffer that is
@@ -12,9 +12,9 @@
 //! # Socket mode
 //!
 //! The mode has one owner at a time and changes only at a hand-off:
-//! **nonblocking while parked on the reactor** ([`Conn::new`],
-//! [`Conn::park`]) so its `peek` sweep never waits, **blocking with the
-//! linger as read timeout while on a worker** ([`Conn::attach`]) so a
+//! **nonblocking while parked on the reactor** (`Conn::new`,
+//! `Conn::park`) so its `peek` sweep never waits, **blocking with the
+//! linger as read timeout while on a worker** (`Conn::attach`) so a
 //! worker waiting for the next request sleeps in the kernel. Nothing in
 //! between toggles it — not `fill`, not `flush`.
 //!

@@ -20,7 +20,7 @@ use rdb_engine::Engine;
 use rdb_exec::TableFunction;
 use rdb_vector::{Batch, Column, DataType, Schema, Value};
 
-/// Server lifecycle phase (stored in [`ServerShared::state`]).
+/// Server lifecycle phase (stored in `ServerShared::state`).
 pub const STATE_RUNNING: u8 = 0;
 /// Draining: no new connections, in-flight statements finish.
 pub const STATE_DRAINING: u8 = 1;

@@ -7,7 +7,7 @@
 //! conjuncts, and lowers aggregates by splitting select items into an
 //! `Aggregate` node plus a projection over its output. The produced plan
 //! is *bound* (positional column references throughout) and ready for
-//! [`rdb_plan::normalize`].
+//! [`rdb_plan::normalize()`].
 
 use rdb_expr::{AggFunc, ArithOp, Expr};
 use rdb_plan::{JoinKind, Plan, SortKeyExpr};
@@ -59,7 +59,7 @@ impl SqlCatalog for CatalogWithFunctions<'_> {
 #[derive(Debug, Clone)]
 pub enum BoundStatement {
     /// A query: a bound, positional plan (run it through
-    /// [`rdb_plan::normalize`] before fingerprinting).
+    /// [`rdb_plan::normalize()`] before fingerprinting).
     Query(Plan),
     /// `INSERT INTO … VALUES …`: rows of literal/parameter expressions in
     /// table-schema order.

@@ -6,7 +6,7 @@
 //! [`rdb_plan::Plan`]. The point of the layer is *cache convergence*: all
 //! SQL lowers through one code path, scans are pruned to referenced
 //! columns in schema order, and the session layer normalizes every lowered
-//! plan ([`rdb_plan::normalize`]) before fingerprinting — so textual
+//! plan ([`rdb_plan::normalize()`]) before fingerprinting — so textual
 //! variants of the same query (`a AND b` vs `b AND a`, `5 < x` vs
 //! `x > 5`, filters above vs below a join) land on the same
 //! recycler-graph nodes and reuse each other's materialized results.

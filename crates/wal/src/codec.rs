@@ -1,7 +1,7 @@
 //! Binary encoding of log records, plans, and lineage.
 //!
 //! Hand-rolled little-endian encoding — no serde in the dependency
-//! closure — with a defensive [`Reader`]: every length is bounds-checked
+//! closure — with a defensive `Reader`: every length is bounds-checked
 //! and every tag validated, so a corrupted payload that survived the CRC
 //! (or a truncated checkpoint) produces [`WalError::Corrupt`], never a
 //! panic or an absurd allocation.

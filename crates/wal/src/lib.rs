@@ -38,7 +38,7 @@
 //! [`rdb_storage::VersionedTable`]: each epoch commit is appended (and,
 //! policy permitting, fsynced) **before the version pointer swap**, under
 //! the table's write lock — so per table, the log order is exactly the
-//! epoch order, with no gaps. Recovery ([`recover`]) loads the
+//! epoch order, with no gaps. Recovery ([`recover()`]) loads the
 //! checkpoint, then replays every surviving segment in order, applying
 //! records whose epoch exceeds the recovered table's. A torn or corrupt
 //! tail — short frame, CRC mismatch, impossible length — is detected,

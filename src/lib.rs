@@ -12,7 +12,7 @@
 //! * [`storage`] — versioned in-memory tables (epoch-stamped
 //!   append/delete with O(1) snapshot reads) and the catalog;
 //! * [`plan`] — logical query trees with structural fingerprints,
-//!   parameter slots, and the [`plan::normalize`] canonicalization pass
+//!   parameter slots, and the [`plan::normalize()`] canonicalization pass
 //!   every prepared statement goes through;
 //! * [`sql`] — the SQL text frontend: lexer, recursive-descent parser,
 //!   spanned AST, and the binder lowering to plans;

@@ -25,31 +25,12 @@ fn det_config() -> RecyclerConfig {
     c
 }
 
-/// Repair disabled: the paper's pure evict-on-write baseline, which the
-/// precise-invalidation tests below pin down. (Repair-enabled semantics
-/// are covered by `tests/delta_repair.rs`.)
-fn det_config_evict_only() -> RecyclerConfig {
-    let mut c = det_config();
-    c.repair = false;
-    c
-}
-
 fn tpch_engine() -> Arc<Engine> {
     let cat = generate(&TpchConfig {
         scale: 0.005,
         seed: 42,
     });
     Engine::builder(cat).recycler(det_config()).build()
-}
-
-fn tpch_engine_evict_only() -> Arc<Engine> {
-    let cat = generate(&TpchConfig {
-        scale: 0.005,
-        seed: 42,
-    });
-    Engine::builder(cat)
-        .recycler(det_config_evict_only())
-        .build()
 }
 
 /// A schema-valid lineitem row.
@@ -105,7 +86,7 @@ fn cached_over_only(engine: &Arc<Engine>, table: &str, exclude: &str) -> usize {
 
 #[test]
 fn updating_lineitem_evicts_exactly_the_dependent_entries() {
-    let engine = tpch_engine_evict_only();
+    let engine = tpch_engine();
     let session = engine.session();
     let mut rng = SmallRng::seed_from_u64(7);
 
@@ -145,7 +126,7 @@ fn updating_lineitem_evicts_exactly_the_dependent_entries() {
 
     let recycler = engine.recycler().unwrap();
     let li_before = cached_over(&engine, "lineitem");
-    // Q14's nodes read part *and* lineitem, so they die with the update;
+    // Q14's nodes read part *and* lineitem, so the update reaches them;
     // the survivors an update must not touch are the part-only and
     // orders-only entries.
     let part_pure_before = cached_over_only(&engine, "part", "lineitem");
@@ -161,57 +142,50 @@ fn updating_lineitem_evicts_exactly_the_dependent_entries() {
     assert_eq!(out.table, "lineitem");
     assert_eq!(out.rows_affected, 2);
     assert_eq!(out.epoch, 1);
-    assert_eq!(
-        (out.repaired, out.deltas_applied),
-        (0, 0),
-        "repair disabled: the write must route through pure eviction"
-    );
+    assert_eq!(out.deltas_applied, 1, "the append carries its delta");
 
-    // Precisely the lineitem-dependent entries were evicted. Beyond the
-    // materialized results, the walk also kills dependent *operator-state*
-    // artifacts (hash builds, aggregation tables) — those ride the same
-    // events, tagged by kind.
-    let result_events = out
-        .invalidated
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                RecyclerEvent::Invalidated {
-                    kind: ArtifactKind::Result,
-                    ..
-                }
-            )
-        })
-        .count();
-    assert_eq!(
-        result_events, li_before,
-        "one Invalidated event per dependent result entry"
-    );
-    assert!(
-        out.invalidated.len() > li_before,
-        "dependent operator-state artifacts die with their table too"
-    );
+    // Every lineitem-dependent entry got exactly one event: repaired in
+    // place or evicted. Beyond the materialized results, the walk also
+    // covers dependent *operator-state* artifacts (hash builds,
+    // aggregation tables), tagged by kind.
+    let (mut results, mut repaired_results, mut evicted) = (0, 0, 0);
     for e in &out.invalidated {
-        match e {
-            RecyclerEvent::Invalidated { table, bytes, .. } => {
-                assert_eq!(table, "lineitem");
+        let (table, kind) = match e {
+            RecyclerEvent::Repaired { table, kind, .. } => {
+                repaired_results += usize::from(*kind == ArtifactKind::Result);
+                (table, kind)
+            }
+            RecyclerEvent::Invalidated {
+                table, kind, bytes, ..
+            } => {
                 assert!(*bytes > 0);
+                evicted += 1;
+                (table, kind)
             }
             other => panic!("unexpected event {other:?}"),
-        }
+        };
+        assert_eq!(table, "lineitem");
+        results += usize::from(*kind == ArtifactKind::Result);
     }
-    assert_eq!(cached_over(&engine, "lineitem"), 0, "no stale entry stays");
-    assert_eq!(recycler.cache_len(), len_before - out.invalidated.len());
+    assert_eq!(results, li_before, "one event per dependent result entry");
+    assert!(
+        out.invalidated.len() > li_before,
+        "dependent operator-state artifacts are reached too"
+    );
+    assert_eq!(out.repaired as usize + evicted, out.invalidated.len());
+    assert!(out.repaired >= 1, "Q6's sum is repaired in place");
+    // Repaired entries stay, now at the new epoch; evicted ones are gone.
+    assert_eq!(cached_over(&engine, "lineitem"), repaired_results);
+    assert_eq!(recycler.cache_len(), len_before - evicted);
     let invalidations = recycler
         .stats
         .invalidations
         .load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(invalidations as usize, out.invalidated.len());
+    assert_eq!(invalidations as usize, evicted);
 
-    // ...and nothing else: part-only/orders-only entries survive and still
-    // hit. The part-only entry surviving while Q14 (part ⋈ lineitem) died
-    // is the fine-grained part.
+    // ...and nothing else: part-only/orders-only entries are untouched and
+    // still hit. The part-only entry surviving while Q14 (part ⋈ lineitem)
+    // was reached is the fine-grained part.
     assert_eq!(
         cached_over_only(&engine, "part", "lineitem"),
         part_pure_before
@@ -223,23 +197,25 @@ fn updating_lineitem_evicts_exactly_the_dependent_entries() {
     assert!(session.query(&part_only).unwrap().into_outcome().reused());
     assert!(session.query(&orders_only).unwrap().into_outcome().reused());
 
-    // Lineitem queries recompute against the new epoch, correctly: compare
-    // Q6 against a materializing run over the current snapshot.
-    let (q6_prep, q6_params) = &q6;
-    let recomputed = q6_prep.execute(q6_params).unwrap();
-    assert_eq!(recomputed.snapshot().epoch_of("lineitem"), Some(1));
-    let recomputed = recomputed.into_outcome();
-    assert!(!recomputed.reused(), "stale reuse after the update");
-    let concrete = templates::q6_template()
-        .substitute_params(q6_params)
-        .unwrap();
-    let baseline = MaterializingEngine::naive(Arc::new(engine.catalog().snapshot().to_catalog()))
-        .run(&concrete)
-        .unwrap();
-    assert_eq!(sorted_rows(&recomputed.batch), sorted_rows(&baseline.batch));
-
-    // And the recycler is healthy at the new epoch: the next repeat hits.
-    assert!(q6_prep.execute(q6_params).unwrap().into_outcome().reused());
+    // Lineitem queries answer at the new epoch, correctly — repaired or
+    // recomputed: compare each against a materializing run over the
+    // current snapshot, then the recycler is healthy there: a repeat hits.
+    let baseline_catalog = Arc::new(engine.catalog().snapshot().to_catalog());
+    for (template, (prepared, params)) in [
+        (templates::q1_template(), &q1),
+        (templates::q6_template(), &q6),
+        (templates::q14_template(), &q14),
+    ] {
+        let after = prepared.execute(params).unwrap();
+        assert_eq!(after.snapshot().epoch_of("lineitem"), Some(1));
+        let after = after.into_outcome();
+        let concrete = template.substitute_params(params).unwrap();
+        let baseline = MaterializingEngine::naive(baseline_catalog.clone())
+            .run(&concrete)
+            .unwrap();
+        assert_eq!(sorted_rows(&after.batch), sorted_rows(&baseline.batch));
+        assert!(prepared.execute(params).unwrap().into_outcome().reused());
+    }
 }
 
 #[test]

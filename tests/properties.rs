@@ -490,10 +490,6 @@ fn plan_fingerprints_are_pinned() {
         let mut nodes = Vec::new();
         all_nodes(&plan, &mut nodes);
         for node in nodes {
-            // Store's identity covers its tag but `local_eq` rejects it.
-            if matches!(node, Plan::Store { .. }) {
-                continue;
-            }
             assert!(local_eq(node, &node.clone()), "{name}: {}", node.label());
         }
     }

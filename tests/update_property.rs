@@ -34,7 +34,7 @@ fn nullable_row(rng: &mut SmallRng) -> Vec<Value> {
     ]
 }
 
-fn engine_with(seed: u64, rows: usize, repair: bool) -> Arc<Engine> {
+fn engine(seed: u64, rows: usize) -> Arc<Engine> {
     let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Float)]);
     let mut b = TableBuilder::new("t", schema, rows);
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -45,12 +45,7 @@ fn engine_with(seed: u64, rows: usize, repair: bool) -> Arc<Engine> {
     cat.register(b.finish()).unwrap();
     let mut config = RecyclerConfig::deterministic(64 << 20);
     config.spec_min_progress = 0.0;
-    config.repair = repair;
     Engine::builder(Arc::new(cat)).recycler(config).build()
-}
-
-fn engine(seed: u64, rows: usize) -> Arc<Engine> {
-    engine_with(seed, rows, true)
 }
 
 /// A small pool of query shapes over a shared `k >= cut` family, so wider
@@ -151,11 +146,11 @@ fn random_interleavings_match_the_materializing_engine() {
 fn subsumption_reuse_respects_epochs() {
     // Deterministic core of the property: cache a wide selection, reuse it
     // through subsumption for a narrower one, update, and verify the stale
-    // subsumer is neither reused nor resurrected. Repair is pinned off —
-    // with it on, the wide entry would be patched to the new epoch and
-    // reusing it would be *correct* (covered in tests/delta_repair.rs);
-    // here we pin the baseline stale-entry gate.
-    let engine = engine_with(5, 400, false);
+    // subsumer is neither reused nor resurrected. The update is a delete,
+    // which a selection cannot repair (an append would patch the wide
+    // entry to the new epoch, and reusing it would be *correct* — covered
+    // in tests/delta_repair.rs); here we pin the stale-entry gate.
+    let engine = engine(5, 400);
     let session = engine.session();
     let wide = query(0, -25);
     let narrow = query(0, 10);
@@ -166,9 +161,11 @@ fn subsumption_reuse_respects_epochs() {
     // right; with the wide result cached, *some* reuse is expected.)
     assert!(narrowed.reused(), "narrow σ should reuse the wide result");
 
-    session
-        .append("t", &[vec![Value::Int(30), Value::Float(7.5)]])
+    let out = session
+        .delete("t", &Expr::name("k").eq(Expr::lit(30)))
         .unwrap();
+    assert!(out.rows_affected > 0, "the delete must commit an epoch");
+    assert_eq!(out.repaired, 0, "selections do not repair deletes");
     let after = session.query(&narrow).unwrap().into_outcome();
     assert!(
         !after.reused(),
