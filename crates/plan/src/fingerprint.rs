@@ -61,14 +61,14 @@ pub fn fx_hash<T: Hash + ?Sized>(v: &T) -> u64 {
 }
 
 /// Operator-kind discriminant (part of the hash-key): the discriminant of
-/// the node's [`Identity`](crate::node::Identity).
+/// the node's identity (`Plan::identity`).
 pub fn kind_tag(plan: &Plan) -> u8 {
     plan.identity().kind_tag()
 }
 
-/// The node's hash-key: its [`Identity`](crate::node::Identity) — operator
-/// type plus local parameters, excluding user-assigned output names and
-/// children.
+/// The node's hash-key: the hash of its identity (`Plan::identity`) —
+/// operator type plus local parameters, excluding user-assigned output
+/// names and children.
 pub fn local_hash(plan: &Plan) -> u64 {
     fx_hash(&plan.identity())
 }

@@ -4,12 +4,12 @@
 //! Each operator's parts are declared once, in three listings:
 //!
 //! * **children** — [`Plan::children`] / [`Plan::children_mut`];
-//! * **expression slots** — [`Plan::try_for_each_slot`] /
-//!   [`Plan::try_for_each_slot_mut`]: every expression the node holds,
+//! * **expression slots** — `Plan::try_for_each_slot` /
+//!   `Plan::try_for_each_slot_mut`: every expression the node holds,
 //!   with the child input it ranges over and whether the output type
-//!   depends on it ([`Slot`]);
-//! * **match identity** — [`Plan::identity`]: the parameters the recycler
-//!   matches on exactly, output names excluded ([`Identity`]).
+//!   depends on it (`Slot`);
+//! * **match identity** — `Plan::identity`: the parameters the recycler
+//!   matches on exactly, output names excluded (`Identity`).
 //!
 //! Everything else per operator derives from them: rebuilding with new
 //! children, binding, parameter substitution, the normalizer's expression
@@ -431,14 +431,14 @@ pub enum Plan {
 
 /// Where an expression slot of a node reads its columns from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot {
+pub(crate) struct Slot {
     /// Index of the child whose output the expression ranges over; `None`
     /// for table-function arguments, which read no input (literals or
     /// parameter placeholders) and are never bound.
-    pub input: Option<usize>,
+    pub(crate) input: Option<usize>,
     /// Whether [`Plan::schema`] derives an output column's type from the
     /// expression (so it cannot hold a parameter before substitution).
-    pub typed: bool,
+    pub(crate) typed: bool,
 }
 
 impl Slot {
@@ -468,7 +468,7 @@ impl Slot {
 /// the order listed.
 #[derive(Debug, Clone, Copy, PartialEq, Hash)]
 #[repr(u8)]
-pub enum Identity<'a> {
+pub(crate) enum Identity<'a> {
     /// Table and projected columns.
     Scan(&'a str, &'a [String]) = 1,
     /// Function name, arguments, declared output width.
@@ -497,7 +497,7 @@ pub enum Identity<'a> {
 
 impl Identity<'_> {
     /// The operator's kind tag: this identity's discriminant.
-    pub fn kind_tag(&self) -> u8 {
+    pub(crate) fn kind_tag(&self) -> u8 {
         // SAFETY: `Identity` is `repr(u8)`, so its layout begins with the
         // `u8` discriminant (see `std::mem::discriminant`).
         unsafe { *(self as *const Self).cast::<u8>() }
@@ -529,7 +529,7 @@ macro_rules! listings {
             /// Visit every expression held directly by this node (not its
             /// children) with the [`Slot`] it occupies, stopping at the
             /// first error.
-            pub fn $slots<E>(
+            pub(crate) fn $slots<E>(
                 &$($mut)? self,
                 f: &mut impl FnMut(&$($mut)? Expr, Slot) -> Result<(), E>,
             ) -> Result<(), E> {
@@ -673,7 +673,7 @@ impl Plan {
 
     /// The node's match identity: its kind and the parameters listed in
     /// [`Identity`].
-    pub fn identity(&self) -> Identity<'_> {
+    pub(crate) fn identity(&self) -> Identity<'_> {
         match self {
             Plan::Scan { table, cols } => Identity::Scan(table, cols),
             Plan::FnScan { name, args, schema } => Identity::FnScan(name, args, schema.len()),
@@ -958,7 +958,7 @@ impl Plan {
         out
     }
 
-    /// First parameter placeholder appearing in a [`Slot::typed`] position
+    /// First parameter placeholder appearing in a `Slot::typed` position
     /// — one whose *output type* depends on it. Such templates cannot
     /// derive a schema before substitution, so they are rejected at
     /// prepare time instead of panicking inside type derivation.
