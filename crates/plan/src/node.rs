@@ -430,7 +430,7 @@ pub enum Plan {
 }
 
 /// Where an expression slot of a node reads its columns from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) struct Slot {
     /// Index of the child whose output the expression ranges over; `None`
     /// for table-function arguments, which read no input (literals or
@@ -466,7 +466,7 @@ impl Slot {
 /// [`crate::local_hash`] hashes one; the derived `Hash` writes the
 /// discriminant — the operator's kind tag — first, then the parameters in
 /// the order listed.
-#[derive(Debug, Clone, Copy, PartialEq, Hash)]
+#[derive(PartialEq, Hash)]
 #[repr(u8)]
 pub(crate) enum Identity<'a> {
     /// Table and projected columns.
