@@ -2,10 +2,9 @@
 //! carry the improvement?
 //!
 //! Axes, each called out in DESIGN.md:
-//! * subsumption on/off (§IV-A);
+//! * aging factor α (§III-C);
 //! * cache size sweep (the benefit metric + Dantzig replacement must
-//!   degrade gracefully as the cache shrinks);
-//! * history threshold (`min_refs_to_store`).
+//!   degrade gracefully as the cache shrinks).
 
 use std::time::Duration;
 
@@ -39,22 +38,6 @@ fn main() {
     println!("\n{:<34} {:>10}", "configuration", "ms/stream");
     println!("{:<34} {:>10}", "full recycler", ms(full));
 
-    let mut no_sub = base(cache);
-    no_sub.enable_subsumption = false;
-    println!(
-        "{:<34} {:>10}",
-        "no subsumption",
-        ms(run(&catalog, sf, no_sub))
-    );
-
-    let mut high_thresh = base(cache);
-    high_thresh.min_refs_to_store = 4.0;
-    println!(
-        "{:<34} {:>10}",
-        "history threshold hR>=4",
-        ms(run(&catalog, sf, high_thresh))
-    );
-
     let mut fast_age = base(cache);
     fast_age.aging_alpha = 0.5;
     println!(
@@ -74,7 +57,7 @@ fn main() {
     }
     println!(
         "\nExpected shape: the full recycler is fastest; shrinking the cache\n\
-         degrades smoothly (benefit-ordered eviction); over-strict history\n\
-         thresholds and over-aggressive aging lose reuse opportunities."
+         degrades smoothly (benefit-ordered eviction); over-aggressive aging\n\
+         loses reuse opportunities."
     );
 }

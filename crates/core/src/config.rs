@@ -23,9 +23,17 @@ pub enum RecyclerMode {
     Speculative,
 }
 
+/// The paper's small constant `h` standing in for a first-time result's
+/// unknown reference count in the speculative benefit (§III-D).
+pub(crate) const SPEC_H: f64 = 0.001;
+
+/// Minimum (decayed) reference count before a seen-before result is
+/// considered for materialization in the rewriting phase.
+pub(crate) const MIN_REFS_TO_STORE: f64 = 0.5;
+
 /// Tunables for the recycler. Defaults follow the paper where it names
-/// values (`h = 0.001` for speculation) and otherwise use conservative
-/// settings exercised by the test suite.
+/// values and otherwise use conservative settings exercised by the test
+/// suite.
 #[derive(Debug, Clone)]
 pub struct RecyclerConfig {
     /// Recycler cache capacity in bytes.
@@ -36,13 +44,6 @@ pub struct RecyclerConfig {
     pub cost_model: CostModel,
     /// Aging factor α < 1 (paper Eq. 5); applied lazily per query tick.
     pub aging_alpha: f64,
-    /// Minimum (decayed) reference count before a seen-before result is
-    /// considered for materialization in the rewriting phase.
-    pub min_refs_to_store: f64,
-    /// The paper's small constant h used for speculative benefit (§III-D).
-    pub spec_h: f64,
-    /// Benefit floor for admitting results into an un-full cache.
-    pub benefit_floor: f64,
     /// A single result may use at most this fraction of the cache.
     pub max_result_fraction: f64,
     /// Speculation makes no commit/cancel decision before this progress.
@@ -50,8 +51,6 @@ pub struct RecyclerConfig {
     /// How long a query stalls waiting for a concurrent materialization of
     /// the same result before giving up and recomputing.
     pub stall_timeout: Duration,
-    /// Look for a materialized subsumer when exact matching fails (§IV-A).
-    pub enable_subsumption: bool,
 }
 
 impl Default for RecyclerConfig {
@@ -61,13 +60,9 @@ impl Default for RecyclerConfig {
             mode: RecyclerMode::Speculative,
             cost_model: CostModel::Time,
             aging_alpha: 0.995,
-            min_refs_to_store: 0.5,
-            spec_h: 0.001,
-            benefit_floor: 0.0,
             max_result_fraction: 0.5,
             spec_min_progress: 0.05,
             stall_timeout: Duration::from_secs(10),
-            enable_subsumption: true,
         }
     }
 }
@@ -115,7 +110,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = RecyclerConfig::default();
         assert!(c.aging_alpha < 1.0);
-        assert_eq!(c.spec_h, 0.001);
         assert!(c.max_result_bytes() < c.cache_bytes);
     }
 

@@ -30,7 +30,7 @@ use std::mem::{discriminant, Discriminant};
 
 use rdb_expr::{implies, Ranges};
 use rdb_plan::{local_eq, local_hash, signature, Plan};
-use rdb_vector::Schema;
+use rdb_vector::{DataType, Schema};
 
 use crate::config::CostModel;
 
@@ -380,6 +380,8 @@ impl RecyclerGraph {
         if sub == sup || a.children != b.children {
             return None;
         }
+        // The input both sides read (a scan has no subsumer).
+        let input = &self.node(*a.children.first()?).schema;
         match (&a.subtree, &b.subtree) {
             (Plan::Select { predicate: p, .. }, Plan::Select { predicate: q, .. }) => {
                 let implied = match (&a.ranges, &b.ranges) {
@@ -388,7 +390,7 @@ impl RecyclerGraph {
                 };
                 implied.then_some(Derivation::Reselect)
             }
-            (sub, sup) => derive_local(sub, sup),
+            (sub, sup) => derive_local(sub, sup, input),
         }
     }
 
@@ -649,11 +651,12 @@ impl RecyclerGraph {
 }
 
 /// Can `sub`'s result be derived from `sup`'s result (both canonical plans
-/// with identical children)? Implements the paper's tuple subsumption for
-/// selections, column and tuple subsumption for aggregations, and top-N
-/// widening. Bare scans have no rule: the recycler never stores one, so
-/// there is never a cached scan to derive from.
-pub fn derive_subsumption(sub: &Plan, sup: &Plan) -> Option<Derivation> {
+/// with identical children, whose output is `input`)? Implements the
+/// paper's tuple subsumption for selections, column and tuple subsumption
+/// for aggregations, and top-N widening. Bare scans have no rule: the
+/// recycler never stores one, so there is never a cached scan to derive
+/// from.
+pub fn derive_subsumption(sub: &Plan, sup: &Plan, input: &Schema) -> Option<Derivation> {
     // Children must be structurally identical for all rules below.
     let sub_children = sub.children();
     let sup_children = sup.children();
@@ -670,13 +673,13 @@ pub fn derive_subsumption(sub: &Plan, sup: &Plan) -> Option<Derivation> {
         (Plan::Select { predicate: p, .. }, Plan::Select { predicate: q, .. }) => {
             (p != q && implies(p, q)).then_some(Derivation::Reselect)
         }
-        _ => derive_local(sub, sup),
+        _ => derive_local(sub, sup, input),
     }
 }
 
 /// The rules of [`derive_subsumption`] that look at operator parameters
-/// only (children are already known to be identical).
-fn derive_local(sub: &Plan, sup: &Plan) -> Option<Derivation> {
+/// only (children are already known to be identical, with output `input`).
+fn derive_local(sub: &Plan, sup: &Plan, input: &Schema) -> Option<Derivation> {
     match (sub, sup) {
         (
             Plan::Aggregate {
@@ -707,12 +710,17 @@ fn derive_local(sub: &Plan, sup: &Plan) -> Option<Derivation> {
                 let group_cols: Option<Vec<usize>> =
                     g1.iter().map(|g| g2.iter().position(|x| x == g)).collect();
                 let group_cols = group_cols?;
+                let input: Vec<DataType> = input.fields().iter().map(|f| f.dtype).collect();
                 let mut agg_cols = Vec::with_capacity(a1.len());
                 for a in a1 {
                     // The partial aggregate must exist in sup and be
-                    // re-aggregable (sum of sums, etc.).
+                    // re-aggregable (sum of sums, etc.) without changing a
+                    // bit: a float sum re-added in another order is not
+                    // what recomputation gives.
                     let p = a2.iter().position(|x| x == a)?;
-                    a.reaggregate(0)?; // decomposability check
+                    if a.reaggregate(0).is_none() || !a.is_exact(&input) {
+                        return None;
+                    }
                     agg_cols.push(g2.len() + p);
                 }
                 Some(Derivation::Reaggregate {
@@ -933,9 +941,15 @@ mod tests {
         assert_eq!(g.subsumption_candidates(mn.id), &[mw.id]);
     }
 
+    /// Output of `scan("t", &["a", "b", "c"])`, with `c` of type `c_type`.
+    fn abc(c_type: DataType) -> Schema {
+        Schema::from_pairs([("a", DataType::Int), ("b", DataType::Int), ("c", c_type)])
+    }
+
     #[test]
     fn aggregate_subsumption_variants() {
         let base = || scan("t", &["a", "b", "c"]);
+        let ints = abc(DataType::Int);
         // Finer grouping subsumes coarser (tuple subsumption).
         let fine = base().aggregate(
             vec![(Expr::col(0), "g0"), (Expr::col(1), "g1")],
@@ -945,7 +959,7 @@ mod tests {
             vec![(Expr::col(0), "g0")],
             vec![(AggFunc::Sum(Expr::col(2)), "s")],
         );
-        match derive_subsumption(&coarse, &fine) {
+        match derive_subsumption(&coarse, &fine, &ints) {
             Some(Derivation::Reaggregate {
                 group_cols,
                 agg_cols,
@@ -955,7 +969,7 @@ mod tests {
             }
             other => panic!("expected reaggregate, got {other:?}"),
         }
-        assert!(derive_subsumption(&fine, &coarse).is_none());
+        assert!(derive_subsumption(&fine, &coarse, &ints).is_none());
         // Same groups, extra aggregates: column subsumption.
         let more = base().aggregate(
             vec![(Expr::col(0), "g0")],
@@ -964,20 +978,31 @@ mod tests {
                 (AggFunc::Min(Expr::col(2)), "m"),
             ],
         );
-        match derive_subsumption(&coarse, &more) {
+        match derive_subsumption(&coarse, &more, &ints) {
             Some(Derivation::ProjectCols(pos)) => assert_eq!(pos, vec![0, 1]),
             other => panic!("expected project, got {other:?}"),
         }
-        // Avg is not decomposable → no tuple subsumption.
-        let coarse_avg = base().aggregate(
-            vec![(Expr::col(0), "g0")],
-            vec![(AggFunc::Avg(Expr::col(2)), "a")],
-        );
-        let fine_avg = base().aggregate(
+        // A float sum re-added per finer group is not the scan-order sum:
+        // no tuple subsumption, while projecting columns stays exact.
+        let floats = abc(DataType::Float);
+        assert!(derive_subsumption(&coarse, &fine, &floats).is_none());
+        assert!(matches!(
+            derive_subsumption(&coarse, &more, &floats),
+            Some(Derivation::ProjectCols(_))
+        ));
+        // Min over floats re-aggregates exactly.
+        let fine_min = base().aggregate(
             vec![(Expr::col(0), "g0"), (Expr::col(1), "g1")],
-            vec![(AggFunc::Avg(Expr::col(2)), "a")],
+            vec![(AggFunc::Min(Expr::col(2)), "m")],
         );
-        assert!(derive_subsumption(&coarse_avg, &fine_avg).is_none());
+        let coarse_min = base().aggregate(
+            vec![(Expr::col(0), "g0")],
+            vec![(AggFunc::Min(Expr::col(2)), "m")],
+        );
+        assert!(matches!(
+            derive_subsumption(&coarse_min, &fine_min, &floats),
+            Some(Derivation::Reaggregate { .. })
+        ));
     }
 
     #[test]
@@ -986,10 +1011,14 @@ mod tests {
         let keys = || vec![SortKeyExpr::desc(Expr::col(0))];
         let small = scan("t", &["a"]).top_n(keys(), 10);
         let big = scan("t", &["a"]).top_n(keys(), 10_000);
-        assert_eq!(derive_subsumption(&small, &big), Some(Derivation::Retopn));
-        assert!(derive_subsumption(&big, &small).is_none());
+        let input = abc(DataType::Int);
+        assert_eq!(
+            derive_subsumption(&small, &big, &input),
+            Some(Derivation::Retopn)
+        );
+        assert!(derive_subsumption(&big, &small, &input).is_none());
         let other_keys = scan("t", &["a"]).top_n(vec![SortKeyExpr::asc(Expr::col(0))], 10_000);
-        assert!(derive_subsumption(&small, &other_keys).is_none());
+        assert!(derive_subsumption(&small, &other_keys, &input).is_none());
     }
 
     #[test]
@@ -1028,6 +1057,6 @@ mod tests {
     fn different_children_block_subsumption() {
         let a = scan("t", &["a"]).select(Expr::col(0).gt(Expr::lit(5)));
         let b = scan("u", &["a"]).select(Expr::col(0).gt(Expr::lit(0)));
-        assert!(derive_subsumption(&a, &b).is_none());
+        assert!(derive_subsumption(&a, &b, &abc(DataType::Int)).is_none());
     }
 }

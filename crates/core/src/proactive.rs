@@ -23,87 +23,18 @@ use rdb_plan::Plan;
 use rdb_vector::types::{date_from_ymd, year_of_date};
 use rdb_vector::Value;
 
-/// How each original aggregate is reconstructed from the re-aggregated
-/// partials.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum FinalSpec {
-    /// Original aggregate corresponds 1:1 to partial `i`.
-    Direct(usize),
-    /// `avg = sum(partial sums) / sum(partial counts)`.
-    Ratio {
-        /// Partial-sum index.
-        sum: usize,
-        /// Partial-count index.
-        count: usize,
-    },
-}
-
-/// Decompose aggregates into re-aggregable partials (`avg → sum + count`;
-/// `count → sum`-able counts). Returns `None` if any aggregate is not
-/// decomposable (`count distinct`).
-fn decompose(aggs: &[AggFunc]) -> Option<(Vec<AggFunc>, Vec<FinalSpec>)> {
-    let mut partials: Vec<AggFunc> = Vec::new();
-    let mut specs = Vec::with_capacity(aggs.len());
-    let push = |partials: &mut Vec<AggFunc>, f: AggFunc| -> usize {
-        if let Some(i) = partials.iter().position(|x| *x == f) {
-            i
-        } else {
-            partials.push(f);
-            partials.len() - 1
-        }
-    };
-    for a in aggs {
-        match a {
-            AggFunc::CountDistinct(_) => return None,
-            AggFunc::Avg(e) => {
-                let s = push(&mut partials, AggFunc::Sum(e.clone()));
-                let c = push(&mut partials, AggFunc::Count(e.clone()));
-                specs.push(FinalSpec::Ratio { sum: s, count: c });
-            }
-            other => {
-                let i = push(&mut partials, other.clone());
-                specs.push(FinalSpec::Direct(i));
-            }
-        }
-    }
-    Some((partials, specs))
-}
-
-/// Re-aggregation of the partials sitting at `offset..offset+partials.len()`
-/// of the input.
-fn reaggregate(partials: &[AggFunc], offset: usize) -> Vec<AggFunc> {
+/// Re-aggregation of partial aggregates sitting at
+/// `offset..offset+partials.len()` of the input (paper §IV-B: "standard
+/// aggregate calculation decomposition rules"), or `None` when one does not
+/// decompose (`count distinct`). `avg` is not among them: the rewrites run
+/// on plans [`rdb_plan::lower_avg`] has already turned into `sum` and
+/// `count`.
+fn reaggregate(partials: &[AggFunc], offset: usize) -> Option<Vec<AggFunc>> {
     partials
         .iter()
         .enumerate()
-        .map(|(i, p)| {
-            p.reaggregate(offset + i)
-                .expect("decompose() only emits re-aggregable partials")
-        })
+        .map(|(i, p)| p.reaggregate(offset + i))
         .collect()
-}
-
-/// Final projection restoring the original output (group columns followed
-/// by one expression per original aggregate).
-fn final_project(
-    input: Plan,
-    group_names: &[String],
-    agg_names: &[String],
-    specs: &[FinalSpec],
-) -> Plan {
-    let g = group_names.len();
-    let mut items: Vec<(Expr, &str)> = group_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (Expr::col(i), n.as_str()))
-        .collect();
-    for (spec, name) in specs.iter().zip(agg_names) {
-        let e = match spec {
-            FinalSpec::Direct(i) => Expr::col(g + i),
-            FinalSpec::Ratio { sum, count } => Expr::col(g + sum).div(Expr::col(g + count)),
-        };
-        items.push((e, name.as_str()));
-    }
-    input.project(items)
 }
 
 /// Top-N widening: rewrite `topN(Q, n)` into `topN(topN(Q, wide_n), n)`.
@@ -195,7 +126,6 @@ pub fn cube_with_selections(plan: &Plan) -> Option<Plan> {
         return Some(inner.select(predicate.remap_cols(&remap)));
     }
 
-    let (partials, specs) = decompose(aggs)?;
     // Inner cube: group by (γ ∪ c) over the *unselected* input.
     let mut inner_groups: Vec<(Expr, String)> = group_by
         .iter()
@@ -214,13 +144,13 @@ pub fn cube_with_selections(plan: &Plan) -> Option<Plan> {
             }
         }
     }
-    let inner_group_arity = inner_groups.len();
+    let outer_aggs = reaggregate(aggs, inner_groups.len())?;
     let inner = Plan::Aggregate {
         child: base.clone(),
         group_by: inner_groups.iter().map(|(e, _)| e.clone()).collect(),
         group_names: inner_groups.iter().map(|(_, n)| n.clone()).collect(),
-        aggs: partials.clone(),
-        agg_names: (0..partials.len()).map(|i| format!("p{i}")).collect(),
+        aggs: aggs.clone(),
+        agg_names: (0..aggs.len()).map(|i| format!("p{i}")).collect(),
     };
     // Pull the selection above the cube: remap predicate columns to their
     // inner-output positions.
@@ -234,14 +164,13 @@ pub fn cube_with_selections(plan: &Plan) -> Option<Plan> {
     let lifted_pred = predicate.remap_cols(&remap);
     let selected = inner.select(lifted_pred);
     // Outer re-aggregation back to γ.
-    let outer = Plan::Aggregate {
+    Some(Plan::Aggregate {
         child: Box::new(selected),
         group_by: (0..group_by.len()).map(Expr::col).collect(),
         group_names: group_names.clone(),
-        aggs: reaggregate(&partials, inner_group_arity),
-        agg_names: (0..partials.len()).map(|i| format!("r{i}")).collect(),
-    };
-    Some(final_project(outer, group_names, agg_names, &specs))
+        aggs: outer_aggs,
+        agg_names: agg_names.clone(),
+    })
 }
 
 fn base_arity_upper_bound(predicate: &Expr, group_by: &[Expr]) -> usize {
@@ -287,11 +216,11 @@ pub fn cube_with_binning(plan: &Plan) -> Option<Plan> {
         },
         _ => return None,
     };
-    let (partials, specs) = decompose(aggs)?;
+    let g = group_by.len();
+    let (left_aggs, outer_aggs) = (reaggregate(aggs, g + 1)?, reaggregate(aggs, g)?);
     let bound_year = year_of_date(bound);
     let year_start = date_from_ymd(bound_year, 1, 1);
-    let g = group_by.len();
-    let partial_names: Vec<String> = (0..partials.len()).map(|i| format!("p{i}")).collect();
+    let partial_names: Vec<String> = (0..aggs.len()).map(|i| format!("p{i}")).collect();
 
     // Shared intermediate: the year cube over the unselected input.
     let mut cube_groups = group_by.clone();
@@ -302,7 +231,7 @@ pub fn cube_with_binning(plan: &Plan) -> Option<Plan> {
         child: base.clone(),
         group_by: cube_groups,
         group_names: cube_group_names,
-        aggs: partials.clone(),
+        aggs: aggs.clone(),
         agg_names: partial_names.clone(),
     };
     // Left branch: contained bins, re-aggregated down to γ so the two
@@ -311,7 +240,7 @@ pub fn cube_with_binning(plan: &Plan) -> Option<Plan> {
         child: Box::new(cube.select(Expr::col(g).lt(Expr::lit(bound_year as i64)))),
         group_by: (0..g).map(Expr::col).collect(),
         group_names: group_names.clone(),
-        aggs: reaggregate(&partials, g + 1),
+        aggs: left_aggs,
         agg_names: partial_names.clone(),
     };
     // Right branch: the residual range, computed directly.
@@ -322,21 +251,20 @@ pub fn cube_with_binning(plan: &Plan) -> Option<Plan> {
         child: Box::new(base.as_ref().clone().select(residual)),
         group_by: group_by.clone(),
         group_names: group_names.clone(),
-        aggs: partials.clone(),
-        agg_names: partial_names.clone(),
+        aggs: aggs.clone(),
+        agg_names: partial_names,
     };
     // Union and final re-aggregation.
     let unioned = Plan::UnionAll {
         children: vec![left, right],
     };
-    let outer = Plan::Aggregate {
+    Some(Plan::Aggregate {
         child: Box::new(unioned),
         group_by: (0..g).map(Expr::col).collect(),
         group_names: group_names.clone(),
-        aggs: reaggregate(&partials, g),
-        agg_names: (0..partials.len()).map(|i| format!("r{i}")).collect(),
-    };
-    Some(final_project(outer, group_names, agg_names, &specs))
+        aggs: outer_aggs,
+        agg_names: agg_names.clone(),
+    })
 }
 
 #[cfg(test)]
@@ -422,7 +350,7 @@ mod tests {
                 vec![
                     (AggFunc::Sum(Expr::name("qty")), "sum_qty"),
                     (AggFunc::CountStar, "n"),
-                    (AggFunc::Avg(Expr::name("price")), "avg_price"),
+                    (AggFunc::Min(Expr::name("price")), "min_price"),
                 ],
             )
     }
@@ -488,7 +416,7 @@ mod tests {
                 vec![(Expr::name("flag"), "flag")],
                 vec![
                     (AggFunc::Sum(Expr::name("qty")), "sum_qty"),
-                    (AggFunc::Avg(Expr::name("qty")), "avg_qty"),
+                    (AggFunc::Count(Expr::name("qty")), "count_qty"),
                     (AggFunc::CountStar, "n"),
                 ],
             );
@@ -542,32 +470,5 @@ mod tests {
         // Already wide enough → no rewrite.
         assert!(widen_top_n(&bound, 5).is_none());
         assert!(widen_top_n(&bound, 3).is_none());
-    }
-
-    #[test]
-    fn decompose_handles_avg_and_dedup() {
-        let aggs = vec![
-            AggFunc::Avg(Expr::col(1)),
-            AggFunc::Sum(Expr::col(1)),
-            AggFunc::CountStar,
-        ];
-        let (partials, specs) = decompose(&aggs).unwrap();
-        // Avg shares its Sum partial with the explicit Sum.
-        assert_eq!(
-            partials,
-            vec![
-                AggFunc::Sum(Expr::col(1)),
-                AggFunc::Count(Expr::col(1)),
-                AggFunc::CountStar
-            ]
-        );
-        assert_eq!(
-            specs,
-            vec![
-                FinalSpec::Ratio { sum: 0, count: 1 },
-                FinalSpec::Direct(0),
-                FinalSpec::Direct(2)
-            ]
-        );
     }
 }

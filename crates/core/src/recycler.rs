@@ -41,7 +41,7 @@ use rdb_storage::{Catalog, CatalogSnapshot};
 use rdb_vector::Schema;
 
 use crate::cache::{ArtifactId, CacheArtifact, CacheEntry, RecyclerCache, Removed};
-use crate::config::{CostModel, RecyclerConfig, RecyclerMode};
+use crate::config::{CostModel, RecyclerConfig, RecyclerMode, MIN_REFS_TO_STORE, SPEC_H};
 use crate::graph::{Derivation, MatchTree, NodeId, RecyclerGraph};
 
 /// Events a query generates while interacting with the recycler; the engine
@@ -1199,10 +1199,8 @@ impl<'a> RewriteRun<'a> {
         }
 
         // Rule 3: subsumption (only when no exact cached result exists).
-        if self.cfg.enable_subsumption {
-            if let Some(derived) = self.try_subsumption(st, plan, id) {
-                return Ok(derived);
-            }
+        if let Some(derived) = self.try_subsumption(st, plan, id) {
+            return Ok(derived);
         }
 
         // Recurse into children.
@@ -1386,7 +1384,7 @@ impl<'a> RewriteRun<'a> {
             // History rule: results seen before, with enough references and
             // an admissible benefit, are materialized outright.
             let h = st.graph.decayed_h(id, self.cfg.aging_alpha);
-            if h < self.cfg.min_refs_to_store {
+            if h < MIN_REFS_TO_STORE {
                 return None;
             }
             let bytes = node.stats.bytes.max(1);
@@ -1396,7 +1394,7 @@ impl<'a> RewriteRun<'a> {
             let benefit = st
                 .graph
                 .benefit(id, self.cfg.cost_model, self.cfg.aging_alpha);
-            if benefit <= self.cfg.benefit_floor {
+            if benefit <= 0.0 {
                 return None;
             }
             st.cache.would_admit(bytes, benefit).then_some(false)
@@ -1500,7 +1498,7 @@ impl ResultStore for Recycler {
             st.graph.benefit(node, model, alpha)
         } else {
             let cost = last_est.as_ref().map(|e| e.est_cost_ns).unwrap_or(0.0);
-            cost * self.config.spec_h / bytes.max(1) as f64
+            cost * SPEC_H / bytes.max(1) as f64
         };
         let result = Arc::new(result);
         let admitted = if st.cache.contains(node) {
@@ -1646,7 +1644,7 @@ impl ResultStore for Recycler {
         // nodes fall back to the speculation constant h for admission;
         // once admitted, the entry is ranked on Eq. 1 like every other.
         let alpha = self.config.aging_alpha;
-        let h = st.graph.decayed_h(id, alpha).max(self.config.spec_h);
+        let h = st.graph.decayed_h(id, alpha).max(SPEC_H);
         let benefit = model_cost * h / size.max(1) as f64;
         let artifact = match state {
             OperatorState::HashBuild(b) => CacheArtifact::HashBuild(b),
@@ -1683,7 +1681,7 @@ impl ResultStore for Recycler {
         }
         // Paper §III-D: plug the estimates and a small constant h into the
         // benefit metric and let the admission policy decide.
-        let benefit = est.est_cost_ns * self.config.spec_h / est.est_bytes.max(1.0);
+        let benefit = est.est_cost_ns * SPEC_H / est.est_bytes.max(1.0);
         if st.cache.would_admit(est.est_bytes as u64, benefit) {
             StoreVerdict::Commit
         } else if est.progress >= 1.0 {

@@ -158,10 +158,14 @@ fn reference_subsumers(g: &RecyclerGraph, id: NodeId) -> Vec<(NodeId, Derivation
             })
             .collect(),
     };
+    let input = n
+        .children
+        .first()
+        .map_or_else(Schema::default, |&c| g.node(c).schema.clone());
     let mut out: Vec<(NodeId, Derivation)> = siblings
         .into_iter()
         .filter(|&s| s != id && g.node(s).materialized)
-        .filter_map(|s| derive_subsumption(&n.subtree, &g.node(s).subtree).map(|d| (s, d)))
+        .filter_map(|s| derive_subsumption(&n.subtree, &g.node(s).subtree, &input).map(|d| (s, d)))
         .collect();
     out.sort_by_key(|(s, _)| *s);
     out.dedup_by_key(|(s, _)| *s);
@@ -431,7 +435,6 @@ fn bare_scans_are_never_materialized() {
     for mode in [RecyclerMode::Speculative, RecyclerMode::History] {
         let mut cfg = RecyclerConfig::deterministic(1 << 24);
         cfg.spec_min_progress = 0.0;
-        cfg.min_refs_to_store = 0.0;
         cfg.mode = mode;
         let rc = Recycler::new(cfg);
         // A scan as the root, under a join's build side, and under an

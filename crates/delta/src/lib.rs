@@ -18,7 +18,7 @@
 //! | class               | shape                                                | append                     | delete                          |
 //! |---------------------|------------------------------------------------------|----------------------------|---------------------------------|
 //! | `repairable-select` | Select/Project/probe-side-safe Join chain over the scan | run plan over delta, pushed as a tail chunk | evict (no row identity) |
-//! | `repairable-agg`    | that chain under a root Aggregate, resumable aggs    | resume fold, fold delta    | count-gated retraction, else evict |
+//! | `repairable-agg`    | that chain under a root Aggregate, no count(distinct) | resume fold, fold delta   | count-gated retraction, else evict |
 //! | `repairable-topn`   | that chain under a root TopN                         | stable merge with top-N of delta | evict                     |
 //! | `evict-only`        | everything else                                      | evict                      | evict                           |
 //!
@@ -43,9 +43,10 @@
 //! exact intermediate state of the serial fold over the old rows, so
 //! continuing that fold with the delta rows one by one reproduces
 //! recomputation bit for bit. `sum`/`min`/`max`/`count` therefore stay
-//! repairable (floats included); `avg` and `count(distinct)` do not — their
-//! finished values under-determine the accumulator (the sum/count split,
-//! the value set) — and classify as evict-only.
+//! repairable (floats included); `count(distinct)` does not — its finished
+//! value under-determines the accumulator (the value set) — and classifies
+//! as evict-only. `avg` never gets here: [`rdb_plan::normalize()`] lowers
+//! it to a repairable `sum` and `count` under a projection.
 //!
 //! Delete-repair of aggregates is gated harder: only pure counting
 //! aggregates (`count(*)`/`count(expr)`, with `count(*)` present to detect
@@ -231,13 +232,6 @@ fn streams_appends(plan: &Plan, table: &str) -> bool {
     }
 }
 
-/// Whether an aggregate's accumulator can be recovered from its finished
-/// value (the float-exactness carve-out: `avg` and `count(distinct)` can
-/// not; everything else — float sums included — can).
-fn resumable(a: &AggFunc) -> bool {
-    !matches!(a, AggFunc::Avg(_) | AggFunc::CountDistinct(_))
-}
-
 /// Whether `aggs` qualify for count-gated delete retraction: all counting,
 /// with a `count(*)` present to detect fully-retracted groups.
 pub fn count_only(aggs: &[AggFunc]) -> bool {
@@ -256,7 +250,10 @@ pub fn classify(plan: &Plan, table: &str) -> Repairability {
     }
     match plan {
         Plan::Aggregate { child, aggs, .. } => {
-            if streams_appends(child, table) && aggs.iter().all(resumable) {
+            // Every accumulator but a distinct set can be recovered from
+            // its finished value (the float-exactness carve-out above).
+            let resumable = !aggs.iter().any(|a| matches!(a, AggFunc::CountDistinct(_)));
+            if streams_appends(child, table) && resumable {
                 Repairability::Agg
             } else {
                 Repairability::EvictOnly
@@ -560,11 +557,22 @@ mod tests {
         );
         assert_eq!(classify(&agg, "t"), Repairability::Agg);
 
-        let avg = bound(
+        // `avg` lowers to a repairable `sum` and `count` below a
+        // projection.
+        let avg = rdb_plan::lower_avg(bound(
             scan("t", &["k", "v"]).aggregate(vec![], vec![(AggFunc::Avg(Expr::name("v")), "a")]),
             &cat,
+        ));
+        let Plan::Project { child, .. } = &avg else {
+            panic!("avg lowers under a projection:\n{avg}");
+        };
+        assert_eq!(classify(child, "t"), Repairability::Agg);
+        let distinct = bound(
+            scan("t", &["k", "v"])
+                .aggregate(vec![], vec![(AggFunc::CountDistinct(Expr::name("v")), "d")]),
+            &cat,
         );
-        assert_eq!(classify(&avg, "t"), Repairability::EvictOnly);
+        assert_eq!(classify(&distinct, "t"), Repairability::EvictOnly);
 
         let top = bound(
             scan("t", &["k", "v"]).top_n(vec![SortKeyExpr::asc(Expr::name("k"))], 3),

@@ -260,3 +260,54 @@ pub(crate) fn spawn_checkpointer(engine: &Arc<Engine>) {
         .expect("spawn rdb-checkpointer");
     *d.checkpointer.lock() = Some((stop, thread));
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdb_expr::{AggFunc, Expr};
+    use rdb_plan::{scan, Plan};
+    use rdb_recycler::RecyclerConfig;
+    use rdb_storage::TableBuilder;
+    use rdb_vector::{DataType, Schema, Value};
+    use rdb_wal::codec::{decode_lineage, encode_lineage};
+
+    /// Lineage written before `normalize` lowered `avg` still decodes, and
+    /// warming skips it — the executor refuses an `avg` — while the other
+    /// entries warm as usual.
+    #[test]
+    fn lineage_holding_avg_decodes_and_is_skipped_by_warm_up() {
+        let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Float)]);
+        let mut b = TableBuilder::new("t", schema, 100);
+        for i in 0..100 {
+            b.push_row(vec![Value::Int(i % 7), Value::Float(i as f64 / 4.0)]);
+        }
+        let mut cat = Catalog::new();
+        cat.register(b.finish()).unwrap();
+        let catalog = Arc::new(cat);
+        let entry = |agg: AggFunc| LineageEntry {
+            plan: scan("t", &["k", "v"])
+                .aggregate(vec![(Expr::name("k"), "k")], vec![(agg, "x")])
+                .bind(&catalog)
+                .unwrap(),
+            epochs: vec![("t".to_string(), 0)],
+            benefit: 1.0,
+            heat: 1.0,
+            cost_ns: 1e6,
+            cost_work: 100.0,
+            rows: 7,
+            bytes: 112,
+        };
+        let old = decode_lineage(&encode_lineage(&entry(AggFunc::Avg(Expr::name("v")))).unwrap())
+            .unwrap();
+        assert!(
+            matches!(&old.plan, Plan::Aggregate { aggs, .. } if matches!(aggs[0], AggFunc::Avg(_))),
+            "{}",
+            old.plan
+        );
+        let recycler = Recycler::new(RecyclerConfig::deterministic(1 << 20));
+        let lineage = [old, entry(AggFunc::Sum(Expr::name("v")))];
+        let functions = Arc::new(FnRegistry::new());
+        assert_eq!(warm_recycler(&lineage, &recycler, &catalog, &functions), 1);
+        assert_eq!(recycler.cache_len(), 1);
+    }
+}

@@ -210,6 +210,9 @@ impl MaterializingEngine {
         } else {
             plan.clone()
         };
+        // The executor knows no `avg`; lower it without the rest of
+        // `normalize`, so this engine stays an independent oracle.
+        let bound = rdb_plan::lower_avg(bound);
         let start = Instant::now();
         let mut hits = 0;
         let mut mats = 0;

@@ -45,13 +45,14 @@ pub(crate) enum Acc {
     Min(Option<Value>),
     /// `max`.
     Max(Option<Value>),
-    /// `avg`.
-    Avg { sum: f64, count: i64 },
     /// `count(distinct expr)`.
     Distinct(FxHashSet<Value>),
 }
 
 impl Acc {
+    /// The empty accumulator. `avg` has none: [`rdb_plan::normalize()`]
+    /// lowers it to `sum` and `count`, and the builder rejects a plan
+    /// that still holds one.
     fn new(func: &AggFunc, input_types: &[DataType]) -> Acc {
         match func {
             AggFunc::CountStar | AggFunc::Count(_) => Acc::Count(0),
@@ -67,8 +68,8 @@ impl Acc {
             },
             AggFunc::Min(_) => Acc::Min(None),
             AggFunc::Max(_) => Acc::Max(None),
-            AggFunc::Avg(_) => Acc::Avg { sum: 0.0, count: 0 },
             AggFunc::CountDistinct(_) => Acc::Distinct(FxHashSet::default()),
+            AggFunc::Avg(_) => unreachable!("avg is lowered to sum and count before execution"),
         }
     }
 
@@ -116,15 +117,6 @@ impl Acc {
                     let v = c.get(i);
                     if cur.as_ref().is_none_or(|m| v > *m) {
                         *cur = Some(v);
-                    }
-                }
-            }
-            Acc::Avg { sum, count } => {
-                let c = arg.expect("avg needs an argument");
-                if c.is_valid(i) {
-                    if let Some(f) = c.get(i).as_float() {
-                        *sum += f;
-                        *count += 1;
                     }
                 }
             }
@@ -176,10 +168,6 @@ impl Acc {
                     }
                 }
             }
-            (Acc::Avg { sum, count }, Acc::Avg { sum: s2, count: c2 }) => {
-                *sum += s2;
-                *count += c2;
-            }
             (Acc::Distinct(set), Acc::Distinct(other)) => set.extend(other),
             _ => unreachable!("merging accumulators of different shapes"),
         }
@@ -203,13 +191,6 @@ impl Acc {
                 }
             }
             Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
-            Acc::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(*sum / *count as f64)
-                }
-            }
             Acc::Distinct(set) => Value::Int(set.len() as i64),
         }
     }
@@ -329,26 +310,6 @@ impl GroupTable {
     }
 }
 
-/// Whether every accumulator in `aggs` combines *exactly* — i.e. its merge
-/// is truly associative and commutative over the reals it computes (counts,
-/// integer sums, min/max, distinct sets). Only such aggregates may be
-/// partitioned across parallel workers and merged in arbitrary order while
-/// staying bit-identical to serial execution; floating-point sums and
-/// averages are kept in serial fold order instead (the builder runs them
-/// over a parallel-gathered input), because float addition is not
-/// associative and partial sums would drift in the low-order bits.
-pub(crate) fn exact_accumulation(aggs: &[AggFunc], input_types: &[DataType]) -> bool {
-    aggs.iter().all(|a| match a {
-        AggFunc::CountStar
-        | AggFunc::Count(_)
-        | AggFunc::Min(_)
-        | AggFunc::Max(_)
-        | AggFunc::CountDistinct(_) => true,
-        AggFunc::Sum(e) => e.data_type(input_types) == DataType::Int,
-        AggFunc::Avg(_) => false,
-    })
-}
-
 /// Chunk sorted group states into output batches.
 pub(crate) fn emit_groups(
     states: &[Group],
@@ -382,8 +343,7 @@ pub(crate) fn emit_groups(
 
 /// Recover the accumulator whose serial fold over the group's rows
 /// produced the finished value `v`, or `None` when the finished value
-/// under-determines the state (`avg` loses its sum/count split, `count
-/// distinct` loses its set). The recovered accumulator continues the
+/// under-determines the state (`count distinct` loses its set). The recovered accumulator continues the
 /// *exact* serial fold: folding further rows into it yields bit-identical
 /// results to re-folding the whole input from scratch — including float
 /// sums, because `(((0 + a) + b) + c)` resumed after `b` is literally the
@@ -424,7 +384,7 @@ fn resume_acc(func: &AggFunc, input_types: &[DataType], v: Value) -> Option<Acc>
             Value::Null => None,
             other => Some(other),
         })),
-        AggFunc::Avg(_) | AggFunc::CountDistinct(_) => None,
+        AggFunc::CountDistinct(_) | AggFunc::Avg(_) => None,
     }
 }
 
@@ -686,10 +646,10 @@ mod tests {
             vec![
                 AggFunc::Sum(Expr::col(1)),
                 AggFunc::CountStar,
-                AggFunc::Avg(Expr::col(1)),
+                AggFunc::Max(Expr::col(1)),
             ],
             vec![DataType::Str, DataType::Int],
-            vec![DataType::Str, DataType::Int, DataType::Int, DataType::Float],
+            vec![DataType::Str, DataType::Int, DataType::Int, DataType::Int],
             OpMetrics::shared(),
         );
         let out = run_to_batch(&mut agg);
@@ -697,21 +657,11 @@ mod tests {
         let rows = out.to_rows();
         assert_eq!(
             rows[0],
-            vec![
-                Value::str("a"),
-                Value::Int(8),
-                Value::Int(3),
-                Value::Float(8.0 / 3.0)
-            ]
+            vec![Value::str("a"), Value::Int(8), Value::Int(3), Value::Int(4)]
         );
         assert_eq!(
             rows[1],
-            vec![
-                Value::str("b"),
-                Value::Int(2),
-                Value::Int(1),
-                Value::Float(2.0)
-            ]
+            vec![Value::str("b"), Value::Int(2), Value::Int(1), Value::Int(2)]
         );
     }
 
@@ -746,7 +696,6 @@ mod tests {
                     AggFunc::CountStar,
                     AggFunc::Min(Expr::col(1)),
                     AggFunc::Max(Expr::col(1)),
-                    AggFunc::Avg(Expr::col(1)),
                     AggFunc::CountDistinct(Expr::col(1)),
                 ],
                 vec![DataType::Int, DataType::Int],
@@ -776,7 +725,6 @@ mod tests {
             DataType::Int,
             DataType::Int,
             DataType::Int,
-            DataType::Float,
             DataType::Int,
         ];
         let a = emit_groups(&serial.into_sorted_states(), &types, 1);

@@ -13,7 +13,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rdb_expr::Expr;
+use rdb_expr::{AggFunc, Expr};
 use rdb_plan::{Plan, PlanError, StoreMode};
 use rdb_vector::{Batch, DataType, Schema};
 
@@ -266,6 +266,13 @@ fn build_node(
             aggs,
             ..
         } => {
+            if aggs.iter().any(|a| matches!(a, AggFunc::Avg(_))) {
+                // Only lineage persisted before `normalize` lowered `avg`
+                // can still carry one.
+                return Err(PlanError::msg(
+                    "avg must be lowered to sum and count (rdb_plan::normalize) before execution",
+                ));
+            }
             let input_types = types_of(&child.schema(&ctx.catalog)?);
             let output_types = types_of(&plan.schema(&ctx.catalog)?);
             let recycling = ctx.state_recycling(plan);
@@ -285,16 +292,16 @@ fn build_node(
                 }
             }
             // Partitioned parallel aggregation — but only when every
-            // accumulator merges exactly (see `exact_accumulation`):
-            // per-worker partial tables merged (and key-sorted) at this
-            // breaker are then bit-identical to serial execution. Float
-            // sums/averages instead keep the serial fold order over a
-            // parallel-gathered input (the scan/filter/probe work below
-            // still parallelizes), because partitioned float addition
-            // would drift in the low-order bits and break byte-identical
-            // cache replay across DOPs.
+            // accumulator merges exactly (`AggFunc::is_exact`): per-worker
+            // partial tables merged (and key-sorted) at this breaker are
+            // then bit-identical to serial execution. Float sums instead
+            // keep the serial fold order over a parallel-gathered input
+            // (the scan/filter/probe work below still parallelizes),
+            // because partitioned float addition would drift in the
+            // low-order bits and break byte-identical cache replay across
+            // DOPs.
             let mut built: Option<(Box<dyn Operator>, MetricsNode)> = None;
-            if crate::agg::exact_accumulation(aggs, &input_types) {
+            if aggs.iter().all(|a| a.is_exact(&input_types)) {
                 if let Some(source) = build_source(child, ctx)? {
                     let cm = source.metrics.clone();
                     built = Some((

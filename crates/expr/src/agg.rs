@@ -69,11 +69,27 @@ impl AggFunc {
         }
     }
 
+    /// Whether partial results of this function over disjoint row sets
+    /// combine *exactly*: counts, integer sums, min/max and distinct sets
+    /// do, whatever the order. A float sum does not — float addition is
+    /// not associative, so summing partial sums drifts in the low-order
+    /// bits from the serial fold. Parallel aggregation partitions only
+    /// exact aggregates, and the recycler re-aggregates only exact ones.
+    /// `input` holds the types of the aggregate's input columns.
+    pub fn is_exact(&self, input: &[DataType]) -> bool {
+        match self {
+            AggFunc::Sum(e) => e.data_type(input) == DataType::Int,
+            AggFunc::Avg(_) => false,
+            _ => true,
+        }
+    }
+
     /// Whether a re-aggregation of this function's partial results uses the
     /// same function (`sum` of `sum`s, `min` of `min`s). `count` re-aggregates
     /// via `sum`; `avg` and `count distinct` are not decomposable without
     /// auxiliary columns. Used by the proactive cube-caching rewrites (paper
-    /// §IV-B: "standard aggregate calculation decomposition rules").
+    /// §IV-B: "standard aggregate calculation decomposition rules") and by
+    /// the recycler's tuple subsumption.
     pub fn reaggregate(&self, partial_col: usize) -> Option<AggFunc> {
         let arg = Expr::col(partial_col);
         match self {
@@ -138,6 +154,16 @@ mod tests {
         );
         assert_eq!(AggFunc::Avg(Expr::col(0)).reaggregate(1), None);
         assert_eq!(AggFunc::CountDistinct(Expr::col(0)).reaggregate(1), None);
+    }
+
+    #[test]
+    fn exactness_follows_the_input_type() {
+        let tys = [DataType::Int, DataType::Float];
+        assert!(AggFunc::Sum(Expr::col(0)).is_exact(&tys));
+        assert!(!AggFunc::Sum(Expr::col(1)).is_exact(&tys));
+        assert!(AggFunc::Min(Expr::col(1)).is_exact(&tys));
+        assert!(AggFunc::CountStar.is_exact(&tys));
+        assert!(AggFunc::CountDistinct(Expr::col(1)).is_exact(&tys));
     }
 
     #[test]

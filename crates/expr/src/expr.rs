@@ -545,13 +545,14 @@ impl Expr {
             | Expr::Like { .. }
             | Expr::InList { .. }
             | Expr::IsNull { .. } => DataType::Bool,
-            Expr::Arith(_, a, b) => {
+            Expr::Arith(op, a, b) => {
                 let (ta, tb) = (a.data_type(input), b.data_type(input));
                 match (ta, tb) {
                     (DataType::Date, DataType::Int) | (DataType::Int, DataType::Date) => {
                         DataType::Date
                     }
-                    (DataType::Int, DataType::Int) => DataType::Int,
+                    // Integer division yields a float (see `eval`).
+                    (DataType::Int, DataType::Int) if *op != ArithOp::Div => DataType::Int,
                     _ => DataType::Float,
                 }
             }

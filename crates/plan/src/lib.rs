@@ -30,4 +30,4 @@ pub use fingerprint::{
     structural_hash_at, FxHasher,
 };
 pub use node::{JoinKind, Plan, PlanError, PlanErrorKind, SortKeyExpr, StoreMode};
-pub use normalize::normalize;
+pub use normalize::{lower_avg, normalize};

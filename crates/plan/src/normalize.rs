@@ -25,13 +25,17 @@
 //! * equi-join key pairs sort deterministically (`a.x = b.y AND a.u =
 //!   b.v` is a conjunction — pair order is irrelevant);
 //! * identity projections (`π_{$0,…,$n-1}` preserving the input names)
-//!   disappear, and stacked projections compose into one.
+//!   disappear, and stacked projections compose into one;
+//! * `avg` lowers to `sum` and `count` under a projection computing
+//!   `sum / count` ([`lower_avg`]), so nothing past this pass holds an
+//!   `avg`: execution, delta repair and subsumption see only aggregates
+//!   whose partial results can be kept and extended.
 //!
 //! Store/Cached wrappers never appear here: normalization runs before the
 //! recycler rewrite. The pass is idempotent and runs each node to a local
 //! fixpoint, so the result is stable under re-normalization.
 
-use rdb_expr::{normalize_expr, Expr};
+use rdb_expr::{normalize_expr, AggFunc, Expr};
 use rdb_storage::Catalog;
 
 use crate::node::{JoinKind, Plan};
@@ -95,6 +99,7 @@ fn normalize_local_exprs(plan: &mut Plan) {
 /// node when a rule fired, `Err` with the node unchanged otherwise.
 fn apply_local_rules(plan: Plan, catalog: &Catalog) -> Result<Plan, Plan> {
     match plan {
+        agg @ Plan::Aggregate { .. } if holds_avg(&agg) => Ok(lower_avg_node(agg)),
         // σ_TRUE(x) → x.
         Plan::Select { child, predicate } if predicate == Expr::lit(true) => Ok(*child),
         Plan::Select { child, predicate } => match *child {
@@ -140,6 +145,78 @@ fn apply_local_rules(plan: Plan, catalog: &Catalog) -> Result<Plan, Plan> {
             }),
         },
         other => Err(other),
+    }
+}
+
+/// Rewrite every aggregation holding an `avg` the way [`normalize`] does:
+/// `avg(e)` becomes `sum(e) / count(e)` over an aggregation computing
+/// `sum(e)` and `count(e)`. Only `normalize` and the few callers that run
+/// a plan without it (the materializing oracle, the proactive rewrites)
+/// call this; the executor rejects an `avg`.
+pub fn lower_avg(mut plan: Plan) -> Plan {
+    for c in plan.children_mut() {
+        let child = std::mem::replace(c, Plan::UnionAll { children: vec![] });
+        *c = lower_avg(child);
+    }
+    if holds_avg(&plan) {
+        lower_avg_node(plan)
+    } else {
+        plan
+    }
+}
+
+fn holds_avg(plan: &Plan) -> bool {
+    matches!(plan, Plan::Aggregate { aggs, .. } if aggs.iter().any(|a| matches!(a, AggFunc::Avg(_))))
+}
+
+/// `γ_{…, avg(e)}(x)` → `π_{…, s / c}(γ_{…, s: sum(e), c: count(e)}(x))`,
+/// where an aggregate already in the list is reused (TPC-H Q1's `avg_qty`
+/// shares `sum_qty`). The projection keeps the output columns, names and
+/// types: `/` yields a float even over integers, and a NULL sum (no
+/// non-NULL input) gives a NULL quotient, never NaN.
+fn lower_avg_node(plan: Plan) -> Plan {
+    let Plan::Aggregate {
+        child,
+        group_by,
+        group_names,
+        aggs,
+        agg_names,
+    } = plan
+    else {
+        return plan;
+    };
+    let g = group_by.len();
+    let mut partials: Vec<(AggFunc, String)> = Vec::new();
+    let mut slot = |f: AggFunc, name: String| {
+        let i = match partials.iter().position(|(p, _)| *p == f) {
+            Some(i) => i,
+            None => {
+                partials.push((f, name));
+                partials.len() - 1
+            }
+        };
+        Expr::col(g + i)
+    };
+    let mut exprs: Vec<Expr> = (0..g).map(Expr::col).collect();
+    for (a, name) in aggs.into_iter().zip(&agg_names) {
+        exprs.push(match a {
+            AggFunc::Avg(e) => slot(AggFunc::Sum(e.clone()), format!("{name}_sum"))
+                .div(slot(AggFunc::Count(e), format!("{name}_count"))),
+            other => slot(other, name.clone()),
+        });
+    }
+    let names = group_names.iter().chain(&agg_names).cloned().collect();
+    let (aggs, agg_names) = partials.into_iter().unzip();
+    Plan::Project {
+        child: Box::new(Plan::Aggregate {
+            child,
+            group_by,
+            group_names,
+            aggs,
+            agg_names,
+        }),
+        exprs,
+        names,
     }
 }
 
@@ -550,6 +627,57 @@ mod tests {
             let once = normalize(&bound, &cat);
             assert_eq!(normalize(&once, &cat), once, "not idempotent:\n{once}");
         }
+    }
+
+    #[test]
+    fn avg_lowers_to_shared_sum_and_count() {
+        let cat = catalog();
+        let p = scan("t", &["a", "b"])
+            .aggregate(
+                vec![(Expr::name("a"), "a")],
+                vec![
+                    (AggFunc::Avg(Expr::name("b")), "ab"),
+                    (AggFunc::Sum(Expr::name("b")), "sb"),
+                    (AggFunc::Avg(Expr::name("a")), "aa"),
+                    (AggFunc::CountStar, "n"),
+                ],
+            )
+            .bind(&cat)
+            .unwrap();
+        let n = normalize(&p, &cat);
+        let Plan::Project { child, exprs, .. } = &n else {
+            panic!("avg lowers under a projection:\n{n}");
+        };
+        let Plan::Aggregate { aggs, .. } = child.as_ref() else {
+            panic!("over the aggregation:\n{n}");
+        };
+        // `ab` and `sb` share one sum; `aa` adds its own pair.
+        let (a, b) = (Expr::col(0), Expr::col(1));
+        assert_eq!(
+            aggs,
+            &[
+                AggFunc::Sum(b.clone()),
+                AggFunc::Count(b),
+                AggFunc::Sum(a.clone()),
+                AggFunc::Count(a),
+                AggFunc::CountStar,
+            ]
+        );
+        assert_eq!(
+            exprs,
+            &[
+                Expr::col(0),
+                Expr::col(1).div(Expr::col(2)),
+                Expr::col(1),
+                Expr::col(3).div(Expr::col(4)),
+                Expr::col(5),
+            ]
+        );
+        // Same columns, names and types as the `avg` it replaces (an
+        // integer `avg` still yields a float).
+        assert_eq!(n.schema(&cat).unwrap(), p.schema(&cat).unwrap());
+        assert_eq!(normalize(&n, &cat), n, "not idempotent:\n{n}");
+        assert_eq!(lower_avg(p), n);
     }
 
     #[test]

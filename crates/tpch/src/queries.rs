@@ -1137,6 +1137,8 @@ mod tests {
             let bound = plan
                 .bind(&cat)
                 .unwrap_or_else(|e| panic!("Q{n} failed to bind: {e}"));
+            // The executor runs what `normalize` leaves: no `avg`.
+            let bound = rdb_plan::lower_avg(bound);
             let mut tree =
                 build_exec(&bound, &ctx).unwrap_or_else(|e| panic!("Q{n} failed to build: {e}"));
             let out = run_to_batch(tree.root.as_mut());
@@ -1157,7 +1159,7 @@ mod tests {
         let cat = catalog();
         let ctx = ExecContext::new(cat.clone());
         let mut rng = SmallRng::seed_from_u64(1);
-        let bound = q1(&mut rng).bind(&cat).unwrap();
+        let bound = rdb_plan::lower_avg(q1(&mut rng).bind(&cat).unwrap());
         let mut tree = build_exec(&bound, &ctx).unwrap();
         let out = run_to_batch(tree.root.as_mut());
         // (returnflag, linestatus) combinations: at most 3 × 2.

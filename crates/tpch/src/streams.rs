@@ -95,6 +95,10 @@ pub fn make_stream(
                 .bind(catalog)
                 .unwrap_or_else(|e| panic!("Q{n} bind failed: {e}"));
             if options.proactive {
+                // The rewrites re-aggregate `sum`s and `count`s; Q1's
+                // `avg`s become those below a projection, which
+                // `apply_topdown` looks through.
+                bound = rdb_plan::lower_avg(bound);
                 let rewritten = match n {
                     1 => apply_topdown(&bound, &|p| cube_with_binning(p)),
                     16 | 19 => apply_topdown(&bound, &|p| cube_with_selections(p)),

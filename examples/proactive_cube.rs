@@ -53,7 +53,7 @@ fn date_query(day: i32) -> Plan {
             vec![(Expr::name("flag"), "flag")],
             vec![
                 (AggFunc::Sum(Expr::name("qty")), "sum_qty"),
-                (AggFunc::Avg(Expr::name("qty")), "avg_qty"),
+                (AggFunc::Count(Expr::name("qty")), "count_qty"),
                 (AggFunc::CountStar, "n"),
             ],
         )

@@ -374,3 +374,78 @@ fn large_selection_repairs_share_its_chunks() {
     assert_eq!(stats.repair_fallbacks.load(Ordering::Relaxed), 0);
     assert_eq!(stats.deltas_applied.load(Ordering::Relaxed), 200);
 }
+
+#[test]
+fn q1_aggregate_is_repaired_by_lineitem_appends() {
+    // TPC-H Q1's `avg`s lower to sums and counts, so its aggregate is
+    // repairable: an append patches it in place, and the next read equals
+    // an engine that recomputes from scratch. A delete still evicts it
+    // (a sum cannot be retracted).
+    use recycler_db::recycler::RecyclerEvent;
+    use recycler_db::tpch::templates::{q1_params, q1_template};
+    use recycler_db::tpch::{generate, TpchConfig};
+
+    let catalog = generate(&TpchConfig {
+        scale: 0.002,
+        seed: 5,
+    });
+    let mut config = RecyclerConfig::deterministic(64 << 20);
+    config.spec_min_progress = 0.0;
+    let engine = Engine::builder(catalog.clone()).recycler(config).build();
+    let session = engine.session();
+    let prepared = session.prepare(&q1_template()).unwrap();
+    let params = q1_params(&mut SmallRng::seed_from_u64(1));
+    let q1 = q1_template().substitute_params(&params).unwrap();
+    let read = || {
+        let handle = prepared.execute(&params).unwrap();
+        let snapshot = handle.snapshot().clone();
+        let out = handle.into_outcome();
+        let oracle = MaterializingEngine::naive(Arc::new(snapshot.to_catalog()))
+            .run(&q1)
+            .unwrap();
+        assert_eq!(out.batch.to_rows(), oracle.batch.to_rows(), "Q1 diverged");
+        out.reused()
+    };
+    read();
+    assert!(read(), "Q1 is cached after its first run");
+    let recycler = engine.recycler().unwrap();
+    let is_aggregate = |event: &RecyclerEvent, repaired: bool| match event {
+        RecyclerEvent::Repaired { node, .. } if repaired => {
+            recycler.with_graph(|g| matches!(g.node(*node).subtree, Plan::Aggregate { .. }))
+        }
+        RecyclerEvent::Invalidated { node, .. } if !repaired => {
+            recycler.with_graph(|g| matches!(g.node(*node).subtree, Plan::Aggregate { .. }))
+        }
+        _ => false,
+    };
+
+    let rows: Vec<Vec<Value>> = catalog
+        .get("lineitem")
+        .unwrap()
+        .to_rows()
+        .into_iter()
+        .take(4)
+        .collect();
+    for step in 0..3 {
+        let write = engine.append("lineitem", &rows).unwrap();
+        assert!(
+            write.invalidated.iter().any(|e| is_aggregate(e, true)),
+            "step {step}: Q1's aggregate must be repaired: {:?}",
+            write.invalidated
+        );
+        assert!(read(), "step {step}: the read after an append reuses");
+    }
+
+    let write = engine
+        .delete("lineitem", &Expr::name("l_linenumber").eq(Expr::lit(7i64)))
+        .unwrap();
+    assert!(write.rows_affected > 0);
+    assert!(write.repair_fallbacks > 0, "{write:?}");
+    assert!(
+        write.invalidated.iter().any(|e| is_aggregate(e, false))
+            && !write.invalidated.iter().any(|e| is_aggregate(e, true)),
+        "a delete evicts Q1's aggregate: {:?}",
+        write.invalidated
+    );
+    read();
+}

@@ -152,7 +152,7 @@ fn proactive_rewrites_preserve_results_under_recycling() {
                 vec![(Expr::name("tag"), "tag")],
                 vec![
                     (AggFunc::Sum(Expr::name("v")), "sv"),
-                    (AggFunc::Avg(Expr::name("v")), "av"),
+                    (AggFunc::Count(Expr::name("v")), "nv"),
                 ],
             )
             .bind(&cat)

@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use recycler_db::engine::{Engine, MaterializingEngine};
 use recycler_db::exec::{FnRegistry, TableFunction};
 use recycler_db::expr::{AggFunc, Expr};
-use recycler_db::plan::{fn_scan, scan, union_all, JoinKind, Plan, SortKeyExpr};
+use recycler_db::plan::{fn_scan, normalize, scan, union_all, JoinKind, Plan, SortKeyExpr};
 use recycler_db::recycler::RecyclerConfig;
 use recycler_db::storage::{Catalog, TableBuilder};
 use recycler_db::vector::{Batch, ColumnBuilder, DataType, Schema, Value};
@@ -85,6 +85,12 @@ fn run_at_dop(
     assert_eq!(computed.dop, dop);
     let replayed = session.query(plan).unwrap().into_outcome();
     (computed.batch.to_rows(), replayed.batch.to_rows())
+}
+
+/// Whether any aggregation in `plan` still computes an `avg`.
+fn holds_avg(plan: &Plan) -> bool {
+    matches!(plan, Plan::Aggregate { aggs, .. } if aggs.iter().any(|a| matches!(a, AggFunc::Avg(_))))
+        || plan.children().into_iter().any(holds_avg)
 }
 
 /// The full equivalence check for one plan: every DOP must reproduce the
@@ -442,6 +448,8 @@ fn random_plans_identical_at_every_dop() {
         let cat = random_catalog(&mut rng, rows);
         let (plan, prefix) = random_plan(&mut rng);
         let label = format!("random plan seed {seed} ({rows} rows)");
+        let normalized = normalize(&plan.bind(&cat).unwrap(), &cat);
+        assert!(!holds_avg(&normalized), "{label}: avg survives normalize");
         check_plan(&cat, Some(&fns), &plan, &label);
         if let Some(prefix) = prefix {
             check_over_cached_prefix(&cat, &fns, &prefix, &plan, &label);

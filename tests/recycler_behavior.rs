@@ -306,3 +306,48 @@ fn unique_query_flood_keeps_bookkeeping_flat() {
         "re-ranks grew: {first:?} → {last:?}"
     );
 }
+
+#[test]
+fn float_sums_are_not_reaggregated_from_a_finer_grouping() {
+    // Float addition is not associative: re-aggregating per-(g, h) float
+    // sums adds in another order than the scan does. Here the fine groups
+    // are (0,0) = 1e16 + -1e16 = 0 and (0,1) = 1 + 1 = 2, so re-aggregating
+    // them gives 2, while the scan-order sum ((1e16 + 1) - 1e16) + 1 is 1.
+    let schema = Schema::from_pairs([
+        ("g", DataType::Int),
+        ("h", DataType::Int),
+        ("v", DataType::Float),
+    ]);
+    let mut b = TableBuilder::new("t", schema, 4);
+    for (h, v) in [(0, 1e16), (1, 1.0), (0, -1e16), (1, 1.0)] {
+        b.push_row(vec![Value::Int(0), Value::Int(h), Value::Float(v)]);
+    }
+    let mut cat = Catalog::new();
+    cat.register(b.finish()).unwrap();
+    let engine = engine(Arc::new(cat), 1 << 20, 1.0);
+    let selected = || scan("t", &["g", "h", "v"]).select(Expr::name("g").ge(Expr::lit(0i64)));
+    let fine = selected().aggregate(
+        vec![(Expr::name("g"), "g"), (Expr::name("h"), "h")],
+        vec![(AggFunc::Sum(Expr::name("v")), "s")],
+    );
+    for _ in 0..3 {
+        run(&engine, &fine);
+    }
+    let coarse = selected().aggregate(
+        vec![(Expr::name("g"), "g")],
+        vec![(AggFunc::Sum(Expr::name("v")), "s")],
+    );
+    let out = run(&engine, &coarse);
+    assert!(
+        !out.events
+            .iter()
+            .any(|e| matches!(e, RecyclerEvent::SubsumptionReused { .. })),
+        "a float sum must not be derived from a finer grouping: {:?}",
+        out.events
+    );
+    assert_eq!(
+        out.batch.to_rows(),
+        vec![vec![Value::Int(0), Value::Float(1.0)]],
+        "scan-order sum"
+    );
+}
