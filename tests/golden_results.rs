@@ -7,12 +7,12 @@
 //! identical at DOP 1, 2, 4 and 8 and on a repeat run, which may be served
 //! from the recycler cache.
 //!
-//! Pinned: TPC-H Q1 (builder template and SQL text, which must agree), Q17
-//! and Q22 (builder only: the SQL subset has no derived tables or single
-//! joins), and `avg` over an int column, a float column, an all-NULL group
-//! and an empty global input. The `avg` values are also checked bit for
-//! bit against an `f64` fold in scan order; the int column's sums stay
-//! below 2^53, where that fold is exact.
+//! Pinned: TPC-H Q1 (builder template and SQL text, which must agree), and
+//! Q3, Q10, Q13, Q16, Q17, Q18, Q21 and Q22 (builder only: the SQL subset
+//! has no derived tables or single joins), and `avg` over an int column, a
+//! float column, an all-NULL group and an empty global input. The `avg`
+//! values are also checked bit for bit against an `f64` fold in scan
+//! order; the int column's sums stay below 2^53, where that fold is exact.
 
 use std::sync::Arc;
 
@@ -136,6 +136,24 @@ fn tpch_results_are_pinned() {
         &at_every_dop(&catalog, &q17, "Q17"),
         0x5d1515edd6eed9f5,
     );
+
+    // The other aggregating patterns, each at its own number's seed:
+    // multi-key string and date groups (Q3, Q10, Q18), a count of counts
+    // (Q13), `count(distinct)` (Q16, Q21) and aggregates keyed by all
+    // 15k order keys (Q18, Q21).
+    for (n, want) in [
+        (3, 0xc45b1771eb785f0e),
+        (10, 0xc8d1305b5ac5b063),
+        (13, 0x83f60988ec265ae3),
+        (16, 0xcdc3f34e982f4d7a),
+        (18, 0x289c3474fc367b03),
+        (21, 0x6ba45c51e9a01a69),
+    ] {
+        let what = format!("Q{n}");
+        let mut rng = SmallRng::seed_from_u64(n as u64);
+        let q = Query::Plan(build_query(n, &mut rng, SCALE, false));
+        assert_digest(&what, &at_every_dop(&catalog, &q, &what), want);
+    }
 
     // TPC-H's generator leaves every third customer without orders; this
     // one spreads orders over all of them, which would leave Q22 (customers
