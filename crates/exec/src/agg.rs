@@ -1,404 +1,862 @@
-//! Blocking hash aggregation.
+//! Blocking hash aggregation over columnar group state.
 //!
-//! The group table hashes encoded key bytes with the vendored FxHash (the
-//! keys are derived from the data being aggregated; SipHash's DoS
-//! resistance buys nothing) and input batches are consumed
-//! selection-aware: filtered batches arrive as shared columns plus a
-//! selection vector and only the selected rows are folded in — the
-//! aggregate is the pipeline breaker, so nothing upstream ever gathered.
+//! **Group ids.** A `GroupTable` numbers its groups `0, 1, 2, …` in
+//! first-seen order and keeps their keys as typed key columns: row `g` of
+//! each is group `g`'s key as first seen (a later `-0.0` joins the `0.0`
+//! group and leaves the kept key alone). An index from key hash
+//! ([`rdb_vector::hash_columns`]) to group id, chained per bucket, finds a
+//! row's group; every candidate is confirmed with
+//! [`rdb_vector::KeyCells::cell_eq`], the key equality hash joins use:
+//! NULL equals NULL, `-0.0` equals `0.0`, and cells of different types
+//! never match. A keyless aggregate has exactly one group, id 0, from the
+//! start (so an empty global input still yields its one row) and hashes
+//! nothing.
+//!
+//! **Per-aggregate kernels.** `fold` resolves every live row of a batch to
+//! a `u32` group id in one pass. Batches are consumed selection-aware:
+//! filtered batches arrive as shared columns plus a selection vector and
+//! only the selected rows are folded in, so nothing upstream ever
+//! gathered. Then each aggregate runs one typed loop over the `(row,
+//! group id)` pairs into its own state vector, indexed by group id:
+//! counts; int and float sums, each with a seen flag that tells 0 from the
+//! NULL sum of no values; and min/max as a typed column compared in
+//! `Value` order (floats by `total_cmp`). A float sum adds each group's
+//! values in row order, batch after batch: the serial fold, which is why
+//! parallel aggregation partitions only exact aggregates
+//! ([`AggFunc::is_exact`]) and why [`ResumedAgg`] may continue a cached
+//! sum. `count(distinct)` keeps one hash set of `(group id, value)` pairs
+//! per aggregate and, per group, the number of pairs it owns.
 //!
 //! **Deterministic emission order.** The breaker emits groups sorted by
-//! group key (ascending `Value` order, NULLs first), *not* in hash-table
-//! insertion order. This makes the output independent of input batch
-//! arrival order — and therefore of worker interleaving under
-//! morsel-driven parallel execution (see [`crate::parallel`]) — which the
-//! recycler requires: fingerprint-identical plans must publish
-//! byte-identical `MaterializedResult`s whether they ran at DOP 1 or 8.
+//! group key (ascending `Value` order: NULL first, floats by
+//! `total_cmp`), *not* in first-seen order. It sorts a permutation of group
+//! ids by the key columns, gathers the keys with [`Column::take`] and
+//! finishes each state vector straight into a column. The output is thus
+//! independent of input batch arrival order — and therefore of worker
+//! interleaving under morsel-driven parallel execution (see
+//! [`crate::parallel`]) — which the recycler requires: fingerprint-identical
+//! plans must publish byte-identical `MaterializedResult`s whether they ran
+//! at DOP 1 or 8.
 //!
-//! The same `GroupTable` state backs both the serial [`HashAggExec`] and
-//! the partitioned parallel aggregation: each worker folds its morsels into
-//! a private table, and the partials are merged pairwise at the breaker
-//! (`GroupTable::merge`), where the sort then erases the merge order.
+//! The same `GroupTable` state backs the serial [`HashAggExec`], the
+//! partitioned parallel aggregation (each worker folds its morsels into a
+//! private table; the partials are merged at the breaker with
+//! `GroupTable::merge`, and the sort then erases the merge order), and
+//! delta repair: [`ResumedAgg`] and [`retract_count_groups`] load a cached
+//! result's key and value columns back into it.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
+use fxhash::FxHashSet;
 
 use rdb_expr::{eval, AggFunc, Expr};
-use rdb_vector::column::ColumnBuilder;
-use rdb_vector::row::encode_row_key;
-use rdb_vector::{Batch, Column, DataType, Value, BATCH_CAPACITY};
+use rdb_vector::{
+    hash_columns, Batch, Column, ColumnData, ColumnSlice, DataType, KeyCells, BATCH_CAPACITY,
+};
 
 use crate::metrics::OpMetrics;
 use crate::op::{timed_next, Operator};
 
-/// One per-group accumulator.
-#[derive(Debug)]
-pub(crate) enum Acc {
-    /// `count(*)` / `count(expr)`.
-    Count(i64),
-    /// `sum` over integers; `seen` distinguishes 0 from SQL NULL-sum.
-    SumInt { total: i64, seen: bool },
-    /// `sum` over floats.
-    SumFloat { total: f64, seen: bool },
-    /// `min`.
-    Min(Option<Value>),
-    /// `max`.
-    Max(Option<Value>),
-    /// `count(distinct expr)`.
-    Distinct(FxHashSet<Value>),
+/// What the kernels need of a cell type: `Value` order, and the payload
+/// a NULL slot holds (what `ColumnBuilder::push_null` writes).
+trait Cell: Clone {
+    fn order(&self, other: &Self) -> Ordering;
+    fn null() -> Self;
 }
 
-impl Acc {
-    /// The empty accumulator. `avg` has none: [`rdb_plan::normalize()`]
-    /// lowers it to `sum` and `count`, and the builder rejects a plan
-    /// that still holds one.
-    fn new(func: &AggFunc, input_types: &[DataType]) -> Acc {
+macro_rules! ord_cell {
+    ($($t:ty => $null:expr),*) => {$(
+        impl Cell for $t {
+            #[inline]
+            fn order(&self, other: &Self) -> Ordering {
+                self.cmp(other)
+            }
+            fn null() -> Self {
+                $null
+            }
+        }
+    )*};
+}
+ord_cell!(bool => false, i64 => 0, i32 => 0, Arc<str> => Arc::from(""));
+
+impl Cell for f64 {
+    #[inline]
+    fn order(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+    fn null() -> Self {
+        0.0
+    }
+}
+
+/// A growable typed column with one cell per group: a group key column,
+/// or the running min/max of an aggregate. `valid[g] == false` is NULL
+/// (for min/max: no value seen yet) over a [`Cell::null`] payload.
+struct Cells {
+    data: CellData,
+    valid: Vec<bool>,
+}
+
+enum CellData {
+    Bool(Vec<bool>),
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Str(Vec<Arc<str>>),
+    Date(Vec<i32>),
+}
+
+/// Evaluate `$body` with `$d` bound to the typed vector of `$data`.
+macro_rules! each_type {
+    ($data:expr, |$d:ident| $body:expr) => {
+        match $data {
+            CellData::Bool($d) => $body,
+            CellData::Int($d) => $body,
+            CellData::Float($d) => $body,
+            CellData::Str($d) => $body,
+            CellData::Date($d) => $body,
+        }
+    };
+}
+
+/// Evaluate `$body` with `$d` bound to the typed vector of `$data` and `$s`
+/// to the slice of the same type in `$slice`. Panics when the types differ.
+macro_rules! same_type {
+    ($data:expr, $slice:expr, |$d:ident, $s:ident| $body:expr) => {
+        match ($data, $slice) {
+            (CellData::Bool($d), ColumnSlice::Bool($s)) => $body,
+            (CellData::Int($d), ColumnSlice::Int($s)) => $body,
+            (CellData::Float($d), ColumnSlice::Float($s)) => $body,
+            (CellData::Str($d), ColumnSlice::Str($s)) => $body,
+            (CellData::Date($d), ColumnSlice::Date($s)) => $body,
+            (_, s) => panic!("aggregate cells cannot take a {} column", s.data_type()),
+        }
+    };
+}
+
+impl Cells {
+    fn new(dtype: DataType) -> Cells {
+        let data = match dtype {
+            DataType::Bool => CellData::Bool(Vec::new()),
+            DataType::Int => CellData::Int(Vec::new()),
+            DataType::Float => CellData::Float(Vec::new()),
+            DataType::Str => CellData::Str(Vec::new()),
+            DataType::Date => CellData::Date(Vec::new()),
+        };
+        Cells {
+            data,
+            valid: Vec::new(),
+        }
+    }
+
+    /// A copy of `col`'s window, or `None` when `col` is not of `dtype`.
+    fn from_column(dtype: DataType, col: &Column) -> Option<Cells> {
+        if col.data_type() != dtype {
+            return None;
+        }
+        let mut cells = Cells::new(dtype);
+        cells.valid = (0..col.len()).map(|i| col.is_valid(i)).collect();
+        let valid = &cells.valid;
+        same_type!(&mut cells.data, col.values(), |d, s| *d =
+            copy_cells(s, valid));
+        Some(cells)
+    }
+
+    fn data_type(&self) -> DataType {
+        self.values().data_type()
+    }
+
+    fn values(&self) -> ColumnSlice<'_> {
+        match &self.data {
+            CellData::Bool(v) => ColumnSlice::Bool(v),
+            CellData::Int(v) => ColumnSlice::Int(v),
+            CellData::Float(v) => ColumnSlice::Float(v),
+            CellData::Str(v) => ColumnSlice::Str(v),
+            CellData::Date(v) => ColumnSlice::Date(v),
+        }
+    }
+
+    fn view(&self) -> KeyCells<'_> {
+        KeyCells::new(self.values(), Some(&self.valid))
+    }
+
+    /// Append cell `i` of `values` (NULL unless `valid`).
+    fn push(&mut self, values: ColumnSlice<'_>, valid: bool, i: usize) {
+        self.valid.push(valid);
+        same_type!(&mut self.data, values, |d, s| d
+            .push(cell_or_null(s, valid, i)));
+    }
+
+    /// Pad with NULLs to `n` cells.
+    fn resize(&mut self, n: usize) {
+        self.valid.resize(n, false);
+        each_type!(&mut self.data, |d| d.resize(n, Cell::null()));
+    }
+
+    /// Fold the live rows of `col` into the running min (`keep == Less`)
+    /// or max (`keep == Greater`).
+    fn fold_extreme(&mut self, col: &Column, rows: Rows<'_>, keep: Ordering) {
+        let mask = col.validity();
+        let valid = &mut self.valid;
+        same_type!(&mut self.data, col.values(), |best, vals| rows.for_each(
+            |row, g| {
+                if mask.is_none_or(|m| m[row]) {
+                    offer(best, valid, g, &vals[row], keep);
+                }
+            }
+        ));
+    }
+
+    /// Combine `other`'s extremes, group `og` there into group `map[og]`.
+    fn merge_extreme(&mut self, other: &Cells, map: &[u32], keep: Ordering) {
+        let valid = &mut self.valid;
+        same_type!(&mut self.data, other.values(), |best, vals| {
+            for (og, &g) in map.iter().enumerate() {
+                if other.valid[og] {
+                    offer(best, valid, g as usize, &vals[og], keep);
+                }
+            }
+        });
+    }
+
+    fn into_column(self) -> Column {
+        let data = match self.data {
+            CellData::Bool(v) => ColumnData::bools(v),
+            CellData::Int(v) => ColumnData::ints(v),
+            CellData::Float(v) => ColumnData::floats(v),
+            CellData::Str(v) => ColumnData::strs(v),
+            CellData::Date(v) => ColumnData::dates(v),
+        };
+        Column::with_validity(data, self.valid)
+    }
+}
+
+/// Cell `i` of `vals`, or the NULL payload unless `valid`.
+#[inline]
+fn cell_or_null<T: Cell>(vals: &[T], valid: bool, i: usize) -> T {
+    if valid {
+        vals[i].clone()
+    } else {
+        T::null()
+    }
+}
+
+/// `vals` with each NULL slot's payload reset to [`Cell::null`].
+fn copy_cells<T: Cell>(vals: &[T], valid: &[bool]) -> Vec<T> {
+    (0..vals.len())
+        .map(|i| cell_or_null(vals, valid[i], i))
+        .collect()
+}
+
+/// Make `v` group `g`'s extreme if it is the first value or beats the
+/// current one (`keep`: `Less` for min, `Greater` for max).
+#[inline]
+fn offer<T: Cell>(best: &mut [T], valid: &mut [bool], g: usize, v: &T, keep: Ordering) {
+    if !valid[g] || v.order(&best[g]) == keep {
+        best[g] = v.clone();
+        valid[g] = true;
+    }
+}
+
+/// The live rows of one batch (physical positions) with their group ids.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    sel: Option<&'a [u32]>,
+    gids: &'a [u32],
+}
+
+impl Rows<'_> {
+    #[inline(always)]
+    fn for_each(self, mut f: impl FnMut(usize, usize)) {
+        match self.sel {
+            Some(sel) => {
+                for (&row, &g) in sel.iter().zip(self.gids) {
+                    f(row as usize, g as usize);
+                }
+            }
+            None => {
+                for (row, &g) in self.gids.iter().enumerate() {
+                    f(row, g as usize);
+                }
+            }
+        }
+    }
+}
+
+/// Fold a float sum's live rows, converting each value with `conv`.
+fn add_floats<T>(
+    total: &mut [f64],
+    seen: &mut [bool],
+    vals: &[T],
+    mask: Option<&[bool]>,
+    rows: Rows<'_>,
+    conv: impl Fn(&T) -> f64,
+) {
+    rows.for_each(|row, g| {
+        if mask.is_none_or(|m| m[row]) {
+            total[g] += conv(&vals[row]);
+            seen[g] = true;
+        }
+    });
+}
+
+/// The `(group id, value)` pairs of one `count(distinct)`. An aggregate's
+/// values share one type, so fixed-width ones are kept as one word each:
+/// floats by their bits with `-0.0` as `0.0`, which is `Value` equality.
+enum DistinctPairs {
+    Words(FxHashSet<(u32, u64)>),
+    Strs(FxHashSet<(u32, Arc<str>)>),
+}
+
+/// Insert the live rows' pairs of word-valued `vals`, counting new ones.
+fn insert_words<T>(
+    set: &mut FxHashSet<(u32, u64)>,
+    count: &mut [i64],
+    vals: &[T],
+    mask: Option<&[bool]>,
+    rows: Rows<'_>,
+    word: impl Fn(&T) -> u64,
+) {
+    rows.for_each(|row, g| {
+        if mask.is_none_or(|m| m[row]) && set.insert((g as u32, word(&vals[row]))) {
+            count[g] += 1;
+        }
+    });
+}
+
+/// One aggregate's state over every group, indexed by group id.
+enum State {
+    /// `count(*)` and `count(expr)`.
+    Count(Vec<i64>),
+    /// `sum` over ints; `seen` tells 0 from the NULL sum of no values.
+    SumInt { total: Vec<i64>, seen: Vec<bool> },
+    /// `sum` over anything else, added as `f64` in row order.
+    SumFloat { total: Vec<f64>, seen: Vec<bool> },
+    /// `min` (`keep == Less`) or `max` (`keep == Greater`).
+    Extreme { best: Cells, keep: Ordering },
+    /// `count(distinct)`: the pairs seen and each group's count of them.
+    Distinct {
+        pairs: DistinctPairs,
+        count: Vec<i64>,
+    },
+}
+
+impl State {
+    /// The empty state. `avg` has none: [`rdb_plan::normalize()`] lowers
+    /// it to `sum` and `count`, and the builder rejects a plan that still
+    /// holds one.
+    fn new(func: &AggFunc, input_types: &[DataType]) -> State {
         match func {
-            AggFunc::CountStar | AggFunc::Count(_) => Acc::Count(0),
+            AggFunc::CountStar | AggFunc::Count(_) => State::Count(Vec::new()),
             AggFunc::Sum(e) => match e.data_type(input_types) {
-                DataType::Int => Acc::SumInt {
-                    total: 0,
-                    seen: false,
+                DataType::Int => State::SumInt {
+                    total: Vec::new(),
+                    seen: Vec::new(),
                 },
-                _ => Acc::SumFloat {
-                    total: 0.0,
-                    seen: false,
+                _ => State::SumFloat {
+                    total: Vec::new(),
+                    seen: Vec::new(),
                 },
             },
-            AggFunc::Min(_) => Acc::Min(None),
-            AggFunc::Max(_) => Acc::Max(None),
-            AggFunc::CountDistinct(_) => Acc::Distinct(FxHashSet::default()),
+            AggFunc::Min(e) => State::Extreme {
+                best: Cells::new(e.data_type(input_types)),
+                keep: Ordering::Less,
+            },
+            AggFunc::Max(e) => State::Extreme {
+                best: Cells::new(e.data_type(input_types)),
+                keep: Ordering::Greater,
+            },
+            AggFunc::CountDistinct(e) => State::Distinct {
+                pairs: match e.data_type(input_types) {
+                    DataType::Str => DistinctPairs::Strs(FxHashSet::default()),
+                    _ => DistinctPairs::Words(FxHashSet::default()),
+                },
+                count: Vec::new(),
+            },
             AggFunc::Avg(_) => unreachable!("avg is lowered to sum and count before execution"),
         }
     }
 
-    /// Fold in row `i` of the evaluated argument column (`None` for
-    /// `count(*)`).
-    fn update(&mut self, arg: Option<&Column>, i: usize) {
-        match self {
-            Acc::Count(n) => match arg {
-                None => *n += 1,
-                Some(c) => {
-                    if c.is_valid(i) {
-                        *n += 1;
-                    }
-                }
+    /// The state whose serial fold over a group's rows produced the
+    /// finished values in `col` (one row per group), or `None` when a
+    /// finished value under-determines the state (`count distinct` loses
+    /// its set) or `col` has the wrong type. The recovered state continues
+    /// the *exact* serial fold: folding further rows into it yields
+    /// bit-identical results to re-folding the whole input from scratch —
+    /// including float sums, because `(((0 + a) + b) + c)` resumed after
+    /// `b` is literally the same operation sequence.
+    fn resumed(func: &AggFunc, input_types: &[DataType], col: &Column) -> Option<State> {
+        let valid: Vec<bool> = (0..col.len()).map(|i| col.is_valid(i)).collect();
+        // A NULL sum's total is the 0 it started from.
+        let promoted = |v: &[i64]| v.iter().map(|&x| x as f64).collect::<Vec<_>>();
+        Some(match (State::new(func, input_types), col.values()) {
+            // No groups: nothing to recover.
+            (fresh, _) if col.is_empty() => fresh,
+            (State::Count(_), ColumnSlice::Int(v)) if col.null_count() == 0 => {
+                State::Count(v.to_vec())
+            }
+            (State::SumInt { .. }, ColumnSlice::Int(v)) => State::SumInt {
+                total: copy_cells(v, &valid),
+                seen: valid,
             },
-            Acc::SumInt { total, seen } => {
-                let c = arg.expect("sum needs an argument");
-                if c.is_valid(i) {
-                    *total += c.as_ints()[i];
-                    *seen = true;
-                }
-            }
-            Acc::SumFloat { total, seen } => {
-                let c = arg.expect("sum needs an argument");
-                if c.is_valid(i) {
-                    *total += match c.get(i).as_float() {
-                        Some(f) => f,
-                        None => return,
-                    };
-                    *seen = true;
-                }
-            }
-            Acc::Min(cur) => {
-                let c = arg.expect("min needs an argument");
-                if c.is_valid(i) {
-                    let v = c.get(i);
-                    if cur.as_ref().is_none_or(|m| v < *m) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            Acc::Max(cur) => {
-                let c = arg.expect("max needs an argument");
-                if c.is_valid(i) {
-                    let v = c.get(i);
-                    if cur.as_ref().is_none_or(|m| v > *m) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            Acc::Distinct(set) => {
-                let c = arg.expect("count distinct needs an argument");
-                if c.is_valid(i) {
-                    set.insert(c.get(i));
-                }
-            }
-        }
+            (State::SumFloat { .. }, ColumnSlice::Float(v)) => State::SumFloat {
+                total: copy_cells(v, &valid),
+                seen: valid,
+            },
+            (State::SumFloat { .. }, ColumnSlice::Int(v)) => State::SumFloat {
+                total: copy_cells(&promoted(v), &valid),
+                seen: valid,
+            },
+            (State::Extreme { best, keep }, _) => State::Extreme {
+                best: Cells::from_column(best.data_type(), col)?,
+                keep,
+            },
+            _ => return None,
+        })
     }
 
-    /// Combine a partial accumulator produced by another worker over a
-    /// disjoint subset of the same group's rows.
-    pub(crate) fn merge(&mut self, other: Acc) {
-        match (self, other) {
-            (Acc::Count(a), Acc::Count(b)) => *a += b,
-            (
-                Acc::SumInt { total, seen },
-                Acc::SumInt {
-                    total: t2,
-                    seen: s2,
-                },
-            ) => {
-                *total += t2;
-                *seen |= s2;
-            }
-            (
-                Acc::SumFloat { total, seen },
-                Acc::SumFloat {
-                    total: t2,
-                    seen: s2,
-                },
-            ) => {
-                *total += t2;
-                *seen |= s2;
-            }
-            (Acc::Min(cur), Acc::Min(other)) => {
-                if let Some(v) = other {
-                    if cur.as_ref().is_none_or(|m| v < *m) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (Acc::Max(cur), Acc::Max(other)) => {
-                if let Some(v) = other {
-                    if cur.as_ref().is_none_or(|m| v > *m) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (Acc::Distinct(set), Acc::Distinct(other)) => set.extend(other),
-            _ => unreachable!("merging accumulators of different shapes"),
-        }
-    }
-
-    fn finish(&self) -> Value {
+    /// Pad with empty group states to `n` groups.
+    fn resize(&mut self, n: usize) {
         match self {
-            Acc::Count(n) => Value::Int(*n),
-            Acc::SumInt { total, seen } => {
-                if *seen {
-                    Value::Int(*total)
-                } else {
-                    Value::Null
+            State::Count(c) | State::Distinct { count: c, .. } => c.resize(n, 0),
+            State::SumInt { total, seen } => {
+                total.resize(n, 0);
+                seen.resize(n, false);
+            }
+            State::SumFloat { total, seen } => {
+                total.resize(n, 0.0);
+                seen.resize(n, false);
+            }
+            State::Extreme { best, .. } => best.resize(n),
+        }
+    }
+
+    /// Fold one batch's live rows; `arg` is the evaluated argument column
+    /// (`None` for `count(*)`).
+    fn fold(&mut self, arg: Option<&Column>, rows: Rows<'_>) {
+        let Some(col) = arg else {
+            let State::Count(n) = self else {
+                unreachable!("only count(*) has no argument")
+            };
+            rows.for_each(|_, g| n[g] += 1);
+            return;
+        };
+        let mask = col.validity();
+        match self {
+            State::Count(n) => match mask {
+                None => rows.for_each(|_, g| n[g] += 1),
+                Some(m) => rows.for_each(|row, g| n[g] += m[row] as i64),
+            },
+            State::SumInt { total, seen } => {
+                let vals = col.as_ints();
+                rows.for_each(|row, g| {
+                    if mask.is_none_or(|m| m[row]) {
+                        total[g] += vals[row];
+                        seen[g] = true;
+                    }
+                });
+            }
+            State::SumFloat { total, seen } => match col.values() {
+                ColumnSlice::Float(v) => add_floats(total, seen, v, mask, rows, |x| *x),
+                ColumnSlice::Int(v) => add_floats(total, seen, v, mask, rows, |x| *x as f64),
+                // Other values have no float reading and never add.
+                _ => {}
+            },
+            State::Extreme { best, keep } => best.fold_extreme(col, rows, *keep),
+            State::Distinct { pairs, count } => match (pairs, col.values()) {
+                (DistinctPairs::Strs(set), ColumnSlice::Str(v)) => rows.for_each(|row, g| {
+                    if mask.is_none_or(|m| m[row]) && set.insert((g as u32, v[row].clone())) {
+                        count[g] += 1;
+                    }
+                }),
+                (DistinctPairs::Words(set), ColumnSlice::Bool(v)) => {
+                    insert_words(set, count, v, mask, rows, |x| *x as u64)
+                }
+                (DistinctPairs::Words(set), ColumnSlice::Int(v)) => {
+                    insert_words(set, count, v, mask, rows, |x| *x as u64)
+                }
+                (DistinctPairs::Words(set), ColumnSlice::Float(v)) => {
+                    insert_words(set, count, v, mask, rows, |x| {
+                        if *x == 0.0 {
+                            0
+                        } else {
+                            x.to_bits()
+                        }
+                    })
+                }
+                (DistinctPairs::Words(set), ColumnSlice::Date(v)) => {
+                    insert_words(set, count, v, mask, rows, |x| *x as u64)
+                }
+                (_, s) => panic!(
+                    "count(distinct) state cannot take a {} column",
+                    s.data_type()
+                ),
+            },
+        }
+    }
+
+    /// Combine the state of another table computed over a disjoint row
+    /// subset, its group `og` into group `map[og]` here.
+    fn merge(&mut self, other: State, map: &[u32]) {
+        let pairs = map.iter().enumerate().map(|(og, &g)| (og, g as usize));
+        match (self, other) {
+            (State::Count(a), State::Count(b)) => pairs.for_each(|(og, g)| a[g] += b[og]),
+            (
+                State::SumInt { total, seen },
+                State::SumInt {
+                    total: t2,
+                    seen: s2,
+                },
+            ) => pairs.for_each(|(og, g)| {
+                total[g] += t2[og];
+                seen[g] |= s2[og];
+            }),
+            (
+                State::SumFloat { total, seen },
+                State::SumFloat {
+                    total: t2,
+                    seen: s2,
+                },
+            ) => pairs.for_each(|(og, g)| {
+                total[g] += t2[og];
+                seen[g] |= s2[og];
+            }),
+            (State::Extreme { best, keep }, State::Extreme { best: other, .. }) => {
+                best.merge_extreme(&other, map, *keep)
+            }
+            (State::Distinct { pairs, count }, State::Distinct { pairs: other, .. }) => {
+                match (pairs, other) {
+                    (DistinctPairs::Words(a), DistinctPairs::Words(b)) => {
+                        for (og, w) in b {
+                            let g = map[og as usize];
+                            if a.insert((g, w)) {
+                                count[g as usize] += 1;
+                            }
+                        }
+                    }
+                    (DistinctPairs::Strs(a), DistinctPairs::Strs(b)) => {
+                        for (og, s) in b {
+                            let g = map[og as usize];
+                            if a.insert((g, s)) {
+                                count[g as usize] += 1;
+                            }
+                        }
+                    }
+                    _ => unreachable!("merging count(distinct) states of different types"),
                 }
             }
-            Acc::SumFloat { total, seen } => {
-                if *seen {
-                    Value::Float(*total)
-                } else {
-                    Value::Null
-                }
+            _ => unreachable!("merging aggregate states of different shapes"),
+        }
+    }
+
+    /// The finished values, one row per group.
+    fn finish(self) -> Column {
+        match self {
+            State::Count(n) | State::Distinct { count: n, .. } => Column::from_ints(n),
+            State::SumInt { total, seen } => Column::with_validity(ColumnData::ints(total), seen),
+            State::SumFloat { total, seen } => {
+                Column::with_validity(ColumnData::floats(total), seen)
             }
-            Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
-            Acc::Distinct(set) => Value::Int(set.len() as i64),
+            State::Extreme { best, .. } => best.into_column(),
         }
     }
 }
 
-pub(crate) struct Group {
-    key: Vec<Value>,
-    accs: Vec<Acc>,
+/// No group: an empty bucket, or the end of a chain.
+const NONE: u32 = u32::MAX;
+
+/// Key hash to group id: a power-of-two bucket array of chain heads, a
+/// chain link and the full hash per group.
+#[derive(Default)]
+struct GroupIndex {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    hashes: Vec<u64>,
 }
 
-/// A hash table from group key to accumulator states: the shared state of
-/// serial and partitioned parallel aggregation.
+impl GroupIndex {
+    /// The top bits of `h` times 2^64/φ. The hashes of nearby int keys
+    /// differ mostly in their low bits, and of floats in their high ones;
+    /// the product's top bits depend on all of them.
+    #[inline]
+    fn bucket(&self, h: u64) -> usize {
+        let spread = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (spread >> (64 - self.heads.len().trailing_zeros())) as usize
+    }
+
+    /// The first group in `h`'s chain whose hash is `h` and for which
+    /// `same_key` holds.
+    #[inline]
+    fn find(&self, h: u64, mut same_key: impl FnMut(usize) -> bool) -> Option<u32> {
+        if self.heads.is_empty() {
+            return None;
+        }
+        let mut g = self.heads[self.bucket(h)];
+        while g != NONE {
+            if self.hashes[g as usize] == h && same_key(g as usize) {
+                return Some(g);
+            }
+            g = self.next[g as usize];
+        }
+        None
+    }
+
+    /// Register the next group id under `h` and return it.
+    fn insert(&mut self, h: u64) -> u32 {
+        let g = self.hashes.len() as u32;
+        if self.hashes.len() >= self.heads.len() {
+            // Keep at most one group per bucket on average.
+            self.rebuild((self.heads.len() * 2).max(BATCH_CAPACITY));
+        }
+        let b = self.bucket(h);
+        self.next.push(self.heads[b]);
+        self.heads[b] = g;
+        self.hashes.push(h);
+        g
+    }
+
+    fn rebuild(&mut self, buckets: usize) {
+        self.heads.clear();
+        self.heads.resize(buckets, NONE);
+        for g in 0..self.hashes.len() {
+            let b = self.bucket(self.hashes[g]);
+            self.next[g] = self.heads[b];
+            self.heads[b] = g as u32;
+        }
+    }
+}
+
+/// Columnar group state: the shared state of serial, partitioned parallel
+/// and resumed aggregation (see the module docs).
 pub(crate) struct GroupTable {
     group_by: Vec<Expr>,
     aggs: Vec<AggFunc>,
-    input_types: Vec<DataType>,
-    groups: FxHashMap<Vec<u8>, usize>,
-    states: Vec<Group>,
-    key_buf: Vec<u8>,
+    /// Row `g` of each is group `g`'s key as first seen.
+    keys: Vec<Cells>,
+    /// Empty for a keyless aggregate.
+    index: GroupIndex,
+    /// One per aggregate, each `groups` long.
+    states: Vec<State>,
+    groups: usize,
+    /// Per-batch scratch: key hashes by physical row, group ids by live
+    /// row.
+    hashes: Vec<u64>,
+    gids: Vec<u32>,
 }
 
 impl GroupTable {
     pub(crate) fn new(group_by: Vec<Expr>, aggs: Vec<AggFunc>, input_types: Vec<DataType>) -> Self {
-        GroupTable {
+        let keys: Vec<Cells> = group_by
+            .iter()
+            .map(|e| Cells::new(e.data_type(&input_types)))
+            .collect();
+        let states = aggs.iter().map(|a| State::new(a, &input_types)).collect();
+        let mut table = GroupTable {
             group_by,
             aggs,
-            input_types,
-            // Pre-size for one full vector of distinct keys; the map grows
-            // only when the workload really has more groups than that.
-            groups: FxHashMap::with_capacity_and_hasher(BATCH_CAPACITY, FxBuildHasher::default()),
-            states: Vec::new(),
-            key_buf: Vec::new(),
+            groups: usize::from(keys.is_empty()),
+            keys,
+            index: GroupIndex::default(),
+            states,
+            hashes: Vec::new(),
+            gids: Vec::new(),
+        };
+        table.resize_states();
+        table
+    }
+
+    /// A table holding `cached`'s groups: an aggregate's emitted rows,
+    /// group keys then finished aggregate values, one dense row per group.
+    /// `None` when a state cannot be recovered (see `State::resumed`).
+    fn load(
+        cached: &Batch,
+        group_by: Vec<Expr>,
+        aggs: Vec<AggFunc>,
+        input_types: Vec<DataType>,
+    ) -> Option<GroupTable> {
+        let mut table = GroupTable::new(group_by, aggs, input_types.clone());
+        let group_len = table.keys.len();
+        if group_len == 0 {
+            // The global aggregate always emits exactly its one row.
+            if cached.rows() != 1 {
+                return None;
+            }
+        } else {
+            let key_cols = &cached.columns()[..group_len];
+            for (k, col) in table.keys.iter_mut().zip(key_cols) {
+                *k = Cells::from_column(k.data_type(), col)?;
+            }
+            let refs: Vec<&Column> = key_cols.iter().collect();
+            hash_columns(&refs, cached.rows(), &mut table.hashes);
+            // Emitted keys are distinct: each row is a new group.
+            for &h in &table.hashes {
+                table.index.insert(h);
+            }
+            table.groups = cached.rows();
+        }
+        for (j, (state, agg)) in table.states.iter_mut().zip(&table.aggs).enumerate() {
+            *state = State::resumed(agg, &input_types, cached.column(group_len + j))?;
+        }
+        Some(table)
+    }
+
+    fn resize_states(&mut self) {
+        for s in &mut self.states {
+            s.resize(self.groups);
         }
     }
 
     /// Fold a batch in, selection-aware.
     pub(crate) fn fold(&mut self, batch: &Batch) {
-        let key_cols: Vec<Column> = self.group_by.iter().map(|e| eval(e, batch)).collect();
-        let key_refs: Vec<&Column> = key_cols.iter().collect();
-        let arg_cols: Vec<Option<Column>> = self
-            .aggs
-            .iter()
-            .map(|a| a.argument().map(|e| eval(e, batch)))
-            .collect();
+        self.gids.clear();
+        if self.keys.is_empty() {
+            self.gids.resize(batch.rows(), 0);
+        } else {
+            let key_cols: Vec<Column> = self.group_by.iter().map(|e| eval(e, batch)).collect();
+            self.resolve(&key_cols, batch);
+            self.resize_states();
+        }
+        let rows = Rows {
+            sel: batch.sel(),
+            gids: &self.gids,
+        };
+        for (state, agg) in self.states.iter_mut().zip(&self.aggs) {
+            let arg = agg.argument().map(|e| eval(e, batch));
+            state.fold(arg.as_ref(), rows);
+        }
+    }
+
+    /// Resolve every live row of `batch` to its group id in `self.gids`,
+    /// adding groups for keys not seen before.
+    fn resolve(&mut self, key_cols: &[Column], batch: &Batch) {
+        let refs: Vec<&Column> = key_cols.iter().collect();
+        hash_columns(&refs, batch.physical_rows(), &mut self.hashes);
+        let cells: Vec<KeyCells<'_>> = key_cols.iter().map(KeyCells::of).collect();
         let sel = batch.sel();
         for li in 0..batch.rows() {
-            // Selection-aware: `row` is the physical position.
-            let row = match sel {
-                Some(s) => s[li] as usize,
-                None => li,
-            };
-            self.key_buf.clear();
-            encode_row_key(&key_refs, row, &mut self.key_buf);
-            let idx = match self.groups.get(&self.key_buf) {
-                Some(&i) => i,
+            let row = sel.map_or(li, |s| s[li] as usize);
+            let h = self.hashes[row];
+            let keys = &self.keys;
+            let found = self.index.find(h, |g| {
+                keys.iter()
+                    .zip(&cells)
+                    .all(|(k, c)| k.view().cell_eq(g, c, row))
+            });
+            let g = match found {
+                Some(g) => g,
                 None => {
-                    let idx = self.states.len();
-                    self.states.push(Group {
-                        key: key_refs.iter().map(|c| c.get(row)).collect(),
-                        accs: self
-                            .aggs
-                            .iter()
-                            .map(|a| Acc::new(a, &self.input_types))
-                            .collect(),
-                    });
-                    self.groups.insert(self.key_buf.clone(), idx);
-                    idx
+                    for (k, c) in self.keys.iter_mut().zip(key_cols) {
+                        k.push(c.values(), c.is_valid(row), row);
+                    }
+                    self.groups += 1;
+                    self.index.insert(h)
                 }
             };
-            for (acc, arg) in self.states[idx].accs.iter_mut().zip(&arg_cols) {
-                acc.update(arg.as_ref(), row);
-            }
+            self.gids.push(g);
         }
+    }
+
+    /// The group here whose key is group `og`'s of `other`, if any.
+    fn find(&self, other: &GroupTable, og: usize) -> Option<u32> {
+        if self.keys.is_empty() {
+            return Some(0);
+        }
+        self.index.find(other.index.hashes[og], |g| {
+            self.keys
+                .iter()
+                .zip(&other.keys)
+                .all(|(k, o)| k.view().cell_eq(g, &o.view(), og))
+        })
     }
 
     /// Absorb another partial table computed over a disjoint row subset.
     pub(crate) fn merge(&mut self, other: GroupTable) {
-        let GroupTable {
-            groups, mut states, ..
-        } = other;
-        for (key_bytes, other_idx) in groups {
-            // Each state is consumed exactly once (group keys are unique),
-            // so take the accumulators out by swap.
-            let g = &mut states[other_idx];
-            let accs = std::mem::take(&mut g.accs);
-            let key = std::mem::take(&mut g.key);
-            match self.groups.get(&key_bytes) {
-                Some(&i) => {
-                    for (acc, o) in self.states[i].accs.iter_mut().zip(accs) {
-                        acc.merge(o);
-                    }
-                }
+        let map: Vec<u32> = (0..other.groups)
+            .map(|og| match self.find(&other, og) {
+                Some(g) => g,
                 None => {
-                    let idx = self.states.len();
-                    self.states.push(Group { key, accs });
-                    self.groups.insert(key_bytes, idx);
+                    for (k, o) in self.keys.iter_mut().zip(&other.keys) {
+                        k.push(o.values(), o.valid[og], og);
+                    }
+                    self.groups += 1;
+                    self.index.insert(other.index.hashes[og])
                 }
-            }
-        }
-    }
-
-    /// Finish: sort groups by key for deterministic emission (see module
-    /// docs), adding SQL's single empty-input row for global aggregation.
-    pub(crate) fn into_sorted_states(mut self) -> Vec<Group> {
-        if self.states.is_empty() && self.group_by.is_empty() {
-            self.states.push(Group {
-                key: vec![],
-                accs: self
-                    .aggs
-                    .iter()
-                    .map(|a| Acc::new(a, &self.input_types))
-                    .collect(),
-            });
-        }
-        self.states.sort_by(|a, b| a.key.cmp(&b.key));
-        self.states
-    }
-}
-
-/// Chunk sorted group states into output batches.
-pub(crate) fn emit_groups(
-    states: &[Group],
-    output_types: &[DataType],
-    group_len: usize,
-) -> Vec<Batch> {
-    let width = output_types.len();
-    let mut out = Vec::new();
-    let mut offset = 0;
-    while offset < states.len() {
-        let len = BATCH_CAPACITY.min(states.len() - offset);
-        let mut builders: Vec<ColumnBuilder> = output_types
-            .iter()
-            .map(|t| ColumnBuilder::new(*t, len))
+            })
             .collect();
-        for g in &states[offset..offset + len] {
-            for (k, v) in g.key.iter().enumerate() {
-                builders[k].push(v.clone());
-            }
-            for (a, acc) in g.accs.iter().enumerate() {
-                builders[group_len + a].push(acc.finish());
-            }
+        self.resize_states();
+        for (state, o) in self.states.iter_mut().zip(other.states) {
+            state.merge(o, &map);
         }
-        let cols: Vec<Column> = builders.into_iter().map(|b| b.finish()).collect();
-        debug_assert_eq!(cols.len(), width);
-        out.push(Batch::new(cols));
-        offset += len;
     }
-    out
+
+    /// Key columns then finished aggregate columns, in group id order.
+    fn into_columns(self) -> Vec<Column> {
+        let keys = self.keys.into_iter().map(Cells::into_column);
+        keys.chain(self.states.into_iter().map(State::finish))
+            .collect()
+    }
+
+    /// Group ids in ascending key order (`Value` order, NULL first),
+    /// sorted one key column at a time from the last: every pass after
+    /// the first is stable, so it keeps the order of the keys after it.
+    fn sorted_ids(&self) -> Vec<u32> {
+        let mut perm: Vec<u32> = (0..self.groups as u32).collect();
+        for (pass, k) in self.keys.iter().rev().enumerate() {
+            each_type!(&k.data, |d| sort_by_cells(&mut perm, d, &k.valid, pass > 0));
+        }
+        perm
+    }
+
+    /// Emit every group, sorted by key (see the module docs).
+    pub(crate) fn finish(self, output_types: &[DataType]) -> Vec<Batch> {
+        let perm = self.sorted_ids();
+        emit(&self.into_columns(), &perm, output_types)
+    }
 }
 
-/// Recover the accumulator whose serial fold over the group's rows
-/// produced the finished value `v`, or `None` when the finished value
-/// under-determines the state (`count distinct` loses its set). The recovered accumulator continues the
-/// *exact* serial fold: folding further rows into it yields bit-identical
-/// results to re-folding the whole input from scratch — including float
-/// sums, because `(((0 + a) + b) + c)` resumed after `b` is literally the
-/// same operation sequence.
-fn resume_acc(func: &AggFunc, input_types: &[DataType], v: Value) -> Option<Acc> {
-    match func {
-        AggFunc::CountStar | AggFunc::Count(_) => match v {
-            Value::Int(n) => Some(Acc::Count(n)),
-            _ => None,
-        },
-        AggFunc::Sum(e) => match e.data_type(input_types) {
-            DataType::Int => Some(match v {
-                Value::Int(t) => Acc::SumInt {
-                    total: t,
-                    seen: true,
-                },
-                _ => Acc::SumInt {
-                    total: 0,
-                    seen: false,
-                },
-            }),
-            _ => match v {
-                Value::Null => Some(Acc::SumFloat {
-                    total: 0.0,
-                    seen: false,
-                }),
-                other => Some(Acc::SumFloat {
-                    total: other.as_float()?,
-                    seen: true,
-                }),
-            },
-        },
-        AggFunc::Min(_) => Some(Acc::Min(match v {
-            Value::Null => None,
-            other => Some(other),
-        })),
-        AggFunc::Max(_) => Some(Acc::Max(match v {
-            Value::Null => None,
-            other => Some(other),
-        })),
-        AggFunc::CountDistinct(_) | AggFunc::Avg(_) => None,
+/// Sort `perm` by the cells it indexes, NULL first.
+fn sort_by_cells<T: Cell>(perm: &mut [u32], vals: &[T], valid: &[bool], stable: bool) {
+    let cmp = |a: &u32, b: &u32| {
+        let (a, b) = (*a as usize, *b as usize);
+        valid[a].cmp(&valid[b]).then_with(|| {
+            if valid[a] {
+                vals[a].order(&vals[b])
+            } else {
+                Ordering::Equal
+            }
+        })
+    };
+    if stable {
+        perm.sort_by(cmp);
+    } else {
+        perm.sort_unstable_by(cmp);
     }
+}
+
+/// Gather the groups `perm` names, in that order, into output batches.
+fn emit(columns: &[Column], perm: &[u32], output_types: &[DataType]) -> Vec<Batch> {
+    debug_assert!(
+        columns
+            .iter()
+            .map(Column::data_type)
+            .eq(output_types.iter().copied()),
+        "aggregate output types"
+    );
+    perm.chunks(BATCH_CAPACITY)
+        .map(|chunk| Batch::new(columns.iter().map(|c| c.take(chunk)).collect()))
+        .collect()
 }
 
 /// An aggregation table re-materialized from a cached result so that new
 /// input rows can be folded in *incrementally* — the delta-repair kernel
-/// for appends. `resume` rebuilds every group's accumulator from its
-/// finished output row (see `resume_acc` for which aggregates admit
+/// for appends. `resume` loads every group's key and state from its
+/// finished output row (see `State::resumed` for which aggregates admit
 /// this), `fold` continues the serial fold with delta rows, and `finish`
 /// re-emits the sorted groups. The emitted batches are byte-identical to
 /// recomputing the aggregate over old ++ delta input.
 pub struct ResumedAgg {
     table: GroupTable,
     output_types: Vec<DataType>,
-    group_len: usize,
 }
 
 impl ResumedAgg {
@@ -413,32 +871,9 @@ impl ResumedAgg {
         input_types: Vec<DataType>,
         output_types: Vec<DataType>,
     ) -> Option<ResumedAgg> {
-        let group_len = group_by.len();
-        let mut table = GroupTable::new(group_by, aggs, input_types);
-        let key_refs: Vec<&Column> = cached.columns()[..group_len].iter().collect();
-        let mut key_buf = Vec::new();
-        for row in 0..cached.rows() {
-            let accs = table
-                .aggs
-                .iter()
-                .enumerate()
-                .map(|(j, a)| {
-                    resume_acc(a, &table.input_types, cached.column(group_len + j).get(row))
-                })
-                .collect::<Option<Vec<Acc>>>()?;
-            key_buf.clear();
-            encode_row_key(&key_refs, row, &mut key_buf);
-            let idx = table.states.len();
-            table.states.push(Group {
-                key: key_refs.iter().map(|c| c.get(row)).collect(),
-                accs,
-            });
-            table.groups.insert(key_buf.clone(), idx);
-        }
         Some(ResumedAgg {
-            table,
+            table: GroupTable::load(cached, group_by, aggs, input_types)?,
             output_types,
-            group_len,
         })
     }
 
@@ -449,8 +884,7 @@ impl ResumedAgg {
 
     /// Re-emit the sorted group rows.
     pub fn finish(self) -> Vec<Batch> {
-        let states = self.table.into_sorted_states();
-        emit_groups(&states, &self.output_types, self.group_len)
+        self.table.finish(&self.output_types)
     }
 }
 
@@ -477,65 +911,39 @@ pub fn retract_count_groups(
     {
         return None;
     }
-    let group_len = group_by.len();
-    let mut retract = GroupTable::new(group_by, aggs.clone(), input_types);
+    let mut retract = GroupTable::new(group_by.clone(), aggs.clone(), input_types.clone());
     for b in deleted_input {
         retract.fold(b);
     }
-    let key_refs: Vec<&Column> = cached.columns()[..group_len].iter().collect();
-    let mut index: FxHashMap<Vec<u8>, usize> =
-        FxHashMap::with_capacity_and_hasher(cached.rows(), FxBuildHasher::default());
-    let mut key_buf = Vec::new();
-    for row in 0..cached.rows() {
-        key_buf.clear();
-        encode_row_key(&key_refs, row, &mut key_buf);
-        index.insert(key_buf.clone(), row);
-    }
-    let mut sub = vec![vec![0i64; aggs.len()]; cached.rows()];
-    for (key_bytes, &idx) in &retract.groups {
+    let mut table = GroupTable::load(cached, group_by, aggs, input_types)?;
+    for og in 0..retract.groups {
         // Every deleted row existed in the old table, so its group must be
         // in the cached result; a miss means the cache and the delta have
         // diverged and repair is unsound.
-        let row = *index.get(key_bytes)?;
-        for (j, acc) in retract.states[idx].accs.iter().enumerate() {
-            sub[row][j] = match acc {
-                Acc::Count(n) => *n,
-                _ => return None,
+        let g = table.find(&retract, og)? as usize;
+        for (state, sub) in table.states.iter_mut().zip(&retract.states) {
+            let (State::Count(n), State::Count(d)) = (state, sub) else {
+                unreachable!("count-only aggregates have count states");
             };
-        }
-    }
-    let mut states = Vec::with_capacity(cached.rows());
-    for (row, sub_row) in sub.iter().enumerate() {
-        let mut accs = Vec::with_capacity(aggs.len());
-        for (j, _) in aggs.iter().enumerate() {
-            let old = match cached.column(group_len + j).get(row) {
-                Value::Int(n) => n,
-                _ => return None,
-            };
-            let new = old - sub_row[j];
-            if new < 0 {
+            n[g] -= d[og];
+            if n[g] < 0 {
                 return None;
             }
-            accs.push(Acc::Count(new));
         }
-        let star_count = match &accs[star] {
-            Acc::Count(n) => *n,
-            _ => unreachable!(),
-        };
-        // A grouped aggregate drops fully-retracted groups; the global
-        // (group-less) row survives even at zero, exactly like recomputing
-        // over empty input.
-        if group_len > 0 && star_count == 0 {
-            continue;
-        }
-        states.push(Group {
-            key: key_refs.iter().map(|c| c.get(row)).collect(),
-            accs,
-        });
     }
-    // Cached rows are already in sorted-key order and retraction only
-    // drops rows, so the order invariant is preserved without re-sorting.
-    Some(emit_groups(&states, &output_types, group_len))
+    let State::Count(stars) = &table.states[star] else {
+        unreachable!("count(*) has a count state");
+    };
+    // A grouped aggregate drops fully-retracted groups; the global
+    // (group-less) row survives even at zero, exactly like recomputing
+    // over empty input. Cached rows are already in sorted-key order and
+    // retraction only drops rows, so the order invariant is preserved
+    // without re-sorting.
+    let global = table.keys.is_empty();
+    let keep: Vec<u32> = (0..table.groups as u32)
+        .filter(|&g| global || stars[g as usize] > 0)
+        .collect();
+    Some(emit(&table.into_columns(), &keep, &output_types))
 }
 
 /// Blocking hash aggregation: consumes the whole input, then streams the
@@ -586,8 +994,7 @@ impl HashAggExec {
             self.metrics.add_work(batch.rows() as u64);
             table.fold(&batch);
         }
-        let states = table.into_sorted_states();
-        emit_groups(&states, &self.output_types, self.group_by.len())
+        table.finish(&self.output_types)
     }
 }
 
@@ -629,6 +1036,7 @@ mod tests {
     use super::*;
     use crate::op::run_to_batch;
     use crate::op::testing::BatchSource;
+    use rdb_vector::{ColumnBuilder, Value};
 
     fn src(cols: Vec<Column>) -> Box<dyn Operator> {
         BatchSource::boxed(vec![Batch::new(cols)])
@@ -727,8 +1135,8 @@ mod tests {
             DataType::Int,
             DataType::Int,
         ];
-        let a = emit_groups(&serial.into_sorted_states(), &types, 1);
-        let b = emit_groups(&p1.into_sorted_states(), &types, 1);
+        let a = serial.finish(&types);
+        let b = p1.finish(&types);
         assert_eq!(Batch::concat(&a).to_rows(), Batch::concat(&b).to_rows());
     }
 
@@ -838,5 +1246,657 @@ mod tests {
         assert_eq!(agg.progress(), 0.0);
         while agg.next_batch().is_some() {}
         assert_eq!(agg.progress(), 1.0);
+    }
+
+    /// The row-at-a-time aggregate this module ran before its state became
+    /// columnar, kept as an independent reference: `Value` keys in a hash
+    /// map (whose equality is the key equality — NULL equals NULL, `-0.0`
+    /// equals `0.0`, types never mix), one `Acc` per group and aggregate,
+    /// and emission through `ColumnBuilder`.
+    mod reference {
+        use std::collections::{HashMap, HashSet};
+
+        use rdb_expr::{eval, AggFunc, Expr};
+        use rdb_vector::{Batch, Column, ColumnBuilder, DataType, Value, BATCH_CAPACITY};
+
+        enum Acc {
+            Count(i64),
+            SumInt { total: i64, seen: bool },
+            SumFloat { total: f64, seen: bool },
+            Min(Option<Value>),
+            Max(Option<Value>),
+            Distinct(HashSet<Value>),
+        }
+
+        impl Acc {
+            fn new(func: &AggFunc, input_types: &[DataType]) -> Acc {
+                match func {
+                    AggFunc::CountStar | AggFunc::Count(_) => Acc::Count(0),
+                    AggFunc::Sum(e) => match e.data_type(input_types) {
+                        DataType::Int => Acc::SumInt {
+                            total: 0,
+                            seen: false,
+                        },
+                        _ => Acc::SumFloat {
+                            total: 0.0,
+                            seen: false,
+                        },
+                    },
+                    AggFunc::Min(_) => Acc::Min(None),
+                    AggFunc::Max(_) => Acc::Max(None),
+                    AggFunc::CountDistinct(_) => Acc::Distinct(HashSet::new()),
+                    AggFunc::Avg(_) => unreachable!(),
+                }
+            }
+
+            fn update(&mut self, arg: Option<&Column>, i: usize) {
+                let v = arg.map(|c| c.get(i));
+                match (self, v) {
+                    (Acc::Count(n), None) => *n += 1,
+                    (_, Some(Value::Null)) => {}
+                    (Acc::Count(n), Some(_)) => *n += 1,
+                    (Acc::SumInt { total, seen }, Some(v)) => {
+                        *total += v.as_int().unwrap();
+                        *seen = true;
+                    }
+                    (Acc::SumFloat { total, seen }, Some(v)) => {
+                        if let Some(f) = v.as_float() {
+                            *total += f;
+                            *seen = true;
+                        }
+                    }
+                    (Acc::Min(cur), Some(v)) => {
+                        if cur.as_ref().is_none_or(|m| v < *m) {
+                            *cur = Some(v);
+                        }
+                    }
+                    (Acc::Max(cur), Some(v)) => {
+                        if cur.as_ref().is_none_or(|m| v > *m) {
+                            *cur = Some(v);
+                        }
+                    }
+                    (Acc::Distinct(set), Some(v)) => {
+                        set.insert(v);
+                    }
+                    _ => unreachable!("argument shape"),
+                }
+            }
+
+            fn merge(&mut self, other: Acc) {
+                match (self, other) {
+                    (Acc::Count(a), Acc::Count(b)) => *a += b,
+                    (Acc::SumInt { total, seen }, Acc::SumInt { total: t, seen: s }) => {
+                        *total += t;
+                        *seen |= s;
+                    }
+                    (Acc::SumFloat { total, seen }, Acc::SumFloat { total: t, seen: s }) => {
+                        *total += t;
+                        *seen |= s;
+                    }
+                    (Acc::Min(cur), Acc::Min(Some(v))) => {
+                        if cur.as_ref().is_none_or(|m| v < *m) {
+                            *cur = Some(v);
+                        }
+                    }
+                    (Acc::Max(cur), Acc::Max(Some(v))) => {
+                        if cur.as_ref().is_none_or(|m| v > *m) {
+                            *cur = Some(v);
+                        }
+                    }
+                    (Acc::Min(_), Acc::Min(None)) | (Acc::Max(_), Acc::Max(None)) => {}
+                    (Acc::Distinct(set), Acc::Distinct(other)) => set.extend(other),
+                    _ => unreachable!("accumulator shapes"),
+                }
+            }
+
+            fn finish(&self) -> Value {
+                match self {
+                    Acc::Count(n) => Value::Int(*n),
+                    Acc::SumInt { total, seen } => {
+                        if *seen {
+                            Value::Int(*total)
+                        } else {
+                            Value::Null
+                        }
+                    }
+                    Acc::SumFloat { total, seen } => {
+                        if *seen {
+                            Value::Float(*total)
+                        } else {
+                            Value::Null
+                        }
+                    }
+                    Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
+                    Acc::Distinct(set) => Value::Int(set.len() as i64),
+                }
+            }
+
+            fn resume(func: &AggFunc, input_types: &[DataType], v: Value) -> Option<Acc> {
+                match func {
+                    AggFunc::CountStar | AggFunc::Count(_) => v.as_int().map(Acc::Count),
+                    AggFunc::Sum(e) => match e.data_type(input_types) {
+                        DataType::Int => Some(Acc::SumInt {
+                            total: v.as_int().unwrap_or(0),
+                            seen: !v.is_null(),
+                        }),
+                        _ => Some(if v.is_null() {
+                            Acc::SumFloat {
+                                total: 0.0,
+                                seen: false,
+                            }
+                        } else {
+                            Acc::SumFloat {
+                                total: v.as_float()?,
+                                seen: true,
+                            }
+                        }),
+                    },
+                    AggFunc::Min(_) => Some(Acc::Min((!v.is_null()).then_some(v))),
+                    AggFunc::Max(_) => Some(Acc::Max((!v.is_null()).then_some(v))),
+                    AggFunc::CountDistinct(_) | AggFunc::Avg(_) => None,
+                }
+            }
+        }
+
+        pub(super) struct Table {
+            group_by: Vec<Expr>,
+            aggs: Vec<AggFunc>,
+            input_types: Vec<DataType>,
+            index: HashMap<Vec<Value>, usize>,
+            groups: Vec<(Vec<Value>, Vec<Acc>)>,
+        }
+
+        impl Table {
+            pub(super) fn new(
+                group_by: Vec<Expr>,
+                aggs: Vec<AggFunc>,
+                input_types: Vec<DataType>,
+            ) -> Table {
+                Table {
+                    group_by,
+                    aggs,
+                    input_types,
+                    index: HashMap::new(),
+                    groups: Vec::new(),
+                }
+            }
+
+            fn group(&mut self, key: Vec<Value>) -> usize {
+                if let Some(&g) = self.index.get(&key) {
+                    return g;
+                }
+                let accs = self
+                    .aggs
+                    .iter()
+                    .map(|a| Acc::new(a, &self.input_types))
+                    .collect();
+                self.groups.push((key.clone(), accs));
+                self.index.insert(key, self.groups.len() - 1);
+                self.groups.len() - 1
+            }
+
+            pub(super) fn fold(&mut self, batch: &Batch) {
+                let keys: Vec<Column> = self.group_by.iter().map(|e| eval(e, batch)).collect();
+                let args: Vec<Option<Column>> = self
+                    .aggs
+                    .iter()
+                    .map(|a| a.argument().map(|e| eval(e, batch)))
+                    .collect();
+                for li in 0..batch.rows() {
+                    let row = batch.to_physical(li);
+                    let g = self.group(keys.iter().map(|c| c.get(row)).collect());
+                    for (acc, arg) in self.groups[g].1.iter_mut().zip(&args) {
+                        acc.update(arg.as_ref(), row);
+                    }
+                }
+            }
+
+            pub(super) fn merge(&mut self, other: Table) {
+                for (key, accs) in other.groups {
+                    if let Some(&g) = self.index.get(&key) {
+                        for (acc, o) in self.groups[g].1.iter_mut().zip(accs) {
+                            acc.merge(o);
+                        }
+                    } else {
+                        self.groups.push((key.clone(), accs));
+                        self.index.insert(key, self.groups.len() - 1);
+                    }
+                }
+            }
+
+            pub(super) fn finish(mut self, output_types: &[DataType]) -> Vec<Batch> {
+                if self.group_by.is_empty() {
+                    self.group(vec![]);
+                }
+                self.groups.sort_by(|a, b| a.0.cmp(&b.0));
+                let rows: Vec<Vec<Value>> = self
+                    .groups
+                    .iter()
+                    .map(|(key, accs)| {
+                        key.iter()
+                            .cloned()
+                            .chain(accs.iter().map(Acc::finish))
+                            .collect()
+                    })
+                    .collect();
+                emit(&rows, output_types)
+            }
+
+            pub(super) fn resume(
+                cached: &Batch,
+                group_by: Vec<Expr>,
+                aggs: Vec<AggFunc>,
+                input_types: Vec<DataType>,
+            ) -> Option<Table> {
+                let group_len = group_by.len();
+                let mut table = Table::new(group_by, aggs, input_types);
+                for row in cached.to_rows() {
+                    let accs = table
+                        .aggs
+                        .iter()
+                        .zip(&row[group_len..])
+                        .map(|(a, v)| Acc::resume(a, &table.input_types, v.clone()))
+                        .collect::<Option<Vec<Acc>>>()?;
+                    let key = row[..group_len].to_vec();
+                    table.groups.push((key.clone(), accs));
+                    table.index.insert(key, table.groups.len() - 1);
+                }
+                Some(table)
+            }
+        }
+
+        fn emit(rows: &[Vec<Value>], output_types: &[DataType]) -> Vec<Batch> {
+            rows.chunks(BATCH_CAPACITY)
+                .map(|chunk| {
+                    let cols = output_types
+                        .iter()
+                        .enumerate()
+                        .map(|(k, t)| {
+                            let mut b = ColumnBuilder::new(*t, chunk.len());
+                            for row in chunk {
+                                b.push(row[k].clone());
+                            }
+                            b.finish()
+                        })
+                        .collect();
+                    Batch::new(cols)
+                })
+                .collect()
+        }
+
+        pub(super) fn retract(
+            cached: &Batch,
+            group_by: Vec<Expr>,
+            aggs: Vec<AggFunc>,
+            input_types: Vec<DataType>,
+            output_types: &[DataType],
+            deleted: &[Batch],
+        ) -> Option<Vec<Batch>> {
+            let star = aggs.iter().position(|a| matches!(a, AggFunc::CountStar))?;
+            let group_len = group_by.len();
+            let mut sub = Table::new(group_by, aggs, input_types);
+            for b in deleted {
+                sub.fold(b);
+            }
+            let mut rows = cached.to_rows();
+            let at: HashMap<Vec<Value>, usize> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r[..group_len].to_vec(), i))
+                .collect();
+            for (key, accs) in &sub.groups {
+                let row = &mut rows[*at.get(key)?];
+                for (cell, acc) in row[group_len..].iter_mut().zip(accs) {
+                    let (Value::Int(old), Value::Int(d)) = (&*cell, acc.finish()) else {
+                        return None;
+                    };
+                    if *old - d < 0 {
+                        return None;
+                    }
+                    *cell = Value::Int(*old - d);
+                }
+            }
+            rows.retain(|r| group_len == 0 || r[group_len + star] != Value::Int(0));
+            Some(emit(&rows, output_types))
+        }
+    }
+
+    /// SplitMix64: seeded cases without a dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n.max(1)
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len() as u64) as usize]
+        }
+    }
+
+    const TYPES: [DataType; 5] = [
+        DataType::Bool,
+        DataType::Int,
+        DataType::Float,
+        DataType::Str,
+        DataType::Date,
+    ];
+
+    /// Value `v` of a domain of type `t`. The first few floats are both
+    /// zeros, NaNs of two signs and of two payloads, and infinity; the
+    /// first string is empty.
+    fn domain(t: DataType, v: u64) -> Value {
+        match t {
+            DataType::Bool => Value::Bool(v % 2 == 1),
+            DataType::Int => Value::Int(v as i64 - 1_000),
+            DataType::Float => Value::Float(match v {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::NAN,
+                3 => -f64::NAN,
+                4 => f64::from_bits(0x7ff8_0000_0000_0001),
+                5 => f64::INFINITY,
+                _ => (v as f64 - 60.0) * 0.375,
+            }),
+            DataType::Str => Value::str(if v == 0 {
+                String::new()
+            } else {
+                format!("k{v}")
+            }),
+            DataType::Date => Value::Date(v as i32 - 500),
+        }
+    }
+
+    /// One seeded case: input batches (some with selection vectors over
+    /// junk rows), their column types, and the aggregate's shape.
+    struct Case {
+        batches: Vec<Batch>,
+        input_types: Vec<DataType>,
+        group_by: Vec<Expr>,
+        aggs: Vec<AggFunc>,
+        output_types: Vec<DataType>,
+    }
+
+    fn gen_case(rng: &mut Rng, count_only: bool) -> Case {
+        let n_keys = rng.below(4) as usize;
+        let key_types: Vec<DataType> = (0..n_keys).map(|_| rng.pick(&TYPES)).collect();
+        // Groups: log-uniform up to ~50k, spread over the key columns.
+        let bits = rng.below(17);
+        let groups = (1 + rng.below(1 << bits)).min(50_000);
+        let per_key = (groups as f64).powf(1.0 / n_keys.max(1) as f64).ceil() as u64;
+        let rows = rng.below(groups * 3 + 10).min(60_000) as usize;
+        // Keys, then one argument column of every type.
+        let mut input_types = key_types.clone();
+        input_types.extend(TYPES);
+        let null_pct: Vec<u64> = input_types
+            .iter()
+            .map(|_| rng.pick(&[0, 0, 5, 30]))
+            .collect();
+        let cell = |rng: &mut Rng, c: usize| -> Value {
+            if rng.chance(null_pct[c]) {
+                return Value::Null;
+            }
+            let t = input_types[c];
+            if c < n_keys {
+                return domain(t, rng.below(per_key));
+            }
+            match t {
+                DataType::Int => Value::Int(rng.below(2_000_001) as i64 - 1_000_000),
+                DataType::Float => match rng.below(50) {
+                    0 => Value::Float(-0.0),
+                    1 => Value::Float(f64::NAN),
+                    // Mixed magnitudes make the order of float additions
+                    // show in the low bits.
+                    k => Value::Float(
+                        (rng.below(1 << 20) as f64 - 5e5) * 10f64.powi(k as i32 % 9 - 4),
+                    ),
+                },
+                _ => domain(t, rng.below(40)),
+            }
+        };
+        let width = input_types.len();
+        let mut batches = Vec::new();
+        let mut left = rows;
+        while left > 0 || rng.chance(10) {
+            let most = rng.pick(&[8, 300, 1024]);
+            let live = (1 + rng.below(most)).min(left as u64) as usize;
+            left -= live;
+            let junk = if rng.chance(50) {
+                rng.below(live as u64 + 3) as usize
+            } else {
+                0
+            };
+            let mut values: Vec<Vec<Value>> = vec![Vec::new(); width];
+            let mut sel = Vec::new();
+            let (mut l, mut j) = (live, junk);
+            while l + j > 0 {
+                if l > 0 && (j == 0 || rng.chance(60)) {
+                    sel.push(values[0].len() as u32);
+                    l -= 1;
+                } else {
+                    j -= 1;
+                }
+                for (c, col) in values.iter_mut().enumerate() {
+                    col.push(cell(rng, c));
+                }
+            }
+            let cols = values
+                .iter()
+                .zip(&input_types)
+                .map(|(v, t)| Column::from_values(*t, v))
+                .collect();
+            let batch = Batch::new(cols);
+            batches.push(if junk > 0 {
+                batch.with_selection(Arc::new(sel))
+            } else {
+                batch
+            });
+        }
+        let group_by: Vec<Expr> = (0..n_keys).map(Expr::col).collect();
+        let arg = |rng: &mut Rng| Expr::col(rng.below(width as u64) as usize);
+        let mut aggs = vec![AggFunc::CountStar];
+        for _ in 0..rng.below(6) {
+            aggs.push(match (count_only, rng.below(6)) {
+                (true, 0) => AggFunc::CountStar,
+                (true, _) | (false, 0) => AggFunc::Count(arg(rng)),
+                (false, 1) => AggFunc::Sum(Expr::col(n_keys + rng.pick(&[1, 2]))),
+                (false, 2) => AggFunc::Min(arg(rng)),
+                (false, 3) => AggFunc::Max(arg(rng)),
+                _ => AggFunc::CountDistinct(arg(rng)),
+            });
+        }
+        let k = rng.below(aggs.len() as u64) as usize;
+        aggs.swap(0, k);
+        let output_types = key_types
+            .iter()
+            .copied()
+            .chain(aggs.iter().map(|a| a.data_type(&input_types)))
+            .collect();
+        Case {
+            batches,
+            input_types,
+            group_by,
+            aggs,
+            output_types,
+        }
+    }
+
+    /// Equal types, lengths, validity masks and payload bits (floats by
+    /// `to_bits`, NULL slots included).
+    fn assert_bit_equal(got: &[Batch], want: &[Batch], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: batch count");
+        for (g, w) in got.iter().zip(want) {
+            assert!(g.sel().is_none() && w.sel().is_none(), "{what}: selection");
+            assert_eq!(g.width(), w.width(), "{what}: width");
+            for (k, (a, b)) in g.columns().iter().zip(w.columns()).enumerate() {
+                assert_eq!(a.data_type(), b.data_type(), "{what}: column {k} type");
+                assert_eq!(a.validity(), b.validity(), "{what}: column {k} validity");
+                let same = match (a.values(), b.values()) {
+                    (ColumnSlice::Float(x), ColumnSlice::Float(y)) => x
+                        .iter()
+                        .map(|f| f.to_bits())
+                        .eq(y.iter().map(|f| f.to_bits())),
+                    _ => a == b,
+                };
+                assert!(same, "{what}: column {k}\n got {a:?}\nwant {b:?}");
+            }
+        }
+    }
+
+    /// The emitted rows as one dense batch (zero rows when none).
+    fn dense(out: &[Batch], types: &[DataType]) -> Batch {
+        if out.is_empty() {
+            Batch::new(
+                types
+                    .iter()
+                    .map(|t| ColumnBuilder::new(*t, 0).finish())
+                    .collect(),
+            )
+        } else {
+            Batch::concat(out)
+        }
+    }
+
+    #[test]
+    fn columnar_table_matches_row_reference() {
+        let cases = if cfg!(debug_assertions) { 30 } else { 300 };
+        for case in 0..cases {
+            let mut rng = Rng(0x5eed_0000 + case);
+            let c = gen_case(&mut rng, case % 3 == 0);
+            let what = format!("case {case}");
+            let ours =
+                || GroupTable::new(c.group_by.clone(), c.aggs.clone(), c.input_types.clone());
+            let theirs =
+                || reference::Table::new(c.group_by.clone(), c.aggs.clone(), c.input_types.clone());
+
+            let mut table = ours();
+            let mut want = theirs();
+            for b in &c.batches {
+                table.fold(b);
+                want.fold(b);
+            }
+            let serial = table.finish(&c.output_types);
+            assert_bit_equal(
+                &serial,
+                &want.finish(&c.output_types),
+                &format!("{what} serial"),
+            );
+
+            // Partials over a random split of the batches, merged in order.
+            if c.aggs.iter().all(|a| a.is_exact(&c.input_types)) {
+                let parts = 1 + rng.below(4) as usize;
+                let mut tables: Vec<GroupTable> = (0..parts).map(|_| ours()).collect();
+                let mut refs: Vec<reference::Table> = (0..parts).map(|_| theirs()).collect();
+                for b in &c.batches {
+                    let p = rng.below(parts as u64) as usize;
+                    tables[p].fold(b);
+                    refs[p].fold(b);
+                }
+                let merged = tables.into_iter().reduce(|mut a, b| {
+                    a.merge(b);
+                    a
+                });
+                let merged_ref = refs.into_iter().reduce(|mut a, b| {
+                    a.merge(b);
+                    a
+                });
+                assert_bit_equal(
+                    &merged.unwrap().finish(&c.output_types),
+                    &merged_ref.unwrap().finish(&c.output_types),
+                    &format!("{what} merged"),
+                );
+            }
+
+            // Resume from the emitted rows of a prefix, fold the rest: the
+            // same bits as folding everything at once.
+            let split = rng.below(c.batches.len() as u64 + 1) as usize;
+            let (old, delta) = c.batches.split_at(split);
+            let mut prefix = ours();
+            for b in old {
+                prefix.fold(b);
+            }
+            let cached = dense(&prefix.finish(&c.output_types), &c.output_types);
+            let resumed = ResumedAgg::resume(
+                &cached,
+                c.group_by.clone(),
+                c.aggs.clone(),
+                c.input_types.clone(),
+                c.output_types.clone(),
+            );
+            let resumed_ref = reference::Table::resume(
+                &cached,
+                c.group_by.clone(),
+                c.aggs.clone(),
+                c.input_types.clone(),
+            );
+            let distinct = c
+                .aggs
+                .iter()
+                .any(|a| matches!(a, AggFunc::CountDistinct(_)));
+            // A distinct count's set is lost in its finished value, unless
+            // there is no group to recover.
+            let resumable = !distinct || cached.rows() == 0;
+            assert_eq!(resumed.is_some(), resumable, "{what}: resumable");
+            assert_eq!(resumed_ref.is_some(), resumable, "{what}: reference");
+            if let (Some(mut r), Some(mut r_ref)) = (resumed, resumed_ref) {
+                for b in delta {
+                    r.fold(b);
+                    r_ref.fold(b);
+                }
+                let out = r.finish();
+                assert_bit_equal(
+                    &out,
+                    &r_ref.finish(&c.output_types),
+                    &format!("{what} resumed"),
+                );
+                assert_bit_equal(&out, &serial, &format!("{what} resumed vs recomputed"));
+            }
+
+            // Retract a random subset of the input from the full result.
+            let deleted: Vec<Batch> = c
+                .batches
+                .iter()
+                .filter(|_| rng.chance(40))
+                .cloned()
+                .collect();
+            let cached = dense(&serial, &c.output_types);
+            let retracted = retract_count_groups(
+                &cached,
+                c.group_by.clone(),
+                c.aggs.clone(),
+                c.input_types.clone(),
+                c.output_types.clone(),
+                &deleted,
+            );
+            let count_only = c
+                .aggs
+                .iter()
+                .all(|a| matches!(a, AggFunc::CountStar | AggFunc::Count(_)));
+            assert_eq!(retracted.is_some(), count_only, "{what}: retractable");
+            if let Some(out) = retracted {
+                let want = reference::retract(
+                    &cached,
+                    c.group_by.clone(),
+                    c.aggs.clone(),
+                    c.input_types.clone(),
+                    &c.output_types,
+                    &deleted,
+                )
+                .expect("reference retracts what the table retracts");
+                assert_bit_equal(&out, &want, &format!("{what} retracted"));
+            }
+        }
     }
 }

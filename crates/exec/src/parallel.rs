@@ -29,8 +29,9 @@
 //!   their morsel index and the gather re-sequences them, emitting exactly
 //!   the serial batch sequence;
 //! * order-insensitive breakers take the other route: parallel aggregation
-//!   merges per-worker `GroupTable` partials and sorts groups by key
-//!   (the serial aggregate emits in the same sorted order), and parallel
+//!   merges per-worker `GroupTable` partials into the first one, mapping
+//!   each partial's group ids onto the merged table's, and sorts groups by
+//!   key (the serial aggregate emits in the same sorted order), and parallel
 //!   top-N merges per-worker heap runs whose ties are broken by global
 //!   scan position (the serial top-N uses the same rule).
 //!
@@ -55,7 +56,7 @@ use rdb_plan::{Plan, SortKeyExpr};
 use rdb_storage::Table;
 use rdb_vector::{morsel_bounds, morsel_count, Batch, DataType};
 
-use crate::agg::{emit_groups, GroupTable};
+use crate::agg::GroupTable;
 use crate::error::{panic_message, ExecError, FailSlot};
 use crate::fuse::{build_stages, collect_chain, FusedChain};
 use crate::metrics::{MetricsNode, OpMetrics};
@@ -473,20 +474,18 @@ impl ParallelAggExec {
                 table.fold(&batch);
             },
         )?;
-        let mut merged = GroupTable::new(
-            self.group_by.clone(),
-            self.aggs.clone(),
-            self.input_types.clone(),
-        );
-        for p in partials {
-            merged.merge(p);
-        }
-        let states = merged.into_sorted_states();
-        Ok(emit_groups(
-            &states,
-            &self.output_types,
-            self.group_by.len(),
-        ))
+        let merged = partials.into_iter().reduce(|mut a, b| {
+            a.merge(b);
+            a
+        });
+        let merged = merged.unwrap_or_else(|| {
+            GroupTable::new(
+                self.group_by.clone(),
+                self.aggs.clone(),
+                self.input_types.clone(),
+            )
+        });
+        Ok(merged.finish(&self.output_types))
     }
 }
 

@@ -15,7 +15,7 @@
 //!   holds the only reference and copies the window otherwise.
 //!
 //! Operators transform whole columns at a time; per-row [`Value`] extraction
-//! exists for tests, key encoding, and result display.
+//! exists for tests, literals, and result display.
 
 use std::sync::Arc;
 

@@ -1,29 +1,25 @@
-//! Vectorized row hashing over key column sets.
+//! Vectorized row hashing over key column sets, and the one definition of
+//! key equality.
 //!
-//! Hash joins used to hash probe keys row-at-a-time by byte-encoding each
-//! row ([`crate::row::encode_row_key`]) into a scratch buffer and hashing
-//! the bytes — one allocation-touching, type-dispatching call per row.
-//! [`hash_columns`] replaces that on the hot path: one pass **per column**
-//! (the type `match` runs once per batch, not once per row), folding each
+//! [`hash_columns`] hashes a batch of rows in one pass **per column** (the
+//! type `match` runs once per batch, not once per row), folding each
 //! column's contribution into a per-row `u64` accumulator with an
-//! FxHash-style mix.
+//! FxHash-style mix. Hash joins and hash aggregation both key on it.
 //!
-//! The contract mirrors the byte encoding exactly: two rows whose
-//! `encode_row_key` encodings are equal hash identically, and the hash
-//! discriminates everything the encoding does —
+//! Hashes are *candidates*, not proofs: callers confirm with
+//! [`key_rows_eq`] (or, for keys held outside a [`Column`], with
+//! [`KeyCells::cell_eq`]), the positional equality of SQL `IS NOT
+//! DISTINCT FROM`: NULL equals NULL, `-0.0` equals `0.0`, and cells of
+//! different column types are never equal. Rows equal under it hash
+//! equally —
 //!
 //! * per-cell type tags keep `Int(2)` apart from `Float(2.0)` and
 //!   `Bool(true)` apart from `Int(1)`;
-//! * `-0.0` normalizes to `0.0` before hashing, like the encoder;
+//! * `-0.0` normalizes to `0.0` before hashing;
 //! * NULL folds in its own tag (and nothing else), so NULL keys group
 //!   with each other and never silently with real values;
 //! * strings mix their length before their bytes, so `("ab","c")` and
 //!   `("a","bc")` stay distinct across multi-column keys.
-//!
-//! Hashes are *candidates*, not proofs: collision-safe callers confirm
-//! with [`key_rows_eq`], the positional equality predicate matching the
-//! encoder's equality (SQL `IS NOT DISTINCT FROM`: NULL == NULL, and
-//! values of different column types are never equal).
 
 use crate::column::{Column, ColumnSlice};
 
@@ -34,10 +30,7 @@ const SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// word-at-a-time folding.
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-// Per-cell type tags, numerically identical to the tag bytes of
-// `encode_row_key` (the correspondence is cosmetic — any distinct
-// constants would do — but it keeps the two schemes easy to audit
-// side by side).
+// Per-cell type tags (any distinct constants would do).
 const TAG_NULL: u64 = 0;
 const TAG_BOOL: u64 = 1;
 const TAG_INT: u64 = 2;
@@ -116,7 +109,7 @@ fn hash_column(col: &Column, hashes: &mut [u64]) {
     }
 }
 
-/// `-0.0` hashes as `0.0`, mirroring the encoder's normalization.
+/// `-0.0` hashes (and compares, see [`KeyCells::cell_eq`]) as `0.0`.
 #[inline(always)]
 fn norm_float(v: f64) -> f64 {
     if v == 0.0 {
@@ -137,51 +130,94 @@ fn hash_str(h: u64, s: &str) -> u64 {
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
-        let mut buf = [0u8; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        h = mix(h, u64::from_le_bytes(buf));
+        // The tail as a little-endian word, zero-padded.
+        let tail = rem.iter().rev().fold(0u64, |w, &b| (w << 8) | b as u64);
+        h = mix(h, tail);
     }
     h
 }
 
-/// Positional row-key equality across two column sets, matching
-/// `encode_row_key` byte equality: NULL equals NULL (`IS NOT DISTINCT
-/// FROM`), `-0.0 == 0.0`, and cells of different column types are never
-/// equal. Used to confirm hash-bucket candidates.
+/// Positional row-key equality across two column sets: row `i` of `a`
+/// against row `j` of `b`, one [`KeyCells::cell_eq`] per column. Used to
+/// confirm hash-bucket candidates.
 pub fn key_rows_eq(a: &[&Column], i: usize, b: &[&Column], j: usize) -> bool {
     debug_assert_eq!(a.len(), b.len(), "key column arity mismatch");
     a.iter()
         .zip(b.iter())
-        .all(|(ca, cb)| key_cell_eq(ca, i, cb, j))
+        .all(|(ca, cb)| KeyCells::of(ca).cell_eq(i, &KeyCells::of(cb), j))
 }
 
-/// One cell of [`key_rows_eq`].
-#[inline]
-fn key_cell_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
-    match (a.is_valid(i), b.is_valid(j)) {
-        (false, false) => return true,
-        (true, true) => {}
-        _ => return false,
+/// One key column as key equality reads it: typed values plus an optional
+/// validity mask (absent: every row valid). A [`Column`] gives one with
+/// [`KeyCells::of`]; state kept in plain vectors (a hash aggregate's group
+/// keys) gives one with [`KeyCells::new`], so both compare under the same
+/// rule.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyCells<'a> {
+    values: ColumnSlice<'a>,
+    validity: Option<&'a [bool]>,
+}
+
+impl<'a> KeyCells<'a> {
+    /// Cells over `values`, NULL where `validity` is `false`.
+    #[inline]
+    pub fn new(values: ColumnSlice<'a>, validity: Option<&'a [bool]>) -> Self {
+        KeyCells { values, validity }
     }
-    match (a.values(), b.values()) {
-        (ColumnSlice::Bool(x), ColumnSlice::Bool(y)) => x[i] == y[j],
-        (ColumnSlice::Int(x), ColumnSlice::Int(y)) => x[i] == y[j],
-        (ColumnSlice::Float(x), ColumnSlice::Float(y)) => {
-            norm_float(x[i]).to_bits() == norm_float(y[j]).to_bits()
+
+    /// The cells of `col`'s window.
+    #[inline]
+    pub fn of(col: &'a Column) -> Self {
+        KeyCells::new(col.values(), col.validity())
+    }
+
+    #[inline]
+    fn is_valid(&self, i: usize) -> bool {
+        self.validity.is_none_or(|m| m[i])
+    }
+
+    /// Key equality of cell `i` here with cell `j` of `other`: NULL equals
+    /// NULL (`IS NOT DISTINCT FROM`), `-0.0` equals `0.0`, NaNs are equal
+    /// when their bits are, and cells of different types are never equal.
+    #[inline]
+    pub fn cell_eq(&self, i: usize, other: &KeyCells<'_>, j: usize) -> bool {
+        match (self.is_valid(i), other.is_valid(j)) {
+            (false, false) => return true,
+            (true, true) => {}
+            _ => return false,
         }
-        (ColumnSlice::Str(x), ColumnSlice::Str(y)) => x[i] == y[j],
-        (ColumnSlice::Date(x), ColumnSlice::Date(y)) => x[i] == y[j],
-        // Different column types never compare equal under the byte
-        // encoding (distinct tags), so neither do they here.
-        _ => false,
+        match (self.values, other.values) {
+            (ColumnSlice::Bool(x), ColumnSlice::Bool(y)) => x[i] == y[j],
+            (ColumnSlice::Int(x), ColumnSlice::Int(y)) => x[i] == y[j],
+            (ColumnSlice::Float(x), ColumnSlice::Float(y)) => {
+                norm_float(x[i]).to_bits() == norm_float(y[j]).to_bits()
+            }
+            (ColumnSlice::Str(x), ColumnSlice::Str(y)) => str_eq(&x[i], &y[j]),
+            (ColumnSlice::Date(x), ColumnSlice::Date(y)) => x[i] == y[j],
+            // Different column types never compare equal (their hashes
+            // carry distinct tags too).
+            _ => false,
+        }
     }
+}
+
+/// String equality that compares short strings inline rather than
+/// through a `memcmp` call, which dominates for keys of a few bytes.
+#[inline]
+fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    a.len() == b.len()
+        && if a.len() <= 16 {
+            a.iter().zip(b).all(|(x, y)| x == y)
+        } else {
+            a == b
+        }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::ColumnBuilder;
-    use crate::row::encode_row_key;
     use crate::types::DataType;
     use crate::value::Value;
 
@@ -202,33 +238,33 @@ mod tests {
     }
 
     #[test]
-    fn encoding_equality_implies_hash_equality() {
-        // Sweep pairs across types; wherever the byte encodings agree the
-        // hashes must agree (the inverse is collision territory and not
-        // asserted).
-        let mut ib = ColumnBuilder::new(DataType::Int, 4);
-        ib.push(Value::Int(1));
-        ib.push_null();
-        ib.push(Value::Int(1));
-        ib.push_null();
+    fn key_equality_implies_hash_equality() {
+        // Sweep pairs across NULLs, signed zeros, NaN and empty strings;
+        // wherever `key_rows_eq` holds the hashes must agree (the inverse
+        // is collision territory and not asserted).
+        let mut ib = ColumnBuilder::new(DataType::Int, 7);
+        for v in [Some(1), Some(1), None, None, Some(1), Some(1), Some(1)] {
+            ib.push(v.map_or(Value::Null, Value::Int));
+        }
         let ints = ib.finish();
-        let floats = Column::from_floats(vec![0.0, -0.0, 1.5, 2.5]);
-        let cols = [&ints, &floats];
+        let floats = Column::from_floats(vec![0.0, -0.0, 2.5, 2.5, f64::NAN, f64::NAN, 0.0]);
+        let strs = Column::from_strs(["", "", "", "", "", "", "a"]);
+        let cols = [&ints, &floats, &strs];
         let mut hs = Vec::new();
-        hash_columns(&cols, 4, &mut hs);
-        for i in 0..4 {
-            for j in 0..4 {
-                let (mut ki, mut kj) = (Vec::new(), Vec::new());
-                encode_row_key(&cols, i, &mut ki);
-                encode_row_key(&cols, j, &mut kj);
-                if ki == kj {
-                    assert_eq!(hs[i], hs[j], "rows {i},{j} encode equal");
-                    assert!(key_rows_eq(&cols, i, &cols, j));
-                } else {
-                    assert!(!key_rows_eq(&cols, i, &cols, j));
+        hash_columns(&cols, 7, &mut hs);
+        let mut equal_pairs = 0;
+        for i in 0..7 {
+            for j in 0..7 {
+                if key_rows_eq(&cols, i, &cols, j) {
+                    assert_eq!(hs[i], hs[j], "rows {i},{j} are equal keys");
+                    equal_pairs += 1;
                 }
             }
         }
+        // The diagonal plus, both ways round, 0.0/-0.0 (rows 0, 1), NULL
+        // ints (2, 3) and NaNs of the same bits (4, 5); row 6 differs from
+        // row 0 only by a non-empty string.
+        assert_eq!(equal_pairs, 7 + 6);
     }
 
     #[test]
@@ -259,6 +295,20 @@ mod tests {
         // Long strings exercise the chunked tail path.
         let long = Column::from_strs(["abcdefghijklmnop", "abcdefghijklmnoq"]);
         assert_ne!(hash_one(&[&long], 0), hash_one(&[&long], 1));
+    }
+
+    #[test]
+    fn string_tails_hash_as_zero_padded_words() {
+        for s in ["", "a", "abc", "abcdefgh", "abcdefghi", "abcdefghijklmno"] {
+            let bytes = s.as_bytes();
+            let mut want = mix(mix(SEED, TAG_STR), bytes.len() as u64);
+            for chunk in bytes.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                want = mix(want, u64::from_le_bytes(word));
+            }
+            assert_eq!(hash_str(SEED, s), want, "{s:?}");
+        }
     }
 
     #[test]

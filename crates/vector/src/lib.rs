@@ -11,10 +11,11 @@
 //! * [`Batch`] — a horizontal slice of a result: a set of equal-length
 //!   columns, at most [`BATCH_CAPACITY`] rows.
 //! * [`Schema`] / [`Field`] — named, typed column metadata.
-//! * [`row`] — row-wise helpers: composite key encoding for hash
-//!   joins/aggregations and multi-column comparators for sort/top-N.
-//! * [`hash`] — vectorized per-row hashing over key column sets (the
-//!   allocation-free fast path hash joins use instead of byte encoding).
+//! * [`row`] — row-wise helpers: multi-column comparators for sort/top-N
+//!   and the hash aggregate's emission order.
+//! * [`hash`] — vectorized per-row hashing over key column sets and the
+//!   one key equality ([`KeyCells`]) hash joins and hash aggregation
+//!   confirm candidates with.
 //!
 //! # Ownership model: shared columns, selection vectors, explicit copies
 //!
@@ -62,8 +63,8 @@ pub mod value;
 
 pub use batch::Batch;
 pub use column::{Column, ColumnBuilder, ColumnData, ColumnSlice};
-pub use hash::{hash_columns, key_rows_eq};
-pub use row::{encode_row_key, RowCmp, SortOrder};
+pub use hash::{hash_columns, key_rows_eq, KeyCells};
+pub use row::{RowCmp, SortOrder};
 pub use schema::{Field, Schema};
 pub use types::{date_from_ymd, format_date, ymd_from_date, DataType};
 pub use value::Value;

@@ -1,9 +1,9 @@
-//! Row-wise helpers: composite key encoding and multi-column comparison.
+//! Row-wise helpers: NULL-key detection and multi-column comparison.
 //!
-//! Hash joins and hash aggregation need a hashable, equatable composite key
-//! per row; sort and top-N need a total order over rows. Both are implemented
-//! here over column sets, so the executor crates stay free of per-type
-//! dispatch in their own code.
+//! Sort, top-N and the hash aggregate's emission order need a total order
+//! over rows; it is implemented here over column sets, so the executor
+//! crates stay free of per-type dispatch in their own code. Key equality
+//! and hashing live in [`crate::hash`].
 
 use std::cmp::Ordering;
 
@@ -25,46 +25,6 @@ impl SortOrder {
         match self {
             SortOrder::Asc => ord,
             SortOrder::Desc => ord.reverse(),
-        }
-    }
-}
-
-/// Append a type-tagged, NULL-aware encoding of row `row` of `cols` to
-/// `buf`. Two rows receive identical encodings iff they are equal under SQL
-/// `IS NOT DISTINCT FROM` semantics (NULL == NULL for grouping purposes),
-/// which is what hash aggregation requires. For joins, callers should first
-/// drop NULL-keyed rows (SQL equality never matches NULLs).
-pub fn encode_row_key(cols: &[&Column], row: usize, buf: &mut Vec<u8>) {
-    for col in cols {
-        if !col.is_valid(row) {
-            buf.push(0); // null tag
-            continue;
-        }
-        match col.values() {
-            ColumnSlice::Bool(v) => {
-                buf.push(1);
-                buf.push(v[row] as u8);
-            }
-            ColumnSlice::Int(v) => {
-                buf.push(2);
-                buf.extend_from_slice(&v[row].to_le_bytes());
-            }
-            ColumnSlice::Float(v) => {
-                buf.push(3);
-                // Normalise -0.0 so equal floats encode equally.
-                let f = if v[row] == 0.0 { 0.0 } else { v[row] };
-                buf.extend_from_slice(&f.to_bits().to_le_bytes());
-            }
-            ColumnSlice::Str(v) => {
-                buf.push(4);
-                let s = v[row].as_bytes();
-                buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                buf.extend_from_slice(s);
-            }
-            ColumnSlice::Date(v) => {
-                buf.push(5);
-                buf.extend_from_slice(&v[row].to_le_bytes());
-            }
         }
     }
 }
@@ -136,49 +96,9 @@ pub fn cmp_cell(a: &Column, i: usize, b: &Column, j: usize) -> Ordering {
 mod tests {
     use super::*;
     use crate::column::ColumnBuilder;
+    use crate::hash::key_rows_eq;
     use crate::types::DataType;
     use crate::value::Value;
-
-    #[test]
-    fn key_encoding_distinguishes_rows() {
-        let a = Column::from_ints(vec![1, 1, 2]);
-        let b = Column::from_strs(["x", "y", "x"]);
-        let cols = [&a, &b];
-        let mut k0 = Vec::new();
-        let mut k1 = Vec::new();
-        let mut k2 = Vec::new();
-        encode_row_key(&cols, 0, &mut k0);
-        encode_row_key(&cols, 1, &mut k1);
-        encode_row_key(&cols, 2, &mut k2);
-        assert_ne!(k0, k1);
-        assert_ne!(k0, k2);
-        assert_ne!(k1, k2);
-    }
-
-    #[test]
-    fn key_encoding_equal_rows_equal() {
-        let a = Column::from_ints(vec![5, 5]);
-        let cols = [&a];
-        let mut k0 = Vec::new();
-        let mut k1 = Vec::new();
-        encode_row_key(&cols, 0, &mut k0);
-        encode_row_key(&cols, 1, &mut k1);
-        assert_eq!(k0, k1);
-    }
-
-    #[test]
-    fn key_encoding_no_string_confusion() {
-        // ("ab","c") must differ from ("a","bc") — length prefixes ensure it.
-        let a1 = Column::from_strs(["ab"]);
-        let b1 = Column::from_strs(["c"]);
-        let a2 = Column::from_strs(["a"]);
-        let b2 = Column::from_strs(["bc"]);
-        let mut k1 = Vec::new();
-        let mut k2 = Vec::new();
-        encode_row_key(&[&a1, &b1], 0, &mut k1);
-        encode_row_key(&[&a2, &b2], 0, &mut k2);
-        assert_ne!(k1, k2);
-    }
 
     #[test]
     fn nulls_group_together_but_differ_from_values() {
@@ -188,14 +108,8 @@ mod tests {
         b.push(Value::Int(0));
         let c = b.finish();
         let cols = [&c];
-        let mut k0 = Vec::new();
-        let mut k1 = Vec::new();
-        let mut k2 = Vec::new();
-        encode_row_key(&cols, 0, &mut k0);
-        encode_row_key(&cols, 1, &mut k1);
-        encode_row_key(&cols, 2, &mut k2);
-        assert_eq!(k0, k1);
-        assert_ne!(k0, k2);
+        assert!(key_rows_eq(&cols, 0, &cols, 1));
+        assert!(!key_rows_eq(&cols, 0, &cols, 2));
         assert!(row_has_null_key(&cols, 0));
         assert!(!row_has_null_key(&cols, 2));
     }
