@@ -38,6 +38,10 @@
 //! plans must publish byte-identical `MaterializedResult`s whether they ran
 //! at DOP 1 or 8.
 //!
+//! Hashing is FxHash-style throughout (`hash_columns`, and the vendored
+//! FxHash for the distinct pairs): the keys are the data being
+//! aggregated, and SipHash's DoS resistance buys nothing here.
+//!
 //! The same `GroupTable` state backs the serial [`HashAggExec`], the
 //! partitioned parallel aggregation (each worker folds its morsels into a
 //! private table; the partials are merged at the breaker with
@@ -46,6 +50,8 @@
 //! result's key and value columns back into it.
 
 use std::cmp::Ordering;
+use std::hash::Hash;
+use std::ops::AddAssign;
 use std::sync::Arc;
 
 use fxhash::FxHashSet;
@@ -283,14 +289,14 @@ impl Rows<'_> {
     }
 }
 
-/// Fold a float sum's live rows, converting each value with `conv`.
-fn add_floats<T>(
-    total: &mut [f64],
+/// Fold a sum's live rows, converting each value with `conv`.
+fn add_sums<T, U: AddAssign>(
+    total: &mut [U],
     seen: &mut [bool],
     vals: &[T],
     mask: Option<&[bool]>,
     rows: Rows<'_>,
-    conv: impl Fn(&T) -> f64,
+    conv: impl Fn(&T) -> U,
 ) {
     rows.for_each(|row, g| {
         if mask.is_none_or(|m| m[row]) {
@@ -308,20 +314,50 @@ enum DistinctPairs {
     Strs(FxHashSet<(u32, Arc<str>)>),
 }
 
-/// Insert the live rows' pairs of word-valued `vals`, counting new ones.
-fn insert_words<T>(
-    set: &mut FxHashSet<(u32, u64)>,
+/// Insert the live rows' `(group id, key(value))` pairs, counting new
+/// ones per group.
+fn insert_pairs<T, V: Hash + Eq>(
+    set: &mut FxHashSet<(u32, V)>,
     count: &mut [i64],
     vals: &[T],
     mask: Option<&[bool]>,
     rows: Rows<'_>,
-    word: impl Fn(&T) -> u64,
+    key: impl Fn(&T) -> V,
 ) {
     rows.for_each(|row, g| {
-        if mask.is_none_or(|m| m[row]) && set.insert((g as u32, word(&vals[row]))) {
+        if mask.is_none_or(|m| m[row]) && set.insert((g as u32, key(&vals[row]))) {
             count[g] += 1;
         }
     });
+}
+
+/// Move `from`'s pairs into `into`, group `og` to group `map[og]`,
+/// counting new ones per group.
+fn merge_pairs<V: Hash + Eq>(
+    into: &mut FxHashSet<(u32, V)>,
+    from: FxHashSet<(u32, V)>,
+    map: &[u32],
+    count: &mut [i64],
+) {
+    for (og, v) in from {
+        let g = map[og as usize];
+        if into.insert((g, v)) {
+            count[g as usize] += 1;
+        }
+    }
+}
+
+/// Add `from`'s sums into `total`, group `og` to group `map[og]`.
+fn merge_sums<T: AddAssign + Copy>(
+    total: &mut [T],
+    seen: &mut [bool],
+    from: (Vec<T>, Vec<bool>),
+    map: &[u32],
+) {
+    for (og, &g) in map.iter().enumerate() {
+        total[g as usize] += from.0[og];
+        seen[g as usize] |= from.1[og];
+    }
 }
 
 /// One aggregate's state over every group, indexed by group id.
@@ -448,35 +484,27 @@ impl State {
                 Some(m) => rows.for_each(|row, g| n[g] += m[row] as i64),
             },
             State::SumInt { total, seen } => {
-                let vals = col.as_ints();
-                rows.for_each(|row, g| {
-                    if mask.is_none_or(|m| m[row]) {
-                        total[g] += vals[row];
-                        seen[g] = true;
-                    }
-                });
+                add_sums(total, seen, col.as_ints(), mask, rows, |x| *x)
             }
             State::SumFloat { total, seen } => match col.values() {
-                ColumnSlice::Float(v) => add_floats(total, seen, v, mask, rows, |x| *x),
-                ColumnSlice::Int(v) => add_floats(total, seen, v, mask, rows, |x| *x as f64),
+                ColumnSlice::Float(v) => add_sums(total, seen, v, mask, rows, |x| *x),
+                ColumnSlice::Int(v) => add_sums(total, seen, v, mask, rows, |x| *x as f64),
                 // Other values have no float reading and never add.
                 _ => {}
             },
             State::Extreme { best, keep } => best.fold_extreme(col, rows, *keep),
             State::Distinct { pairs, count } => match (pairs, col.values()) {
-                (DistinctPairs::Strs(set), ColumnSlice::Str(v)) => rows.for_each(|row, g| {
-                    if mask.is_none_or(|m| m[row]) && set.insert((g as u32, v[row].clone())) {
-                        count[g] += 1;
-                    }
-                }),
+                (DistinctPairs::Strs(set), ColumnSlice::Str(v)) => {
+                    insert_pairs(set, count, v, mask, rows, Arc::clone)
+                }
                 (DistinctPairs::Words(set), ColumnSlice::Bool(v)) => {
-                    insert_words(set, count, v, mask, rows, |x| *x as u64)
+                    insert_pairs(set, count, v, mask, rows, |x| *x as u64)
                 }
                 (DistinctPairs::Words(set), ColumnSlice::Int(v)) => {
-                    insert_words(set, count, v, mask, rows, |x| *x as u64)
+                    insert_pairs(set, count, v, mask, rows, |x| *x as u64)
                 }
                 (DistinctPairs::Words(set), ColumnSlice::Float(v)) => {
-                    insert_words(set, count, v, mask, rows, |x| {
+                    insert_pairs(set, count, v, mask, rows, |x| {
                         if *x == 0.0 {
                             0
                         } else {
@@ -485,7 +513,7 @@ impl State {
                     })
                 }
                 (DistinctPairs::Words(set), ColumnSlice::Date(v)) => {
-                    insert_words(set, count, v, mask, rows, |x| *x as u64)
+                    insert_pairs(set, count, v, mask, rows, |x| *x as u64)
                 }
                 (_, s) => panic!(
                     "count(distinct) state cannot take a {} column",
@@ -498,49 +526,28 @@ impl State {
     /// Combine the state of another table computed over a disjoint row
     /// subset, its group `og` into group `map[og]` here.
     fn merge(&mut self, other: State, map: &[u32]) {
-        let pairs = map.iter().enumerate().map(|(og, &g)| (og, g as usize));
         match (self, other) {
-            (State::Count(a), State::Count(b)) => pairs.for_each(|(og, g)| a[g] += b[og]),
-            (
-                State::SumInt { total, seen },
-                State::SumInt {
-                    total: t2,
-                    seen: s2,
-                },
-            ) => pairs.for_each(|(og, g)| {
-                total[g] += t2[og];
-                seen[g] |= s2[og];
-            }),
-            (
-                State::SumFloat { total, seen },
-                State::SumFloat {
-                    total: t2,
-                    seen: s2,
-                },
-            ) => pairs.for_each(|(og, g)| {
-                total[g] += t2[og];
-                seen[g] |= s2[og];
-            }),
+            (State::Count(a), State::Count(b)) => {
+                for (og, &g) in map.iter().enumerate() {
+                    a[g as usize] += b[og];
+                }
+            }
+            (State::SumInt { total, seen }, State::SumInt { total: t, seen: s }) => {
+                merge_sums(total, seen, (t, s), map)
+            }
+            (State::SumFloat { total, seen }, State::SumFloat { total: t, seen: s }) => {
+                merge_sums(total, seen, (t, s), map)
+            }
             (State::Extreme { best, keep }, State::Extreme { best: other, .. }) => {
                 best.merge_extreme(&other, map, *keep)
             }
             (State::Distinct { pairs, count }, State::Distinct { pairs: other, .. }) => {
                 match (pairs, other) {
                     (DistinctPairs::Words(a), DistinctPairs::Words(b)) => {
-                        for (og, w) in b {
-                            let g = map[og as usize];
-                            if a.insert((g, w)) {
-                                count[g as usize] += 1;
-                            }
-                        }
+                        merge_pairs(a, b, map, count)
                     }
                     (DistinctPairs::Strs(a), DistinctPairs::Strs(b)) => {
-                        for (og, s) in b {
-                            let g = map[og as usize];
-                            if a.insert((g, s)) {
-                                count[g as usize] += 1;
-                            }
-                        }
+                        merge_pairs(a, b, map, count)
                     }
                     _ => unreachable!("merging count(distinct) states of different types"),
                 }
@@ -603,7 +610,10 @@ impl GroupIndex {
 
     /// Register the next group id under `h` and return it.
     fn insert(&mut self, h: u64) -> u32 {
-        let g = self.hashes.len() as u32;
+        let g = u32::try_from(self.hashes.len())
+            .ok()
+            .filter(|&g| g != NONE)
+            .expect("fewer than 2^32 - 1 groups");
         if self.hashes.len() >= self.heads.len() {
             // Keep at most one group per bucket on average.
             self.rebuild((self.heads.len() * 2).max(BATCH_CAPACITY));
