@@ -474,17 +474,13 @@ impl ParallelAggExec {
                 table.fold(&batch);
             },
         )?;
-        let merged = partials.into_iter().reduce(|mut a, b| {
-            a.merge(b);
-            a
-        });
-        let merged = merged.unwrap_or_else(|| {
-            GroupTable::new(
-                self.group_by.clone(),
-                self.aggs.clone(),
-                self.input_types.clone(),
-            )
-        });
+        let mut partials = partials.into_iter();
+        let mut merged = partials
+            .next()
+            .ok_or_else(|| ExecError::msg("parallel aggregate ran no workers"))?;
+        for p in partials {
+            merged.merge(p);
+        }
         Ok(merged.finish(&self.output_types))
     }
 }
