@@ -423,7 +423,6 @@ impl State {
     /// `b` is literally the same operation sequence.
     fn resumed(func: &AggFunc, input_types: &[DataType], col: &Column) -> Option<State> {
         let valid: Vec<bool> = (0..col.len()).map(|i| col.is_valid(i)).collect();
-        // A NULL sum's total is the 0 it started from.
         let promoted = |v: &[i64]| v.iter().map(|&x| x as f64).collect::<Vec<_>>();
         Some(match (State::new(func, input_types), col.values()) {
             // No groups: nothing to recover.
@@ -431,6 +430,8 @@ impl State {
             (State::Count(_), ColumnSlice::Int(v)) if col.null_count() == 0 => {
                 State::Count(v.to_vec())
             }
+            // `copy_cells` leaves a NULL sum's total at the 0 it started
+            // from.
             (State::SumInt { .. }, ColumnSlice::Int(v)) => State::SumInt {
                 total: copy_cells(v, &valid),
                 seen: valid,
