@@ -13,6 +13,8 @@ use rdb_vector::{DataType, Schema, Value};
 use std::sync::Arc;
 
 const ROWS: usize = 200_000;
+/// Orders at TPC-H SF 0.02: a build side with one row per key.
+const ORDERS: usize = 30_000;
 
 fn ctx() -> ExecContext {
     let mut cat = Catalog::new();
@@ -20,6 +22,7 @@ fn ctx() -> ExecContext {
         ("k", DataType::Int),
         ("v", DataType::Float),
         ("d", DataType::Date),
+        ("o", DataType::Int),
     ]);
     let mut b = TableBuilder::new("t", schema, ROWS);
     for i in 0..ROWS as i64 {
@@ -27,6 +30,7 @@ fn ctx() -> ExecContext {
             Value::Int(i % 1000),
             Value::Float((i % 97) as f64),
             Value::Date((i % 2500) as i32 + 8000),
+            Value::Int(i * 7 % ORDERS as i64),
         ]);
     }
     cat.register(b.finish()).expect("register table");
@@ -34,6 +38,12 @@ fn ctx() -> ExecContext {
     let mut b = TableBuilder::new("dim", schema, 1000);
     for i in 0..1000i64 {
         b.push_row(vec![Value::Int(i), Value::str(format!("tag{}", i % 7))]);
+    }
+    cat.register(b.finish()).expect("register table");
+    let schema = Schema::from_pairs([("ok", DataType::Int), ("price", DataType::Float)]);
+    let mut b = TableBuilder::new("orders", schema, ORDERS);
+    for i in 0..ORDERS as i64 {
+        b.push_row(vec![Value::Int(i), Value::Float(i as f64 * 0.5)]);
     }
     cat.register(b.finish()).expect("register table");
     ExecContext::new(Arc::new(cat))
@@ -83,6 +93,24 @@ fn bench_exec(c: &mut Criterion) {
     group.bench_function("hash_join_dim1000", |b| {
         b.iter(|| {
             let mut t = build(&join_plan, &ctx).unwrap();
+            run_to_batch(t.root.as_mut()).rows()
+        })
+    });
+
+    // An orders-sized build of 30,000 distinct keys, probed by every row:
+    // what a build side costs per distinct key shows here, not over the
+    // 1,000-row dimension above.
+    let orders_plan = scan("t", &["o", "v"])
+        .inner_join(
+            scan("orders", &["ok", "price"]),
+            vec![Expr::name("o")],
+            vec![Expr::name("ok")],
+        )
+        .bind(&ctx.catalog)
+        .unwrap();
+    group.bench_function("hash_join_build_30k_unique", |b| {
+        b.iter(|| {
+            let mut t = build(&orders_plan, &ctx).unwrap();
             run_to_batch(t.root.as_mut()).rows()
         })
     });

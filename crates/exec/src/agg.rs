@@ -3,9 +3,10 @@
 //! **Group ids.** A `GroupTable` numbers its groups `0, 1, 2, …` in
 //! first-seen order and keeps their keys as typed key columns: row `g` of
 //! each is group `g`'s key as first seen (a later `-0.0` joins the `0.0`
-//! group and leaves the kept key alone). An index from key hash
-//! ([`rdb_vector::hash_columns`]) to group id, chained per bucket, finds a
-//! row's group; every candidate is confirmed with
+//! group and leaves the kept key alone). The crate's one hash index (the
+//! `index` module, which join build sides use too) maps a key hash
+//! ([`rdb_vector::hash_columns`]) to group id and finds a row's group;
+//! every candidate is confirmed with
 //! [`rdb_vector::KeyCells::cell_eq`], the key equality hash joins use:
 //! NULL equals NULL, `-0.0` equals `0.0`, and cells of different types
 //! never match. A keyless aggregate has exactly one group, id 0, from the
@@ -61,6 +62,7 @@ use rdb_vector::{
     hash_columns, Batch, Column, ColumnData, ColumnSlice, DataType, KeyCells, BATCH_CAPACITY,
 };
 
+use crate::index::HashIndex;
 use crate::metrics::OpMetrics;
 use crate::op::{timed_next, Operator};
 
@@ -570,73 +572,6 @@ impl State {
     }
 }
 
-/// No group: an empty bucket, or the end of a chain.
-const NONE: u32 = u32::MAX;
-
-/// Key hash to group id: a power-of-two bucket array of chain heads, a
-/// chain link and the full hash per group.
-#[derive(Default)]
-struct GroupIndex {
-    heads: Vec<u32>,
-    next: Vec<u32>,
-    hashes: Vec<u64>,
-}
-
-impl GroupIndex {
-    /// The top bits of `h` times 2^64/φ. The hashes of nearby int keys
-    /// differ mostly in their low bits, and of floats in their high ones;
-    /// the product's top bits depend on all of them.
-    #[inline]
-    fn bucket(&self, h: u64) -> usize {
-        let spread = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (spread >> (64 - self.heads.len().trailing_zeros())) as usize
-    }
-
-    /// The first group in `h`'s chain whose hash is `h` and for which
-    /// `same_key` holds.
-    #[inline]
-    fn find(&self, h: u64, mut same_key: impl FnMut(usize) -> bool) -> Option<u32> {
-        if self.heads.is_empty() {
-            return None;
-        }
-        let mut g = self.heads[self.bucket(h)];
-        while g != NONE {
-            if self.hashes[g as usize] == h && same_key(g as usize) {
-                return Some(g);
-            }
-            g = self.next[g as usize];
-        }
-        None
-    }
-
-    /// Register the next group id under `h` and return it.
-    fn insert(&mut self, h: u64) -> u32 {
-        let g = u32::try_from(self.hashes.len())
-            .ok()
-            .filter(|&g| g != NONE)
-            .expect("fewer than 2^32 - 1 groups");
-        if self.hashes.len() >= self.heads.len() {
-            // Keep at most one group per bucket on average.
-            self.rebuild((self.heads.len() * 2).max(BATCH_CAPACITY));
-        }
-        let b = self.bucket(h);
-        self.next.push(self.heads[b]);
-        self.heads[b] = g;
-        self.hashes.push(h);
-        g
-    }
-
-    fn rebuild(&mut self, buckets: usize) {
-        self.heads.clear();
-        self.heads.resize(buckets, NONE);
-        for g in 0..self.hashes.len() {
-            let b = self.bucket(self.hashes[g]);
-            self.next[g] = self.heads[b];
-            self.heads[b] = g as u32;
-        }
-    }
-}
-
 /// Columnar group state: the shared state of serial, partitioned parallel
 /// and resumed aggregation (see the module docs).
 pub(crate) struct GroupTable {
@@ -645,7 +580,7 @@ pub(crate) struct GroupTable {
     /// Row `g` of each is group `g`'s key as first seen.
     keys: Vec<Cells>,
     /// Empty for a keyless aggregate.
-    index: GroupIndex,
+    index: HashIndex,
     /// One per aggregate, each `groups` long.
     states: Vec<State>,
     groups: usize,
@@ -667,7 +602,7 @@ impl GroupTable {
             aggs,
             groups: usize::from(keys.is_empty()),
             keys,
-            index: GroupIndex::default(),
+            index: HashIndex::default(),
             states,
             hashes: Vec::new(),
             gids: Vec::new(),
@@ -772,7 +707,7 @@ impl GroupTable {
         if self.keys.is_empty() {
             return Some(0);
         }
-        self.index.find(other.index.hashes[og], |g| {
+        self.index.find(other.index.hash(og), |g| {
             self.keys
                 .iter()
                 .zip(&other.keys)
@@ -790,7 +725,7 @@ impl GroupTable {
                         k.push(o.values(), o.valid[og], og);
                     }
                     self.groups += 1;
-                    self.index.insert(other.index.hashes[og])
+                    self.index.insert(other.index.hash(og))
                 }
             })
             .collect();
@@ -1045,6 +980,7 @@ impl Operator for HashAggExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::testing::{domain, Rng, TYPES};
     use crate::op::run_to_batch;
     use crate::op::testing::BatchSource;
     use rdb_vector::{ColumnBuilder, Value};
@@ -1569,64 +1505,6 @@ mod tests {
             }
             rows.retain(|r| group_len == 0 || r[group_len + star] != Value::Int(0));
             Some(emit(&rows, output_types))
-        }
-    }
-
-    /// SplitMix64: seeded cases without a dependency.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n.max(1)
-        }
-
-        fn chance(&mut self, percent: u64) -> bool {
-            self.below(100) < percent
-        }
-
-        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-            items[self.below(items.len() as u64) as usize]
-        }
-    }
-
-    const TYPES: [DataType; 5] = [
-        DataType::Bool,
-        DataType::Int,
-        DataType::Float,
-        DataType::Str,
-        DataType::Date,
-    ];
-
-    /// Value `v` of a domain of type `t`. The first few floats are both
-    /// zeros, NaNs of two signs and of two payloads, and infinity; the
-    /// first string is empty.
-    fn domain(t: DataType, v: u64) -> Value {
-        match t {
-            DataType::Bool => Value::Bool(v % 2 == 1),
-            DataType::Int => Value::Int(v as i64 - 1_000),
-            DataType::Float => Value::Float(match v {
-                0 => 0.0,
-                1 => -0.0,
-                2 => f64::NAN,
-                3 => -f64::NAN,
-                4 => f64::from_bits(0x7ff8_0000_0000_0001),
-                5 => f64::INFINITY,
-                _ => (v as f64 - 60.0) * 0.375,
-            }),
-            DataType::Str => Value::str(if v == 0 {
-                String::new()
-            } else {
-                format!("k{v}")
-            }),
-            DataType::Date => Value::Date(v as i32 - 500),
         }
     }
 

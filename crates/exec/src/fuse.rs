@@ -13,8 +13,9 @@
 //!   ([`rdb_expr::CompiledPredicate`]) with no per-batch `Vec<bool>` and
 //!   no literal broadcasts;
 //! * probe keys are hashed in bulk ([`rdb_vector::hash_columns`]) into a
-//!   reusable buffer, and the probe loop is an array lookup plus a typed
-//!   candidate confirmation;
+//!   reusable buffer, the probe loop is a chain walk plus a typed
+//!   candidate confirmation, and its match and unmatched row lists are
+//!   reusable buffers too;
 //! * batches are only re-wrapped at the chain edge, not between stages.
 //!
 //! # Two source kinds
@@ -67,12 +68,12 @@ use std::time::Instant;
 
 use rdb_expr::{eval, CompiledPredicate, Expr};
 use rdb_plan::{JoinKind, Plan, PlanError};
-use rdb_vector::{hash_columns, Batch, Column, ColumnBuilder, DataType};
+use rdb_vector::{hash_columns, Batch, Column, DataType};
 
 use crate::context::ExecContext;
 use crate::error::{panic_message, ExecError, FailSlot};
 use crate::filter::COMPACT_FRACTION;
-use crate::join::{BuildSide, SharedBuild};
+use crate::join::{BuildSide, ProbePairs, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::Operator;
 use crate::parallel::MorselDispenser;
@@ -147,6 +148,8 @@ pub struct FusedChain {
     aux_scratch: Vec<u32>,
     /// Per-row probe-key hashes.
     hash_scratch: Vec<u64>,
+    /// Inner and left-outer probe output.
+    pairs_scratch: ProbePairs,
     /// Where a failing stage reports (shared with the whole execution).
     fail: Arc<FailSlot>,
     /// Set once a step failed: the chain's stream has ended.
@@ -165,6 +168,7 @@ impl FusedChain {
             sel_scratch: Vec::new(),
             aux_scratch: Vec::new(),
             hash_scratch: Vec::new(),
+            pairs_scratch: ProbePairs::default(),
             fail,
             failed: false,
         }
@@ -196,6 +200,7 @@ impl FusedChain {
                         &mut self.sel_scratch,
                         &mut self.aux_scratch,
                         &mut self.hash_scratch,
+                        &mut self.pairs_scratch,
                     )
                     .map(|out| (tag, out))
                 })
@@ -274,6 +279,7 @@ fn run_chain(
     sel_buf: &mut Vec<u32>,
     aux: &mut Vec<u32>,
     hashes: &mut Vec<u64>,
+    pairs: &mut ProbePairs,
 ) -> Result<Option<Batch>, ExecError> {
     // The live selection is `sel_buf` when `dense` is false, all physical
     // rows of `cur` otherwise. A selection on `cur` itself (an operator
@@ -331,7 +337,10 @@ fn run_chain(
                 built,
                 ..
             } => {
-                let b = built.get_or_insert_with(|| build.get()).clone();
+                let b = match built {
+                    Some(b) => b.clone(),
+                    None => built.insert(build.get()?).clone(),
+                };
                 let in_rows = live_len(&cur, dense, sel_buf);
                 local.work += in_rows as u64;
                 match kind {
@@ -361,34 +370,23 @@ fn run_chain(
                             left_keys.iter().map(|e| eval(e, &cur)).collect();
                         let key_refs: Vec<&Column> = key_cols.iter().collect();
                         hash_columns(&key_refs, cur.physical_rows(), hashes);
-                        let mut left_idx: Vec<u32> = Vec::new();
-                        let mut right_idx: Vec<u32> = Vec::new();
-                        let mut unmatched: Vec<u32> = Vec::new();
                         b.probe_pairs(
                             &key_refs,
                             hashes,
                             live_rows(&cur, dense, sel_buf),
                             *kind == JoinKind::LeftOuter,
-                            &mut left_idx,
-                            &mut right_idx,
-                            &mut unmatched,
+                            pairs,
                         );
-                        let mut cols = cur.take_physical(&left_idx).into_columns();
-                        cols.extend(b.batch().take_physical(&right_idx).into_columns());
+                        let mut cols = cur.take_physical(&pairs.left).into_columns();
+                        cols.extend(b.batch().take_physical(&pairs.right).into_columns());
                         let matched = Batch::new(cols);
-                        cur = if unmatched.is_empty() {
+                        cur = if pairs.unmatched.is_empty() {
                             matched
                         } else {
-                            let pad_left = cur.take_physical(&unmatched);
+                            let pad_left = cur.take_physical(&pairs.unmatched);
                             let n = pad_left.rows();
                             let mut cols = pad_left.into_columns();
-                            for t in right_types.iter() {
-                                let mut bld = ColumnBuilder::new(*t, n);
-                                for _ in 0..n {
-                                    bld.push_null();
-                                }
-                                cols.push(bld.finish());
-                            }
+                            cols.extend(right_types.iter().map(|t| Column::nulls(*t, n)));
                             Batch::concat(&[matched, Batch::new(cols)])
                         };
                         dense = true;

@@ -40,6 +40,7 @@ pub mod context;
 pub mod error;
 pub mod filter;
 pub mod fuse;
+pub(crate) mod index;
 pub mod join;
 pub mod metrics;
 pub mod op;

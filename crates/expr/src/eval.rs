@@ -100,12 +100,7 @@ pub fn eval(expr: &Expr, batch: &Batch) -> Column {
             negated,
         } => {
             let c = eval(expr, batch);
-            let mut vals = Vec::with_capacity(rows);
-            for i in 0..rows {
-                let v = c.get(i);
-                vals.push(!v.is_null() && (list.contains(&v) != *negated));
-            }
-            rebuild_bool(vals, &c)
+            rebuild_bool(in_list(&c, list, *negated), &c)
         }
         Expr::IsNull { expr, negated } => {
             let c = eval(expr, batch);
@@ -117,19 +112,51 @@ pub fn eval(expr: &Expr, batch: &Batch) -> Column {
 
 fn broadcast(v: &Value, rows: usize) -> Column {
     match v {
-        Value::Null => {
-            let mut b = ColumnBuilder::new(DataType::Int, rows);
-            for _ in 0..rows {
-                b.push_null();
-            }
-            b.finish()
-        }
+        Value::Null => Column::nulls(DataType::Int, rows),
         Value::Bool(x) => Column::from_bools(vec![*x; rows]),
         Value::Int(x) => Column::from_ints(vec![*x; rows]),
         Value::Float(x) => Column::from_floats(vec![*x; rows]),
         Value::Str(s) => Column::new(ColumnData::strs(vec![s.clone(); rows])),
         Value::Date(d) => Column::from_dates(vec![*d; rows]),
     }
+}
+
+/// `IN` membership per row of `c`, one typed loop per column type. A list
+/// element matches only cells of its own type, as `Value` equality has it
+/// (an `Int` element never matches a float column); floats compare by
+/// canonical bits, so `-0.0` matches `0.0`. A NULL row is `false`.
+fn in_list(c: &Column, list: &[Value], negated: bool) -> Vec<bool> {
+    fn member<'a, K: PartialEq>(
+        cells: impl Iterator<Item = K>,
+        list: &'a [Value],
+        key: impl Fn(&'a Value) -> Option<K>,
+        negated: bool,
+    ) -> Vec<bool> {
+        let keys: Vec<K> = list.iter().filter_map(key).collect();
+        cells.map(|v| keys.contains(&v) != negated).collect()
+    }
+    let float = |v: &Value| match v {
+        Value::Float(f) => Some(Value::float_bits(*f)),
+        _ => None,
+    };
+    let mut vals = match c.values() {
+        ColumnSlice::Bool(v) => member(v.iter().copied(), list, Value::as_bool, negated),
+        ColumnSlice::Int(v) => member(v.iter().copied(), list, Value::as_int, negated),
+        ColumnSlice::Float(v) => member(
+            v.iter().map(|&f| Value::float_bits(f)),
+            list,
+            float,
+            negated,
+        ),
+        ColumnSlice::Str(v) => member(v.iter().map(|s| &**s), list, Value::as_str, negated),
+        ColumnSlice::Date(v) => member(v.iter().copied(), list, Value::as_date, negated),
+    };
+    if let Some(valid) = c.validity() {
+        for (v, &ok) in vals.iter_mut().zip(valid) {
+            *v &= ok;
+        }
+    }
+    vals
 }
 
 /// Combine validity of two inputs: output row valid iff both inputs valid.
@@ -523,5 +550,141 @@ mod tests {
         let b = Batch::new(vec![cb.finish()]);
         let e = Expr::col(0).in_list([Value::Int(1)]);
         assert_eq!(mask(&e, &b), vec![false]);
+    }
+}
+
+/// `IN` as it was evaluated before the typed loops: one `Value` per row
+/// and a scan of the list with `Value` equality. The reference the typed
+/// loops are checked against.
+#[cfg(test)]
+fn in_list_by_value(c: &Column, list: &[Value], negated: bool) -> Column {
+    let vals = (0..c.len())
+        .map(|i| {
+            let v = c.get(i);
+            !v.is_null() && (list.contains(&v) != negated)
+        })
+        .collect();
+    rebuild_bool(vals, c)
+}
+
+#[cfg(test)]
+mod in_list_tests {
+    use super::*;
+
+    /// One column per type, each with a NULL row, and candidate list
+    /// elements: every type's own values, the other types' look-alikes
+    /// (an `Int` 0 for a float zero, a `Float` 1.0 for an int 1) and NULL.
+    fn columns() -> Vec<Column> {
+        let nan = f64::NAN;
+        let with_null = |dtype, vals: Vec<Value>| Column::from_values(dtype, &vals);
+        vec![
+            with_null(
+                DataType::Bool,
+                vec![Value::Bool(true), Value::Null, Value::Bool(false)],
+            ),
+            with_null(
+                DataType::Int,
+                vec![Value::Int(1), Value::Null, Value::Int(0), Value::Int(-7)],
+            ),
+            with_null(
+                DataType::Float,
+                vec![
+                    Value::Float(0.0),
+                    Value::Float(-0.0),
+                    Value::Null,
+                    Value::Float(nan),
+                    Value::Float(1.0),
+                    Value::Float(2.5),
+                ],
+            ),
+            with_null(
+                DataType::Str,
+                vec![
+                    Value::str(""),
+                    Value::str("a"),
+                    Value::Null,
+                    Value::str("ab"),
+                ],
+            ),
+            with_null(
+                DataType::Date,
+                vec![Value::Date(0), Value::Null, Value::Date(9000)],
+            ),
+        ]
+    }
+
+    fn elements() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-7),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(1.0),
+            Value::str(""),
+            Value::str("ab"),
+            Value::Date(0),
+            Value::Date(9000),
+        ]
+    }
+
+    #[test]
+    fn typed_loops_match_value_equality() {
+        let elems = elements();
+        // Every list of up to three elements: empty, single-typed and
+        // mixed-type lists alike.
+        let mut lists: Vec<Vec<Value>> = vec![vec![]];
+        for a in 0..elems.len() {
+            lists.push(vec![elems[a].clone()]);
+            for b in a..elems.len() {
+                lists.push(vec![elems[a].clone(), elems[b].clone()]);
+                for c in (b..elems.len()).step_by(3) {
+                    lists.push(vec![elems[a].clone(), elems[b].clone(), elems[c].clone()]);
+                }
+            }
+        }
+        for col in columns() {
+            let batch = Batch::new(vec![col.clone()]);
+            for list in &lists {
+                for negated in [false, true] {
+                    let e = Expr::InList {
+                        expr: Box::new(Expr::col(0)),
+                        list: list.clone(),
+                        negated,
+                    };
+                    let got = eval(&e, &batch);
+                    let want = in_list_by_value(&col, list, negated);
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} IN {list:?} negated={negated}",
+                        col.data_type()
+                    );
+                    // NULL rows are false and invalid, not just invalid.
+                    for i in 0..col.len() {
+                        if !col.is_valid(i) {
+                            assert!(!got.as_bools()[i] && !got.is_valid(i));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floats_match_by_canonical_bits_only() {
+        let col = Column::from_floats(vec![-0.0, 0.0, 1.0]);
+        let batch = Batch::new(vec![col]);
+        let e = Expr::col(0).in_list([Value::Float(0.0)]);
+        assert_eq!(eval(&e, &batch).as_bools(), &[true, true, false]);
+        // An int element never matches a float cell of the same number.
+        let e = Expr::col(0).in_list([Value::Int(1), Value::Int(0)]);
+        assert_eq!(eval(&e, &batch).as_bools(), &[false, false, false]);
+        let e = Expr::col(0).not_in_list([Value::Int(1)]);
+        assert_eq!(eval(&e, &batch).as_bools(), &[true, true, true]);
     }
 }

@@ -223,6 +223,19 @@ impl Column {
         Column::new(ColumnData::dates(v))
     }
 
+    /// Column of `n` NULLs of type `dtype`: one fill of the payload and
+    /// one of the mask (strings share one empty `Arc<str>`).
+    pub fn nulls(dtype: DataType, n: usize) -> Self {
+        let data = match dtype {
+            DataType::Bool => ColumnData::bools(vec![false; n]),
+            DataType::Int => ColumnData::ints(vec![0; n]),
+            DataType::Float => ColumnData::floats(vec![0.0; n]),
+            DataType::Str => ColumnData::strs(vec![Arc::from(""); n]),
+            DataType::Date => ColumnData::dates(vec![0; n]),
+        };
+        Column::with_validity(data, vec![false; n])
+    }
+
     /// Build a column of the given type from scalar values (may contain
     /// `Value::Null`). Panics on a type mismatch.
     pub fn from_values(dtype: DataType, values: &[Value]) -> Self {
@@ -659,6 +672,30 @@ mod tests {
         assert_eq!(c.get(0), Value::Float(1.5));
         assert_eq!(c.get(1), Value::Null);
         assert_eq!(c.get(2), Value::Float(2.0));
+    }
+
+    #[test]
+    fn nulls_match_a_builder_of_nulls() {
+        for t in [
+            DataType::Bool,
+            DataType::Int,
+            DataType::Float,
+            DataType::Str,
+            DataType::Date,
+        ] {
+            for n in [0, 1, 5] {
+                let mut b = ColumnBuilder::new(t, n);
+                for _ in 0..n {
+                    b.push_null();
+                }
+                let want = b.finish();
+                let got = Column::nulls(t, n);
+                assert_eq!(got, want, "{t} x{n}");
+                assert_eq!(got.data_type(), t);
+                assert_eq!(got.null_count(), n);
+                assert_eq!(got.validity().is_none(), n == 0, "canonical mask");
+            }
+        }
     }
 
     #[test]

@@ -110,7 +110,8 @@ impl Value {
     }
 
     /// Canonical float bits: normalises -0.0 to 0.0 so `Eq`/`Hash` agree.
-    fn float_bits(v: f64) -> u64 {
+    /// Two floats are equal `Value`s exactly when these are equal.
+    pub fn float_bits(v: f64) -> u64 {
         if v == 0.0 {
             0f64.to_bits()
         } else {
