@@ -98,7 +98,6 @@ struct RunResult {
     tail_ms: f64,
     result_hits: u64,
     hash_build_hits: u64,
-    agg_table_hits: u64,
     rows: Vec<Vec<Value>>,
 }
 
@@ -121,21 +120,19 @@ fn run(engine: &Arc<Engine>) -> RunResult {
         rows.extend(out.batch.to_rows());
     }
     let tail_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let (result_hits, hash_build_hits, agg_table_hits) = match engine.recycler() {
+    let (result_hits, hash_build_hits) = match engine.recycler() {
         Some(r) => (
             r.stats.reuses.load(Ordering::Relaxed)
                 + r.stats.subsumption_reuses.load(Ordering::Relaxed),
             r.stats.hash_build_hits.load(Ordering::Relaxed),
-            r.stats.agg_table_hits.load(Ordering::Relaxed),
         ),
-        None => (0, 0, 0),
+        None => (0, 0),
     };
     RunResult {
         warmup_ms,
         tail_ms,
         result_hits,
         hash_build_hits,
-        agg_table_hits,
         rows,
     }
 }
@@ -167,8 +164,8 @@ fn main() {
 
     let speedup = cold.tail_ms / recycled.tail_ms.max(1e-9);
     println!(
-        "{:>12} {:>12} {:>10} {:>12} {:>12} {:>10}",
-        "config", "warmup(ms)", "tail(ms)", "build hits", "result hits", "agg hits"
+        "{:>12} {:>12} {:>10} {:>12} {:>12}",
+        "config", "warmup(ms)", "tail(ms)", "build hits", "result hits"
     );
     for (name, r) in [
         ("recycled", &recycled),
@@ -176,8 +173,8 @@ fn main() {
         ("dop4", &parallel),
     ] {
         println!(
-            "{:>12} {:>12.1} {:>10.1} {:>12} {:>12} {:>10}",
-            name, r.warmup_ms, r.tail_ms, r.hash_build_hits, r.result_hits, r.agg_table_hits
+            "{:>12} {:>12.1} {:>10.1} {:>12} {:>12}",
+            name, r.warmup_ms, r.tail_ms, r.hash_build_hits, r.result_hits
         );
     }
     println!("\nrecycled builds are {speedup:.1}x cold builds on the probe-dominated tail");
@@ -192,7 +189,7 @@ fn main() {
         "{{\n\"bench\": \"hash_reuse\",\n\"build_rows\": {},\n\"probe_rows\": {},\n\
          \"variants\": {},\n\"repeats\": {},\n\"cold_tail_ms\": {:.1},\n\
          \"recycled_tail_ms\": {:.1},\n\"speedup\": {:.2},\n\
-         \"hash_build_hits\": {},\n\"result_hits\": {},\n\"agg_table_hits\": {}\n}}\n",
+         \"hash_build_hits\": {},\n\"result_hits\": {}\n}}\n",
         BUILD_ROWS,
         PROBE_ROWS,
         VARIANTS,
@@ -202,7 +199,6 @@ fn main() {
         speedup,
         recycled.hash_build_hits,
         recycled.result_hits,
-        recycled.agg_table_hits,
     );
     std::fs::write(&out_path, json).expect("write BENCH_hashcache.json");
     println!("snapshot written to {out_path}");

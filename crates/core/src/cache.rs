@@ -18,11 +18,11 @@
 //! — a victim scan or [`RecyclerCache::benefit`].
 //!
 //! The cache no longer holds only materialized result sets: a cache entry
-//! is a [`CacheArtifact`] — a result, a hash-join build side, or an
-//! aggregation table — each charged by its own byte footprint and ranked
-//! by its own benefit. The evictor is artifact-blind: a cached hash table
-//! competes against a cached result (even for the same graph node) purely
-//! on benefit-per-byte, which is exactly the knapsack's currency.
+//! is a [`CacheArtifact`] — a result or a hash-join build side — each
+//! charged by its own byte footprint and ranked by its own benefit. The
+//! evictor is artifact-blind: a cached hash table competes against a
+//! cached result (even for the same graph node) purely on
+//! benefit-per-byte, which is exactly the knapsack's currency.
 //!
 //! Benefit ordering is NaN-safe with a *NaN-lowest* policy: a benefit that
 //! arrives as NaN (e.g. a zero-cost/zero-heat division) is normalized to
@@ -34,7 +34,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use rdb_exec::{ArtifactKind, BuildSide, MaterializedResult, OperatorState};
+use rdb_exec::{ArtifactKind, BuildSide, MaterializedResult};
 
 use crate::graph::NodeId;
 
@@ -43,7 +43,7 @@ use crate::graph::NodeId;
 /// one subplan can yield several distinct artifacts (a build side is
 /// keyed by its join keys too — two joins sharing a right subplan but
 /// joining on different columns must not collide). `variant` is 0 for
-/// results and aggregation tables.
+/// results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArtifactId {
     /// Graph node of the producing subplan.
@@ -73,8 +73,6 @@ pub enum CacheArtifact {
     Result(Arc<MaterializedResult>),
     /// A hash-join build side (batch + key index).
     HashBuild(Arc<BuildSide>),
-    /// An aggregation table, stored as its sorted group rows.
-    AggTable(Arc<MaterializedResult>),
 }
 
 impl CacheArtifact {
@@ -83,14 +81,13 @@ impl CacheArtifact {
         match self {
             CacheArtifact::Result(_) => ArtifactKind::Result,
             CacheArtifact::HashBuild(_) => ArtifactKind::HashBuild,
-            CacheArtifact::AggTable(_) => ArtifactKind::AggTable,
         }
     }
 
     /// Memory footprint charged against the cache budget.
     pub fn size_bytes(&self) -> usize {
         match self {
-            CacheArtifact::Result(r) | CacheArtifact::AggTable(r) => r.size_bytes(),
+            CacheArtifact::Result(r) => r.size_bytes(),
             CacheArtifact::HashBuild(b) => b.size_bytes(),
         }
     }
@@ -103,12 +100,11 @@ impl CacheArtifact {
         }
     }
 
-    /// The executor-facing operator state, for non-result artifacts.
-    pub fn as_state(&self) -> Option<OperatorState> {
+    /// The hash-join build side, if this artifact is one.
+    pub fn as_build(&self) -> Option<&Arc<BuildSide>> {
         match self {
+            CacheArtifact::HashBuild(b) => Some(b),
             CacheArtifact::Result(_) => None,
-            CacheArtifact::HashBuild(b) => Some(OperatorState::HashBuild(b.clone())),
-            CacheArtifact::AggTable(r) => Some(OperatorState::AggTable(r.clone())),
         }
     }
 }
@@ -776,30 +772,109 @@ mod tests {
         assert!(!c.would_admit(80, f64::NAN));
     }
 
+    /// A hash-join build side over `rows` int keys: what a join executed
+    /// over a two-table catalog offers its result store.
+    fn build_side(rows: i64) -> Arc<BuildSide> {
+        use rdb_exec::{
+            build, ExecContext, ResultStore, SpeculationEstimate, StateCost, StoreVerdict,
+        };
+        use rdb_expr::Expr;
+        use rdb_plan::{scan, Plan};
+        use rdb_storage::{Catalog, TableBuilder};
+        use rdb_vector::Value;
+        use std::sync::Mutex;
+
+        #[derive(Default)]
+        struct Capture(Mutex<Option<Arc<BuildSide>>>);
+        impl ResultStore for Capture {
+            fn fetch(&self, _: u64) -> Option<Arc<MaterializedResult>> {
+                None
+            }
+            fn publish(&self, _: u64, _: MaterializedResult) {}
+            fn abandon(&self, _: u64) {}
+            fn speculate(&self, _: u64, _: &SpeculationEstimate) -> StoreVerdict {
+                StoreVerdict::Cancel
+            }
+            fn publish_state(
+                &self,
+                _: &Plan,
+                _: u64,
+                build: Arc<BuildSide>,
+                _: StateCost,
+                _: &[(String, u64)],
+            ) {
+                *self.0.lock().unwrap() = Some(build);
+            }
+        }
+
+        let mut cat = Catalog::new();
+        for (table, col) in [("p", "a"), ("b", "k")] {
+            let schema = Schema::from_pairs([(col, DataType::Int)]);
+            let mut t = TableBuilder::new(table, schema, rows as usize);
+            for k in 0..rows {
+                t.push_row(vec![Value::Int(k)]);
+            }
+            cat.register(t.finish()).expect("register");
+        }
+        let cat = Arc::new(cat);
+        let plan = scan("p", &["a"])
+            .inner_join(
+                scan("b", &["k"]),
+                vec![Expr::name("a")],
+                vec![Expr::name("k")],
+            )
+            .bind(&cat)
+            .expect("join binds");
+        let store = Arc::new(Capture::default());
+        let ctx = ExecContext::new(cat.clone())
+            .with_store(store.clone())
+            .with_snapshot(Arc::new(cat.snapshot()));
+        build(&plan, &ctx)
+            .expect("join builds")
+            .drain()
+            .expect("join runs");
+        let built = store.0.lock().unwrap().take();
+        built.expect("the join published its build side")
+    }
+
     #[test]
     fn artifacts_share_budget_across_kinds() {
-        // A result and an agg-table artifact for the *same node* coexist,
+        // A result and a hash-build artifact for the *same node* coexist,
         // and the evictor trades one against the other on benefit alone.
-        let mut c = RecyclerCache::new(160);
-        put(&mut c, 1, result(10), 1.0);
-        let agg = ArtifactId {
+        let build = build_side(100);
+        let build_bytes = build.size_bytes() as u64;
+        // A result of (nearly) the build's size sits in its size group.
+        let ints = build.size_bytes() / 8;
+        let result_bytes = result(ints).size_bytes() as u64;
+        assert_eq!(group_of(result_bytes), group_of(build_bytes));
+        let mut c = RecyclerCache::new(result_bytes + build_bytes);
+        put(&mut c, 1, result(ints), 1.0);
+        let aid = ArtifactId {
             node: NodeId(1),
-            kind: ArtifactKind::AggTable,
-            variant: 0,
+            kind: ArtifactKind::HashBuild,
+            variant: 7,
         };
         assert!(c
-            .insert_artifact(agg, CacheArtifact::AggTable(result(10)), 5.0, 100.0, vec![])
+            .insert_artifact(aid, CacheArtifact::HashBuild(build), 5.0, 100.0, vec![])
             .is_ok());
         assert_eq!(c.len(), 2);
+        assert_eq!(c.used(), result_bytes + build_bytes);
         assert_eq!(c.artifacts_of(NodeId(1)).len(), 2);
-        // A newcomer beats the result but not the agg table.
-        let evicted = put(&mut c, 2, result(10), 3.0).unwrap();
+        // A newcomer beats the result but not the build side.
+        let evicted = put(&mut c, 2, result(ints), 3.0).unwrap();
         assert_eq!(evicted, vec![ArtifactId::result(NodeId(1))]);
-        assert!(c.get_artifact(agg).is_some(), "agg table survived");
+        assert!(c.get_artifact(aid).is_some(), "build side survived");
         // remove_node sweeps every kind.
-        let removed = c.remove_node(NodeId(1));
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].0, agg);
+        assert_eq!(c.remove_node(NodeId(2)).len(), 1);
+        put(&mut c, 1, result(ints), 1.0);
+        let mut removed: Vec<ArtifactId> = c
+            .remove_node(NodeId(1))
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        removed.sort();
+        assert_eq!(removed, vec![ArtifactId::result(NodeId(1)), aid]);
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -58,10 +58,11 @@
 //! ## Operator-state artifacts & the artifact cost model
 //!
 //! Beyond the paper's materialized results, the cache holds **operator
-//! state**: hash-join build sides and aggregation tables
-//! ([`rdb_exec::OperatorState`]), keyed by the *subplan that produced
-//! them* plus an [`rdb_exec::ArtifactKind`] and a variant discriminator
-//! (the join-key expressions). Every entry — result or state — is a
+//! state**: hash-join build sides ([`rdb_exec::BuildSide`]), keyed by the
+//! *build subplan* plus an [`rdb_exec::ArtifactKind`] and a variant
+//! discriminator (the join-key expressions). An aggregate's output is
+//! cached only as the aggregate node's result. Every entry — result or
+//! state — is a
 //! [`cache::CacheArtifact`] charged against the same byte budget, with a
 //! uniform benefit currency:
 //!

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rdb_delta::Delta;
 use rdb_exec::{
-    ArtifactKind, FnRegistry, MaterializedResult, MetricsNode, OperatorState, ResultStore,
+    ArtifactKind, BuildSide, FnRegistry, MaterializedResult, MetricsNode, ResultStore,
     SpeculationEstimate, StateCost, StoreVerdict,
 };
 use rdb_plan::{Plan, StoreMode};
@@ -96,11 +96,9 @@ pub enum RecyclerEvent {
     /// delta instead of being evicted (`rdb_delta`): the entry now holds
     /// the post-commit bytes under the new epoch vector.
     Repaired {
-        /// The repaired node.
+        /// The repaired node (its result: hash builds are evicted, never
+        /// repaired).
         node: NodeId,
-        /// Which artifact kind was patched (an aggregate's result and its
-        /// agg-table artifact are both repaired by one delta evaluation).
-        kind: ArtifactKind,
         /// Size of the repaired artifact.
         bytes: u64,
         /// The updated table whose delta was applied.
@@ -233,7 +231,7 @@ fn benefit_of(
 ) -> f64 {
     match aid.kind {
         ArtifactKind::Result => graph.benefit(aid.node, cfg.cost_model, cfg.aging_alpha),
-        ArtifactKind::HashBuild | ArtifactKind::AggTable => {
+        ArtifactKind::HashBuild => {
             entry.cost * graph.decayed_h(aid.node, cfg.aging_alpha) / entry.size.max(1) as f64
         }
     }
@@ -330,7 +328,8 @@ pub struct RecyclerStats {
     pub stale_rejections: AtomicU64,
     /// Warm hash-join build sides served from the cache.
     pub hash_build_hits: AtomicU64,
-    /// Warm aggregation tables served from the cache.
+    /// Always 0: aggregation tables are no longer cached apart from an
+    /// aggregate's result. Kept while the benchmark ledger still reads it.
     pub agg_table_hits: AtomicU64,
     /// Operator-state artifacts published and admitted to the cache.
     pub state_publishes: AtomicU64,
@@ -435,8 +434,8 @@ impl Recycler {
         let mut events = Vec::new();
         for id in st.graph.dependents_of_table(table) {
             // Every artifact kind of the dependent node is a candidate: a
-            // cached hash build or agg table over a changed base table is
-            // exactly as stale as a cached result over it.
+            // cached hash build over a changed base table is exactly as
+            // stale as a cached result over it.
             for aid in st.cache.artifacts_of(id) {
                 // An entry already computed at (or past) the committing
                 // epoch is fresh — a producer that pinned the new version
@@ -481,11 +480,9 @@ impl Recycler {
     /// Structure: candidates are collected under the recycler lock, the
     /// repair kernels run **unlocked** (they evaluate subplans), and
     /// patches re-validate epochs under the lock — a raced entry falls
-    /// back to eviction, never to a stale patch. One kernel evaluation per
-    /// node patches both its result and its agg-table artifact (an
-    /// aggregate's agg-table artifact holds the same sorted rows as its
-    /// result). Hash-build artifacts always evict: their probe index is
-    /// positional and cheap to rebuild relative to re-verifying it.
+    /// back to eviction, never to a stale patch. Only results are repair
+    /// candidates; hash-build artifacts always evict: their probe index
+    /// is positional and cheap to rebuild relative to re-verifying it.
     pub fn repair(
         &self,
         delta: &Delta,
@@ -510,7 +507,7 @@ impl Recycler {
         let model = self.config.cost_model;
 
         struct Candidate {
-            aid: ArtifactId,
+            node: NodeId,
             plan: Plan,
             cached: Arc<MaterializedResult>,
             epochs: Vec<(String, u64)>,
@@ -558,16 +555,12 @@ impl Recycler {
                         .epochs
                         .iter()
                         .all(|(t, e)| t == table || snapshot.epoch_of(t) == Some(*e));
-                    let cached = match &entry.artifact {
-                        CacheArtifact::Result(r) | CacheArtifact::AggTable(r) => Some(r.clone()),
-                        CacheArtifact::HashBuild(_) => None,
-                    };
-                    match cached {
+                    match entry.artifact.as_result() {
                         Some(cached) if repairable && worth_it && one_step && others_current => {
                             candidates.push(Candidate {
-                                aid,
+                                node: id,
                                 plan: st.graph.node(id).subtree.clone(),
-                                cached,
+                                cached: cached.clone(),
                                 epochs: entry.epochs.clone(),
                             });
                         }
@@ -589,15 +582,15 @@ impl Recycler {
             }
         }
 
-        // Phase 2 (unlocked): evaluate repair kernels, memoized per node.
-        // A select-class repair shares every sealed chunk of the cached
-        // result, so it costs the delta, not the result.
-        let mut repaired_by_node: HashMap<NodeId, Option<Arc<MaterializedResult>>> = HashMap::new();
-        for c in &candidates {
-            repaired_by_node.entry(c.aid.node).or_insert_with(|| {
+        // Phase 2 (unlocked): evaluate the repair kernels. A select-class
+        // repair shares every sealed chunk of the cached result, so it
+        // costs the delta, not the result.
+        let repaired: Vec<Option<Arc<MaterializedResult>>> = candidates
+            .iter()
+            .map(|c| {
                 rdb_delta::repair(&c.plan, &c.cached, delta, snapshot, functions).map(Arc::new)
-            });
-        }
+            })
+            .collect();
 
         // Phase 3 (locked): re-validate each candidate and swap in its
         // repaired payload, falling back to eviction when the kernel
@@ -606,19 +599,19 @@ impl Recycler {
         // freed after the lock is released, as are the candidates' pins on
         // the pre-repair payloads (`candidates` outlives the guard).
         let mut st = self.lock();
-        for c in &candidates {
-            let id = c.aid.node;
-            let Some(entry) = st.cache.get_artifact(c.aid) else {
+        for (c, repaired) in candidates.iter().zip(repaired) {
+            let id = c.node;
+            let aid = ArtifactId::result(id);
+            let Some(entry) = st.cache.get_artifact(aid) else {
                 continue; // already gone (raced invalidate/flush)
             };
             if entry.epochs != c.epochs {
                 continue; // raced publish at other epochs: leave it alone
             }
             let old_bytes = entry.size;
-            let entry_cost = entry.cost;
-            let patched = match repaired_by_node.get(&id).cloned().flatten() {
+            let patched = match repaired {
                 None => {
-                    if let Some(stale) = st.cache.remove_artifact(c.aid) {
+                    if let Some(stale) = st.cache.remove_artifact(aid) {
                         st.displace(stale.artifact);
                     }
                     false
@@ -631,19 +624,13 @@ impl Recycler {
                         .collect();
                     let bytes = r.size_bytes() as u64;
                     let rows = r.rows() as u64;
-                    let benefit = match c.aid.kind {
-                        ArtifactKind::Result => st.graph.benefit(id, model, alpha),
-                        _ => entry_cost * st.graph.decayed_h(id, alpha) / bytes.max(1) as f64,
-                    };
-                    let artifact = match c.aid.kind {
-                        ArtifactKind::Result => CacheArtifact::Result(r),
-                        ArtifactKind::AggTable => CacheArtifact::AggTable(r),
-                        ArtifactKind::HashBuild => unreachable!("hash builds never repair"),
-                    };
-                    match st
-                        .cache
-                        .patch_artifact(c.aid, artifact, benefit, new_epochs)
-                    {
+                    let benefit = st.graph.benefit(id, model, alpha);
+                    match st.cache.patch_artifact(
+                        aid,
+                        CacheArtifact::Result(r),
+                        benefit,
+                        new_epochs,
+                    ) {
                         Ok((replaced, evicted)) => {
                             st.displace(replaced);
                             st.evicted(evicted);
@@ -651,7 +638,6 @@ impl Recycler {
                             bump!(self.stats, repaired);
                             out.events.push(RecyclerEvent::Repaired {
                                 node: id,
-                                kind: c.aid.kind,
                                 bytes,
                                 table: table.to_string(),
                                 rows,
@@ -667,15 +653,13 @@ impl Recycler {
                 }
             };
             if !patched {
-                if c.aid.kind == ArtifactKind::Result {
-                    st.graph.on_evicted(id, alpha);
-                }
+                st.graph.on_evicted(id, alpha);
                 out.fallbacks += 1;
                 bump!(self.stats, repair_fallbacks);
                 bump!(self.stats, invalidations);
                 out.events.push(RecyclerEvent::Invalidated {
                     node: id,
-                    kind: c.aid.kind,
+                    kind: ArtifactKind::Result,
                     bytes: old_bytes,
                     table: table.to_string(),
                 });
@@ -841,10 +825,9 @@ impl Recycler {
                 };
                 if m.metrics.calls() == 0 {
                     // The operator never ran — its subtree was skipped by
-                    // a warm operator-state hit (cached hash build or agg
-                    // table). Annotating its zeroed counters would wipe
-                    // the cold-run cost statistics the artifact's benefit
-                    // is derived from.
+                    // a warm hash-build hit. Annotating its zeroed counters
+                    // would wipe the cold-run cost statistics the
+                    // artifact's benefit is derived from.
                     continue;
                 }
                 let Some(sub) = plan_at(&prepared.plan, path) else {
@@ -929,14 +912,13 @@ impl Recycler {
             Some(id) => {
                 if st.cache.contains(id) {
                     CacheState::Cached
-                } else if let Some(kind) = st
+                } else if st
                     .cache
                     .artifacts_of(id)
                     .iter()
-                    .map(|a| a.kind)
-                    .find(|k| *k != ArtifactKind::Result)
+                    .any(|a| a.kind == ArtifactKind::HashBuild)
                 {
-                    CacheState::CachedState(kind)
+                    CacheState::CachedBuild
                 } else if st.in_flight.contains_key(&id) {
                     CacheState::InFlight
                 } else {
@@ -956,12 +938,12 @@ impl Recycler {
     /// for the workload to rediscover them ("Revisiting Reuse": the
     /// top-benefit entries are exactly the ones worth warming first).
     ///
-    /// Only *result* artifacts are persisted: operator-state artifacts
-    /// (hash builds, agg tables) are deliberately skipped — recovery
-    /// re-executes lineage plans through the normal pipeline, and the
-    /// first post-restart join/aggregate rebuilds and republishes its
-    /// state at the recovered epochs anyway, so persisting it would buy
-    /// nothing and complicate the checkpoint format.
+    /// Only *result* artifacts are persisted: hash builds are
+    /// deliberately skipped — recovery re-executes lineage plans through
+    /// the normal pipeline, and the first post-restart join rebuilds and
+    /// republishes its build side at the recovered epochs anyway, so
+    /// persisting it would buy nothing and complicate the checkpoint
+    /// format.
     pub fn lineage_top(&self, k: usize) -> Vec<LineageEntry> {
         let st = self.state.lock();
         let alpha = self.config.aging_alpha;
@@ -1096,10 +1078,9 @@ pub struct LineageEntry {
 pub enum CacheState {
     /// A materialized result is in the cache; an execution would reuse it.
     Cached,
-    /// No cached result, but cached operator state of this kind (a hash
-    /// build or agg table) exists; a matching join/aggregate would skip
-    /// its build phase.
-    CachedState(ArtifactKind),
+    /// No cached result, but a cached hash-join build side of this
+    /// subtree exists; a join building on it would skip its build phase.
+    CachedBuild,
     /// A concurrent query is materializing this result right now; an
     /// execution would stall on it.
     InFlight,
@@ -1114,9 +1095,7 @@ impl CacheState {
     pub fn label(self) -> &'static str {
         match self {
             CacheState::Cached => "cached",
-            CacheState::CachedState(ArtifactKind::HashBuild) => "cached-build",
-            CacheState::CachedState(ArtifactKind::AggTable) => "cached-agg",
-            CacheState::CachedState(ArtifactKind::Result) => "cached",
+            CacheState::CachedBuild => "cached-build",
             CacheState::InFlight => "in-flight",
             CacheState::Cold => "cold",
             CacheState::Unknown => "cold",
@@ -1556,22 +1535,21 @@ impl ResultStore for Recycler {
         self.resolved_cond.notify_all();
     }
 
-    /// Serve a cached operator-state artifact (hash build / agg table) for
-    /// the exact subplan, keyed by the querying snapshot's epochs. A hit
-    /// counts as a reference on the node (the warm state saved this query
-    /// the node's build cost), keeping its heat honest.
+    /// Serve a cached hash-join build side for the exact subplan, keyed
+    /// by the querying snapshot's epochs. A hit counts as a reference on
+    /// the node (the warm build saved this query the node's build cost),
+    /// keeping its heat honest.
     fn fetch_state(
         &self,
         plan: &Plan,
-        kind: ArtifactKind,
         variant: u64,
         epochs: &[(String, u64)],
-    ) -> Option<OperatorState> {
+    ) -> Option<Arc<BuildSide>> {
         let mut st = self.lock();
         let id = st.graph.find_exact(plan)?;
         let aid = ArtifactId {
             node: id,
-            kind,
+            kind: ArtifactKind::HashBuild,
             variant,
         };
         let entry = st.cache.get_artifact(aid)?;
@@ -1585,17 +1563,13 @@ impl ResultStore for Recycler {
         if !fresh {
             return None;
         }
-        let state = entry.artifact.as_state()?;
-        match kind {
-            ArtifactKind::HashBuild => bump!(self.stats, hash_build_hits),
-            ArtifactKind::AggTable => bump!(self.stats, agg_table_hits),
-            ArtifactKind::Result => 0,
-        };
+        let build = entry.artifact.as_build()?.clone();
+        bump!(self.stats, hash_build_hits);
         st.graph.bump_h(id, self.config.aging_alpha);
-        Some(state)
+        Some(build)
     }
 
-    /// Offer a freshly built operator-state artifact to the cache. Subject
+    /// Offer a freshly built hash-join build side to the cache. Subject
     /// to the same staleness gate as result publication and to the normal
     /// admission/replacement policy — a hash build competes for bytes
     /// against every other artifact on benefit alone.
@@ -1603,7 +1577,7 @@ impl ResultStore for Recycler {
         &self,
         plan: &Plan,
         variant: u64,
-        state: OperatorState,
+        build: Arc<BuildSide>,
         cost: StateCost,
         epochs: &[(String, u64)],
     ) {
@@ -1613,10 +1587,9 @@ impl ResultStore for Recycler {
             // nothing to key the artifact by.
             return;
         };
-        let kind = state.kind();
         let aid = ArtifactId {
             node: id,
-            kind,
+            kind: ArtifactKind::HashBuild,
             variant,
         };
         if st.cache.get_artifact(aid).is_some() {
@@ -1631,7 +1604,7 @@ impl ResultStore for Recycler {
             self.stats.stale_rejections.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let size = state.size_bytes() as u64;
+        let size = build.size_bytes() as u64;
         if size > self.config.max_result_bytes() {
             return;
         }
@@ -1646,14 +1619,13 @@ impl ResultStore for Recycler {
         let alpha = self.config.aging_alpha;
         let h = st.graph.decayed_h(id, alpha).max(SPEC_H);
         let benefit = model_cost * h / size.max(1) as f64;
-        let artifact = match state {
-            OperatorState::HashBuild(b) => CacheArtifact::HashBuild(b),
-            OperatorState::AggTable(r) => CacheArtifact::AggTable(r),
-        };
-        match st
-            .cache
-            .insert_artifact(aid, artifact, benefit, model_cost, epochs.to_vec())
-        {
+        match st.cache.insert_artifact(
+            aid,
+            CacheArtifact::HashBuild(build),
+            benefit,
+            model_cost,
+            epochs.to_vec(),
+        ) {
             Ok(evicted) => {
                 st.evicted(evicted);
                 st.graph.mark_changed(id);

@@ -1187,6 +1187,8 @@ mod tests {
             !first.materialized(),
             "history mode never stores first-timers"
         );
+        let recycler = engine.recycler().unwrap();
+        assert_eq!(recycler.cache_len(), 0, "nothing cached after one run");
         let second = run(&engine, &q);
         assert!(!second.reused());
         assert!(second.materialized(), "second occurrence materializes");

@@ -590,7 +590,7 @@ impl Prepared {
                     // do to the cached payload (patch in place vs evict).
                     if matches!(
                         probe,
-                        rdb_recycler::CacheState::Cached | rdb_recycler::CacheState::CachedState(_)
+                        rdb_recycler::CacheState::Cached | rdb_recycler::CacheState::CachedBuild
                     ) {
                         format!(
                             " [{}] [{}]",

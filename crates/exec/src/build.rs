@@ -29,10 +29,7 @@ use crate::parallel::{
 };
 use crate::scan::{FnScanExec, ScanExec};
 use crate::sort::{LimitExec, SortExec, TopNExec, UnionAllExec};
-use crate::store::{
-    ArtifactKind, CachedExec, MaterializedResult, OperatorState, StateCost, StateReplayExec,
-    StateTee, StoreExec, TeePublish,
-};
+use crate::store::{CachedExec, StateCost, StoreExec};
 
 /// A built executor: the root operator, the per-node metrics tree (parallel
 /// to the plan), and the output schema.
@@ -108,11 +105,14 @@ pub(crate) fn join_build(
     ctx: &ExecContext,
 ) -> Result<(Arc<SharedBuild>, MetricsNode), PlanError> {
     let variant = state_variant(right_keys);
-    let recycling = ctx.state_recycling(right);
+    // Build recycling is on when a result store is attached *and* a
+    // snapshot is pinned.
+    let recycling = ctx
+        .store
+        .clone()
+        .and_then(|store| Some((store, ctx.state_epochs(right)?)));
     if let Some((store, epochs)) = &recycling {
-        if let Some(OperatorState::HashBuild(b)) =
-            store.fetch_state(right, ArtifactKind::HashBuild, variant, epochs)
-        {
+        if let Some(b) = store.fetch_state(right, variant, epochs) {
             // Warm build: the subtree's metrics placeholder stays
             // zero-call, so the recycler's annotation pass leaves the
             // cold-run cost statistics untouched.
@@ -138,13 +138,7 @@ pub(crate) fn join_build(
                 cost_work: rm.inclusive_work() as f64 + cost.rows as f64,
                 ..cost
             };
-            store.publish_state(
-                &plan,
-                variant,
-                OperatorState::HashBuild(built.clone()),
-                cost,
-                &epochs,
-            );
+            store.publish_state(&plan, variant, built.clone(), cost, &epochs);
         }) as BuildPublish
     });
     Ok((
@@ -275,22 +269,6 @@ fn build_node(
             }
             let input_types = types_of(&child.schema(&ctx.catalog)?);
             let output_types = types_of(&plan.schema(&ctx.catalog)?);
-            let recycling = ctx.state_recycling(plan);
-            if let Some((store, epochs)) = &recycling {
-                if let Some(OperatorState::AggTable(r)) =
-                    store.fetch_state(plan, ArtifactKind::AggTable, 0, epochs)
-                {
-                    // Warm aggregation table: replay its sorted group rows
-                    // without executing the input subtree. The replay is
-                    // metrics-detached — this node and the skipped subtree
-                    // stay zero-call, so cold-run cost stats survive the
-                    // recycler's annotation pass.
-                    return Ok((
-                        Box::new(StateReplayExec::new(&r)),
-                        MetricsNode::new(m, vec![MetricsNode::leaf(OpMetrics::shared())]),
-                    ));
-                }
-            }
             // Partitioned parallel aggregation — but only when every
             // accumulator merges exactly (`AggFunc::is_exact`): per-worker
             // partial tables merged (and key-sorted) at this breaker are
@@ -300,63 +278,34 @@ fn build_node(
             // because partitioned float addition would drift in the
             // low-order bits and break byte-identical cache replay across
             // DOPs.
-            let mut built: Option<(Box<dyn Operator>, MetricsNode)> = None;
             if aggs.iter().all(|a| a.is_exact(&input_types)) {
                 if let Some(source) = build_source(child, ctx)? {
                     let cm = source.metrics.clone();
-                    built = Some((
+                    return Ok((
                         Box::new(ParallelAggExec::new(
                             source,
-                            group_by.clone(),
-                            aggs.clone(),
-                            input_types.clone(),
-                            output_types.clone(),
-                            m.clone(),
-                        )),
-                        MetricsNode::new(m.clone(), vec![cm]),
-                    ));
-                }
-            }
-            let (agg_op, node) = match built {
-                Some(b) => b,
-                None => {
-                    let (c, cm) = build_gathered(child, ctx)?;
-                    (
-                        Box::new(HashAggExec::new(
-                            c,
                             group_by.clone(),
                             aggs.clone(),
                             input_types,
                             output_types,
                             m.clone(),
-                        )) as Box<dyn Operator>,
-                        MetricsNode::new(m.clone(), vec![cm]),
-                    )
+                        )),
+                        MetricsNode::new(m, vec![cm]),
+                    ));
                 }
-            };
-            if let Some((store, epochs)) = recycling {
-                // Tee the aggregate's output (its sorted group rows are a
-                // lossless encoding of the table) and offer it to the
-                // operator-state cache at end-of-stream.
-                let schema = plan.schema(&ctx.catalog)?;
-                let plan_key = plan.clone();
-                let nm = node.clone();
-                let publish = Box::new(move |r: Arc<MaterializedResult>, cost: StateCost| {
-                    let cost = StateCost {
-                        cost_work: nm.inclusive_work() as f64,
-                        ..cost
-                    };
-                    store.publish_state(&plan_key, 0, OperatorState::AggTable(r), cost, &epochs);
-                }) as TeePublish;
-                return Ok((
-                    Box::new(
-                        StateTee::new(agg_op, schema, publish, ctx.cancel.clone())
-                            .with_fail(ctx.fail.clone()),
-                    ),
-                    node,
-                ));
             }
-            (agg_op, node)
+            let (c, cm) = build_gathered(child, ctx)?;
+            (
+                Box::new(HashAggExec::new(
+                    c,
+                    group_by.clone(),
+                    aggs.clone(),
+                    input_types,
+                    output_types,
+                    m.clone(),
+                )),
+                MetricsNode::new(m, vec![cm]),
+            )
         }
         Plan::TopN { child, keys, n } => {
             let output_types = types_of(&child.schema(&ctx.catalog)?);

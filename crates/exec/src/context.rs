@@ -182,19 +182,7 @@ impl ExecContext {
                 .collect(),
         )
     }
-
-    /// Store + epoch vector when operator-state recycling is on for this
-    /// execution (a result store is attached *and* a snapshot is pinned).
-    pub fn state_recycling(&self, plan: &Plan) -> Option<StateRecycling> {
-        let store = self.store.clone()?;
-        let epochs = self.state_epochs(plan)?;
-        Some((store, epochs))
-    }
 }
-
-/// The pair operator-state fetch/publish paths work against: the result
-/// store and the `(table, epoch)` vector keying artifact validity.
-pub type StateRecycling = (Arc<dyn ResultStore>, Vec<(String, u64)>);
 
 #[cfg(test)]
 mod tests {

@@ -33,8 +33,8 @@
 //! A chain changes the *iteration shape* of a pipeline, never its
 //! observable batch sequence. It spans pipelining stages only and always
 //! stops at pipeline breakers (aggregate, sort, top-N, the build side of
-//! a join), at `Store`/`StateTee` tees, and at gather points. Those
-//! boundaries are where the recycler observes batches — a store tee must
+//! a join), at `Store` tees, and at gather points. Those boundaries are
+//! where the recycler observes batches — a store tee must
 //! publish byte-identical `MaterializedResult`s at any DOP — so per input
 //! batch a chain emits the same logical rows in the same order whoever
 //! drives it, with the sparse-compaction heuristic

@@ -62,7 +62,7 @@ pub use op::{collect_all, run_to_batch, Operator};
 pub use parallel::{GatherExec, MorselDispenser, ParallelAggExec, ParallelTopNExec};
 pub use pool::WorkerPool;
 pub use store::{
-    ArtifactKind, CachedExec, MaterializedResult, OperatorState, ResultStore, SpeculationEstimate,
-    StateCost, StoreExec, StoreVerdict,
+    ArtifactKind, CachedExec, MaterializedResult, ResultStore, SpeculationEstimate, StateCost,
+    StoreExec, StoreVerdict,
 };
 pub use stream::ExecStream;

@@ -145,59 +145,15 @@ pub enum StoreVerdict {
 }
 
 /// Which kind of reusable artifact a cache entry holds. Results are the
-/// paper's materialized result sets; hash builds and aggregation tables
-/// are *operator state* (HashStash-style reuse): the internal structure a
-/// pipeline breaker would otherwise rebuild from scratch.
+/// paper's materialized result sets; hash builds are *operator state*
+/// (HashStash-style reuse): the hash table a join would otherwise rebuild
+/// from scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ArtifactKind {
     /// A materialized result set (streamable batches).
     Result,
     /// A hash-join build side (concatenated build batches + key index).
     HashBuild,
-    /// A hash-aggregation table, stored as its sorted group rows — the
-    /// operator's exact output sequence, so replaying it is lossless.
-    AggTable,
-}
-
-impl ArtifactKind {
-    /// Short label for stats/explain output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ArtifactKind::Result => "result",
-            ArtifactKind::HashBuild => "hash-build",
-            ArtifactKind::AggTable => "agg-table",
-        }
-    }
-}
-
-/// A reusable piece of operator state, published to and fetched from the
-/// recycler keyed by the *subplan that produced it* (not the enclosing
-/// query), so any join probing the same build subplan — or any
-/// aggregation over the same input — can reuse it.
-#[derive(Debug, Clone)]
-pub enum OperatorState {
-    /// A ready hash-join build side.
-    HashBuild(Arc<BuildSide>),
-    /// An aggregation table in sorted-group-row form.
-    AggTable(Arc<MaterializedResult>),
-}
-
-impl OperatorState {
-    /// Which artifact kind this state is.
-    pub fn kind(&self) -> ArtifactKind {
-        match self {
-            OperatorState::HashBuild(_) => ArtifactKind::HashBuild,
-            OperatorState::AggTable(_) => ArtifactKind::AggTable,
-        }
-    }
-
-    /// Memory footprint in bytes (what the cache accounts).
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            OperatorState::HashBuild(b) => b.size_bytes(),
-            OperatorState::AggTable(r) => r.size_bytes(),
-        }
-    }
 }
 
 /// Measured cost of constructing a piece of operator state, reported at
@@ -230,33 +186,33 @@ pub trait ResultStore: Send + Sync {
     /// Speculation decision callback (paper §III-D).
     fn speculate(&self, tag: u64, est: &SpeculationEstimate) -> StoreVerdict;
 
-    /// Fetch cached operator state for `plan` (the producing subplan) if
-    /// an entry of `kind`/`variant` exists whose recorded epochs equal
-    /// `epochs` (the querying snapshot's versions of the subplan's base
-    /// tables). Default: no operator-state cache.
+    /// Fetch the cached hash-join build side of `plan` (the build
+    /// subplan) indexed under `variant` (its join keys), if one exists
+    /// whose recorded epochs equal `epochs` (the querying snapshot's
+    /// versions of the subplan's base tables). Default: no operator-state
+    /// cache.
     fn fetch_state(
         &self,
         plan: &Plan,
-        kind: ArtifactKind,
         variant: u64,
         epochs: &[(String, u64)],
-    ) -> Option<OperatorState> {
-        let _ = (plan, kind, variant, epochs);
+    ) -> Option<Arc<BuildSide>> {
+        let _ = (plan, variant, epochs);
         None
     }
 
-    /// Offer freshly built operator state for `plan` to the cache.
-    /// `epochs` are the base-table versions the state was built from;
+    /// Offer a freshly built hash-join build side of `plan` to the cache.
+    /// `epochs` are the base-table versions it was built from;
     /// admission/replacement is the implementation's call. Default: drop.
     fn publish_state(
         &self,
         plan: &Plan,
         variant: u64,
-        state: OperatorState,
+        build: Arc<BuildSide>,
         cost: StateCost,
         epochs: &[(String, u64)],
     ) {
-        let _ = (plan, variant, state, cost, epochs);
+        let _ = (plan, variant, build, cost, epochs);
     }
 }
 
@@ -452,142 +408,6 @@ impl Operator for StoreExec {
 
     fn progress(&self) -> f64 {
         self.child.progress()
-    }
-}
-
-/// Publish hook for a [`StateTee`]: receives the buffered result and the
-/// measured construction cost once the stream completes cleanly.
-pub type TeePublish = Box<dyn FnOnce(Arc<MaterializedResult>, StateCost) + Send>;
-
-/// Tees an operator's output into a buffered [`MaterializedResult`] and
-/// hands it to a publish hook at end-of-stream — the operator-state
-/// analogue of [`StoreExec`], used to capture aggregation tables for the
-/// recycler. Buffering is zero-copy (shared batch clones); the hook only
-/// fires when the stream ends *uncancelled*, so a truncated aggregate is
-/// never published. The tee carries no metrics of its own: the wrapped
-/// operator's numbers stay untouched.
-pub struct StateTee {
-    child: Box<dyn Operator>,
-    schema: Schema,
-    buffer: Vec<Batch>,
-    started: Option<Instant>,
-    publish: Option<TeePublish>,
-    cancel: Option<Arc<AtomicBool>>,
-    fail: Option<Arc<FailSlot>>,
-}
-
-impl StateTee {
-    /// Wrap `child`, publishing its buffered output through `publish`.
-    pub fn new(
-        child: Box<dyn Operator>,
-        schema: Schema,
-        publish: TeePublish,
-        cancel: Option<Arc<AtomicBool>>,
-    ) -> Self {
-        StateTee {
-            child,
-            schema,
-            buffer: Vec::new(),
-            started: None,
-            publish: Some(publish),
-            cancel,
-            fail: None,
-        }
-    }
-
-    /// Attach the execution's failure slot: a recorded worker failure
-    /// suppresses publishing, like a cancel.
-    pub fn with_fail(mut self, fail: Arc<FailSlot>) -> Self {
-        self.fail = Some(fail);
-        self
-    }
-
-    fn compromised(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Acquire))
-            || self.fail.as_ref().is_some_and(|f| f.is_set())
-    }
-}
-
-impl Operator for StateTee {
-    fn next_batch(&mut self) -> Option<Batch> {
-        if self.started.is_none() {
-            self.started = Some(Instant::now());
-        }
-        match self.child.next_batch() {
-            Some(batch) => {
-                if self.publish.is_some() {
-                    self.buffer.push(batch.clone());
-                }
-                Some(batch)
-            }
-            None => {
-                if let Some(publish) = self.publish.take() {
-                    if self.compromised() {
-                        // Stream may have been cut short: buffer untrusted.
-                        self.buffer.clear();
-                    } else {
-                        let result = Arc::new(MaterializedResult::from_batches(
-                            self.schema.clone(),
-                            &std::mem::take(&mut self.buffer),
-                        ));
-                        let cost = StateCost {
-                            cost_ns: self
-                                .started
-                                .map(|t| t.elapsed().as_nanos() as f64)
-                                .unwrap_or(0.0),
-                            cost_work: 0.0, // hook refines from subtree metrics
-                            rows: result.rows() as u64,
-                        };
-                        publish(result, cost);
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    fn progress(&self) -> f64 {
-        self.child.progress()
-    }
-}
-
-/// Replays an already-fetched operator-state result (e.g. a warm
-/// aggregation table) as a batch stream. Unlike [`CachedExec`] there is no
-/// store lease: the artifact was resolved during plan building.
-pub struct StateReplayExec {
-    batches: Vec<Batch>,
-    next: usize,
-}
-
-impl StateReplayExec {
-    /// Stream out `result`'s batches.
-    pub fn new(result: &MaterializedResult) -> Self {
-        StateReplayExec {
-            batches: result.batches(),
-            next: 0,
-        }
-    }
-}
-
-impl Operator for StateReplayExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        if self.next < self.batches.len() {
-            let b = self.batches[self.next].clone();
-            self.next += 1;
-            Some(b)
-        } else {
-            None
-        }
-    }
-
-    fn progress(&self) -> f64 {
-        if self.batches.is_empty() {
-            1.0
-        } else {
-            self.next as f64 / self.batches.len() as f64
-        }
     }
 }
 

@@ -149,7 +149,6 @@ impl ServerShared {
             cache_bytes: u64,
             invalidations: u64,
             hash_build_hits: u64,
-            agg_table_hits: u64,
             repaired_hits: u64,
             repair_fallbacks: u64,
             deltas_applied: u64,
@@ -173,7 +172,6 @@ impl ServerShared {
                     ec.cache_bytes = r.cache_used();
                     ec.invalidations = r.stats.invalidations.load(Ordering::Relaxed);
                     ec.hash_build_hits = r.stats.hash_build_hits.load(Ordering::Relaxed);
-                    ec.agg_table_hits = r.stats.agg_table_hits.load(Ordering::Relaxed);
                     ec.repaired_hits = r.stats.repaired.load(Ordering::Relaxed);
                     ec.repair_fallbacks = r.stats.repair_fallbacks.load(Ordering::Relaxed);
                     ec.deltas_applied = r.stats.deltas_applied.load(Ordering::Relaxed);
@@ -209,7 +207,6 @@ impl ServerShared {
             cache_bytes: ec.cache_bytes,
             invalidations: ec.invalidations,
             hash_build_hits: ec.hash_build_hits,
-            agg_table_hits: ec.agg_table_hits,
             repaired_hits: ec.repaired_hits,
             repair_fallbacks: ec.repair_fallbacks,
             deltas_applied: ec.deltas_applied,
@@ -267,8 +264,6 @@ pub struct ServerStatsSnapshot {
     /// Queries served a cached hash-join build side (operator-state
     /// artifact) instead of rebuilding it.
     pub hash_build_hits: u64,
-    /// Queries served a cached aggregate table instead of re-aggregating.
-    pub agg_table_hits: u64,
     /// Cache entries repaired in place from DML deltas instead of being
     /// evicted.
     pub repaired_hits: u64,
@@ -321,7 +316,6 @@ impl ServerStatsSnapshot {
             ("cache_bytes", self.cache_bytes as f64),
             ("invalidations", self.invalidations as f64),
             ("hash_build_hits", self.hash_build_hits as f64),
-            ("agg_table_hits", self.agg_table_hits as f64),
             ("repaired_hits", self.repaired_hits as f64),
             ("repair_fallbacks", self.repair_fallbacks as f64),
             ("deltas_applied", self.deltas_applied as f64),

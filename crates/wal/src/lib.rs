@@ -106,13 +106,15 @@ pub enum FsyncPolicy {
     Off,
 }
 
+/// Segment rotation threshold in bytes: an append that would carry a
+/// non-empty segment past it goes to a new segment.
+pub const SEGMENT_BYTES: u64 = 8 << 20;
+
 /// Durability tuning knobs, consumed by `EngineBuilder::durability`.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Flush policy (default [`FsyncPolicy::Always`]).
     pub fsync: FsyncPolicy,
-    /// Segment rotation threshold in bytes (default 8 MiB).
-    pub segment_bytes: u64,
     /// Background checkpoint trigger: WAL bytes appended since the last
     /// checkpoint (default 4 MiB).
     pub checkpoint_threshold_bytes: u64,
@@ -130,7 +132,6 @@ impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
             fsync: FsyncPolicy::Always,
-            segment_bytes: 8 << 20,
             checkpoint_threshold_bytes: 4 << 20,
             auto_checkpoint: true,
             checkpoint_poll: Duration::from_millis(250),

@@ -31,7 +31,7 @@ use crate::frame::encode_frame;
 use crate::segment::{
     list_segments, scan_segment, segment_file_name, segment_header, SEGMENT_HEADER,
 };
-use crate::{DurabilityConfig, FsyncPolicy, WalError};
+use crate::{DurabilityConfig, FsyncPolicy, WalError, SEGMENT_BYTES};
 
 /// Live (not yet pruned) segment bookkeeping.
 struct SegmentMeta {
@@ -59,7 +59,6 @@ impl Writer {
 pub struct Wal {
     dir: PathBuf,
     policy: FsyncPolicy,
-    segment_bytes: u64,
     fault: Arc<dyn IoFault>,
     inner: Mutex<Writer>,
     poisoned: AtomicBool,
@@ -123,7 +122,6 @@ impl Wal {
         Ok(Arc::new(Wal {
             dir: dir.to_path_buf(),
             policy: config.fsync,
-            segment_bytes: config.segment_bytes.max(SEGMENT_HEADER + 1),
             fault,
             inner: Mutex::new(Writer { file, segments }),
             poisoned: AtomicBool::new(false),
@@ -167,7 +165,7 @@ impl Wal {
         let frame = encode_frame(&crate::codec::encode_record(rec));
         let mut w = self.inner.lock();
         // Rotate if the frame would overflow a non-empty segment.
-        if w.current().bytes + frame.len() as u64 > self.segment_bytes
+        if w.current().bytes + frame.len() as u64 > SEGMENT_BYTES
             && w.current().bytes > SEGMENT_HEADER
         {
             if let Err(e) = self.rotate_locked(&mut w) {
@@ -294,5 +292,61 @@ impl CommitHook for Wal {
     fn before_commit(&self, record: &CommitRecord) -> Result<(), StorageError> {
         self.append(record)
             .map_err(|e| StorageError(format!("wal append failed: {e}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{recover, NoFault};
+    use rdb_storage::{Catalog, TableBuilder, TableDelta};
+    use rdb_vector::{DataType, Schema, Value};
+
+    #[test]
+    fn appends_past_the_segment_size_rotate_and_recover_in_order() {
+        let dir = std::env::temp_dir().join(format!("rdb-wal-{}-rotate", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = Schema::from_pairs([("k", DataType::Int), ("pad", DataType::Str)]);
+        let config = DurabilityConfig {
+            fsync: FsyncPolicy::Off,
+            ..DurabilityConfig::default()
+        };
+        let wal = Wal::open(&dir, &config, Arc::new(NoFault)).unwrap();
+        // Records of ~1/16 segment each: 24 of them fill one segment and
+        // spill into a second.
+        let (records, rows_per_record) = (24u64, 128i64);
+        let pad = "x".repeat((SEGMENT_BYTES / 16 / rows_per_record as u64) as usize);
+        let mut expected = Vec::new();
+        for epoch in 1..=records {
+            let rows: Vec<Vec<Value>> = (0..rows_per_record)
+                .map(|i| {
+                    let k = (epoch as i64 - 1) * rows_per_record + i;
+                    vec![Value::Int(k), Value::str(format!("{k}{pad}"))]
+                })
+                .collect();
+            expected.extend(rows.iter().cloned());
+            let rec = CommitRecord {
+                table: "t".to_string(),
+                schema: schema.clone(),
+                epoch,
+                delta: TableDelta::Append { rows },
+            };
+            wal.append(&rec).unwrap();
+        }
+        assert_eq!(list_segments(&dir).unwrap().len(), 2, "one rotation");
+        drop(wal);
+
+        let mut catalog = Catalog::new();
+        catalog
+            .register(TableBuilder::new("t", schema, 0).finish())
+            .unwrap();
+        let report = recover(&dir, &catalog).unwrap();
+        assert_eq!(report.replayed_records, records);
+        assert_eq!(report.truncated_segments, 0);
+        assert_eq!(report.max_epoch, records);
+        let t = catalog.get("t").unwrap();
+        assert_eq!(t.epoch(), records);
+        assert_eq!(t.to_rows(), expected, "every row, in commit order");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
