@@ -3,10 +3,11 @@
 //! The recycler's value proposition is that a cache hit costs (almost)
 //! nothing. This bench populates the recycler with a cached result of N
 //! rows, then measures the cost of replaying it through a prepared
-//! statement — the `CachedExec` → `QueryHandle` path a SkyServer hot
-//! template takes on every repeat execution. With zero-copy batches the
-//! replay cost should be near-independent of N; with deep-copied batches it
-//! grows linearly (a memcpy tax proportional to the result).
+//! statement — the `rdb_exec::store::cached` replay (a `BlockingExec`)
+//! → `QueryHandle` path a SkyServer hot template takes on every repeat
+//! execution. With zero-copy batches the replay cost should be
+//! near-independent of N; with deep-copied batches it grows linearly (a
+//! memcpy tax proportional to the result).
 //!
 //! Emits a machine-readable snapshot to `BENCH_replay.json` at the
 //! workspace root (override the path with `RDB_BENCH_OUT`) so CI and the

@@ -163,7 +163,6 @@ enum TagEntry {
         /// its owner — a superseded producer must not clear a fresh
         /// producer's marker).
         qid: u64,
-        speculative: bool,
         /// `(table, epoch)` of the node's base tables as pinned by the
         /// producing query's snapshot. Publishing checks these against the
         /// recycler's current epochs so a result computed from an
@@ -1216,7 +1215,6 @@ impl<'a> RewriteRun<'a> {
                 TagEntry::StoreTarget {
                     node: id,
                     qid: self.qid,
-                    speculative,
                     base_epochs,
                     last_est: None,
                     resolved: None,
@@ -1434,7 +1432,6 @@ impl ResultStore for Recycler {
         let Some(TagEntry::StoreTarget {
             node,
             qid,
-            speculative,
             base_epochs,
             last_est,
             resolved,
@@ -1442,7 +1439,7 @@ impl ResultStore for Recycler {
         else {
             return;
         };
-        let (node, qid, speculative, last_est) = (*node, *qid, *speculative, last_est.clone());
+        let (node, qid, last_est) = (*node, *qid, last_est.clone());
         let base_epochs = base_epochs.clone();
         if resolved.is_some() {
             return;
@@ -1510,7 +1507,6 @@ impl ResultStore for Recycler {
             *resolved = Some(StoreOutcome::Published { admitted, bytes });
         }
         st.release_in_flight(node, qid);
-        let _ = speculative;
         drop(st);
         self.resolved_cond.notify_all();
     }

@@ -26,7 +26,5 @@ pub use engine::{
     StreamsReport, WorkloadQuery, WriteKind, WriteOutcome,
 };
 pub use materializing::{MatOutcome, MaterializingEngine};
-pub use session::{
-    BatchStream, Prepared, QueryHandle, Session, SessionStats, SessionStatsSnapshot, SqlOutcome,
-};
+pub use session::{Prepared, QueryHandle, Session, SessionStats, SessionStatsSnapshot, SqlOutcome};
 pub use subscribe::{DeltaEvent, Subscription};

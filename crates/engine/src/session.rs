@@ -9,7 +9,7 @@
 //! * [`Prepared`] — a query template, bound against the catalog **once**
 //!   with its structural fingerprint computed up front; executed many times
 //!   with different [`Params`].
-//! * [`QueryHandle`] (alias [`BatchStream`]) — a live query pulled
+//! * [`QueryHandle`] — a live query pulled
 //!   vector-at-a-time via `Iterator<Item = Batch>`. The handle owns the
 //!   engine's admission slot and the recycler bookkeeping: completion fires
 //!   when the stream is drained, and a handle dropped half-way abandons its
@@ -812,9 +812,6 @@ pub struct QueryHandle {
     cancel: Arc<AtomicBool>,
     completed: bool,
 }
-
-/// The streaming face of a [`QueryHandle`].
-pub type BatchStream = QueryHandle;
 
 impl std::fmt::Debug for QueryHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

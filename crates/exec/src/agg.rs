@@ -43,12 +43,12 @@
 //! FxHash for the distinct pairs): the keys are the data being
 //! aggregated, and SipHash's DoS resistance buys nothing here.
 //!
-//! The same `GroupTable` state backs the serial [`HashAggExec`], the
-//! partitioned parallel aggregation (each worker folds its morsels into a
-//! private table; the partials are merged at the breaker with
-//! `GroupTable::merge`, and the sort then erases the merge order), and
-//! delta repair: [`ResumedAgg`] and [`retract_count_groups`] load a cached
-//! result's key and value columns back into it.
+//! The same `GroupTable` state backs the [`aggregate`] breaker — serial
+//! input folds into one table, partitioned input into one per worker,
+//! merged into the first with `GroupTable::merge` (the sort then erases
+//! the merge order) — and delta repair: [`ResumedAgg`] and
+//! [`retract_count_groups`] load a cached result's key and value columns
+//! back into it.
 
 use std::cmp::Ordering;
 use std::hash::Hash;
@@ -62,9 +62,11 @@ use rdb_vector::{
     hash_columns, Batch, Column, ColumnData, ColumnSlice, DataType, KeyCells, BATCH_CAPACITY,
 };
 
+use crate::error::FailSlot;
 use crate::index::HashIndex;
 use crate::metrics::OpMetrics;
-use crate::op::{timed_next, Operator};
+use crate::op::BlockingExec;
+use crate::parallel::{fold_input, BreakerInput};
 
 /// What the kernels need of a cell type: `Value` order, and the payload
 /// a NULL slot holds (what `ColumnBuilder::push_null` writes).
@@ -892,101 +894,66 @@ pub fn retract_count_groups(
     Some(emit(&table.into_columns(), &keep, &output_types))
 }
 
-/// Blocking hash aggregation: consumes the whole input, then streams the
-/// grouped result sorted by group key. With no group keys it produces
-/// exactly one row (also for empty input, per SQL semantics).
-pub struct HashAggExec {
-    child: Box<dyn Operator>,
+/// Blocking hash aggregation: folds the whole input into a
+/// `GroupTable` (one per worker when partitioned, merged into the first),
+/// then streams the groups sorted by group key. With no group keys it
+/// produces exactly one row (also for empty input, per SQL semantics).
+/// `input_types` are the input's column types; `output_types` the output
+/// schema types (groups then aggregates).
+pub fn aggregate(
+    input: BreakerInput,
     group_by: Vec<Expr>,
     aggs: Vec<AggFunc>,
     input_types: Vec<DataType>,
     output_types: Vec<DataType>,
-    output: Option<Vec<Batch>>,
-    emitted_batches: usize,
     metrics: Arc<OpMetrics>,
-}
-
-impl HashAggExec {
-    /// Create the operator. `input_types` are the child's column types;
-    /// `output_types` the output schema types (groups then aggregates).
-    pub fn new(
-        child: Box<dyn Operator>,
-        group_by: Vec<Expr>,
-        aggs: Vec<AggFunc>,
-        input_types: Vec<DataType>,
-        output_types: Vec<DataType>,
-        metrics: Arc<OpMetrics>,
-    ) -> Self {
-        assert_eq!(group_by.len() + aggs.len(), output_types.len());
-        HashAggExec {
-            child,
-            group_by,
-            aggs,
-            input_types,
-            output_types,
-            output: None,
-            emitted_batches: 0,
-            metrics,
-        }
-    }
-
-    fn build(&mut self) -> Vec<Batch> {
-        let mut table = GroupTable::new(
-            self.group_by.clone(),
-            self.aggs.clone(),
-            self.input_types.clone(),
-        );
-        while let Some(batch) = self.child.next_batch() {
-            self.metrics.add_work(batch.rows() as u64);
-            table.fold(&batch);
-        }
-        table.finish(&self.output_types)
-    }
-}
-
-impl Operator for HashAggExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.output.is_none() {
-                let built = self.build();
-                self.output = Some(built);
-            }
-            let out = self.output.as_ref().unwrap();
-            if self.emitted_batches < out.len() {
-                let b = out[self.emitted_batches].clone();
-                self.emitted_batches += 1;
-                Some(b)
-            } else {
-                None
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        match &self.output {
-            None => 0.0,
-            Some(out) => {
-                if out.is_empty() {
-                    1.0
-                } else {
-                    self.emitted_batches as f64 / out.len() as f64
-                }
-            }
-        }
-    }
+    fail: Arc<FailSlot>,
+) -> BlockingExec {
+    assert_eq!(group_by.len() + aggs.len(), output_types.len());
+    let (work, slot) = (metrics.clone(), fail.clone());
+    let build = move || {
+        let table = fold_input(
+            input,
+            &slot,
+            work,
+            || GroupTable::new(group_by.clone(), aggs.clone(), input_types.clone()),
+            |table, _chunk, batch| table.fold(&batch),
+            GroupTable::merge,
+        )?;
+        Ok(table.finish(&output_types))
+    };
+    BlockingExec::new(build, metrics, fail)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::testing::{domain, Rng, TYPES};
-    use crate::op::run_to_batch;
     use crate::op::testing::BatchSource;
+    use crate::op::{run_to_batch, Operator};
     use rdb_vector::{ColumnBuilder, Value};
 
     fn src(cols: Vec<Column>) -> Box<dyn Operator> {
         BatchSource::boxed(vec![Batch::new(cols)])
+    }
+
+    /// A serial aggregate over `child`.
+    fn hash_agg(
+        child: Box<dyn Operator>,
+        group_by: Vec<Expr>,
+        aggs: Vec<AggFunc>,
+        input_types: Vec<DataType>,
+        output_types: Vec<DataType>,
+    ) -> BlockingExec {
+        aggregate(
+            BreakerInput::Operator(child),
+            group_by,
+            aggs,
+            input_types,
+            output_types,
+            OpMetrics::shared(),
+            FailSlot::shared(),
+        )
     }
 
     #[test]
@@ -995,7 +962,7 @@ mod tests {
             Column::from_strs(["a", "b", "a", "a"]),
             Column::from_ints(vec![1, 2, 3, 4]),
         ]);
-        let mut agg = HashAggExec::new(
+        let mut agg = hash_agg(
             child,
             vec![Expr::col(0)],
             vec![
@@ -1005,7 +972,6 @@ mod tests {
             ],
             vec![DataType::Str, DataType::Int],
             vec![DataType::Str, DataType::Int, DataType::Int, DataType::Int],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut agg);
         assert_eq!(out.rows(), 2);
@@ -1028,13 +994,12 @@ mod tests {
             Batch::new(vec![Column::from_ints(vec![9, 3, 7])]),
             Batch::new(vec![Column::from_ints(vec![1, 9, 5])]),
         ]);
-        let mut agg = HashAggExec::new(
+        let mut agg = hash_agg(
             child,
             vec![Expr::col(0)],
             vec![AggFunc::CountStar],
             vec![DataType::Int],
             vec![DataType::Int, DataType::Int],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut agg);
         assert_eq!(out.column(0).as_ints(), &[1, 3, 5, 7, 9]);
@@ -1090,13 +1055,12 @@ mod tests {
     #[test]
     fn global_aggregation_on_empty_input() {
         let child = BatchSource::boxed(vec![]);
-        let mut agg = HashAggExec::new(
+        let mut agg = hash_agg(
             child,
             vec![],
             vec![AggFunc::CountStar, AggFunc::Sum(Expr::col(0))],
             vec![DataType::Int],
             vec![DataType::Int, DataType::Int],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut agg);
         assert_eq!(out.rows(), 1);
@@ -1109,7 +1073,7 @@ mod tests {
             Column::from_ints(vec![1, 1, 1, 1]),
             Column::from_floats(vec![2.0, 8.0, 2.0, 4.0]),
         ]);
-        let mut agg = HashAggExec::new(
+        let mut agg = hash_agg(
             child,
             vec![Expr::col(0)],
             vec![
@@ -1124,7 +1088,6 @@ mod tests {
                 DataType::Float,
                 DataType::Int,
             ],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut agg);
         assert_eq!(
@@ -1145,7 +1108,7 @@ mod tests {
         b.push_null();
         b.push(Value::Int(7));
         let child = src(vec![b.finish()]);
-        let mut agg = HashAggExec::new(
+        let mut agg = hash_agg(
             child,
             vec![],
             vec![
@@ -1155,7 +1118,6 @@ mod tests {
             ],
             vec![DataType::Int],
             vec![DataType::Int, DataType::Int, DataType::Int],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut agg);
         assert_eq!(
@@ -1167,13 +1129,12 @@ mod tests {
     #[test]
     fn group_by_expression() {
         let child = src(vec![Column::from_ints(vec![10, 11, 20, 21, 30])]);
-        let mut agg = HashAggExec::new(
+        let mut agg = hash_agg(
             child,
             vec![Expr::col(0).div(Expr::lit(10))], // int div promotes to float
             vec![AggFunc::CountStar],
             vec![DataType::Int],
             vec![DataType::Float, DataType::Int],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut agg);
         assert_eq!(out.rows(), 5); // 1.0, 1.1, 2.0, 2.1, 3.0 are distinct
@@ -1182,13 +1143,12 @@ mod tests {
     #[test]
     fn progress_moves_to_one() {
         let child = src(vec![Column::from_ints(vec![1])]);
-        let mut agg = HashAggExec::new(
+        let mut agg = hash_agg(
             child,
             vec![Expr::col(0)],
             vec![AggFunc::CountStar],
             vec![DataType::Int],
             vec![DataType::Int, DataType::Int],
-            OpMetrics::shared(),
         );
         assert_eq!(agg.progress(), 0.0);
         while agg.next_batch().is_some() {}

@@ -17,19 +17,17 @@ use rdb_expr::{AggFunc, Expr};
 use rdb_plan::{Plan, PlanError, StoreMode};
 use rdb_vector::{Batch, DataType, Schema};
 
-use crate::agg::HashAggExec;
+use crate::agg::aggregate;
 use crate::context::ExecContext;
 use crate::error::{ExecError, FailSlot};
 use crate::fuse::{build_stages, collect_chain, ChainSource, FusedPipelineExec};
 use crate::join::{BuildPublish, BuildSide, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::{collect_all, Operator};
-use crate::parallel::{
-    build_source, GatherExec, MorselDispenser, ParallelAggExec, ParallelTopNExec,
-};
-use crate::scan::{FnScanExec, ScanExec};
-use crate::sort::{LimitExec, SortExec, TopNExec, UnionAllExec};
-use crate::store::{CachedExec, StateCost, StoreExec};
+use crate::parallel::{build_source, BreakerInput, GatherExec, MorselDispenser};
+use crate::scan::{fn_scan, ScanExec};
+use crate::sort::{sort, top_n, LimitExec, UnionAllExec};
+use crate::store::{cached, StateCost, StoreExec};
 
 /// A built executor: the root operator, the per-node metrics tree (parallel
 /// to the plan), and the output schema.
@@ -201,6 +199,32 @@ fn build_gathered(
     build_node(plan, ctx)
 }
 
+/// The input of a folding breaker. A suitable scan-rooted chain is split
+/// across workers when `partition` allows the breaker to fold per-worker
+/// partials, and gathered into the canonical batch sequence otherwise;
+/// anything else is built serially.
+fn breaker_input(
+    child: &Plan,
+    partition: bool,
+    ctx: &ExecContext,
+) -> Result<(BreakerInput, MetricsNode), PlanError> {
+    Ok(match build_source(child, ctx)? {
+        Some(source) => {
+            let metrics = source.metrics.clone();
+            let input = if partition {
+                BreakerInput::Partitioned(source)
+            } else {
+                BreakerInput::Operator(Box::new(GatherExec::new(source)))
+            };
+            (input, metrics)
+        }
+        None => {
+            let (op, metrics) = build_node(child, ctx)?;
+            (BreakerInput::Operator(op), metrics)
+        }
+    })
+}
+
 fn build_node(
     plan: &Plan,
     ctx: &ExecContext,
@@ -233,7 +257,7 @@ fn build_node(
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             (
-                Box::new(FnScanExec::new(f, values, m.clone())),
+                Box::new(fn_scan(f, values, m.clone(), ctx.fail.clone())),
                 MetricsNode::leaf(m),
             )
         }
@@ -278,31 +302,17 @@ fn build_node(
             // because partitioned float addition would drift in the
             // low-order bits and break byte-identical cache replay across
             // DOPs.
-            if aggs.iter().all(|a| a.is_exact(&input_types)) {
-                if let Some(source) = build_source(child, ctx)? {
-                    let cm = source.metrics.clone();
-                    return Ok((
-                        Box::new(ParallelAggExec::new(
-                            source,
-                            group_by.clone(),
-                            aggs.clone(),
-                            input_types,
-                            output_types,
-                            m.clone(),
-                        )),
-                        MetricsNode::new(m, vec![cm]),
-                    ));
-                }
-            }
-            let (c, cm) = build_gathered(child, ctx)?;
+            let exact = aggs.iter().all(|a| a.is_exact(&input_types));
+            let (input, cm) = breaker_input(child, exact, ctx)?;
             (
-                Box::new(HashAggExec::new(
-                    c,
+                Box::new(aggregate(
+                    input,
                     group_by.clone(),
                     aggs.clone(),
                     input_types,
                     output_types,
                     m.clone(),
+                    ctx.fail.clone(),
                 )),
                 MetricsNode::new(m, vec![cm]),
             )
@@ -311,22 +321,16 @@ fn build_node(
             let output_types = types_of(&child.schema(&ctx.catalog)?);
             // Partitioned parallel top-N: per-worker heap runs merged at
             // this breaker (position tie-breaks keep it deterministic).
-            if let Some(source) = build_source(child, ctx)? {
-                let cm = source.metrics.clone();
-                return Ok((
-                    Box::new(ParallelTopNExec::new(
-                        source,
-                        keys.clone(),
-                        *n,
-                        output_types,
-                        m.clone(),
-                    )),
-                    MetricsNode::new(m, vec![cm]),
-                ));
-            }
-            let (c, cm) = build_node(child, ctx)?;
+            let (input, cm) = breaker_input(child, true, ctx)?;
             (
-                Box::new(TopNExec::new(c, keys.clone(), *n, output_types, m.clone())),
+                Box::new(top_n(
+                    input,
+                    keys.clone(),
+                    *n,
+                    output_types,
+                    m.clone(),
+                    ctx.fail.clone(),
+                )),
                 MetricsNode::new(m, vec![cm]),
             )
         }
@@ -337,7 +341,7 @@ fn build_node(
             // scan/filter/probe work below still parallelizes.
             let (c, cm) = build_gathered(child, ctx)?;
             (
-                Box::new(SortExec::new(c, keys.clone(), m.clone())),
+                Box::new(sort(c, keys.clone(), m.clone(), ctx.fail.clone())),
                 MetricsNode::new(m, vec![cm]),
             )
         }
@@ -367,7 +371,7 @@ fn build_node(
                 .clone()
                 .ok_or_else(|| PlanError::msg("cached node without a result store"))?;
             (
-                Box::new(CachedExec::new(*tag, store, m.clone())),
+                Box::new(cached(*tag, store, m.clone(), ctx.fail.clone())),
                 MetricsNode::leaf(m),
             )
         }
@@ -473,6 +477,107 @@ mod tests {
         let out = run_to_batch(tree.root.as_mut());
         assert_eq!(out.rows(), 3);
         assert_eq!(out.column(1).as_floats(), &[99.0, 98.0, 97.0]);
+    }
+
+    /// `big`: 3,000 rows (`k` = i % 7, `v` = i), three morsels; `two`: a
+    /// two-row table, too many for a single join's build side.
+    fn morsel_ctx(dop: usize) -> ExecContext {
+        let mut cat = Catalog::new();
+        let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Int)]);
+        let mut b = TableBuilder::new("big", schema, 3000);
+        for i in 0..3000i64 {
+            b.push_row(vec![Value::Int(i % 7), Value::Int(i)]);
+        }
+        cat.register(b.finish()).expect("register table");
+        let mut b = TableBuilder::new("two", Schema::from_pairs([("x", DataType::Int)]), 2);
+        b.push_row(vec![Value::Int(1)]);
+        b.push_row(vec![Value::Int(2)]);
+        cat.register(b.finish()).expect("register table");
+        ExecContext::new(Arc::new(cat)).with_parallelism(dop)
+    }
+
+    #[test]
+    fn breakers_emit_nothing_over_a_failed_input() {
+        let input = || scan("big", &["k", "v"]).single_join(scan("two", &["x"]));
+        let breakers = [
+            (
+                "keyless aggregate",
+                input().aggregate(vec![], vec![(AggFunc::CountStar, "n")]),
+            ),
+            (
+                "grouped aggregate",
+                input().aggregate(
+                    vec![(Expr::name("k"), "k")],
+                    vec![(AggFunc::CountStar, "n")],
+                ),
+            ),
+            (
+                "top-N",
+                input().top_n(vec![SortKeyExpr::asc(Expr::name("v"))], 5),
+            ),
+            (
+                "sort",
+                input().sort(vec![SortKeyExpr::asc(Expr::name("k"))]),
+            ),
+        ];
+        for (what, plan) in breakers {
+            for dop in [1, 2] {
+                let ctx = morsel_ctx(dop);
+                let plan = plan.clone().bind(&ctx.catalog).unwrap();
+                let mut tree = build(&plan, &ctx).unwrap();
+                let rows: usize = collect_all(tree.root.as_mut())
+                    .iter()
+                    .map(|b| b.rows())
+                    .sum();
+                assert_eq!(rows, 0, "{what} at DOP {dop} emitted rows");
+                let err = tree.fail.get().expect("the failure is recorded");
+                assert!(
+                    err.message().contains("exactly one row, got 2"),
+                    "{what} at DOP {dop}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn breaker_metrics_do_not_depend_on_dop() {
+        let filtered = || scan("big", &["k", "v"]).select(Expr::name("v").gt(Expr::lit(100)));
+        let breakers = [
+            (
+                "aggregate",
+                filtered().aggregate(
+                    vec![(Expr::name("k"), "k")],
+                    vec![
+                        (AggFunc::CountStar, "n"),
+                        (AggFunc::Sum(Expr::name("v")), "sv"),
+                    ],
+                ),
+            ),
+            (
+                "top-N",
+                filtered().top_n(vec![SortKeyExpr::desc(Expr::name("k"))], 1500),
+            ),
+        ];
+        for (what, plan) in breakers {
+            let run = |dop: usize| {
+                let ctx = morsel_ctx(dop);
+                let plan = plan.clone().bind(&ctx.catalog).unwrap();
+                let mut tree = build(&plan, &ctx).unwrap();
+                assert_eq!(tree.root.progress(), 0.0, "{what} at DOP {dop}");
+                let out = tree.drain().unwrap();
+                assert_eq!(tree.root.progress(), 1.0, "{what} at DOP {dop}");
+                let m = &tree.metrics.metrics;
+                (
+                    Batch::concat(&out).to_rows(),
+                    m.own_work(),
+                    m.calls(),
+                    m.rows_out(),
+                )
+            };
+            let serial = run(1);
+            assert_eq!(serial.1, 2899 + serial.3, "{what}: own work is rows folded");
+            assert_eq!(run(4), serial, "{what}");
+        }
     }
 
     #[test]

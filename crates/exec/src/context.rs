@@ -1,7 +1,7 @@
 //! Execution context: catalog, table functions, and the result store hook.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use rdb_plan::Plan;
@@ -147,13 +147,6 @@ impl ExecContext {
     pub fn with_cancel(mut self, cancel: Option<Arc<AtomicBool>>) -> Self {
         self.cancel = cancel;
         self
-    }
-
-    /// Whether the query has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Acquire))
     }
 
     /// Resolve the table version scans must read: the pinned snapshot's if

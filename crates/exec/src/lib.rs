@@ -6,10 +6,17 @@
 //! join-probe — runs as one push-style [`FusedChain`] per input batch
 //! ([`fuse`]): the single implementation of selection, projection and
 //! probe semantics, over a base-table scan or over any other child
-//! operator. Pipelines only break at blocking operators (hash
-//! aggregation, sort, top-N, join build sides) — intermediate results are
-//! *not* materialized unless the recycler decides to, which is the entire
-//! point of the paper.
+//! operator. Pipelines only break at blocking operators — join build
+//! sides, and one [`BlockingExec`] for everything that builds its whole
+//! output on the first pull (hash aggregation, top-N, sort, table
+//! functions, cached-result replay) — intermediate results are *not*
+//! materialized unless the recycler decides to, which is the entire point
+//! of the paper.
+//!
+//! Seven operators make up an executor tree: [`FusedPipelineExec`] (a
+//! chain over a serial source), [`GatherExec`] (a chain split across
+//! workers), [`scan::ScanExec`], [`BlockingExec`], [`sort::LimitExec`],
+//! [`sort::UnionAllExec`] and [`StoreExec`].
 //!
 //! With `ExecContext::parallelism > 1` scan-rooted chains execute
 //! **morsel-driven parallel** (see [`parallel`] for the model and its
@@ -26,7 +33,8 @@
 //!
 //! * [`StoreExec`] — the `store` operator: pass along / buffer
 //!   (speculation) / materialize the tuple flow without interrupting it;
-//! * [`CachedExec`] — reads a previously materialized result;
+//! * [`store::cached`] — a [`BlockingExec`] replaying a previously
+//!   materialized result;
 //! * [`ResultStore`] — the trait through which store/cached operators talk
 //!   to the recycler cache (implemented by `rdb-recycler`);
 //! * [`OpMetrics`] / [`MetricsNode`] — per-operator run-time measurements
@@ -58,11 +66,11 @@ pub use error::{ExecError, FailSlot};
 pub use fuse::{fused_span, FusedChain, FusedPipelineExec};
 pub use join::{BuildPublish, BuildSide, SharedBuild};
 pub use metrics::{MetricsNode, OpMetrics};
-pub use op::{collect_all, run_to_batch, Operator};
-pub use parallel::{GatherExec, MorselDispenser, ParallelAggExec, ParallelTopNExec};
+pub use op::{collect_all, run_to_batch, BlockingExec, Operator};
+pub use parallel::{BreakerInput, GatherExec, MorselDispenser};
 pub use pool::WorkerPool;
 pub use store::{
-    ArtifactKind, CachedExec, MaterializedResult, ResultStore, SpeculationEstimate, StateCost,
-    StoreExec, StoreVerdict,
+    ArtifactKind, MaterializedResult, ResultStore, SpeculationEstimate, StateCost, StoreExec,
+    StoreVerdict,
 };
 pub use stream::ExecStream;

@@ -1,9 +1,11 @@
 //! The operator trait and execution helpers.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rdb_vector::Batch;
 
+use crate::error::{ExecError, FailSlot};
 use crate::metrics::OpMetrics;
 
 /// A pull-based, vector-at-a-time physical operator.
@@ -35,6 +37,72 @@ pub fn timed_next(metrics: &OpMetrics, f: impl FnOnce() -> Option<Batch>) -> Opt
         metrics.add_bytes(b.size_bytes() as u64);
     }
     out
+}
+
+/// What a [`BlockingExec`] runs on its first pull: its whole output.
+type BuildFn = Box<dyn FnOnce() -> Result<Vec<Batch>, ExecError> + Send>;
+
+/// A pipeline breaker: builds its whole output on the first pull, then
+/// streams it. Every blocking operator is one — hash aggregation, top-N
+/// and sort (which fold their input with `crate::parallel::fold_input`),
+/// a table-function scan ([`crate::scan::fn_scan`]) and a cached-result
+/// replay ([`crate::store::cached`]).
+///
+/// The build runs inside the first pull's [`timed_next`], so the node's
+/// time includes its input's. `progress` reads 0 before the build and
+/// emitted/len after it (1 for an empty output). A build that returns
+/// `Err` records it in the fail slot and ends the stream with no rows.
+pub struct BlockingExec {
+    build: Option<BuildFn>,
+    output: std::vec::IntoIter<Batch>,
+    len: usize,
+    metrics: Arc<OpMetrics>,
+    fail: Arc<FailSlot>,
+}
+
+impl BlockingExec {
+    /// A breaker that runs `build` on its first pull.
+    pub fn new(
+        build: impl FnOnce() -> Result<Vec<Batch>, ExecError> + Send + 'static,
+        metrics: Arc<OpMetrics>,
+        fail: Arc<FailSlot>,
+    ) -> BlockingExec {
+        BlockingExec {
+            build: Some(Box::new(build)),
+            output: Vec::new().into_iter(),
+            len: 0,
+            metrics,
+            fail,
+        }
+    }
+}
+
+impl Operator for BlockingExec {
+    fn next_batch(&mut self) -> Option<Batch> {
+        let metrics = self.metrics.clone();
+        timed_next(&metrics, || {
+            if let Some(build) = self.build.take() {
+                match build() {
+                    Ok(output) => {
+                        self.len = output.len();
+                        self.output = output.into_iter();
+                    }
+                    Err(e) => self.fail.set(e),
+                }
+            }
+            self.output.next()
+        })
+    }
+
+    fn progress(&self) -> f64 {
+        if self.build.is_some() {
+            0.0
+        } else if self.len == 0 {
+            1.0
+        } else {
+            (self.len - self.output.len()) as f64 / self.len as f64
+        }
+    }
 }
 
 /// Drain an operator into a vector of batches.

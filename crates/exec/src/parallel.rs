@@ -28,22 +28,25 @@
 //! * [`GatherExec`] undoes that permutation: workers tag outputs with
 //!   their morsel index and the gather re-sequences them, emitting exactly
 //!   the serial batch sequence;
-//! * order-insensitive breakers take the other route: parallel aggregation
-//!   merges per-worker `GroupTable` partials into the first one, mapping
-//!   each partial's group ids onto the merged table's, and sorts groups by
-//!   key (the serial aggregate emits in the same sorted order), and parallel
-//!   top-N merges per-worker heap runs whose ties are broken by global
-//!   scan position (the serial top-N uses the same rule).
+//! * order-insensitive breakers take the other route: an aggregate or
+//!   top-N over [`BreakerInput::Partitioned`] input folds one state per
+//!   worker and merges the partials into the first (`fold_input`, the
+//!   same driver that folds serial input into one state). Aggregation
+//!   maps each partial's group ids onto the merged table's and sorts
+//!   groups by key, the order the serial aggregate emits; top-N breaks
+//!   ties by global scan position, morsel index here and batch ordinal
+//!   serially.
 //!
 //! **Failure.** A failing stage ends its worker's chain with a structured
 //! [`ExecError`] in the query's shared [`FailSlot`] (see [`crate::fuse`]),
 //! and a worker panicking anywhere else records one before its channel
-//! sender drops; the consumer detects the shortfall (morsels missing, a
-//! partial missing or the slot set), ends the stream cleanly, and the
-//! error surfaces through
+//! sender drops; the gather detects the shortfall (morsels missing),
+//! ends the stream cleanly, and the error surfaces through
 //! [`crate::stream::ExecStream::error`] — no panic crosses the gather
 //! boundary, and a poisoned source can never publish a truncated result.
-//! The pool itself survives ([`crate::pool`]).
+//! Breakers follow one rule, serial or partitioned: once the input ends,
+//! a set slot (or a missing partial) is the answer, and the breaker emits
+//! no rows. The pool itself survives ([`crate::pool`]).
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,18 +54,15 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
-use rdb_expr::{AggFunc, Expr};
-use rdb_plan::{Plan, SortKeyExpr};
+use rdb_plan::Plan;
 use rdb_storage::Table;
-use rdb_vector::{morsel_bounds, morsel_count, Batch, DataType};
+use rdb_vector::{morsel_bounds, morsel_count, Batch};
 
-use crate::agg::GroupTable;
 use crate::error::{panic_message, ExecError, FailSlot};
 use crate::fuse::{build_stages, collect_chain, FusedChain};
 use crate::metrics::{MetricsNode, OpMetrics};
-use crate::op::{timed_next, Operator};
+use crate::op::Operator;
 use crate::pool::{run_jobs, Job, WorkerPool};
-use crate::sort::TopNState;
 
 /// Hands out `(morsel index, batch)` pairs from a pinned table snapshot.
 /// The atomic cursor *is* the work-stealing: workers pull the next morsel
@@ -138,8 +138,8 @@ impl MorselDispenser {
     }
 }
 
-/// A constructed parallel pipeline, ready to be wrapped by a consumer
-/// ([`GatherExec`], [`ParallelAggExec`], [`ParallelTopNExec`]).
+/// A constructed parallel pipeline, ready to be consumed by a
+/// [`GatherExec`] or a folding breaker ([`BreakerInput::Partitioned`]).
 pub struct ParallelSource {
     /// Shared morsel source (also the progress meter).
     pub dispenser: Arc<MorselDispenser>,
@@ -346,14 +346,69 @@ impl Operator for GatherExec {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned breakers: aggregation and top-N over per-worker partials
+// Breaker input: one fold over serial or partitioned input
 // ---------------------------------------------------------------------------
 
+/// The input a folding breaker (aggregate, top-N, sort) consumes.
+pub enum BreakerInput {
+    /// A serial child operator: folded into one state, with its batch
+    /// ordinal as the chunk.
+    Operator(Box<dyn Operator>),
+    /// A scan-rooted pipeline split across workers: folded into one state
+    /// per worker, with the morsel index as the chunk.
+    Partitioned(ParallelSource),
+}
+
+/// Fold a breaker's whole input and merge the partial states into the
+/// first. `fold` receives each batch with its chunk, the batch's place in
+/// canonical scan order (top-N derives position tie-breaks from it). Every
+/// folded row counts as one unit of `metrics`' own work.
+///
+/// Once the input ends, a set `fail` slot is the answer for either kind
+/// of input: a breaker never emits a result folded from a stream that
+/// ended short.
+pub(crate) fn fold_input<S: Send + 'static>(
+    input: BreakerInput,
+    fail: &FailSlot,
+    metrics: Arc<OpMetrics>,
+    make: impl Fn() -> S,
+    fold: impl Fn(&mut S, u64, Batch) + Send + Sync + Clone + 'static,
+    merge: impl Fn(&mut S, S),
+) -> Result<S, ExecError> {
+    let fold = move |state: &mut S, chunk: u64, batch: Batch| {
+        metrics.add_work(batch.rows() as u64);
+        fold(state, chunk, batch);
+    };
+    let partials = match input {
+        BreakerInput::Operator(mut op) => {
+            let mut state = make();
+            let mut chunk = 0;
+            while let Some(batch) = op.next_batch() {
+                fold(&mut state, chunk, batch);
+                chunk += 1;
+            }
+            vec![state]
+        }
+        BreakerInput::Partitioned(source) => run_partials(source, make, fold)?,
+    };
+    if let Some(e) = fail.get() {
+        return Err(e);
+    }
+    let mut partials = partials.into_iter();
+    let mut first = partials
+        .next()
+        .ok_or_else(|| ExecError::msg("a partitioned breaker ran no workers"))?;
+    for p in partials {
+        merge(&mut first, p);
+    }
+    Ok(first)
+}
+
 /// Run the pipeline to completion, one `fold` state per worker, and hand
-/// the partials back. `fold` receives the morsel index alongside each
-/// output batch (top-N derives position tie-breaks from it; aggregation
-/// ignores it). A dead worker never sends its partial — the shortfall
-/// comes back as the structured error the worker recorded. (Cancellation
+/// the partials back. A dead worker never sends its partial — the
+/// shortfall comes back as the structured error the worker recorded. A
+/// worker whose chain recorded a stage failure still winds down and sends
+/// its (truncated) partial; [`fold_input`] checks the slot. (Cancellation
 /// is not a shortfall: it stops morsel hand-out, so every worker still
 /// winds down normally and sends its partial.)
 fn run_partials<S: Send + 'static>(
@@ -402,9 +457,7 @@ fn run_partials<S: Send + 'static>(
     drop(tx);
     run_jobs(pool.as_ref(), jobs);
     let partials: Vec<S> = rx.into_iter().collect();
-    // A worker whose chain recorded a stage failure still winds down and
-    // sends its (truncated) partial, so the slot is checked as well.
-    if partials.len() != workers || fail.is_set() {
+    if partials.len() != workers {
         return Err(fail.get().unwrap_or_else(|| {
             ExecError::msg(format!(
                 "a parallel breaker worker failed ({} of {workers} partials arrived)",
@@ -413,211 +466,4 @@ fn run_partials<S: Send + 'static>(
         }));
     }
     Ok(partials)
-}
-
-/// Partitioned hash aggregation: every worker folds its morsels into a
-/// private `GroupTable`; the partials are merged at the breaker and the
-/// merged groups emitted sorted by key — the same order the serial
-/// aggregate emits, so the result is independent of the merge order.
-pub struct ParallelAggExec {
-    source: Option<ParallelSource>,
-    group_by: Vec<Expr>,
-    aggs: Vec<AggFunc>,
-    input_types: Vec<DataType>,
-    output_types: Vec<DataType>,
-    output: Option<Vec<Batch>>,
-    emitted: usize,
-    metrics: Arc<OpMetrics>,
-    fail: Arc<FailSlot>,
-}
-
-impl ParallelAggExec {
-    /// See [`crate::agg::HashAggExec::new`] for the parameter contract.
-    pub fn new(
-        source: ParallelSource,
-        group_by: Vec<Expr>,
-        aggs: Vec<AggFunc>,
-        input_types: Vec<DataType>,
-        output_types: Vec<DataType>,
-        metrics: Arc<OpMetrics>,
-    ) -> Self {
-        assert_eq!(group_by.len() + aggs.len(), output_types.len());
-        let fail = source.fail.clone();
-        ParallelAggExec {
-            source: Some(source),
-            group_by,
-            aggs,
-            input_types,
-            output_types,
-            output: None,
-            emitted: 0,
-            metrics,
-            fail,
-        }
-    }
-
-    fn build(&mut self) -> Result<Vec<Batch>, ExecError> {
-        let Some(source) = self.source.take() else {
-            return Err(ExecError::msg(
-                "parallel aggregate restarted after teardown",
-            ));
-        };
-        let group_by = self.group_by.clone();
-        let aggs = self.aggs.clone();
-        let input_types = self.input_types.clone();
-        let agg_metrics = self.metrics.clone();
-        let partials = run_partials(
-            source,
-            || GroupTable::new(group_by.clone(), aggs.clone(), input_types.clone()),
-            move |table, _idx, batch| {
-                agg_metrics.add_work(batch.rows() as u64);
-                table.fold(&batch);
-            },
-        )?;
-        let mut partials = partials.into_iter();
-        let mut merged = partials
-            .next()
-            .ok_or_else(|| ExecError::msg("parallel aggregate ran no workers"))?;
-        for p in partials {
-            merged.merge(p);
-        }
-        Ok(merged.finish(&self.output_types))
-    }
-}
-
-impl Operator for ParallelAggExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.output.is_none() {
-                match self.build() {
-                    Ok(built) => self.output = Some(built),
-                    Err(e) => {
-                        // Surface through the fail slot and end the stream.
-                        self.fail.set(e);
-                        self.output = Some(Vec::new());
-                    }
-                }
-            }
-            let out = self.output.as_ref()?;
-            if self.emitted < out.len() {
-                let b = out[self.emitted].clone();
-                self.emitted += 1;
-                Some(b)
-            } else {
-                None
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        match &self.output {
-            None => 0.0,
-            Some(out) => {
-                if out.is_empty() {
-                    1.0
-                } else {
-                    self.emitted as f64 / out.len() as f64
-                }
-            }
-        }
-    }
-}
-
-/// Partitioned top-N: per-worker heap runs (ties broken by global scan
-/// position, exactly like the serial operator) merged at the breaker.
-pub struct ParallelTopNExec {
-    source: Option<ParallelSource>,
-    keys: Vec<SortKeyExpr>,
-    n: usize,
-    output_types: Vec<DataType>,
-    output: Option<Vec<Batch>>,
-    emitted: usize,
-    metrics: Arc<OpMetrics>,
-    fail: Arc<FailSlot>,
-}
-
-impl ParallelTopNExec {
-    /// Keep the first `n` rows of the pipeline under `keys` order.
-    pub fn new(
-        source: ParallelSource,
-        keys: Vec<SortKeyExpr>,
-        n: usize,
-        output_types: Vec<DataType>,
-        metrics: Arc<OpMetrics>,
-    ) -> Self {
-        let fail = source.fail.clone();
-        ParallelTopNExec {
-            source: Some(source),
-            keys,
-            n,
-            output_types,
-            output: None,
-            emitted: 0,
-            metrics,
-            fail,
-        }
-    }
-
-    fn build(&mut self) -> Result<Vec<Batch>, ExecError> {
-        let Some(source) = self.source.take() else {
-            return Err(ExecError::msg("parallel top-N restarted after teardown"));
-        };
-        let keys = self.keys.clone();
-        let n = self.n;
-        let topn_metrics = self.metrics.clone();
-        let partials = run_partials(
-            source,
-            || TopNState::new(keys.clone(), n),
-            move |state, idx, batch| {
-                topn_metrics.add_work(batch.rows() as u64);
-                // The morsel index feeds the global-scan-position
-                // tie-break, matching the serial operator's chunk ordinal.
-                state.fold(&batch, idx);
-            },
-        )?;
-        let mut merged = TopNState::new(self.keys.clone(), self.n);
-        for p in partials {
-            merged.merge(p);
-        }
-        Ok(merged.into_batches(&self.output_types))
-    }
-}
-
-impl Operator for ParallelTopNExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.output.is_none() {
-                match self.build() {
-                    Ok(built) => self.output = Some(built),
-                    Err(e) => {
-                        self.fail.set(e);
-                        self.output = Some(Vec::new());
-                    }
-                }
-            }
-            let out = self.output.as_ref()?;
-            if self.emitted < out.len() {
-                let b = out[self.emitted].clone();
-                self.emitted += 1;
-                Some(b)
-            } else {
-                None
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        match &self.output {
-            None => 0.0,
-            Some(out) => {
-                if out.is_empty() {
-                    1.0
-                } else {
-                    self.emitted as f64 / out.len() as f64
-                }
-            }
-        }
-    }
 }

@@ -7,8 +7,9 @@ use rdb_storage::Table;
 use rdb_vector::{Batch, Value, BATCH_CAPACITY};
 
 use crate::context::TableFunction;
+use crate::error::FailSlot;
 use crate::metrics::OpMetrics;
-use crate::op::{timed_next, Operator};
+use crate::op::{timed_next, BlockingExec, Operator};
 
 /// Sequential scan over an in-memory table with column projection. Each
 /// batch is an O(1) zero-copy slice of the table's columns.
@@ -74,65 +75,21 @@ impl Operator for ScanExec {
 
 /// Table-function scan: computes the function's full result on first pull
 /// (functions are black boxes with no incremental interface), then streams
-/// it out in batches.
-pub struct FnScanExec {
+/// it out in batches. Its own work is the work the function reports.
+pub fn fn_scan(
     function: Arc<dyn TableFunction>,
     args: Vec<Value>,
-    produced: Option<Vec<Batch>>,
-    next: usize,
     metrics: Arc<OpMetrics>,
-}
-
-impl FnScanExec {
-    /// Scan `function(args)`.
-    pub fn new(
-        function: Arc<dyn TableFunction>,
-        args: Vec<Value>,
-        metrics: Arc<OpMetrics>,
-    ) -> Self {
-        FnScanExec {
-            function,
-            args,
-            produced: None,
-            next: 0,
-            metrics,
-        }
-    }
-}
-
-impl Operator for FnScanExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.produced.is_none() {
-                let mut work = 0u64;
-                let batches = self.function.execute(&self.args, &mut work);
-                self.metrics.add_work(work);
-                self.produced = Some(batches);
-            }
-            let batches = self.produced.as_mut().unwrap();
-            if self.next < batches.len() {
-                let b = batches[self.next].clone();
-                self.next += 1;
-                Some(b)
-            } else {
-                None
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        match &self.produced {
-            None => 0.0,
-            Some(batches) => {
-                if batches.is_empty() {
-                    1.0
-                } else {
-                    self.next as f64 / batches.len() as f64
-                }
-            }
-        }
-    }
+    fail: Arc<FailSlot>,
+) -> BlockingExec {
+    let work_metrics = metrics.clone();
+    let build = move || {
+        let mut work = 0u64;
+        let batches = function.execute(&args, &mut work);
+        work_metrics.add_work(work);
+        Ok(batches)
+    };
+    BlockingExec::new(build, metrics, fail)
 }
 
 #[cfg(test)]
@@ -181,7 +138,12 @@ mod tests {
     #[test]
     fn fn_scan_executes_once_and_reports_work() {
         let m = OpMetrics::shared();
-        let mut f = FnScanExec::new(Arc::new(Doubler), vec![Value::Int(21)], m.clone());
+        let mut f = fn_scan(
+            Arc::new(Doubler),
+            vec![Value::Int(21)],
+            m.clone(),
+            FailSlot::shared(),
+        );
         assert_eq!(f.progress(), 0.0);
         let out = run_to_batch(&mut f);
         assert_eq!(out.column(0).as_ints(), &[42]);

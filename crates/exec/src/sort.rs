@@ -10,90 +10,56 @@ use rdb_vector::column::ColumnBuilder;
 use rdb_vector::row::{RowCmp, SortOrder};
 use rdb_vector::{Batch, Column, DataType, Value, BATCH_CAPACITY};
 
+use crate::error::FailSlot;
 use crate::metrics::OpMetrics;
-use crate::op::{timed_next, Operator};
+use crate::op::{timed_next, BlockingExec, Operator};
+use crate::parallel::{fold_input, BreakerInput};
 
-/// Blocking full sort by the given keys.
-pub struct SortExec {
-    child: Box<dyn Operator>,
+/// Blocking full sort by the given keys: folds the whole input into a
+/// `Vec<Batch>`, then sorts it stably. The input must be the canonical
+/// (serial or gathered) batch sequence, so ties keep their scan order.
+pub fn sort(
+    input: Box<dyn Operator>,
     keys: Vec<SortKeyExpr>,
-    output: Option<Vec<Batch>>,
-    emitted: usize,
     metrics: Arc<OpMetrics>,
+    fail: Arc<FailSlot>,
+) -> BlockingExec {
+    let (work, slot) = (metrics.clone(), fail.clone());
+    let build = move || {
+        let batches = fold_input(
+            BreakerInput::Operator(input),
+            &slot,
+            work,
+            Vec::new,
+            |batches, _chunk, batch| batches.push(batch),
+            Vec::extend,
+        )?;
+        Ok(sort_batches(&batches, &keys))
+    };
+    BlockingExec::new(build, metrics, fail)
 }
 
-impl SortExec {
-    /// Sort `child` by `keys`.
-    pub fn new(child: Box<dyn Operator>, keys: Vec<SortKeyExpr>, metrics: Arc<OpMetrics>) -> Self {
-        SortExec {
-            child,
-            keys,
-            output: None,
-            emitted: 0,
-            metrics,
-        }
+fn sort_batches(batches: &[Batch], keys: &[SortKeyExpr]) -> Vec<Batch> {
+    if batches.is_empty() {
+        return Vec::new();
     }
-
-    fn build(&mut self) -> Vec<Batch> {
-        let mut batches = Vec::new();
-        while let Some(b) = self.child.next_batch() {
-            self.metrics.add_work(b.rows() as u64);
-            batches.push(b);
-        }
-        if batches.is_empty() {
-            return Vec::new();
-        }
-        let all = Batch::concat(&batches);
-        let key_cols: Vec<Column> = self.keys.iter().map(|k| eval(&k.expr, &all)).collect();
-        let key_refs: Vec<&Column> = key_cols.iter().collect();
-        let orders: Vec<SortOrder> = self.keys.iter().map(|k| k.order).collect();
-        let cmp = RowCmp::new(&key_refs, &key_refs, &orders);
-        let mut idx: Vec<u32> = (0..all.rows() as u32).collect();
-        idx.sort_by(|&a, &b| cmp.cmp(a as usize, b as usize));
-        let sorted = all.take(&idx);
-        // Re-chunk into standard batches.
-        let mut out = Vec::new();
-        let mut offset = 0;
-        while offset < sorted.rows() {
-            let len = BATCH_CAPACITY.min(sorted.rows() - offset);
-            out.push(sorted.slice(offset, len));
-            offset += len;
-        }
-        out
+    let all = Batch::concat(batches);
+    let key_cols: Vec<Column> = keys.iter().map(|k| eval(&k.expr, &all)).collect();
+    let key_refs: Vec<&Column> = key_cols.iter().collect();
+    let orders: Vec<SortOrder> = keys.iter().map(|k| k.order).collect();
+    let cmp = RowCmp::new(&key_refs, &key_refs, &orders);
+    let mut idx: Vec<u32> = (0..all.rows() as u32).collect();
+    idx.sort_by(|&a, &b| cmp.cmp(a as usize, b as usize));
+    let sorted = all.take(&idx);
+    // Re-chunk into standard batches.
+    let mut out = Vec::new();
+    let mut offset = 0;
+    while offset < sorted.rows() {
+        let len = BATCH_CAPACITY.min(sorted.rows() - offset);
+        out.push(sorted.slice(offset, len));
+        offset += len;
     }
-}
-
-impl Operator for SortExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.output.is_none() {
-                let built = self.build();
-                self.output = Some(built);
-            }
-            let out = self.output.as_ref().unwrap();
-            if self.emitted < out.len() {
-                let b = out[self.emitted].clone();
-                self.emitted += 1;
-                Some(b)
-            } else {
-                None
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        match &self.output {
-            None => 0.0,
-            Some(out) => {
-                if out.is_empty() {
-                    1.0
-                } else {
-                    self.emitted as f64 / out.len() as f64
-                }
-            }
-        }
-    }
+    out
 }
 
 /// A heap entry: sort-key values, the full row, and the row's global
@@ -140,11 +106,11 @@ impl Ord for HeapRow {
 }
 
 /// The accumulating state of a top-N: an N-row max-heap whose root is the
-/// *worst* retained row. Shared between the serial [`TopNExec`] and the
-/// per-worker partial runs of parallel top-N, which are combined with
-/// [`TopNState::merge`] at the breaker — the position tie-break (see
-/// [`HeapRow`]) makes the merged result byte-identical to the serial one
-/// regardless of how rows were distributed over workers.
+/// *worst* retained row. [`top_n`] folds serial input into one and
+/// partitioned input into one per worker, then combines those with
+/// [`TopNState::merge`] — the position tie-break (see [`HeapRow`]) makes
+/// the merged result byte-identical to the serial one regardless of how
+/// rows were distributed over workers.
 pub(crate) struct TopNState {
     keys: Vec<SortKeyExpr>,
     orders: Arc<[SortOrder]>,
@@ -230,81 +196,31 @@ impl TopNState {
     }
 }
 
-/// Heap-based top-N (paper §IV-B): maintains an N-row max-heap so the cost
-/// is `O(M log N)` rather than a full sort. Emits rows in key order.
-pub struct TopNExec {
-    child: Box<dyn Operator>,
+/// Heap-based top-N (paper §IV-B): folds the input into an N-row
+/// max-heap (one per worker when partitioned, merged into the first), so
+/// the cost is `O(M log N)` rather than a full sort. Emits rows in key
+/// order.
+pub fn top_n(
+    input: BreakerInput,
     keys: Vec<SortKeyExpr>,
     n: usize,
     output_types: Vec<DataType>,
-    output: Option<Vec<Batch>>,
-    emitted: usize,
     metrics: Arc<OpMetrics>,
-}
-
-impl TopNExec {
-    /// Keep the first `n` rows of `child` under `keys` order.
-    pub fn new(
-        child: Box<dyn Operator>,
-        keys: Vec<SortKeyExpr>,
-        n: usize,
-        output_types: Vec<DataType>,
-        metrics: Arc<OpMetrics>,
-    ) -> Self {
-        TopNExec {
-            child,
-            keys,
-            n,
-            output_types,
-            output: None,
-            emitted: 0,
-            metrics,
-        }
-    }
-
-    fn build(&mut self) -> Vec<Batch> {
-        let mut state = TopNState::new(self.keys.clone(), self.n);
-        let mut chunk = 0u64;
-        while let Some(batch) = self.child.next_batch() {
-            self.metrics.add_work(batch.rows() as u64);
-            state.fold(&batch, chunk);
-            chunk += 1;
-        }
-        state.into_batches(&self.output_types)
-    }
-}
-
-impl Operator for TopNExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.output.is_none() {
-                let built = self.build();
-                self.output = Some(built);
-            }
-            let out = self.output.as_ref().unwrap();
-            if self.emitted < out.len() {
-                let b = out[self.emitted].clone();
-                self.emitted += 1;
-                Some(b)
-            } else {
-                None
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        match &self.output {
-            None => 0.0,
-            Some(out) => {
-                if out.is_empty() {
-                    1.0
-                } else {
-                    self.emitted as f64 / out.len() as f64
-                }
-            }
-        }
-    }
+    fail: Arc<FailSlot>,
+) -> BlockingExec {
+    let (work, slot) = (metrics.clone(), fail.clone());
+    let build = move || {
+        let state = fold_input(
+            input,
+            &slot,
+            work,
+            || TopNState::new(keys.clone(), n),
+            |state, chunk, batch| state.fold(&batch, chunk),
+            TopNState::merge,
+        )?;
+        Ok(state.into_batches(&output_types))
+    };
+    BlockingExec::new(build, metrics, fail)
 }
 
 /// Pass through the first `n` rows, then stop pulling.
@@ -413,14 +329,31 @@ mod tests {
         ])])
     }
 
+    fn sorted(child: Box<dyn Operator>, keys: Vec<SortKeyExpr>) -> BlockingExec {
+        sort(child, keys, OpMetrics::shared(), FailSlot::shared())
+    }
+
+    /// A serial top-N over `child`.
+    fn top(
+        child: Box<dyn Operator>,
+        keys: Vec<SortKeyExpr>,
+        n: usize,
+        output_types: Vec<DataType>,
+    ) -> BlockingExec {
+        top_n(
+            BreakerInput::Operator(child),
+            keys,
+            n,
+            output_types,
+            OpMetrics::shared(),
+            FailSlot::shared(),
+        )
+    }
+
     #[test]
     fn sort_orders_rows() {
         let child = src(vec![3, 1, 2], vec![0.3, 0.1, 0.2]);
-        let mut s = SortExec::new(
-            child,
-            vec![SortKeyExpr::asc(Expr::col(0))],
-            OpMetrics::shared(),
-        );
+        let mut s = sorted(child, vec![SortKeyExpr::asc(Expr::col(0))]);
         let out = run_to_batch(&mut s);
         assert_eq!(out.column(0).as_ints(), &[1, 2, 3]);
         assert_eq!(out.column(1).as_floats(), &[0.1, 0.2, 0.3]);
@@ -429,13 +362,12 @@ mod tests {
     #[test]
     fn sort_desc_and_secondary_key() {
         let child = src(vec![1, 1, 2], vec![0.1, 0.9, 0.5]);
-        let mut s = SortExec::new(
+        let mut s = sorted(
             child,
             vec![
                 SortKeyExpr::desc(Expr::col(0)),
                 SortKeyExpr::asc(Expr::col(1)),
             ],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut s);
         assert_eq!(out.column(0).as_ints(), &[2, 1, 1]);
@@ -445,12 +377,11 @@ mod tests {
     #[test]
     fn top_n_keeps_best() {
         let child = src(vec![5, 3, 9, 1, 7], vec![0.5, 0.3, 0.9, 0.1, 0.7]);
-        let mut t = TopNExec::new(
+        let mut t = top(
             child,
             vec![SortKeyExpr::asc(Expr::col(0))],
             3,
             vec![DataType::Int, DataType::Float],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut t);
         assert_eq!(out.column(0).as_ints(), &[1, 3, 5]);
@@ -459,12 +390,11 @@ mod tests {
     #[test]
     fn top_n_desc() {
         let child = src(vec![5, 3, 9, 1, 7], vec![0.0; 5]);
-        let mut t = TopNExec::new(
+        let mut t = top(
             child,
             vec![SortKeyExpr::desc(Expr::col(0))],
             2,
             vec![DataType::Int, DataType::Float],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut t);
         assert_eq!(out.column(0).as_ints(), &[9, 7]);
@@ -473,12 +403,11 @@ mod tests {
     #[test]
     fn top_n_smaller_input() {
         let child = src(vec![2, 1], vec![0.0; 2]);
-        let mut t = TopNExec::new(
+        let mut t = top(
             child,
             vec![SortKeyExpr::asc(Expr::col(0))],
             10,
             vec![DataType::Int, DataType::Float],
-            OpMetrics::shared(),
         );
         let out = run_to_batch(&mut t);
         assert_eq!(out.column(0).as_ints(), &[1, 2]);

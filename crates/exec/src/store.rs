@@ -14,7 +14,8 @@
 //! `n` of `m` tuples has progress `n/m`, and `estimate = observed/progress`.
 //! The recycler supplies the verdict through [`ResultStore::speculate`].
 //!
-//! [`CachedExec`] replays a previously materialized result.
+//! [`cached`] replays a previously materialized result as a
+//! [`BlockingExec`].
 //!
 //! Both directions of the cache are zero-copy: the tee buffers **shared**
 //! batch clones (refcount bumps; data is only gathered once, when the
@@ -40,7 +41,7 @@ use rdb_vector::{morsel_bounds, morsel_count, Batch, Schema};
 use crate::error::FailSlot;
 use crate::join::BuildSide;
 use crate::metrics::OpMetrics;
-use crate::op::{timed_next, Operator};
+use crate::op::{timed_next, BlockingExec, Operator};
 
 /// A fully materialized (intermediate or final) query result: its rows
 /// as a [`ChunkList`], the type base-table snapshots use, so a repaired
@@ -411,62 +412,22 @@ impl Operator for StoreExec {
     }
 }
 
-/// Reads a materialized result from the cache.
-pub struct CachedExec {
+/// Replays the materialized result leased under `tag`: fetched on the
+/// first pull, then streamed as zero-copy slices. A missing lease is a
+/// recycler bug and panics.
+pub fn cached(
     tag: u64,
     store: Arc<dyn ResultStore>,
-    batches: Option<Vec<Batch>>,
-    next: usize,
     metrics: Arc<OpMetrics>,
-}
-
-impl CachedExec {
-    /// Replay the result leased under `tag`.
-    pub fn new(tag: u64, store: Arc<dyn ResultStore>, metrics: Arc<OpMetrics>) -> Self {
-        CachedExec {
-            tag,
-            store,
-            batches: None,
-            next: 0,
-            metrics,
-        }
-    }
-}
-
-impl Operator for CachedExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.batches.is_none() {
-                let result = self
-                    .store
-                    .fetch(self.tag)
-                    .unwrap_or_else(|| panic!("no leased result for tag {}", self.tag));
-                self.batches = Some(result.batches());
-            }
-            let batches = self.batches.as_ref().unwrap();
-            if self.next < batches.len() {
-                let b = batches[self.next].clone();
-                self.next += 1;
-                Some(b)
-            } else {
-                None
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        match &self.batches {
-            None => 0.0,
-            Some(b) => {
-                if b.is_empty() {
-                    1.0
-                } else {
-                    self.next as f64 / b.len() as f64
-                }
-            }
-        }
-    }
+    fail: Arc<FailSlot>,
+) -> BlockingExec {
+    let build = move || {
+        let result = store
+            .fetch(tag)
+            .unwrap_or_else(|| panic!("no leased result for tag {tag}"));
+        Ok(result.batches())
+    };
+    BlockingExec::new(build, metrics, fail)
 }
 
 #[cfg(test)]
@@ -616,7 +577,7 @@ mod tests {
                 &[Batch::new(vec![Column::from_ints(vec![5, 6])])],
             ),
         );
-        let mut c = CachedExec::new(9, store, OpMetrics::shared());
+        let mut c = cached(9, store, OpMetrics::shared(), FailSlot::shared());
         let out = run_to_batch(&mut c);
         assert_eq!(out.column(0).as_ints(), &[5, 6]);
         assert_eq!(c.progress(), 1.0);
@@ -634,7 +595,7 @@ mod tests {
     #[should_panic(expected = "no leased result")]
     fn cached_exec_panics_without_lease() {
         let store = Arc::new(MockStore::default());
-        let mut c = CachedExec::new(42, store, OpMetrics::shared());
+        let mut c = cached(42, store, OpMetrics::shared(), FailSlot::shared());
         c.next_batch();
     }
 }

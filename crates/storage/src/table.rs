@@ -324,11 +324,6 @@ impl VersionedTable {
         *self.hook.write() = Some(hook);
     }
 
-    /// Remove the commit hook, if any.
-    pub fn clear_commit_hook(&self) {
-        *self.hook.write() = None;
-    }
-
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name

@@ -217,14 +217,6 @@ impl Default for TpchConfig {
 }
 
 impl TpchConfig {
-    /// Config with the given scale factor.
-    pub fn with_scale(scale: f64) -> Self {
-        TpchConfig {
-            scale,
-            ..Default::default()
-        }
-    }
-
     fn count(&self, base: f64) -> usize {
         ((base * self.scale) as usize).max(1)
     }

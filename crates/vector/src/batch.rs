@@ -94,12 +94,6 @@ impl Batch {
         self.sel.as_ref().map(|s| &s[..])
     }
 
-    /// Shared handle to the selection vector (for carrying it onto a
-    /// derived batch with the same physical row space, e.g. a projection).
-    pub fn sel_arc(&self) -> Option<Arc<Vec<u32>>> {
-        self.sel.clone()
-    }
-
     /// Number of logical rows (what downstream operators see).
     #[inline]
     pub fn rows(&self) -> usize {
