@@ -3,9 +3,9 @@
 //! The recycler's value proposition is that a cache hit costs (almost)
 //! nothing. This bench populates the recycler with a cached result of N
 //! rows, then measures the cost of replaying it through a prepared
-//! statement — the `rdb_exec::store::cached` replay (a `BlockingExec`)
-//! → `QueryHandle` path a SkyServer hot template takes on every repeat
-//! execution. With zero-copy batches the replay cost should be
+//! statement — a zero-stage chain over a morsel dispenser reading the
+//! cached result's chunks → `QueryHandle`, the path a SkyServer hot
+//! template takes on every repeat execution. With zero-copy batches the replay cost should be
 //! near-independent of N; with deep-copied batches it grows linearly (a
 //! memcpy tax proportional to the result).
 //!

@@ -1,12 +1,13 @@
 //! Plan-to-executor builder.
 //!
-//! Every span of pipelining nodes (`Select`, `Project`, join probes)
-//! becomes one [`crate::fuse::FusedChain`] over its source — a morsel
-//! dispenser when the span sits on a base-table scan, the built child
-//! operator otherwise. With `ExecContext::parallelism > 1` the builder
-//! additionally splits scan-rooted chains across a worker pool at the
-//! natural consumer points — the plan root, store tees, and the blocking
-//! breakers (aggregate, top-N, sort) — and drives the same chain serially
+//! Every span of pipelining nodes (`Select`, `Project`, join probes,
+//! store tees) becomes one [`crate::fuse::FusedChain`] over its source — a
+//! morsel dispenser when the span sits on a table scan or a cached result,
+//! the built child operator otherwise; a bare scan or cached leaf is a
+//! chain of no stages. With `ExecContext::parallelism > 1` the builder
+//! additionally splits dispenser-rooted chains across a worker pool at the
+//! natural consumer points — the plan root and the blocking breakers
+//! (aggregate, top-N, sort) — and drives the same chain serially
 //! everywhere else. Serial and parallel builds of the same plan produce
 //! byte-identical output streams (see [`crate::parallel`]).
 
@@ -14,7 +15,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rdb_expr::{AggFunc, Expr};
-use rdb_plan::{Plan, PlanError, StoreMode};
+use rdb_plan::{Plan, PlanError};
+use rdb_storage::Table;
 use rdb_vector::{Batch, DataType, Schema};
 
 use crate::agg::aggregate;
@@ -25,9 +27,9 @@ use crate::join::{BuildPublish, BuildSide, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::{collect_all, Operator};
 use crate::parallel::{build_source, BreakerInput, GatherExec, MorselDispenser};
-use crate::scan::{fn_scan, ScanExec};
+use crate::scan::fn_scan;
 use crate::sort::{sort, top_n, LimitExec, UnionAllExec};
-use crate::store::{cached, StateCost, StoreExec};
+use crate::store::StateCost;
 
 /// A built executor: the root operator, the per-node metrics tree (parallel
 /// to the plan), and the output schema.
@@ -64,8 +66,8 @@ pub fn build(plan: &Plan, ctx: &ExecContext) -> Result<ExecTree, PlanError> {
         ));
     }
     let schema = plan.schema(&ctx.catalog)?;
-    // The stream edge is itself a pipeline consumer: a scan-rooted chain
-    // with no breaker above it parallelizes here.
+    // The stream edge is itself a pipeline consumer: a dispenser-rooted
+    // chain with no breaker above it parallelizes here.
     let (root, metrics) = build_gathered(plan, ctx)?;
     Ok(ExecTree {
         root,
@@ -151,43 +153,56 @@ pub(crate) fn join_build(
     ))
 }
 
-/// Resolve a scan's table version (the pinned snapshot's, if any) and its
-/// column projection.
-fn resolve_scan(
-    table: &str,
-    cols: &[String],
+/// The morsel source of a chain rooted at `leaf`, with the leaf's metrics
+/// node, when `leaf` is a table scan (the pinned snapshot's version, under
+/// the scan's projection) or a cached result (its lease, fetched now), and
+/// `None` for any other node. Dispenser metrics read time 0: no decision
+/// reads a leaf's cost.
+pub(crate) fn leaf_dispenser(
+    leaf: &Plan,
     ctx: &ExecContext,
-) -> Result<(Arc<rdb_storage::Table>, Vec<usize>), PlanError> {
-    let t = ctx
-        .table(table)
-        .ok_or_else(|| PlanError::unknown_table(table))?;
-    let projection = cols
-        .iter()
-        .map(|c| {
-            t.schema()
-                .index_of(c)
-                .ok_or_else(|| PlanError::unknown_column(c, format!("table '{table}'")))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok((t, projection))
-}
-
-/// The morsel source of a scan-rooted chain, with the scan's metrics leaf.
-pub(crate) fn scan_dispenser(
-    table: &str,
-    cols: &[String],
-    ctx: &ExecContext,
-) -> Result<(Arc<MorselDispenser>, MetricsNode), PlanError> {
-    let (t, projection) = resolve_scan(table, cols, ctx)?;
+) -> Result<Option<(Arc<MorselDispenser>, MetricsNode)>, PlanError> {
     let m = OpMetrics::shared();
-    let dispenser = MorselDispenser::new(t, projection, m.clone()).with_cancel(ctx.cancel.clone());
-    Ok((Arc::new(dispenser), MetricsNode::leaf(m)))
+    let dispenser = match leaf {
+        Plan::Scan { table, cols } => {
+            let t = ctx
+                .table(table)
+                .ok_or_else(|| PlanError::unknown_table(table))?;
+            let projection = cols
+                .iter()
+                .map(|c| {
+                    t.schema()
+                        .index_of(c)
+                        .ok_or_else(|| PlanError::unknown_column(c, format!("table '{table}'")))
+                })
+                .collect::<Result<_, _>>()?;
+            MorselDispenser::new(t, projection, m.clone())
+        }
+        Plan::Cached { tag, .. } => {
+            let store = ctx
+                .store
+                .as_ref()
+                .ok_or_else(|| PlanError::msg("cached node without a result store"))?;
+            let result = store
+                .fetch(*tag)
+                .ok_or_else(|| PlanError::msg(format!("no leased result for cached tag {tag}")))?;
+            // Read like a table: a snapshot sharing the result's chunks, on
+            // the grid `MaterializedResult::batches` cuts.
+            let chunks = result.chunks().chunks().to_vec();
+            let table = Table::from_chunks("cached", result.schema.clone(), chunks, 0);
+            let all = (0..result.schema.len()).collect();
+            MorselDispenser::new(Arc::new(table), all, m.clone())
+        }
+        _ => return Ok(None),
+    };
+    let dispenser = dispenser.with_cancel(ctx.cancel.clone());
+    Ok(Some((Arc::new(dispenser), MetricsNode::leaf(m))))
 }
 
 /// Build `plan` as an order-preserving parallel pipeline if it is a
-/// suitable scan-rooted chain, else serially. Used at every point where a
-/// consumer accepts the canonical batch sequence: the plan root, store
-/// tees, and sort inputs.
+/// suitable dispenser-rooted chain, else serially. Used at every point
+/// where a consumer accepts the canonical batch sequence: the plan root
+/// and sort inputs.
 fn build_gathered(
     plan: &Plan,
     ctx: &ExecContext,
@@ -199,7 +214,7 @@ fn build_gathered(
     build_node(plan, ctx)
 }
 
-/// The input of a folding breaker. A suitable scan-rooted chain is split
+/// The input of a folding breaker. A suitable dispenser-rooted chain is split
 /// across workers when `partition` allows the breaker to fold per-worker
 /// partials, and gathered into the canonical batch sequence otherwise;
 /// anything else is built serially.
@@ -212,7 +227,7 @@ fn breaker_input(
         Some(source) => {
             let metrics = source.metrics.clone();
             let input = if partition {
-                BreakerInput::Partitioned(source)
+                BreakerInput::Partitioned(Box::new(source))
             } else {
                 BreakerInput::Operator(Box::new(GatherExec::new(source)))
             };
@@ -231,13 +246,6 @@ fn build_node(
 ) -> Result<(Box<dyn Operator>, MetricsNode), PlanError> {
     let m = OpMetrics::shared();
     Ok(match plan {
-        Plan::Scan { table, cols } => {
-            let (t, projection) = resolve_scan(table, cols, ctx)?;
-            (
-                Box::new(ScanExec::new(t, projection, m.clone()).with_cancel(ctx.cancel.clone())),
-                MetricsNode::leaf(m),
-            )
-        }
         Plan::FnScan { name, args, .. } => {
             let f = ctx
                 .functions
@@ -261,18 +269,21 @@ fn build_node(
                 MetricsNode::leaf(m),
             )
         }
-        Plan::Select { .. } | Plan::Project { .. } | Plan::Join { .. } => {
+        Plan::Scan { .. }
+        | Plan::Cached { .. }
+        | Plan::Select { .. }
+        | Plan::Project { .. }
+        | Plan::Join { .. }
+        | Plan::Store { .. } => {
             // One chain for the whole pipelining span, over whatever sits
-            // below it (see `crate::fuse`).
+            // below it (see `crate::fuse`); a bare leaf is a chain of no
+            // stages.
             let (stages, source) = collect_chain(plan);
-            let (source, source_metrics) = match source {
-                Plan::Scan { table, cols } => {
-                    let (dispenser, sm) = scan_dispenser(table, cols, ctx)?;
-                    (ChainSource::Morsels(dispenser), sm)
-                }
-                other => {
-                    let (op, sm) = build_node(other, ctx)?;
-                    (ChainSource::Operator(op), sm)
+            let (source, source_metrics) = match leaf_dispenser(source, ctx)? {
+                Some((dispenser, sm)) => (ChainSource::Morsels(dispenser), sm),
+                None => {
+                    let (op, sm) = build_node(source, ctx)?;
+                    (ChainSource::Operator(op, 0), sm)
                 }
             };
             let (chain, metrics) = build_stages(&stages, source_metrics, ctx)?;
@@ -365,41 +376,6 @@ fn build_node(
                 MetricsNode::new(m, ms),
             )
         }
-        Plan::Cached { tag, .. } => {
-            let store = ctx
-                .store
-                .clone()
-                .ok_or_else(|| PlanError::msg("cached node without a result store"))?;
-            (
-                Box::new(cached(*tag, store, m.clone(), ctx.fail.clone())),
-                MetricsNode::leaf(m),
-            )
-        }
-        Plan::Store { child, tag, mode } => {
-            let store = ctx
-                .store
-                .clone()
-                .ok_or_else(|| PlanError::msg("store node without a result store"))?;
-            let child_schema = child.schema(&ctx.catalog)?;
-            // The tee buffers the canonical batch sequence, so a parallel
-            // pipeline below it publishes byte-identically to serial.
-            let (c, cm) = build_gathered(child, ctx)?;
-            (
-                Box::new(
-                    StoreExec::new(
-                        c,
-                        *tag,
-                        child_schema,
-                        store,
-                        *mode == StoreMode::Speculate,
-                        m.clone(),
-                    )
-                    .with_cancel(ctx.cancel.clone())
-                    .with_fail(ctx.fail.clone()),
-                ),
-                MetricsNode::new(m, vec![cm]),
-            )
-        }
     })
 }
 
@@ -407,10 +383,13 @@ fn build_node(
 mod tests {
     use super::*;
     use crate::op::run_to_batch;
+    use crate::store::testing::MockStore;
+    use crate::store::{MaterializedResult, ResultStore};
     use rdb_expr::{AggFunc, Expr};
-    use rdb_plan::{scan, SortKeyExpr};
+    use rdb_plan::{scan, SortKeyExpr, StoreMode};
     use rdb_storage::{Catalog, TableBuilder};
     use rdb_vector::Value;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     fn ctx() -> ExecContext {
@@ -480,7 +459,8 @@ mod tests {
     }
 
     /// `big`: 3,000 rows (`k` = i % 7, `v` = i), three morsels; `two`: a
-    /// two-row table, too many for a single join's build side.
+    /// two-row table, too many for a single join's build side. A mock
+    /// result store takes what tees publish.
     fn morsel_ctx(dop: usize) -> ExecContext {
         let mut cat = Catalog::new();
         let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Int)]);
@@ -493,7 +473,139 @@ mod tests {
         b.push_row(vec![Value::Int(1)]);
         b.push_row(vec![Value::Int(2)]);
         cat.register(b.finish()).expect("register table");
-        ExecContext::new(Arc::new(cat)).with_parallelism(dop)
+        ExecContext::new(Arc::new(cat))
+            .with_parallelism(dop)
+            .with_store(Arc::new(MockStore::default()))
+    }
+
+    /// `big`'s rows with `v > 100`: 2,899 of them, in all three morsels.
+    fn filtered() -> Plan {
+        scan("big", &["k", "v"]).select(Expr::name("v").gt(Expr::lit(100)))
+    }
+
+    #[test]
+    fn gather_reports_end_after_its_workers() {
+        let ctx = morsel_ctx(8);
+        let plan = filtered().bind(&ctx.catalog).unwrap();
+        let mut tree = build(&plan, &ctx).unwrap();
+        while tree.root.next_batch().is_some() {}
+        // The root just returned `None` for the first time: every worker
+        // (three, one per morsel) has flushed its chain's metrics.
+        let filter = &tree.metrics.metrics;
+        let leaf = &tree.metrics.children[0].metrics;
+        assert_eq!(filter.rows_out(), 2899);
+        assert_eq!(filter.calls(), 6, "3 morsels and 3 exhausted pulls");
+        assert_eq!((leaf.rows_out(), leaf.calls()), (3000, 3));
+    }
+
+    #[test]
+    fn tee_publishes_once_under_a_partitioned_aggregate() {
+        let plan = filtered().store(5, StoreMode::Materialize).aggregate(
+            vec![(Expr::name("k"), "k")],
+            vec![(AggFunc::CountStar, "n")],
+        );
+        let published = |dop: usize| {
+            let store = Arc::new(MockStore::default());
+            let ctx = morsel_ctx(dop).with_store(store.clone());
+            let plan = plan.clone().bind(&ctx.catalog).unwrap();
+            let Plan::Aggregate { child, .. } = &plan else {
+                unreachable!()
+            };
+            let partitioned = build_source(child, &ctx).unwrap().is_some();
+            assert_eq!(partitioned, dop > 1, "DOP {dop}");
+            let mut tree = build(&plan, &ctx).unwrap();
+            while tree.root.next_batch().is_some() {}
+            assert!(tree.fail.get().is_none());
+            assert_eq!(store.publishes.lock().as_slice(), &[5], "DOP {dop}");
+            store.fetch(5).unwrap().to_batch().to_rows()
+        };
+        let serial = published(1);
+        assert_eq!(serial.len(), 2899);
+        for dop in [2, 8] {
+            assert_eq!(published(dop), serial, "DOP {dop}");
+        }
+    }
+
+    #[test]
+    fn tee_abandons_over_a_failed_input() {
+        let failing = || {
+            scan("big", &["k", "v"])
+                .single_join(scan("two", &["x"]))
+                .store(6, StoreMode::Materialize)
+        };
+        let plans = [
+            ("root tee", failing()),
+            (
+                "tee under an aggregate",
+                failing().aggregate(vec![], vec![(AggFunc::CountStar, "n")]),
+            ),
+        ];
+        for (what, plan) in plans {
+            for dop in [1, 2] {
+                let store = Arc::new(MockStore::default());
+                let ctx = morsel_ctx(dop).with_store(store.clone());
+                let plan = plan.clone().bind(&ctx.catalog).unwrap();
+                let mut tree = build(&plan, &ctx).unwrap();
+                while tree.root.next_batch().is_some() {}
+                assert!(tree.fail.get().is_some(), "{what} at DOP {dop}");
+                assert!(store.publishes.lock().is_empty(), "{what} at DOP {dop}");
+                assert_eq!(
+                    store.abandoned.lock().as_slice(),
+                    &[6],
+                    "{what} at DOP {dop}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tee_abandons_a_cancelled_execution() {
+        for dop in [1, 2] {
+            let store = Arc::new(MockStore::default());
+            let cancel = Arc::new(AtomicBool::new(false));
+            let ctx = morsel_ctx(dop)
+                .with_store(store.clone())
+                .with_cancel(Some(cancel.clone()));
+            let plan = filtered()
+                .store(8, StoreMode::Materialize)
+                .bind(&ctx.catalog)
+                .unwrap();
+            let mut tree = build(&plan, &ctx).unwrap();
+            assert!(tree.root.next_batch().is_some());
+            cancel.store(true, Ordering::Release);
+            while tree.root.next_batch().is_some() {}
+            assert!(store.publishes.lock().is_empty(), "DOP {dop}");
+            assert_eq!(store.abandoned.lock().as_slice(), &[8], "DOP {dop}");
+        }
+    }
+
+    #[test]
+    fn cached_leaf_chains_run_on_workers() {
+        let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Int)]);
+        let cached = Plan::Cached {
+            tag: 4,
+            schema: schema.clone(),
+        }
+        .select(Expr::name("v").gt(Expr::lit(100)));
+        let plan = cached.clone().aggregate(
+            vec![(Expr::name("k"), "k")],
+            vec![(AggFunc::CountStar, "n")],
+        );
+        let run = |dop: usize| {
+            let store = Arc::new(MockStore::default());
+            let ctx = morsel_ctx(dop).with_store(store.clone());
+            let big = ctx.table("big").unwrap().batches(&[0, 1]);
+            store.publish(4, MaterializedResult::from_batches(schema.clone(), &big));
+            let input = cached.clone().bind(&ctx.catalog).unwrap();
+            let partitioned = build_source(&input, &ctx).unwrap().is_some();
+            assert_eq!(partitioned, dop > 1, "DOP {dop}");
+            let plan = plan.clone().bind(&ctx.catalog).unwrap();
+            let mut tree = build(&plan, &ctx).unwrap();
+            Batch::concat(&tree.drain().unwrap()).to_rows()
+        };
+        let serial = run(1);
+        assert_eq!(serial.len(), 7);
+        assert_eq!(run(2), serial);
     }
 
     #[test]
@@ -541,7 +653,6 @@ mod tests {
 
     #[test]
     fn breaker_metrics_do_not_depend_on_dop() {
-        let filtered = || scan("big", &["k", "v"]).select(Expr::name("v").gt(Expr::lit(100)));
         let breakers = [
             (
                 "aggregate",
@@ -557,6 +668,14 @@ mod tests {
                 "top-N",
                 filtered().top_n(vec![SortKeyExpr::desc(Expr::name("k"))], 1500),
             ),
+            // Partitioned at DOP 4: the tee runs on the workers.
+            (
+                "aggregate over a store",
+                filtered().store(1, StoreMode::Materialize).aggregate(
+                    vec![(Expr::name("k"), "k")],
+                    vec![(AggFunc::CountStar, "n")],
+                ),
+            ),
         ];
         for (what, plan) in breakers {
             let run = |dop: usize| {
@@ -567,16 +686,32 @@ mod tests {
                 let out = tree.drain().unwrap();
                 assert_eq!(tree.root.progress(), 1.0, "{what} at DOP {dop}");
                 let m = &tree.metrics.metrics;
-                (
+                let measured = (
                     Batch::concat(&out).to_rows(),
                     m.own_work(),
                     m.calls(),
                     m.rows_out(),
-                )
+                );
+                (measured, tree.metrics)
             };
-            let serial = run(1);
+            let (serial, metrics) = run(1);
             assert_eq!(serial.1, 2899 + serial.3, "{what}: own work is rows folded");
-            assert_eq!(run(4), serial, "{what}");
+            if what == "aggregate over a store" {
+                // The tee timing rule: the stored node is charged up to
+                // the tee's entry, the tee up to its exit, and the node
+                // above it the whole step.
+                let tee = &metrics.children[0];
+                let stored = &tee.children[0];
+                assert!(
+                    stored.inclusive_time_ns() <= tee.inclusive_time_ns()
+                        && tee.inclusive_time_ns() <= metrics.inclusive_time_ns(),
+                    "stored {} ns, tee {} ns, above {} ns",
+                    stored.inclusive_time_ns(),
+                    tee.inclusive_time_ns(),
+                    metrics.inclusive_time_ns()
+                );
+            }
+            assert_eq!(run(4).0, serial, "{what}");
         }
     }
 

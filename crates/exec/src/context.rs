@@ -74,8 +74,8 @@ pub struct ExecContext {
     pub snapshot: Option<Arc<CatalogSnapshot>>,
     /// Table functions.
     pub functions: Arc<FnRegistry>,
-    /// Recycler cache hook; `None` runs without recycling (store operators
-    /// then pass through and cached reads are an error).
+    /// Recycler cache hook; `None` runs without recycling (a plan with a
+    /// store or cached node then fails to build).
     pub store: Option<Arc<dyn ResultStore>>,
     /// Degree of intra-query parallelism the builder may use (1 = serial;
     /// the serial and parallel plans produce byte-identical results, see

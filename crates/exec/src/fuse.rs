@@ -1,11 +1,11 @@
 //! The pipeline executor: filter → project → join-probe chains run as one
 //! push-style loop per input batch.
 //!
-//! A [`FusedChain`] is the only implementation of selection, projection
-//! and join-probe semantics in this crate. Every maximal span of
-//! pipelining plan nodes (`Select`, `Project`, and the probe side of
-//! `Join`) becomes one chain over one source, and the chain pushes each
-//! input batch through all of its stages before the next is pulled:
+//! A [`FusedChain`] is the only implementation of selection, projection,
+//! join-probe and store-tee semantics in this crate. Every maximal span of
+//! pipelining plan nodes (`Select`, `Project`, the probe side of `Join`,
+//! and `Store`) becomes one chain over one source, and the chain pushes
+//! each input batch through all of its stages before the next is pulled:
 //!
 //! * selections are **chain state** — a reusable `Vec<u32>` of surviving
 //!   physical row indices, seeded from the input's selection vector (if it
@@ -20,38 +20,42 @@
 //!
 //! # Two source kinds
 //!
-//! A chain's source ([`ChainSource`]) is either a [`MorselDispenser`] over
-//! a base-table scan or any other child operator (aggregate, top-N,
-//! cached read, store tee, table function, union). A dispenser can be
-//! shared, so a scan-rooted chain runs serially on the caller's thread or
+//! A chain's source ([`ChainSource`]) is either a [`MorselDispenser`] —
+//! over a table snapshot or a cached result, on the morsel grid of its
+//! row count — or an operator (aggregate, top-N, sort, limit, table
+//! function, union). A bare scan or cached leaf is a chain of no stages.
+//! A dispenser can be shared, so a dispenser-rooted chain runs serially or
 //! cloned once per worker ([`crate::parallel`]) — the same code either
-//! way. An operator-sourced chain is driven serially, one input batch at
-//! a time, and reports its source's progress.
+//! way. An operator-sourced chain is driven serially and reports its
+//! source's progress. Each input carries its index in canonical order:
+//! the morsel index, or the operator's batch ordinal.
 //!
 //! # Boundary rule
 //!
 //! A chain changes the *iteration shape* of a pipeline, never its
 //! observable batch sequence. It spans pipelining stages only and always
 //! stops at pipeline breakers (aggregate, sort, top-N, the build side of
-//! a join), at `Store` tees, and at gather points. Those boundaries are
-//! where the recycler observes batches — a store tee must
-//! publish byte-identical `MaterializedResult`s at any DOP — so per input
-//! batch a chain emits the same logical rows in the same order whoever
-//! drives it, with the sparse-compaction heuristic
-//! ([`crate::filter::COMPACT_FRACTION`]), NULL-key and
-//! candidate-verification join behavior, and the per-plan-node rows /
-//! bytes / work / calls metrics the recycler's cost model consumes.
+//! a join), at `Limit` and `UnionAll`, and at gather points. Per input it
+//! emits the same logical rows in the same order whoever drives it, with
+//! the sparse-compaction heuristic ([`crate::filter::COMPACT_FRACTION`]),
+//! NULL-key and candidate-verification join behavior, and the per-node
+//! rows / bytes / work / calls metrics the recycler's cost model consumes.
+//! A store tee records each input's live rows under its index and
+//! publishes them in index order — byte-identical at any DOP — when the
+//! chain's consumer resolves it, once, before reporting end of stream.
 //!
 //! # Timing rule
 //!
 //! A chain cannot time stages individually, so one driver step — the
 //! source pull *and* the push through every stage — is measured as a
-//! whole and charged to every stage of the span. The span root's time is
-//! therefore inclusive of its whole subtree (what the recycler reads for
-//! subtree cost); interior stages over-report by the stages above them.
-//! All counters accumulate in per-chain `StageLocal`s and are flushed to
-//! the shared atomics every `FLUSH_EVERY` steps and at end of input —
-//! per-stage atomic traffic per morsel is measurable overhead.
+//! whole and charged to the stages of the span, so the span root's time is
+//! inclusive of its subtree (what the recycler reads for subtree cost). A
+//! store tee splits the step: stages below it are charged up to the tee's
+//! entry, the tee up to its exit, stages above it the whole step — a
+//! stored node's cost leaves out speculation and the stages above. A leaf
+//! read through a dispenser is not timed. Counters accumulate in
+//! per-chain `StageLocal`s, flushed to the shared atomics every
+//! `FLUSH_EVERY` steps and at end of input.
 //!
 //! # Failure rule
 //!
@@ -67,7 +71,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rdb_expr::{eval, CompiledPredicate, Expr};
-use rdb_plan::{JoinKind, Plan, PlanError};
+use rdb_plan::{JoinKind, Plan, PlanError, StoreMode};
 use rdb_vector::{hash_columns, Batch, Column, DataType};
 
 use crate::context::ExecContext;
@@ -77,6 +81,7 @@ use crate::join::{BuildSide, ProbePairs, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::Operator;
 use crate::parallel::MorselDispenser;
+use crate::store::StoreTee;
 
 /// One pipeline stage, with the metrics of the plan node it executes.
 #[derive(Clone)]
@@ -102,6 +107,12 @@ pub enum FusedStage {
         /// Lazily resolved build side (first input through this chain).
         built: Option<Arc<BuildSide>>,
     },
+    /// `Store`: record the live rows into the store's tee, shared by every
+    /// clone of the chain, and pass them on unchanged.
+    Tee {
+        tee: Arc<StoreTee>,
+        metrics: Arc<OpMetrics>,
+    },
 }
 
 impl FusedStage {
@@ -109,7 +120,8 @@ impl FusedStage {
         match self {
             FusedStage::Filter { metrics, .. }
             | FusedStage::Project { metrics, .. }
-            | FusedStage::Probe { metrics, .. } => metrics,
+            | FusedStage::Probe { metrics, .. }
+            | FusedStage::Tee { metrics, .. } => metrics,
         }
     }
 }
@@ -131,10 +143,26 @@ struct StageLocal {
 /// for mid-flight progress estimates while amortizing the atomic traffic.
 const FLUSH_EVERY: u32 = 64;
 
+/// A chain's reusable buffers.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// Live selection indices (chain state between stages).
+    sel: Vec<u32>,
+    /// Second index buffer (semi/anti probe output).
+    aux: Vec<u32>,
+    /// Per-row probe-key hashes.
+    hashes: Vec<u64>,
+    /// Inner and left-outer probe output.
+    pairs: ProbePairs,
+    /// `(stage, entry, exit)` of each tee this step's input reached,
+    /// bottom-up (see the module's timing rule).
+    tee_marks: Vec<(usize, Instant, Instant)>,
+}
+
 /// A chain of pipeline stages plus its reusable scratch buffers. One
-/// instance per driver (clones share the `Arc`ed metrics, build sides and
-/// failure slot but own their scratch), advanced one input batch at a
-/// time via [`FusedChain::step`].
+/// instance per driver (clones share the `Arc`ed metrics, build sides,
+/// store tees and failure slot but own their scratch), advanced one input
+/// batch at a time via [`FusedChain::step`].
 #[derive(Clone)]
 pub struct FusedChain {
     stages: Vec<FusedStage>,
@@ -142,14 +170,10 @@ pub struct FusedChain {
     locals: Vec<StageLocal>,
     /// Steps since the last metrics flush.
     since_flush: u32,
-    /// Live selection indices (chain state between stages).
-    sel_scratch: Vec<u32>,
-    /// Second index buffer (semi/anti probe output).
-    aux_scratch: Vec<u32>,
-    /// Per-row probe-key hashes.
-    hash_scratch: Vec<u64>,
-    /// Inner and left-outer probe output.
-    pairs_scratch: ProbePairs,
+    /// Whether this clone has stepped yet (the first step starts the tees'
+    /// speculation clocks).
+    begun: bool,
+    scratch: Scratch,
     /// Where a failing stage reports (shared with the whole execution).
     fail: Arc<FailSlot>,
     /// Set once a step failed: the chain's stream has ended.
@@ -165,54 +189,69 @@ impl FusedChain {
             stages,
             locals,
             since_flush: 0,
-            sel_scratch: Vec::new(),
-            aux_scratch: Vec::new(),
-            hash_scratch: Vec::new(),
-            pairs_scratch: ProbePairs::default(),
+            begun: false,
+            scratch: Scratch::default(),
             fail,
             failed: false,
         }
     }
 
+    fn tees(&self) -> impl Iterator<Item = &StoreTee> {
+        self.stages.iter().filter_map(|s| match s {
+            FusedStage::Tee { tee, .. } => Some(&**tee),
+            _ => None,
+        })
+    }
+
     /// One driver step, shared by the serial operator and the parallel
-    /// workers: pull the next input with `pull` (which may tag it, e.g.
-    /// with its morsel index) and push it through every stage. The pull
-    /// happens inside the measured span (see the module's timing rule).
+    /// workers: pull the next `(index, input)` from `source` and push it
+    /// through every stage. The pull happens inside the measured span (see
+    /// the module's timing rule).
     ///
     /// `None` ends the chain's stream: the source is exhausted, or a stage
-    /// failed and the error is in the failure slot. `Some((tag, None))`
+    /// failed and the error is in the failure slot. `Some((idx, None))`
     /// means this input's rows were all filtered out or unmatched.
-    pub fn step<T>(
-        &mut self,
-        pull: impl FnOnce() -> Option<(T, Batch)>,
-    ) -> Option<(T, Option<Batch>)> {
+    pub fn step(&mut self, source: &mut ChainSource) -> Option<(u64, Option<Batch>)> {
         if self.failed {
             return None;
         }
         let start = Instant::now();
+        if !self.begun {
+            self.begun = true;
+            self.tees().for_each(|t| t.begin(start));
+        }
+        self.scratch.tee_marks.clear();
         let stepped = catch_unwind(AssertUnwindSafe(|| {
-            pull()
-                .map(|(tag, input)| {
-                    run_chain(
-                        &mut self.stages,
-                        &mut self.locals,
-                        input,
-                        &mut self.sel_scratch,
-                        &mut self.aux_scratch,
-                        &mut self.hash_scratch,
-                        &mut self.pairs_scratch,
-                    )
-                    .map(|out| (tag, out))
-                })
-                .transpose()
+            let Some((idx, input)) = source.pull() else {
+                return Ok(None);
+            };
+            let out = run_chain(
+                &mut self.stages,
+                &mut self.locals,
+                &mut self.scratch,
+                idx,
+                input,
+                source,
+            )?;
+            Ok(Some((idx, out)))
         }));
-        let elapsed = start.elapsed().as_nanos() as u64;
+        let end = Instant::now();
         // Every stage counts every pull, the exhausted one and those an
         // earlier stage emptied included, so a call count is zero only if
         // the chain never ran — the recycler's marker for a subtree
-        // skipped by a warm operator-state hit.
-        for l in &mut self.locals {
-            l.time += elapsed;
+        // skipped by a warm operator-state hit. A stage below a tee is
+        // charged up to the tee's entry, a tee up to its exit.
+        let mut marks = self.scratch.tee_marks.iter().peekable();
+        for (i, l) in self.locals.iter_mut().enumerate() {
+            let until = match marks.peek() {
+                Some(&&(tee, entry, _)) if i < tee => entry,
+                Some(&&(_, _, exit)) => {
+                    marks.next();
+                    exit
+                }
+                None => end,
+            };
+            l.time += until.duration_since(start).as_nanos() as u64;
             l.calls += 1;
         }
         let out = match stepped {
@@ -236,6 +275,14 @@ impl FusedChain {
         self.fail.set(err);
         self.failed = true;
         None
+    }
+
+    /// Resolve every store tee of the chain (`StoreTee::resolve`). Only
+    /// the chain's consumer calls this, once its whole input is in: the
+    /// serial operator at end of input, a gather or a partitioned breaker
+    /// once every worker is done — never a worker.
+    pub(crate) fn resolve_tees(&self) {
+        self.tees().for_each(StoreTee::resolve);
     }
 
     /// Publish the locally accumulated counters into the shared metrics.
@@ -272,15 +319,23 @@ fn out_bytes(cur: &Batch, rows: usize, span: &mut Option<usize>) -> u64 {
     (span * rows).checked_div(cur.physical_rows()).unwrap_or(0) as u64
 }
 
+/// Push input `idx` through every stage. `source` is the chain's source,
+/// whose progress a speculating tee reads.
 fn run_chain(
     stages: &mut [FusedStage],
     locals: &mut [StageLocal],
+    scratch: &mut Scratch,
+    idx: u64,
     input: Batch,
-    sel_buf: &mut Vec<u32>,
-    aux: &mut Vec<u32>,
-    hashes: &mut Vec<u64>,
-    pairs: &mut ProbePairs,
+    source: &ChainSource,
 ) -> Result<Option<Batch>, ExecError> {
+    let Scratch {
+        sel: sel_buf,
+        aux,
+        hashes,
+        pairs,
+        tee_marks,
+    } = scratch;
     // The live selection is `sel_buf` when `dense` is false, all physical
     // rows of `cur` otherwise. A selection on `cur` itself (an operator
     // source may hand one in) only seeds `sel_buf` and is never read
@@ -297,7 +352,7 @@ fn run_chain(
     // Summed column bytes of `cur`, invalidated whenever `cur`'s columns
     // change (compaction, projection, probe output).
     let mut span: Option<usize> = None;
-    for (stage, local) in stages.iter_mut().zip(locals.iter_mut()) {
+    for (i, (stage, local)) in stages.iter_mut().zip(locals.iter_mut()).enumerate() {
         match stage {
             FusedStage::Filter { pred, .. } => {
                 if dense {
@@ -422,6 +477,21 @@ fn run_chain(
                     }
                 }
             }
+            FusedStage::Tee { tee, .. } => {
+                let entry = Instant::now();
+                let rows = live_len(&cur, dense, sel_buf);
+                local.rows += rows as u64;
+                local.bytes += out_bytes(&cur, rows, &mut span);
+                let live = || {
+                    if dense {
+                        cur.clone()
+                    } else {
+                        cur.clone().with_selection(Arc::new(sel_buf.clone()))
+                    }
+                };
+                tee.record(idx, live, || source.progress());
+                tee_marks.push((i, entry, Instant::now()));
+            }
         }
     }
     Ok(Some(if dense {
@@ -450,17 +520,41 @@ fn live_rows<'a>(cur: &Batch, dense: bool, sel: &'a [u32]) -> impl Iterator<Item
     sel.iter().copied().chain(0..dense_end)
 }
 
-/// Where a chain's input batches come from (see the module docs).
+/// Where a chain's input batches come from (see the module docs). Each
+/// input carries an index, its place in canonical order: the morsel index,
+/// or the batch ordinal of an operator.
 pub enum ChainSource {
-    /// Morsels of a base-table scan.
+    /// Morsels of a table snapshot or a cached result.
     Morsels(Arc<MorselDispenser>),
-    /// Any other child operator, pulled one batch at a time.
-    Operator(Box<dyn Operator>),
+    /// Any other child operator, pulled one batch at a time, with the
+    /// number of batches pulled so far.
+    Operator(Box<dyn Operator>, u64),
+}
+
+impl ChainSource {
+    fn pull(&mut self) -> Option<(u64, Batch)> {
+        match self {
+            ChainSource::Morsels(d) => d.next_morsel(),
+            ChainSource::Operator(op, pulled) => {
+                let batch = op.next_batch()?;
+                *pulled += 1;
+                Some((*pulled - 1, batch))
+            }
+        }
+    }
+
+    fn progress(&self) -> f64 {
+        match self {
+            ChainSource::Morsels(d) => d.progress(),
+            ChainSource::Operator(op, _) => op.progress(),
+        }
+    }
 }
 
 /// The serial pipeline operator: drives one [`FusedChain`] over its source
-/// on the caller's thread. Under parallel execution clones of the same
-/// chain run inside per-worker segments instead (see
+/// on the caller's thread, and resolves the chain's store tees at end of
+/// input, before it reports end of stream. Under parallel execution clones
+/// of the same chain run on workers instead (see
 /// [`crate::parallel::ParallelSource`]).
 pub struct FusedPipelineExec {
     source: ChainSource,
@@ -477,23 +571,19 @@ impl FusedPipelineExec {
 impl Operator for FusedPipelineExec {
     fn next_batch(&mut self) -> Option<Batch> {
         loop {
-            let out = match &mut self.source {
-                ChainSource::Morsels(d) => self.chain.step(|| d.next_morsel())?.1,
-                ChainSource::Operator(op) => {
-                    self.chain.step(|| op.next_batch().map(|b| ((), b)))?.1
+            match self.chain.step(&mut self.source) {
+                Some((_, Some(out))) => return Some(out),
+                Some((_, None)) => {}
+                None => {
+                    self.chain.resolve_tees();
+                    return None;
                 }
-            };
-            if out.is_some() {
-                return out;
             }
         }
     }
 
     fn progress(&self) -> f64 {
-        match &self.source {
-            ChainSource::Morsels(d) => d.progress(),
-            ChainSource::Operator(op) => op.progress(),
-        }
+        self.source.progress()
     }
 }
 
@@ -507,7 +597,9 @@ pub(crate) fn collect_chain(plan: &Plan) -> (Vec<&Plan>, &Plan) {
     let mut cur = plan;
     loop {
         let below = match cur {
-            Plan::Select { child, .. } | Plan::Project { child, .. } => child,
+            Plan::Select { child, .. }
+            | Plan::Project { child, .. }
+            | Plan::Store { child, .. } => child,
             Plan::Join { left, .. } => left,
             _ => return (stages, cur),
         };
@@ -528,7 +620,8 @@ pub fn fused_span(plan: &Plan) -> Option<usize> {
 /// them) over a source whose metrics subtree is `source_metrics`, and the
 /// metrics tree mirroring the span. Join build sides route through the
 /// operator-state cache ([`crate::build::join_build`]) — the same
-/// artifact whatever the source kind or DOP.
+/// artifact whatever the source kind or DOP. Each store gets its one tee
+/// for this execution.
 pub(crate) fn build_stages(
     stages: &[&Plan],
     source_metrics: MetricsNode,
@@ -579,7 +672,26 @@ pub(crate) fn build_stages(
                     built: None,
                 });
             }
-            _ => unreachable!("collect_chain admits only Select/Project/Join"),
+            Plan::Store { child, tag, mode } => {
+                let store = ctx
+                    .store
+                    .clone()
+                    .ok_or_else(|| PlanError::msg("store node without a result store"))?;
+                let tee = StoreTee::new(
+                    *tag,
+                    child.schema(&ctx.catalog)?,
+                    store,
+                    *mode == StoreMode::Speculate,
+                    ctx.cancel.clone(),
+                    ctx.fail.clone(),
+                );
+                node = MetricsNode::new(m.clone(), vec![node]);
+                fused.push(FusedStage::Tee {
+                    tee: Arc::new(tee),
+                    metrics: m,
+                });
+            }
+            _ => unreachable!("collect_chain admits only Select/Project/Join/Store"),
         }
     }
     Ok((FusedChain::new(fused, ctx.fail.clone()), node))
@@ -598,7 +710,7 @@ pub(crate) mod testing {
     /// `stages` over an operator source replaying `input`.
     pub(crate) fn over_operator(stages: Vec<FusedStage>, input: Vec<Batch>) -> FusedPipelineExec {
         FusedPipelineExec::new(
-            ChainSource::Operator(BatchSource::boxed(input)),
+            ChainSource::Operator(BatchSource::boxed(input), 0),
             FusedChain::new(stages, FailSlot::shared()),
         )
     }
@@ -676,7 +788,9 @@ mod tests {
     use super::testing::*;
     use super::*;
     use crate::op::run_to_batch;
-    use rdb_plan::scan;
+    use crate::store::testing::tee;
+    use crate::store::{MaterializedResult, ResultStore, SpeculationEstimate, StoreVerdict};
+    use rdb_plan::{scan, StoreMode};
 
     fn ints(v: Vec<i64>) -> Batch {
         Batch::new(vec![Column::from_ints(v)])
@@ -707,6 +821,18 @@ mod tests {
         assert!(matches!(source, Plan::TopN { .. }));
         assert_eq!(fused_span(source), None);
         assert_eq!(fused_span(&scan("t", &["k"])), None);
+        // A store tee is a stage; a cached result is a source, like a scan.
+        let cached = Plan::Cached {
+            tag: 1,
+            schema: rdb_vector::Schema::from_pairs([("k", DataType::Int)]),
+        };
+        let teed = cached
+            .select(Expr::col(0).gt(Expr::lit(1)))
+            .store(2, StoreMode::Speculate);
+        let (stages, source) = collect_chain(&teed);
+        assert!(matches!(stages[0], Plan::Store { .. }));
+        assert_eq!(stages.len(), 2);
+        assert!(matches!(source, Plan::Cached { .. }));
     }
 
     #[test]
@@ -748,12 +874,43 @@ mod tests {
         let stages = vec![filter(Expr::col(0).gt(Expr::lit(0)))];
         let ms = stage_metrics(&stages);
         let mut exec = FusedPipelineExec::new(
-            ChainSource::Operator(Box::new(Slow(Some(ints(vec![1]))))),
+            ChainSource::Operator(Box::new(Slow(Some(ints(vec![1])))), 0),
             FusedChain::new(stages, FailSlot::shared()),
         );
         assert_eq!(exec.progress(), 0.25, "an operator source's own meter");
         assert_eq!(run_to_batch(&mut exec).rows(), 1);
         // Both pulls (the batch and the exhausted one) slept inside the span.
         assert!(ms[0].time_ns() >= 10_000_000, "{} ns", ms[0].time_ns());
+    }
+
+    #[test]
+    fn tee_time_is_charged_to_the_tee_and_above() {
+        // A speculating store whose verdict takes 5 ms: that time belongs
+        // to the tee and the stage above it, never to the stage below.
+        struct SlowVerdict;
+        impl ResultStore for SlowVerdict {
+            fn fetch(&self, _tag: u64) -> Option<Arc<MaterializedResult>> {
+                None
+            }
+            fn publish(&self, _tag: u64, _result: MaterializedResult) {}
+            fn abandon(&self, _tag: u64) {}
+            fn speculate(&self, _tag: u64, _est: &SpeculationEstimate) -> StoreVerdict {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                StoreVerdict::Undecided
+            }
+        }
+        let schema = rdb_vector::Schema::from_pairs([("x", DataType::Int)]);
+        let stages = vec![
+            filter(Expr::col(0).gt(Expr::lit(0))),
+            tee(1, schema, Arc::new(SlowVerdict), true),
+            filter(Expr::col(0).gt(Expr::lit(0))),
+        ];
+        let ms = stage_metrics(&stages);
+        let mut exec = over_operator(stages, vec![ints(vec![1, 2]), ints(vec![3])]);
+        assert_eq!(run_to_batch(&mut exec).rows(), 3);
+        let [below, tee, above] = [0, 1, 2].map(|i| ms[i].time_ns());
+        // Two inputs reached the tee, one verdict each.
+        assert!(tee >= below + 10_000_000, "below {below} ns, tee {tee} ns");
+        assert!(above >= tee, "tee {tee} ns, above {above} ns");
     }
 }

@@ -452,7 +452,7 @@ mod tests {
         ]
         .concat();
         let mut exec = FusedPipelineExec::new(
-            ChainSource::Operator(BatchSource::boxed(two_inputs)),
+            ChainSource::Operator(BatchSource::boxed(two_inputs), 0),
             FusedChain::new(vec![single], fail.clone()),
         );
         assert!(exec.next_batch().is_none(), "stream ends, no panic");

@@ -3,39 +3,41 @@
 //! Operators pull [`rdb_vector::Batch`]es from their children
 //! (vector-at-a-time, the Vectorwise paradigm the paper targets), and
 //! every span of pipelining work between them — filter → project →
-//! join-probe — runs as one push-style [`FusedChain`] per input batch
-//! ([`fuse`]): the single implementation of selection, projection and
-//! probe semantics, over a base-table scan or over any other child
-//! operator. Pipelines only break at blocking operators — join build
-//! sides, and one [`BlockingExec`] for everything that builds its whole
-//! output on the first pull (hash aggregation, top-N, sort, table
-//! functions, cached-result replay) — intermediate results are *not*
-//! materialized unless the recycler decides to, which is the entire point
-//! of the paper.
+//! join-probe → store tee — runs as one push-style [`FusedChain`] per
+//! input batch ([`fuse`]): the single implementation of selection,
+//! projection, probe and tee semantics, over a morsel dispenser (a table
+//! snapshot or a cached result) or over any other child operator.
+//! Pipelines only break at blocking operators — join build sides, and one
+//! [`BlockingExec`] for everything that builds its whole output on the
+//! first pull (hash aggregation, top-N, sort, table functions) —
+//! intermediate results are *not* materialized unless the recycler
+//! decides to, which is the entire point of the paper.
 //!
-//! Seven operators make up an executor tree: [`FusedPipelineExec`] (a
+//! Five operators make up an executor tree: [`FusedPipelineExec`] (a
 //! chain over a serial source), [`GatherExec`] (a chain split across
-//! workers), [`scan::ScanExec`], [`BlockingExec`], [`sort::LimitExec`],
-//! [`sort::UnionAllExec`] and [`StoreExec`].
+//! workers), [`BlockingExec`], [`sort::LimitExec`] and
+//! [`sort::UnionAllExec`].
 //!
-//! With `ExecContext::parallelism > 1` scan-rooted chains execute
+//! With `ExecContext::parallelism > 1` dispenser-rooted chains execute
 //! **morsel-driven parallel** (see [`parallel`] for the model and its
-//! determinism guarantees, and [`pool`] for the worker pool): scans split
-//! into morsels claimed by workers on demand, each worker drives a clone
-//! of the same chain, pipeline breakers merge per-worker partials, and
-//! order-preserving gathers keep every observable byte — including what a
-//! [`StoreExec`] tee publishes into the recycler — identical to serial
-//! execution at any degree of parallelism. A chain never crosses pipeline
-//! breakers, store tees, or gather points — see [`fuse`] for the boundary,
-//! timing and failure rules.
+//! determinism guarantees, and [`pool`] for the worker pool): the
+//! dispenser splits its rows into morsels claimed by workers on demand,
+//! each worker drives a clone of the same chain, pipeline breakers merge
+//! per-worker partials, and store tees record by morsel index and publish
+//! in morsel order, so every observable byte — including what a tee
+//! publishes into the recycler — is identical to serial execution at any
+//! degree of parallelism. A chain never crosses pipeline breakers or
+//! gather points — see [`fuse`] for the boundary, timing and failure
+//! rules.
 //!
 //! Recycler integration points (paper §II):
 //!
-//! * [`StoreExec`] — the `store` operator: pass along / buffer
-//!   (speculation) / materialize the tuple flow without interrupting it;
-//! * [`store::cached`] — a [`BlockingExec`] replaying a previously
-//!   materialized result;
-//! * [`ResultStore`] — the trait through which store/cached operators talk
+//! * [`store::StoreTee`] — the `store` operator, a chain stage: pass along
+//!   / record (speculation) / materialize the tuple flow without
+//!   interrupting it, resolved once by the chain's consumer;
+//! * [`MorselDispenser`] — a chain source that also reads a previously
+//!   materialized result, like a table;
+//! * [`ResultStore`] — the trait through which tees and cached leaves talk
 //!   to the recycler cache (implemented by `rdb-recycler`);
 //! * [`OpMetrics`] / [`MetricsNode`] — per-operator run-time measurements
 //!   (inclusive wall time, rows, abstract work units) used to annotate the
@@ -70,7 +72,6 @@ pub use op::{collect_all, run_to_batch, BlockingExec, Operator};
 pub use parallel::{BreakerInput, GatherExec, MorselDispenser};
 pub use pool::WorkerPool;
 pub use store::{
-    ArtifactKind, MaterializedResult, ResultStore, SpeculationEstimate, StateCost, StoreExec,
-    StoreVerdict,
+    ArtifactKind, MaterializedResult, ResultStore, SpeculationEstimate, StateCost, StoreVerdict,
 };
 pub use stream::ExecStream;

@@ -44,9 +44,9 @@ type BuildFn = Box<dyn FnOnce() -> Result<Vec<Batch>, ExecError> + Send>;
 
 /// A pipeline breaker: builds its whole output on the first pull, then
 /// streams it. Every blocking operator is one — hash aggregation, top-N
-/// and sort (which fold their input with `crate::parallel::fold_input`),
-/// a table-function scan ([`crate::scan::fn_scan`]) and a cached-result
-/// replay ([`crate::store::cached`]).
+/// and sort (which fold their input with `crate::parallel::fold_input`)
+/// and a table-function scan ([`crate::scan::fn_scan`]). A cached result
+/// is no breaker: it is read through a morsel dispenser.
 ///
 /// The build runs inside the first pull's [`timed_next`], so the node's
 /// time includes its input's. `progress` reads 0 before the build and

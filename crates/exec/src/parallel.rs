@@ -1,22 +1,24 @@
 //! Morsel-driven intra-query parallelism.
 //!
 //! A *pipeline* — the stretch of pipelining stages (selection,
-//! projection, join probes) between a base-table scan and the next
-//! pipeline breaker — is the unit of parallel execution. The scan is split
-//! into [`rdb_vector::BATCH_CAPACITY`]-sized **morsels** (O(1) zero-copy
-//! column windows over the pinned table snapshot); a [`MorselDispenser`]
-//! hands them out to workers on demand, which is the load balancing: fast
-//! workers simply take more morsels. Every worker owns a private clone of
-//! the pipeline's [`FusedChain`] — the same chain the serial executor
-//! drives, advanced one morsel at a time — so no stage state is ever
-//! shared between threads. Only three things are: the dispenser, the
-//! per-plan-node [`OpMetrics`] (atomic counters, summed across workers),
-//! and a hash join's [`crate::join::SharedBuild`] (built exactly once, by
-//! the first worker that needs it).
+//! projection, join probes, store tees) between a table scan or a cached
+//! leaf and the next pipeline breaker — is the unit of parallel
+//! execution. The leaf is split into [`rdb_vector::BATCH_CAPACITY`]-sized
+//! **morsels** (O(1) zero-copy column windows over the pinned table
+//! snapshot or the leased result); a [`MorselDispenser`] hands them out to
+//! workers on demand, which is the load balancing: fast workers simply
+//! take more morsels. Every worker owns a private clone of the pipeline's
+//! [`FusedChain`] — the same chain the serial executor drives, advanced
+//! one morsel at a time — so no stage-local state is ever shared between
+//! threads. Only four things are: the dispenser, the per-plan-node
+//! [`OpMetrics`] (atomic counters, summed across workers), a hash join's
+//! [`crate::join::SharedBuild`] (built exactly once, by the first worker
+//! that needs it), and a store's [`crate::store::StoreTee`] (one lock,
+//! taken once per morsel that reaches the tee).
 //!
 //! **Determinism.** Parallel execution must be observationally identical
 //! to serial execution — the recycler caches results by plan fingerprint
-//! and replays them byte-for-byte, so a `store` tee under a parallel
+//! and replays them byte-for-byte, so a `store` tee in a parallel
 //! pipeline has to publish the same `MaterializedResult` at any DOP:
 //!
 //! * the morsel grid is a pure function of the table's row count
@@ -28,6 +30,9 @@
 //! * [`GatherExec`] undoes that permutation: workers tag outputs with
 //!   their morsel index and the gather re-sequences them, emitting exactly
 //!   the serial batch sequence;
+//! * a store tee records `(morsel index, batch)` pairs as workers deliver
+//!   them and publishes them in morsel order — the serial sequence, with
+//!   the morsels a stage below the tee emptied left out, as serially;
 //! * order-insensitive breakers take the other route: an aggregate or
 //!   top-N over [`BreakerInput::Partitioned`] input folds one state per
 //!   worker and merges the partials into the first (`fold_input`, the
@@ -37,13 +42,22 @@
 //!   ties by global scan position, morsel index here and batch ordinal
 //!   serially.
 //!
+//! **Completion.** A worker never resolves a tee. The consumer of a
+//! parallel pipeline does, exactly once, when its whole input is in: a
+//! [`GatherExec`] once every morsel has arrived *and* its channel has
+//! disconnected (every worker has exited, its chain's metrics flushed),
+//! a partitioned breaker once every partial is in. Only then does the
+//! consumer see end of stream. A consumer that stops early (a `LIMIT`, a
+//! dropped stream) resolves nothing; the recycler abandons the target.
+//!
 //! **Failure.** A failing stage ends its worker's chain with a structured
 //! [`ExecError`] in the query's shared [`FailSlot`] (see [`crate::fuse`]),
 //! and a worker panicking anywhere else records one before its channel
 //! sender drops; the gather detects the shortfall (morsels missing),
 //! ends the stream cleanly, and the error surfaces through
 //! [`crate::stream::ExecStream::error`] — no panic crosses the gather
-//! boundary, and a poisoned source can never publish a truncated result.
+//! boundary, and a tee over a poisoned source abandons instead of
+//! publishing a truncated result.
 //! Breakers follow one rule, serial or partitioned: once the input ends,
 //! a set slot (or a missing partial) is the answer, and the breaker emits
 //! no rows. The pool itself survives ([`crate::pool`]).
@@ -59,14 +73,15 @@ use rdb_storage::Table;
 use rdb_vector::{morsel_bounds, morsel_count, Batch};
 
 use crate::error::{panic_message, ExecError, FailSlot};
-use crate::fuse::{build_stages, collect_chain, FusedChain};
+use crate::fuse::{build_stages, collect_chain, ChainSource, FusedChain};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::Operator;
 use crate::pool::{run_jobs, Job, WorkerPool};
 
-/// Hands out `(morsel index, batch)` pairs from a pinned table snapshot.
-/// The atomic cursor *is* the work-stealing: workers pull the next morsel
-/// whenever they finish one, so skew balances itself at morsel granularity.
+/// Hands out `(morsel index, batch)` pairs from a pinned table snapshot
+/// (a base table's, or one over a cached result's chunks). The atomic
+/// cursor *is* the work-stealing: workers pull the next morsel whenever
+/// they finish one, so skew balances itself at morsel granularity.
 pub struct MorselDispenser {
     table: Arc<Table>,
     projection: Vec<usize>,
@@ -143,10 +158,13 @@ impl MorselDispenser {
 pub struct ParallelSource {
     /// Shared morsel source (also the progress meter).
     pub dispenser: Arc<MorselDispenser>,
-    /// One private chain per worker: clones of one prototype, sharing the
-    /// `Arc`ed per-plan-node metrics and build sides but owning their
-    /// scratch buffers.
-    pub segments: Vec<FusedChain>,
+    /// The chain every worker runs a private clone of (sharing the
+    /// `Arc`ed per-plan-node metrics, build sides and store tees, owning
+    /// its scratch buffers). The consumer keeps it to resolve the chain's
+    /// store tees once every worker is done.
+    pub chain: FusedChain,
+    /// Number of workers.
+    pub workers: usize,
     /// Metrics tree mirroring the pipeline's plan shape.
     pub metrics: MetricsNode,
     /// Pool to run on (`None`: plain spawned threads).
@@ -158,30 +176,30 @@ pub struct ParallelSource {
 /// Try to construct a parallel pipeline over `plan` with up to
 /// `ctx.parallelism` workers. Returns `Ok(None)` when parallel execution
 /// cannot pay off — decided from what is observable here: the span must
-/// be rooted at a base-table scan (only a dispenser can be shared), the
-/// scan must split into at least two morsels, and the DOP must be at
-/// least 2. The caller then builds the same chain for serial execution.
+/// have at least one stage and be rooted at a dispenser (a table scan or
+/// a cached result: only a dispenser can be shared), which must split
+/// into at least two morsels, and the DOP must be at least 2. The caller
+/// then builds the same chain for serial execution.
 pub fn build_source(
     plan: &Plan,
     ctx: &crate::context::ExecContext,
 ) -> Result<Option<ParallelSource>, rdb_plan::PlanError> {
-    let (stages, source) = collect_chain(plan);
-    let Plan::Scan { table, cols } = source else {
-        return Ok(None);
-    };
-    // A bare scan has no per-morsel work to parallelize.
+    let (stages, leaf) = collect_chain(plan);
+    // A bare leaf has no per-morsel work to parallelize.
     if ctx.parallelism < 2 || stages.is_empty() {
         return Ok(None);
     }
-    let (dispenser, scan_metrics) = crate::build::scan_dispenser(table, cols, ctx)?;
+    let Some((dispenser, leaf_metrics)) = crate::build::leaf_dispenser(leaf, ctx)? else {
+        return Ok(None);
+    };
     if dispenser.total() < 2 {
         return Ok(None); // single morsel: serial is strictly cheaper
     }
-    let (chain, metrics) = build_stages(&stages, scan_metrics, ctx)?;
-    let segments = vec![chain; ctx.parallelism.min(dispenser.total())];
+    let (chain, metrics) = build_stages(&stages, leaf_metrics, ctx)?;
     Ok(Some(ParallelSource {
+        workers: ctx.parallelism.min(dispenser.total()),
         dispenser,
-        segments,
+        chain,
         metrics,
         pool: ctx.pool.clone(),
         fail: ctx.fail.clone(),
@@ -203,6 +221,8 @@ struct GatherRun {
     /// Next morsel index to release.
     next: u64,
     total: u64,
+    /// The workers' chain, whose store tees resolve at the end.
+    chain: FusedChain,
 }
 
 enum GatherState {
@@ -212,8 +232,10 @@ enum GatherState {
 }
 
 /// Runs a parallel pipeline and re-sequences worker outputs into canonical
-/// morsel order, so downstream consumers (stores, breakers, the stream
-/// edge) observe exactly the serial batch sequence.
+/// morsel order, so downstream consumers (breakers, the stream edge)
+/// observe exactly the serial batch sequence. It reports end of stream
+/// only once its channel has disconnected — every worker has exited, its
+/// chain's metrics flushed — and after resolving the chain's store tees.
 pub struct GatherExec {
     state: GatherState,
     dispenser: Arc<MorselDispenser>,
@@ -235,35 +257,25 @@ impl GatherExec {
     fn start(source: ParallelSource) -> GatherRun {
         let ParallelSource {
             dispenser,
-            segments,
+            chain,
+            workers,
             pool,
             ..
         } = source;
-        let workers = segments.len();
         let (tx, rx) = sync_channel(workers * GATHER_BACKLOG_PER_WORKER);
         let total = dispenser.total() as u64;
-        let jobs: Vec<Job> = segments
-            .into_iter()
-            .map(|mut seg| {
-                let dispenser = dispenser.clone();
+        let jobs: Vec<Job> = (0..workers)
+            .map(|_| {
+                let mut seg = chain.clone();
+                let mut source = ChainSource::Morsels(dispenser.clone());
                 let tx = tx.clone();
                 // Every fallible part of this loop runs inside `step`,
                 // which reports into the fail slot itself.
                 Box::new(move || {
-                    // Hold each morsel's output until the next one is
-                    // claimed: the chain's end-of-input metrics flush then
-                    // happens before this worker's final send, i.e.
-                    // strictly before the consumer can observe stream end.
-                    let mut held: Option<(u64, Option<Batch>)> = None;
-                    while let Some(out) = seg.step(|| dispenser.next_morsel()) {
-                        if let Some(prev) = held.replace(out) {
-                            if tx.send(prev).is_err() {
-                                return; // consumer dropped the stream
-                            }
+                    while let Some(out) = seg.step(&mut source) {
+                        if tx.send(out).is_err() {
+                            return; // consumer dropped the stream
                         }
-                    }
-                    if let Some(prev) = held {
-                        let _ = tx.send(prev);
                     }
                 }) as Job
             })
@@ -275,6 +287,7 @@ impl GatherExec {
             pending: BTreeMap::new(),
             next: 0,
             total,
+            chain,
         }
     }
 }
@@ -293,10 +306,6 @@ impl Operator for GatherExec {
                     self.state = GatherState::Running(Self::start(source));
                 }
                 GatherState::Running(run) => {
-                    if run.next == run.total {
-                        self.state = GatherState::Done;
-                        return None;
-                    }
                     if let Some(out) = run.pending.remove(&run.next) {
                         run.next += 1;
                         if out.is_some() {
@@ -309,13 +318,15 @@ impl Operator for GatherExec {
                             run.pending.insert(idx, out);
                         }
                         Err(_) => {
-                            if !self.dispenser.cancelled() {
+                            // Every worker has exited.
+                            if run.next < run.total && !self.dispenser.cancelled() {
                                 // A worker ended short: a failed stage
                                 // already put the cause in the slot; make
                                 // sure *something* is there, then end the
-                                // stream. The session layer reads the slot
-                                // and aborts recycler bookkeeping — a
-                                // truncated stream never publishes.
+                                // stream. The tees below abandon, and the
+                                // session layer reads the slot and aborts
+                                // recycler bookkeeping — a truncated
+                                // stream never publishes.
                                 self.fail.set(ExecError::msg(format!(
                                     "parallel pipeline worker failed before morsel {} of {}",
                                     run.next, run.total
@@ -324,6 +335,7 @@ impl Operator for GatherExec {
                             // On cancel the missing indices will simply
                             // never arrive; the connection layer reports
                             // the cancel itself.
+                            run.chain.resolve_tees();
                             self.state = GatherState::Done;
                             return None;
                         }
@@ -338,8 +350,7 @@ impl Operator for GatherExec {
         match &self.state {
             GatherState::Done => 1.0,
             // Morsels *dispatched* (the serial scan meter's analog);
-            // slightly ahead of what has been emitted, which is what
-            // speculative stores want for extrapolation.
+            // slightly ahead of what has been emitted.
             _ => self.dispenser.progress(),
         }
     }
@@ -354,9 +365,9 @@ pub enum BreakerInput {
     /// A serial child operator: folded into one state, with its batch
     /// ordinal as the chunk.
     Operator(Box<dyn Operator>),
-    /// A scan-rooted pipeline split across workers: folded into one state
-    /// per worker, with the morsel index as the chunk.
-    Partitioned(ParallelSource),
+    /// A dispenser-rooted pipeline split across workers: folded into one
+    /// state per worker, with the morsel index as the chunk.
+    Partitioned(Box<ParallelSource>),
 }
 
 /// Fold a breaker's whole input and merge the partial states into the
@@ -389,46 +400,44 @@ pub(crate) fn fold_input<S: Send + 'static>(
             }
             vec![state]
         }
-        BreakerInput::Partitioned(source) => run_partials(source, make, fold)?,
+        BreakerInput::Partitioned(source) => run_partials(*source, make, fold),
     };
     if let Some(e) = fail.get() {
         return Err(e);
     }
-    let mut partials = partials.into_iter();
-    let mut first = partials
-        .next()
-        .ok_or_else(|| ExecError::msg("a partitioned breaker ran no workers"))?;
-    for p in partials {
+    let merged = partials.into_iter().reduce(|mut first, p| {
         merge(&mut first, p);
-    }
-    Ok(first)
+        first
+    });
+    merged.ok_or_else(|| ExecError::msg("a partitioned breaker ran no workers"))
 }
 
-/// Run the pipeline to completion, one `fold` state per worker, and hand
-/// the partials back. A dead worker never sends its partial — the
-/// shortfall comes back as the structured error the worker recorded. A
-/// worker whose chain recorded a stage failure still winds down and sends
-/// its (truncated) partial; [`fold_input`] checks the slot. (Cancellation
-/// is not a shortfall: it stops morsel hand-out, so every worker still
-/// winds down normally and sends its partial.)
+/// Run the pipeline to completion, one `fold` state per worker, hand the
+/// partials back, and then — every worker done — resolve the chain's store
+/// tees. A dead worker never sends its partial: the shortfall is recorded
+/// in the fail slot (keeping the worker's own error if it recorded one),
+/// so the tees abandon and [`fold_input`] returns it. A worker whose chain
+/// recorded a stage failure still winds down and sends its (truncated)
+/// partial. (Cancellation is not a shortfall: it stops morsel hand-out, so
+/// every worker still winds down normally and sends its partial.)
 fn run_partials<S: Send + 'static>(
     source: ParallelSource,
     make: impl Fn() -> S,
     fold: impl Fn(&mut S, u64, Batch) + Send + Sync + Clone + 'static,
-) -> Result<Vec<S>, ExecError> {
+) -> Vec<S> {
     let ParallelSource {
         dispenser,
-        segments,
+        chain,
+        workers,
         pool,
         fail,
         ..
     } = source;
-    let workers = segments.len();
     let (tx, rx) = sync_channel(workers);
-    let jobs: Vec<Job> = segments
-        .into_iter()
-        .map(|mut seg| {
-            let dispenser = dispenser.clone();
+    let jobs: Vec<Job> = (0..workers)
+        .map(|_| {
+            let mut seg = chain.clone();
+            let mut source = ChainSource::Morsels(dispenser.clone());
             let tx = tx.clone();
             let fold = fold.clone();
             let fail = fail.clone();
@@ -438,7 +447,7 @@ fn run_partials<S: Send + 'static>(
                     // The chain flushes its deferred metrics at end of
                     // input, i.e. before the partial is sent: the breaker
                     // counts partials to detect completion.
-                    while let Some((idx, out)) = seg.step(|| dispenser.next_morsel()) {
+                    while let Some((idx, out)) = seg.step(&mut source) {
                         if let Some(out) = out {
                             fold(&mut state, idx, out);
                         }
@@ -458,12 +467,11 @@ fn run_partials<S: Send + 'static>(
     run_jobs(pool.as_ref(), jobs);
     let partials: Vec<S> = rx.into_iter().collect();
     if partials.len() != workers {
-        return Err(fail.get().unwrap_or_else(|| {
-            ExecError::msg(format!(
-                "a parallel breaker worker failed ({} of {workers} partials arrived)",
-                partials.len(),
-            ))
-        }));
+        fail.set(ExecError::msg(format!(
+            "a parallel breaker worker failed ({} of {workers} partials arrived)",
+            partials.len(),
+        )));
     }
-    Ok(partials)
+    chain.resolve_tees();
+    partials
 }

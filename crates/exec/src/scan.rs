@@ -1,77 +1,14 @@
-//! Leaf operators: table scan and table-function scan.
+//! The table-function leaf. (A table scan is no operator: it is the
+//! morsel dispenser at the root of a chain, see [`crate::fuse`].)
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rdb_storage::Table;
-use rdb_vector::{Batch, Value, BATCH_CAPACITY};
+use rdb_vector::Value;
 
 use crate::context::TableFunction;
 use crate::error::FailSlot;
 use crate::metrics::OpMetrics;
-use crate::op::{timed_next, BlockingExec, Operator};
-
-/// Sequential scan over an in-memory table with column projection. Each
-/// batch is an O(1) zero-copy slice of the table's columns.
-pub struct ScanExec {
-    table: Arc<Table>,
-    projection: Vec<usize>,
-    offset: usize,
-    metrics: Arc<OpMetrics>,
-    cancel: Option<Arc<AtomicBool>>,
-}
-
-impl ScanExec {
-    /// Scan `table`, emitting the columns at `projection` positions.
-    pub fn new(table: Arc<Table>, projection: Vec<usize>, metrics: Arc<OpMetrics>) -> Self {
-        ScanExec {
-            table,
-            projection,
-            offset: 0,
-            metrics,
-            cancel: None,
-        }
-    }
-
-    /// Observe a cancellation flag: a set flag ends the scan at the next
-    /// batch boundary, which bounds cancel latency even when every batch
-    /// feeds a long operator chain above. The flag is only loaded, never
-    /// cleared (the connection layer owns the clear).
-    pub fn with_cancel(mut self, cancel: Option<Arc<AtomicBool>>) -> Self {
-        self.cancel = cancel;
-        self
-    }
-}
-
-impl Operator for ScanExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.offset >= self.table.rows() {
-                return None;
-            }
-            if self
-                .cancel
-                .as_ref()
-                .is_some_and(|c| c.load(Ordering::Acquire))
-            {
-                return None; // cancelled: end the stream early
-            }
-            let len = BATCH_CAPACITY.min(self.table.rows() - self.offset);
-            let batch = self.table.scan_batch(&self.projection, self.offset, len);
-            self.offset += len;
-            Some(batch)
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        if self.table.rows() == 0 {
-            1.0
-        } else {
-            self.offset as f64 / self.table.rows() as f64
-        }
-    }
-}
+use crate::op::BlockingExec;
 
 /// Table-function scan: computes the function's full result on first pull
 /// (functions are black boxes with no incremental interface), then streams
@@ -95,32 +32,40 @@ pub fn fn_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::run_to_batch;
-    use rdb_storage::TableBuilder;
-    use rdb_vector::{Column, DataType, Schema};
-
-    fn table(rows: usize) -> Arc<Table> {
-        let schema = Schema::from_pairs([("a", DataType::Int), ("b", DataType::Int)]);
-        let mut b = TableBuilder::new("t", schema, rows);
-        for i in 0..rows {
-            b.push_row(vec![Value::Int(i as i64), Value::Int((i * 2) as i64)]);
-        }
-        b.finish()
-    }
+    use crate::build::build;
+    use crate::context::ExecContext;
+    use crate::op::{run_to_batch, Operator};
+    use rdb_plan::scan;
+    use rdb_storage::{Catalog, TableBuilder};
+    use rdb_vector::{Batch, Column, DataType, Schema};
 
     #[test]
     fn scan_projects_and_batches() {
-        let t = table(2500);
-        let m = OpMetrics::shared();
-        let mut scan = ScanExec::new(t, vec![1], m.clone());
-        assert_eq!(scan.progress(), 0.0);
-        let out = run_to_batch(&mut scan);
+        let schema = Schema::from_pairs([("a", DataType::Int), ("b", DataType::Int)]);
+        let mut b = TableBuilder::new("t", schema, 2500);
+        for i in 0..2500 {
+            b.push_row(vec![Value::Int(i), Value::Int(i * 2)]);
+        }
+        let mut cat = Catalog::new();
+        cat.register(b.finish()).expect("register table");
+        let ctx = ExecContext::new(Arc::new(cat));
+        // A bare scan is a chain of no stages over the dispenser.
+        let plan = scan("t", &["b"]).bind(&ctx.catalog).unwrap();
+        let mut tree = build(&plan, &ctx).unwrap();
+        assert_eq!(tree.root.progress(), 0.0);
+        let out = run_to_batch(tree.root.as_mut());
         assert_eq!(out.rows(), 2500);
         assert_eq!(out.width(), 1);
         assert_eq!(out.column(0).as_ints()[2], 4);
-        assert_eq!(scan.progress(), 1.0);
+        assert_eq!(tree.root.progress(), 1.0);
+        let m = &tree.metrics.metrics;
         assert_eq!(m.rows_out(), 2500);
-        assert!(m.time_ns() > 0);
+        assert_eq!(m.calls(), 3, "one call per morsel");
+        assert_eq!(
+            m.time_ns(),
+            0,
+            "a leaf read through the dispenser is not timed"
+        );
     }
 
     struct Doubler;

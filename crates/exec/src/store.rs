@@ -1,27 +1,33 @@
-//! The `store` operator and cached-result scan (paper §II, §III-D).
+//! The `store` tee and the cached-result type (paper §II, §III-D).
 //!
-//! A [`StoreExec`] wraps an arbitrary sub-pipeline and can, *without
-//! interrupting the tuple flow*:
+//! A `Store` plan node is a stage of the fused chain it sits in
+//! ([`crate::fuse::FusedStage::Tee`]), so it tees tuples *without
+//! interrupting the tuple flow*: the chain's scan or breaker below and the
+//! stages above it run in the same push loop, serially or on every worker.
+//! Per execution a store has one [`StoreTee`], which can
 //!
 //! * **pass along** tuples (after a cancelled speculation),
-//! * **buffer** them while run-time estimates decide whether the result is
+//! * **record** them while run-time estimates decide whether the result is
 //!   worth materializing (speculation), or
 //! * **materialize** them into the recycler cache (decision already made in
 //!   the rewriting phase — history mode).
 //!
 //! Speculative stores extrapolate the result's final cost and size from the
-//! producing operator's *progress meter*: an operator that has processed
-//! `n` of `m` tuples has progress `n/m`, and `estimate = observed/progress`.
-//! The recycler supplies the verdict through [`ResultStore::speculate`].
+//! chain source's *progress meter*: a source that has handed out `n` of `m`
+//! morsels has progress `n/m`, and `estimate = observed/progress`. The
+//! recycler supplies the verdict through [`ResultStore::speculate`]. The
+//! tee records `(input index, batch)` pairs, so whatever order workers
+//! deliver them in, the chain's consumer publishes them in input order
+//! when it resolves the tee at end of input.
 //!
-//! [`cached`] replays a previously materialized result as a
-//! [`BlockingExec`].
+//! A cached leaf is read like a table: a [`crate::parallel::MorselDispenser`]
+//! over the leased result's chunks, on the morsel grid of its row count.
 //!
-//! Both directions of the cache are zero-copy: the tee buffers **shared**
+//! Both directions of the cache are zero-copy: the tee records **shared**
 //! batch clones (refcount bumps; data is only gathered once, when the
-//! buffer is concatenated into the published [`MaterializedResult`]), and
-//! replay re-chunks the cached result with O(1) column slices, so a cache
-//! hit costs O(#batches) rather than O(result bytes).
+//! recording is concatenated into the published [`MaterializedResult`]),
+//! and replay cuts the cached result into O(1) column slices, so a cache
+//! hit costs O(#morsels) rather than O(result bytes).
 //!
 //! A [`MaterializedResult`] holds its rows as an `rdb_storage::ChunkList`,
 //! the type base-table snapshots use. A published result is one chunk. An
@@ -38,10 +44,10 @@ use rdb_plan::Plan;
 use rdb_storage::{Chunk, ChunkList};
 use rdb_vector::{morsel_bounds, morsel_count, Batch, Schema};
 
+use parking_lot::Mutex;
+
 use crate::error::FailSlot;
 use crate::join::BuildSide;
-use crate::metrics::OpMetrics;
-use crate::op::{timed_next, BlockingExec, Operator};
 
 /// A fully materialized (intermediate or final) query result: its rows
 /// as a [`ChunkList`], the type base-table snapshots use, so a repaired
@@ -217,243 +223,189 @@ pub trait ResultStore: Send + Sync {
     }
 }
 
-/// Execution-side behaviour of a store operator.
+/// Where a store's tee stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Buffering while speculating.
+    /// Recording while speculating.
     Speculating,
-    /// Buffering with a commit decision (history mode starts here).
+    /// Recording with a commit decision (history mode starts here).
     Committed,
-    /// Passing through after a cancelled speculation.
+    /// Passing through: the speculation was cancelled, or the tee was
+    /// resolved.
     PassThrough,
-    /// Finished (buffer published or discarded).
-    Done,
 }
 
-/// The `store` operator.
-pub struct StoreExec {
-    child: Box<dyn Operator>,
+/// What a tee has recorded so far.
+struct TeeState {
+    phase: Phase,
+    /// `(input index, batch)` in arrival order: shared clones (refcount
+    /// bumps), gathered once, in index order, at publish.
+    recorded: Vec<(u64, Batch)>,
+    rows: u64,
+    bytes: usize,
+    /// Start of the first step of any clone of the tee's chain.
+    started: Option<Instant>,
+}
+
+/// The `store` operator's state for one execution (paper §II, §III-D):
+/// the tee stage of every clone of its chain records into it under one
+/// lock, taken once per input that reaches the tee, and the chain's
+/// consumer resolves it exactly once, after the last input
+/// (`StoreTee::resolve`).
+pub struct StoreTee {
     tag: u64,
     schema: Schema,
     store: Arc<dyn ResultStore>,
-    phase: Phase,
-    buffer: Vec<Batch>,
-    buffered_rows: u64,
-    buffered_bytes: usize,
-    started: Option<Instant>,
     /// Query cancel flag: a cancelled query's stream may end early, so the
-    /// buffer would be a *truncated* result — abandon instead of publish.
+    /// recording would be a *truncated* result — abandon instead of publish.
     cancel: Option<Arc<AtomicBool>>,
-    /// Execution failure slot: a recorded worker failure also means the
-    /// stream ended short, so the buffer is equally untrusted.
-    fail: Option<Arc<FailSlot>>,
-    metrics: Arc<OpMetrics>,
+    /// Execution failure slot: a recorded failure also means the stream
+    /// ended short, so the recording is equally untrusted.
+    fail: Arc<FailSlot>,
+    state: Mutex<TeeState>,
 }
 
-impl StoreExec {
-    /// Create a store operator over `child`.
-    ///
-    /// `speculative` selects the paper's speculation mode; otherwise the
-    /// materialization decision was already made by the rewriter.
-    pub fn new(
-        child: Box<dyn Operator>,
+impl StoreTee {
+    /// A tee publishing under `tag`. `speculative` selects the paper's
+    /// speculation mode; otherwise the materialization decision was
+    /// already made by the rewriter.
+    pub(crate) fn new(
         tag: u64,
         schema: Schema,
         store: Arc<dyn ResultStore>,
         speculative: bool,
-        metrics: Arc<OpMetrics>,
-    ) -> Self {
-        StoreExec {
-            child,
+        cancel: Option<Arc<AtomicBool>>,
+        fail: Arc<FailSlot>,
+    ) -> StoreTee {
+        StoreTee {
             tag,
             schema,
             store,
-            phase: if speculative {
-                Phase::Speculating
-            } else {
-                Phase::Committed
-            },
-            buffer: Vec::new(),
-            buffered_rows: 0,
-            buffered_bytes: 0,
-            started: None,
-            cancel: None,
-            fail: None,
-            metrics,
+            cancel,
+            fail,
+            state: Mutex::new(TeeState {
+                phase: if speculative {
+                    Phase::Speculating
+                } else {
+                    Phase::Committed
+                },
+                recorded: Vec::new(),
+                rows: 0,
+                bytes: 0,
+                started: None,
+            }),
         }
     }
 
-    /// Attach the query's cancel flag (see the `cancel` field).
-    pub fn with_cancel(mut self, cancel: Option<Arc<AtomicBool>>) -> Self {
-        self.cancel = cancel;
-        self
+    /// Start the speculation clock at `at`, the first step of a chain
+    /// clone; later calls keep the earliest.
+    pub(crate) fn begin(&self, at: Instant) {
+        self.state.lock().started.get_or_insert(at);
     }
 
-    /// Attach the execution's failure slot (see the `fail` field).
-    pub fn with_fail(mut self, fail: Arc<FailSlot>) -> Self {
-        self.fail = Some(fail);
-        self
-    }
-
-    /// Whether the stream can no longer be trusted to be complete: the
-    /// query was cancelled or a pipeline worker recorded a failure.
-    fn compromised(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Acquire))
-            || self.fail.as_ref().is_some_and(|f| f.is_set())
-    }
-
-    fn estimate(&self) -> SpeculationEstimate {
-        let progress = self.child.progress().clamp(0.0, 1.0);
-        let elapsed = self
-            .started
-            .map(|t| t.elapsed().as_nanos() as f64)
-            .unwrap_or(0.0);
-        let p = progress.max(1e-6);
-        SpeculationEstimate {
-            progress,
-            buffered_rows: self.buffered_rows,
-            buffered_bytes: self.buffered_bytes,
-            est_rows: self.buffered_rows as f64 / p,
-            est_bytes: self.buffered_bytes as f64 / p,
-            est_cost_ns: elapsed / p,
+    /// Record input `idx`. `batch` builds its live rows and runs only
+    /// while recording; a speculating tee then extrapolates from
+    /// `progress`, the chain source's meter, and asks the recycler for a
+    /// verdict.
+    pub(crate) fn record(
+        &self,
+        idx: u64,
+        batch: impl FnOnce() -> Batch,
+        progress: impl FnOnce() -> f64,
+    ) {
+        let mut st = self.state.lock();
+        if st.phase == Phase::PassThrough {
+            return;
+        }
+        let batch = batch();
+        st.rows += batch.rows() as u64;
+        st.bytes += batch.size_bytes();
+        st.recorded.push((idx, batch));
+        if st.phase == Phase::Speculating {
+            let est = estimate(&st, progress().clamp(0.0, 1.0));
+            match self.store.speculate(self.tag, &est) {
+                StoreVerdict::Undecided => {}
+                StoreVerdict::Commit => st.phase = Phase::Committed,
+                StoreVerdict::Cancel => {
+                    st.recorded = Vec::new();
+                    st.rows = 0;
+                    st.bytes = 0;
+                    st.phase = Phase::PassThrough;
+                    self.store.abandon(self.tag);
+                }
+            }
         }
     }
-}
 
-impl Operator for StoreExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.started.is_none() {
-                self.started = Some(Instant::now());
+    /// End of input, called once by the chain's consumer: abandon when the
+    /// stream may have ended short (a set fail slot or cancel flag), let
+    /// a still-undecided speculation decide once more with exact numbers
+    /// (progress 1), and publish on commit the recorded batches in input
+    /// order. The tee then passes through.
+    pub(crate) fn resolve(&self) {
+        let mut st = self.state.lock();
+        let publish = match st.phase {
+            Phase::PassThrough => return,
+            _ if self
+                .cancel
+                .as_ref()
+                .is_some_and(|c| c.load(Ordering::Acquire))
+                || self.fail.is_set() =>
+            {
+                false
             }
-            match self.child.next_batch() {
-                Some(batch) => {
-                    match self.phase {
-                        // The tee buffers *shared* clones (refcount bumps);
-                        // data is gathered once, at publish time.
-                        Phase::Speculating => {
-                            self.buffer.push(batch.clone());
-                            self.buffered_rows += batch.rows() as u64;
-                            self.buffered_bytes += batch.size_bytes();
-                            let est = self.estimate();
-                            match self.store.speculate(self.tag, &est) {
-                                StoreVerdict::Undecided => {}
-                                StoreVerdict::Commit => self.phase = Phase::Committed,
-                                StoreVerdict::Cancel => {
-                                    self.buffer.clear();
-                                    self.buffered_rows = 0;
-                                    self.buffered_bytes = 0;
-                                    self.phase = Phase::PassThrough;
-                                    self.store.abandon(self.tag);
-                                }
-                            }
-                        }
-                        Phase::Committed => {
-                            self.buffer.push(batch.clone());
-                            self.buffered_rows += batch.rows() as u64;
-                            self.buffered_bytes += batch.size_bytes();
-                        }
-                        Phase::PassThrough | Phase::Done => {}
-                    }
-                    Some(batch)
-                }
-                None => {
-                    match self.phase {
-                        Phase::Speculating | Phase::Committed => {
-                            // End of stream while still buffering: a
-                            // still-undecided speculation at completion has
-                            // exact numbers; let the recycler decide once
-                            // more with progress 1, then publish on commit.
-                            let publish = if self.compromised() {
-                                // The child stream may have been cut short
-                                // by a cancel or a worker failure; the
-                                // buffer cannot be trusted to be complete.
-                                self.store.abandon(self.tag);
-                                false
-                            } else if self.phase == Phase::Committed {
-                                true
-                            } else {
-                                let mut est = self.estimate();
-                                est.progress = 1.0;
-                                est.est_rows = self.buffered_rows as f64;
-                                est.est_bytes = self.buffered_bytes as f64;
-                                match self.store.speculate(self.tag, &est) {
-                                    StoreVerdict::Commit => true,
-                                    _ => {
-                                        self.store.abandon(self.tag);
-                                        false
-                                    }
-                                }
-                            };
-                            if publish {
-                                let result = MaterializedResult::from_batches(
-                                    self.schema.clone(),
-                                    &self.buffer,
-                                );
-                                self.store.publish(self.tag, result);
-                            }
-                            self.buffer.clear();
-                            self.phase = Phase::Done;
-                        }
-                        Phase::PassThrough => self.phase = Phase::Done,
-                        Phase::Done => {}
-                    }
-                    None
-                }
+            Phase::Committed => true,
+            Phase::Speculating => {
+                let est = estimate(&st, 1.0);
+                self.store.speculate(self.tag, &est) == StoreVerdict::Commit
             }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        self.child.progress()
+        };
+        st.phase = Phase::PassThrough;
+        let mut recorded = std::mem::take(&mut st.recorded);
+        drop(st);
+        if !publish {
+            self.store.abandon(self.tag);
+            return;
+        }
+        recorded.sort_unstable_by_key(|(idx, _)| *idx);
+        let batches: Vec<Batch> = recorded.into_iter().map(|(_, b)| b).collect();
+        let result = MaterializedResult::from_batches(self.schema.clone(), &batches);
+        self.store.publish(self.tag, result);
     }
 }
 
-/// Replays the materialized result leased under `tag`: fetched on the
-/// first pull, then streamed as zero-copy slices. A missing lease is a
-/// recycler bug and panics.
-pub fn cached(
-    tag: u64,
-    store: Arc<dyn ResultStore>,
-    metrics: Arc<OpMetrics>,
-    fail: Arc<FailSlot>,
-) -> BlockingExec {
-    let build = move || {
-        let result = store
-            .fetch(tag)
-            .unwrap_or_else(|| panic!("no leased result for tag {tag}"));
-        Ok(result.batches())
-    };
-    BlockingExec::new(build, metrics, fail)
+/// Extrapolate the final result from what `st` recorded by `progress`.
+fn estimate(st: &TeeState, progress: f64) -> SpeculationEstimate {
+    let p = progress.max(1e-6);
+    let elapsed = st.started.map_or(0.0, |t| t.elapsed().as_nanos() as f64);
+    SpeculationEstimate {
+        progress,
+        buffered_rows: st.rows,
+        buffered_bytes: st.bytes,
+        est_rows: st.rows as f64 / p,
+        est_bytes: st.bytes as f64 / p,
+        est_cost_ns: elapsed / p,
+    }
 }
 
+/// A recycler stand-in for this crate's tee tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testing {
     use super::*;
-    use crate::op::run_to_batch;
-    use crate::op::testing::BatchSource;
-    use parking_lot::Mutex;
-    use rdb_vector::{Column, DataType};
+    use crate::fuse::FusedStage;
+    use crate::metrics::OpMetrics;
     use std::collections::HashMap;
 
-    fn src(groups: Vec<Vec<i64>>) -> Box<dyn Operator> {
-        BatchSource::boxed(
-            groups
-                .into_iter()
-                .map(|g| Batch::new(vec![Column::from_ints(g)]))
-                .collect(),
-        )
-    }
-
+    /// Records what tees do; answers every speculation with `verdict`.
     #[derive(Default)]
-    struct MockStore {
-        published: Mutex<HashMap<u64, Arc<MaterializedResult>>>,
-        abandoned: Mutex<Vec<u64>>,
-        verdict: Mutex<StoreVerdict>,
-        calls: Mutex<u64>,
+    pub(crate) struct MockStore {
+        pub(crate) published: Mutex<HashMap<u64, Arc<MaterializedResult>>>,
+        /// Every `publish` call's tag, in order.
+        pub(crate) publishes: Mutex<Vec<u64>>,
+        pub(crate) abandoned: Mutex<Vec<u64>>,
+        pub(crate) verdict: Mutex<StoreVerdict>,
+        /// `speculate` calls.
+        pub(crate) calls: Mutex<u64>,
     }
 
     impl ResultStore for MockStore {
@@ -461,6 +413,7 @@ mod tests {
             self.published.lock().get(&tag).cloned()
         }
         fn publish(&self, tag: u64, result: MaterializedResult) {
+            self.publishes.lock().push(tag);
             self.published.lock().insert(tag, Arc::new(result));
         }
         fn abandon(&self, tag: u64) {
@@ -472,69 +425,124 @@ mod tests {
         }
     }
 
+    /// A tee stage recording rows of `schema` for `tag` into `store`.
+    pub(crate) fn tee(
+        tag: u64,
+        schema: Schema,
+        store: Arc<dyn ResultStore>,
+        speculative: bool,
+    ) -> FusedStage {
+        FusedStage::Tee {
+            tee: Arc::new(StoreTee::new(
+                tag,
+                schema,
+                store,
+                speculative,
+                None,
+                FailSlot::shared(),
+            )),
+            metrics: OpMetrics::shared(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{tee, MockStore};
+    use super::*;
+    use crate::build::build;
+    use crate::context::ExecContext;
+    use crate::fuse::testing::{over_morsels, over_operator};
+    use crate::op::run_to_batch;
+    use rdb_storage::Catalog;
+    use rdb_vector::{Column, DataType};
+
     fn schema() -> Schema {
         Schema::from_pairs([("x", DataType::Int)])
     }
 
+    /// A lone tee for `tag` over `groups` (one batch each), fed by an
+    /// operator and then by a morsel dispenser, each run with a fresh
+    /// store from `store`: the runs' outputs, with their stores.
+    fn tee_over_both<S: ResultStore + 'static>(
+        groups: &[Vec<i64>],
+        tag: u64,
+        speculative: bool,
+        store: impl Fn() -> Arc<S>,
+    ) -> Vec<(Batch, Arc<S>)> {
+        let input: Vec<Batch> = groups
+            .iter()
+            .map(|g| Batch::new(vec![Column::from_ints(g.clone())]))
+            .collect();
+        [false, true]
+            .into_iter()
+            .map(|morsels| {
+                let s = store();
+                let stage = tee(tag, schema(), s.clone(), speculative);
+                let mut exec = if morsels {
+                    over_morsels(vec![stage], &input)
+                } else {
+                    over_operator(vec![stage], input.clone())
+                };
+                (run_to_batch(&mut exec), s)
+            })
+            .collect()
+    }
+
+    fn mock(verdict: StoreVerdict) -> impl Fn() -> Arc<MockStore> {
+        move || {
+            let store = Arc::new(MockStore::default());
+            *store.verdict.lock() = verdict;
+            store
+        }
+    }
+
     #[test]
     fn materialize_mode_tees_and_publishes() {
-        let store = Arc::new(MockStore::default());
-        let mut op = StoreExec::new(
-            src(vec![vec![1, 2], vec![3]]),
+        let runs = tee_over_both(
+            &[vec![1, 2], vec![3]],
             7,
-            schema(),
-            store.clone(),
             false,
-            OpMetrics::shared(),
+            mock(StoreVerdict::Undecided),
         );
-        let out = run_to_batch(&mut op);
-        assert_eq!(out.column(0).as_ints(), &[1, 2, 3], "flow uninterrupted");
-        let published = store.fetch(7).expect("result published");
-        assert_eq!(published.to_batch().column(0).as_ints(), &[1, 2, 3]);
-        assert!(published.size_bytes() > 0);
+        for (out, store) in runs {
+            assert_eq!(out.column(0).as_ints(), &[1, 2, 3], "flow uninterrupted");
+            let published = store.fetch(7).expect("result published");
+            assert_eq!(published.to_batch().column(0).as_ints(), &[1, 2, 3]);
+            assert!(published.size_bytes() > 0);
+        }
     }
 
     #[test]
     fn speculation_commit_publishes() {
-        let store = Arc::new(MockStore::default());
-        *store.verdict.lock() = StoreVerdict::Commit;
-        let mut op = StoreExec::new(
-            src(vec![vec![1], vec![2]]),
-            1,
-            schema(),
-            store.clone(),
-            true,
-            OpMetrics::shared(),
-        );
-        run_to_batch(&mut op);
-        assert!(store.fetch(1).is_some());
-        assert!(store.abandoned.lock().is_empty());
+        for (_, store) in tee_over_both(&[vec![1], vec![2]], 1, true, mock(StoreVerdict::Commit)) {
+            assert!(store.fetch(1).is_some());
+            assert!(store.abandoned.lock().is_empty());
+        }
     }
 
     #[test]
     fn speculation_cancel_drops_buffer() {
-        let store = Arc::new(MockStore::default());
-        *store.verdict.lock() = StoreVerdict::Cancel;
-        let mut op = StoreExec::new(
-            src(vec![vec![1], vec![2], vec![3]]),
+        let runs = tee_over_both(
+            &[vec![1], vec![2], vec![3]],
             2,
-            schema(),
-            store.clone(),
             true,
-            OpMetrics::shared(),
+            mock(StoreVerdict::Cancel),
         );
-        let out = run_to_batch(&mut op);
-        assert_eq!(out.rows(), 3, "tuples still flow after cancel");
-        assert!(store.fetch(2).is_none());
-        assert_eq!(store.abandoned.lock().as_slice(), &[2]);
-        // Speculation stops after the cancel verdict.
-        assert_eq!(*store.calls.lock(), 1);
+        for (out, store) in runs {
+            assert_eq!(out.rows(), 3, "tuples still flow after cancel");
+            assert!(store.fetch(2).is_none());
+            assert_eq!(store.abandoned.lock().as_slice(), &[2]);
+            // Speculation stops after the cancel verdict.
+            assert_eq!(*store.calls.lock(), 1);
+        }
     }
 
     #[test]
     fn undecided_speculation_resolves_at_completion() {
         // Recycler stays undecided mid-flight; at end-of-stream the store
         // asks one final time with exact numbers (progress == 1).
+        #[derive(Default)]
         struct DecideAtEnd(MockStore);
         impl ResultStore for DecideAtEnd {
             fn fetch(&self, t: u64) -> Option<Arc<MaterializedResult>> {
@@ -554,21 +562,17 @@ mod tests {
                 }
             }
         }
-        let store = Arc::new(DecideAtEnd(MockStore::default()));
-        let mut op = StoreExec::new(
-            src(vec![vec![1], vec![2]]),
-            3,
-            schema(),
-            store.clone(),
-            true,
-            OpMetrics::shared(),
-        );
-        run_to_batch(&mut op);
-        assert!(store.fetch(3).is_some());
+        let runs = tee_over_both(&[vec![1], vec![2]], 3, true, || {
+            Arc::new(DecideAtEnd::default())
+        });
+        for (_, store) in runs {
+            assert!(store.fetch(3).is_some());
+        }
     }
 
     #[test]
     fn cached_exec_replays() {
+        // A cached leaf is a zero-stage chain over a dispenser.
         let store = Arc::new(MockStore::default());
         store.publish(
             9,
@@ -577,10 +581,15 @@ mod tests {
                 &[Batch::new(vec![Column::from_ints(vec![5, 6])])],
             ),
         );
-        let mut c = cached(9, store, OpMetrics::shared(), FailSlot::shared());
-        let out = run_to_batch(&mut c);
+        let ctx = ExecContext::new(Arc::new(Catalog::new())).with_store(store);
+        let plan = Plan::Cached {
+            tag: 9,
+            schema: schema(),
+        };
+        let mut tree = build(&plan, &ctx).unwrap();
+        let out = run_to_batch(tree.root.as_mut());
         assert_eq!(out.column(0).as_ints(), &[5, 6]);
-        assert_eq!(c.progress(), 1.0);
+        assert_eq!(tree.root.progress(), 1.0);
     }
 
     #[test]
@@ -592,10 +601,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no leased result")]
-    fn cached_exec_panics_without_lease() {
-        let store = Arc::new(MockStore::default());
-        let mut c = cached(42, store, OpMetrics::shared(), FailSlot::shared());
-        c.next_batch();
+    fn cached_leaf_without_lease_fails_the_build() {
+        let ctx =
+            ExecContext::new(Arc::new(Catalog::new())).with_store(Arc::new(MockStore::default()));
+        let plan = Plan::Cached {
+            tag: 42,
+            schema: schema(),
+        };
+        let Err(err) = build(&plan, &ctx) else {
+            panic!("a missing lease must fail the build");
+        };
+        assert!(err.to_string().contains("cached tag 42"), "{err}");
     }
 }
