@@ -80,7 +80,7 @@ use rdb_expr::{eval, AggFunc};
 use rdb_plan::{JoinKind, Plan};
 use rdb_storage::{Catalog, CatalogSnapshot, Table};
 use rdb_vector::column::ColumnBuilder;
-use rdb_vector::row::SortOrder;
+use rdb_vector::row::{cmp_cell, SortOrder};
 use rdb_vector::{Batch, Column, Schema, Value};
 
 /// The typed change one epoch commit applies to one table: the rows
@@ -448,7 +448,7 @@ pub fn repair(
             let cat = delta_catalog(snapshot, delta, &delta.appended);
             let delta_out = run_serial(plan, cat, functions)?;
             let delta_batch = Batch::concat_or_empty(schema, &delta_out);
-            let merged = merge_top_n(&cached.to_batch(), &delta_batch, keys, *n, schema)?;
+            let merged = merge_top_n(&cached.to_batch(), &delta_batch, keys, *n)?;
             Some(MaterializedResult::from_batches(schema.clone(), &[merged]))
         }
     }
@@ -465,14 +465,13 @@ fn merge_top_n(
     delta: &Batch,
     keys: &[rdb_plan::SortKeyExpr],
     n: usize,
-    schema: &Schema,
 ) -> Option<Batch> {
     let old_keys: Vec<Column> = keys.iter().map(|k| eval(&k.expr, old)).collect();
     let new_keys: Vec<Column> = keys.iter().map(|k| eval(&k.expr, delta)).collect();
     let orders: Vec<SortOrder> = keys.iter().map(|k| k.order).collect();
     let le_old = |i: usize, j: usize| -> bool {
         for ((a, b), ord) in old_keys.iter().zip(&new_keys).zip(&orders) {
-            match ord.apply(a.get(i).cmp(&b.get(j))) {
+            match ord.apply(cmp_cell(a, i, b, j)) {
                 std::cmp::Ordering::Less => return true,
                 std::cmp::Ordering::Greater => return false,
                 std::cmp::Ordering::Equal => continue,
@@ -480,37 +479,20 @@ fn merge_top_n(
         }
         true // tie: the old row's position is smaller
     };
-    let mut builders: Vec<ColumnBuilder> = schema
-        .fields()
-        .iter()
-        .map(|f| ColumnBuilder::new(f.dtype, n.min(old.rows() + delta.rows())))
-        .collect();
-    let (mut i, mut j, mut taken) = (0usize, 0usize, 0usize);
-    while taken < n && (i < old.rows() || j < delta.rows()) {
-        let from_old = if i >= old.rows() {
-            false
-        } else if j >= delta.rows() {
-            true
-        } else {
-            le_old(i, j)
-        };
-        let (src, row) = if from_old {
-            let r = (old, i);
+    // Picks index `old ++ delta`: old row `i` is `i`, delta row `j` is
+    // `old.rows() + j`.
+    let mut picks: Vec<u32> = Vec::with_capacity(n.min(old.rows() + delta.rows()));
+    let (mut i, mut j) = (0usize, 0usize);
+    while picks.len() < n && (i < old.rows() || j < delta.rows()) {
+        if j >= delta.rows() || (i < old.rows() && le_old(i, j)) {
+            picks.push(i as u32);
             i += 1;
-            r
         } else {
-            let r = (delta, j);
+            picks.push((old.rows() + j) as u32);
             j += 1;
-            r
-        };
-        for (c, b) in builders.iter_mut().enumerate() {
-            b.push(src.column(c).get(row));
         }
-        taken += 1;
     }
-    Some(Batch::new(
-        builders.into_iter().map(|b| b.finish()).collect(),
-    ))
+    Some(Batch::concat(&[old.clone(), delta.clone()]).take(&picks))
 }
 
 #[cfg(test)]

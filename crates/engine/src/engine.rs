@@ -763,6 +763,7 @@ impl Engine {
         // half-done when it gives up.
         let committed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             vt.delete_where(|t| {
+                let mut pred = pred.clone();
                 let mut mask = vec![false; t.rows()];
                 let mut doomed: Vec<u32> = Vec::new();
                 let mut offset = 0;

@@ -3,15 +3,27 @@
 //! **Group ids.** A `GroupTable` numbers its groups `0, 1, 2, …` in
 //! first-seen order and keeps their keys as typed key columns: row `g` of
 //! each is group `g`'s key as first seen (a later `-0.0` joins the `0.0`
-//! group and leaves the kept key alone). The crate's one hash index (the
-//! `index` module, which join build sides use too) maps a key hash
-//! ([`rdb_vector::hash_columns`]) to group id and finds a row's group;
-//! every candidate is confirmed with
-//! [`rdb_vector::KeyCells::cell_eq`], the key equality hash joins use:
-//! NULL equals NULL, `-0.0` equals `0.0`, and cells of different types
-//! never match. A keyless aggregate has exactly one group, id 0, from the
-//! start (so an empty global input still yields its one row) and hashes
-//! nothing.
+//! group and leaves the kept key alone). A row's key is read as one
+//! **key word** per key column: a fixed-width value's bits, and for a
+//! string its *table-local key id* — the code of the string in a
+//! dictionary the table owns. Each incoming `(dictionary, code)` pair is
+//! mapped to its key id once per distinct dictionary `Arc` (a scan's
+//! morsels share their table's), so no string is hashed or compared per
+//! row. Then:
+//!
+//! * when every key is a string and the combinations of key ids (NULL
+//!   included) fit in 2^16, the group id is read from a dense array
+//!   indexed by the combination — no hashing at all (Q1's two flags);
+//! * any other key set hashes its key words into the crate's one hash
+//!   index (the `index` module, which join build sides use too) and
+//!   confirms candidates by word: NULL equals NULL, `-0.0` equals `0.0`,
+//!   NaNs are equal when their bits are — the key equality of
+//!   [`rdb_vector::KeyCells::cell_eq`], which hash joins use.
+//!
+//! A dense table that outgrows 2^16 combinations rehashes its groups into
+//! the index once. A keyless aggregate has exactly one group, id 0, from
+//! the start (so an empty global input still yields its one row) and
+//! reads no keys.
 //!
 //! **Per-aggregate kernels.** `fold` resolves every live row of a batch to
 //! a `u32` group id in one pass. Batches are consumed selection-aware:
@@ -21,12 +33,13 @@
 //! group id)` pairs into its own state vector, indexed by group id:
 //! counts; int and float sums, each with a seen flag that tells 0 from the
 //! NULL sum of no values; and min/max as a typed column compared in
-//! `Value` order (floats by `total_cmp`). A float sum adds each group's
+//! `Value` order (floats by `total_cmp`, strings by bytes, kept as codes
+//! of a dictionary the state owns). A float sum adds each group's
 //! values in row order, batch after batch: the serial fold, which is why
 //! parallel aggregation partitions only exact aggregates
 //! ([`AggFunc::is_exact`]) and why [`ResumedAgg`] may continue a cached
-//! sum. `count(distinct)` keeps one hash set of `(group id, value)` pairs
-//! per aggregate and, per group, the number of pairs it owns.
+//! sum. `count(distinct)` keeps one hash set of `(group id, value word)`
+//! pairs per aggregate and, per group, the number of pairs it owns.
 //!
 //! **Deterministic emission order.** The breaker emits groups sorted by
 //! group key (ascending `Value` order: NULL first, floats by
@@ -39,7 +52,7 @@
 //! plans must publish byte-identical `MaterializedResult`s whether they ran
 //! at DOP 1 or 8.
 //!
-//! Hashing is FxHash-style throughout (`hash_columns`, and the vendored
+//! Hashing is FxHash-style throughout (the key-word hash, and the vendored
 //! FxHash for the distinct pairs): the keys are the data being
 //! aggregated, and SipHash's DoS resistance buys nothing here.
 //!
@@ -51,16 +64,13 @@
 //! back into it.
 
 use std::cmp::Ordering;
-use std::hash::Hash;
 use std::ops::AddAssign;
 use std::sync::Arc;
 
 use fxhash::FxHashSet;
 
 use rdb_expr::{eval, AggFunc, Expr};
-use rdb_vector::{
-    hash_columns, Batch, Column, ColumnData, ColumnSlice, DataType, KeyCells, BATCH_CAPACITY,
-};
+use rdb_vector::{Batch, Column, ColumnData, ColumnSlice, DataType, Recoder, BATCH_CAPACITY};
 
 use crate::error::FailSlot;
 use crate::index::HashIndex;
@@ -68,15 +78,18 @@ use crate::metrics::OpMetrics;
 use crate::op::BlockingExec;
 use crate::parallel::{fold_input, BreakerInput};
 
-/// What the kernels need of a cell type: `Value` order, and the payload
-/// a NULL slot holds (what `ColumnBuilder::push_null` writes).
-trait Cell: Clone {
+/// What the kernels need of a fixed-width cell type: `Value` order, the
+/// payload a NULL slot holds (what `ColumnBuilder::push_null` writes), and
+/// the key word it is grouped by (see the module docs).
+trait Cell: Copy {
     fn order(&self, other: &Self) -> Ordering;
     fn null() -> Self;
+    fn word(self) -> u64;
+    fn from_word(w: u64) -> Self;
 }
 
 macro_rules! ord_cell {
-    ($($t:ty => $null:expr),*) => {$(
+    ($($t:ty => $null:expr, |$x:ident| $word:expr, |$w:ident| $back:expr;)*) => {$(
         impl Cell for $t {
             #[inline]
             fn order(&self, other: &Self) -> Ordering {
@@ -85,10 +98,24 @@ macro_rules! ord_cell {
             fn null() -> Self {
                 $null
             }
+            #[inline]
+            fn word(self) -> u64 {
+                let $x = self;
+                $word
+            }
+            #[inline]
+            fn from_word($w: u64) -> Self {
+                $back
+            }
         }
     )*};
 }
-ord_cell!(bool => false, i64 => 0, i32 => 0, Arc<str> => Arc::from(""));
+ord_cell!(
+    bool => false, |x| x as u64, |w| w != 0;
+    i64 => 0, |x| x as u64, |w| w as i64;
+    i32 => 0, |x| x as u32 as u64, |w| w as u32 as i32;
+    u32 => 0, |x| x as u64, |w| w as u32;
+);
 
 impl Cell for f64 {
     #[inline]
@@ -98,11 +125,29 @@ impl Cell for f64 {
     fn null() -> Self {
         0.0
     }
+    #[inline]
+    fn word(self) -> u64 {
+        self.to_bits()
+    }
+    #[inline]
+    fn from_word(w: u64) -> Self {
+        f64::from_bits(w)
+    }
+}
+
+/// The code in `into` of each entry of `from`'s dictionary (merging two
+/// tables' strings).
+fn recode_all(into: &mut Recoder, from: &Recoder) -> Vec<u32> {
+    let d = from.dict().dict();
+    (0..d.len() as u32)
+        .map(|c| into.intern_hashed(d.get(c), d.hash(c)))
+        .collect()
 }
 
 /// A growable typed column with one cell per group: a group key column,
 /// or the running min/max of an aggregate. `valid[g] == false` is NULL
-/// (for min/max: no value seen yet) over a [`Cell::null`] payload.
+/// (for min/max: no value seen yet) over a [`Cell::null`] payload (code 0
+/// for strings).
 struct Cells {
     data: CellData,
     valid: Vec<bool>,
@@ -112,33 +157,37 @@ enum CellData {
     Bool(Vec<bool>),
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Str(Vec<Arc<str>>),
+    /// Codes of the table-owned dictionary in `strs`.
+    Str(Vec<u32>, Recoder),
     Date(Vec<i32>),
 }
 
-/// Evaluate `$body` with `$d` bound to the typed vector of `$data`.
+/// Evaluate `$body` with `$d` bound to the typed vector of `$data` (the
+/// codes, for strings).
 macro_rules! each_type {
     ($data:expr, |$d:ident| $body:expr) => {
         match $data {
             CellData::Bool($d) => $body,
             CellData::Int($d) => $body,
             CellData::Float($d) => $body,
-            CellData::Str($d) => $body,
+            CellData::Str($d, _) => $body,
             CellData::Date($d) => $body,
         }
     };
 }
 
-/// Evaluate `$body` with `$d` bound to the typed vector of `$data` and `$s`
-/// to the slice of the same type in `$slice`. Panics when the types differ.
+/// Evaluate `$fixed` with `$d` bound to the typed vector of `$data` and
+/// `$s` to the slice of the same type in `$slice`, or `$str` for strings
+/// with `$c`, `$t` and `$v` bound to the codes, the table strings and the
+/// string slice. Panics when the types differ.
 macro_rules! same_type {
-    ($data:expr, $slice:expr, |$d:ident, $s:ident| $body:expr) => {
+    ($data:expr, $slice:expr, |$d:ident, $s:ident| $fixed:expr, |$c:ident, $t:ident, $v:ident| $str:expr) => {
         match ($data, $slice) {
-            (CellData::Bool($d), ColumnSlice::Bool($s)) => $body,
-            (CellData::Int($d), ColumnSlice::Int($s)) => $body,
-            (CellData::Float($d), ColumnSlice::Float($s)) => $body,
-            (CellData::Str($d), ColumnSlice::Str($s)) => $body,
-            (CellData::Date($d), ColumnSlice::Date($s)) => $body,
+            (CellData::Bool($d), ColumnSlice::Bool($s)) => $fixed,
+            (CellData::Int($d), ColumnSlice::Int($s)) => $fixed,
+            (CellData::Float($d), ColumnSlice::Float($s)) => $fixed,
+            (CellData::Date($d), ColumnSlice::Date($s)) => $fixed,
+            (CellData::Str($c, $t), ColumnSlice::Str($v)) => $str,
             (_, s) => panic!("aggregate cells cannot take a {} column", s.data_type()),
         }
     };
@@ -150,7 +199,7 @@ impl Cells {
             DataType::Bool => CellData::Bool(Vec::new()),
             DataType::Int => CellData::Int(Vec::new()),
             DataType::Float => CellData::Float(Vec::new()),
-            DataType::Str => CellData::Str(Vec::new()),
+            DataType::Str => CellData::Str(Vec::new(), Recoder::default()),
             DataType::Date => CellData::Date(Vec::new()),
         };
         Cells {
@@ -165,36 +214,76 @@ impl Cells {
             return None;
         }
         let mut cells = Cells::new(dtype);
-        cells.valid = (0..col.len()).map(|i| col.is_valid(i)).collect();
-        let valid = &cells.valid;
-        same_type!(&mut cells.data, col.values(), |d, s| *d =
-            copy_cells(s, valid));
+        let (mut words, mut valid) = (Vec::new(), Vec::new());
+        cells.read_words(col, None, col.len(), &mut words, &mut valid);
+        for (w, ok) in words.into_iter().zip(valid) {
+            cells.push_word(w, ok);
+        }
         Some(cells)
     }
 
     fn data_type(&self) -> DataType {
-        self.values().data_type()
-    }
-
-    fn values(&self) -> ColumnSlice<'_> {
         match &self.data {
-            CellData::Bool(v) => ColumnSlice::Bool(v),
-            CellData::Int(v) => ColumnSlice::Int(v),
-            CellData::Float(v) => ColumnSlice::Float(v),
-            CellData::Str(v) => ColumnSlice::Str(v),
-            CellData::Date(v) => ColumnSlice::Date(v),
+            CellData::Bool(_) => DataType::Bool,
+            CellData::Int(_) => DataType::Int,
+            CellData::Float(_) => DataType::Float,
+            CellData::Str(..) => DataType::Str,
+            CellData::Date(_) => DataType::Date,
         }
     }
 
-    fn view(&self) -> KeyCells<'_> {
-        KeyCells::new(self.values(), Some(&self.valid))
+    /// The key word of each live row of `col` (NULL rows: 0, not valid):
+    /// the value's bits, a string's code here.
+    fn read_words(
+        &mut self,
+        col: &Column,
+        sel: Option<&[u32]>,
+        live: usize,
+        words: &mut Vec<u64>,
+        valid: &mut Vec<bool>,
+    ) {
+        words.clear();
+        valid.clear();
+        let mask = col.validity();
+        same_type!(
+            &mut self.data,
+            col.values(),
+            |_d, s| read_live(sel, live, mask, words, valid, |row| s[row].word()),
+            |_c, strs, v| {
+                let mut r = strs.of(v.dict());
+                let codes = v.codes();
+                read_live(sel, live, mask, words, valid, |row| {
+                    r.code(codes[row]) as u64
+                })
+            }
+        );
     }
 
-    /// Append cell `i` of `values` (NULL unless `valid`).
-    fn push(&mut self, values: ColumnSlice<'_>, valid: bool, i: usize) {
+    /// Group `g`'s key word (`Cell::word`; a string's code).
+    #[inline]
+    fn word(&self, g: usize) -> u64 {
+        each_type!(&self.data, |d| d[g].word())
+    }
+
+    /// Whether group `g`'s key equals a key cell with word `w` (when
+    /// `valid`): floats compare with `-0.0` as `0.0`, NaNs by bits.
+    #[inline]
+    fn key_eq(&self, g: usize, w: u64, valid: bool) -> bool {
+        if self.valid[g] != valid {
+            return false;
+        }
+        !valid
+            || match &self.data {
+                CellData::Float(v) => norm_word(true, v[g].word()) == norm_word(true, w),
+                _ => self.word(g) == w,
+            }
+    }
+
+    /// Append a cell from its key word (a NULL unless `valid`).
+    fn push_word(&mut self, w: u64, valid: bool) {
         self.valid.push(valid);
-        same_type!(&mut self.data, values, |d, s| d
-            .push(cell_or_null(s, valid, i)));
+        let w = if valid { w } else { 0 };
+        each_type!(&mut self.data, |d| d.push(Cell::from_word(w)));
     }
 
     /// Pad with NULLs to `n` cells.
@@ -208,25 +297,77 @@ impl Cells {
     fn fold_extreme(&mut self, col: &Column, rows: Rows<'_>, keep: Ordering) {
         let mask = col.validity();
         let valid = &mut self.valid;
-        same_type!(&mut self.data, col.values(), |best, vals| rows.for_each(
-            |row, g| {
+        same_type!(
+            &mut self.data,
+            col.values(),
+            |best, vals| rows.for_each(|row, g| {
                 if mask.is_none_or(|m| m[row]) {
-                    offer(best, valid, g, &vals[row], keep);
+                    offer(best, valid, g, vals[row], keep);
                 }
+            }),
+            |best, strs, vals| {
+                let mut r = strs.of(vals.dict());
+                rows.for_each(|row, g| {
+                    if mask.is_none_or(|m| m[row])
+                        && (!valid[g] || vals.get(row).cmp(r.get(best[g])) == keep)
+                    {
+                        best[g] = r.code(vals.codes()[row]);
+                        valid[g] = true;
+                    }
+                });
             }
-        ));
+        );
     }
 
     /// Combine `other`'s extremes, group `og` there into group `map[og]`.
-    fn merge_extreme(&mut self, other: &Cells, map: &[u32], keep: Ordering) {
+    fn merge_extreme(&mut self, other: Cells, map: &[u32], keep: Ordering) {
         let valid = &mut self.valid;
-        same_type!(&mut self.data, other.values(), |best, vals| {
-            for (og, &g) in map.iter().enumerate() {
-                if other.valid[og] {
-                    offer(best, valid, g as usize, &vals[og], keep);
+        match (&mut self.data, &other.data) {
+            (CellData::Str(best, strs), CellData::Str(theirs, their_strs)) => {
+                let d = their_strs.dict().dict();
+                for (og, &g) in map.iter().enumerate() {
+                    if !other.valid[og] {
+                        continue;
+                    }
+                    let (g, s) = (g as usize, d.get(theirs[og]));
+                    if !valid[g] || s.cmp(strs.dict().get(best[g])) == keep {
+                        best[g] = strs.intern_hashed(s, d.hash(theirs[og]));
+                        valid[g] = true;
+                    }
                 }
             }
-        });
+            // Same fixed-width type: their cells are their words.
+            (data, _) => each_type!(data, |best| {
+                for (og, &g) in map.iter().enumerate() {
+                    if other.valid[og] {
+                        let v = Cell::from_word(other.word(og));
+                        offer(best, valid, g as usize, v, keep);
+                    }
+                }
+            }),
+        }
+    }
+
+    /// Group ids `perm` sorted by these cells, NULL first (stably when
+    /// `stable`); strings in byte order of their entries.
+    fn sort(&self, perm: &mut [u32], stable: bool) {
+        match &self.data {
+            CellData::Str(codes, strs) => {
+                let d = strs.dict().dict();
+                let mut by_bytes: Vec<u32> = (0..d.len() as u32).collect();
+                by_bytes.sort_unstable_by(|&a, &b| d.get(a).cmp(d.get(b)));
+                let mut rank = vec![0u32; d.len()];
+                for (r, &c) in by_bytes.iter().enumerate() {
+                    rank[c as usize] = r as u32;
+                }
+                let ranks: Vec<u32> = codes
+                    .iter()
+                    .map(|&c| rank.get(c as usize).copied().unwrap_or(0))
+                    .collect();
+                sort_by_cells(perm, &ranks, &self.valid, stable);
+            }
+            data => each_type!(data, |d| sort_by_cells(perm, d, &self.valid, stable)),
+        }
     }
 
     fn into_column(self) -> Column {
@@ -234,10 +375,54 @@ impl Cells {
             CellData::Bool(v) => ColumnData::bools(v),
             CellData::Int(v) => ColumnData::ints(v),
             CellData::Float(v) => ColumnData::floats(v),
-            CellData::Str(v) => ColumnData::strs(v),
+            CellData::Str(codes, strs) => {
+                let dict = strs.finish_for(codes.len());
+                ColumnData::coded(codes, dict)
+            }
             CellData::Date(v) => ColumnData::dates(v),
         };
         Column::with_validity(data, self.valid)
+    }
+}
+
+/// Push the key word of each of the `live` rows (`sel`, or the first
+/// `live` physical rows), 0 and not valid for a NULL row.
+#[inline(always)]
+fn read_live(
+    sel: Option<&[u32]>,
+    live: usize,
+    mask: Option<&[bool]>,
+    words: &mut Vec<u64>,
+    valid: &mut Vec<bool>,
+    mut word: impl FnMut(usize) -> u64,
+) {
+    match (sel, mask) {
+        (None, None) => {
+            words.extend((0..live).map(word));
+            valid.resize(live, true);
+        }
+        (Some(sel), None) => {
+            words.extend(sel.iter().map(|&row| word(row as usize)));
+            valid.resize(live, true);
+        }
+        _ => {
+            for li in 0..live {
+                let row = sel.map_or(li, |s| s[li] as usize);
+                let ok = mask.is_none_or(|m| m[row]);
+                valid.push(ok);
+                words.push(if ok { word(row) } else { 0 });
+            }
+        }
+    }
+}
+
+/// A key word as it hashes and compares: a float's with `-0.0` as `0.0`.
+#[inline(always)]
+fn norm_word(float: bool, w: u64) -> u64 {
+    if float && f64::from_bits(w) == 0.0 {
+        0
+    } else {
+        w
     }
 }
 
@@ -245,7 +430,7 @@ impl Cells {
 #[inline]
 fn cell_or_null<T: Cell>(vals: &[T], valid: bool, i: usize) -> T {
     if valid {
-        vals[i].clone()
+        vals[i]
     } else {
         T::null()
     }
@@ -261,9 +446,9 @@ fn copy_cells<T: Cell>(vals: &[T], valid: &[bool]) -> Vec<T> {
 /// Make `v` group `g`'s extreme if it is the first value or beats the
 /// current one (`keep`: `Less` for min, `Greater` for max).
 #[inline]
-fn offer<T: Cell>(best: &mut [T], valid: &mut [bool], g: usize, v: &T, keep: Ordering) {
+fn offer<T: Cell>(best: &mut [T], valid: &mut [bool], g: usize, v: T, keep: Ordering) {
     if !valid[g] || v.order(&best[g]) == keep {
-        best[g] = v.clone();
+        best[g] = v;
         valid[g] = true;
     }
 }
@@ -310,43 +495,53 @@ fn add_sums<T, U: AddAssign>(
     });
 }
 
-/// The `(group id, value)` pairs of one `count(distinct)`. An aggregate's
-/// values share one type, so fixed-width ones are kept as one word each:
-/// floats by their bits with `-0.0` as `0.0`, which is `Value` equality.
-enum DistinctPairs {
-    Words(FxHashSet<(u32, u64)>),
-    Strs(FxHashSet<(u32, Arc<str>)>),
+/// The `(group id, value)` pairs of one `count(distinct)`, each value as
+/// one word: its key word with `-0.0` as `0.0` (`Value` equality), a
+/// string as its code in `strs`.
+struct DistinctPairs {
+    set: FxHashSet<(u32, u64)>,
+    strs: Recoder,
 }
 
-/// Insert the live rows' `(group id, key(value))` pairs, counting new
-/// ones per group.
-fn insert_pairs<T, V: Hash + Eq>(
-    set: &mut FxHashSet<(u32, V)>,
-    count: &mut [i64],
-    vals: &[T],
-    mask: Option<&[bool]>,
-    rows: Rows<'_>,
-    key: impl Fn(&T) -> V,
-) {
-    rows.for_each(|row, g| {
-        if mask.is_none_or(|m| m[row]) && set.insert((g as u32, key(&vals[row]))) {
-            count[g] += 1;
+impl DistinctPairs {
+    /// Insert the live rows' pairs, counting new ones per group.
+    fn insert(&mut self, count: &mut [i64], col: &Column, rows: Rows<'_>) {
+        let mask = col.validity();
+        let set = &mut self.set;
+        let mut add = |row: usize, g: usize, w: u64| {
+            if mask.is_none_or(|m| m[row]) && set.insert((g as u32, w)) {
+                count[g] += 1;
+            }
+        };
+        match col.values() {
+            ColumnSlice::Bool(v) => rows.for_each(|row, g| add(row, g, v[row].word())),
+            ColumnSlice::Int(v) => rows.for_each(|row, g| add(row, g, v[row].word())),
+            ColumnSlice::Float(v) => {
+                rows.for_each(|row, g| add(row, g, norm_word(true, v[row].word())))
+            }
+            ColumnSlice::Date(v) => rows.for_each(|row, g| add(row, g, v[row].word())),
+            ColumnSlice::Str(v) => {
+                let mut r = self.strs.of(v.dict());
+                rows.for_each(|row, g| {
+                    if mask.is_none_or(|m| m[row]) {
+                        add(row, g, r.code(v.codes()[row]) as u64)
+                    }
+                })
+            }
         }
-    });
-}
+    }
 
-/// Move `from`'s pairs into `into`, group `og` to group `map[og]`,
-/// counting new ones per group.
-fn merge_pairs<V: Hash + Eq>(
-    into: &mut FxHashSet<(u32, V)>,
-    from: FxHashSet<(u32, V)>,
-    map: &[u32],
-    count: &mut [i64],
-) {
-    for (og, v) in from {
-        let g = map[og as usize];
-        if into.insert((g, v)) {
-            count[g as usize] += 1;
+    /// Move `other`'s pairs in, group `og` to group `map[og]`, counting
+    /// new ones per group.
+    fn merge(&mut self, other: DistinctPairs, map: &[u32], count: &mut [i64]) {
+        let codes = recode_all(&mut self.strs, &other.strs);
+        let strings = !codes.is_empty();
+        for (og, w) in other.set {
+            let w = if strings { codes[w as usize] as u64 } else { w };
+            let g = map[og as usize];
+            if self.set.insert((g, w)) {
+                count[g as usize] += 1;
+            }
         }
     }
 }
@@ -406,10 +601,10 @@ impl State {
                 best: Cells::new(e.data_type(input_types)),
                 keep: Ordering::Greater,
             },
-            AggFunc::CountDistinct(e) => State::Distinct {
-                pairs: match e.data_type(input_types) {
-                    DataType::Str => DistinctPairs::Strs(FxHashSet::default()),
-                    _ => DistinctPairs::Words(FxHashSet::default()),
+            AggFunc::CountDistinct(_) => State::Distinct {
+                pairs: DistinctPairs {
+                    set: FxHashSet::default(),
+                    strs: Recoder::default(),
                 },
                 count: Vec::new(),
             },
@@ -498,33 +693,7 @@ impl State {
                 _ => {}
             },
             State::Extreme { best, keep } => best.fold_extreme(col, rows, *keep),
-            State::Distinct { pairs, count } => match (pairs, col.values()) {
-                (DistinctPairs::Strs(set), ColumnSlice::Str(v)) => {
-                    insert_pairs(set, count, v, mask, rows, Arc::clone)
-                }
-                (DistinctPairs::Words(set), ColumnSlice::Bool(v)) => {
-                    insert_pairs(set, count, v, mask, rows, |x| *x as u64)
-                }
-                (DistinctPairs::Words(set), ColumnSlice::Int(v)) => {
-                    insert_pairs(set, count, v, mask, rows, |x| *x as u64)
-                }
-                (DistinctPairs::Words(set), ColumnSlice::Float(v)) => {
-                    insert_pairs(set, count, v, mask, rows, |x| {
-                        if *x == 0.0 {
-                            0
-                        } else {
-                            x.to_bits()
-                        }
-                    })
-                }
-                (DistinctPairs::Words(set), ColumnSlice::Date(v)) => {
-                    insert_pairs(set, count, v, mask, rows, |x| *x as u64)
-                }
-                (_, s) => panic!(
-                    "count(distinct) state cannot take a {} column",
-                    s.data_type()
-                ),
-            },
+            State::Distinct { pairs, count } => pairs.insert(count, col, rows),
         }
     }
 
@@ -544,18 +713,10 @@ impl State {
                 merge_sums(total, seen, (t, s), map)
             }
             (State::Extreme { best, keep }, State::Extreme { best: other, .. }) => {
-                best.merge_extreme(&other, map, *keep)
+                best.merge_extreme(other, map, *keep)
             }
             (State::Distinct { pairs, count }, State::Distinct { pairs: other, .. }) => {
-                match (pairs, other) {
-                    (DistinctPairs::Words(a), DistinctPairs::Words(b)) => {
-                        merge_pairs(a, b, map, count)
-                    }
-                    (DistinctPairs::Strs(a), DistinctPairs::Strs(b)) => {
-                        merge_pairs(a, b, map, count)
-                    }
-                    _ => unreachable!("merging count(distinct) states of different types"),
-                }
+                pairs.merge(other, map, count)
             }
             _ => unreachable!("merging aggregate states of different shapes"),
         }
@@ -574,6 +735,22 @@ impl State {
     }
 }
 
+/// No group: an empty dense slot, or a key the table does not hold.
+const NONE: u32 = u32::MAX;
+
+/// The most key-code combinations a dense group lookup covers.
+const DENSE_SLOTS: usize = 1 << 16;
+
+/// How a group table finds a key's group id (see the module docs).
+enum Lookup {
+    /// Every key is a string: the group id of each combination of key
+    /// slots (NULL as 0, code `c` as `c + 1`), key `k`'s slot weighted by
+    /// the product of the radixes before it.
+    Dense { radix: Vec<usize>, ids: Vec<u32> },
+    /// Any other key set: an index over hashes of the key words.
+    Hashed(HashIndex),
+}
+
 /// Columnar group state: the shared state of serial, partitioned parallel
 /// and resumed aggregation (see the module docs).
 pub(crate) struct GroupTable {
@@ -581,14 +758,17 @@ pub(crate) struct GroupTable {
     aggs: Vec<AggFunc>,
     /// Row `g` of each is group `g`'s key as first seen.
     keys: Vec<Cells>,
-    /// Empty for a keyless aggregate.
-    index: HashIndex,
+    /// Unused for a keyless aggregate.
+    lookup: Lookup,
     /// One per aggregate, each `groups` long.
     states: Vec<State>,
     groups: usize,
-    /// Per-batch scratch: key hashes by physical row, group ids by live
-    /// row.
-    hashes: Vec<u64>,
+    /// Scratch for the keys being resolved: per key column one word and
+    /// validity per key, then per key its hash or dense slot, and its
+    /// group id.
+    words: Vec<Vec<u64>>,
+    valid: Vec<Vec<bool>>,
+    lookups: Vec<u64>,
     gids: Vec<u32>,
 }
 
@@ -599,14 +779,25 @@ impl GroupTable {
             .map(|e| Cells::new(e.data_type(&input_types)))
             .collect();
         let states = aggs.iter().map(|a| State::new(a, &input_types)).collect();
+        let all_strings = keys.iter().all(|k| k.data_type() == DataType::Str);
+        let lookup = if !keys.is_empty() && all_strings && keys.len() <= 16 {
+            Lookup::Dense {
+                radix: vec![1; keys.len()],
+                ids: vec![NONE],
+            }
+        } else {
+            Lookup::Hashed(HashIndex::default())
+        };
         let mut table = GroupTable {
             group_by,
             aggs,
             groups: usize::from(keys.is_empty()),
+            words: vec![Vec::new(); keys.len()],
+            valid: vec![Vec::new(); keys.len()],
             keys,
-            index: HashIndex::default(),
+            lookup,
             states,
-            hashes: Vec::new(),
+            lookups: Vec::new(),
             gids: Vec::new(),
         };
         table.resize_states();
@@ -630,17 +821,15 @@ impl GroupTable {
                 return None;
             }
         } else {
-            let key_cols = &cached.columns()[..group_len];
-            for (k, col) in table.keys.iter_mut().zip(key_cols) {
-                *k = Cells::from_column(k.data_type(), col)?;
+            for (k, col) in cached.columns()[..group_len].iter().enumerate() {
+                let (words, valid) = (&mut table.words[k], &mut table.valid[k]);
+                table.keys[k].read_words(col, cached.sel(), cached.rows(), words, valid);
             }
-            let refs: Vec<&Column> = key_cols.iter().collect();
-            hash_columns(&refs, cached.rows(), &mut table.hashes);
+            table.assign(cached.rows(), true);
             // Emitted keys are distinct: each row is a new group.
-            for &h in &table.hashes {
-                table.index.insert(h);
+            if table.groups != cached.rows() {
+                return None;
             }
-            table.groups = cached.rows();
         }
         for (j, (state, agg)) in table.states.iter_mut().zip(&table.aggs).enumerate() {
             *state = State::resumed(agg, &input_types, cached.column(group_len + j))?;
@@ -656,12 +845,16 @@ impl GroupTable {
 
     /// Fold a batch in, selection-aware.
     pub(crate) fn fold(&mut self, batch: &Batch) {
-        self.gids.clear();
         if self.keys.is_empty() {
+            self.gids.clear();
             self.gids.resize(batch.rows(), 0);
         } else {
-            let key_cols: Vec<Column> = self.group_by.iter().map(|e| eval(e, batch)).collect();
-            self.resolve(&key_cols, batch);
+            for (k, e) in self.group_by.iter().enumerate() {
+                let col = eval(e, batch);
+                let (words, valid) = (&mut self.words[k], &mut self.valid[k]);
+                self.keys[k].read_words(&col, batch.sel(), batch.rows(), words, valid);
+            }
+            self.assign(batch.rows(), true);
             self.resize_states();
         }
         let rows = Rows {
@@ -674,63 +867,147 @@ impl GroupTable {
         }
     }
 
-    /// Resolve every live row of `batch` to its group id in `self.gids`,
-    /// adding groups for keys not seen before.
-    fn resolve(&mut self, key_cols: &[Column], batch: &Batch) {
-        let refs: Vec<&Column> = key_cols.iter().collect();
-        hash_columns(&refs, batch.physical_rows(), &mut self.hashes);
-        let cells: Vec<KeyCells<'_>> = key_cols.iter().map(KeyCells::of).collect();
-        let sel = batch.sel();
-        for li in 0..batch.rows() {
-            let row = sel.map_or(li, |s| s[li] as usize);
-            let h = self.hashes[row];
-            let keys = &self.keys;
-            let found = self.index.find(h, |g| {
-                keys.iter()
-                    .zip(&cells)
-                    .all(|(k, c)| k.view().cell_eq(g, c, row))
-            });
-            let g = match found {
-                Some(g) => g,
-                None => {
-                    for (k, c) in self.keys.iter_mut().zip(key_cols) {
-                        k.push(c.values(), c.is_valid(row), row);
+    /// Resolve the `n` keys in `words`/`valid` to group ids in
+    /// `self.gids`, adding a group for each key not seen before when
+    /// `insert` (`NONE` for it otherwise).
+    fn assign(&mut self, n: usize, insert: bool) {
+        self.fit_dense();
+        let GroupTable {
+            keys,
+            lookup,
+            groups,
+            words,
+            valid,
+            lookups,
+            gids,
+            ..
+        } = self;
+        gids.clear();
+        let mut add = |li: usize, keys: &mut [Cells]| {
+            for (k, cells) in keys.iter_mut().enumerate() {
+                cells.push_word(words[k][li], valid[k][li]);
+            }
+            *groups += 1;
+            (*groups - 1) as u32
+        };
+        match lookup {
+            Lookup::Dense { radix, ids } => {
+                dense_slots(radix, words, valid, n, lookups);
+                for (li, &at) in lookups.iter().enumerate() {
+                    let at = at as usize;
+                    if ids[at] == NONE && insert {
+                        ids[at] = add(li, keys);
                     }
-                    self.groups += 1;
-                    self.index.insert(h)
+                    gids.push(ids[at]);
                 }
-            };
-            self.gids.push(g);
+            }
+            Lookup::Hashed(index) => {
+                hash_keys(keys, words, valid, n, lookups);
+                for (li, &h) in lookups.iter().enumerate() {
+                    let same = |g: usize| {
+                        keys.iter()
+                            .enumerate()
+                            .all(|(k, c)| c.key_eq(g, words[k][li], valid[k][li]))
+                    };
+                    let g = match index.find(h, same) {
+                        Some(g) => g,
+                        None if insert => {
+                            add(li, keys);
+                            index.insert(h)
+                        }
+                        None => NONE,
+                    };
+                    gids.push(g);
+                }
+            }
         }
     }
 
-    /// The group here whose key is group `og`'s of `other`, if any.
-    fn find(&self, other: &GroupTable, og: usize) -> Option<u32> {
-        if self.keys.is_empty() {
-            return Some(0);
+    /// Size a dense lookup for every code interned so far: grow a key's
+    /// radix to cover its codes and re-place the groups, or switch to a
+    /// hashed lookup once the combinations outgrow [`DENSE_SLOTS`].
+    fn fit_dense(&mut self) {
+        let Lookup::Dense { radix, .. } = &self.lookup else {
+            return;
+        };
+        let want: Vec<usize> = self
+            .keys
+            .iter()
+            .zip(radix)
+            .map(|(k, &r)| match &k.data {
+                CellData::Str(_, strs) => r.max((strs.dict().len() + 1).next_power_of_two()),
+                _ => unreachable!("dense lookups have string keys only"),
+            })
+            .collect();
+        if want == *radix {
+            return;
         }
-        self.index.find(other.index.hash(og), |g| {
-            self.keys
-                .iter()
-                .zip(&other.keys)
-                .all(|(k, o)| k.view().cell_eq(g, &o.view(), og))
-        })
+        let slots = want
+            .iter()
+            .try_fold(1usize, |p, &r| p.checked_mul(r))
+            .filter(|&p| p <= DENSE_SLOTS);
+        // Re-place every group: its key words are its cells'.
+        let (keys, n) = (&self.keys, self.groups);
+        let words: Vec<Vec<u64>> = keys
+            .iter()
+            .map(|c| (0..n).map(|g| c.word(g)).collect())
+            .collect();
+        let valid: Vec<Vec<bool>> = keys.iter().map(|c| c.valid.clone()).collect();
+        let mut at = Vec::new();
+        self.lookup = match slots {
+            Some(slots) => {
+                dense_slots(&want, &words, &valid, n, &mut at);
+                let mut ids = vec![NONE; slots];
+                for (g, &a) in at.iter().enumerate() {
+                    ids[a as usize] = g as u32;
+                }
+                Lookup::Dense { radix: want, ids }
+            }
+            None => {
+                hash_keys(keys, &words, &valid, n, &mut at);
+                let mut index = HashIndex::default();
+                for h in at {
+                    index.insert(h);
+                }
+                Lookup::Hashed(index)
+            }
+        };
+    }
+
+    /// Put `other`'s group keys into the key scratch, in this table's
+    /// string codes.
+    fn read_keys_of(&mut self, other: &GroupTable) {
+        for (k, (mine, theirs)) in self.keys.iter_mut().zip(&other.keys).enumerate() {
+            let codes = match (&mut mine.data, &theirs.data) {
+                (CellData::Str(_, strs), CellData::Str(_, their_strs)) => {
+                    Some(recode_all(strs, their_strs))
+                }
+                _ => None,
+            };
+            self.words[k] = (0..other.groups)
+                .map(|og| match &codes {
+                    Some(c) if theirs.valid[og] => c[theirs.word(og) as usize] as u64,
+                    _ => theirs.word(og),
+                })
+                .collect();
+            self.valid[k] = theirs.valid.clone();
+        }
+    }
+
+    /// The group here of each of `other`'s groups, added when missing if
+    /// `insert` (`NONE` otherwise).
+    fn map_groups(&mut self, other: &GroupTable, insert: bool) -> Vec<u32> {
+        if self.keys.is_empty() {
+            return vec![0; other.groups];
+        }
+        self.read_keys_of(other);
+        self.assign(other.groups, insert);
+        std::mem::take(&mut self.gids)
     }
 
     /// Absorb another partial table computed over a disjoint row subset.
     pub(crate) fn merge(&mut self, other: GroupTable) {
-        let map: Vec<u32> = (0..other.groups)
-            .map(|og| match self.find(&other, og) {
-                Some(g) => g,
-                None => {
-                    for (k, o) in self.keys.iter_mut().zip(&other.keys) {
-                        k.push(o.values(), o.valid[og], og);
-                    }
-                    self.groups += 1;
-                    self.index.insert(other.index.hash(og))
-                }
-            })
-            .collect();
+        let map = self.map_groups(&other, true);
         self.resize_states();
         for (state, o) in self.states.iter_mut().zip(other.states) {
             state.merge(o, &map);
@@ -750,7 +1027,7 @@ impl GroupTable {
     fn sorted_ids(&self) -> Vec<u32> {
         let mut perm: Vec<u32> = (0..self.groups as u32).collect();
         for (pass, k) in self.keys.iter().rev().enumerate() {
-            each_type!(&k.data, |d| sort_by_cells(&mut perm, d, &k.valid, pass > 0));
+            k.sort(&mut perm, pass > 0);
         }
         perm
     }
@@ -759,6 +1036,52 @@ impl GroupTable {
     pub(crate) fn finish(self, output_types: &[DataType]) -> Vec<Batch> {
         let perm = self.sorted_ids();
         emit(&self.into_columns(), &perm, output_types)
+    }
+}
+
+/// The dense slot of each of the `n` keys of `words`/`valid` into `at`
+/// (NULL as 0, code `c` as `c + 1`, key column `k` weighted by the product
+/// of the radixes before it), one key column at a time.
+fn dense_slots(
+    radix: &[usize],
+    words: &[Vec<u64>],
+    valid: &[Vec<bool>],
+    n: usize,
+    at: &mut Vec<u64>,
+) {
+    at.clear();
+    at.resize(n, 0);
+    let mut stride = 1;
+    for (k, r) in radix.iter().enumerate() {
+        for ((a, &w), &ok) in at.iter_mut().zip(&words[k]).zip(&valid[k]) {
+            *a += ok as u64 * (w + 1) * stride;
+        }
+        stride *= *r as u64;
+    }
+}
+
+/// Hash the `n` keys of the key scratch into `hashes`: per key column its
+/// word (floats with `-0.0` as `0.0`) behind a valid tag, or a NULL tag.
+fn hash_keys(
+    keys: &[Cells],
+    words: &[Vec<u64>],
+    valid: &[Vec<bool>],
+    n: usize,
+    hashes: &mut Vec<u64>,
+) {
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let mix = |h: u64, v: u64| (h.rotate_left(5) ^ v).wrapping_mul(K);
+    hashes.clear();
+    hashes.resize(n, 0xcbf2_9ce4_8422_2325);
+    for (k, cells) in keys.iter().enumerate() {
+        let float = matches!(cells.data, CellData::Float(_));
+        for ((h, &w), &ok) in hashes.iter_mut().zip(&words[k][..n]).zip(&valid[k][..n]) {
+            *h = if ok {
+                mix(mix(*h, 1), norm_word(float, w))
+            } else {
+                mix(*h, 0)
+            };
+        }
     }
 }
 
@@ -864,11 +1187,15 @@ pub fn retract_count_groups(
         retract.fold(b);
     }
     let mut table = GroupTable::load(cached, group_by, aggs, input_types)?;
-    for og in 0..retract.groups {
+    let map = table.map_groups(&retract, false);
+    for (og, &g) in map.iter().enumerate() {
         // Every deleted row existed in the old table, so its group must be
         // in the cached result; a miss means the cache and the delta have
         // diverged and repair is unsound.
-        let g = table.find(&retract, og)? as usize;
+        if g == NONE {
+            return None;
+        }
+        let g = g as usize;
         for (state, sub) in table.states.iter_mut().zip(&retract.states) {
             let (State::Count(n), State::Count(d)) = (state, sub) else {
                 unreachable!("count-only aggregates have count states");

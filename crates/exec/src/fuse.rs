@@ -314,8 +314,7 @@ impl Drop for FusedChain {
 /// selected batch. `span` caches the summed column bytes of `cur` across
 /// consecutive stages that leave the columns untouched.
 fn out_bytes(cur: &Batch, rows: usize, span: &mut Option<usize>) -> u64 {
-    let span =
-        *span.get_or_insert_with(|| cur.columns().iter().map(|c| c.size_bytes()).sum::<usize>());
+    let span = *span.get_or_insert_with(|| cur.columns().iter().map(Column::stream_bytes).sum());
     (span * rows).checked_div(cur.physical_rows()).unwrap_or(0) as u64
 }
 

@@ -68,7 +68,7 @@ impl HashIndex {
     }
 
     /// The full hash of entry `id`.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn hash(&self, id: usize) -> u64 {
         self.hashes[id]
     }

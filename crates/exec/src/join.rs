@@ -82,12 +82,13 @@ impl BuildSide {
         self.batch.rows()
     }
 
-    /// Memory footprint in bytes: the batch, the kept key columns, and the
+    /// Memory footprint in bytes: the batch's and the kept key columns'
+    /// [`Column::size_bytes`] (string dictionaries in full), and the
     /// capacity of the index's three arrays. This is what the recycler
     /// cache accounts for a cached build side.
     pub fn size_bytes(&self) -> usize {
-        let key_bytes: usize = self.key_cols.iter().map(|c| c.size_bytes()).sum();
-        self.batch.size_bytes() + key_bytes + self.index.size_bytes()
+        let cols = self.batch.columns().iter().chain(&self.key_cols);
+        cols.map(Column::size_bytes).sum::<usize>() + self.index.size_bytes()
     }
 
     /// The concatenated build batch (dense; gathers index it physically).
@@ -196,7 +197,10 @@ pub(crate) fn build_side(
                 .collect(),
         )
     } else {
-        Batch::concat(&batches)
+        // A build side outlives its input: keep only the dictionary
+        // entries it references (see `Column::compact_dict`).
+        let batch = Batch::concat(&batches);
+        Batch::new(batch.columns().iter().map(Column::compact_dict).collect())
     };
     let key_cols: Vec<Column> = right_keys.iter().map(|e| eval(e, &batch)).collect();
     let mut hashes = Vec::new();

@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use rdb_plan::Plan;
 use rdb_storage::{Chunk, ChunkList};
-use rdb_vector::{morsel_bounds, morsel_count, Batch, Schema};
+use rdb_vector::{morsel_bounds, morsel_count, Batch, Column, Schema};
 
 use parking_lot::Mutex;
 
@@ -59,14 +59,24 @@ pub struct MaterializedResult {
     data: ChunkList,
 }
 
+/// `batches` as one chunk of a kept result, dictionaries compacted (see
+/// [`MaterializedResult::from_batches`]).
+fn kept_chunk(schema: &Schema, batches: &[Batch]) -> Chunk {
+    let batch = Batch::concat_or_empty(schema, batches);
+    Chunk::new(batch.columns().iter().map(Column::compact_dict).collect())
+}
+
 impl MaterializedResult {
     /// Build from collected batches: one chunk, gathered once (zero-copy
-    /// for a single selection-free batch).
+    /// for a single selection-free batch). A string column whose
+    /// dictionary has more entries than the result has rows is
+    /// re-encoded ([`Column::compact_dict`]): a ten-row result must not
+    /// pin a table's 30,000-entry comment dictionary.
     pub fn from_batches(schema: Schema, batches: &[Batch]) -> Self {
-        let batch = Batch::concat_or_empty(&schema, batches);
+        let chunk = kept_chunk(&schema, batches);
         MaterializedResult {
             schema,
-            data: ChunkList::new(vec![Arc::new(Chunk::new(batch.into_columns()))]),
+            data: ChunkList::new(vec![Arc::new(chunk)]),
         }
     }
 
@@ -74,10 +84,10 @@ impl MaterializedResult {
     /// [`ChunkList::push_tail`], so the cost is the tail plus the merges
     /// it triggers, and every sealed chunk is shared with `self`.
     pub fn append(&self, tail: &[Batch]) -> Self {
-        let tail = Batch::concat_or_empty(&self.schema, tail);
+        let tail = kept_chunk(&self.schema, tail);
         MaterializedResult {
             schema: self.schema.clone(),
-            data: self.data.push_tail(Chunk::new(tail.into_columns())),
+            data: self.data.push_tail(tail),
         }
     }
 

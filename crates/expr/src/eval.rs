@@ -13,17 +13,19 @@
 //!
 //! The common numeric/date cases run over raw slices; rarer type
 //! combinations fall back to a per-row dispatch via [`rdb_vector::row::cmp_cell`].
+//! String kernels (`LIKE`, `IN`, `SUBSTR`, comparison with a constant)
+//! run once per dictionary entry when that is no more work than once per
+//! row (the `strs` module).
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
 
 use rdb_vector::column::{Column, ColumnBuilder, ColumnData, ColumnSlice};
 use rdb_vector::row::cmp_cell;
 use rdb_vector::types::{month_of_date, year_of_date};
-use rdb_vector::{Batch, DataType, Value};
+use rdb_vector::{Batch, DataType, DictBuilder, Value};
 
 use crate::expr::{ArithOp, CmpOp, Expr};
-use crate::like::like_match;
+use crate::strs::{substr_column, test_rows, StrTest};
 
 /// Evaluate `expr` over `batch`, producing a column of
 /// `batch.physical_rows()` rows aligned with the batch's columns.
@@ -51,27 +53,13 @@ pub fn eval(expr: &Expr, batch: &Batch) -> Column {
             negated,
         } => {
             let c = eval(expr, batch);
-            let vals: Vec<bool> = c
-                .as_strs()
-                .iter()
-                .map(|s| like_match(s, pattern) != *negated)
-                .collect();
-            rebuild_bool(vals, &c)
+            let test = StrTest::Like {
+                pattern: pattern.clone(),
+                negated: *negated,
+            };
+            rebuild_bool(test_rows(c.as_strs(), |s| test.test(s)), &c)
         }
-        Expr::Substr { expr, start, len } => {
-            let c = eval(expr, batch);
-            let vals: Vec<std::sync::Arc<str>> = c
-                .as_strs()
-                .iter()
-                .map(|s| {
-                    let bytes = s.as_bytes();
-                    let from = (*start - 1).min(bytes.len());
-                    let to = (from + *len).min(bytes.len());
-                    std::sync::Arc::from(&s[from..to])
-                })
-                .collect();
-            carry_validity(ColumnData::strs(vals), &c)
-        }
+        Expr::Substr { expr, start, len } => substr_column(&eval(expr, batch), *start, *len),
         Expr::Year(e) => {
             let c = eval(e, batch);
             let vals: Vec<i64> = c
@@ -116,7 +104,11 @@ fn broadcast(v: &Value, rows: usize) -> Column {
         Value::Bool(x) => Column::from_bools(vec![*x; rows]),
         Value::Int(x) => Column::from_ints(vec![*x; rows]),
         Value::Float(x) => Column::from_floats(vec![*x; rows]),
-        Value::Str(s) => Column::new(ColumnData::strs(vec![s.clone(); rows])),
+        Value::Str(s) => {
+            let mut dict = DictBuilder::new();
+            dict.intern(s);
+            Column::new(ColumnData::coded(vec![0; rows], dict.finish()))
+        }
         Value::Date(d) => Column::from_dates(vec![*d; rows]),
     }
 }
@@ -148,7 +140,10 @@ fn in_list(c: &Column, list: &[Value], negated: bool) -> Vec<bool> {
             float,
             negated,
         ),
-        ColumnSlice::Str(v) => member(v.iter().map(|s| &**s), list, Value::as_str, negated),
+        ColumnSlice::Str(v) => {
+            let test = StrTest::in_list(list, negated);
+            test_rows(v, |s| test.test(s))
+        }
         ColumnSlice::Date(v) => member(v.iter().copied(), list, Value::as_date, negated),
     };
     if let Some(valid) = c.validity() {
@@ -185,14 +180,7 @@ fn carry_validity(data: ColumnData, source: &Column) -> Column {
 fn cmp_columns(op: CmpOp, a: &Column, b: &Column) -> Column {
     let rows = a.len();
     assert_eq!(rows, b.len());
-    let test = |ord: Ordering| match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Ne => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
-    };
+    let test = |ord| op.test(ord);
     // Fast paths over raw slices for the hot type combinations.
     let vals: Vec<bool> = match (a.values(), b.values()) {
         (ColumnSlice::Int(x), ColumnSlice::Int(y)) => {
@@ -214,8 +202,18 @@ fn cmp_columns(op: CmpOp, a: &Column, b: &Column) -> Column {
             .zip(y)
             .map(|(l, r)| test(l.total_cmp(&(*r as f64))))
             .collect(),
+        // Against a constant (a broadcast literal is one entry): once per
+        // entry of the other side.
+        (ColumnSlice::Str(x), ColumnSlice::Str(y)) if y.dict().len() == 1 => {
+            let cmp = StrTest::Cmp(op, y.get(0).into());
+            test_rows(x, |s| cmp.test(s))
+        }
+        (ColumnSlice::Str(x), ColumnSlice::Str(y)) if x.dict().len() == 1 => {
+            let cmp = StrTest::Cmp(op.flipped(), x.get(0).into());
+            test_rows(y, |s| cmp.test(s))
+        }
         (ColumnSlice::Str(x), ColumnSlice::Str(y)) => {
-            x.iter().zip(y).map(|(l, r)| test(l.cmp(r))).collect()
+            (0..rows).map(|i| test(x.cmp_at(i, &y, i))).collect()
         }
         _ => (0..rows).map(|i| test(cmp_cell(a, i, b, i))).collect(),
     };

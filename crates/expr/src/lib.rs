@@ -23,6 +23,7 @@ pub mod normalize;
 pub mod params;
 pub mod ranges;
 pub mod sel;
+mod strs;
 
 pub use agg::AggFunc;
 pub use error::ExprError;

@@ -1,24 +1,35 @@
 //! SQL `LIKE` pattern matching.
 //!
 //! Supports `%` (any run of characters, including empty) and `_` (exactly one
-//! character). Matching is byte-oriented (the TPC-H and SkyServer workloads
-//! are ASCII) and uses the classic two-pointer greedy algorithm with
+//! character). Matching uses the classic two-pointer greedy algorithm with
 //! backtracking on the most recent `%`, which is O(n·m) worst case but linear
 //! on the pattern shapes that appear in practice (`prefix%`, `%infix%`,
-//! `%w1%w2%`).
+//! `%w1%w2%`). It runs over bytes when that is exact — an ASCII pattern
+//! with no `_` (ASCII bytes never occur inside a multi-byte character), or
+//! ASCII text — and over characters otherwise, so `_` matches one
+//! character, not one byte.
 
 /// Does `text` match SQL LIKE `pattern`?
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    let t = text.as_bytes();
-    let p = pattern.as_bytes();
+    if pattern.is_ascii() && (!pattern.contains('_') || text.is_ascii()) {
+        return match_units(text.as_bytes(), pattern.as_bytes(), b'%', b'_');
+    }
+    let t: Vec<char> = text.chars().collect();
+    let p: Vec<char> = pattern.chars().collect();
+    match_units(&t, &p, '%', '_')
+}
+
+/// The matcher over units (bytes or characters) with wildcards `any`
+/// (`%`) and `one` (`_`).
+fn match_units<T: Copy + PartialEq>(t: &[T], p: &[T], any: T, one: T) -> bool {
     let (mut ti, mut pi) = (0usize, 0usize);
     // Position to resume from when backtracking to the last `%`.
     let mut star: Option<(usize, usize)> = None; // (pattern idx after %, text idx)
     while ti < t.len() {
-        if pi < p.len() && (p[pi] == b'_' || p[pi] == t[ti]) {
+        if pi < p.len() && (p[pi] == one || p[pi] == t[ti]) {
             ti += 1;
             pi += 1;
-        } else if pi < p.len() && p[pi] == b'%' {
+        } else if pi < p.len() && p[pi] == any {
             star = Some((pi + 1, ti));
             pi += 1;
         } else if let Some((sp, st)) = star {
@@ -31,7 +42,7 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
         }
     }
     // Remaining pattern must be all `%`.
-    while pi < p.len() && p[pi] == b'%' {
+    while pi < p.len() && p[pi] == any {
         pi += 1;
     }
     pi == p.len()
@@ -102,6 +113,20 @@ mod tests {
         assert!(like_match("abababab", "%ab%ab"));
         assert!(!like_match("ababa", "%ab%ab%b"));
         assert!(like_match("mississippi", "%iss%ippi"));
+    }
+
+    #[test]
+    fn underscore_matches_one_character() {
+        assert!(like_match("é", "_"));
+        assert!(!like_match("é", "__"));
+        assert!(like_match("héllo", "h_llo"));
+        assert!(like_match("héllo", "%é%"));
+        assert!(like_match("日本語", "_本_"));
+        assert!(!like_match("日本語", "_本"));
+        assert!(like_match("naïve café", "%_fé"));
+        // Non-ASCII in the pattern only.
+        assert!(!like_match("ab", "_é"));
+        assert!(like_match("aé", "_é"));
     }
 
     #[test]

@@ -43,18 +43,6 @@ pub fn normalize_expr(e: &Expr) -> Expr {
     }
 }
 
-/// Mirror image of a comparison operator under operand swap.
-fn mirror(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
-}
-
 /// Kleene negation of a comparison operator (`NOT (a < b)` ≡ `a >= b`:
 /// both are NULL exactly when an operand is NULL).
 fn negate(op: CmpOp) -> CmpOp {
@@ -136,7 +124,7 @@ fn fold_cmp(op: CmpOp, a: Expr, b: Expr) -> Expr {
     // Constant on the left moves right: `5 < x` → `x > 5` (parameters
     // count as constants — `$hi > x` and `x < $hi` must converge).
     if is_const(&a) && !is_const(&b) {
-        return Expr::Cmp(mirror(op), Box::new(b), Box::new(a));
+        return Expr::Cmp(op.flipped(), Box::new(b), Box::new(a));
     }
     // Symmetric operators order their operands deterministically.
     if matches!(op, CmpOp::Eq | CmpOp::Ne)

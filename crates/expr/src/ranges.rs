@@ -160,7 +160,7 @@ fn collect(expr: &Expr, out: &mut BTreeMap<RangeKey, Interval>) -> bool {
                 apply_cmp(out.entry(key).or_default(), *op, v.clone());
                 true
             } else if let (Expr::Lit(v), Some(key)) = (a.as_ref(), range_key(b)) {
-                apply_cmp(out.entry(key).or_default(), flip(*op), v.clone());
+                apply_cmp(out.entry(key).or_default(), op.flipped(), v.clone());
                 true
             } else {
                 false
@@ -190,17 +190,6 @@ fn range_key(e: &Expr) -> Option<RangeKey> {
             _ => None,
         },
         _ => None,
-    }
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
     }
 }
 

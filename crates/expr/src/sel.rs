@@ -17,6 +17,11 @@
 //!   branch-free write-and-advance loop (`out[k] = i; k += pass as usize`),
 //!   later conjuncts refine it in place. No `Vec<bool>`, no literal
 //!   broadcast, no allocation once the scratch buffer is warm.
+//! * A string column compared with a string literal, or tested with
+//!   `LIKE` or `IN`, is a string test: its verdict is kept per dictionary
+//!   entry (`strs::EntryMemo`), computed the first time a row
+//!   references the entry and reused by every later row and morsel over
+//!   the same dictionary — a scan's morsels all share their table's.
 //!
 //! Splitting at top-level `AND` is exact at the filter boundary: a row
 //! passes a Kleene conjunction collapsed with "NULL is not true" iff every
@@ -29,9 +34,11 @@ use rdb_vector::{Batch, DataType, Value};
 
 use crate::eval::eval;
 use crate::expr::{CmpOp, Expr};
+use crate::strs::{EntryMemo, StrTest};
 
 /// A predicate pre-split into conjuncts with their evaluation strategy
-/// chosen. Compile once per operator, reuse for every batch.
+/// chosen. Compile once per operator, reuse for every batch (string tests
+/// keep per-entry verdicts across batches, hence `&mut self`).
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate {
     conjuncts: Vec<Conjunct>,
@@ -42,6 +49,15 @@ enum Conjunct {
     /// `column <op> literal` — evaluated as a direct typed loop, no
     /// intermediate columns.
     ColCmp { col: usize, op: CmpOp, lit: Value },
+    /// `column <op> 'literal'`, `column [NOT] LIKE` or `column [NOT] IN
+    /// (...)`: over a string column, one memoized verdict per dictionary
+    /// entry; over any other column, `expr` through the general walk.
+    StrTest {
+        col: usize,
+        test: StrTest,
+        memo: EntryMemo,
+        expr: Expr,
+    },
     /// Anything else — evaluated through the general expression walk,
     /// then folded into the index buffer (NULL collapses to false).
     General(Expr),
@@ -66,21 +82,21 @@ impl CompiledPredicate {
     /// starting from the batch's own selection vector (or all physical
     /// rows when it has none). `out` is cleared first; reuse it across
     /// batches to stay allocation-free.
-    pub fn select_into(&self, batch: &Batch, out: &mut Vec<u32>) {
+    pub fn select_into(&mut self, batch: &Batch, out: &mut Vec<u32>) {
         self.run(batch, out, false);
     }
 
     /// [`CompiledPredicate::select_into`] over **all** physical rows,
     /// ignoring any selection vector on the batch.
-    pub fn select_physical_into(&self, batch: &Batch, out: &mut Vec<u32>) {
+    pub fn select_physical_into(&mut self, batch: &Batch, out: &mut Vec<u32>) {
         self.run(batch, out, true);
     }
 
     /// Refine an existing physical-index list in place: keep only the
     /// indices satisfying every conjunct. Used by fused pipelines, where
     /// the live selection is chain state rather than a batch attribute.
-    pub fn refine(&self, batch: &Batch, sel: &mut Vec<u32>) {
-        for c in &self.conjuncts {
+    pub fn refine(&mut self, batch: &Batch, sel: &mut Vec<u32>) {
+        for c in &mut self.conjuncts {
             if sel.is_empty() {
                 return;
             }
@@ -88,10 +104,10 @@ impl CompiledPredicate {
         }
     }
 
-    fn run(&self, batch: &Batch, out: &mut Vec<u32>, physical: bool) {
+    fn run(&mut self, batch: &Batch, out: &mut Vec<u32>, physical: bool) {
         out.clear();
         let mut seeded = false;
-        for c in &self.conjuncts {
+        for c in &mut self.conjuncts {
             apply_conjunct(c, batch, out, seeded, physical);
             seeded = true;
             if out.is_empty() {
@@ -106,37 +122,49 @@ impl CompiledPredicate {
 }
 
 fn classify(e: &Expr) -> Conjunct {
-    if let Expr::Cmp(op, a, b) = e {
-        match (&**a, &**b) {
-            (Expr::Col(i), Expr::Lit(v)) if !v.is_null() => {
-                return Conjunct::ColCmp {
-                    col: *i,
-                    op: *op,
-                    lit: v.clone(),
-                }
-            }
-            (Expr::Lit(v), Expr::Col(i)) if !v.is_null() => {
-                return Conjunct::ColCmp {
-                    col: *i,
-                    op: flip(*op),
-                    lit: v.clone(),
-                }
-            }
-            _ => {}
-        }
-    }
-    Conjunct::General(e.clone())
-}
-
-/// Mirror a comparison across its operands (`lit op col` → `col op' lit`).
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
+    let str_test = |col: usize, test| Conjunct::StrTest {
+        col,
+        test,
+        memo: EntryMemo::default(),
+        expr: e.clone(),
+    };
+    let col_cmp = |col: usize, op: CmpOp, lit: &Value| match lit {
+        Value::Str(s) => str_test(col, StrTest::Cmp(op, s.clone())),
+        _ => Conjunct::ColCmp {
+            col,
+            op,
+            lit: lit.clone(),
+        },
+    };
+    match e {
+        Expr::Cmp(op, a, b) => match (&**a, &**b) {
+            (Expr::Col(i), Expr::Lit(v)) if !v.is_null() => col_cmp(*i, *op, v),
+            (Expr::Lit(v), Expr::Col(i)) if !v.is_null() => col_cmp(*i, op.flipped(), v),
+            _ => Conjunct::General(e.clone()),
+        },
+        Expr::Like {
+            expr,
+            pattern,
+            negated,
+        } => match &**expr {
+            Expr::Col(i) => str_test(
+                *i,
+                StrTest::Like {
+                    pattern: pattern.clone(),
+                    negated: *negated,
+                },
+            ),
+            _ => Conjunct::General(e.clone()),
+        },
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => match &**expr {
+            Expr::Col(i) => str_test(*i, StrTest::in_list(list, *negated)),
+            _ => Conjunct::General(e.clone()),
+        },
+        _ => Conjunct::General(e.clone()),
     }
 }
 
@@ -193,7 +221,13 @@ fn seed_all(batch: &Batch, out: &mut Vec<u32>, physical: bool) {
     }
 }
 
-fn apply_conjunct(c: &Conjunct, batch: &Batch, out: &mut Vec<u32>, seeded: bool, physical: bool) {
+fn apply_conjunct(
+    c: &mut Conjunct,
+    batch: &Batch,
+    out: &mut Vec<u32>,
+    seeded: bool,
+    physical: bool,
+) {
     match c {
         Conjunct::ColCmp { col, op, lit } => {
             let column = batch.column(*col);
@@ -206,6 +240,27 @@ fn apply_conjunct(c: &Conjunct, batch: &Batch, out: &mut Vec<u32>, seeded: bool,
                     Box::new(Expr::Lit(lit.clone())),
                 );
                 apply_general(&e, batch, out, seeded, physical);
+            }
+        }
+        Conjunct::StrTest {
+            col,
+            test,
+            memo,
+            expr,
+        } => {
+            let column = batch.column(*col);
+            let ColumnSlice::Str(s) = column.values() else {
+                return apply_general(expr, batch, out, seeded, physical);
+            };
+            let codes = s.codes();
+            let mut verdicts = memo.over(s.dict());
+            match column.validity() {
+                None => drive(batch, out, seeded, physical, |i| {
+                    verdicts.get(codes[i], test)
+                }),
+                Some(m) => drive(batch, out, seeded, physical, |i| {
+                    m[i] && verdicts.get(codes[i], test)
+                }),
             }
         }
         Conjunct::General(e) => apply_general(e, batch, out, seeded, physical),
@@ -266,13 +321,6 @@ fn apply_colcmp(
             let test = cmp_test(op);
             run!(v, move |x: &i32| test(x.cmp(&l)))
         }
-        (ColumnSlice::Str(v), Value::Str(l)) => {
-            let l = l.clone();
-            let test = cmp_test(op);
-            run!(v, move |x: &std::sync::Arc<str>| test(
-                x.as_ref().cmp(l.as_ref())
-            ))
-        }
         (ColumnSlice::Bool(v), Value::Bool(l)) => {
             let l = *l;
             let test = cmp_test(op);
@@ -284,16 +332,8 @@ fn apply_colcmp(
 
 /// Ordering-based test for one comparison operator.
 #[inline]
-fn cmp_test(op: CmpOp) -> fn(std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering;
-    match op {
-        CmpOp::Eq => |o| o == Ordering::Equal,
-        CmpOp::Ne => |o| o != Ordering::Equal,
-        CmpOp::Lt => |o| o == Ordering::Less,
-        CmpOp::Le => |o| o != Ordering::Greater,
-        CmpOp::Gt => |o| o == Ordering::Greater,
-        CmpOp::Ge => |o| o != Ordering::Less,
-    }
+fn cmp_test(op: CmpOp) -> impl Fn(std::cmp::Ordering) -> bool + Copy {
+    move |o| op.test(o)
 }
 
 /// General conjunct: evaluate as a boolean column, fold NULL to false.
@@ -359,7 +399,7 @@ mod tests {
         let e = Expr::col(0)
             .gt(Expr::lit(1))
             .and(Expr::col(1).lt(Expr::lit(4.0)));
-        let p = CompiledPredicate::compile(&e);
+        let mut p = CompiledPredicate::compile(&e);
         assert_eq!(p.conjunct_count(), 2);
         let mut out = Vec::new();
         p.select_into(&b, &mut out);

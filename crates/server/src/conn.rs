@@ -458,9 +458,7 @@ impl Conn {
             }
             let Some(batch) = handle.next() else { break };
             rows += batch.rows() as u64;
-            for row in batch.to_rows() {
-                pg::data_row(&mut self.outbuf, &row);
-            }
+            pg::data_rows(&mut self.outbuf, &batch);
             if self.outbuf.len() >= FLUSH_THRESHOLD && !self.flush() {
                 return false;
             }

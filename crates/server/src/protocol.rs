@@ -8,7 +8,9 @@
 //! SQLSTATE codes and statement positions. Everything is plain
 //! `Vec<u8>`-level encoding over `std::net`; no external dependencies.
 
-use rdb_vector::{format_date, DataType, Schema, Value};
+use std::io::Write;
+
+use rdb_vector::{format_date, Batch, ColumnSlice, DataType, Schema, Value};
 
 /// Protocol version 3.0 in a startup packet.
 pub const PROTOCOL_V3: i32 = 196608;
@@ -222,6 +224,47 @@ pub fn data_row(out: &mut Vec<u8>, row: &[Value]) {
             }
         }
     });
+}
+
+/// One `DataRow` per logical row of `batch`, each cell's text written
+/// straight from its typed column: no `Value` per cell, no string copied
+/// out of its dictionary. Byte-identical to [`data_row`] over the
+/// [`text_value`]s of the same rows.
+pub fn data_rows(out: &mut Vec<u8>, batch: &Batch) {
+    let cols = batch.columns();
+    batch.for_each_selected(|row| {
+        msg(out, b'D', |b| {
+            put_i16(b, cols.len() as i16);
+            for c in cols {
+                if !c.is_valid(row) {
+                    put_i32(b, -1);
+                    continue;
+                }
+                let at = b.len();
+                put_i32(b, 0);
+                match c.values() {
+                    ColumnSlice::Bool(v) => b.push(if v[row] { b't' } else { b'f' }),
+                    ColumnSlice::Int(v) => write!(b, "{}", v[row]).expect("write to a Vec"),
+                    ColumnSlice::Float(v) => put_float(b, v[row]),
+                    ColumnSlice::Str(v) => b.extend_from_slice(v.get(row).as_bytes()),
+                    ColumnSlice::Date(v) => b.extend_from_slice(format_date(v[row]).as_bytes()),
+                }
+                let len = (b.len() - at - 4) as i32;
+                b[at..at + 4].copy_from_slice(&len.to_be_bytes());
+            }
+        })
+    });
+}
+
+/// A float's text as [`text_value`] renders it.
+fn put_float(b: &mut Vec<u8>, f: f64) {
+    if f.is_nan() {
+        b.extend_from_slice(b"NaN");
+    } else if f.is_infinite() {
+        b.extend_from_slice(if f > 0.0 { b"Infinity" } else { b"-Infinity" });
+    } else {
+        write!(b, "{f}").expect("write to a Vec");
+    }
 }
 
 /// `CommandComplete` with the given tag (`SELECT 4`, `INSERT 0 2`, …).
@@ -527,6 +570,69 @@ pub fn split_statements(text: &str) -> Vec<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdb_vector::{date_from_ymd, Column};
+    use std::sync::Arc;
+
+    #[test]
+    fn data_rows_match_value_rendering() {
+        let col = |t, vals: Vec<Value>| Column::from_values(t, &vals);
+        let batch = Batch::new(vec![
+            col(
+                DataType::Bool,
+                vec![
+                    Value::Bool(true),
+                    Value::Null,
+                    Value::Bool(false),
+                    Value::Bool(true),
+                ],
+            ),
+            col(
+                DataType::Int,
+                vec![
+                    Value::Int(0),
+                    Value::Int(-7),
+                    Value::Null,
+                    Value::Int(i64::MAX),
+                ],
+            ),
+            col(
+                DataType::Float,
+                vec![
+                    Value::Float(-0.0),
+                    Value::Float(f64::NAN),
+                    Value::Float(f64::NEG_INFINITY),
+                    Value::Float(0.1 + 0.2),
+                ],
+            ),
+            col(
+                DataType::Str,
+                vec![
+                    Value::str(""),
+                    Value::str("héllo, 世界"),
+                    Value::Null,
+                    Value::str("x"),
+                ],
+            ),
+            col(
+                DataType::Date,
+                vec![
+                    Value::Date(date_from_ymd(1995, 3, 5)),
+                    Value::Null,
+                    Value::Date(0),
+                    Value::Date(-1),
+                ],
+            ),
+        ]);
+        for b in [batch.clone(), batch.with_selection(Arc::new(vec![3, 1]))] {
+            let mut want = Vec::new();
+            for row in b.to_rows() {
+                data_row(&mut want, &row);
+            }
+            let mut got = Vec::new();
+            data_rows(&mut got, &b);
+            assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn frame_roundtrip_parse_bind() {

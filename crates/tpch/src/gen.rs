@@ -446,6 +446,15 @@ pub fn generate(config: &TpchConfig) -> Arc<Catalog> {
         ]),
         n_orders * 4,
     );
+    // Each fixed string as one shared value, cloned per row: the column
+    // builders intern every string, so a fresh copy per row is garbage.
+    let values = |xs: &[&str]| xs.iter().map(Value::str).collect::<Vec<_>>();
+    let [r, a, n, o_, f] = ["R", "A", "N", "O", "F"].map(Value::str);
+    let (instructs, modes, priorities) = (
+        values(&SHIP_INSTRUCTS),
+        values(&SHIP_MODES),
+        values(&PRIORITIES),
+    );
     for o in 1..=n_orders {
         let orderdate = rng.gen_range(start..=end);
         let lines = rng.gen_range(1..=7usize);
@@ -462,14 +471,14 @@ pub fn generate(config: &TpchConfig) -> Arc<Catalog> {
             let receiptdate = shipdate + rng.gen_range(1..=30);
             let returnflag = if receiptdate <= cutoff {
                 if rng.gen_bool(0.5) {
-                    "R"
+                    &r
                 } else {
-                    "A"
+                    &a
                 }
             } else {
-                "N"
+                &n
             };
-            let linestatus = if shipdate > cutoff { "O" } else { "F" };
+            let linestatus = if shipdate > cutoff { &o_ } else { &f };
             total += price * (1.0 - discount) * (1.0 + tax);
             lineitem.push_row(vec![
                 Value::Int(o as i64),
@@ -480,23 +489,23 @@ pub fn generate(config: &TpchConfig) -> Arc<Catalog> {
                 Value::Float(price),
                 Value::Float(discount),
                 Value::Float(tax),
-                Value::str(returnflag),
-                Value::str(linestatus),
+                returnflag.clone(),
+                linestatus.clone(),
                 Value::Date(shipdate),
                 Value::Date(commitdate),
                 Value::Date(receiptdate),
-                Value::str(SHIP_INSTRUCTS[rng.gen_range(0..SHIP_INSTRUCTS.len())]),
-                Value::str(SHIP_MODES[rng.gen_range(0..SHIP_MODES.len())]),
+                instructs[rng.gen_range(0..SHIP_INSTRUCTS.len())].clone(),
+                modes[rng.gen_range(0..SHIP_MODES.len())].clone(),
             ]);
         }
-        let status = if orderdate < cutoff { "F" } else { "O" };
+        let status = if orderdate < cutoff { &f } else { &o_ };
         orders.push_row(vec![
             Value::Int(o as i64),
             Value::Int(rng.gen_range(1..=n_cust) as i64),
-            Value::str(status),
+            status.clone(),
             Value::Float(total),
             Value::Date(orderdate),
-            Value::str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]),
+            priorities[rng.gen_range(0..PRIORITIES.len())].clone(),
             Value::Int(0),
             Value::str(comment(&mut rng, 6)),
         ]);

@@ -287,12 +287,15 @@ impl Batch {
         (0..self.rows).map(|i| self.row(i)).collect()
     }
 
-    /// Approximate in-memory footprint in bytes. For a selected batch this
-    /// scales the shared columns' span by the selectivity — an estimate
-    /// (exact accounting happens on compacted batches at store
-    /// boundaries).
+    /// Approximate in-memory footprint in bytes, as a stream of batches
+    /// adds up: each column's [`Column::stream_bytes`] (a string
+    /// dictionary counts at most the share the batch's rows can
+    /// reference), and for a selected batch the shared columns' span
+    /// scaled by the selectivity. An estimate for execution metrics;
+    /// exact accounting ([`Column::size_bytes`]) happens where results
+    /// are kept.
     pub fn size_bytes(&self) -> usize {
-        let span: usize = self.columns.iter().map(|c| c.size_bytes()).sum();
+        let span: usize = self.columns.iter().map(|c| c.stream_bytes()).sum();
         match &self.sel {
             None => span,
             Some(_) if self.physical == 0 => 0,

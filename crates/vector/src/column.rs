@@ -14,11 +14,24 @@
 //!   `Arc::make_mut` copy-on-write: it mutates in place when the column
 //!   holds the only reference and copies the window otherwise.
 //!
+//! **Strings are dictionary codes.** A string column holds one `u32` code
+//! per row and an `Arc`-shared [`StrDict`] of distinct strings; there is
+//! no other string form. Gathers move codes only: `clone` and `slice`
+//! share both, [`Column::take`] and [`Column::filter`] gather new codes
+//! over the *same* dictionary, and [`Column::concat`] of columns sharing
+//! one dictionary copies codes alone (otherwise the builder merges the
+//! inputs' referenced entries into a new dictionary). A shared dictionary
+//! can be far larger than the window over it, so [`Column::size_bytes`]
+//! counts the whole dictionary (it never under-counts), and
+//! [`Column::compact_dict`] re-encodes a window that references few of
+//! many entries.
+//!
 //! Operators transform whole columns at a time; per-row [`Value`] extraction
 //! exists for tests, literals, and result display.
 
 use std::sync::Arc;
 
+use crate::dict::{DictBuilder, Recoder, StrDict};
 use crate::types::DataType;
 use crate::value::Value;
 
@@ -36,8 +49,14 @@ pub enum ColumnData {
     Int(Arc<Vec<i64>>),
     /// 64-bit floats (prices, rates).
     Float(Arc<Vec<f64>>),
-    /// UTF-8 strings; `Arc<str>` so gathers and copies are cheap.
-    Str(Arc<Vec<Arc<str>>>),
+    /// UTF-8 strings as dictionary codes: row `i` is entry `codes[i]` of
+    /// `dict`.
+    Str {
+        /// One code per row.
+        codes: Arc<Vec<u32>>,
+        /// The distinct strings the codes index.
+        dict: Arc<StrDict>,
+    },
     /// Dates as days since 1970-01-01.
     Date(Arc<Vec<i32>>),
 }
@@ -58,9 +77,16 @@ impl ColumnData {
         ColumnData::Float(Arc::new(v))
     }
 
-    /// Wrap a string vector.
-    pub fn strs(v: Vec<Arc<str>>) -> Self {
-        ColumnData::Str(Arc::new(v))
+    /// Wrap string codes over `dict`. Every code must index an entry.
+    pub fn coded(codes: Vec<u32>, dict: Arc<StrDict>) -> Self {
+        debug_assert!(
+            codes.iter().all(|&c| (c as usize) < dict.len()),
+            "string code out of dictionary range"
+        );
+        ColumnData::Str {
+            codes: Arc::new(codes),
+            dict,
+        }
     }
 
     /// Wrap a date vector.
@@ -74,7 +100,7 @@ impl ColumnData {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Int(v) => v.len(),
             ColumnData::Float(v) => v.len(),
-            ColumnData::Str(v) => v.len(),
+            ColumnData::Str { codes, .. } => codes.len(),
             ColumnData::Date(v) => v.len(),
         }
     }
@@ -90,7 +116,7 @@ impl ColumnData {
             ColumnData::Bool(_) => DataType::Bool,
             ColumnData::Int(_) => DataType::Int,
             ColumnData::Float(_) => DataType::Float,
-            ColumnData::Str(_) => DataType::Str,
+            ColumnData::Str { .. } => DataType::Str,
             ColumnData::Date(_) => DataType::Date,
         }
     }
@@ -102,7 +128,9 @@ impl ColumnData {
             (ColumnData::Bool(a), ColumnData::Bool(b)) => Arc::ptr_eq(a, b),
             (ColumnData::Int(a), ColumnData::Int(b)) => Arc::ptr_eq(a, b),
             (ColumnData::Float(a), ColumnData::Float(b)) => Arc::ptr_eq(a, b),
-            (ColumnData::Str(a), ColumnData::Str(b)) => Arc::ptr_eq(a, b),
+            (ColumnData::Str { codes: a, dict: da }, ColumnData::Str { codes: b, dict: db }) => {
+                Arc::ptr_eq(a, b) && Arc::ptr_eq(da, db)
+            }
             (ColumnData::Date(a), ColumnData::Date(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
@@ -122,8 +150,8 @@ pub enum ColumnSlice<'a> {
     Int(&'a [i64]),
     /// 64-bit floats.
     Float(&'a [f64]),
-    /// Strings.
-    Str(&'a [Arc<str>]),
+    /// Strings: codes over a dictionary.
+    Str(StrSlice<'a>),
     /// Dates as days since epoch.
     Date(&'a [i32]),
 }
@@ -138,6 +166,90 @@ impl ColumnSlice<'_> {
             ColumnSlice::Str(_) => DataType::Str,
             ColumnSlice::Date(_) => DataType::Date,
         }
+    }
+}
+
+/// A window of string codes and the dictionary they index.
+#[derive(Debug, Clone, Copy)]
+pub struct StrSlice<'a> {
+    codes: &'a [u32],
+    dict: &'a Arc<StrDict>,
+}
+
+impl<'a> StrSlice<'a> {
+    /// Codes over `dict` (every code must index an entry).
+    #[inline]
+    pub(crate) fn new(codes: &'a [u32], dict: &'a Arc<StrDict>) -> Self {
+        StrSlice { codes, dict }
+    }
+
+    /// One code per row.
+    #[inline]
+    pub fn codes(&self) -> &'a [u32] {
+        self.codes
+    }
+
+    /// The dictionary the codes index.
+    #[inline]
+    pub fn dict(&self) -> &'a Arc<StrDict> {
+        self.dict
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// Whether there are no rows.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The string of row `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &'a str {
+        self.dict.get(self.codes[i])
+    }
+
+    /// The content hash of row `i`'s string.
+    #[inline]
+    pub fn hash(&self, i: usize) -> u64 {
+        self.dict.hash(self.codes[i])
+    }
+
+    /// The rows' strings in order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a str> + 'a {
+        let dict: &'a StrDict = self.dict;
+        self.codes.iter().map(move |&c| dict.get(c))
+    }
+
+    /// Whether `self` and `other` index the same dictionary, so equal
+    /// codes mean equal strings and unequal codes unequal ones.
+    #[inline]
+    pub(crate) fn same_dict(&self, other: &StrSlice<'_>) -> bool {
+        Arc::ptr_eq(self.dict, other.dict)
+    }
+
+    /// Whether row `i` here and row `j` of `other` hold equal strings:
+    /// codes within one dictionary, hashes then bytes across two.
+    #[inline]
+    pub fn eq_at(&self, i: usize, other: &StrSlice<'_>, j: usize) -> bool {
+        if self.same_dict(other) {
+            self.codes[i] == other.codes[j]
+        } else {
+            self.hash(i) == other.hash(j) && self.get(i) == other.get(j)
+        }
+    }
+
+    /// Byte order of row `i` here against row `j` of `other`.
+    #[inline]
+    pub fn cmp_at(&self, i: usize, other: &StrSlice<'_>, j: usize) -> std::cmp::Ordering {
+        if self.same_dict(other) && self.codes[i] == other.codes[j] {
+            return std::cmp::Ordering::Equal;
+        }
+        self.get(i).cmp(other.get(j))
     }
 }
 
@@ -213,9 +325,11 @@ impl Column {
 
     /// Column of strings, no NULLs.
     pub fn from_strs<S: AsRef<str>>(v: impl IntoIterator<Item = S>) -> Self {
-        Column::new(ColumnData::strs(
-            v.into_iter().map(|s| Arc::from(s.as_ref())).collect(),
-        ))
+        let mut b = ColumnBuilder::new(DataType::Str, 0);
+        for s in v {
+            b.push_str(s.as_ref());
+        }
+        b.finish()
     }
 
     /// Column of dates (days since epoch), no NULLs.
@@ -224,13 +338,13 @@ impl Column {
     }
 
     /// Column of `n` NULLs of type `dtype`: one fill of the payload and
-    /// one of the mask (strings share one empty `Arc<str>`).
+    /// one of the mask (strings: code 0 of a one-entry dictionary).
     pub fn nulls(dtype: DataType, n: usize) -> Self {
         let data = match dtype {
             DataType::Bool => ColumnData::bools(vec![false; n]),
             DataType::Int => ColumnData::ints(vec![0; n]),
             DataType::Float => ColumnData::floats(vec![0.0; n]),
-            DataType::Str => ColumnData::strs(vec![Arc::from(""); n]),
+            DataType::Str => ColumnData::coded(vec![0; n], DictBuilder::new().finish_for(n)),
             DataType::Date => ColumnData::dates(vec![0; n]),
         };
         Column::with_validity(data, vec![false; n])
@@ -271,7 +385,9 @@ impl Column {
             ColumnData::Bool(v) => ColumnSlice::Bool(&v[o..o + l]),
             ColumnData::Int(v) => ColumnSlice::Int(&v[o..o + l]),
             ColumnData::Float(v) => ColumnSlice::Float(&v[o..o + l]),
-            ColumnData::Str(v) => ColumnSlice::Str(&v[o..o + l]),
+            ColumnData::Str { codes, dict } => {
+                ColumnSlice::Str(StrSlice::new(&codes[o..o + l], dict))
+            }
             ColumnData::Date(v) => ColumnSlice::Date(&v[o..o + l]),
         }
     }
@@ -324,13 +440,14 @@ impl Column {
             ColumnSlice::Bool(v) => Value::Bool(v[i]),
             ColumnSlice::Int(v) => Value::Int(v[i]),
             ColumnSlice::Float(v) => Value::Float(v[i]),
-            ColumnSlice::Str(v) => Value::Str(v[i].clone()),
+            ColumnSlice::Str(v) => Value::str(v.get(i)),
             ColumnSlice::Date(v) => Value::Date(v[i]),
         }
     }
 
     /// Gather rows by window-relative index: `out[k] = self[indices[k]]`.
-    /// Produces unique (unshared) storage.
+    /// Produces unique (unshared) storage; a string column's new codes
+    /// share its dictionary.
     pub fn take(&self, indices: &[u32]) -> Column {
         let data = match self.values() {
             ColumnSlice::Bool(v) => {
@@ -342,9 +459,10 @@ impl Column {
             ColumnSlice::Float(v) => {
                 ColumnData::floats(indices.iter().map(|&i| v[i as usize]).collect())
             }
-            ColumnSlice::Str(v) => {
-                ColumnData::strs(indices.iter().map(|&i| v[i as usize].clone()).collect())
-            }
+            ColumnSlice::Str(v) => ColumnData::coded(
+                indices.iter().map(|&i| v.codes()[i as usize]).collect(),
+                v.dict().clone(),
+            ),
             ColumnSlice::Date(v) => {
                 ColumnData::dates(indices.iter().map(|&i| v[i as usize]).collect())
             }
@@ -387,7 +505,8 @@ impl Column {
 
     /// Concatenate columns of identical type into one. Panics if `cols` is
     /// empty or types differ. A single input is returned as a zero-copy
-    /// shared clone.
+    /// shared clone; string columns sharing one dictionary keep it and
+    /// copy codes only.
     pub fn concat(cols: &[&Column]) -> Column {
         assert!(!cols.is_empty(), "concat of zero columns");
         if cols.len() == 1 {
@@ -403,19 +522,66 @@ impl Column {
         b.finish()
     }
 
-    /// Approximate in-memory footprint of the window in bytes (used for
-    /// recycler cache accounting: fixed-width payload + string heap +
-    /// validity mask). Shared windows report their own span, not the whole
-    /// underlying allocation.
+    /// In-memory footprint of the window in bytes, what the recycler's
+    /// cache accounts: fixed-width payload (4 B per string code) plus the
+    /// **whole** string dictionary plus the validity mask. Shared windows
+    /// report their own span of codes and values, but a dictionary is
+    /// counted in full however few of its entries the window references,
+    /// so the sum over cached columns never under-counts what they pin.
     pub fn size_bytes(&self) -> usize {
+        self.payload_bytes() + self.dict().map_or(0, |d| d.size_bytes())
+    }
+
+    /// The bytes this window adds to a stream of windows over the same
+    /// storage (a scan's morsels, an operator's output batches): its
+    /// payload and mask, and of a string dictionary at most the share its
+    /// rows can reference — all of it once the window has as many rows as
+    /// the dictionary has entries. Execution metrics and size estimates
+    /// sum this per batch; [`Column::size_bytes`] is the hard count.
+    pub fn stream_bytes(&self) -> usize {
+        let share = self.dict().map_or(0, |d| {
+            if d.len() <= self.len {
+                d.size_bytes()
+            } else {
+                d.size_bytes() / d.len() * self.len
+            }
+        });
+        self.payload_bytes() + share
+    }
+
+    fn payload_bytes(&self) -> usize {
         let payload = match self.values() {
             ColumnSlice::Bool(v) => v.len(),
             ColumnSlice::Int(v) => v.len() * 8,
             ColumnSlice::Float(v) => v.len() * 8,
-            ColumnSlice::Str(v) => v.iter().map(|s| 16 + s.len()).sum(),
+            ColumnSlice::Str(v) => v.len() * 4,
             ColumnSlice::Date(v) => v.len() * 4,
         };
         payload + self.validity.as_ref().map_or(0, |_| self.len)
+    }
+
+    /// The string dictionary, for a string column.
+    pub fn dict(&self) -> Option<&Arc<StrDict>> {
+        match &self.data {
+            ColumnData::Str { dict, .. } => Some(dict),
+            _ => None,
+        }
+    }
+
+    /// This column with a dictionary of only the entries its valid rows
+    /// reference, when its dictionary has more entries than it has rows
+    /// (a shared clone otherwise, and for every other type). A small
+    /// window kept past its producer — a cached result — then pins what
+    /// it uses, not a table's dictionary.
+    pub fn compact_dict(&self) -> Column {
+        match self.dict() {
+            Some(d) if d.len() > self.len => {
+                let mut b = ColumnBuilder::new(DataType::Str, self.len);
+                b.append_reencoded(self);
+                b.finish()
+            }
+            _ => self.clone(),
+        }
     }
 
     /// Borrow as `&[i64]`, panicking if not an int column. (NULL payload
@@ -447,9 +613,9 @@ impl Column {
         }
     }
 
-    /// Borrow as `&[Arc<str>]`.
+    /// Borrow as string codes over their dictionary.
     #[inline]
-    pub fn as_strs(&self) -> &[Arc<str>] {
+    pub fn as_strs(&self) -> StrSlice<'_> {
         match self.values() {
             ColumnSlice::Str(v) => v,
             other => panic!("expected str column, got {}", other.data_type()),
@@ -517,7 +683,10 @@ impl PartialEq for Column {
             (ColumnSlice::Bool(a), ColumnSlice::Bool(b)) => a == b,
             (ColumnSlice::Int(a), ColumnSlice::Int(b)) => a == b,
             (ColumnSlice::Float(a), ColumnSlice::Float(b)) => a == b,
-            (ColumnSlice::Str(a), ColumnSlice::Str(b)) => a == b,
+            // A NULL string's code is unspecified: compare valid rows.
+            (ColumnSlice::Str(a), ColumnSlice::Str(b)) => {
+                (0..self.len).all(|i| !self.is_valid(i) || a.eq_at(i, &b, i))
+            }
             (ColumnSlice::Date(a), ColumnSlice::Date(b)) => a == b,
             _ => false,
         };
@@ -529,17 +698,33 @@ impl PartialEq for Column {
 ///
 /// `finish` always yields **unique** storage: nothing shares the produced
 /// Arc until the column is cloned or sliced, so builders are the safe place
-/// to create data that later flows through the zero-copy path.
+/// to create data that later flows through the zero-copy path. (A string
+/// column's codes are unique; its dictionary is shared when every appended
+/// column shared one.)
 #[derive(Debug)]
 pub struct ColumnBuilder {
     dtype: DataType,
     bools: Vec<bool>,
     ints: Vec<i64>,
     floats: Vec<f64>,
-    strs: Vec<Arc<str>>,
+    codes: Vec<u32>,
+    strs: StrCodes,
     dates: Vec<i32>,
     validity: Vec<bool>,
     has_null: bool,
+}
+
+/// The dictionary a string builder's codes index.
+#[derive(Debug, Default)]
+enum StrCodes {
+    /// No string appended yet (only NULLs, if anything).
+    #[default]
+    Unset,
+    /// Every code so far came from appended columns sharing this
+    /// dictionary.
+    Shared(Arc<StrDict>),
+    /// Codes of a dictionary this builder interns into.
+    Own(Recoder),
 }
 
 impl ColumnBuilder {
@@ -550,7 +735,8 @@ impl ColumnBuilder {
             bools: Vec::new(),
             ints: Vec::new(),
             floats: Vec::new(),
-            strs: Vec::new(),
+            codes: Vec::new(),
+            strs: StrCodes::Unset,
             dates: Vec::new(),
             validity: Vec::with_capacity(capacity),
             has_null: false,
@@ -559,7 +745,7 @@ impl ColumnBuilder {
             DataType::Bool => b.bools.reserve(capacity),
             DataType::Int => b.ints.reserve(capacity),
             DataType::Float => b.floats.reserve(capacity),
-            DataType::Str => b.strs.reserve(capacity),
+            DataType::Str => b.codes.reserve(capacity),
             DataType::Date => b.dates.reserve(capacity),
         }
         b
@@ -582,16 +768,29 @@ impl ColumnBuilder {
             self.push_null();
             return;
         }
-        self.validity.push(true);
         match (self.dtype, v) {
             (DataType::Bool, Value::Bool(x)) => self.bools.push(x),
             (DataType::Int, Value::Int(x)) => self.ints.push(x),
             (DataType::Float, Value::Float(x)) => self.floats.push(x),
             (DataType::Float, Value::Int(x)) => self.floats.push(x as f64),
-            (DataType::Str, Value::Str(x)) => self.strs.push(x),
+            (DataType::Str, Value::Str(x)) => return self.push_str(&x),
             (DataType::Date, Value::Date(x)) => self.dates.push(x),
             (dt, v) => panic!("type mismatch pushing {v:?} into {dt} builder"),
         }
+        self.validity.push(true);
+    }
+
+    /// Append one string (a string builder only).
+    pub fn push_str(&mut self, s: &str) {
+        assert_eq!(
+            self.dtype,
+            DataType::Str,
+            "push_str into {} builder",
+            self.dtype
+        );
+        let code = self.own_dict().intern(s);
+        self.codes.push(code);
+        self.validity.push(true);
     }
 
     /// Append a NULL row.
@@ -602,7 +801,7 @@ impl ColumnBuilder {
             DataType::Bool => self.bools.push(false),
             DataType::Int => self.ints.push(0),
             DataType::Float => self.floats.push(0.0),
-            DataType::Str => self.strs.push(Arc::from("")),
+            DataType::Str => self.codes.push(0),
             DataType::Date => self.dates.push(0),
         }
     }
@@ -614,9 +813,59 @@ impl ColumnBuilder {
             ColumnSlice::Bool(v) => self.bools.extend_from_slice(v),
             ColumnSlice::Int(v) => self.ints.extend_from_slice(v),
             ColumnSlice::Float(v) => self.floats.extend_from_slice(v),
-            ColumnSlice::Str(v) => self.strs.extend_from_slice(v),
+            ColumnSlice::Str(v) => {
+                if v.is_empty() {
+                    return;
+                }
+                let shared = match &self.strs {
+                    StrCodes::Unset => {
+                        self.strs = StrCodes::Shared(v.dict().clone());
+                        true
+                    }
+                    StrCodes::Shared(d) => Arc::ptr_eq(d, v.dict()),
+                    StrCodes::Own(_) => false,
+                };
+                if shared {
+                    self.codes.extend_from_slice(v.codes());
+                } else {
+                    self.append_reencoded(col);
+                    return;
+                }
+            }
             ColumnSlice::Date(v) => self.dates.extend_from_slice(v),
         }
+        self.extend_validity(col);
+    }
+
+    /// Append `col`'s rows (a string column) as codes of this builder's
+    /// own dictionary.
+    fn append_reencoded(&mut self, col: &Column) {
+        let v = col.as_strs();
+        let mask = col.validity();
+        let valid = |i: usize| mask.is_none_or(|m| m[i]);
+        self.own_dict();
+        let StrCodes::Own(own) = &mut self.strs else {
+            unreachable!("own_dict sets an own dictionary")
+        };
+        if v.dict().len() > v.len() {
+            // Fewer rows than entries: intern row by row, keep no map.
+            self.codes.extend((0..v.len()).map(|i| {
+                if valid(i) {
+                    own.intern_hashed(v.get(i), v.hash(i))
+                } else {
+                    0
+                }
+            }));
+        } else {
+            let mut r = own.of(v.dict());
+            let codes = v.codes().iter().enumerate();
+            self.codes
+                .extend(codes.map(|(i, &c)| if valid(i) { r.code(c) } else { 0 }));
+        }
+        self.extend_validity(col);
+    }
+
+    fn extend_validity(&mut self, col: &Column) {
         match col.validity() {
             None => self.validity.extend(std::iter::repeat_n(true, col.len())),
             Some(m) => {
@@ -630,13 +879,39 @@ impl ColumnBuilder {
         }
     }
 
+    /// Switch to a dictionary of this builder's own, re-encoding the codes
+    /// appended under a shared one.
+    fn own_dict(&mut self) -> &mut Recoder {
+        if !matches!(self.strs, StrCodes::Own(_)) {
+            let mut own = Recoder::default();
+            if let StrCodes::Shared(d) = &self.strs {
+                let mut r = own.of(d);
+                for (c, &valid) in self.codes.iter_mut().zip(&self.validity) {
+                    *c = if valid { r.code(*c) } else { 0 };
+                }
+            }
+            self.strs = StrCodes::Own(own);
+        }
+        let StrCodes::Own(own) = &mut self.strs else {
+            unreachable!("set just above")
+        };
+        own
+    }
+
     /// Finish into a [`Column`] with unique storage.
     pub fn finish(self) -> Column {
         let data = match self.dtype {
             DataType::Bool => ColumnData::bools(self.bools),
             DataType::Int => ColumnData::ints(self.ints),
             DataType::Float => ColumnData::floats(self.floats),
-            DataType::Str => ColumnData::strs(self.strs),
+            DataType::Str => {
+                let dict = match self.strs {
+                    StrCodes::Shared(d) => d,
+                    StrCodes::Own(own) => own.finish_for(self.codes.len()),
+                    StrCodes::Unset => DictBuilder::new().finish_for(self.codes.len()),
+                };
+                ColumnData::coded(self.codes, dict)
+            }
             DataType::Date => ColumnData::dates(self.dates),
         };
         if self.has_null {
@@ -817,9 +1092,14 @@ mod tests {
 
     #[test]
     fn size_bytes_accounts_for_strings() {
-        let c = Column::from_strs(["ab", "cdef"]);
-        // 2 * 16 bytes Arc overhead + 2 + 4 payload
-        assert_eq!(c.size_bytes(), 38);
+        let c = Column::from_strs(["ab", "cdef", "ab"]);
+        // 3 codes of 4 B, plus the dictionary: 2 + 4 bytes of two entries
+        // and 12 B (offset and hash) per entry.
+        assert_eq!(c.size_bytes(), 3 * 4 + 6 + 2 * 12);
+        // A window counts the whole dictionary; a stream of windows
+        // counts its share.
+        assert_eq!(c.slice(0, 1).size_bytes(), 4 + 6 + 2 * 12);
+        assert_eq!(c.slice(0, 1).stream_bytes(), 4 + 15);
         let i = Column::from_ints(vec![0; 10]);
         assert_eq!(i.size_bytes(), 80);
         // A slice accounts only for its window.

@@ -18,7 +18,10 @@
 //! * `-0.0` normalizes to `0.0` before hashing;
 //! * NULL folds in its own tag (and nothing else), so NULL keys group
 //!   with each other and never silently with real values;
-//! * strings mix their length before their bytes, so `("ab","c")` and
+//! * a string folds in its dictionary entry's content hash
+//!   ([`str_hash`], precomputed once per entry), never its bytes per row:
+//!   equal strings hash equally whatever dictionary holds them, and the
+//!   content hash mixes the length before the bytes, so `("ab","c")` and
 //!   `("a","bc")` stay distinct across multi-column keys.
 
 use crate::column::{Column, ColumnSlice};
@@ -87,26 +90,16 @@ fn hash_column(col: &Column, hashes: &mut [u64]) {
         ColumnSlice::Float(v) => fold!(v, TAG_FLOAT, |x: &f64| norm_float(*x).to_bits()),
         ColumnSlice::Date(v) => fold!(v, TAG_DATE, |x: &i32| *x as u64),
         ColumnSlice::Str(v) => {
-            // Strings cannot fold a fixed-width word; hash length + bytes
-            // per row (still one type dispatch per batch).
-            match col.validity() {
-                None => {
-                    for (h, s) in hashes.iter_mut().zip(&v[..n]) {
-                        *h = hash_str(*h, s);
-                    }
-                }
-                Some(mask) => {
-                    for ((h, s), valid) in hashes.iter_mut().zip(&v[..n]).zip(&mask[..n]) {
-                        *h = if *valid {
-                            hash_str(*h, s)
-                        } else {
-                            mix(*h, TAG_NULL)
-                        };
-                    }
-                }
-            }
+            let dict = v.dict();
+            fold!(v.codes(), TAG_STR, |c: &u32| dict.hash(*c))
         }
     }
+}
+
+/// The content hash of a string: what a dictionary precomputes per entry
+/// and a string key cell folds in. Equal strings hash equally.
+pub fn str_hash(s: &str) -> u64 {
+    hash_str(SEED, s)
 }
 
 /// `-0.0` hashes (and compares, see [`KeyCells::cell_eq`]) as `0.0`.
@@ -192,26 +185,13 @@ impl<'a> KeyCells<'a> {
             (ColumnSlice::Float(x), ColumnSlice::Float(y)) => {
                 norm_float(x[i]).to_bits() == norm_float(y[j]).to_bits()
             }
-            (ColumnSlice::Str(x), ColumnSlice::Str(y)) => str_eq(&x[i], &y[j]),
+            (ColumnSlice::Str(x), ColumnSlice::Str(y)) => x.eq_at(i, &y, j),
             (ColumnSlice::Date(x), ColumnSlice::Date(y)) => x[i] == y[j],
             // Different column types never compare equal (their hashes
             // carry distinct tags too).
             _ => false,
         }
     }
-}
-
-/// String equality that compares short strings inline rather than
-/// through a `memcmp` call, which dominates for keys of a few bytes.
-#[inline]
-fn str_eq(a: &str, b: &str) -> bool {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
-    a.len() == b.len()
-        && if a.len() <= 16 {
-            a.iter().zip(b).all(|(x, y)| x == y)
-        } else {
-            a == b
-        }
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 //! * [`DataType`] / [`Value`] — the scalar type system (bool, int, float,
 //!   string, date) with an explicit `Null`.
 //! * [`Column`] — a typed column of values with an optional validity mask.
+//!   Strings are dictionary codes over an `Arc`-shared [`StrDict`]
+//!   ([`dict`]); there is no other string form.
 //! * [`Batch`] — a horizontal slice of a result: a set of equal-length
 //!   columns, at most [`BATCH_CAPACITY`] rows.
 //! * [`Schema`] / [`Field`] — named, typed column metadata.
@@ -38,7 +40,9 @@
 //!   so freshly computed results never pay copy-on-write;
 //! * gathers (`take`/`compact`) at pipeline breakers (sort, aggregation
 //!   build, join build side), at store/materialization boundaries, and at
-//!   the public stream edge, where positional results must be dense;
+//!   the public stream edge, where positional results must be dense (a
+//!   string column's gather copies its `u32` codes and shares its
+//!   dictionary);
 //! * genuine mutation, which goes through copy-on-write
 //!   (`Arc::make_mut`, e.g. [`Column::map_bools`]) and degrades to a
 //!   window copy only when the storage is shared.
@@ -55,6 +59,7 @@
 
 pub mod batch;
 pub mod column;
+pub mod dict;
 pub mod hash;
 pub mod row;
 pub mod schema;
@@ -62,7 +67,8 @@ pub mod types;
 pub mod value;
 
 pub use batch::Batch;
-pub use column::{Column, ColumnBuilder, ColumnData, ColumnSlice};
+pub use column::{Column, ColumnBuilder, ColumnData, ColumnSlice, StrSlice};
+pub use dict::{DictBuilder, Recoder, StrDict};
 pub use hash::{hash_columns, key_rows_eq, KeyCells};
 pub use row::{RowCmp, SortOrder};
 pub use schema::{Field, Schema};

@@ -84,7 +84,7 @@ pub fn cmp_cell(a: &Column, i: usize, b: &Column, j: usize) -> Ordering {
         (ColumnSlice::Bool(x), ColumnSlice::Bool(y)) => x[i].cmp(&y[j]),
         (ColumnSlice::Int(x), ColumnSlice::Int(y)) => x[i].cmp(&y[j]),
         (ColumnSlice::Float(x), ColumnSlice::Float(y)) => x[i].total_cmp(&y[j]),
-        (ColumnSlice::Str(x), ColumnSlice::Str(y)) => x[i].cmp(&y[j]),
+        (ColumnSlice::Str(x), ColumnSlice::Str(y)) => x.cmp_at(i, &y, j),
         (ColumnSlice::Date(x), ColumnSlice::Date(y)) => x[i].cmp(&y[j]),
         (ColumnSlice::Int(x), ColumnSlice::Float(y)) => (x[i] as f64).total_cmp(&y[j]),
         (ColumnSlice::Float(x), ColumnSlice::Int(y)) => x[i].total_cmp(&(y[j] as f64)),

@@ -14,7 +14,7 @@ use rdb_expr::{AggFunc, ArithOp, CmpOp, Expr};
 use rdb_plan::{JoinKind, Plan, SortKeyExpr};
 use rdb_recycler::LineageEntry;
 use rdb_storage::{CommitRecord, TableDelta};
-use rdb_vector::column::{Column, ColumnData, ColumnSlice};
+use rdb_vector::column::{Column, ColumnBuilder, ColumnData, ColumnSlice};
 use rdb_vector::{DataType, Schema, SortOrder, Value};
 
 use crate::WalError;
@@ -254,7 +254,8 @@ pub(crate) fn read_dtype(r: &mut Reader) -> Result<DataType, WalError> {
 
 /// Encode the rows of `col` as columns are stored: a validity flag, the
 /// validity bytes if any row is NULL, then the payload straight from the
-/// typed slice. No per-row tag, no [`Value`].
+/// typed slice. No per-row tag, no [`Value`]. Strings are text, a NULL
+/// one empty, whatever dictionary entry its code indexes.
 pub(crate) fn put_column(out: &mut Vec<u8>, col: &Column) {
     match col.validity() {
         Some(mask) if mask.contains(&false) => {
@@ -268,7 +269,11 @@ pub(crate) fn put_column(out: &mut Vec<u8>, col: &Column) {
         ColumnSlice::Int(v) => v.iter().for_each(|&x| put_i64(out, x)),
         ColumnSlice::Float(v) => v.iter().for_each(|&x| put_f64(out, x)),
         ColumnSlice::Date(v) => v.iter().for_each(|&x| put_i32(out, x)),
-        ColumnSlice::Str(v) => v.iter().for_each(|s| put_str(out, s)),
+        ColumnSlice::Str(v) => {
+            for i in 0..v.len() {
+                put_str(out, if col.is_valid(i) { v.get(i) } else { "" });
+            }
+        }
     }
 }
 
@@ -306,8 +311,15 @@ pub(crate) fn read_column(
             if rows > r.remaining() / 4 {
                 return Err(corrupt(format!("{rows} strings exceed remaining payload")));
             }
-            let strs = (0..rows).map(|_| r.str_ref().map(std::sync::Arc::from));
-            ColumnData::strs(strs.collect::<Result<_, _>>()?)
+            let mut b = ColumnBuilder::new(DataType::Str, rows);
+            for i in 0..rows {
+                let s = r.str_ref()?;
+                match &validity {
+                    Some(mask) if !mask[i] => b.push_null(),
+                    _ => b.push_str(s),
+                }
+            }
+            return Ok(b.finish());
         }
     };
     Ok(match validity {

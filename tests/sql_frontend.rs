@@ -407,3 +407,39 @@ fn sql_runs_against_no_recycler_engine() {
     assert!(batch.rows() <= 5);
     assert!(batch.column(0).as_ints().iter().all(|&k| k == 3));
 }
+
+#[test]
+fn substring_and_like_count_characters() {
+    let mut cat = Catalog::new();
+    let mut b = TableBuilder::new("words", Schema::from_pairs([("w", DataType::Str)]), 5);
+    for w in ["héllo", "é", "ab", "日本語", "x"] {
+        b.push_row(vec![Value::str(w)]);
+    }
+    cat.register(b.finish()).expect("register words");
+    let engine = Engine::builder(Arc::new(cat)).no_recycler().build();
+    let session = engine.session();
+    let rows = |sql: &str| -> Vec<Vec<Value>> {
+        match session.sql(sql, &Params::none()).unwrap() {
+            SqlOutcome::Rows(h) => h.collect_batch().to_rows(),
+            SqlOutcome::Write(_) => panic!("query returned a write outcome"),
+        }
+    };
+    // Positions are characters: byte slicing would cut 'é' in half.
+    assert_eq!(
+        rows("SELECT substring(w from 2 for 2) AS s FROM words WHERE w = 'héllo'"),
+        vec![vec![Value::str("él")]]
+    );
+    assert_eq!(
+        rows("SELECT substr(w, 3, 1) AS s FROM words WHERE w LIKE '日%'"),
+        vec![vec![Value::str("語")]]
+    );
+    // `_` is one character, multi-byte or not.
+    assert_eq!(
+        rows("SELECT w FROM words WHERE w LIKE '_' ORDER BY w"),
+        vec![vec![Value::str("x")], vec![Value::str("é")]]
+    );
+    assert_eq!(
+        rows("SELECT w FROM words WHERE w LIKE 'h_llo'"),
+        vec![vec![Value::str("héllo")]]
+    );
+}
