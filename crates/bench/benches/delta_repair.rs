@@ -102,7 +102,10 @@ fn latency(recycling: bool) -> Latency {
         let hit = session.query(&q6).expect("after-write").into_outcome();
         after_us.push(t1.elapsed().as_secs_f64() * 1e6);
         if recycling {
-            assert!(out.repaired >= 1, "append {i} must repair the cached Q6");
+            assert!(
+                out.repair.repaired >= 1,
+                "append {i} must repair the cached Q6"
+            );
             assert!(hit.reused(), "the repaired entry keeps serving");
         }
     }

@@ -11,8 +11,8 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use rdb_bench::{banner, max_streams, scale_factor};
-use rdb_engine::{Engine, EngineConfig};
-use rdb_recycler::{RecyclerConfig, RecyclerMode};
+use rdb_engine::Engine;
+use rdb_recycler::RecyclerConfig;
 use rdb_tpch::{generate, make_streams, StreamOptions, TpchConfig};
 
 fn avg_by_label(report: &rdb_engine::StreamsReport) -> HashMap<String, Duration> {
@@ -38,20 +38,17 @@ fn main() {
             StreamOptions::new(n, sf)
         };
         let streams = make_streams(&catalog, &opts);
-        let config = match mode {
-            "OFF" => EngineConfig::off(),
-            "HIST" => {
-                let mut c = RecyclerConfig::history(cache);
-                c.mode = RecyclerMode::History;
-                EngineConfig::with_recycler(c)
-            }
+        let builder = Engine::builder(catalog.clone());
+        let engine = match mode {
+            "OFF" => builder.no_recycler(),
+            "HIST" => builder.recycler(RecyclerConfig::history(cache)),
             _ => {
                 let mut c = RecyclerConfig::speculative(cache);
                 c.spec_min_progress = 0.0;
-                EngineConfig::with_recycler(c)
+                builder.recycler(c)
             }
-        };
-        let engine = Engine::builder(catalog.clone()).config(config).build();
+        }
+        .build();
         let report = engine.run_streams(&streams);
         results.push((mode.to_string(), avg_by_label(&report)));
     }

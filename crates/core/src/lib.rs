@@ -27,18 +27,22 @@
 //! The paper notes that under updates "the results in the recycler graph
 //! that are affected... have to be invalidated" but leaves the mechanism
 //! out of scope. This crate implements it, keyed on **table epochs**:
-//! every committed append/delete bumps the base table's epoch
+//! every committed append/delete/replace bumps the base table's epoch
 //! (`rdb_storage::VersionedTable`), queries pin an epoch vector via a
 //! catalog snapshot, and freshness is enforced at three points:
 //!
-//! 1. **Eager eviction** — [`Recycler::invalidate`]`(table, epoch)` walks
-//!    the operator graph upward from the changed table's scan leaves
-//!    (every [`graph::GraphNode`] records its base-table footprint) and
-//!    evicts exactly the dependent cache entries, emitting
-//!    [`RecyclerEvent::Invalidated`] per entry and counting
-//!    `stats.invalidations`. Entries over untouched tables survive, which
-//!    is what makes invalidation *fine-grained*: updating `lineitem`
-//!    leaves a cached `orders` aggregate hot.
+//! 1. **One reaction to a commit** — every committed write is one typed
+//!    [`rdb_delta::Delta`] (append, delete or replace), and
+//!    [`Recycler::repair`] is the only write entry: it walks the
+//!    operator graph upward from the changed table's scan leaves (every
+//!    [`graph::GraphNode`] records its base-table footprint), repairs a
+//!    stale dependent in place where its class allows it, and evicts the
+//!    rest, emitting [`RecyclerEvent::Invalidated`] per evicted entry and
+//!    counting `stats.invalidations`. A replace, or a snapshot that has
+//!    moved past the delta's epoch, repairs nothing and only evicts.
+//!    Entries over untouched tables survive, which is what makes
+//!    invalidation *fine-grained*: updating `lineitem` leaves a cached
+//!    `orders` aggregate hot.
 //! 2. **Reuse gate** — every [`cache::CacheEntry`] records the
 //!    `(table, epoch)` pairs it was computed from; the rewriter
 //!    substitutes an entry (exact or subsumption) only when those match

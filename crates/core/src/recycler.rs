@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use rdb_delta::Delta;
+use rdb_delta::{Change, Delta};
 use rdb_exec::{
     ArtifactKind, BuildSide, FnRegistry, MaterializedResult, MetricsNode, ResultStore,
     SpeculationEstimate, StateCost, StoreVerdict,
@@ -185,7 +185,7 @@ struct State {
     /// it on resolve.
     in_flight: HashMap<NodeId, u64>,
     /// Latest committed epoch per base table, as reported by
-    /// [`Recycler::invalidate`]. Tables never updated are absent (their
+    /// [`Recycler::repair`]. Tables never updated are absent (their
     /// epoch is whatever it was at load).
     table_epochs: HashMap<String, u64>,
     next_tag: u64,
@@ -320,7 +320,8 @@ pub struct RecyclerStats {
     /// Repair candidates that fell back to eviction (kernel refused, a
     /// race intervened, or the repaired payload no longer fit).
     pub repair_fallbacks: AtomicU64,
-    /// Non-empty DML deltas routed through [`Recycler::repair`].
+    /// Non-empty appends and deletes [`Recycler::repair`] took at a
+    /// current snapshot (replaces and moved-on snapshots only evict).
     pub deltas_applied: AtomicU64,
     /// Publishes rejected because the producing query's snapshot was
     /// superseded before its store completed.
@@ -415,66 +416,26 @@ impl Recycler {
         st.evicted(flushed);
     }
 
-    /// A base table committed `new_epoch`: walk the operator graph upward
-    /// from the changed leaf and evict exactly the cache entries whose
-    /// results depend on it (PAPER.md §V), leaving entries over other
-    /// tables untouched. In-flight materializations over the old version
-    /// are not interrupted, but their eventual publish is rejected by the
-    /// epoch gate in [`ResultStore::publish`]. Returns one
-    /// [`RecyclerEvent::Invalidated`] per evicted entry.
+    /// A base table committed a typed [`Delta`] — the one entry point for
+    /// every write. Walk the operator graph upward from the changed leaf
+    /// (PAPER.md §V): dependent cache entries over other tables stay
+    /// untouched, stale dependents are repaired in place where the
+    /// insert-time classification allows it, and the rest are evicted
+    /// with one [`RecyclerEvent::Invalidated`] each. Repaired entries are
+    /// byte-identical to recomputation at the post-commit snapshot and
+    /// adopt the new epoch vector, so subsequent queries reuse them
+    /// directly — this is what keeps the hit rate up under a write-mixed
+    /// workload. In-flight materializations over the old version are not
+    /// interrupted, but their eventual publish is rejected by the epoch
+    /// gate in [`ResultStore::publish`].
     ///
-    /// Must be called *after* the table's new version is committed (the
-    /// engine's DML path does this); callers mutating storage behind the
-    /// engine's back get stale reuse until they do.
-    pub fn invalidate(&self, table: &str, new_epoch: u64) -> Vec<RecyclerEvent> {
-        let mut st = self.lock();
-        let cur = st.table_epochs.entry(table.to_string()).or_insert(0);
-        *cur = (*cur).max(new_epoch);
-        let mut events = Vec::new();
-        for id in st.graph.dependents_of_table(table) {
-            // Every artifact kind of the dependent node is a candidate: a
-            // cached hash build over a changed base table is exactly as
-            // stale as a cached result over it.
-            for aid in st.cache.artifacts_of(id) {
-                // An entry already computed at (or past) the committing
-                // epoch is fresh — a producer that pinned the new version
-                // published before this invalidate call caught up. Evicting
-                // it would throw away valid work.
-                if st.cache.get_artifact(aid).is_some_and(|entry| {
-                    entry
-                        .epochs
-                        .iter()
-                        .any(|(t, e)| t == table && *e >= new_epoch)
-                }) {
-                    continue;
-                }
-                if let Some(entry) = st.cache.remove_artifact(aid) {
-                    let bytes = entry.size;
-                    st.evicted(vec![(aid, entry)]);
-                    self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-                    events.push(RecyclerEvent::Invalidated {
-                        node: id,
-                        kind: aid.kind,
-                        bytes,
-                        table: table.to_string(),
-                    });
-                }
-            }
-        }
-        events
-    }
-
-    /// A base table committed a typed [`Delta`]: repair dependent cache
-    /// entries in place where the insert-time classification allows it,
-    /// and evict the rest (exactly what [`Recycler::invalidate`] would
-    /// have done to them). Repaired entries are byte-identical to
-    /// recomputation at the post-commit snapshot and adopt the new epoch
-    /// vector, so subsequent queries reuse them directly — this is what
-    /// keeps the hit rate up under a write-mixed workload.
-    ///
-    /// `snapshot` must be the post-commit snapshot: repair requires
-    /// `snapshot.epoch_of(delta.table) == delta.epoch` (the engine's DML
-    /// path guarantees it; anything else routes to `invalidate`).
+    /// `snapshot` must be the post-commit snapshot. Repair requires
+    /// `snapshot.epoch_of(delta.table) == delta.epoch` and a non-empty
+    /// append or delete; a [`Change::Replace`], or a snapshot that has
+    /// moved on, yields no repair candidates, so every stale dependent
+    /// evicts. Must be called *after* the table's new version is
+    /// committed (the engine's DML path does this); callers mutating
+    /// storage behind the engine's back get stale reuse until they do.
     ///
     /// Structure: candidates are collected under the recycler lock, the
     /// repair kernels run **unlocked** (they evaluate subplans), and
@@ -496,12 +457,12 @@ impl Recycler {
         if delta.is_empty() {
             return out;
         }
-        if snapshot.epoch_of(table) != Some(new_epoch) {
-            out.events = self.invalidate(table, new_epoch);
-            return out;
+        let repairing =
+            !matches!(delta.change, Change::Replace) && snapshot.epoch_of(table) == Some(new_epoch);
+        if repairing {
+            bump!(self.stats, deltas_applied);
+            out.deltas_applied = 1;
         }
-        bump!(self.stats, deltas_applied);
-        out.deltas_applied = 1;
         let alpha = self.config.aging_alpha;
         let model = self.config.cost_model;
 
@@ -520,15 +481,14 @@ impl Recycler {
             let cur = st.table_epochs.entry(table.to_string()).or_insert(0);
             *cur = (*cur).max(new_epoch);
             for id in st.graph.dependents_of_table(table) {
-                let repairable = st.graph.node(id).repairability_for(table).repairable();
                 // Cost gate: when the delta carries more rows than the
                 // node's own true cost (in work units this is rows
                 // processed), recomputing on demand is no worse than
                 // repairing eagerly. Unmeasured nodes always repair.
-                let worth_it = {
-                    let measured = st.graph.node(id).stats.measured;
-                    !measured || (delta.rows() as f64) <= st.graph.true_cost(id, model)
-                };
+                let repairable = repairing
+                    && st.graph.node(id).repairability_for(table).repairable()
+                    && (!st.graph.node(id).stats.measured
+                        || (delta.rows() as f64) <= st.graph.true_cost(id, model));
                 for aid in st.cache.artifacts_of(id) {
                     let Some(entry) = st.cache.get_artifact(aid) else {
                         continue;
@@ -555,7 +515,7 @@ impl Recycler {
                         .iter()
                         .all(|(t, e)| t == table || snapshot.epoch_of(t) == Some(*e));
                     match entry.artifact.as_result() {
-                        Some(cached) if repairable && worth_it && one_step && others_current => {
+                        Some(cached) if repairable && one_step && others_current => {
                             candidates.push(Candidate {
                                 node: id,
                                 plan: st.graph.node(id).subtree.clone(),
@@ -1041,8 +1001,8 @@ pub struct RepairOutcome {
     pub repaired: u64,
     /// Repair candidates that fell back to eviction.
     pub fallbacks: u64,
-    /// 1 when the delta was routed through the repair walk (non-empty,
-    /// repair enabled, snapshot current), else 0.
+    /// 1 when the delta was a non-empty append or delete at a current
+    /// snapshot (so its stale dependents were repair candidates), else 0.
     pub deltas_applied: u64,
 }
 
@@ -1447,10 +1407,10 @@ impl ResultStore for Recycler {
         // Freshness gate: if any base table committed a *newer* epoch than
         // the one this query pinned, the produced result is a snapshot of
         // the past — discard it instead of poisoning the cache (this
-        // closes the publish-after-invalidate race). A producer pinned
-        // *ahead* of the last invalidation (`e > cur`: it read a version
-        // whose invalidate call hasn't run yet) is fresh, not stale —
-        // `invalidate` spares such entries when it catches up.
+        // closes the publish-after-write race). A producer pinned *ahead*
+        // of the last write the recycler saw (`e > cur`: it read a
+        // version whose `repair` call hasn't run yet) is fresh, not stale
+        // — `repair` spares such entries when it catches up.
         let stale = base_epochs
             .iter()
             .any(|(t, e)| st.table_epochs.get(t).is_some_and(|cur| cur > e));

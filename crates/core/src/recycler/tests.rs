@@ -1,7 +1,7 @@
 //! The recycler's incremental bookkeeping against from-scratch
 //! recomputation, over seeded random interleavings of everything that
 //! moves it: prepare, execute (publish, publish_state), complete, abort,
-//! invalidate, repair, and flush. After every step:
+//! repair (of appends, deletes and replaces), and flush. After every step:
 //!
 //! * every cache entry's benefit read at the current tick equals Eq. 1
 //!   recomputed from the graph's statistics, and each size group lists
@@ -319,7 +319,10 @@ fn interleaving(seed: u64) -> Arc<Recycler> {
                     if rng.gen_bool(0.5) {
                         rc.repair(&delta, &catalog.snapshot(), &functions);
                     } else {
-                        rc.invalidate(&delta.table, delta.epoch);
+                        // The same commit as a replace: no candidates,
+                        // every stale dependent evicts.
+                        let replace = Delta::replace(delta.table, delta.schema, delta.epoch);
+                        rc.repair(&replace, &catalog.snapshot(), &functions);
                     }
                 }
             }

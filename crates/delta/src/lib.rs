@@ -6,7 +6,8 @@
 //! expensive to rebuild. This crate turns eviction into a continuum
 //! (following "Revisiting Reuse in Main Memory Database Systems"): an epoch
 //! commit carries a typed [`Delta`] — the appended or deleted rows
-//! themselves, not just the new epoch — and each dependent entry is either
+//! themselves, not just the new epoch, or [`Change::Replace`] for a
+//! wholesale replace — and each dependent entry is either
 //! **repaired in place** or evicted, depending on a conservative
 //! classification of its plan.
 //!
@@ -79,14 +80,24 @@ use rdb_exec::{ExecContext, FnRegistry, MaterializedResult, ResumedAgg};
 use rdb_expr::{eval, AggFunc};
 use rdb_plan::{JoinKind, Plan};
 use rdb_storage::{Catalog, CatalogSnapshot, Table};
-use rdb_vector::column::ColumnBuilder;
 use rdb_vector::row::{cmp_cell, SortOrder};
 use rdb_vector::{Batch, Column, Schema, Value};
 
-/// The typed change one epoch commit applies to one table: the rows
-/// themselves, in commit order. Exactly one of `appended`/`deleted` is
-/// non-empty (a commit is an append, a delete, or a wholesale replace —
-/// replaces carry no delta and always invalidate).
+/// What one epoch commit did to its table.
+#[derive(Debug, Clone)]
+pub enum Change {
+    /// Rows appended after the predecessor's last row, in append order.
+    Append(Batch),
+    /// Deleted rows' full values, in ascending predecessor-position order.
+    Delete(Batch),
+    /// The contents were replaced wholesale: there is no row-level delta,
+    /// so every stale dependent evicts and subscriptions refresh.
+    Replace,
+}
+
+/// The typed change one epoch commit applies to one table — every
+/// committed write is exactly one of these, and [`Change`] says which
+/// kind.
 #[derive(Debug, Clone)]
 pub struct Delta {
     /// The committed table.
@@ -95,10 +106,8 @@ pub struct Delta {
     pub schema: Schema,
     /// The epoch the commit produced.
     pub epoch: u64,
-    /// Rows appended after the predecessor's last row, in append order.
-    pub appended: Batch,
-    /// Deleted rows' full values, in ascending predecessor-position order.
-    pub deleted: Batch,
+    /// What the commit did.
+    pub change: Change,
 }
 
 impl Delta {
@@ -109,15 +118,8 @@ impl Delta {
         epoch: u64,
         rows: &[Vec<Value>],
     ) -> Delta {
-        let appended = batch_from_rows(&schema, rows);
-        let deleted = Batch::concat_or_empty(&schema, &[]);
-        Delta {
-            table: table.into(),
-            schema,
-            epoch,
-            appended,
-            deleted,
-        }
+        let change = Change::Append(Batch::from_rows(&schema, rows));
+        Delta::new(table, schema, epoch, change)
     }
 
     /// Delta for a delete commit; `rows` are the deleted rows' captured
@@ -128,45 +130,38 @@ impl Delta {
         epoch: u64,
         rows: &[Vec<Value>],
     ) -> Delta {
-        let deleted = batch_from_rows(&schema, rows);
-        let appended = Batch::concat_or_empty(&schema, &[]);
+        let change = Change::Delete(Batch::from_rows(&schema, rows));
+        Delta::new(table, schema, epoch, change)
+    }
+
+    /// Delta for a wholesale replace commit.
+    pub fn replace(table: impl Into<String>, schema: Schema, epoch: u64) -> Delta {
+        Delta::new(table, schema, epoch, Change::Replace)
+    }
+
+    fn new(table: impl Into<String>, schema: Schema, epoch: u64, change: Change) -> Delta {
         Delta {
             table: table.into(),
             schema,
             epoch,
-            appended,
-            deleted,
+            change,
         }
     }
 
-    /// Rows the delta carries.
+    /// Rows the delta carries (0 for a replace).
     pub fn rows(&self) -> usize {
-        self.appended.rows() + self.deleted.rows()
+        match &self.change {
+            Change::Append(rows) | Change::Delete(rows) => rows.rows(),
+            Change::Replace => 0,
+        }
     }
 
-    /// Whether this delta changes nothing (the engine never emits these —
-    /// no-op DML commits no epoch — but repair guards on it anyway).
+    /// Whether this delta changes nothing: an append or delete of no rows
+    /// (the engine never emits these — no-op DML commits no epoch — but
+    /// repair guards on it anyway). A replace is never empty.
     pub fn is_empty(&self) -> bool {
-        self.rows() == 0
+        !matches!(self.change, Change::Replace) && self.rows() == 0
     }
-}
-
-/// Build a dense batch from schema-ordered rows (same coercions as table
-/// appends: NULL anywhere, ints promote to float).
-fn batch_from_rows(schema: &Schema, rows: &[Vec<Value>]) -> Batch {
-    if rows.is_empty() {
-        return Batch::concat_or_empty(schema, &[]);
-    }
-    let columns: Vec<Column> = (0..schema.len())
-        .map(|i| {
-            let mut b = ColumnBuilder::new(schema.field(i).dtype, rows.len());
-            for row in rows {
-                b.push(row[i].clone());
-            }
-            b.finish()
-        })
-        .collect();
-    Batch::new(columns)
 }
 
 /// How a cached entry can react to a change of one of its base tables.
@@ -326,8 +321,9 @@ fn run_serial(plan: &Plan, catalog: Catalog, functions: &Arc<FnRegistry>) -> Opt
     rdb_exec::build(plan, &ctx).ok()?.drain().ok()
 }
 
-/// Evaluate `plan` over the delta rows only: the appended output rows for
-/// a select-class plan. Used both by repair and by live subscriptions.
+/// Evaluate `plan` over the appended rows only: the appended output rows
+/// for a select-class plan. `None` when the change is not an append or
+/// the plan fails. Used both by repair and by live subscriptions.
 pub fn eval_append(
     plan: &Plan,
     schema: &Schema,
@@ -335,8 +331,10 @@ pub fn eval_append(
     snapshot: &CatalogSnapshot,
     functions: &Arc<FnRegistry>,
 ) -> Option<Batch> {
-    let cat = delta_catalog(snapshot, delta, &delta.appended);
-    let batches = run_serial(plan, cat, functions)?;
+    let Change::Append(rows) = &delta.change else {
+        return None;
+    };
+    let batches = run_serial(plan, delta_catalog(snapshot, delta, rows), functions)?;
     Some(Batch::concat_or_empty(schema, &batches))
 }
 
@@ -363,24 +361,24 @@ pub fn repair(
     snapshot: &CatalogSnapshot,
     functions: &Arc<FnRegistry>,
 ) -> Option<MaterializedResult> {
-    if delta.is_empty() {
+    let (rows, appending) = match &delta.change {
+        Change::Append(rows) => (rows, true),
+        Change::Delete(rows) => (rows, false),
+        Change::Replace => return None,
+    };
+    if rows.rows() == 0 {
         return None;
     }
     let schema = &cached.schema;
-    let appending = delta.appended.rows() > 0;
     match classify(plan, &delta.table) {
         Repairability::EvictOnly => None,
+        // Deleted rows have no positional identity inside the cached
+        // result (duplicate-valued rows are indistinguishable), so a
+        // value-level anti-join cannot guarantee byte-identity: a delete
+        // evicts (`eval_append` refuses it).
         Repairability::Select => {
-            if !appending {
-                // Deleted rows have no positional identity inside the
-                // cached result (duplicate-valued rows are
-                // indistinguishable), so a value-level anti-join cannot
-                // guarantee byte-identity. Evict.
-                return None;
-            }
-            let cat = delta_catalog(snapshot, delta, &delta.appended);
-            let tail = run_serial(plan, cat, functions)?;
-            Some(cached.append(&tail))
+            let tail = eval_append(plan, schema, delta, snapshot, functions)?;
+            Some(cached.append(&[tail]))
         }
         Repairability::Agg => {
             let Plan::Aggregate {
@@ -392,15 +390,7 @@ pub fn repair(
             else {
                 return None;
             };
-            let cat = delta_catalog(
-                snapshot,
-                delta,
-                if appending {
-                    &delta.appended
-                } else {
-                    &delta.deleted
-                },
-            );
+            let cat = delta_catalog(snapshot, delta, rows);
             let input_types: Vec<_> = child
                 .schema(&cat)
                 .ok()?
@@ -439,15 +429,10 @@ pub fn repair(
             Some(MaterializedResult::from_batches(schema.clone(), &out))
         }
         Repairability::TopN => {
-            if !appending {
-                return None;
-            }
             let Plan::TopN { keys, n, .. } = plan else {
                 return None;
             };
-            let cat = delta_catalog(snapshot, delta, &delta.appended);
-            let delta_out = run_serial(plan, cat, functions)?;
-            let delta_batch = Batch::concat_or_empty(schema, &delta_out);
+            let delta_batch = eval_append(plan, schema, delta, snapshot, functions)?;
             let merged = merge_top_n(&cached.to_batch(), &delta_batch, keys, *n)?;
             Some(MaterializedResult::from_batches(schema.clone(), &[merged]))
         }

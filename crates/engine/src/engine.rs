@@ -16,7 +16,7 @@ use rdb_delta::{Delta, Repairability};
 use rdb_exec::{FnRegistry, WorkerPool};
 use rdb_expr::{CompiledPredicate, Expr};
 use rdb_plan::{Plan, PlanError};
-use rdb_recycler::{Recycler, RecyclerConfig, RecyclerEvent};
+use rdb_recycler::{Recycler, RecyclerConfig, RecyclerEvent, RepairOutcome};
 use rdb_storage::{Catalog, Table};
 use rdb_vector::{Batch, Schema, Value};
 
@@ -26,52 +26,6 @@ use crate::durability::{
 };
 use crate::session::Session;
 use crate::subscribe::{DeltaEvent, SubEntry, SubQueue, Subscription};
-
-/// Engine configuration (the value object consumed by [`EngineBuilder`]).
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Recycler configuration; `None` disables recycling (the paper's OFF
-    /// mode).
-    pub recycling: Option<RecyclerConfig>,
-    /// Maximum queries executing simultaneously (the paper uses 12; further
-    /// concurrent queries are queued).
-    pub max_concurrent_queries: usize,
-    /// Maximum queries waiting in the admission queue before new arrivals
-    /// are rejected with [`rdb_plan::PlanErrorKind::Saturated`] instead of queued.
-    /// Defaults to effectively unbounded for in-process use; servers set a
-    /// real bound so slow clients shed load instead of queueing forever.
-    pub admission_queue_limit: usize,
-    /// Default degree of intra-query parallelism (DOP): how many workers a
-    /// single query's morsel-driven pipelines may use. `1` (the default)
-    /// executes fully serially on the calling thread. Sessions can
-    /// override per query ([`crate::session::Session::set_parallelism`]).
-    /// Results are byte-identical at every DOP. Requests beyond the host's
-    /// available parallelism are clamped (see [`effective_dop`]).
-    pub parallelism: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            recycling: Some(RecyclerConfig::default()),
-            max_concurrent_queries: 12,
-            admission_queue_limit: usize::MAX,
-            // Env-driven default so whole test/bench suites can be swept
-            // across DOPs without code changes (the CI DOP matrix).
-            parallelism: default_parallelism_from_env(),
-        }
-    }
-}
-
-/// `RDB_DEFAULT_DOP` (a positive integer) overrides the engine-wide
-/// default DOP; unset or unparsable means serial.
-fn default_parallelism_from_env() -> usize {
-    std::env::var("RDB_DEFAULT_DOP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
 
 /// Effective DOP for a request of `n` workers: `min(n, available
 /// parallelism)`. Oversubscribing the host makes morsel pipelines
@@ -91,26 +45,7 @@ pub fn effective_dop(n: usize) -> usize {
     n.min(cores)
 }
 
-impl EngineConfig {
-    /// Recycling disabled (naive execution).
-    pub fn off() -> Self {
-        EngineConfig {
-            recycling: None,
-            ..Default::default()
-        }
-    }
-
-    /// With the given recycler configuration.
-    pub fn with_recycler(config: RecyclerConfig) -> Self {
-        EngineConfig {
-            recycling: Some(config),
-            ..Default::default()
-        }
-    }
-}
-
-/// Fluent constructor for [`Engine`] — the single entry point replacing the
-/// ad-hoc `EngineConfig` constructors:
+/// Fluent constructor for [`Engine`]:
 ///
 /// ```text
 /// let engine = Engine::builder(catalog)
@@ -121,7 +56,11 @@ impl EngineConfig {
 pub struct EngineBuilder {
     catalog: Arc<Catalog>,
     functions: Arc<FnRegistry>,
-    config: EngineConfig,
+    /// `None` disables recycling (the paper's OFF mode).
+    recycling: Option<RecyclerConfig>,
+    max_concurrent_queries: usize,
+    admission_queue_limit: usize,
+    parallelism: usize,
     data_dir: Option<PathBuf>,
     durability: DurabilityConfig,
     io_fault: Arc<dyn IoFault>,
@@ -129,13 +68,24 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// Start building an engine over `catalog`. Defaults: recycling on with
-    /// [`RecyclerConfig::default`], 12 concurrent queries, no table
-    /// functions.
+    /// [`RecyclerConfig::default`], 12 concurrent queries (as in the
+    /// paper), an unbounded admission queue (servers set a real bound so
+    /// slow clients shed load instead of queueing forever), no table
+    /// functions, and the DOP `RDB_DEFAULT_DOP` names (a positive integer;
+    /// serial when unset or unparsable) — so whole test and bench suites
+    /// can be swept across DOPs without code changes (the CI DOP matrix).
     pub fn new(catalog: Arc<Catalog>) -> EngineBuilder {
         EngineBuilder {
             catalog,
             functions: Arc::new(FnRegistry::new()),
-            config: EngineConfig::default(),
+            recycling: Some(RecyclerConfig::default()),
+            max_concurrent_queries: 12,
+            admission_queue_limit: usize::MAX,
+            parallelism: std::env::var("RDB_DEFAULT_DOP")
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .unwrap_or(1)
+                .max(1),
             data_dir: None,
             durability: DurabilityConfig::default(),
             io_fault: Arc::new(NoFault),
@@ -175,19 +125,19 @@ impl EngineBuilder {
 
     /// Enable recycling with the given configuration.
     pub fn recycler(mut self, config: RecyclerConfig) -> EngineBuilder {
-        self.config.recycling = Some(config);
+        self.recycling = Some(config);
         self
     }
 
     /// Disable recycling (the paper's OFF mode).
     pub fn no_recycler(mut self) -> EngineBuilder {
-        self.config.recycling = None;
+        self.recycling = None;
         self
     }
 
     /// Admission limit: queries executing simultaneously.
     pub fn max_concurrent_queries(mut self, n: usize) -> EngineBuilder {
-        self.config.max_concurrent_queries = n;
+        self.max_concurrent_queries = n;
         self
     }
 
@@ -195,7 +145,7 @@ impl EngineBuilder {
     /// waiting, further executions fail with [`rdb_plan::PlanErrorKind::Saturated`]
     /// instead of queueing (load shedding for serving layers).
     pub fn admission_queue_limit(mut self, n: usize) -> EngineBuilder {
-        self.config.admission_queue_limit = n;
+        self.admission_queue_limit = n;
         self
     }
 
@@ -203,15 +153,11 @@ impl EngineBuilder {
     /// worker pool of `n` resident threads that every query's
     /// morsel-driven pipelines run on; `1` executes serially. Per-session
     /// overrides ([`crate::session::Session::set_parallelism`]) can exceed
-    /// the pool size — excess workers run on overflow threads.
+    /// the pool size — excess workers run on overflow threads. Results
+    /// are byte-identical at every DOP; requests beyond the host's cores
+    /// are clamped (see [`effective_dop`]).
     pub fn parallelism(mut self, n: usize) -> EngineBuilder {
-        self.config.parallelism = n.max(1);
-        self
-    }
-
-    /// Apply a whole [`EngineConfig`] at once.
-    pub fn config(mut self, config: EngineConfig) -> EngineBuilder {
-        self.config = config;
+        self.parallelism = n.max(1);
         self
     }
 
@@ -228,7 +174,7 @@ impl EngineBuilder {
     /// lineage to warm the recycler, and (4) spawns the background
     /// checkpointer.
     pub fn try_build(self) -> Result<Arc<Engine>, PlanError> {
-        let parallelism = effective_dop(self.config.parallelism);
+        let parallelism = effective_dop(self.parallelism);
         let (durability, lineage) = match self.data_dir {
             Some(dir) => {
                 let (state, report) =
@@ -237,7 +183,7 @@ impl EngineBuilder {
             }
             None => (None, Vec::new()),
         };
-        let recycler = self.config.recycling.map(Recycler::new);
+        let recycler = self.recycling.map(Recycler::new);
         if let (Some(r), false) = (&recycler, lineage.is_empty()) {
             let hits = warm_recycler(&lineage, r, &self.catalog, &self.functions);
             if let Some(d) = &durability {
@@ -250,8 +196,8 @@ impl EngineBuilder {
             functions: self.functions,
             recycler,
             gate: Arc::new(Gate::new(
-                self.config.max_concurrent_queries,
-                self.config.admission_queue_limit,
+                self.max_concurrent_queries,
+                self.admission_queue_limit,
             )),
             pool: (parallelism > 1).then(|| WorkerPool::new(parallelism)),
             parallelism,
@@ -345,17 +291,11 @@ pub struct WriteOutcome {
     pub epoch: u64,
     /// Rows appended or deleted.
     pub rows_affected: usize,
-    /// Per-entry recycler events for this write:
-    /// [`RecyclerEvent::Repaired`] for cache entries patched in place from
-    /// the delta, [`RecyclerEvent::Invalidated`] for entries evicted
-    /// (empty when recycling is off).
-    pub invalidated: Vec<RecyclerEvent>,
-    /// Cache entries repaired in place instead of evicted.
-    pub repaired: u64,
-    /// Repair candidates that fell back to eviction.
-    pub repair_fallbacks: u64,
-    /// 1 when this write's delta was routed through the repair walk.
-    pub deltas_applied: u64,
+    /// What the recycler did about this write: [`RecyclerEvent::Repaired`]
+    /// for cache entries patched in place from the delta,
+    /// [`RecyclerEvent::Invalidated`] for entries evicted, and their
+    /// counts (all empty when recycling is off).
+    pub repair: RepairOutcome,
 }
 
 /// A labelled query inside a stream (labels drive the per-pattern
@@ -671,9 +611,9 @@ impl Engine {
     }
 
     /// Append `rows` to a base table and commit a new epoch. In-flight
-    /// queries keep reading their pinned snapshots; the recycler evicts
-    /// exactly the cache entries that depended on `table`. An empty
-    /// `rows` is a no-op: no epoch is committed and nothing is
+    /// queries keep reading their pinned snapshots; the recycler repairs
+    /// or evicts exactly the cache entries that depended on `table`. An
+    /// empty `rows` is a no-op: no epoch is committed and nothing is
     /// invalidated.
     ///
     /// DML visibility covers base-table scans only: a registered table
@@ -691,21 +631,17 @@ impl Engine {
             .ok_or_else(|| PlanError::unknown_table(table))?;
         let schema = vt.schema().clone();
         let snap = vt.append(rows).map_err(|e| self.write_error(e))?;
-        let (invalidated, repaired, repair_fallbacks, deltas_applied) = if rows.is_empty() {
-            (Vec::new(), 0, 0, 0)
+        let repair = if rows.is_empty() {
+            RepairOutcome::default()
         } else {
-            let delta = Delta::append(table, schema, snap.epoch(), rows);
-            self.notify_update(table, snap.epoch(), Some(&delta))
+            self.notify_update(&Delta::append(table, schema, snap.epoch(), rows))
         };
         Ok(WriteOutcome {
             kind: WriteKind::Append,
             table: table.to_string(),
             epoch: snap.epoch(),
             rows_affected: rows.len(),
-            invalidated,
-            repaired,
-            repair_fallbacks,
-            deltas_applied,
+            repair,
         })
     }
 
@@ -785,29 +721,27 @@ impl Engine {
         })?;
         let (captured, snap) = committed.map_err(|e| self.write_error(e))?;
         let deleted = captured.len();
-        let (invalidated, repaired, repair_fallbacks, deltas_applied) = if deleted == 0 {
+        let repair = if deleted == 0 {
             // No-op delete: no epoch committed, cache stays hot.
-            (Vec::new(), 0, 0, 0)
+            RepairOutcome::default()
         } else {
-            let delta = Delta::delete(table, vt.schema().clone(), snap.epoch(), &captured);
-            self.notify_update(table, snap.epoch(), Some(&delta))
+            let schema = vt.schema().clone();
+            self.notify_update(&Delta::delete(table, schema, snap.epoch(), &captured))
         };
         Ok(WriteOutcome {
             kind: WriteKind::Delete,
             table: table.to_string(),
             epoch: snap.epoch(),
             rows_affected: deleted,
-            invalidated,
-            repaired,
-            repair_fallbacks,
-            deltas_applied,
+            repair,
         })
     }
 
     /// Replace a base table's contents wholesale, committing the new
     /// contents as the next epoch. Unlike raw `Catalog::replace`, this
-    /// routes through the recycler's invalidation walk, so cache entries
-    /// that depended on the old contents can never serve stale rows.
+    /// routes a [`Change::Replace`](rdb_delta::Change::Replace) delta
+    /// through [`Recycler::repair`], which evicts every cache entry that
+    /// depended on the old contents, so none can serve stale rows.
     /// In-flight queries keep reading their pinned snapshots.
     pub fn replace_table(&self, table: Arc<Table>) -> Result<WriteOutcome, PlanError> {
         if self.is_read_only() {
@@ -822,17 +756,13 @@ impl Engine {
         let snap = vt.replace(&table).map_err(|e| self.write_error(e))?;
         // A wholesale replacement has no row-level delta: dependent cache
         // entries evict, subscriptions refresh.
-        let (invalidated, repaired, repair_fallbacks, deltas_applied) =
-            self.notify_update(&name, snap.epoch(), None);
+        let delta = Delta::replace(&name, vt.schema().clone(), snap.epoch());
         Ok(WriteOutcome {
             kind: WriteKind::Replace,
             table: name,
             epoch: snap.epoch(),
             rows_affected: rows,
-            invalidated,
-            repaired,
-            repair_fallbacks,
-            deltas_applied,
+            repair: self.notify_update(&delta),
         })
     }
 
@@ -846,78 +776,62 @@ impl Engine {
         }
     }
 
-    /// Tell the recycler (and live subscriptions) a table committed a new
-    /// epoch. With a typed delta the recycler *repairs* dependent cache
-    /// entries in place where their classification allows it, falling back
-    /// to eviction otherwise; without one (table replacement) everything
-    /// dependent evicts. Returns `(events, repaired, fallbacks,
-    /// deltas_applied)` for the [`WriteOutcome`].
-    fn notify_update(
-        &self,
-        table: &str,
-        epoch: u64,
-        delta: Option<&Delta>,
-    ) -> (Vec<RecyclerEvent>, u64, u64, u64) {
-        let out = match (&self.recycler, delta) {
-            (Some(r), Some(d)) => {
-                let snapshot = self.catalog.snapshot();
-                let out = r.repair(d, &snapshot, &self.functions);
-                (out.events, out.repaired, out.fallbacks, out.deltas_applied)
-            }
-            (Some(r), None) => (r.invalidate(table, epoch), 0, 0, 0),
-            (None, _) => (Vec::new(), 0, 0, 0),
+    /// Tell the recycler (and live subscriptions) a table committed
+    /// `delta`. The recycler *repairs* dependent cache entries in place
+    /// where their classification allows it and evicts the rest (every
+    /// one, for a replace).
+    fn notify_update(&self, delta: &Delta) -> RepairOutcome {
+        let out = match &self.recycler {
+            Some(r) => r.repair(delta, &self.catalog.snapshot(), &self.functions),
+            None => RepairOutcome::default(),
         };
-        self.fan_out(table, delta);
+        self.fan_out(delta);
         out
     }
 
     /// Push this write's change to every subscription whose plan reads
-    /// `table`: an appended-rows [`DeltaEvent::Delta`] where the plan is
-    /// select-class over the changed table and the write was a pure
-    /// append, a full [`DeltaEvent::Refresh`] otherwise. Runs under the
-    /// registry lock so fan-out serializes with registration (gapless
-    /// handoff) and per-subscription event order follows epoch order.
-    fn fan_out(&self, table: &str, delta: Option<&Delta>) {
+    /// the changed table: an appended-rows [`DeltaEvent::Delta`] where the
+    /// plan is select-class over that table and the write was an append,
+    /// a full [`DeltaEvent::Refresh`] otherwise. Runs under the registry
+    /// lock so fan-out serializes with registration (gapless handoff) and
+    /// per-subscription event order follows epoch order.
+    fn fan_out(&self, delta: &Delta) {
         let mut subs = self.subscriptions.lock();
         if subs.is_empty() {
             return;
         }
         let snapshot = Arc::new(self.catalog.snapshot());
         for entry in subs.iter_mut() {
-            let Some(pos) = entry.tables.iter().position(|t| t == table) else {
+            let Some(pos) = entry.tables.iter().position(|t| *t == delta.table) else {
                 continue;
             };
             let seen = entry.epochs[pos];
-            if let Some(d) = delta {
-                if d.epoch <= seen {
-                    // Already inside the initial result (or a refresh that
-                    // raced ahead of this fan-out).
+            if delta.epoch <= seen {
+                // Already inside the initial result (or a refresh that
+                // raced ahead of this fan-out).
+                continue;
+            }
+            if delta.epoch == seen + 1 && entry.classes[pos] == Repairability::Select {
+                // `None` for anything but an append.
+                if let Some(appended) = rdb_delta::eval_append(
+                    &entry.plan,
+                    &entry.schema,
+                    delta,
+                    &snapshot,
+                    &self.functions,
+                ) {
+                    entry.epochs[pos] = delta.epoch;
+                    if appended.rows() > 0 {
+                        entry.queue.push(DeltaEvent::Delta {
+                            appended,
+                            epoch: delta.epoch,
+                            table: delta.table.clone(),
+                        });
+                    }
                     continue;
                 }
-                if d.epoch == seen + 1
-                    && d.deleted.rows() == 0
-                    && entry.classes[pos] == Repairability::Select
-                {
-                    if let Some(appended) = rdb_delta::eval_append(
-                        &entry.plan,
-                        &entry.schema,
-                        d,
-                        &snapshot,
-                        &self.functions,
-                    ) {
-                        entry.epochs[pos] = d.epoch;
-                        if appended.rows() > 0 {
-                            entry.queue.push(DeltaEvent::Delta {
-                                appended,
-                                epoch: d.epoch,
-                                table: table.to_string(),
-                            });
-                        }
-                        continue;
-                    }
-                }
             }
-            // Deletes, non-select plans, skipped epochs, replacements, or
+            // Deletes, replacements, non-select plans, skipped epochs, or
             // a failed delta evaluation: re-evaluate in full. The refresh
             // reflects the *current* snapshot, so every table's seen epoch
             // advances to it.

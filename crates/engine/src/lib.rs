@@ -22,8 +22,8 @@ pub use durability::{
     DurabilityConfig, DurabilityStats, FsyncPolicy, IoFault, NoFault, ScriptedFault, WalError,
 };
 pub use engine::{
-    AdmissionSnapshot, Engine, EngineBuilder, EngineConfig, QueryOutcome, QueryRecord,
-    StreamsReport, WorkloadQuery, WriteKind, WriteOutcome,
+    AdmissionSnapshot, Engine, EngineBuilder, QueryOutcome, QueryRecord, StreamsReport,
+    WorkloadQuery, WriteKind, WriteOutcome,
 };
 pub use materializing::{MatOutcome, MaterializingEngine};
 pub use session::{Prepared, QueryHandle, Session, SessionStats, SessionStatsSnapshot, SqlOutcome};

@@ -296,7 +296,7 @@ impl Session {
     /// Parse and execute one SQL statement with the given parameter
     /// bindings. Queries return a streaming [`QueryHandle`] (via
     /// [`SqlOutcome::Rows`]); `INSERT`/`DELETE` commit through the DML
-    /// path — epoch bump, precise recycler invalidation — and return the
+    /// path — epoch bump, precise recycler repair or eviction — and return the
     /// [`WriteOutcome`].
     pub fn sql(&self, text: &str, params: &Params) -> Result<SqlOutcome, SqlError> {
         let provider = CatalogWithFunctions {
@@ -349,7 +349,7 @@ impl Session {
     }
 
     /// Append `rows` to a base table, committing a new epoch and
-    /// invalidating exactly the dependent recycler cache entries. Queries
+    /// repairing or evicting exactly the dependent recycler cache entries. Queries
     /// already executing keep their pinned snapshots.
     pub fn append(&self, table: &str, rows: &[Vec<Value>]) -> Result<WriteOutcome, PlanError> {
         let out = self.engine.append(table, rows)?;
@@ -376,15 +376,16 @@ impl Session {
 
     /// Fold one write's repair outcome into the session counters.
     fn note_repair(&self, out: &WriteOutcome) {
+        let r = &out.repair;
         self.stats
             .repaired_hits
-            .fetch_add(out.repaired, Ordering::Relaxed);
+            .fetch_add(r.repaired, Ordering::Relaxed);
         self.stats
             .repair_fallbacks
-            .fetch_add(out.repair_fallbacks, Ordering::Relaxed);
+            .fetch_add(r.fallbacks, Ordering::Relaxed);
         self.stats
             .deltas_applied
-            .fetch_add(out.deltas_applied, Ordering::Relaxed);
+            .fetch_add(r.deltas_applied, Ordering::Relaxed);
     }
 
     /// Subscribe to a query written as SQL text: parse, bind, and

@@ -920,20 +920,14 @@ mod tests {
             table: "t".into(),
             epoch: 1,
             rows_affected: 3,
-            invalidated: Vec::new(),
-            repaired: 0,
-            repair_fallbacks: 0,
-            deltas_applied: 0,
+            repair: Default::default(),
         };
         let del = WriteOutcome {
             kind: WriteKind::Delete,
             table: "t".into(),
             epoch: 2,
             rows_affected: 7,
-            invalidated: Vec::new(),
-            repaired: 0,
-            repair_fallbacks: 0,
-            deltas_applied: 0,
+            repair: Default::default(),
         };
         assert_eq!(write_tag(&ins), "INSERT 0 3");
         assert_eq!(write_tag(&del), "DELETE 7");

@@ -54,26 +54,6 @@ impl Chunk {
         self.bytes
     }
 
-    /// Rows to columns: the one place row-major values (an append, a
-    /// logged delta) become a chunk. `rows` must already be validated
-    /// against `schema`.
-    pub(crate) fn from_rows(schema: &Schema, rows: &[Vec<Value>]) -> Chunk {
-        Chunk::new(
-            schema
-                .fields()
-                .iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    let mut b = ColumnBuilder::new(f.dtype, rows.len());
-                    for row in rows {
-                        b.push(row[i].clone());
-                    }
-                    b.finish()
-                })
-                .collect(),
-        )
-    }
-
     /// One chunk holding the rows of `parts`, in order.
     fn concat(parts: &[&Chunk]) -> Chunk {
         Chunk::new(

@@ -411,7 +411,9 @@ impl VersionedTable {
             }
             Ok(NextVersion::Commit(
                 (),
-                old.data.push_tail(Chunk::from_rows(&self.schema, rows)),
+                old.data.push_tail(Chunk::new(
+                    Batch::from_rows(&self.schema, rows).into_columns(),
+                )),
                 TableDelta::Append {
                     rows: rows.to_vec(),
                 },
@@ -526,7 +528,9 @@ impl VersionedTable {
         let data = match delta {
             TableDelta::Append { rows } => {
                 self.validate_rows(rows)?;
-                old.data.push_tail(Chunk::from_rows(&self.schema, rows))
+                old.data.push_tail(Chunk::new(
+                    Batch::from_rows(&self.schema, rows).into_columns(),
+                ))
             }
             TableDelta::Delete { deleted } => {
                 let mut doomed = vec![false; old.rows()];
@@ -545,7 +549,9 @@ impl VersionedTable {
             }
             TableDelta::Replace { rows } => {
                 self.validate_rows(rows)?;
-                ChunkList::new(vec![Arc::new(Chunk::from_rows(&self.schema, rows))])
+                ChunkList::new(vec![Arc::new(Chunk::new(
+                    Batch::from_rows(&self.schema, rows).into_columns(),
+                ))])
             }
         };
         *self.current.write() = self.version(data, epoch);
@@ -991,7 +997,9 @@ mod tests {
     #[test]
     fn morsels_straddling_two_and_three_chunks_gather_the_same_rows() {
         let chunk = |keys: std::ops::Range<i64>| {
-            Arc::new(Chunk::from_rows(&wide_schema(), &wide_rows(keys)))
+            Arc::new(Chunk::new(
+                Batch::from_rows(&wide_schema(), &wide_rows(keys)).into_columns(),
+            ))
         };
         // Morsel 0 = rows 0..1024 spans three chunks (1000 + 10 + 14 of
         // 30), morsel 1 two (16 of 30 + 1008 of 1500), morsel 2 none.

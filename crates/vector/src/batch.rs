@@ -240,6 +240,28 @@ impl Batch {
         Batch::new(cols)
     }
 
+    /// Rows to columns: the one place schema-ordered row values (an
+    /// append, a deleted-row capture, a logged delta) become a dense
+    /// batch. Cells coerce as [`crate::column::ColumnBuilder::push`] does
+    /// (NULL anywhere, ints promote to float); `rows` must already be
+    /// validated against `schema`.
+    pub fn from_rows(schema: &crate::schema::Schema, rows: &[Vec<Value>]) -> Batch {
+        Batch::new(
+            schema
+                .fields()
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    let mut b = crate::column::ColumnBuilder::new(f.dtype, rows.len());
+                    for row in rows {
+                        b.push(row[i].clone());
+                    }
+                    b.finish()
+                })
+                .collect(),
+        )
+    }
+
     /// Concatenate batches, producing a zero-row batch that preserves the
     /// schema's width (one empty column per field) when there are none —
     /// the materialization helper for result collection points.

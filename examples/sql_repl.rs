@@ -3,7 +3,8 @@
 //! Run with `cargo run --release --example sql_repl`. The engine loads a
 //! small TPC-H catalog (scale it with `RDB_SF`); type SQL statements at
 //! the prompt — `SELECT` streams rows, `INSERT` / `DELETE` commit through
-//! the DML path and report what the recycler invalidated. Meta-commands:
+//! the DML path and report how many cache entries the recycler repaired
+//! and evicted. Meta-commands:
 //!
 //! ```text
 //! \explain <sql>   show the normalized plan with per-node fingerprints
@@ -17,6 +18,7 @@ use std::io::{self, BufRead, Write};
 
 use recycler_db::engine::{Engine, SqlOutcome};
 use recycler_db::expr::Params;
+use recycler_db::recycler::RecyclerEvent;
 use recycler_db::tpch::{generate, TpchConfig};
 
 const MAX_PRINT_ROWS: usize = 20;
@@ -91,12 +93,15 @@ fn main() {
         match session.sql(line, &Params::none()) {
             Err(e) => println!("{}", e.render(line)),
             Ok(SqlOutcome::Write(w)) => {
+                let evicted = w
+                    .repair
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e, RecyclerEvent::Invalidated { .. }))
+                    .count();
                 println!(
-                    "ok: {} rows affected in '{}' (epoch {}, {} cache entries invalidated)",
-                    w.rows_affected,
-                    w.table,
-                    w.epoch,
-                    w.invalidated.len()
+                    "ok: {} rows affected in '{}' (epoch {}, {} cache entries repaired, {} evicted)",
+                    w.rows_affected, w.table, w.epoch, w.repair.repaired, evicted
                 );
             }
             Ok(SqlOutcome::Rows(handle)) => {

@@ -83,12 +83,13 @@
 //! let write = session
 //!     .append("sales", &[vec![Value::Int(1), Value::Float(70.0)]])
 //!     .unwrap();
-//! assert!(write.repaired >= 1);
+//! assert!(write.repair.repaired >= 1);
 //! let after = prepared.execute(&params).unwrap();
 //! assert!(after.reused(), "repaired entries keep serving");
 //! assert_eq!(after.collect_batch().column(0).as_floats(), &[100.0]);
 //! ```
 
+pub use rdb_delta as delta;
 pub use rdb_engine as engine;
 pub use rdb_exec as exec;
 pub use rdb_expr as expr;

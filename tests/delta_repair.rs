@@ -2,8 +2,9 @@
 //! appends, deletes, and queries — NULL-bearing data, count-gated aggregate
 //! shapes, DOP 1 and 4 — where cached results are *repaired* in place on
 //! every commit and each answer must be byte-identical to a fresh
-//! materializing run over the snapshot the query read. Mirrors
-//! `tests/update_property.rs`, which pins the evict-on-write baseline.
+//! materializing run over the snapshot the query read. Draws from the
+//! same table, seeds and query pool as `tests/update_property.rs`
+//! (`tests/support/writes.rs`), adding DOP 4 and the count-gated shape.
 //!
 //! Also covers the no-op fast path (a delta-free commit must not invoke the
 //! repair walk) and the live-subscription surface built on top of repair.
@@ -13,82 +14,17 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use recycler_db::engine::{DeltaEvent, Engine, MaterializingEngine};
-use recycler_db::expr::{AggFunc, Expr, Params};
+use recycler_db::engine::{DeltaEvent, Engine, MaterializingEngine, WriteKind};
+use recycler_db::expr::{Expr, Params};
 use recycler_db::plan::{scan, Plan};
-use recycler_db::recycler::RecyclerConfig;
+use recycler_db::recycler::{RecyclerConfig, RecyclerEvent};
 use recycler_db::storage::{Catalog, TableBuilder};
 use recycler_db::vector::{Batch, DataType, Schema, Value, BATCH_CAPACITY};
 
-fn nullable_row(rng: &mut SmallRng) -> Vec<Value> {
-    vec![
-        if rng.gen_bool(0.15) {
-            Value::Null
-        } else {
-            Value::Int(rng.gen_range(-20..40))
-        },
-        if rng.gen_bool(0.15) {
-            Value::Null
-        } else {
-            Value::Float(rng.gen_range(-100.0..100.0))
-        },
-    ]
-}
+#[path = "support/writes.rs"]
+mod writes;
 
-fn engine(seed: u64, rows: usize, dop: usize) -> Arc<Engine> {
-    let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Float)]);
-    let mut b = TableBuilder::new("t", schema, rows);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for _ in 0..rows {
-        b.push_row(nullable_row(&mut rng));
-    }
-    let mut cat = Catalog::new();
-    cat.register(b.finish()).unwrap();
-    let mut config = RecyclerConfig::deterministic(64 << 20);
-    config.spec_min_progress = 0.0;
-    Engine::builder(Arc::new(cat))
-        .recycler(config)
-        .parallelism(dop)
-        .build()
-}
-
-/// Query pool over a shared `k >= cut` family. Shapes 0–1 match the
-/// baseline suite; 2 is float-order-sensitive (global SUM/MIN, resumable
-/// on append only); 3 is count-gated (CountStar + Count(expr)), the one
-/// class where *deletes* are repaired by group retraction.
-fn query(shape: usize, cut: i64) -> Plan {
-    let base = scan("t", &["k", "v"]).select(Expr::name("k").ge(Expr::lit(cut)));
-    match shape {
-        0 => base,
-        1 => base.aggregate(
-            vec![(Expr::name("k"), "k")],
-            vec![
-                (AggFunc::Sum(Expr::name("v")), "sv"),
-                (AggFunc::CountStar, "n"),
-            ],
-        ),
-        2 => base.aggregate(
-            vec![],
-            vec![
-                (AggFunc::Sum(Expr::name("v")), "sv"),
-                (AggFunc::Min(Expr::name("v")), "mn"),
-            ],
-        ),
-        _ => base.aggregate(
-            vec![(Expr::name("k"), "k")],
-            vec![
-                (AggFunc::CountStar, "n"),
-                (AggFunc::Count(Expr::name("v")), "nv"),
-            ],
-        ),
-    }
-}
-
-fn sorted_rows(b: &Batch) -> Vec<Vec<Value>> {
-    let mut rows = b.to_rows();
-    rows.sort();
-    rows
-}
+use writes::{engine_builder, nullable_row, query, sorted_rows};
 
 #[test]
 fn random_repairs_are_byte_identical_to_recompute() {
@@ -96,7 +32,7 @@ fn random_repairs_are_byte_identical_to_recompute() {
         let mut repaired_total = 0u64;
         let mut delete_repairs = 0u64;
         for seed in 0..4u64 {
-            let engine = engine(3000 + seed, 800, dop);
+            let engine = engine_builder(3000 + seed, 800).parallelism(dop).build();
             let session = engine.session();
             let mut rng = SmallRng::seed_from_u64(seed);
             let cuts: Vec<i64> = (0..4).map(|_| rng.gen_range(-25..25)).collect();
@@ -164,7 +100,7 @@ fn noop_dml_skips_the_repair_walk() {
     // Satellite: the no-op fast path. A delete matching nothing commits no
     // epoch and carries no delta — the repair walk must not run at all
     // (counted by `deltas_applied`, one bump per routed delta).
-    let engine = engine(7, 400, 1);
+    let engine = engine_builder(7, 400).parallelism(1).build();
     let session = engine.session();
     let plan = query(1, -25);
     session.query(&plan).unwrap().into_outcome();
@@ -203,7 +139,7 @@ fn noop_dml_skips_the_repair_walk() {
 
 #[test]
 fn subscriptions_stream_initial_deltas_and_refreshes() {
-    let engine = engine(11, 200, 1);
+    let engine = engine_builder(11, 200).parallelism(1).build();
     let session = engine.session();
     let sub = session
         .subscribe_sql("SELECT k, v FROM t WHERE k >= 30", &Params::new())
@@ -280,8 +216,79 @@ fn subscriptions_stream_initial_deltas_and_refreshes() {
 }
 
 #[test]
+fn replace_table_refreshes_subscriptions_and_evicts_dependents() {
+    let table = |name: &str, keys: std::ops::Range<i64>| {
+        let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Float)]);
+        let mut b = TableBuilder::new(name, schema, 64);
+        for k in keys {
+            b.push_row(vec![Value::Int(k), Value::Float(k as f64)]);
+        }
+        b.finish()
+    };
+    let mut cat = Catalog::new();
+    cat.register(table("t", 0..50)).unwrap();
+    cat.register(table("u", 0..50)).unwrap();
+    let mut config = RecyclerConfig::deterministic(64 << 20);
+    config.spec_min_progress = 0.0;
+    let engine = Engine::builder(Arc::new(cat))
+        .recycler(config)
+        .parallelism(1)
+        .build();
+    let session = engine.session();
+    // Cached dependents of `t` (repairable on append: a selection and a
+    // grouped aggregate) and one entry over `u` that must survive.
+    let over_u = scan("u", &["k", "v"]).select(Expr::name("k").ge(Expr::lit(10)));
+    for plan in [query(0, 10), query(1, 10), over_u.clone()] {
+        session.query(&plan).unwrap().into_outcome();
+        assert!(session.query(&plan).unwrap().into_outcome().reused());
+    }
+    let subscribe = |sql: &str| {
+        let sub = session.subscribe_sql(sql, &Params::new()).unwrap();
+        assert!(matches!(sub.try_next(), Some(DeltaEvent::Initial(_))));
+        sub
+    };
+    let sub_t = subscribe("SELECT k, v FROM t WHERE k >= 30");
+    let sub_u = subscribe("SELECT k, v FROM u WHERE k >= 30");
+    let recycler = engine.recycler().unwrap();
+    let cached = recycler.cache_len();
+
+    let out = engine.replace_table(table("t", 100..120)).unwrap();
+    assert_eq!(out.kind, WriteKind::Replace);
+    assert_eq!(out.repair.deltas_applied, 0, "a replace carries no rows");
+    assert_eq!(out.repair.repaired, 0);
+    // One `Invalidated` per evicted dependent of `t`, and nothing else.
+    assert!(!out.repair.events.is_empty());
+    for e in &out.repair.events {
+        assert!(
+            matches!(e, RecyclerEvent::Invalidated { table, .. } if table == "t"),
+            "{e:?}"
+        );
+    }
+    assert_eq!(recycler.cache_len(), cached - out.repair.events.len());
+
+    // The subscription over `t` gets one refresh holding the new rows.
+    match sub_t.try_next() {
+        Some(DeltaEvent::Refresh(b)) => {
+            let want: Vec<Vec<Value>> = (100..120)
+                .map(|k| vec![Value::Int(k), Value::Float(k as f64)])
+                .collect();
+            assert_eq!(sorted_rows(&b), want);
+        }
+        other => panic!("want Refresh after replace, got {other:?}"),
+    }
+    assert!(sub_t.try_next().is_none(), "exactly one event");
+    assert!(sub_u.try_next().is_none(), "`u` did not change");
+    assert!(session.query(&over_u).unwrap().into_outcome().reused());
+    assert!(!session
+        .query(&query(0, 10))
+        .unwrap()
+        .into_outcome()
+        .reused());
+}
+
+#[test]
 fn shutdown_closes_subscriptions_after_draining() {
-    let engine = engine(13, 100, 1);
+    let engine = engine_builder(13, 100).parallelism(1).build();
     let session = engine.session();
     let sub = session
         .subscribe_sql("SELECT k FROM t WHERE k >= 0", &Params::new())
@@ -343,7 +350,7 @@ fn large_selection_repairs_share_its_chunks() {
         let write = engine.append("t", &rows).unwrap();
         oracle.append("t", &rows).unwrap();
         assert!(
-            write.repaired >= 1 && write.repair_fallbacks == 0,
+            write.repair.repaired >= 1 && write.repair.fallbacks == 0,
             "step {step}: {write:?}"
         );
         let (reused, batches) = read();
@@ -429,9 +436,9 @@ fn q1_aggregate_is_repaired_by_lineitem_appends() {
     for step in 0..3 {
         let write = engine.append("lineitem", &rows).unwrap();
         assert!(
-            write.invalidated.iter().any(|e| is_aggregate(e, true)),
+            write.repair.events.iter().any(|e| is_aggregate(e, true)),
             "step {step}: Q1's aggregate must be repaired: {:?}",
-            write.invalidated
+            write.repair.events
         );
         assert!(read(), "step {step}: the read after an append reuses");
     }
@@ -440,12 +447,12 @@ fn q1_aggregate_is_repaired_by_lineitem_appends() {
         .delete("lineitem", &Expr::name("l_linenumber").eq(Expr::lit(7i64)))
         .unwrap();
     assert!(write.rows_affected > 0);
-    assert!(write.repair_fallbacks > 0, "{write:?}");
+    assert!(write.repair.fallbacks > 0, "{write:?}");
     assert!(
-        write.invalidated.iter().any(|e| is_aggregate(e, false))
-            && !write.invalidated.iter().any(|e| is_aggregate(e, true)),
+        write.repair.events.iter().any(|e| is_aggregate(e, false))
+            && !write.repair.events.iter().any(|e| is_aggregate(e, true)),
         "a delete evicts Q1's aggregate: {:?}",
-        write.invalidated
+        write.repair.events
     );
     read();
 }

@@ -799,7 +799,7 @@ fn a_checkpoint_right_after_a_delete_carries_no_lineage_and_warms_nothing() {
         let out = engine
             .delete("t", &Expr::name("k").eq(Expr::lit(20)))
             .unwrap();
-        assert_eq!((out.rows_affected, out.repaired), (1, 0));
+        assert_eq!((out.rows_affected, out.repair.repaired), (1, 0));
         let recycler = engine.recycler().unwrap();
         assert!(
             recycler.lineage_top(16).is_empty(),
@@ -878,7 +878,7 @@ fn replace_table_invalidates_cached_results() {
     assert_eq!(out.kind, WriteKind::Replace);
     assert_eq!(out.rows_affected, 3);
     assert!(
-        !out.invalidated.is_empty(),
+        !out.repair.events.is_empty(),
         "replacement must evict dependent cache entries"
     );
 

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use recycler_db::delta::Delta;
 use recycler_db::engine::{Engine, MaterializingEngine};
 use recycler_db::exec::ArtifactKind;
 use recycler_db::expr::{AggFunc, Expr};
@@ -18,6 +19,11 @@ use recycler_db::recycler::{RecyclerConfig, RecyclerEvent};
 use recycler_db::storage::{Catalog, TableBuilder};
 use recycler_db::tpch::{generate, templates, TpchConfig};
 use recycler_db::vector::{Batch, DataType, Schema, Value};
+
+#[path = "support/writes.rs"]
+mod writes;
+
+use writes::sorted_rows;
 
 fn det_config() -> RecyclerConfig {
     let mut c = RecyclerConfig::deterministic(256 << 20);
@@ -52,12 +58,6 @@ fn lineitem_row(orderkey: i64) -> Vec<Value> {
         Value::str("NONE"),
         Value::str("TRUCK"),
     ]
-}
-
-fn sorted_rows(b: &Batch) -> Vec<Vec<Value>> {
-    let mut rows = b.to_rows();
-    rows.sort();
-    rows
 }
 
 /// Count cached (materialized) graph nodes that depend on `table`.
@@ -142,13 +142,13 @@ fn updating_lineitem_evicts_exactly_the_dependent_entries() {
     assert_eq!(out.table, "lineitem");
     assert_eq!(out.rows_affected, 2);
     assert_eq!(out.epoch, 1);
-    assert_eq!(out.deltas_applied, 1, "the append carries its delta");
+    assert_eq!(out.repair.deltas_applied, 1, "the append carries its delta");
 
     // Every lineitem-dependent entry got exactly one event: repaired in
     // place or evicted. The walk covers dependent hash builds too, tagged
     // by kind; Q14 builds on `part`, so every event here is a result's.
     let (mut results, mut repaired_results, mut evicted) = (0, 0, 0);
-    for e in &out.invalidated {
+    for e in &out.repair.events {
         let (table, kind) = match e {
             RecyclerEvent::Repaired { table, .. } => {
                 repaired_results += 1;
@@ -168,12 +168,15 @@ fn updating_lineitem_evicts_exactly_the_dependent_entries() {
     }
     assert_eq!(results, li_before, "one event per dependent result entry");
     assert_eq!(
-        out.invalidated.len(),
+        out.repair.events.len(),
         li_before,
         "no lineitem-dependent operator state is cached"
     );
-    assert_eq!(out.repaired as usize + evicted, out.invalidated.len());
-    assert!(out.repaired >= 1, "Q6's sum is repaired in place");
+    assert_eq!(
+        out.repair.repaired as usize + evicted,
+        out.repair.events.len()
+    );
+    assert!(out.repair.repaired >= 1, "Q6's sum is repaired in place");
     // Repaired entries stay, now at the new epoch; evicted ones are gone.
     assert_eq!(cached_over(&engine, "lineitem"), repaired_results);
     assert_eq!(recycler.cache_len(), len_before - evicted);
@@ -300,7 +303,7 @@ fn cached_hash_builds_serve_probe_variants_and_die_with_their_table() {
         )
         .unwrap();
     assert!(
-        out.invalidated.iter().any(|e| matches!(
+        out.repair.events.iter().any(|e| matches!(
             e,
             RecyclerEvent::Invalidated {
                 kind: ArtifactKind::HashBuild,
@@ -308,7 +311,7 @@ fn cached_hash_builds_serve_probe_variants_and_die_with_their_table() {
             }
         )),
         "the part build artifact must die with its table: {:?}",
-        out.invalidated
+        out.repair.events
     );
     let after = prepared.execute(&param_sets[0]).unwrap().into_outcome();
     let concrete = templates::q14_template()
@@ -367,14 +370,15 @@ fn append_and_delete_flow_through_query_results() {
         )
         .unwrap();
     assert!(
-        out.invalidated
+        out.repair
+            .events
             .iter()
             .any(|e| matches!(e, RecyclerEvent::Repaired { .. })),
         "cached aggregate repaired in place: {:?}",
-        out.invalidated
+        out.repair.events
     );
-    assert!(out.repaired >= 1);
-    assert_eq!(out.deltas_applied, 1);
+    assert!(out.repair.repaired >= 1);
+    assert_eq!(out.repair.deltas_applied, 1);
     let after = session.query(&q).unwrap().into_outcome();
     assert!(after.reused(), "repaired entry serves the new epoch");
     assert_eq!(after.batch.column(0).as_floats(), &[base + 30_000.0]);
@@ -387,7 +391,7 @@ fn append_and_delete_flow_through_query_results() {
         .unwrap();
     assert_eq!(out.rows_affected, 2);
     assert_eq!(out.epoch, 2);
-    assert!(out.repair_fallbacks >= 1 || out.repaired == 0);
+    assert!(out.repair.fallbacks >= 1 || out.repair.repaired == 0);
     let back = session.query(&q).unwrap().into_outcome();
     assert!(!back.reused(), "sum delete-repair must fall back to evict");
     assert_eq!(back.batch.column(0).as_floats(), &[base]);
@@ -437,7 +441,10 @@ fn dml_works_with_recycling_off() {
     let engine = Engine::builder(Arc::new(cat)).no_recycler().build();
     let session = engine.session();
     let out = session.append("t", &[vec![Value::Int(3)]]).unwrap();
-    assert!(out.invalidated.is_empty(), "no recycler, no invalidations");
+    assert!(
+        out.repair.events.is_empty(),
+        "no recycler, no invalidations"
+    );
     let got = session.query(&scan("t", &["x"])).unwrap().collect_batch();
     assert_eq!(got.column(0).as_ints(), &[1, 2, 3]);
     session
@@ -479,10 +486,10 @@ fn noop_dml_commits_no_epoch_and_keeps_the_cache_hot() {
         .unwrap();
     assert_eq!(out.rows_affected, 0);
     assert_eq!(out.epoch, 0, "no-op delete commits no epoch");
-    assert!(out.invalidated.is_empty());
+    assert!(out.repair.events.is_empty());
     let out = session.append("t", &[]).unwrap();
     assert_eq!((out.rows_affected, out.epoch), (0, 0));
-    assert!(out.invalidated.is_empty());
+    assert!(out.repair.events.is_empty());
     assert_eq!(engine.recycler().unwrap().cache_len(), len);
     assert!(session.query(&q).unwrap().into_outcome().reused());
     // The no-op fast path never reaches the repair walk either.
@@ -492,7 +499,7 @@ fn noop_dml_commits_no_epoch_and_keeps_the_cache_hot() {
 }
 
 #[test]
-fn invalidate_spares_entries_already_at_the_new_epoch() {
+fn replace_spares_entries_already_at_the_new_epoch() {
     let engine = small_engine(1_000);
     let session = engine.session();
     let q = sum_under(5);
@@ -505,8 +512,17 @@ fn invalidate_spares_entries_already_at_the_new_epoch() {
     let len = recycler.cache_len();
     assert!(len > 0);
     // Re-announcing an epoch the cache is already at (the publish-ahead /
-    // invalidate-catches-up ordering) must not evict the fresh entries.
-    let events = recycler.invalidate("t", 1);
+    // write-catches-up ordering) must not evict the fresh entries. A
+    // replace delta repairs nothing, so only eviction can act here.
+    let replace = |epoch| {
+        let schema = engine.catalog().get("t").unwrap().schema().clone();
+        let delta = Delta::replace("t", schema, epoch);
+        let snapshot = engine.catalog().snapshot();
+        recycler
+            .repair(&delta, &snapshot, engine.functions())
+            .events
+    };
+    let events = replace(1);
     assert!(
         events.is_empty(),
         "no fresh entry may be evicted: {events:?}"
@@ -514,7 +530,7 @@ fn invalidate_spares_entries_already_at_the_new_epoch() {
     assert_eq!(recycler.cache_len(), len);
     assert!(session.query(&q).unwrap().into_outcome().reused());
     // A genuinely newer epoch still evicts.
-    let events = recycler.invalidate("t", 2);
+    let events = replace(2);
     assert_eq!(events.len(), len);
 }
 

@@ -12,75 +12,19 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use recycler_db::engine::{Engine, MaterializingEngine};
-use recycler_db::expr::{AggFunc, Expr};
-use recycler_db::plan::{scan, Plan};
-use recycler_db::recycler::RecyclerConfig;
-use recycler_db::storage::{Catalog, TableBuilder};
-use recycler_db::vector::{Batch, DataType, Schema, Value};
+use recycler_db::engine::MaterializingEngine;
+use recycler_db::expr::Expr;
+use recycler_db::vector::Value;
 
-fn nullable_row(rng: &mut SmallRng) -> Vec<Value> {
-    vec![
-        if rng.gen_bool(0.15) {
-            Value::Null
-        } else {
-            Value::Int(rng.gen_range(-20..40))
-        },
-        if rng.gen_bool(0.15) {
-            Value::Null
-        } else {
-            Value::Float(rng.gen_range(-100.0..100.0))
-        },
-    ]
-}
+#[path = "support/writes.rs"]
+mod writes;
 
-fn engine(seed: u64, rows: usize) -> Arc<Engine> {
-    let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Float)]);
-    let mut b = TableBuilder::new("t", schema, rows);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for _ in 0..rows {
-        b.push_row(nullable_row(&mut rng));
-    }
-    let mut cat = Catalog::new();
-    cat.register(b.finish()).unwrap();
-    let mut config = RecyclerConfig::deterministic(64 << 20);
-    config.spec_min_progress = 0.0;
-    Engine::builder(Arc::new(cat)).recycler(config).build()
-}
-
-/// A small pool of query shapes over a shared `k >= cut` family, so wider
-/// cuts subsume narrower ones (σ reuse) and repeats hit exactly.
-fn query(shape: usize, cut: i64) -> Plan {
-    let base = scan("t", &["k", "v"]).select(Expr::name("k").ge(Expr::lit(cut)));
-    match shape {
-        0 => base,
-        1 => base.aggregate(
-            vec![(Expr::name("k"), "k")],
-            vec![
-                (AggFunc::Sum(Expr::name("v")), "sv"),
-                (AggFunc::CountStar, "n"),
-            ],
-        ),
-        _ => base.aggregate(
-            vec![],
-            vec![
-                (AggFunc::Sum(Expr::name("v")), "sv"),
-                (AggFunc::Min(Expr::name("v")), "mn"),
-            ],
-        ),
-    }
-}
-
-fn sorted_rows(b: &Batch) -> Vec<Vec<Value>> {
-    let mut rows = b.to_rows();
-    rows.sort();
-    rows
-}
+use writes::{engine_builder, nullable_row, query, sorted_rows};
 
 #[test]
 fn random_interleavings_match_the_materializing_engine() {
     for seed in 0..4u64 {
-        let engine = engine(1000 + seed, 800);
+        let engine = engine_builder(1000 + seed, 800).build();
         let session = engine.session();
         let mut rng = SmallRng::seed_from_u64(seed);
         // Small domains create repeats (reuse) and subsumption pairs.
@@ -150,7 +94,7 @@ fn subsumption_reuse_respects_epochs() {
     // which a selection cannot repair (an append would patch the wide
     // entry to the new epoch, and reusing it would be *correct* — covered
     // in tests/delta_repair.rs); here we pin the stale-entry gate.
-    let engine = engine(5, 400);
+    let engine = engine_builder(5, 400).build();
     let session = engine.session();
     let wide = query(0, -25);
     let narrow = query(0, 10);
@@ -165,7 +109,7 @@ fn subsumption_reuse_respects_epochs() {
         .delete("t", &Expr::name("k").eq(Expr::lit(30)))
         .unwrap();
     assert!(out.rows_affected > 0, "the delete must commit an epoch");
-    assert_eq!(out.repaired, 0, "selections do not repair deletes");
+    assert_eq!(out.repair.repaired, 0, "selections do not repair deletes");
     let after = session.query(&narrow).unwrap().into_outcome();
     assert!(
         !after.reused(),

@@ -17,7 +17,12 @@ use recycler_db::expr::Expr;
 use recycler_db::plan::Plan;
 use recycler_db::recycler::RecyclerConfig;
 use recycler_db::tpch::{generate, templates, TpchConfig};
-use recycler_db::vector::{Batch, Value};
+use recycler_db::vector::Value;
+
+#[path = "support/writes.rs"]
+mod writes;
+
+use writes::sorted_rows;
 
 const WRITERS: usize = 4;
 const READERS: usize = 8;
@@ -53,12 +58,6 @@ fn lineitem_row(rng: &mut SmallRng, orderkey: i64) -> Vec<Value> {
         Value::str("NONE"),
         Value::str("MAIL"),
     ]
-}
-
-fn sorted_rows(b: &Batch) -> Vec<Vec<Value>> {
-    let mut rows = b.to_rows();
-    rows.sort();
-    rows
 }
 
 /// One reader query: execute through the recycler, then replay the same
