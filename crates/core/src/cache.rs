@@ -41,9 +41,9 @@ use crate::graph::NodeId;
 /// Identity of one cache entry: the graph node that produced it, which
 /// kind of artifact it is, and a `variant` discriminator for kinds where
 /// one subplan can yield several distinct artifacts (a build side is
-/// keyed by its join keys too — two joins sharing a right subplan but
-/// joining on different columns must not collide). `variant` is 0 for
-/// results.
+/// keyed by a hash of its build keys too — two joins sharing a build
+/// input but joining on different columns must not collide). `variant`
+/// is 0 for results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArtifactId {
     /// Graph node of the producing subplan.
@@ -773,13 +773,14 @@ mod tests {
     }
 
     /// A hash-join build side over `rows` int keys: what a join executed
-    /// over a two-table catalog offers its result store.
+    /// over a two-table catalog offers its result store for a build
+    /// target.
     fn build_side(rows: i64) -> Arc<BuildSide> {
         use rdb_exec::{
             build, ExecContext, ResultStore, SpeculationEstimate, StateCost, StoreVerdict,
         };
         use rdb_expr::Expr;
-        use rdb_plan::{scan, Plan};
+        use rdb_plan::{scan, StoreMode};
         use rdb_storage::{Catalog, TableBuilder};
         use rdb_vector::Value;
         use std::sync::Mutex;
@@ -795,14 +796,7 @@ mod tests {
             fn speculate(&self, _: u64, _: &SpeculationEstimate) -> StoreVerdict {
                 StoreVerdict::Cancel
             }
-            fn publish_state(
-                &self,
-                _: &Plan,
-                _: u64,
-                build: Arc<BuildSide>,
-                _: StateCost,
-                _: &[(String, u64)],
-            ) {
+            fn publish_build(&self, _: u64, build: Arc<BuildSide>, _: StateCost) {
                 *self.0.lock().unwrap() = Some(build);
             }
         }
@@ -819,16 +813,14 @@ mod tests {
         let cat = Arc::new(cat);
         let plan = scan("p", &["a"])
             .inner_join(
-                scan("b", &["k"]),
+                scan("b", &["k"]).store(1, StoreMode::Build),
                 vec![Expr::name("a")],
                 vec![Expr::name("k")],
             )
             .bind(&cat)
             .expect("join binds");
         let store = Arc::new(Capture::default());
-        let ctx = ExecContext::new(cat.clone())
-            .with_store(store.clone())
-            .with_snapshot(Arc::new(cat.snapshot()));
+        let ctx = ExecContext::new(cat.clone()).with_store(store.clone());
         build(&plan, &ctx)
             .expect("join builds")
             .drain()

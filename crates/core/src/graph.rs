@@ -277,8 +277,9 @@ impl RecyclerGraph {
     /// Read-only exact lookup: the graph node whose subtree structurally
     /// equals `plan`, if one exists. Same candidate walk as
     /// [`RecyclerGraph::match_or_insert`], but inserts nothing and bumps
-    /// no statistics — used by diagnostics (`EXPLAIN`) to report recycler
-    /// state without perturbing it.
+    /// no statistics. Outside tests it serves `EXPLAIN` only, which
+    /// reports recycler state without perturbing it; every reuse decision
+    /// matches once, through `match_or_insert`, in the rewriter.
     pub fn find_exact(&self, plan: &Plan) -> Option<NodeId> {
         if matches!(plan, Plan::Store { .. } | Plan::Cached { .. }) {
             return None;

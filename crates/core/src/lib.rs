@@ -63,10 +63,13 @@
 //!
 //! Beyond the paper's materialized results, the cache holds **operator
 //! state**: hash-join build sides ([`rdb_exec::BuildSide`]), keyed by the
-//! *build subplan* plus an [`rdb_exec::ArtifactKind`] and a variant
-//! discriminator (the join-key expressions). An aggregate's output is
-//! cached only as the aggregate node's result. Every entry — result or
-//! state — is a
+//! graph node of the join's build input plus an
+//! [`rdb_exec::ArtifactKind`] and a hash of the build keys. The rewriter
+//! leases a fresh one in place of the build input (a `Cached` node), or
+//! else makes the input a build target (`StoreMode::Build`) that the
+//! executor publishes by tag; an input that reads or stores a result gets
+//! neither. An aggregate's output is cached only as the aggregate node's
+//! result. Every entry — result or state — is a
 //! [`cache::CacheArtifact`] charged against the same byte budget, with a
 //! uniform benefit currency:
 //!
@@ -81,7 +84,7 @@
 //! trade a cached hash table against a cached result for the same node —
 //! whichever saves less per byte goes first. State artifacts ride the
 //! same epoch machinery as results (recorded epochs, the three freshness
-//! points above) but are *epoch-exact both directions*: a build produced
+//! points above, the same reuse and publish gates): a build produced
 //! under different epochs is never adopted. They are deliberately absent
 //! from checkpoint lineage — recovery re-executes the producing subplan
 //! and re-publishes through the normal path.

@@ -2,14 +2,16 @@
 //!
 //! Per query (paper Fig. 1):
 //!
-//! 1. [`Recycler::prepare`] — matches the optimized query tree against the
-//!    recycler graph (inserting unmatched nodes), bumps reference counts,
-//!    substitutes cached results (exact matches first, then subsumption),
-//!    injects `store` operators where materialization is (or might be)
-//!    beneficial, and returns the rewritten plan.
-//! 2. The engine executes the rewritten plan; store operators call back
-//!    into the recycler through the [`ResultStore`] trait (speculation
-//!    verdicts, publication of produced results).
+//! 1. [`Recycler::prepare_at`] — matches the optimized query tree against
+//!    the recycler graph (inserting unmatched nodes), bumps reference
+//!    counts, substitutes cached results (exact matches first, then
+//!    subsumption) and hash builds, injects `store` operators where
+//!    materialization is (or might be) beneficial and build targets
+//!    elsewhere, and returns the rewritten plan: every reuse decision,
+//!    under one lock.
+//! 2. The engine executes the rewritten plan; stores and joins call back
+//!    into the recycler through the [`ResultStore`] trait by tag
+//!    (speculation verdicts, leases, publication of results and builds).
 //! 3. [`Recycler::complete`] — annotates the recycler graph with measured
 //!    costs/cardinalities/sizes from the run and releases this query's
 //!    cache leases.
@@ -140,10 +142,6 @@ pub struct PreparedQuery {
     pub events: Vec<RecyclerEvent>,
     /// Matching + insertion time (Fig. 10's measured quantity).
     pub match_ns: u64,
-    /// Nodes newly inserted into the recycler graph by this query.
-    pub nodes_inserted: usize,
-    /// Total nodes in this query's tree.
-    pub nodes_total: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +152,9 @@ enum StoreOutcome {
 
 #[derive(Debug)]
 enum TagEntry {
-    /// A pinned cached result this query reads.
-    Lease(Arc<MaterializedResult>),
+    /// A pinned cache artifact this query reads: a result under a `Cached`
+    /// leaf, or a hash build under a join's `Cached` build input.
+    Lease(CacheArtifact),
     /// A store target this query may produce.
     StoreTarget {
         node: NodeId,
@@ -170,6 +169,13 @@ enum TagEntry {
         base_epochs: Vec<(String, u64)>,
         last_est: Option<SpeculationEstimate>,
         resolved: Option<StoreOutcome>,
+    },
+    /// A join build input this query builds (`StoreMode::Build`): the
+    /// build side is offered to the cache as `aid`, built from the tables
+    /// at `epochs`. Never in flight: no other query waits on it.
+    BuildTarget {
+        aid: ArtifactId,
+        epochs: Vec<(String, u64)>,
     },
 }
 
@@ -192,6 +198,15 @@ struct State {
 }
 
 impl State {
+    /// Whether a base table committed past the epoch a producer pinned in
+    /// `epochs`. One pinned *ahead* of the last write seen (its `repair`
+    /// call hasn't run yet) is fresh: `repair` spares its entry later.
+    fn superseded(&self, epochs: &[(String, u64)]) -> bool {
+        epochs
+            .iter()
+            .any(|(t, e)| self.table_epochs.get(t).is_some_and(|cur| cur > e))
+    }
+
     /// Release a node's in-flight marker, but only if `qid` still owns it.
     fn release_in_flight(&mut self, node: NodeId, qid: u64) {
         if self.in_flight.get(&node) == Some(&qid) {
@@ -326,17 +341,11 @@ pub struct RecyclerStats {
     /// Publishes rejected because the producing query's snapshot was
     /// superseded before its store completed.
     pub stale_rejections: AtomicU64,
-    /// Warm hash-join build sides served from the cache.
+    /// Hash-join build sides leased from the cache instead of rebuilt.
     pub hash_build_hits: AtomicU64,
     /// Always 0: aggregation tables are no longer cached apart from an
     /// aggregate's result. Kept while the benchmark ledger still reads it.
     pub agg_table_hits: AtomicU64,
-    /// Operator-state artifacts published and admitted to the cache.
-    pub state_publishes: AtomicU64,
-    /// Total matching/insertion time.
-    pub match_ns_total: AtomicU64,
-    /// Nodes inserted into the recycler graph.
-    pub nodes_inserted: AtomicU64,
     /// Materialized subsumer candidates the rewriter examined (one
     /// derivation check each).
     pub subsumption_checks: AtomicU64,
@@ -628,20 +637,6 @@ impl Recycler {
         out
     }
 
-    /// Rewrite a bound query plan for execution against the catalog's
-    /// *current* table versions, sampled live per table.
-    ///
-    /// Prefer [`Recycler::prepare_at`] with a pinned
-    /// [`rdb_storage::CatalogSnapshot`] (as the engine's session path
-    /// does): without a snapshot, a table updated between this call and
-    /// the scan build can make the executed data diverge from the epochs
-    /// recorded here, and the race-closing guarantees of the epoch gates
-    /// then don't apply. This variant is only safe when no DML runs
-    /// concurrently (tests, micro-benches).
-    pub fn prepare(&self, plan: &Plan, catalog: &Catalog) -> PreparedQuery {
-        self.prepare_at(plan, catalog, &|t| catalog.epoch_of(t).unwrap_or(0))
-    }
-
     /// Rewrite a bound query plan for execution (paper Fig. 1's rewriter
     /// rules). `catalog` supplies schemas for newly inserted graph nodes;
     /// `epoch_of` reports the epoch at which the query's snapshot pins
@@ -666,18 +661,11 @@ impl Recycler {
         // --- matching + insertion (Algorithm 1) ---
         let match_start = Instant::now();
         let mtree = st.graph.match_or_insert(plan, &schema_of);
-        let inserted = mtree.inserted_count();
         // Reference bookkeeping: every pre-existing node whose result could
         // have answered this query (no materialized ancestor inside the
         // matched region) gains a reference.
         bump_references(&mut st.graph, &mtree, false, self.config.aging_alpha);
         let match_ns = match_start.elapsed().as_nanos() as u64;
-        self.stats
-            .match_ns_total
-            .fetch_add(match_ns, Ordering::Relaxed);
-        self.stats
-            .nodes_inserted
-            .fetch_add(inserted as u64, Ordering::Relaxed);
 
         // --- rewriting: reuse substitution + store injection ---
         let mut events = Vec::new();
@@ -688,13 +676,15 @@ impl Recycler {
                 stats: &self.stats,
                 qid,
                 epoch_of,
+                schema_of: &schema_of,
                 tags: Vec::new(),
                 annots: Vec::new(),
                 events: Vec::new(),
+                build_leases: Vec::new(),
                 ignore_stall: &ignore_stall,
             };
             match rw.rewrite(&mut st, plan, &mtree, true) {
-                Ok(new_plan) => break (new_plan, rw.tags, rw.annots, rw.events),
+                Ok(new_plan) => break (new_plan, rw.tags, rw.annots, rw.events, rw.build_leases),
                 Err(stall_on) => {
                     // Roll back anything this attempt created.
                     for t in rw.tags {
@@ -729,8 +719,14 @@ impl Recycler {
                 }
             }
         };
-        let (new_plan, tags, annots, mut rw_events) = outcome;
+        let (new_plan, tags, annots, mut rw_events, build_leases) = outcome;
         events.append(&mut rw_events);
+        // A leased build saved this query the node's build cost: count it
+        // as a reference, keeping the node's heat honest.
+        for id in build_leases {
+            bump!(self.stats, hash_build_hits);
+            st.graph.bump_h(id, self.config.aging_alpha);
+        }
         for e in &events {
             match e {
                 RecyclerEvent::Reused { .. } => {
@@ -749,8 +745,6 @@ impl Recycler {
             annotations: annots,
             events,
             match_ns,
-            nodes_inserted: inserted,
-            nodes_total: plan.node_count(),
         }
     }
 
@@ -783,16 +777,16 @@ impl Recycler {
                     continue;
                 };
                 if m.metrics.calls() == 0 {
-                    // The operator never ran — its subtree was skipped by
-                    // a warm hash-build hit. Annotating its zeroed counters
-                    // would wipe the cold-run cost statistics the
-                    // artifact's benefit is derived from.
+                    // The operator never ran: it sits in a join's build
+                    // input that was never drained because the probe side
+                    // was empty. Annotating its zeroed counters would wipe
+                    // the cost statistics measured when it did run.
                     continue;
                 }
                 let Some(sub) = plan_at(&prepared.plan, path) else {
                     continue;
                 };
-                let from_base = !contains_cached(sub);
+                let from_base = !reads_cached_result(sub, &st.tags);
                 st.graph.annotate(
                     *node,
                     m.inclusive_time_ns() as f64,
@@ -839,11 +833,11 @@ impl Recycler {
                 }
             }
         }
-        // Release this query's tags. A lease may be the last pin on a
-        // result the cache already let go of: free it after the lock.
+        // Release this query's tags. A lease may be the last pin on an
+        // artifact the cache already let go of: free it after the lock.
         for t in &prepared.tags {
-            if let Some(TagEntry::Lease(r)) = st.tags.remove(t) {
-                st.displace(CacheArtifact::Result(r));
+            if let Some(TagEntry::Lease(artifact)) = st.tags.remove(t) {
+                st.displace(artifact);
             }
         }
         // Releasing the lock re-ranks the entries of the nodes annotated
@@ -1081,9 +1075,13 @@ struct RewriteRun<'a> {
     qid: u64,
     /// Epoch at which the query's snapshot pins each base table.
     epoch_of: &'a dyn Fn(&str) -> u64,
+    /// Output schema of a bound subplan.
+    schema_of: &'a dyn Fn(&Plan) -> Schema,
     tags: Vec<u64>,
     annots: Vec<(Vec<usize>, NodeId)>,
     events: Vec<RecyclerEvent>,
+    /// Build nodes whose hash build this attempt leased.
+    build_leases: Vec<NodeId>,
     ignore_stall: &'a [NodeId],
 }
 
@@ -1113,11 +1111,10 @@ impl<'a> RewriteRun<'a> {
         // here even if invalidation hasn't caught up with it yet).
         if let Some(entry) = st.cache.get(id) {
             if self.entry_fresh(entry) {
-                let result = entry.result().clone();
+                let result = entry.artifact.clone();
                 let bytes = entry.size;
                 let schema = st.graph.node(id).schema.clone();
-                let tag = new_lease(st, result);
-                self.tags.push(tag);
+                let tag = self.issue(st, TagEntry::Lease(result));
                 self.events.push(RecyclerEvent::Reused { node: id, bytes });
                 return Ok(Plan::Cached { tag, schema });
             }
@@ -1146,8 +1143,23 @@ impl<'a> RewriteRun<'a> {
         let mut child_annots: Vec<(Vec<usize>, NodeId)> = Vec::new();
         for (i, (c_plan, c_mt)) in plan.children().iter().zip(&mt.children).enumerate() {
             let saved = std::mem::take(&mut self.annots);
-            let child = self.rewrite(st, c_plan, c_mt, false)?;
-            let produced = std::mem::replace(&mut self.annots, saved);
+            let events = self.events.len();
+            let issued = (self.tags.len(), self.build_leases.len());
+            let mut child = self.rewrite(st, c_plan, c_mt, false)?;
+            let mut produced = std::mem::replace(&mut self.annots, saved);
+            // Every `Store` or `Cached` node a result puts into the plan
+            // comes with an event; a join's build input without one reads
+            // and stores no result, and its hash build is the recycler's.
+            if let (1, Plan::Join { right_keys, .. }) = (i, plan) {
+                if self.events.len() == events {
+                    let aid = ArtifactId {
+                        node: c_mt.id,
+                        kind: ArtifactKind::HashBuild,
+                        variant: rdb_plan::fx_hash(right_keys),
+                    };
+                    child = self.hash_build(st, c_plan, child, aid, &mut produced, issued);
+                }
+            }
             for (mut p, n) in produced {
                 p.insert(0, i);
                 child_annots.push((p, n));
@@ -1161,17 +1173,9 @@ impl<'a> RewriteRun<'a> {
 
         // Rule 4: store injection.
         if let Some(speculative) = self.store_decision(st, plan, id, is_root) {
-            let tag = st.next_tag;
-            st.next_tag += 1;
-            let base_epochs = st
-                .graph
-                .node(id)
-                .tables
-                .iter()
-                .map(|t| (t.clone(), (self.epoch_of)(t)))
-                .collect();
-            st.tags.insert(
-                tag,
+            let base_epochs = self.pinned_epochs(st, id);
+            let tag = self.issue(
+                st,
                 TagEntry::StoreTarget {
                     node: id,
                     qid: self.qid,
@@ -1184,7 +1188,6 @@ impl<'a> RewriteRun<'a> {
             // supersession store_decision allowed); owner-checked release
             // keeps the superseded producer from clearing ours.
             st.in_flight.insert(id, self.qid);
-            self.tags.push(tag);
             self.events.push(RecyclerEvent::StoreInjected {
                 node: id,
                 speculative,
@@ -1204,6 +1207,70 @@ impl<'a> RewriteRun<'a> {
             });
         }
         Ok(rebuilt)
+    }
+
+    /// Enter `entry` into the tag table under a new tag issued to this
+    /// query.
+    fn issue(&mut self, st: &mut State, entry: TagEntry) -> u64 {
+        let tag = st.next_tag;
+        st.next_tag += 1;
+        st.tags.insert(tag, entry);
+        self.tags.push(tag);
+        tag
+    }
+
+    /// `(table, epoch)` of `id`'s base tables as this query's snapshot
+    /// pins them.
+    fn pinned_epochs(&self, st: &State, id: NodeId) -> Vec<(String, u64)> {
+        st.graph
+            .node(id)
+            .tables
+            .iter()
+            .map(|t| (t.clone(), (self.epoch_of)(t)))
+            .collect()
+    }
+
+    /// A join's build input `plan`, rewritten to `input`, whose hash
+    /// build would be the artifact `aid`; `annots` are the input's
+    /// annotations and `issued` the lengths of the tag and build-lease
+    /// lists before its rewrite. A fresh cached build is leased in the
+    /// input's place; nothing below it is computed, so its annotations and
+    /// whatever its rewrite issued are dropped. Otherwise the input becomes
+    /// a build target, and the executor offers what it builds to the cache.
+    fn hash_build(
+        &mut self,
+        st: &mut State,
+        plan: &Plan,
+        input: Plan,
+        aid: ArtifactId,
+        annots: &mut Vec<(Vec<usize>, NodeId)>,
+        issued: (usize, usize),
+    ) -> Plan {
+        if let Some(entry) = st.cache.get_artifact(aid) {
+            if self.entry_fresh(entry) {
+                let build = entry.artifact.clone();
+                for t in self.tags.drain(issued.0..) {
+                    st.tags.remove(&t);
+                }
+                self.build_leases.truncate(issued.1);
+                let tag = self.issue(st, TagEntry::Lease(build));
+                self.build_leases.push(aid.node);
+                annots.clear();
+                let schema = (self.schema_of)(plan);
+                return Plan::Cached { tag, schema };
+            }
+        }
+        let epochs = self.pinned_epochs(st, aid.node);
+        let tag = self.issue(st, TagEntry::BuildTarget { aid, epochs });
+        // The target adds one plan level above the input.
+        for (p, _) in annots.iter_mut() {
+            p.insert(0, 0);
+        }
+        Plan::Store {
+            child: Box::new(input),
+            tag,
+            mode: StoreMode::Build,
+        }
     }
 
     /// Whether the query currently materializing `id` pinned the same
@@ -1244,8 +1311,7 @@ impl<'a> RewriteRun<'a> {
             })
             .min_by_key(|(s, _, r)| (r.rows(), *s))?;
         let schema = st.graph.node(subsumer).schema.clone();
-        let tag = new_lease(st, result);
-        self.tags.push(tag);
+        let tag = self.issue(st, TagEntry::Lease(CacheArtifact::Result(result)));
         let cached = Plan::Cached { tag, schema };
         let derived = match &derivation {
             Derivation::Reselect => match plan {
@@ -1351,13 +1417,6 @@ impl<'a> RewriteRun<'a> {
     }
 }
 
-fn new_lease(st: &mut State, result: Arc<MaterializedResult>) -> u64 {
-    let tag = st.next_tag;
-    st.next_tag += 1;
-    st.tags.insert(tag, TagEntry::Lease(result));
-    tag
-}
-
 fn metrics_at<'a>(root: &'a MetricsNode, path: &[usize]) -> Option<&'a MetricsNode> {
     let mut cur = root;
     for &i in path {
@@ -1375,14 +1434,30 @@ fn plan_at<'a>(root: &'a Plan, path: &[usize]) -> Option<&'a Plan> {
     Some(cur)
 }
 
-fn contains_cached(plan: &Plan) -> bool {
-    matches!(plan, Plan::Cached { .. }) || plan.children().iter().any(|c| contains_cached(c))
+/// Whether `plan` reads a leased result. A leased hash build is not one:
+/// the join over it computes its output from base tables and only skips
+/// rebuilding its build side.
+fn reads_cached_result(plan: &Plan, tags: &HashMap<u64, TagEntry>) -> bool {
+    match plan {
+        Plan::Cached { tag, .. } => matches!(
+            tags.get(tag),
+            Some(TagEntry::Lease(CacheArtifact::Result(_)))
+        ),
+        _ => plan.children().iter().any(|c| reads_cached_result(c, tags)),
+    }
 }
 
 impl ResultStore for Recycler {
     fn fetch(&self, tag: u64) -> Option<Arc<MaterializedResult>> {
         match self.state.lock().tags.get(&tag) {
-            Some(TagEntry::Lease(r)) => Some(r.clone()),
+            Some(TagEntry::Lease(artifact)) => artifact.as_result().cloned(),
+            _ => None,
+        }
+    }
+
+    fn fetch_build(&self, tag: u64) -> Option<Arc<BuildSide>> {
+        match self.state.lock().tags.get(&tag) {
+            Some(TagEntry::Lease(artifact)) => artifact.as_build().cloned(),
             _ => None,
         }
     }
@@ -1404,17 +1479,10 @@ impl ResultStore for Recycler {
         if resolved.is_some() {
             return;
         }
-        // Freshness gate: if any base table committed a *newer* epoch than
-        // the one this query pinned, the produced result is a snapshot of
-        // the past — discard it instead of poisoning the cache (this
-        // closes the publish-after-write race). A producer pinned *ahead*
-        // of the last write the recycler saw (`e > cur`: it read a
-        // version whose `repair` call hasn't run yet) is fresh, not stale
-        // — `repair` spares such entries when it catches up.
-        let stale = base_epochs
-            .iter()
-            .any(|(t, e)| st.table_epochs.get(t).is_some_and(|cur| cur > e));
-        if stale {
+        // Freshness gate: a result produced from a superseded snapshot is
+        // discarded instead of poisoning the cache (this closes the
+        // publish-after-write race).
+        if st.superseded(&base_epochs) {
             self.stats.stale_rejections.fetch_add(1, Ordering::Relaxed);
             self.stats.abandoned.fetch_add(1, Ordering::Relaxed);
             if let Some(TagEntry::StoreTarget { resolved, .. }) = st.tags.get_mut(&tag) {
@@ -1491,73 +1559,22 @@ impl ResultStore for Recycler {
         self.resolved_cond.notify_all();
     }
 
-    /// Serve a cached hash-join build side for the exact subplan, keyed
-    /// by the querying snapshot's epochs. A hit counts as a reference on
-    /// the node (the warm build saved this query the node's build cost),
-    /// keeping its heat honest.
-    fn fetch_state(
-        &self,
-        plan: &Plan,
-        variant: u64,
-        epochs: &[(String, u64)],
-    ) -> Option<Arc<BuildSide>> {
+    /// Offer the build side a join built under the build target `tag` to
+    /// the cache: dropped when the artifact is already cached, rejected by
+    /// the same staleness gate as a result, then subject to the size bound
+    /// and the normal admission/replacement policy — a hash build competes
+    /// for bytes against every other artifact on benefit alone.
+    fn publish_build(&self, tag: u64, build: Arc<BuildSide>, cost: StateCost) {
         let mut st = self.lock();
-        let id = st.graph.find_exact(plan)?;
-        let aid = ArtifactId {
-            node: id,
-            kind: ArtifactKind::HashBuild,
-            variant,
-        };
-        let entry = st.cache.get_artifact(aid)?;
-        // Freshness: the artifact was built under exactly the table
-        // versions this query's snapshot pins — in either direction, a
-        // mismatch disqualifies it (never probe a build across epochs).
-        let fresh = entry
-            .epochs
-            .iter()
-            .all(|(t, e)| epochs.iter().any(|(qt, qe)| qt == t && qe == e));
-        if !fresh {
-            return None;
-        }
-        let build = entry.artifact.as_build()?.clone();
-        bump!(self.stats, hash_build_hits);
-        st.graph.bump_h(id, self.config.aging_alpha);
-        Some(build)
-    }
-
-    /// Offer a freshly built hash-join build side to the cache. Subject
-    /// to the same staleness gate as result publication and to the normal
-    /// admission/replacement policy — a hash build competes for bytes
-    /// against every other artifact on benefit alone.
-    fn publish_state(
-        &self,
-        plan: &Plan,
-        variant: u64,
-        build: Arc<BuildSide>,
-        cost: StateCost,
-        epochs: &[(String, u64)],
-    ) {
-        let mut st = self.lock();
-        let Some(id) = st.graph.find_exact(plan) else {
-            // Subplan unknown to the graph (e.g. a recycler-off path):
-            // nothing to key the artifact by.
+        let Some(TagEntry::BuildTarget { aid, epochs }) = st.tags.get(&tag) else {
             return;
         };
-        let aid = ArtifactId {
-            node: id,
-            kind: ArtifactKind::HashBuild,
-            variant,
-        };
+        let (aid, epochs) = (*aid, epochs.clone());
         if st.cache.get_artifact(aid).is_some() {
             return;
         }
-        // Staleness gate (same as `publish`): state built from a
-        // superseded snapshot must not enter the cache.
-        let stale = epochs
-            .iter()
-            .any(|(t, e)| st.table_epochs.get(t).is_some_and(|cur| cur > e));
-        if stale {
-            self.stats.stale_rejections.fetch_add(1, Ordering::Relaxed);
+        if st.superseded(&epochs) {
+            bump!(self.stats, stale_rejections);
             return;
         }
         let size = build.size_bytes() as u64;
@@ -1572,20 +1589,21 @@ impl ResultStore for Recycler {
         // a warm hit saves the build, not the whole subtree. First-seen
         // nodes fall back to the speculation constant h for admission;
         // once admitted, the entry is ranked on Eq. 1 like every other.
-        let alpha = self.config.aging_alpha;
-        let h = st.graph.decayed_h(id, alpha).max(SPEC_H);
+        let h = st
+            .graph
+            .decayed_h(aid.node, self.config.aging_alpha)
+            .max(SPEC_H);
         let benefit = model_cost * h / size.max(1) as f64;
         match st.cache.insert_artifact(
             aid,
             CacheArtifact::HashBuild(build),
             benefit,
             model_cost,
-            epochs.to_vec(),
+            epochs,
         ) {
             Ok(evicted) => {
                 st.evicted(evicted);
-                st.graph.mark_changed(id);
-                bump!(self.stats, state_publishes);
+                st.graph.mark_changed(aid.node);
             }
             Err(refused) => st.displace(refused),
         }

@@ -1,6 +1,6 @@
 //! The recycler's incremental bookkeeping against from-scratch
 //! recomputation, over seeded random interleavings of everything that
-//! moves it: prepare, execute (publish, publish_state), complete, abort,
+//! moves it: prepare, execute (publish, publish_build), complete, abort,
 //! repair (of appends, deletes and replaces), and flush. After every step:
 //!
 //! * every cache entry's benefit read at the current tick equals Eq. 1
@@ -11,7 +11,8 @@
 //! * a node is materialized exactly when its result is cached, and no
 //!   bare scan ever is.
 //!
-//! Plus the subsumer choice, pinned by row counts and ids.
+//! Plus the subsumer choice, pinned by row counts and ids, and the hash
+//! builds the rewriter leases or targets.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -488,4 +489,185 @@ fn bare_scans_are_never_materialized() {
         };
         assert!(!rc.warm(&lineage, &catalog, result));
     }
+}
+
+/// `t` joined with `u` on `b = k` (a hash build over `u`), for the rows of
+/// `t` with `a < cut`.
+fn join_below(cut: i64) -> Plan {
+    scan("t", &["a", "b", "c"])
+        .select(Expr::name("a").lt(Expr::lit(cut)))
+        .inner_join(
+            scan("u", &["k", "d"]),
+            vec![Expr::name("b")],
+            vec![Expr::name("k")],
+        )
+}
+
+/// Hash builds in the cache.
+fn cached_builds(rc: &Recycler) -> usize {
+    rc.state
+        .lock()
+        .cache
+        .highest_benefit_first()
+        .filter(|a| a.kind == ArtifactKind::HashBuild)
+        .count()
+}
+
+/// A join's build input in a rewritten plan (the first join found).
+fn build_input(plan: &Plan) -> &Plan {
+    match plan {
+        Plan::Join { right, .. } => right,
+        _ => build_input(plan.children()[0]),
+    }
+}
+
+fn sorted_rows(batches: &[rdb_vector::Batch]) -> Vec<Vec<Value>> {
+    let mut rows: Vec<Vec<Value>> = batches.iter().flat_map(|b| b.to_rows()).collect();
+    rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    rows
+}
+
+/// History mode injects no store into a first-seen plan, so the only tag
+/// a first run holds is its join's build target.
+fn history_recycler() -> Arc<Recycler> {
+    let mut cfg = RecyclerConfig::deterministic(1 << 24);
+    cfg.mode = RecyclerMode::History;
+    Recycler::new(cfg)
+}
+
+#[test]
+fn a_build_leased_at_prepare_survives_a_flush() {
+    let catalog = catalog(5);
+    let rc = history_recycler();
+    run(&rc, &catalog, &join_below(20));
+    assert_eq!(cached_builds(&rc), 1, "the cold join offered its build");
+
+    let bound = join_below(40).bind(&catalog).unwrap();
+    let hits = rc.stats.hash_build_hits.load(Ordering::Relaxed);
+    let snapshot = Arc::new(catalog.snapshot());
+    let prepared = rc.prepare_at(&bound, &catalog, &|t| snapshot.epoch_of(t).unwrap_or(0));
+    assert!(matches!(build_input(&prepared.plan), Plan::Cached { .. }));
+    rc.flush_cache();
+    assert_eq!(cached_builds(&rc), 0);
+    let ctx = ExecContext::new(catalog.clone())
+        .with_store(rc.clone())
+        .with_snapshot(snapshot);
+    let mut tree = build(&prepared.plan, &ctx).expect("rewritten plan builds");
+    let rows = sorted_rows(&tree.drain().expect("query runs"));
+    rc.complete(&prepared, &tree.metrics);
+    assert_eq!(rc.stats.hash_build_hits.load(Ordering::Relaxed), hits + 1);
+
+    let cold = build(&bound, &ExecContext::new(catalog.clone()))
+        .unwrap()
+        .drain()
+        .unwrap();
+    assert_eq!(rows, sorted_rows(&cold));
+    assert!(!rows.is_empty());
+}
+
+#[test]
+fn a_build_input_over_a_store_or_a_cached_result_is_not_recycled() {
+    let catalog = catalog(5);
+    let mut cfg = RecyclerConfig::deterministic(1 << 24);
+    cfg.spec_min_progress = 0.0;
+    let rc = Recycler::new(cfg);
+    // Speculation stores the aggregate on the build side the first time,
+    // and the second join reads it from the cache.
+    let counted = |cut: i64| {
+        scan("t", &["a", "b", "c"])
+            .select(Expr::name("a").lt(Expr::lit(cut)))
+            .inner_join(
+                scan("u", &["k", "d"]).aggregate(
+                    vec![(Expr::name("k"), "k")],
+                    vec![(AggFunc::CountStar, "n")],
+                ),
+                vec![Expr::name("b")],
+                vec![Expr::name("k")],
+            )
+    };
+    for (cut, stored) in [(20, true), (40, false)] {
+        let mut q = open(&rc, &catalog, &counted(cut));
+        match build_input(&q.prepared.plan) {
+            Plan::Store { mode, .. } => {
+                assert!(stored);
+                assert_eq!(*mode, StoreMode::Speculate);
+            }
+            Plan::Cached { tag, .. } => {
+                assert!(!stored);
+                assert!(rc.fetch(*tag).is_some(), "a result, not a build");
+            }
+            other => panic!("build input {other:?}"),
+        }
+        q.tree.drain().expect("query runs");
+        rc.complete(&q.prepared, &q.tree.metrics);
+        assert_eq!(cached_builds(&rc), 0, "cut {cut}");
+    }
+    assert_eq!(rc.stats.hash_build_hits.load(Ordering::Relaxed), 0);
+    assert_eq!(rc.stats.reuses.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn a_build_from_a_superseded_snapshot_is_rejected() {
+    let catalog = catalog(5);
+    let rc = history_recycler();
+    let mut q = open(&rc, &catalog, &join_below(20));
+    assert!(matches!(
+        build_input(&q.prepared.plan),
+        Plan::Store {
+            mode: StoreMode::Build,
+            ..
+        }
+    ));
+    // `u` moves on after the query pinned it, before its join builds.
+    let vt = catalog.versioned("u").unwrap();
+    let rows = vec![vec![Value::Int(1), Value::Int(99)]];
+    let after = vt.append(&rows).unwrap();
+    let delta = Delta::append("u", vt.schema().clone(), after.epoch(), &rows);
+    rc.repair(&delta, &catalog.snapshot(), &Arc::new(FnRegistry::new()));
+    q.tree.drain().expect("query runs");
+    assert_eq!(rc.stats.stale_rejections.load(Ordering::Relaxed), 1);
+    assert_eq!(cached_builds(&rc), 0);
+    let events = rc.complete(&q.prepared, &q.tree.metrics);
+    assert!(
+        events.is_empty(),
+        "a build target emits no event: {events:?}"
+    );
+    assert_eq!(rc.stats.abandoned.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn a_leased_build_drops_the_builds_leased_inside_it() {
+    let catalog = catalog(5);
+    let rc = history_recycler();
+    let query = |cut: i64| {
+        let nested = scan("u", &["k", "d"]).inner_join(
+            scan("t", &["a", "b"]).select(Expr::name("a").lt(Expr::lit(5))),
+            vec![Expr::name("k")],
+            vec![Expr::name("b")],
+        );
+        scan("t", &["c", "b"])
+            .select(Expr::name("c").lt(Expr::lit(cut)))
+            .inner_join(nested, vec![Expr::name("b")], vec![Expr::name("k")])
+    };
+    // Both joins offer their builds. Aborted, the run annotates nothing,
+    // so the next one injects no store either.
+    let mut q = open(&rc, &catalog, &query(300));
+    q.tree.drain().expect("query runs");
+    rc.abort(&q.prepared);
+    assert_eq!(cached_builds(&rc), 2);
+
+    let mut q = open(&rc, &catalog, &query(600));
+    assert!(matches!(build_input(&q.prepared.plan), Plan::Cached { .. }));
+    assert_eq!(q.prepared.tags.len(), 1, "one lease, nothing below it");
+    assert_eq!(rc.stats.hash_build_hits.load(Ordering::Relaxed), 1);
+    let rows = sorted_rows(&q.tree.drain().expect("query runs"));
+    rc.complete(&q.prepared, &q.tree.metrics);
+    assert_eq!(rc.state.lock().tags.len(), 0);
+    let bound = query(600).bind(&catalog).unwrap();
+    let cold = build(&bound, &ExecContext::new(catalog.clone()))
+        .unwrap()
+        .drain()
+        .unwrap();
+    assert_eq!(rows, sorted_rows(&cold));
+    assert!(!rows.is_empty());
 }

@@ -13,9 +13,10 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use rdb_expr::{AggFunc, Expr};
-use rdb_plan::{Plan, PlanError};
+use rdb_plan::{Plan, PlanError, StoreMode};
 use rdb_storage::Table;
 use rdb_vector::{Batch, DataType, Schema};
 
@@ -81,22 +82,13 @@ fn types_of(schema: &Schema) -> Vec<DataType> {
     schema.fields().iter().map(|f| f.dtype).collect()
 }
 
-/// Deterministic discriminator for a hash-build artifact: two joins may
-/// share a build subplan but index it on different key expressions, so the
-/// keys are part of the artifact identity.
-fn state_variant(keys: &[Expr]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{keys:?}").hash(&mut h);
-    h.finish()
-}
-
-/// Construct the shared build side for a hash join, going through the
-/// recycler's operator-state cache when one is attached: a warm build is
-/// adopted as-is (the right subtree never executes) and a cold build is
-/// offered back to the cache once the first prober materializes it. Used
-/// by every probe stage, so the same artifact serves any source kind and
-/// any DOP.
+/// Construct the shared build side for a hash join from its build input
+/// as the recycler rewrote it: a `Cached` input leasing a build side is
+/// adopted as-is (nothing below it runs), a build target
+/// ([`StoreMode::Build`]) is built and offered back to the store under its
+/// tag once the first prober constructs it, and anything else is built
+/// with no store involved. Used by every probe stage, so the same artifact
+/// serves any source kind and any DOP.
 pub(crate) fn join_build(
     right: &Plan,
     right_keys: &[Expr],
@@ -104,52 +96,51 @@ pub(crate) fn join_build(
     m: &Arc<OpMetrics>,
     ctx: &ExecContext,
 ) -> Result<(Arc<SharedBuild>, MetricsNode), PlanError> {
-    let variant = state_variant(right_keys);
-    // Build recycling is on when a result store is attached *and* a
-    // snapshot is pinned.
-    let recycling = ctx
-        .store
-        .clone()
-        .and_then(|store| Some((store, ctx.state_epochs(right)?)));
-    if let Some((store, epochs)) = &recycling {
-        if let Some(b) = store.fetch_state(right, variant, epochs) {
-            // Warm build: the subtree's metrics placeholder stays
-            // zero-call, so the recycler's annotation pass leaves the
-            // cold-run cost statistics untouched.
-            return Ok((
-                SharedBuild::ready(b),
-                MetricsNode::leaf(OpMetrics::shared()),
-            ));
-        }
-    }
-    let (right_op, right_metrics) = build_node(right, ctx)?;
-    let publish = recycling.map(|(store, epochs)| {
-        let plan = right.clone();
-        let cancel = ctx.cancel.clone();
-        let fail = ctx.fail.clone();
-        let rm = right_metrics.clone();
-        Box::new(move |built: &Arc<BuildSide>, cost: StateCost| {
-            if cancel.as_ref().is_some_and(|c| c.load(Ordering::Acquire)) || fail.is_set() {
-                return; // cancelled or failed mid-build: the index may be truncated
+    let (input, target) = match right {
+        Plan::Cached { tag, .. } => {
+            if let Some(b) = ctx.store.as_ref().and_then(|s| s.fetch_build(*tag)) {
+                // The input's metrics placeholder stays zero-call.
+                let metrics = MetricsNode::leaf(OpMetrics::shared());
+                return Ok((SharedBuild::ready(b), metrics));
             }
-            // Reconstruction work = draining the build subtree plus
-            // indexing its rows (the deterministic analog of cost_ns).
-            let cost = StateCost {
-                cost_work: rm.inclusive_work() as f64 + cost.rows as f64,
-                ..cost
-            };
-            store.publish_state(&plan, variant, built.clone(), cost, &epochs);
-        }) as BuildPublish
-    });
+            (right, None)
+        }
+        Plan::Store {
+            child,
+            tag,
+            mode: StoreMode::Build,
+        } => (&**child, Some(*tag)),
+        _ => (right, None),
+    };
+    let (op, mut metrics) = build_node(input, ctx)?;
+    let publish = match target {
+        None => None,
+        Some(tag) => {
+            let store = ctx
+                .store
+                .clone()
+                .ok_or_else(|| PlanError::msg("build target without a result store"))?;
+            let (cancel, fail, input_metrics) = (ctx.cancel.clone(), ctx.fail.clone(), metrics);
+            // The target is a plan level with no work of its own.
+            metrics = MetricsNode::new(OpMetrics::shared(), vec![input_metrics.clone()]);
+            Some(Box::new(move |built: &Arc<BuildSide>, took: Duration| {
+                if cancel.as_ref().is_some_and(|c| c.load(Ordering::Acquire)) || fail.is_set() {
+                    return; // cancelled or failed mid-build: the index may be truncated
+                }
+                // Reconstruction work = draining the build input plus
+                // indexing its rows (the deterministic analog of cost_ns).
+                let cost = StateCost {
+                    cost_ns: took.as_nanos() as f64,
+                    cost_work: input_metrics.inclusive_work() as f64 + built.rows() as f64,
+                };
+                store.publish_build(tag, built.clone(), cost);
+            }) as BuildPublish)
+        }
+    };
+    let (keys, types) = (right_keys.to_vec(), right_types.to_vec());
     Ok((
-        SharedBuild::new(
-            right_op,
-            right_keys.to_vec(),
-            right_types.to_vec(),
-            m.clone(),
-            publish,
-        ),
-        right_metrics,
+        SharedBuild::new(op, keys, types, m.clone(), publish),
+        metrics,
     ))
 }
 
@@ -713,6 +704,41 @@ mod tests {
             }
             assert_eq!(run(4).0, serial, "{what}");
         }
+    }
+
+    #[test]
+    fn build_target_publishes_once_at_any_dop() {
+        let plan = filtered().inner_join(
+            scan("two", &["x"]).store(3, StoreMode::Build),
+            vec![Expr::name("k")],
+            vec![Expr::name("x")],
+        );
+        let run = |dop: usize| {
+            let store = Arc::new(MockStore::default());
+            let ctx = morsel_ctx(dop).with_store(store.clone());
+            let plan = plan.clone().bind(&ctx.catalog).unwrap();
+            let mut tree = build(&plan, &ctx).unwrap();
+            let rows = Batch::concat(&tree.drain().unwrap()).to_rows();
+            assert_eq!(store.builds.lock().as_slice(), &[3], "DOP {dop}");
+            assert!(store.publishes.lock().is_empty(), "DOP {dop}");
+            rows
+        };
+        let serial = run(1);
+        assert_eq!(serial.len(), 828, "k in {{1, 2}}: 414 rows each");
+        assert_eq!(run(4), serial);
+    }
+
+    #[test]
+    fn build_target_outside_a_build_input_rejected() {
+        let ctx = morsel_ctx(1);
+        let plan = filtered()
+            .store(3, StoreMode::Build)
+            .bind(&ctx.catalog)
+            .unwrap();
+        let Err(err) = build(&plan, &ctx) else {
+            panic!("a build target over a probe side must fail the build");
+        };
+        assert!(err.to_string().contains("build input"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,6 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use rdb_plan::Plan;
 use rdb_storage::{Catalog, CatalogSnapshot, Table};
 use rdb_vector::{Batch, Schema, Value};
 
@@ -156,24 +155,6 @@ impl ExecContext {
             Some(s) => s.get(name).cloned(),
             None => self.catalog.get(name),
         }
-    }
-
-    /// The `(table, epoch)` vector this execution's snapshot pins for the
-    /// base tables of `plan` — the validity key for operator-state
-    /// artifacts. `None` without a pinned snapshot: state recycling needs
-    /// a consistent epoch vector to key and gate artifacts by, so
-    /// snapshot-less executions (tests, ad-hoc builds) skip it entirely.
-    pub fn state_epochs(&self, plan: &Plan) -> Option<Vec<(String, u64)>> {
-        let snap = self.snapshot.as_ref()?;
-        Some(
-            plan.base_tables()
-                .into_iter()
-                .map(|t| {
-                    let e = snap.epoch_of(&t).unwrap_or(0);
-                    (t, e)
-                })
-                .collect(),
-        )
     }
 }
 

@@ -238,9 +238,9 @@ impl FusedChain {
         let end = Instant::now();
         // Every stage counts every pull, the exhausted one and those an
         // earlier stage emptied included, so a call count is zero only if
-        // the chain never ran — the recycler's marker for a subtree
-        // skipped by a warm operator-state hit. A stage below a tee is
-        // charged up to the tee's entry, a tee up to its exit.
+        // the chain never ran — the recycler's marker for a join build
+        // input never drained (its probe side was empty). A stage below a
+        // tee is charged up to the tee's entry, a tee up to its exit.
         let mut marks = self.scratch.tee_marks.iter().peekable();
         for (i, l) in self.locals.iter_mut().enumerate() {
             let until = match marks.peek() {
@@ -617,10 +617,11 @@ pub fn fused_span(plan: &Plan) -> Option<usize> {
 
 /// Build the chain for `stages` (top-down, as [`collect_chain`] returns
 /// them) over a source whose metrics subtree is `source_metrics`, and the
-/// metrics tree mirroring the span. Join build sides route through the
-/// operator-state cache ([`crate::build::join_build`]) — the same
-/// artifact whatever the source kind or DOP. Each store gets its one tee
-/// for this execution.
+/// metrics tree mirroring the span. Join build sides come from
+/// [`crate::build::join_build`], which follows the tags the recycler put
+/// on the build input — the same artifact whatever the source kind or
+/// DOP. Each store gets its one tee for this execution; a build target
+/// outside a join's build input is an error.
 pub(crate) fn build_stages(
     stages: &[&Plan],
     source_metrics: MetricsNode,
@@ -670,6 +671,14 @@ pub(crate) fn build_stages(
                     metrics: m,
                     built: None,
                 });
+            }
+            Plan::Store {
+                mode: StoreMode::Build,
+                ..
+            } => {
+                return Err(PlanError::msg(
+                    "a build target is only valid as a join's build input",
+                ));
             }
             Plan::Store { child, tag, mode } => {
                 let store = ctx

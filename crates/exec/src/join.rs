@@ -45,8 +45,9 @@ pub use rdb_plan::JoinKind;
 /// morsel-driven parallel execution one build side is shared by every
 /// probe worker of the query (see [`SharedBuild`]), which is also what
 /// keeps a `store` tee under the build subtree publishing exactly once. A
-/// build side is also a first-class recycler artifact: published keyed by
-/// its build subplan, a later query joining against the same subplan
+/// build side is also a first-class recycler artifact: built under a
+/// build target and published by its tag, it is leased by the recycler's
+/// rewriter to a later query joining against the same build input, which
 /// probes it without rebuilding.
 #[derive(Debug)]
 pub struct BuildSide {
@@ -221,9 +222,9 @@ pub struct SharedBuild {
 }
 
 /// Called once, right after a pending build side is first constructed,
-/// with the build and its measured construction cost — the recycler's
+/// with the build and the time constructing it took — the recycler's
 /// publish hook. Never called for warm ([`SharedBuild::ready`]) builds.
-pub type BuildPublish = Box<dyn FnOnce(&Arc<BuildSide>, crate::store::StateCost) + Send>;
+pub type BuildPublish = Box<dyn FnOnce(&Arc<BuildSide>, std::time::Duration) + Send>;
 
 enum SharedBuildState {
     Pending {
@@ -264,7 +265,7 @@ impl SharedBuild {
         })
     }
 
-    /// A build side already in hand (a recycler warm hit): every worker
+    /// A build side already in hand (leased from the recycler): every worker
     /// shares it immediately; the build operator is never constructed,
     /// never drained, and nothing is re-published.
     pub fn ready(built: Arc<BuildSide>) -> Arc<SharedBuild> {
@@ -300,15 +301,7 @@ impl SharedBuild {
                     .inspect_err(|e| *st = SharedBuildState::Failed(e.clone()))?;
                 let built = Arc::new(built);
                 if let Some(publish) = publish {
-                    let rows = built.rows() as u64;
-                    publish(
-                        &built,
-                        crate::store::StateCost {
-                            cost_ns: start.elapsed().as_nanos() as f64,
-                            cost_work: rows as f64,
-                            rows,
-                        },
-                    );
+                    publish(&built, start.elapsed());
                 }
                 *st = SharedBuildState::Ready(built.clone());
                 Ok(built)

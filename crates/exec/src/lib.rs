@@ -37,8 +37,14 @@
 //!   interrupting it, resolved once by the chain's consumer;
 //! * [`MorselDispenser`] — a chain source that also reads a previously
 //!   materialized result, like a table;
-//! * [`ResultStore`] — the trait through which tees and cached leaves talk
-//!   to the recycler cache (implemented by `rdb-recycler`);
+//! * [`SharedBuild`] — a join's build side, adopted from a leased cache
+//!   artifact when the build input is a `Cached` node holding a build,
+//!   and published back when the input is a build target
+//!   (`StoreMode::Build`);
+//! * [`ResultStore`] — the trait through which tees, cached leaves and
+//!   join builds talk to the recycler cache (implemented by
+//!   `rdb-recycler`), by tag only: every reuse decision was made by the
+//!   recycler's rewriter before the plan was built;
 //! * [`OpMetrics`] / [`MetricsNode`] — per-operator run-time measurements
 //!   (inclusive wall time, rows, abstract work units) used to annotate the
 //!   recycler graph after each query, and *progress meters* (§III-D) used

@@ -88,8 +88,9 @@ impl OpMetrics {
     }
 
     /// `next_batch` calls so far. Zero means the operator never ran —
-    /// e.g. its subtree was skipped by a warm operator-state hit — which
-    /// the recycler uses to keep zeroed metrics out of its cost stats.
+    /// e.g. it sits in a join build input that was never drained because
+    /// the probe side was empty — which the recycler uses to keep zeroed
+    /// metrics out of its cost stats.
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }

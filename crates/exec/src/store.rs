@@ -40,7 +40,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rdb_plan::Plan;
 use rdb_storage::{Chunk, ChunkList};
 use rdb_vector::{morsel_bounds, morsel_count, Batch, Column, Schema};
 
@@ -182,12 +181,12 @@ pub struct StateCost {
     pub cost_ns: f64,
     /// Deterministic work units (rows processed).
     pub cost_work: f64,
-    /// Rows held by the state.
-    pub rows: u64,
 }
 
 /// The executor-facing interface of the recycler cache. Implemented by
-/// `rdb-recycler`; a trivial implementation can be used for tests.
+/// `rdb-recycler`; a trivial implementation can be used for tests. Every
+/// call names a tag the recycler's rewriter put into the plan (a lease or
+/// a target); the executor makes no reuse decision of its own.
 pub trait ResultStore: Send + Sync {
     /// Fetch the result leased under `tag` (set up by the rewriter when it
     /// substituted a cached result into the plan).
@@ -203,33 +202,20 @@ pub trait ResultStore: Send + Sync {
     /// Speculation decision callback (paper §III-D).
     fn speculate(&self, tag: u64, est: &SpeculationEstimate) -> StoreVerdict;
 
-    /// Fetch the cached hash-join build side of `plan` (the build
-    /// subplan) indexed under `variant` (its join keys), if one exists
-    /// whose recorded epochs equal `epochs` (the querying snapshot's
-    /// versions of the subplan's base tables). Default: no operator-state
-    /// cache.
-    fn fetch_state(
-        &self,
-        plan: &Plan,
-        variant: u64,
-        epochs: &[(String, u64)],
-    ) -> Option<Arc<BuildSide>> {
-        let _ = (plan, variant, epochs);
+    /// Fetch the hash-join build side leased under `tag` (set up by the
+    /// rewriter when it substituted a cached build for a join's build
+    /// input). `None` when the tag leases a result instead, or for a store
+    /// without a build cache (the default).
+    fn fetch_build(&self, tag: u64) -> Option<Arc<BuildSide>> {
+        let _ = tag;
         None
     }
 
-    /// Offer a freshly built hash-join build side of `plan` to the cache.
-    /// `epochs` are the base-table versions it was built from;
-    /// admission/replacement is the implementation's call. Default: drop.
-    fn publish_state(
-        &self,
-        plan: &Plan,
-        variant: u64,
-        build: Arc<BuildSide>,
-        cost: StateCost,
-        epochs: &[(String, u64)],
-    ) {
-        let _ = (plan, variant, build, cost, epochs);
+    /// A join built its build input under the build target `tag`
+    /// ([`rdb_plan::StoreMode::Build`]); `cost` is what constructing it
+    /// took. Admission is the implementation's call. Default: drop.
+    fn publish_build(&self, tag: u64, build: Arc<BuildSide>, cost: StateCost) {
+        let _ = (tag, build, cost);
     }
 }
 
@@ -413,6 +399,8 @@ pub(crate) mod testing {
         /// Every `publish` call's tag, in order.
         pub(crate) publishes: Mutex<Vec<u64>>,
         pub(crate) abandoned: Mutex<Vec<u64>>,
+        /// Every `publish_build` call's tag, in order.
+        pub(crate) builds: Mutex<Vec<u64>>,
         pub(crate) verdict: Mutex<StoreVerdict>,
         /// `speculate` calls.
         pub(crate) calls: Mutex<u64>,
@@ -432,6 +420,9 @@ pub(crate) mod testing {
         fn speculate(&self, _tag: u64, _est: &SpeculationEstimate) -> StoreVerdict {
             *self.calls.lock() += 1;
             *self.verdict.lock()
+        }
+        fn publish_build(&self, tag: u64, _build: Arc<BuildSide>, _cost: StateCost) {
+            self.builds.lock().push(tag);
         }
     }
 
@@ -464,6 +455,7 @@ mod tests {
     use crate::context::ExecContext;
     use crate::fuse::testing::{over_morsels, over_operator};
     use crate::op::run_to_batch;
+    use rdb_plan::Plan;
     use rdb_storage::Catalog;
     use rdb_vector::{Column, DataType};
 

@@ -94,6 +94,10 @@ pub enum StoreMode {
     /// Speculative (paper §III-D): buffer copies of the flow while run-time
     /// estimates decide; cancel buffering if not deemed beneficial.
     Speculate,
+    /// A hash join's build input: the build side the join constructs from
+    /// it is offered to the cache under the tag. Only valid as a `Join`'s
+    /// right input.
+    Build,
 }
 
 /// What went wrong during schema derivation, binding, or execution

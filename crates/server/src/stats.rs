@@ -137,49 +137,10 @@ impl ServerShared {
         }
     }
 
-    /// Point-in-time snapshot of everything `rdb_stats()` reports.
+    /// Point-in-time snapshot of everything `rdb_stats()` reports. The
+    /// engine's counters read zero once the engine is gone.
     pub fn snapshot(&self) -> ServerStatsSnapshot {
-        #[derive(Default)]
-        struct EngineCounters {
-            in_flight: u64,
-            queued: u64,
-            hits: u64,
-            lookups: u64,
-            cache_entries: u64,
-            cache_bytes: u64,
-            invalidations: u64,
-            hash_build_hits: u64,
-            repaired_hits: u64,
-            repair_fallbacks: u64,
-            deltas_applied: u64,
-            subscriptions_active: u64,
-        }
         let engine = self.engine.get().and_then(Weak::upgrade);
-        let ec = match &engine {
-            Some(engine) => {
-                let adm = engine.admission();
-                let mut ec = EngineCounters {
-                    in_flight: adm.in_flight as u64,
-                    queued: adm.queued as u64,
-                    ..EngineCounters::default()
-                };
-                ec.subscriptions_active = engine.subscriptions_active() as u64;
-                if let Some(r) = engine.recycler() {
-                    ec.hits = r.stats.reuses.load(Ordering::Relaxed)
-                        + r.stats.subsumption_reuses.load(Ordering::Relaxed);
-                    ec.lookups = r.stats.queries.load(Ordering::Relaxed);
-                    ec.cache_entries = r.cache_len() as u64;
-                    ec.cache_bytes = r.cache_used();
-                    ec.invalidations = r.stats.invalidations.load(Ordering::Relaxed);
-                    ec.hash_build_hits = r.stats.hash_build_hits.load(Ordering::Relaxed);
-                    ec.repaired_hits = r.stats.repaired.load(Ordering::Relaxed);
-                    ec.repair_fallbacks = r.stats.repair_fallbacks.load(Ordering::Relaxed);
-                    ec.deltas_applied = r.stats.deltas_applied.load(Ordering::Relaxed);
-                }
-                ec
-            }
-            None => EngineCounters::default(),
-        };
         let durability = engine
             .as_ref()
             .map(|e| e.durability_stats())
@@ -188,7 +149,7 @@ impl ServerShared {
         // connection retires in between.
         let connections = self.connections.load(Ordering::Relaxed);
         let on_workers = self.connections_on_workers.load(Ordering::Relaxed);
-        ServerStatsSnapshot {
+        let mut s = ServerStatsSnapshot {
             connections,
             connections_total: self.connections_total.load(Ordering::Relaxed),
             connections_on_workers: on_workers,
@@ -199,30 +160,39 @@ impl ServerShared {
             statements_active: self.queries_active.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             cancels: self.cancels.load(Ordering::Relaxed),
-            queries_in_flight: ec.in_flight,
-            queue_depth: ec.queued,
-            recycler_hits: ec.hits,
-            recycler_lookups: ec.lookups,
-            cache_entries: ec.cache_entries,
-            cache_bytes: ec.cache_bytes,
-            invalidations: ec.invalidations,
-            hash_build_hits: ec.hash_build_hits,
-            repaired_hits: ec.repaired_hits,
-            repair_fallbacks: ec.repair_fallbacks,
-            deltas_applied: ec.deltas_applied,
-            subscriptions_active: ec.subscriptions_active,
             draining: self.draining(),
             wal_bytes: durability.wal_bytes,
             last_checkpoint_epoch: durability.last_checkpoint_epoch,
             recovery_warm_hits: durability.recovery_warm_hits,
             read_only: durability.read_only,
+            ..ServerStatsSnapshot::default()
+        };
+        let Some(engine) = engine else {
+            return s;
+        };
+        let adm = engine.admission();
+        s.queries_in_flight = adm.in_flight as u64;
+        s.queue_depth = adm.queued as u64;
+        s.subscriptions_active = engine.subscriptions_active() as u64;
+        if let Some(r) = engine.recycler() {
+            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            s.recycler_hits = load(&r.stats.reuses) + load(&r.stats.subsumption_reuses);
+            s.recycler_lookups = load(&r.stats.queries);
+            s.cache_entries = r.cache_len() as u64;
+            s.cache_bytes = r.cache_used();
+            s.invalidations = load(&r.stats.invalidations);
+            s.hash_build_hits = load(&r.stats.hash_build_hits);
+            s.repaired_hits = load(&r.stats.repaired);
+            s.repair_fallbacks = load(&r.stats.repair_fallbacks);
+            s.deltas_applied = load(&r.stats.deltas_applied);
         }
+        s
     }
 }
 
 /// Plain-value snapshot of server statistics (also the row set of
 /// `rdb_stats()`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
     /// Currently open connections.
     pub connections: u64,
