@@ -76,7 +76,7 @@ use crate::error::FailSlot;
 use crate::index::HashIndex;
 use crate::metrics::OpMetrics;
 use crate::op::BlockingExec;
-use crate::parallel::{fold_input, BreakerInput};
+use crate::parallel::{fold_input, Pipeline};
 
 /// What the kernels need of a fixed-width cell type: `Value` order, the
 /// payload a NULL slot holds (what `ColumnBuilder::push_null` writes), and
@@ -1228,7 +1228,7 @@ pub fn retract_count_groups(
 /// `input_types` are the input's column types; `output_types` the output
 /// schema types (groups then aggregates).
 pub fn aggregate(
-    input: BreakerInput,
+    input: Pipeline,
     group_by: Vec<Expr>,
     aggs: Vec<AggFunc>,
     input_types: Vec<DataType>,
@@ -1237,11 +1237,19 @@ pub fn aggregate(
     fail: Arc<FailSlot>,
 ) -> BlockingExec {
     assert_eq!(group_by.len() + aggs.len(), output_types.len());
-    let (work, slot) = (metrics.clone(), fail.clone());
+    // Partitioned only when every accumulator merges exactly
+    // (`AggFunc::is_exact`): per-worker partial tables merged (and
+    // key-sorted) here are then bit-identical to serial execution. Float
+    // sums keep the serial fold order over the index-ordered input (the
+    // scan/filter/probe work below still runs on workers): partitioned
+    // float addition would drift in the low-order bits and break
+    // byte-identical cache replay across DOPs.
+    let partition = aggs.iter().all(|a| a.is_exact(&input_types));
+    let work = metrics.clone();
     let build = move || {
         let table = fold_input(
             input,
-            &slot,
+            partition,
             work,
             || GroupTable::new(group_by.clone(), aggs.clone(), input_types.clone()),
             |table, _chunk, batch| table.fold(&batch),
@@ -1255,6 +1263,7 @@ pub fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuse::testing::over;
     use crate::index::testing::{domain, Rng, TYPES};
     use crate::op::testing::BatchSource;
     use crate::op::{run_to_batch, Operator};
@@ -1273,7 +1282,7 @@ mod tests {
         output_types: Vec<DataType>,
     ) -> BlockingExec {
         aggregate(
-            BreakerInput::Operator(child),
+            over(child, vec![]),
             group_by,
             aggs,
             input_types,

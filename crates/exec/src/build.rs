@@ -1,15 +1,16 @@
 //! Plan-to-executor builder.
 //!
-//! Every span of pipelining nodes (`Select`, `Project`, join probes,
-//! store tees) becomes one [`crate::fuse::FusedChain`] over its source — a
+//! One entry, `pipeline`, turns a plan into a [`Pipeline`]: every span
+//! of pipelining nodes (`Select`, `Project`, join probes, store tees,
+//! limits) becomes one [`crate::fuse::FusedChain`] over its source — a
 //! morsel dispenser when the span sits on a table scan or a cached result,
-//! the built child operator otherwise; a bare scan or cached leaf is a
-//! chain of no stages. With `ExecContext::parallelism > 1` the builder
-//! additionally splits dispenser-rooted chains across a worker pool at the
-//! natural consumer points — the plan root and the blocking breakers
-//! (aggregate, top-N, sort) — and drives the same chain serially
-//! everywhere else. Serial and parallel builds of the same plan produce
-//! byte-identical output streams (see [`crate::parallel`]).
+//! a union's arms, or a breaker's folded output, which is itself a fold
+//! sink over the pipeline below it. A bare leaf or breaker is a chain of
+//! no stages. With `ExecContext::parallelism > 1` a dispenser-rooted chain
+//! runs on workers where its consumer allows it — the stream edge and the
+//! fold sinks of aggregate, top-N and sort — and on the caller's thread
+//! under a union or a join's build. Serial and parallel builds of the same
+//! plan produce byte-identical output streams (see [`crate::parallel`]).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -23,13 +24,13 @@ use rdb_vector::{Batch, DataType, Schema};
 use crate::agg::aggregate;
 use crate::context::ExecContext;
 use crate::error::{ExecError, FailSlot};
-use crate::fuse::{build_stages, collect_chain, ChainSource, FusedPipelineExec};
+use crate::fuse::{build_stages, collect_chain, ChainSource, UnionArms};
 use crate::join::{BuildPublish, BuildSide, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::{collect_all, Operator};
-use crate::parallel::{build_source, BreakerInput, GatherExec, MorselDispenser};
+use crate::parallel::{MorselDispenser, Pipeline};
 use crate::scan::fn_scan;
-use crate::sort::{sort, top_n, LimitExec, UnionAllExec};
+use crate::sort::{sort, top_n};
 use crate::store::StateCost;
 
 /// A built executor: the root operator, the per-node metrics tree (parallel
@@ -68,10 +69,10 @@ pub fn build(plan: &Plan, ctx: &ExecContext) -> Result<ExecTree, PlanError> {
     }
     let schema = plan.schema(&ctx.catalog)?;
     // The stream edge is itself a pipeline consumer: a dispenser-rooted
-    // chain with no breaker above it parallelizes here.
-    let (root, metrics) = build_gathered(plan, ctx)?;
+    // chain with no breaker above it runs on workers here.
+    let (root, metrics) = pipeline(plan, ctx, ctx.parallelism)?;
     Ok(ExecTree {
-        root,
+        root: Box::new(root),
         metrics,
         schema,
         fail: ctx.fail.clone(),
@@ -112,7 +113,8 @@ pub(crate) fn join_build(
         } => (&**child, Some(*tag)),
         _ => (right, None),
     };
-    let (op, mut metrics) = build_node(input, ctx)?;
+    // The build collect drains its input serially, under the build's lock.
+    let (input, mut metrics) = pipeline(input, ctx, 1)?;
     let publish = match target {
         None => None,
         Some(tag) => {
@@ -139,22 +141,43 @@ pub(crate) fn join_build(
     };
     let (keys, types) = (right_keys.to_vec(), right_types.to_vec());
     Ok((
-        SharedBuild::new(op, keys, types, m.clone(), publish),
+        SharedBuild::new(input, keys, types, m.clone(), publish),
         metrics,
     ))
 }
 
-/// The morsel source of a chain rooted at `leaf`, with the leaf's metrics
-/// node, when `leaf` is a table scan (the pinned snapshot's version, under
-/// the scan's projection) or a cached result (its lease, fetched now), and
-/// `None` for any other node. Dispenser metrics read time 0: no decision
-/// reads a leaf's cost.
-pub(crate) fn leaf_dispenser(
-    leaf: &Plan,
+/// Build `plan` as a pipeline, to run on up to `workers` workers: its
+/// pipelining span ([`collect_chain`]: selections, projections, join
+/// probes, store tees and limits) becomes the chain, over the source
+/// below it, and the metrics tree mirrors the plan. A bare leaf or
+/// breaker is a chain of no stages.
+pub(crate) fn pipeline(
+    plan: &Plan,
     ctx: &ExecContext,
-) -> Result<Option<(Arc<MorselDispenser>, MetricsNode)>, PlanError> {
+    workers: usize,
+) -> Result<(Pipeline, MetricsNode), PlanError> {
+    let (stages, source) = collect_chain(plan);
+    let (source, source_metrics) = chain_source(source, ctx)?;
+    let (chain, metrics) = build_stages(&stages, source_metrics, ctx)?;
+    let pipeline = Pipeline::new(source, chain).with_workers(workers, ctx.pool.clone());
+    Ok((pipeline, metrics))
+}
+
+/// The source of a chain, with its metrics node:
+///
+/// * a table scan (the pinned snapshot's version, under the scan's
+///   projection) or a cached result (its lease, fetched now) is a morsel
+///   dispenser, whose metrics read time 0: no decision reads a leaf's
+///   cost;
+/// * a `UnionAll` drains its arms' pipelines in order, each serial;
+/// * a breaker's folded output is the source of the chain above it.
+fn chain_source(plan: &Plan, ctx: &ExecContext) -> Result<(ChainSource, MetricsNode), PlanError> {
     let m = OpMetrics::shared();
-    let dispenser = match leaf {
+    let dispenser = |table: Arc<Table>, projection: Vec<usize>, m: Arc<OpMetrics>| {
+        let d = MorselDispenser::new(table, projection, m.clone()).with_cancel(ctx.cancel.clone());
+        Ok((ChainSource::Morsels(Arc::new(d)), MetricsNode::leaf(m)))
+    };
+    let (breaker, input): (Box<dyn Operator>, Vec<MetricsNode>) = match plan {
         Plan::Scan { table, cols } => {
             let t = ctx
                 .table(table)
@@ -167,7 +190,7 @@ pub(crate) fn leaf_dispenser(
                         .ok_or_else(|| PlanError::unknown_column(c, format!("table '{table}'")))
                 })
                 .collect::<Result<_, _>>()?;
-            MorselDispenser::new(t, projection, m.clone())
+            return dispenser(t, projection, m);
         }
         Plan::Cached { tag, .. } => {
             let store = ctx
@@ -181,62 +204,18 @@ pub(crate) fn leaf_dispenser(
             // the grid `MaterializedResult::batches` cuts.
             let chunks = result.chunks().chunks().to_vec();
             let table = Table::from_chunks("cached", result.schema.clone(), chunks, 0);
-            let all = (0..result.schema.len()).collect();
-            MorselDispenser::new(Arc::new(table), all, m.clone())
+            return dispenser(Arc::new(table), (0..result.schema.len()).collect(), m);
         }
-        _ => return Ok(None),
-    };
-    let dispenser = dispenser.with_cancel(ctx.cancel.clone());
-    Ok(Some((Arc::new(dispenser), MetricsNode::leaf(m))))
-}
-
-/// Build `plan` as an order-preserving parallel pipeline if it is a
-/// suitable dispenser-rooted chain, else serially. Used at every point
-/// where a consumer accepts the canonical batch sequence: the plan root
-/// and sort inputs.
-fn build_gathered(
-    plan: &Plan,
-    ctx: &ExecContext,
-) -> Result<(Box<dyn Operator>, MetricsNode), PlanError> {
-    if let Some(source) = build_source(plan, ctx)? {
-        let metrics = source.metrics.clone();
-        return Ok((Box::new(GatherExec::new(source)), metrics));
-    }
-    build_node(plan, ctx)
-}
-
-/// The input of a folding breaker. A suitable dispenser-rooted chain is split
-/// across workers when `partition` allows the breaker to fold per-worker
-/// partials, and gathered into the canonical batch sequence otherwise;
-/// anything else is built serially.
-fn breaker_input(
-    child: &Plan,
-    partition: bool,
-    ctx: &ExecContext,
-) -> Result<(BreakerInput, MetricsNode), PlanError> {
-    Ok(match build_source(child, ctx)? {
-        Some(source) => {
-            let metrics = source.metrics.clone();
-            let input = if partition {
-                BreakerInput::Partitioned(Box::new(source))
-            } else {
-                BreakerInput::Operator(Box::new(GatherExec::new(source)))
-            };
-            (input, metrics)
+        Plan::UnionAll { children } => {
+            let (arms, ms) = children
+                .iter()
+                .map(|c| pipeline(c, ctx, 1))
+                .collect::<Result<Vec<_>, _>>()?
+                .into_iter()
+                .unzip();
+            let union = ChainSource::Union(UnionArms::new(arms, m.clone()));
+            return Ok((union, MetricsNode::new(m, ms)));
         }
-        None => {
-            let (op, metrics) = build_node(child, ctx)?;
-            (BreakerInput::Operator(op), metrics)
-        }
-    })
-}
-
-fn build_node(
-    plan: &Plan,
-    ctx: &ExecContext,
-) -> Result<(Box<dyn Operator>, MetricsNode), PlanError> {
-    let m = OpMetrics::shared();
-    Ok(match plan {
         Plan::FnScan { name, args, .. } => {
             let f = ctx
                 .functions
@@ -255,30 +234,8 @@ fn build_node(
                     ))),
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            (
-                Box::new(fn_scan(f, values, m.clone(), ctx.fail.clone())),
-                MetricsNode::leaf(m),
-            )
-        }
-        Plan::Scan { .. }
-        | Plan::Cached { .. }
-        | Plan::Select { .. }
-        | Plan::Project { .. }
-        | Plan::Join { .. }
-        | Plan::Store { .. } => {
-            // One chain for the whole pipelining span, over whatever sits
-            // below it (see `crate::fuse`); a bare leaf is a chain of no
-            // stages.
-            let (stages, source) = collect_chain(plan);
-            let (source, source_metrics) = match leaf_dispenser(source, ctx)? {
-                Some((dispenser, sm)) => (ChainSource::Morsels(dispenser), sm),
-                None => {
-                    let (op, sm) = build_node(source, ctx)?;
-                    (ChainSource::Operator(op, 0), sm)
-                }
-            };
-            let (chain, metrics) = build_stages(&stages, source_metrics, ctx)?;
-            (Box::new(FusedPipelineExec::new(source, chain)), metrics)
+            let op = fn_scan(f, values, m.clone(), ctx.fail.clone());
+            (Box::new(op), vec![])
         }
         Plan::Aggregate {
             child,
@@ -295,79 +252,46 @@ fn build_node(
             }
             let input_types = types_of(&child.schema(&ctx.catalog)?);
             let output_types = types_of(&plan.schema(&ctx.catalog)?);
-            // Partitioned parallel aggregation — but only when every
-            // accumulator merges exactly (`AggFunc::is_exact`): per-worker
-            // partial tables merged (and key-sorted) at this breaker are
-            // then bit-identical to serial execution. Float sums instead
-            // keep the serial fold order over a parallel-gathered input
-            // (the scan/filter/probe work below still parallelizes),
-            // because partitioned float addition would drift in the
-            // low-order bits and break byte-identical cache replay across
-            // DOPs.
-            let exact = aggs.iter().all(|a| a.is_exact(&input_types));
-            let (input, cm) = breaker_input(child, exact, ctx)?;
-            (
-                Box::new(aggregate(
-                    input,
-                    group_by.clone(),
-                    aggs.clone(),
-                    input_types,
-                    output_types,
-                    m.clone(),
-                    ctx.fail.clone(),
-                )),
-                MetricsNode::new(m, vec![cm]),
-            )
+            let (input, cm) = pipeline(child, ctx, ctx.parallelism)?;
+            let op = aggregate(
+                input,
+                group_by.clone(),
+                aggs.clone(),
+                input_types,
+                output_types,
+                m.clone(),
+                ctx.fail.clone(),
+            );
+            (Box::new(op), vec![cm])
         }
         Plan::TopN { child, keys, n } => {
             let output_types = types_of(&child.schema(&ctx.catalog)?);
-            // Partitioned parallel top-N: per-worker heap runs merged at
-            // this breaker (position tie-breaks keep it deterministic).
-            let (input, cm) = breaker_input(child, true, ctx)?;
-            (
-                Box::new(top_n(
-                    input,
-                    keys.clone(),
-                    *n,
-                    output_types,
-                    m.clone(),
-                    ctx.fail.clone(),
-                )),
-                MetricsNode::new(m, vec![cm]),
-            )
+            let (input, cm) = pipeline(child, ctx, ctx.parallelism)?;
+            let op = top_n(
+                input,
+                keys.clone(),
+                *n,
+                output_types,
+                m.clone(),
+                ctx.fail.clone(),
+            );
+            (Box::new(op), vec![cm])
         }
         Plan::Sort { child, keys } => {
-            // Sort is order-insensitive to its input, but the serial sort
-            // is stable — feeding it the canonical (gathered) sequence
-            // keeps ties byte-identical to serial execution while the
-            // scan/filter/probe work below still parallelizes.
-            let (c, cm) = build_gathered(child, ctx)?;
-            (
-                Box::new(sort(c, keys.clone(), m.clone(), ctx.fail.clone())),
-                MetricsNode::new(m, vec![cm]),
-            )
+            let (input, cm) = pipeline(child, ctx, ctx.parallelism)?;
+            let op = sort(input, keys.clone(), m.clone(), ctx.fail.clone());
+            (Box::new(op), vec![cm])
         }
-        Plan::Limit { child, n } => {
-            let (c, cm) = build_node(child, ctx)?;
-            (
-                Box::new(LimitExec::new(c, *n, m.clone())),
-                MetricsNode::new(m, vec![cm]),
-            )
-        }
-        Plan::UnionAll { children } => {
-            let mut ops = Vec::with_capacity(children.len());
-            let mut ms = Vec::with_capacity(children.len());
-            for c in children {
-                let (op, cm) = build_node(c, ctx)?;
-                ops.push(op);
-                ms.push(cm);
-            }
-            (
-                Box::new(UnionAllExec::new(ops, m.clone())),
-                MetricsNode::new(m, ms),
-            )
-        }
-    })
+        Plan::Select { .. }
+        | Plan::Project { .. }
+        | Plan::Join { .. }
+        | Plan::Store { .. }
+        | Plan::Limit { .. } => unreachable!("collect_chain takes every pipelining node"),
+    };
+    Ok((
+        ChainSource::Operator(breaker, 0),
+        MetricsNode::new(m, input),
+    ))
 }
 
 #[cfg(test)]
@@ -502,7 +426,7 @@ mod tests {
             let Plan::Aggregate { child, .. } = &plan else {
                 unreachable!()
             };
-            let partitioned = build_source(child, &ctx).unwrap().is_some();
+            let partitioned = pipeline(child, &ctx, dop).unwrap().0.workers() > 1;
             assert_eq!(partitioned, dop > 1, "DOP {dop}");
             let mut tree = build(&plan, &ctx).unwrap();
             while tree.root.next_batch().is_some() {}
@@ -588,7 +512,7 @@ mod tests {
             let big = ctx.table("big").unwrap().batches(&[0, 1]);
             store.publish(4, MaterializedResult::from_batches(schema.clone(), &big));
             let input = cached.clone().bind(&ctx.catalog).unwrap();
-            let partitioned = build_source(&input, &ctx).unwrap().is_some();
+            let partitioned = pipeline(&input, &ctx, dop).unwrap().0.workers() > 1;
             assert_eq!(partitioned, dop > 1, "DOP {dop}");
             let plan = plan.clone().bind(&ctx.catalog).unwrap();
             let mut tree = build(&plan, &ctx).unwrap();
@@ -726,6 +650,113 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial.len(), 828, "k in {{1, 2}}: 414 rows each");
         assert_eq!(run(4), serial);
+    }
+
+    #[test]
+    fn limit_claims_one_morsel() {
+        for dop in [1, 4] {
+            let ctx = morsel_ctx(dop);
+            let plan = filtered().limit(5).bind(&ctx.catalog).unwrap();
+            let mut tree = build(&plan, &ctx).unwrap();
+            assert_eq!(
+                tree.drain().unwrap().iter().map(Batch::rows).sum::<usize>(),
+                5
+            );
+            let limit = &tree.metrics.metrics;
+            let leaf = &tree.metrics.children[0].children[0].metrics;
+            assert_eq!((leaf.calls(), leaf.rows_out()), (1, 1024), "DOP {dop}");
+            assert_eq!(limit.rows_out(), 5, "DOP {dop}");
+            assert_eq!(tree.root.progress(), 1.0, "DOP {dop}");
+        }
+    }
+
+    #[test]
+    fn tee_under_a_limit_publishes_only_a_whole_input() {
+        // (plan, what the store holds under tag 9 afterwards)
+        let cases = [
+            (filtered().store(9, StoreMode::Materialize).limit(5), None),
+            (
+                filtered().limit(5).store(9, StoreMode::Materialize),
+                Some(5),
+            ),
+            (
+                filtered().store(9, StoreMode::Materialize).limit(5000),
+                Some(2899),
+            ),
+        ];
+        for (plan, published) in cases {
+            for dop in [1, 4] {
+                let store = Arc::new(MockStore::default());
+                let ctx = morsel_ctx(dop).with_store(store.clone());
+                let plan = plan.clone().bind(&ctx.catalog).unwrap();
+                let mut tree = build(&plan, &ctx).unwrap();
+                tree.drain().unwrap();
+                let expected: &[u64] = if published.is_some() { &[9] } else { &[] };
+                assert_eq!(store.publishes.lock().as_slice(), expected, "DOP {dop}");
+                assert_eq!(store.fetch(9).map(|r| r.rows()), published, "DOP {dop}");
+            }
+        }
+    }
+
+    #[test]
+    fn union_arm_tee_publishes_once() {
+        let arm = scan("big", &["k", "v"])
+            .select(Expr::name("v").lt(Expr::lit(50)))
+            .store(9, StoreMode::Materialize);
+        let plan = rdb_plan::union_all(vec![filtered(), arm]);
+        for dop in [1, 4] {
+            let store = Arc::new(MockStore::default());
+            let ctx = morsel_ctx(dop).with_store(store.clone());
+            let plan = plan.clone().bind(&ctx.catalog).unwrap();
+            let mut tree = build(&plan, &ctx).unwrap();
+            let rows: usize = tree.drain().unwrap().iter().map(Batch::rows).sum();
+            assert_eq!(rows, 2899 + 50, "DOP {dop}");
+            assert_eq!(store.publishes.lock().as_slice(), &[9], "DOP {dop}");
+            assert_eq!(store.fetch(9).unwrap().rows(), 50, "DOP {dop}");
+            let union = &tree.metrics;
+            let arms = &union.children;
+            let arm_rows: u64 = arms.iter().map(|a| a.metrics.rows_out()).sum();
+            assert_eq!(union.metrics.rows_out(), arm_rows, "DOP {dop}");
+            for a in arms {
+                assert!(
+                    union.inclusive_time_ns() >= a.inclusive_time_ns(),
+                    "DOP {dop}: union {} ns, arm {} ns",
+                    union.inclusive_time_ns(),
+                    a.inclusive_time_ns()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn join_never_probes_a_build_side_whose_input_failed() {
+        // The build input's second union arm fails (a single join over a
+        // two-row build side) after the first arm's rows went in.
+        let failing_arm = scan("big", &["k", "v"])
+            .single_join(scan("two", &["x"]))
+            .project(vec![(Expr::name("k"), "k"), (Expr::name("v"), "v")]);
+        let build_input = rdb_plan::union_all(vec![
+            scan("big", &["k", "v"]).select(Expr::name("v").lt(Expr::lit(10))),
+            failing_arm,
+        ])
+        .project(vec![(Expr::name("k"), "bk")]);
+        let plan =
+            filtered().inner_join(build_input, vec![Expr::name("k")], vec![Expr::name("bk")]);
+        for dop in [1, 4] {
+            let ctx = morsel_ctx(dop);
+            let plan = plan.clone().bind(&ctx.catalog).unwrap();
+            let mut tree = build(&plan, &ctx).unwrap();
+            let rows: usize = collect_all(tree.root.as_mut())
+                .iter()
+                .map(|b| b.rows())
+                .sum();
+            assert_eq!(rows, 0, "DOP {dop} emitted rows");
+            let err = tree.fail.get().expect("the failure is recorded");
+            assert!(
+                err.message().contains("exactly one row, got 2"),
+                "DOP {dop}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! The pipeline executor: filter → project → join-probe chains run as one
-//! push-style loop per input batch.
+//! The pipeline executor: filter → project → join-probe → tee → limit
+//! chains run as one push-style loop per input batch.
 //!
 //! A [`FusedChain`] is the only implementation of selection, projection,
-//! join-probe and store-tee semantics in this crate. Every maximal span of
-//! pipelining plan nodes (`Select`, `Project`, the probe side of `Join`,
-//! and `Store`) becomes one chain over one source, and the chain pushes
-//! each input batch through all of its stages before the next is pulled:
+//! join-probe, store-tee and limit semantics in this crate. Every maximal
+//! span of pipelining plan nodes (`Select`, `Project`, the probe side of
+//! `Join`, `Store` and `Limit`) becomes one chain over one source, and the
+//! chain pushes each input batch through all of its stages before the
+//! next is pulled:
 //!
 //! * selections are **chain state** — a reusable `Vec<u32>` of surviving
 //!   physical row indices, seeded from the input's selection vector (if it
@@ -18,31 +19,39 @@
 //!   reusable buffers too;
 //! * batches are only re-wrapped at the chain edge, not between stages.
 //!
-//! # Two source kinds
+//! # Three source kinds
 //!
-//! A chain's source ([`ChainSource`]) is either a [`MorselDispenser`] —
-//! over a table snapshot or a cached result, on the morsel grid of its
-//! row count — or an operator (aggregate, top-N, sort, limit, table
-//! function, union). A bare scan or cached leaf is a chain of no stages.
-//! A dispenser can be shared, so a dispenser-rooted chain runs serially or
-//! cloned once per worker ([`crate::parallel`]) — the same code either
-//! way. An operator-sourced chain is driven serially and reports its
-//! source's progress. Each input carries its index in canonical order:
-//! the morsel index, or the operator's batch ordinal.
+//! A chain's source ([`ChainSource`]) is a [`MorselDispenser`] — over a
+//! table snapshot or a cached result, on the morsel grid of its row count
+//! —, a breaker's folded output (aggregate, top-N, sort, table function),
+//! or a `UnionAll`'s arms, each a serial [`Pipeline`] drained in order. A
+//! bare scan, cached leaf or breaker is a chain of no stages. A dispenser
+//! can be shared, so a dispenser-rooted chain runs serially or cloned once
+//! per worker ([`crate::parallel`]) — the same code either way. Any other
+//! chain runs serially. Each input carries its index in canonical order:
+//! the morsel index, or the running batch ordinal of a breaker or a union
+//! (across its arms).
 //!
 //! # Boundary rule
 //!
 //! A chain changes the *iteration shape* of a pipeline, never its
 //! observable batch sequence. It spans pipelining stages only and always
-//! stops at pipeline breakers (aggregate, sort, top-N, the build side of
-//! a join), at `Limit` and `UnionAll`, and at gather points. Per input it
+//! stops at breakers (aggregate, sort, top-N, the build side of a join)
+//! and at `UnionAll`, whose arms are pipelines of their own. Per input it
 //! emits the same logical rows in the same order whoever drives it, with
 //! the sparse-compaction heuristic ([`crate::filter::COMPACT_FRACTION`]),
 //! NULL-key and candidate-verification join behavior, and the per-node
 //! rows / bytes / work / calls metrics the recycler's cost model consumes.
 //! A store tee records each input's live rows under its index and
 //! publishes them in index order — byte-identical at any DOP — when the
-//! chain's consumer resolves it, once, before reporting end of stream.
+//! pipeline's driver resolves it, once, before the consumer sees the end.
+//!
+//! A `Limit` stage passes the first `n` live rows and then stops its
+//! source: the next step ends the stream without another pull, and the
+//! chain's progress meter reads 1. Stages below it count no more calls
+//! and their tees never resolve (the recycler abandons those targets);
+//! stages above it see the end like any other. A chain with a limit runs
+//! serially.
 //!
 //! # Timing rule
 //!
@@ -79,8 +88,8 @@ use crate::error::{panic_message, ExecError, FailSlot};
 use crate::filter::COMPACT_FRACTION;
 use crate::join::{BuildSide, ProbePairs, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
-use crate::op::Operator;
-use crate::parallel::MorselDispenser;
+use crate::op::{timed_next, Operator};
+use crate::parallel::{MorselDispenser, Pipeline};
 use crate::store::StoreTee;
 
 /// One pipeline stage, with the metrics of the plan node it executes.
@@ -113,6 +122,11 @@ pub enum FusedStage {
         tee: Arc<StoreTee>,
         metrics: Arc<OpMetrics>,
     },
+    /// `Limit`: pass on the first `remaining` rows, then stop the source.
+    Limit {
+        remaining: usize,
+        metrics: Arc<OpMetrics>,
+    },
 }
 
 impl FusedStage {
@@ -121,7 +135,8 @@ impl FusedStage {
             FusedStage::Filter { metrics, .. }
             | FusedStage::Project { metrics, .. }
             | FusedStage::Probe { metrics, .. }
-            | FusedStage::Tee { metrics, .. } => metrics,
+            | FusedStage::Tee { metrics, .. }
+            | FusedStage::Limit { metrics, .. } => metrics,
         }
     }
 }
@@ -178,6 +193,10 @@ pub struct FusedChain {
     fail: Arc<FailSlot>,
     /// Set once a step failed: the chain's stream has ended.
     failed: bool,
+    /// The topmost satisfied `Limit` stage, once one is: the chain's
+    /// stream ends without another pull, and nothing below that stage
+    /// runs again.
+    stop: Option<usize>,
 }
 
 impl FusedChain {
@@ -185,6 +204,9 @@ impl FusedChain {
     /// stage failures into `fail`.
     pub fn new(stages: Vec<FusedStage>, fail: Arc<FailSlot>) -> FusedChain {
         let locals = vec![StageLocal::default(); stages.len()];
+        let stop = stages
+            .iter()
+            .rposition(|s| matches!(s, FusedStage::Limit { remaining: 0, .. }));
         FusedChain {
             stages,
             locals,
@@ -193,7 +215,29 @@ impl FusedChain {
             scratch: Scratch::default(),
             fail,
             failed: false,
+            stop,
         }
+    }
+
+    /// Whether clones of the chain may run on workers: it has a stage to
+    /// run per morsel, and no `Limit` (a limit counts rows in source
+    /// order).
+    pub(crate) fn runs_on_workers(&self) -> bool {
+        !self.stages.is_empty()
+            && !self
+                .stages
+                .iter()
+                .any(|s| matches!(s, FusedStage::Limit { .. }))
+    }
+
+    /// The execution's failure slot.
+    pub(crate) fn fail_slot(&self) -> &Arc<FailSlot> {
+        &self.fail
+    }
+
+    /// Whether a `Limit` stage has stopped the chain.
+    pub(crate) fn limited(&self) -> bool {
+        self.stop.is_some()
     }
 
     fn tees(&self) -> impl Iterator<Item = &StoreTee> {
@@ -203,14 +247,16 @@ impl FusedChain {
         })
     }
 
-    /// One driver step, shared by the serial operator and the parallel
+    /// One driver step, shared by the serial driver and the parallel
     /// workers: pull the next `(index, input)` from `source` and push it
     /// through every stage. The pull happens inside the measured span (see
     /// the module's timing rule).
     ///
-    /// `None` ends the chain's stream: the source is exhausted, or a stage
-    /// failed and the error is in the failure slot. `Some((idx, None))`
-    /// means this input's rows were all filtered out or unmatched.
+    /// `None` ends the chain's stream: the source is exhausted, a `Limit`
+    /// stage is satisfied (then the source is not pulled again), or a
+    /// stage failed and the error is in the failure slot.
+    /// `Some((idx, None))` means this input's rows were all filtered out
+    /// or unmatched.
     pub fn step(&mut self, source: &mut ChainSource) -> Option<(u64, Option<Batch>)> {
         if self.failed {
             return None;
@@ -221,7 +267,12 @@ impl FusedChain {
             self.tees().for_each(|t| t.begin(start));
         }
         self.scratch.tee_marks.clear();
+        // The stages a satisfied limit cut off are not pulled again.
+        let from = self.stop.unwrap_or(0);
         let stepped = catch_unwind(AssertUnwindSafe(|| {
+            if self.stop.is_some() {
+                return Ok(None);
+            }
             let Some((idx, input)) = source.pull() else {
                 return Ok(None);
             };
@@ -229,6 +280,7 @@ impl FusedChain {
                 &mut self.stages,
                 &mut self.locals,
                 &mut self.scratch,
+                &mut self.stop,
                 idx,
                 input,
                 source,
@@ -242,7 +294,7 @@ impl FusedChain {
         // input never drained (its probe side was empty). A stage below a
         // tee is charged up to the tee's entry, a tee up to its exit.
         let mut marks = self.scratch.tee_marks.iter().peekable();
-        for (i, l) in self.locals.iter_mut().enumerate() {
+        for (i, l) in self.locals.iter_mut().enumerate().skip(from) {
             let until = match marks.peek() {
                 Some(&&(tee, entry, _)) if i < tee => entry,
                 Some(&&(_, _, exit)) => {
@@ -277,12 +329,18 @@ impl FusedChain {
         None
     }
 
-    /// Resolve every store tee of the chain (`StoreTee::resolve`). Only
-    /// the chain's consumer calls this, once its whole input is in: the
-    /// serial operator at end of input, a gather or a partitioned breaker
-    /// once every worker is done — never a worker.
+    /// Resolve the store tees of the chain (`StoreTee::resolve`) that saw
+    /// their whole input: all of them, or only those above the satisfied
+    /// `Limit` that stopped the chain — a tee below it never resolves, and
+    /// the recycler abandons its target. Only the pipeline driver calls
+    /// this, once every worker is done — never a worker.
     pub(crate) fn resolve_tees(&self) {
-        self.tees().for_each(StoreTee::resolve);
+        let from = self.stop.unwrap_or(0);
+        for stage in &self.stages[from..] {
+            if let FusedStage::Tee { tee, .. } = stage {
+                tee.resolve();
+            }
+        }
     }
 
     /// Publish the locally accumulated counters into the shared metrics.
@@ -319,11 +377,13 @@ fn out_bytes(cur: &Batch, rows: usize, span: &mut Option<usize>) -> u64 {
 }
 
 /// Push input `idx` through every stage. `source` is the chain's source,
-/// whose progress a speculating tee reads.
+/// whose progress a speculating tee reads; a `Limit` stage that is
+/// satisfied records its position in `stop`.
 fn run_chain(
     stages: &mut [FusedStage],
     locals: &mut [StageLocal],
     scratch: &mut Scratch,
+    stop: &mut Option<usize>,
     idx: u64,
     input: Batch,
     source: &ChainSource,
@@ -488,8 +548,31 @@ fn run_chain(
                         cur.clone().with_selection(Arc::new(sel_buf.clone()))
                     }
                 };
-                tee.record(idx, live, || source.progress());
+                // Above a satisfied limit the input is complete.
+                let progress = || {
+                    if stop.is_some() {
+                        1.0
+                    } else {
+                        source.progress()
+                    }
+                };
+                tee.record(idx, live, progress);
                 tee_marks.push((i, entry, Instant::now()));
+            }
+            FusedStage::Limit { remaining, .. } => {
+                let rows = live_len(&cur, dense, sel_buf).min(*remaining);
+                if dense && rows < cur.physical_rows() {
+                    cur = cur.slice(0, rows);
+                    span = None;
+                } else if !dense {
+                    sel_buf.truncate(rows);
+                }
+                *remaining -= rows;
+                if *remaining == 0 {
+                    *stop = Some(i);
+                }
+                local.rows += rows as u64;
+                local.bytes += out_bytes(&cur, rows, &mut span);
             }
         }
     }
@@ -521,68 +604,73 @@ fn live_rows<'a>(cur: &Batch, dense: bool, sel: &'a [u32]) -> impl Iterator<Item
 
 /// Where a chain's input batches come from (see the module docs). Each
 /// input carries an index, its place in canonical order: the morsel index,
-/// or the batch ordinal of an operator.
+/// or the running batch ordinal of an operator or a union.
 pub enum ChainSource {
     /// Morsels of a table snapshot or a cached result.
     Morsels(Arc<MorselDispenser>),
-    /// Any other child operator, pulled one batch at a time, with the
-    /// number of batches pulled so far.
+    /// A breaker's folded output (or any other operator), pulled one batch
+    /// at a time, with the number of batches pulled so far.
     Operator(Box<dyn Operator>, u64),
+    /// `UnionAll`: its arms' pipelines, drained in order.
+    Union(UnionArms),
+}
+
+/// The arms of a `UnionAll` source, each a serial [`Pipeline`], and the
+/// union node's metrics: every pull is measured inclusively, as an
+/// operator's would be.
+pub struct UnionArms {
+    arms: Vec<Pipeline>,
+    current: usize,
+    pulled: u64,
+    metrics: Arc<OpMetrics>,
+}
+
+impl UnionArms {
+    /// Drain `arms` in order, measuring into `metrics`.
+    pub(crate) fn new(arms: Vec<Pipeline>, metrics: Arc<OpMetrics>) -> UnionArms {
+        UnionArms {
+            arms,
+            current: 0,
+            pulled: 0,
+            metrics,
+        }
+    }
 }
 
 impl ChainSource {
     fn pull(&mut self) -> Option<(u64, Batch)> {
-        match self {
-            ChainSource::Morsels(d) => d.next_morsel(),
-            ChainSource::Operator(op, pulled) => {
-                let batch = op.next_batch()?;
-                *pulled += 1;
-                Some((*pulled - 1, batch))
+        let (batch, pulled) = match self {
+            ChainSource::Morsels(d) => return d.next_morsel(),
+            ChainSource::Operator(op, pulled) => (op.next_batch()?, pulled),
+            ChainSource::Union(u) => {
+                let batch = timed_next(&u.metrics, || {
+                    while let Some(arm) = u.arms.get_mut(u.current) {
+                        if let Some(b) = arm.next_batch() {
+                            return Some(b);
+                        }
+                        u.current += 1;
+                    }
+                    None
+                })?;
+                (batch, &mut u.pulled)
             }
-        }
+        };
+        *pulled += 1;
+        Some((*pulled - 1, batch))
     }
 
-    fn progress(&self) -> f64 {
+    pub(crate) fn progress(&self) -> f64 {
         match self {
             ChainSource::Morsels(d) => d.progress(),
             ChainSource::Operator(op, _) => op.progress(),
-        }
-    }
-}
-
-/// The serial pipeline operator: drives one [`FusedChain`] over its source
-/// on the caller's thread, and resolves the chain's store tees at end of
-/// input, before it reports end of stream. Under parallel execution clones
-/// of the same chain run on workers instead (see
-/// [`crate::parallel::ParallelSource`]).
-pub struct FusedPipelineExec {
-    source: ChainSource,
-    chain: FusedChain,
-}
-
-impl FusedPipelineExec {
-    /// Wrap a built pipeline.
-    pub fn new(source: ChainSource, chain: FusedChain) -> FusedPipelineExec {
-        FusedPipelineExec { source, chain }
-    }
-}
-
-impl Operator for FusedPipelineExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        loop {
-            match self.chain.step(&mut self.source) {
-                Some((_, Some(out))) => return Some(out),
-                Some((_, None)) => {}
-                None => {
-                    self.chain.resolve_tees();
-                    return None;
+            ChainSource::Union(u) => {
+                if u.arms.is_empty() {
+                    return 1.0;
                 }
+                let current = u.arms.get(u.current).map_or(0.0, |a| a.progress());
+                ((u.current as f64 + current) / u.arms.len() as f64).min(1.0)
             }
         }
-    }
-
-    fn progress(&self) -> f64 {
-        self.source.progress()
     }
 }
 
@@ -598,7 +686,8 @@ pub(crate) fn collect_chain(plan: &Plan) -> (Vec<&Plan>, &Plan) {
         let below = match cur {
             Plan::Select { child, .. }
             | Plan::Project { child, .. }
-            | Plan::Store { child, .. } => child,
+            | Plan::Store { child, .. }
+            | Plan::Limit { child, .. } => child,
             Plan::Join { left, .. } => left,
             _ => return (stages, cur),
         };
@@ -699,7 +788,14 @@ pub(crate) fn build_stages(
                     metrics: m,
                 });
             }
-            _ => unreachable!("collect_chain admits only Select/Project/Join/Store"),
+            Plan::Limit { n, .. } => {
+                node = MetricsNode::new(m.clone(), vec![node]);
+                fused.push(FusedStage::Limit {
+                    remaining: *n,
+                    metrics: m,
+                });
+            }
+            _ => unreachable!("collect_chain admits only Select/Project/Join/Store/Limit"),
         }
     }
     Ok((FusedChain::new(fused, ctx.fail.clone()), node))
@@ -715,17 +811,22 @@ pub(crate) mod testing {
     use rdb_storage::Table;
     use rdb_vector::{Field, Schema};
 
-    /// `stages` over an operator source replaying `input`.
-    pub(crate) fn over_operator(stages: Vec<FusedStage>, input: Vec<Batch>) -> FusedPipelineExec {
-        FusedPipelineExec::new(
-            ChainSource::Operator(BatchSource::boxed(input), 0),
+    /// `stages` over the operator source `op`, run serially.
+    pub(crate) fn over(op: Box<dyn Operator>, stages: Vec<FusedStage>) -> Pipeline {
+        Pipeline::new(
+            ChainSource::Operator(op, 0),
             FusedChain::new(stages, FailSlot::shared()),
         )
     }
 
+    /// `stages` over an operator source replaying `input`.
+    pub(crate) fn over_operator(stages: Vec<FusedStage>, input: Vec<Batch>) -> Pipeline {
+        over(BatchSource::boxed(input), stages)
+    }
+
     /// `stages` over a morsel dispenser scanning the rows of `input`
     /// (non-empty) as one table.
-    pub(crate) fn over_morsels(stages: Vec<FusedStage>, input: &[Batch]) -> FusedPipelineExec {
+    pub(crate) fn over_morsels(stages: Vec<FusedStage>, input: &[Batch]) -> Pipeline {
         let all = Batch::concat(input);
         let fields = all
             .columns()
@@ -736,7 +837,7 @@ pub(crate) mod testing {
         let projection = (0..all.width()).collect();
         let table = Arc::new(Table::new("t", Schema::new(fields), all.into_columns()));
         let dispenser = MorselDispenser::new(table, projection, OpMetrics::shared());
-        FusedPipelineExec::new(
+        Pipeline::new(
             ChainSource::Morsels(Arc::new(dispenser)),
             FusedChain::new(stages, FailSlot::shared()),
         )
@@ -881,10 +982,7 @@ mod tests {
         }
         let stages = vec![filter(Expr::col(0).gt(Expr::lit(0)))];
         let ms = stage_metrics(&stages);
-        let mut exec = FusedPipelineExec::new(
-            ChainSource::Operator(Box::new(Slow(Some(ints(vec![1])))), 0),
-            FusedChain::new(stages, FailSlot::shared()),
-        );
+        let mut exec = over(Box::new(Slow(Some(ints(vec![1])))), stages);
         assert_eq!(exec.progress(), 0.25, "an operator source's own meter");
         assert_eq!(run_to_batch(&mut exec).rows(), 1);
         // Both pulls (the batch and the exhausted one) slept inside the span.

@@ -36,7 +36,7 @@ use rdb_vector::{hash_columns, Batch, Column, DataType, KeyCells};
 use crate::error::ExecError;
 use crate::index::HashIndex;
 use crate::metrics::OpMetrics;
-use crate::op::Operator;
+use crate::parallel::{fold_input, Pipeline};
 
 pub use rdb_plan::JoinKind;
 
@@ -176,19 +176,13 @@ pub(crate) struct ProbePairs {
     pub(crate) unmatched: Vec<u32>,
 }
 
-/// Drain `right` and index it on `right_keys` (`right_types` shape a
-/// zero-row build so gathers still work).
+/// Index the build input's `batches` on `right_keys` (`right_types` shape
+/// a zero-row build so gathers still work).
 pub(crate) fn build_side(
-    right: &mut dyn Operator,
+    batches: Vec<Batch>,
     right_keys: &[Expr],
     right_types: &[DataType],
-    metrics: &OpMetrics,
 ) -> Result<BuildSide, ExecError> {
-    let mut batches = Vec::new();
-    while let Some(b) = right.next_batch() {
-        metrics.add_work(b.rows() as u64);
-        batches.push(b);
-    }
     let batch = if batches.is_empty() {
         // Zero-row batch with the right column types, so gathers work.
         Batch::new(
@@ -213,10 +207,12 @@ pub(crate) fn build_side(
 }
 
 /// A build side computed once and shared across probe workers. The first
-/// worker to need it drains the build operator under the lock (including
-/// any `store` tee inside, which therefore publishes exactly once and in
-/// deterministic serial order); the rest block briefly, then share the
-/// `Arc`.
+/// worker to need it collects the build input's pipeline under the lock
+/// (including any `store` tee inside, which therefore publishes exactly
+/// once and in deterministic serial order); the rest block briefly, then
+/// share the `Arc`. The collect is a fold sink and follows the breaker
+/// rule: an input that ended on a failure fails the build, so no probe
+/// ever reads a build side that is short of rows.
 pub struct SharedBuild {
     state: parking_lot::Mutex<SharedBuildState>,
 }
@@ -228,27 +224,27 @@ pub type BuildPublish = Box<dyn FnOnce(&Arc<BuildSide>, std::time::Duration) + S
 
 enum SharedBuildState {
     Pending {
-        right: Box<dyn Operator>,
+        right: Box<Pipeline>,
         right_keys: Vec<Expr>,
         right_types: Vec<DataType>,
         metrics: Arc<OpMetrics>,
         publish: Option<BuildPublish>,
     },
     Ready(Arc<BuildSide>),
-    /// The build failed: its index would not fit, or the building worker
-    /// panicked mid-drain. The mutex does not poison, so this sentinel is
-    /// what keeps a later worker from re-draining the half-consumed build
-    /// operator into an *incomplete* index — wrong join rows would then
-    /// stream out before the query ever failed. Every later worker reports
-    /// the same error.
+    /// The build failed: its input ended on a failure, its index would
+    /// not fit, or the building worker panicked mid-build. The mutex does
+    /// not poison, so this sentinel is what keeps a later worker from
+    /// re-draining the half-consumed build input into an *incomplete*
+    /// index — wrong join rows would then stream out before the query
+    /// ever failed. Every later worker reports the same error.
     Failed(ExecError),
 }
 
 impl SharedBuild {
-    /// Wrap a build operator for on-demand, build-once sharing. `publish`
+    /// Wrap a build input for on-demand, build-once sharing. `publish`
     /// (if any) fires once when the build side is first constructed.
     pub fn new(
-        right: Box<dyn Operator>,
+        right: Pipeline,
         right_keys: Vec<Expr>,
         right_types: Vec<DataType>,
         metrics: Arc<OpMetrics>,
@@ -256,7 +252,7 @@ impl SharedBuild {
     ) -> Arc<SharedBuild> {
         Arc::new(SharedBuild {
             state: parking_lot::Mutex::new(SharedBuildState::Pending {
-                right,
+                right: Box::new(right),
                 right_keys,
                 right_types,
                 metrics,
@@ -266,8 +262,8 @@ impl SharedBuild {
     }
 
     /// A build side already in hand (leased from the recycler): every worker
-    /// shares it immediately; the build operator is never constructed,
-    /// never drained, and nothing is re-published.
+    /// shares it immediately; no build input is constructed or drained,
+    /// and nothing is re-published.
     pub fn ready(built: Arc<BuildSide>) -> Arc<SharedBuild> {
         Arc::new(SharedBuild {
             state: parking_lot::Mutex::new(SharedBuildState::Ready(built)),
@@ -290,14 +286,16 @@ impl SharedBuild {
                 Ok(b)
             }
             SharedBuildState::Pending {
-                mut right,
+                right,
                 right_keys,
                 right_types,
                 metrics,
                 publish,
             } => {
                 let start = std::time::Instant::now();
-                let built = build_side(right.as_mut(), &right_keys, &right_types, &metrics)
+                let push = |batches: &mut Vec<Batch>, _idx, b| batches.push(b);
+                let built = fold_input(*right, false, metrics, Vec::new, push, Vec::extend)
+                    .and_then(|batches| build_side(batches, &right_keys, &right_types))
                     .inspect_err(|e| *st = SharedBuildState::Failed(e.clone()))?;
                 let built = Arc::new(built);
                 if let Some(publish) = publish {
@@ -319,7 +317,9 @@ mod tests {
     use super::*;
     use crate::error::FailSlot;
     use crate::fuse::testing::*;
-    use crate::fuse::{ChainSource, FusedChain, FusedPipelineExec, FusedStage};
+    use crate::fuse::{ChainSource, FusedChain, FusedStage};
+    use crate::op::Operator;
+    use crate::parallel::Pipeline;
     use rdb_vector::Value;
 
     /// A probe stage of `kind` on column 0 of both sides, over a build
@@ -333,7 +333,7 @@ mod tests {
         let metrics = OpMetrics::shared();
         FusedStage::Probe {
             build: SharedBuild::new(
-                BatchSource::boxed(right.map(Batch::new).into_iter().collect()),
+                over_operator(vec![], right.map(Batch::new).into_iter().collect()),
                 keys.clone(),
                 right_types.clone(),
                 metrics.clone(),
@@ -448,7 +448,7 @@ mod tests {
             left(vec![Column::from_ints(vec![2])]),
         ]
         .concat();
-        let mut exec = FusedPipelineExec::new(
+        let mut exec = Pipeline::new(
             ChainSource::Operator(BatchSource::boxed(two_inputs), 0),
             FusedChain::new(vec![single], fail.clone()),
         );
@@ -607,7 +607,6 @@ mod index_tests {
     use crate::fuse::FusedStage;
     use crate::index::testing::{domain, Rng, TYPES};
     use crate::op::run_to_batch;
-    use crate::op::testing::BatchSource;
     use rdb_vector::Value;
 
     /// One seeded case: build keys plus a column holding the build row
@@ -797,7 +796,7 @@ mod index_tests {
         };
         let stage = FusedStage::Probe {
             build: SharedBuild::new(
-                BatchSource::boxed(vec![case.build.clone()]),
+                over_operator(vec![], vec![case.build.clone()]),
                 keys.clone(),
                 right_types.clone(),
                 OpMetrics::shared(),
@@ -904,10 +903,9 @@ mod index_tests {
         );
         let build = Batch::new(vec![keys, Column::from_floats(vec![1.0, 2.0, 3.0, 4.0])]);
         let built = build_side(
-            BatchSource::boxed(vec![build.clone()]).as_mut(),
+            vec![build.clone()],
             &key_exprs(1),
             &[DataType::Str, DataType::Float],
-            &OpMetrics::default(),
         )
         .unwrap();
         let (heads, next, hashes) = built.index.capacities();
@@ -919,31 +917,20 @@ mod index_tests {
             build.size_bytes() + key_bytes + 4 * heads + 4 * next + 8 * hashes
         );
         // No index at all for a keyless build.
-        let keyless = build_side(
-            BatchSource::boxed(vec![build.clone()]).as_mut(),
-            &[],
-            &[DataType::Str, DataType::Float],
-            &OpMetrics::default(),
-        )
-        .unwrap();
+        let keyless =
+            build_side(vec![build.clone()], &[], &[DataType::Str, DataType::Float]).unwrap();
         assert_eq!(keyless.size_bytes(), build.size_bytes());
     }
 
     #[test]
     fn a_failed_build_fails_every_later_prober() {
-        struct Panics;
-        impl Operator for Panics {
-            fn next_batch(&mut self) -> Option<Batch> {
-                panic!("build input broke")
-            }
-            fn progress(&self) -> f64 {
-                0.0
-            }
-        }
+        // The pipeline catches a panicking input; indexing it is what can
+        // still panic under the lock: here the key column is missing from
+        // the (column-less) build batch.
         let shared = SharedBuild::new(
-            Box::new(Panics),
+            over_operator(vec![], vec![]),
             key_exprs(1),
-            vec![DataType::Int],
+            vec![],
             OpMetrics::shared(),
             None,
         );

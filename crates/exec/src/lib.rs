@@ -1,34 +1,33 @@
 //! Pipelined, vectorized query executor.
 //!
-//! Operators pull [`rdb_vector::Batch`]es from their children
-//! (vector-at-a-time, the Vectorwise paradigm the paper targets), and
-//! every span of pipelining work between them — filter → project →
-//! join-probe → store tee — runs as one push-style [`FusedChain`] per
-//! input batch ([`fuse`]): the single implementation of selection,
-//! projection, probe and tee semantics, over a morsel dispenser (a table
-//! snapshot or a cached result) or over any other child operator.
-//! Pipelines only break at blocking operators — join build sides, and one
-//! [`BlockingExec`] for everything that builds its whole output on the
-//! first pull (hash aggregation, top-N, sort, table functions) —
-//! intermediate results are *not* materialized unless the recycler
-//! decides to, which is the entire point of the paper.
+//! A query runs as [`Pipeline`]s: a source, and one push-style
+//! [`FusedChain`] over it that runs every span of pipelining work —
+//! filter → project → join-probe → store tee → limit — per input batch
+//! ([`fuse`]), vector-at-a-time (the Vectorwise paradigm the paper
+//! targets). The chain is the single implementation of selection,
+//! projection, probe, tee and limit semantics. It ends in its consumer,
+//! the sink: a breaker's fold (hash aggregation, top-N, sort), a join's
+//! build collect, or the stream edge, the only place rows are pulled.
+//! A chain's source is a morsel dispenser (a table snapshot or a cached
+//! result), a breaker's folded output ([`BlockingExec`], which also runs
+//! table functions) or a `UnionAll`'s arms. Pipelines only break at
+//! breakers and join build sides; intermediate results are *not*
+//! materialized unless the recycler decides to, which is the entire
+//! point of the paper.
 //!
-//! Five operators make up an executor tree: [`FusedPipelineExec`] (a
-//! chain over a serial source), [`GatherExec`] (a chain split across
-//! workers), [`BlockingExec`], [`sort::LimitExec`] and
-//! [`sort::UnionAllExec`].
+//! Two operators remain, and both are pulled: a [`Pipeline`] at the
+//! stream edge, and a [`BlockingExec`] by the chain above it.
 //!
 //! With `ExecContext::parallelism > 1` dispenser-rooted chains execute
 //! **morsel-driven parallel** (see [`parallel`] for the model and its
 //! determinism guarantees, and [`pool`] for the worker pool): the
 //! dispenser splits its rows into morsels claimed by workers on demand,
-//! each worker drives a clone of the same chain, pipeline breakers merge
+//! each worker drives a clone of the same chain, fold sinks merge
 //! per-worker partials, and store tees record by morsel index and publish
 //! in morsel order, so every observable byte — including what a tee
 //! publishes into the recycler — is identical to serial execution at any
-//! degree of parallelism. A chain never crosses pipeline breakers or
-//! gather points — see [`fuse`] for the boundary, timing and failure
-//! rules.
+//! degree of parallelism. A chain never crosses a breaker — see [`fuse`]
+//! for the boundary, timing and failure rules.
 //!
 //! Recycler integration points (paper §II):
 //!
@@ -71,11 +70,11 @@ pub use agg::{retract_count_groups, ResumedAgg};
 pub use build::{build, ExecTree};
 pub use context::{ExecContext, FnRegistry, TableFunction};
 pub use error::{ExecError, FailSlot};
-pub use fuse::{fused_span, FusedChain, FusedPipelineExec};
+pub use fuse::{fused_span, FusedChain};
 pub use join::{BuildPublish, BuildSide, SharedBuild};
 pub use metrics::{MetricsNode, OpMetrics};
 pub use op::{collect_all, run_to_batch, BlockingExec, Operator};
-pub use parallel::{BreakerInput, GatherExec, MorselDispenser};
+pub use parallel::{MorselDispenser, Pipeline};
 pub use pool::WorkerPool;
 pub use store::{
     ArtifactKind, MaterializedResult, ResultStore, SpeculationEstimate, StateCost, StoreVerdict,

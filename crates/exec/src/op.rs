@@ -1,4 +1,4 @@
-//! The operator trait and execution helpers.
+//! The pull interface and execution helpers.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -8,12 +8,14 @@ use rdb_vector::Batch;
 use crate::error::{ExecError, FailSlot};
 use crate::metrics::OpMetrics;
 
-/// A pull-based, vector-at-a-time physical operator.
+/// A pull-based, vector-at-a-time operator. Two implement it: a
+/// [`crate::Pipeline`], pulled at the stream edge (and as a union arm),
+/// and a [`BlockingExec`], a breaker's folded output pulled by the chain
+/// above it. Everything else runs inside a chain.
 ///
 /// `next_batch` returns `None` when exhausted. `progress` is the paper's
-/// *progress meter* (§III-D): scans and blocking operators report their own
-/// completion fraction; pipelining operators report the progress of their
-/// closest scan-or-blocking left-deep descendant.
+/// *progress meter* (§III-D): a pipeline reports its source's completion
+/// fraction, a breaker the fraction of its output emitted.
 pub trait Operator: Send {
     /// Produce the next batch, or `None` at end of stream.
     fn next_batch(&mut self) -> Option<Batch>;
@@ -22,12 +24,10 @@ pub trait Operator: Send {
     fn progress(&self) -> f64;
 }
 
-/// Measure one `next_batch` call inclusively into `metrics`.
-///
-/// Every operator's `next_batch` body should be wrapped by this (the
-/// builder-constructed operators all do), so `metrics.time_ns` is the
-/// inclusive subtree cost.
-pub fn timed_next(metrics: &OpMetrics, f: impl FnOnce() -> Option<Batch>) -> Option<Batch> {
+/// Measure one pull inclusively into `metrics`: time, one call, and the
+/// rows and bytes returned — how a breaker and a union node are charged,
+/// so `metrics.time_ns` is the inclusive subtree cost.
+pub(crate) fn timed_next(metrics: &OpMetrics, f: impl FnOnce() -> Option<Batch>) -> Option<Batch> {
     let start = Instant::now();
     let out = f();
     metrics.add_time(start.elapsed().as_nanos() as u64);
@@ -42,14 +42,15 @@ pub fn timed_next(metrics: &OpMetrics, f: impl FnOnce() -> Option<Batch>) -> Opt
 /// What a [`BlockingExec`] runs on its first pull: its whole output.
 type BuildFn = Box<dyn FnOnce() -> Result<Vec<Batch>, ExecError> + Send>;
 
-/// A pipeline breaker: builds its whole output on the first pull, then
-/// streams it. Every blocking operator is one — hash aggregation, top-N
-/// and sort (which fold their input with `crate::parallel::fold_input`)
-/// and a table-function scan ([`crate::scan::fn_scan`]). A cached result
-/// is no breaker: it is read through a morsel dispenser.
+/// A pipeline breaker's output: builds it whole on the first pull, then
+/// streams it as the source of the chain above. Every blocking operator
+/// is one — hash aggregation, top-N and sort (fold sinks over their input
+/// pipeline, `crate::parallel::fold_input`) and a table-function scan
+/// ([`crate::scan::fn_scan`]). A cached result is no breaker: it is read
+/// through a morsel dispenser.
 ///
-/// The build runs inside the first pull's [`timed_next`], so the node's
-/// time includes its input's. `progress` reads 0 before the build and
+/// The build runs inside the first pull, which is timed inclusively, so
+/// the node's time includes its input's. `progress` reads 0 before the build and
 /// emitted/len after it (1 for an empty output). A build that returns
 /// `Err` records it in the fail slot and ends the stream with no rows.
 pub struct BlockingExec {

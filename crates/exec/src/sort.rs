@@ -1,4 +1,4 @@
-//! Ordering operators: full sort, heap top-N, limit, and union-all.
+//! Ordering breakers: full sort and heap top-N.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -12,23 +12,23 @@ use rdb_vector::{Batch, Column, DataType, Value, BATCH_CAPACITY};
 
 use crate::error::FailSlot;
 use crate::metrics::OpMetrics;
-use crate::op::{timed_next, BlockingExec, Operator};
-use crate::parallel::{fold_input, BreakerInput};
+use crate::op::BlockingExec;
+use crate::parallel::{fold_input, Pipeline};
 
 /// Blocking full sort by the given keys: folds the whole input into a
-/// `Vec<Batch>`, then sorts it stably. The input must be the canonical
-/// (serial or gathered) batch sequence, so ties keep their scan order.
+/// `Vec<Batch>`, then sorts it stably. It folds the index-ordered
+/// sequence, never partitioned, so ties keep their scan order.
 pub fn sort(
-    input: Box<dyn Operator>,
+    input: Pipeline,
     keys: Vec<SortKeyExpr>,
     metrics: Arc<OpMetrics>,
     fail: Arc<FailSlot>,
 ) -> BlockingExec {
-    let (work, slot) = (metrics.clone(), fail.clone());
+    let work = metrics.clone();
     let build = move || {
         let batches = fold_input(
-            BreakerInput::Operator(input),
-            &slot,
+            input,
+            false,
             work,
             Vec::new,
             |batches, _chunk, batch| batches.push(batch),
@@ -201,18 +201,18 @@ impl TopNState {
 /// the cost is `O(M log N)` rather than a full sort. Emits rows in key
 /// order.
 pub fn top_n(
-    input: BreakerInput,
+    input: Pipeline,
     keys: Vec<SortKeyExpr>,
     n: usize,
     output_types: Vec<DataType>,
     metrics: Arc<OpMetrics>,
     fail: Arc<FailSlot>,
 ) -> BlockingExec {
-    let (work, slot) = (metrics.clone(), fail.clone());
+    let work = metrics.clone();
     let build = move || {
         let state = fold_input(
             input,
-            &slot,
+            true,
             work,
             || TopNState::new(keys.clone(), n),
             |state, chunk, batch| state.fold(&batch, chunk),
@@ -223,104 +223,18 @@ pub fn top_n(
     BlockingExec::new(build, metrics, fail)
 }
 
-/// Pass through the first `n` rows, then stop pulling.
-pub struct LimitExec {
-    child: Box<dyn Operator>,
-    remaining: usize,
-    metrics: Arc<OpMetrics>,
-}
-
-impl LimitExec {
-    /// First `n` rows of `child`.
-    pub fn new(child: Box<dyn Operator>, n: usize, metrics: Arc<OpMetrics>) -> Self {
-        LimitExec {
-            child,
-            remaining: n,
-            metrics,
-        }
-    }
-}
-
-impl Operator for LimitExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            if self.remaining == 0 {
-                return None;
-            }
-            let batch = self.child.next_batch()?;
-            if batch.rows() <= self.remaining {
-                self.remaining -= batch.rows();
-                Some(batch)
-            } else {
-                let out = batch.slice(0, self.remaining);
-                self.remaining = 0;
-                Some(out)
-            }
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        if self.remaining == 0 {
-            1.0
-        } else {
-            self.child.progress()
-        }
-    }
-}
-
-/// Bag union: drains children in order.
-pub struct UnionAllExec {
-    children: Vec<Box<dyn Operator>>,
-    current: usize,
-    metrics: Arc<OpMetrics>,
-}
-
-impl UnionAllExec {
-    /// Union of `children` (same schemas).
-    pub fn new(children: Vec<Box<dyn Operator>>, metrics: Arc<OpMetrics>) -> Self {
-        UnionAllExec {
-            children,
-            current: 0,
-            metrics,
-        }
-    }
-}
-
-impl Operator for UnionAllExec {
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        timed_next(&metrics, || {
-            while self.current < self.children.len() {
-                if let Some(b) = self.children[self.current].next_batch() {
-                    return Some(b);
-                }
-                self.current += 1;
-            }
-            None
-        })
-    }
-
-    fn progress(&self) -> f64 {
-        if self.children.is_empty() {
-            return 1.0;
-        }
-        let done = self.current as f64;
-        let cur = if self.current < self.children.len() {
-            self.children[self.current].progress()
-        } else {
-            0.0
-        };
-        ((done + cur) / self.children.len() as f64).min(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::run_to_batch;
+    use crate::build::build;
+    use crate::context::ExecContext;
+    use crate::fuse::testing::over;
     use crate::op::testing::BatchSource;
+    use crate::op::{run_to_batch, Operator};
     use rdb_expr::Expr;
+    use rdb_plan::{scan, union_all};
+    use rdb_storage::{Catalog, TableBuilder};
+    use rdb_vector::Schema;
 
     fn src(vals: Vec<i64>, extra: Vec<f64>) -> Box<dyn Operator> {
         BatchSource::boxed(vec![Batch::new(vec![
@@ -330,7 +244,12 @@ mod tests {
     }
 
     fn sorted(child: Box<dyn Operator>, keys: Vec<SortKeyExpr>) -> BlockingExec {
-        sort(child, keys, OpMetrics::shared(), FailSlot::shared())
+        sort(
+            over(child, vec![]),
+            keys,
+            OpMetrics::shared(),
+            FailSlot::shared(),
+        )
     }
 
     /// A serial top-N over `child`.
@@ -341,7 +260,7 @@ mod tests {
         output_types: Vec<DataType>,
     ) -> BlockingExec {
         top_n(
-            BreakerInput::Operator(child),
+            over(child, vec![]),
             keys,
             n,
             output_types,
@@ -413,21 +332,39 @@ mod tests {
         assert_eq!(out.column(0).as_ints(), &[1, 2]);
     }
 
+    /// A context with one table per `(name, vals, extra)`: columns `v`
+    /// (ints) and `x` (floats), as [`src`] feeds them.
+    fn tables(tables: &[(&str, Vec<i64>, Vec<f64>)]) -> ExecContext {
+        let mut cat = Catalog::new();
+        for (name, vals, extra) in tables {
+            let schema = Schema::from_pairs([("v", DataType::Int), ("x", DataType::Float)]);
+            let mut b = TableBuilder::new(*name, schema, vals.len());
+            for (v, x) in vals.iter().zip(extra) {
+                b.push_row(vec![Value::Int(*v), Value::Float(*x)]);
+            }
+            cat.register(b.finish()).expect("register table");
+        }
+        ExecContext::new(Arc::new(cat))
+    }
+
     #[test]
     fn limit_truncates() {
-        let child = src(vec![1, 2, 3, 4], vec![0.0; 4]);
-        let mut l = LimitExec::new(child, 2, OpMetrics::shared());
-        let out = run_to_batch(&mut l);
+        let ctx = tables(&[("t", vec![1, 2, 3, 4], vec![0.0; 4])]);
+        let plan = scan("t", &["v", "x"]).limit(2).bind(&ctx.catalog).unwrap();
+        let mut l = build(&plan, &ctx).unwrap().root;
+        let out = run_to_batch(l.as_mut());
         assert_eq!(out.column(0).as_ints(), &[1, 2]);
         assert_eq!(l.progress(), 1.0);
     }
 
     #[test]
     fn union_concatenates() {
-        let a = src(vec![1], vec![0.1]);
-        let b = src(vec![2, 3], vec![0.2, 0.3]);
-        let mut u = UnionAllExec::new(vec![a, b], OpMetrics::shared());
-        let out = run_to_batch(&mut u);
+        let ctx = tables(&[("a", vec![1], vec![0.1]), ("b", vec![2, 3], vec![0.2, 0.3])]);
+        let plan = union_all(vec![scan("a", &["v", "x"]), scan("b", &["v", "x"])])
+            .bind(&ctx.catalog)
+            .unwrap();
+        let mut u = build(&plan, &ctx).unwrap().root;
+        let out = run_to_batch(u.as_mut());
         assert_eq!(out.column(0).as_ints(), &[1, 2, 3]);
         assert_eq!(u.progress(), 1.0);
     }
