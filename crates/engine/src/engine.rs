@@ -17,6 +17,7 @@ use rdb_exec::{FnRegistry, WorkerPool};
 use rdb_expr::{CompiledPredicate, Expr};
 use rdb_plan::{Plan, PlanError};
 use rdb_recycler::{Recycler, RecyclerConfig, RecyclerEvent, RepairOutcome};
+use rdb_sql::SqlError;
 use rdb_storage::{Catalog, Table};
 use rdb_vector::{Batch, Schema, Value};
 
@@ -25,6 +26,7 @@ use crate::durability::{
     NoFault,
 };
 use crate::session::Session;
+use crate::statements::{self, Compiled, StatementCache, StatementCacheStats};
 use crate::subscribe::{DeltaEvent, SubEntry, SubQueue, Subscription};
 
 /// Effective DOP for a request of `n` workers: `min(n, available
@@ -205,6 +207,7 @@ impl EngineBuilder {
             durability,
             subscriptions: Mutex::new(Vec::new()),
             next_sub_id: AtomicU64::new(0),
+            statements: StatementCache::default(),
         });
         if engine
             .durability
@@ -569,6 +572,8 @@ pub struct Engine {
     /// handoff gapless (see [`crate::subscribe`]).
     pub(crate) subscriptions: Mutex<Vec<SubEntry>>,
     pub(crate) next_sub_id: AtomicU64,
+    /// SQL text → compiled statement (see [`crate::statements`]).
+    pub(crate) statements: StatementCache,
 }
 
 impl Engine {
@@ -601,6 +606,18 @@ impl Engine {
     /// The engine-default degree of intra-query parallelism.
     pub fn parallelism(&self) -> usize {
         self.parallelism
+    }
+
+    /// Hits, misses and entries of the engine's compiled-statement cache.
+    pub fn statement_cache_stats(&self) -> StatementCacheStats {
+        self.statements.stats()
+    }
+
+    /// The compiled form of a SQL text, through the statement cache.
+    pub(crate) fn compile(&self, text: &str) -> Result<Compiled, SqlError> {
+        self.statements.get_or_compile(text, || {
+            statements::compile(text, &self.catalog, &self.functions)
+        })
     }
 
     /// Flush the recycler cache (no-op when recycling is off).

@@ -16,6 +16,7 @@ pub mod durability;
 pub mod engine;
 pub mod materializing;
 pub mod session;
+pub mod statements;
 pub mod subscribe;
 
 pub use durability::{
@@ -26,5 +27,9 @@ pub use engine::{
     WorkloadQuery, WriteKind, WriteOutcome,
 };
 pub use materializing::{MatOutcome, MaterializingEngine};
-pub use session::{Prepared, QueryHandle, Session, SessionStats, SessionStatsSnapshot, SqlOutcome};
+pub use session::{
+    Prepared, PreparedWrite, QueryHandle, Session, SessionStats, SessionStatsSnapshot, SqlOutcome,
+    SqlStatement,
+};
+pub use statements::StatementCacheStats;
 pub use subscribe::{DeltaEvent, Subscription};

@@ -7,8 +7,10 @@
 //! * [`Session`] — the unit of client interaction, opened from an engine;
 //!   owns per-session statistics.
 //! * [`Prepared`] — a query template, bound against the catalog **once**
-//!   with its structural fingerprint computed up front; executed many times
-//!   with different [`Params`].
+//!   (once per engine for SQL text, which the statement cache of
+//!   [`crate::statements`] shares between sessions) with its structural
+//!   fingerprint computed up front; executed many times with different
+//!   [`Params`].
 //! * [`QueryHandle`] — a live query pulled
 //!   vector-at-a-time via `Iterator<Item = Batch>`. The handle owns the
 //!   engine's admission slot and the recycler bookkeeping: completion fires
@@ -25,11 +27,12 @@ use rdb_exec::{build, ExecContext, ExecStream, ResultStore};
 use rdb_expr::{Expr, Params};
 use rdb_plan::{structural_hash_at, Plan, PlanError};
 use rdb_recycler::{PreparedQuery, Recycler, RecyclerEvent};
-use rdb_sql::{BoundStatement, CatalogWithFunctions, Span, SqlError};
+use rdb_sql::{Span, SqlError};
 use rdb_storage::CatalogSnapshot;
 use rdb_vector::{Batch, Schema, Value};
 
 use crate::engine::{effective_dop, Engine, GateGuard, QueryOutcome, WriteOutcome};
+use crate::statements::{self, Compiled, Template, Write, WriteStmt};
 
 /// Monotonic counters describing one session's activity.
 #[derive(Debug, Default)]
@@ -211,56 +214,22 @@ impl Session {
     /// template's parameter slots — all exactly once, however many times
     /// the statement is executed afterwards.
     pub fn prepare(&self, plan: &Plan) -> Result<Prepared, PlanError> {
-        if let Some(name) = plan.param_in_typed_position() {
-            // Schema derivation (which binding needs) would have to type
-            // the placeholder; reject up front rather than panic inside it.
-            return Err(PlanError::msg(format!(
-                "parameter '{name}' appears in a projection or aggregate \
-                 expression; its type is unknown before binding — move the \
-                 parameter into a predicate, or substitute before preparing"
-            )));
-        }
-        let template = if plan.has_named() {
-            plan.bind(&self.engine.catalog)?
-        } else {
-            plan.clone()
-        };
-        if template.has_named() {
-            // bind() resolves every legal named reference; anything left is
-            // structurally unresolvable (e.g. a column name in a
-            // table-function argument, which has no input schema).
-            return Err(PlanError::msg(
-                "plan contains unresolvable named column references \
-                 (table-function arguments cannot reference columns)",
-            ));
-        }
-        if template.has_params() {
-            // A parameterized template cannot derive its full output schema
-            // before substitution, but its table references can and must be
-            // checked now — "bound against the catalog once at prepare".
-            validate_scans(&template, &self.engine.catalog)?;
-        } else {
-            // Full schema validation (unknown tables or columns fail at
-            // prepare time, not execute time).
-            template.schema(&self.engine.catalog)?;
-        }
-        // Canonicalize before fingerprinting: every prepared statement —
-        // SQL text or hand-built — passes through the same normalization,
-        // so equivalent variants (reordered conjuncts, flipped
-        // comparisons, redundant projections) share recycler-graph nodes.
-        let template = rdb_plan::normalize(&template, &self.engine.catalog);
-        let fingerprint = fingerprint_against(&template, &self.engine.catalog);
-        let param_names = template.param_names();
+        Ok(self.prepared(Arc::new(statements::template(plan, &self.engine.catalog)?)))
+    }
+
+    /// A prepared statement over a compiled template, fingerprinted
+    /// against the table epochs of now.
+    fn prepared(&self, template: Arc<Template>) -> Prepared {
+        let fingerprint = fingerprint_against(&template.plan, &self.engine.catalog);
         self.stats.prepared.fetch_add(1, Ordering::Relaxed);
-        Ok(Prepared {
+        Prepared {
             engine: Arc::clone(&self.engine),
             stats: Arc::clone(&self.stats),
             parallelism: Arc::clone(&self.parallelism),
             cancel: Arc::clone(&self.cancel),
             template,
             fingerprint,
-            param_names,
-        })
+        }
     }
 
     /// Prepare-and-execute convenience for a parameter-free plan.
@@ -268,82 +237,73 @@ impl Session {
         self.prepare(plan)?.execute(&Params::none())
     }
 
-    /// Prepare a query written as SQL text. The statement is parsed,
-    /// bound against the catalog (scans pruned to referenced columns),
-    /// normalized, and fingerprinted exactly like a builder-built plan —
-    /// a SQL template and its hand-assembled equivalent share recycler
-    /// cache entries. `$name` placeholders become named parameters; `?`
-    /// placeholders are numbered `"1"`, `"2"`, … left to right.
+    /// Compile one SQL statement, query or DML. The text is looked up in
+    /// the engine's statement cache ([`crate::statements`]): a known text
+    /// skips parse, bind and normalize and shares the template every
+    /// session prepared from it; an unknown one is compiled here. A query
+    /// comes back as a [`Prepared`] fingerprinted against the table epochs
+    /// of now, so a template cached before a write still lands on the
+    /// post-write cache entries.
+    pub fn prepare_statement(&self, text: &str) -> Result<SqlStatement, SqlError> {
+        Ok(match self.engine.compile(text)? {
+            Compiled::Query(template) => SqlStatement::Query(self.prepared(template)),
+            Compiled::Write(write) => SqlStatement::Write(PreparedWrite(write)),
+        })
+    }
+
+    /// Prepare a query written as SQL text, through the engine's statement
+    /// cache ([`Session::prepare_statement`]). The statement is parsed,
+    /// bound against the catalog (scans pruned to referenced columns) and
+    /// normalized once per engine, and fingerprinted exactly like a
+    /// builder-built plan — a SQL template and its hand-assembled
+    /// equivalent share recycler cache entries. `$name` placeholders
+    /// become named parameters; `?` placeholders are numbered `"1"`,
+    /// `"2"`, … left to right.
     ///
     /// Only queries can be *prepared*; route `INSERT` / `DELETE` text
     /// through [`Session::sql`].
     pub fn prepare_sql(&self, text: &str) -> Result<Prepared, SqlError> {
-        let provider = CatalogWithFunctions {
-            catalog: &self.engine.catalog,
-            functions: &self.engine.functions,
-        };
-        match rdb_sql::compile(text, &provider)? {
-            BoundStatement::Query(plan) => self
-                .prepare(&plan)
-                .map_err(|e| SqlError::from_plan(whole_span(text), e)),
-            BoundStatement::Insert { .. } | BoundStatement::Delete { .. } => Err(SqlError::bind(
+        match self.prepare_statement(text)? {
+            SqlStatement::Query(prepared) => Ok(prepared),
+            SqlStatement::Write(_) => Err(SqlError::bind(
                 whole_span(text),
                 "prepare_sql prepares queries; execute INSERT/DELETE through Session::sql",
             )),
         }
     }
 
-    /// Parse and execute one SQL statement with the given parameter
-    /// bindings. Queries return a streaming [`QueryHandle`] (via
-    /// [`SqlOutcome::Rows`]); `INSERT`/`DELETE` commit through the DML
-    /// path — epoch bump, precise recycler repair or eviction — and return the
-    /// [`WriteOutcome`].
+    /// Compile (through the statement cache, see
+    /// [`Session::prepare_statement`]) and execute one SQL statement with
+    /// the given parameter bindings. Queries return a streaming
+    /// [`QueryHandle`] (via [`SqlOutcome::Rows`]); `INSERT`/`DELETE`
+    /// commit through [`Session::write`] — epoch bump, precise recycler
+    /// repair or eviction — and return the [`WriteOutcome`].
     pub fn sql(&self, text: &str, params: &Params) -> Result<SqlOutcome, SqlError> {
-        let provider = CatalogWithFunctions {
-            catalog: &self.engine.catalog,
-            functions: &self.engine.functions,
-        };
         let wrap = |e: PlanError| SqlError::from_plan(whole_span(text), e);
-        match rdb_sql::compile(text, &provider)? {
-            BoundStatement::Query(plan) => {
-                let handle = self
-                    .prepare(&plan)
-                    .map_err(wrap)?
-                    .execute(params)
-                    .map_err(wrap)?;
-                Ok(SqlOutcome::Rows(handle))
+        match self.prepare_statement(text)? {
+            SqlStatement::Query(prepared) => {
+                Ok(SqlOutcome::Rows(prepared.execute(params).map_err(wrap)?))
             }
-            BoundStatement::Insert { table, rows } => {
-                let mut concrete: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-                for row in &rows {
-                    let mut vals = Vec::with_capacity(row.len());
-                    for cell in row {
-                        vals.push(match cell {
-                            Expr::Lit(v) => v.clone(),
-                            Expr::Param(n) => params
-                                .get(n)
-                                .cloned()
-                                .ok_or_else(|| wrap(PlanError::unbound_parameter(n)))?,
-                            other => {
-                                return Err(wrap(PlanError::msg(format!(
-                                    "non-constant INSERT cell {other}"
-                                ))))
-                            }
-                        });
-                    }
-                    concrete.push(vals);
-                }
-                self.append(&table, &concrete)
-                    .map(SqlOutcome::Write)
-                    .map_err(wrap)
+            SqlStatement::Write(write) => self
+                .write(&write, params)
+                .map(SqlOutcome::Write)
+                .map_err(wrap),
+        }
+    }
+
+    /// Commit a compiled `INSERT` or `DELETE` with `params` bound to its
+    /// placeholders, as [`Session::append`] or [`Session::delete`].
+    pub fn write(&self, write: &PreparedWrite, params: &Params) -> Result<WriteOutcome, PlanError> {
+        match &write.0.stmt {
+            WriteStmt::Insert { table, rows } => {
+                let concrete = rows
+                    .iter()
+                    .map(|row| row.iter().map(|cell| insert_value(cell, params)).collect())
+                    .collect::<Result<Vec<Vec<Value>>, PlanError>>()?;
+                self.append(table, &concrete)
             }
-            BoundStatement::Delete { table, predicate } => {
-                let predicate = predicate
-                    .substitute_params(params)
-                    .map_err(|e| wrap(PlanError::from(e)))?;
-                self.delete(&table, &predicate)
-                    .map(SqlOutcome::Write)
-                    .map_err(wrap)
+            WriteStmt::Delete { table, predicate } => {
+                self.delete(table, &predicate.substitute_params(params)?)
             }
         }
     }
@@ -457,6 +417,41 @@ impl SqlOutcome {
     }
 }
 
+/// One SQL statement compiled by [`Session::prepare_statement`].
+// Transient, matched once at the call site, like [`SqlOutcome`].
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum SqlStatement {
+    /// A query, ready to execute.
+    Query(Prepared),
+    /// An `INSERT` or `DELETE`, committed by [`Session::write`].
+    Write(PreparedWrite),
+}
+
+/// A compiled `INSERT` or `DELETE`, shared through the statement cache.
+#[derive(Debug, Clone)]
+pub struct PreparedWrite(Arc<Write>);
+
+impl PreparedWrite {
+    /// Names of the statement's parameter slots, in first-occurrence
+    /// order.
+    pub fn param_names(&self) -> &[String] {
+        &self.0.param_names
+    }
+}
+
+/// The value of one `INSERT` cell under `params`.
+fn insert_value(cell: &Expr, params: &Params) -> Result<Value, PlanError> {
+    match cell {
+        Expr::Lit(v) => Ok(v.clone()),
+        Expr::Param(n) => params
+            .get(n)
+            .cloned()
+            .ok_or_else(|| PlanError::unbound_parameter(n)),
+        other => Err(PlanError::msg(format!("non-constant INSERT cell {other}"))),
+    }
+}
+
 /// Span covering a whole statement (engine-level errors have no finer
 /// position).
 fn whole_span(text: &str) -> Span {
@@ -482,17 +477,6 @@ fn contains_volatile_fn(plan: &Plan, functions: &rdb_exec::FnRegistry) -> bool {
         .any(|c| contains_volatile_fn(c, functions))
 }
 
-/// Check every base-table scan in the subtree against the catalog (table
-/// exists, projected columns exist).
-fn validate_scans(plan: &Plan, catalog: &rdb_storage::Catalog) -> Result<(), PlanError> {
-    if matches!(plan, Plan::Scan { .. }) {
-        plan.schema(catalog)?;
-    }
-    plan.children()
-        .iter()
-        .try_for_each(|c| validate_scans(c, catalog))
-}
-
 /// A prepared statement: a bound template plus its fingerprint, executable
 /// repeatedly with different parameter sets.
 pub struct Prepared {
@@ -504,17 +488,18 @@ pub struct Prepared {
     /// The owning session's cancellation flag (see
     /// [`Session::cancel_flag`]).
     cancel: Arc<AtomicBool>,
-    template: Plan,
+    /// The compiled template, shared with the statement cache and every
+    /// other statement prepared from the same text.
+    template: Arc<Template>,
     fingerprint: u64,
-    param_names: Vec<String>,
 }
 
 impl std::fmt::Debug for Prepared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Prepared")
             .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
-            .field("param_names", &self.param_names)
-            .field("template", &self.template)
+            .field("param_names", &self.template.param_names)
+            .field("template", &self.template.plan)
             .finish_non_exhaustive()
     }
 }
@@ -522,7 +507,7 @@ impl std::fmt::Debug for Prepared {
 impl Prepared {
     /// The bound template (parameter placeholders intact).
     pub fn template(&self) -> &Plan {
-        &self.template
+        &self.template.plan
     }
 
     /// Structural fingerprint of the template, incorporating the epoch of
@@ -538,12 +523,12 @@ impl Prepared {
     /// epochs. Differs from [`Prepared::fingerprint`] iff a scanned table
     /// has been updated since this statement was prepared.
     pub fn fingerprint_now(&self) -> u64 {
-        fingerprint_against(&self.template, &self.engine.catalog)
+        fingerprint_against(&self.template.plan, &self.engine.catalog)
     }
 
     /// Names of the template's parameter slots, in first-occurrence order.
     pub fn param_names(&self) -> &[String] {
-        &self.param_names
+        &self.template.param_names
     }
 
     /// A formatted plan tree annotated, per node, with the subtree's
@@ -558,22 +543,24 @@ impl Prepared {
     /// [`Prepared::explain_with`] to see the states a specific binding
     /// would hit.
     pub fn explain(&self) -> String {
-        self.render_explain(&self.template)
+        self.render_explain(&self.template.plan)
     }
 
     /// [`Prepared::explain`] for one concrete parameter binding.
     pub fn explain_with(&self, params: &Params) -> Result<String, PlanError> {
-        Ok(self.render_explain(&self.template.substitute_params(params)?))
+        Ok(self.render_explain(&self.template.plan.substitute_params(params)?))
     }
 
     fn render_explain(&self, plan: &Plan) -> String {
         use std::fmt::Write as _;
-        fn go(plan: &Plan, engine: &Engine, depth: usize, in_span: bool, out: &mut String) {
+        // `inside`: how many nodes from `plan` down are stages of a span
+        // that started above it.
+        fn go(plan: &Plan, engine: &Engine, depth: usize, inside: usize, out: &mut String) {
             // Annotate the top of each pipelining span with the number of
             // plan nodes the executor runs as one push-style chain.
             // Interior nodes are part of the same span, so only the
             // outermost node carries the tag.
-            let span = if in_span {
+            let span = if inside > 0 {
                 None
             } else {
                 rdb_exec::fused_span(plan)
@@ -612,20 +599,16 @@ impl Prepared {
                 indent = depth * 2
             );
             // The chain runs down the first child (filter/project input,
-            // join probe side); a join's build side starts a fresh
-            // pipeline and may open its own span.
+            // join probe side) for as many levels as it has stages; its
+            // source and a join's build side start fresh pipelines and may
+            // open their own spans.
+            let below = span.map_or(inside.saturating_sub(1), |n| n - 1);
             for (i, c) in plan.children().into_iter().enumerate() {
-                go(
-                    c,
-                    engine,
-                    depth + 1,
-                    i == 0 && (span.is_some() || in_span),
-                    out,
-                );
+                go(c, engine, depth + 1, if i == 0 { below } else { 0 }, out);
             }
         }
         let mut out = String::new();
-        go(plan, &self.engine, 0, false, &mut out);
+        go(plan, &self.engine, 0, 0, &mut out);
         out
     }
 
@@ -670,23 +653,23 @@ impl Prepared {
         &'a self,
         params: &Params,
     ) -> Result<std::borrow::Cow<'a, Plan>, PlanError> {
-        for name in &self.param_names {
+        let Template { plan, param_names } = &*self.template;
+        for name in param_names {
             if params.get(name).is_none() {
                 return Err(PlanError::unbound_parameter(name.clone()));
             }
         }
         for name in params.names() {
-            if !self.param_names.iter().any(|n| n == name) {
+            if !param_names.iter().any(|n| n == name) {
                 return Err(PlanError::msg(format!(
-                    "unknown parameter '{name}' (template parameters: {:?})",
-                    self.param_names
+                    "unknown parameter '{name}' (template parameters: {param_names:?})"
                 )));
             }
         }
-        if self.param_names.is_empty() {
-            return Ok(std::borrow::Cow::Borrowed(&self.template));
+        if param_names.is_empty() {
+            return Ok(std::borrow::Cow::Borrowed(plan));
         }
-        let concrete = self.template.substitute_params(params)?;
+        let concrete = plan.substitute_params(params)?;
         debug_assert!(!concrete.has_params());
         Ok(std::borrow::Cow::Owned(concrete))
     }

@@ -30,10 +30,13 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rdb_engine::{Engine, Prepared, QueryHandle, Session, SqlOutcome, WriteKind, WriteOutcome};
+use rdb_engine::{
+    Engine, Prepared, PreparedWrite, QueryHandle, Session, SqlOutcome, SqlStatement, WriteKind,
+    WriteOutcome,
+};
 use rdb_expr::Params;
 use rdb_plan::PlanErrorKind;
-use rdb_sql::{BindErrorKind, BoundStatement, CatalogWithFunctions, Span, SqlError, SqlErrorKind};
+use rdb_sql::{BindErrorKind, Span, SqlError, SqlErrorKind};
 
 use crate::protocol::{self as pg, Frontend, MAX_FRAME};
 use crate::server::LINGER;
@@ -63,11 +66,11 @@ enum Fill {
     Eof,
 }
 
-/// A statement prepared over the wire, classified at Parse time. Queries
-/// go through the engine's [`Prepared`] path — same template, same
-/// normalization, same recycler fingerprints as an embedded
-/// `Session::prepare_sql`. DML keeps its text and re-binds at Execute
-/// (the engine's write path takes values, not a prepared template).
+/// A statement prepared over the wire, compiled once at Parse through the
+/// engine's statement cache (`Session::prepare_statement`). Queries are
+/// engine [`Prepared`] templates — same template, same normalization,
+/// same recycler fingerprints as an embedded `Session::prepare_sql`. DML
+/// is the compiled write that every Execute commits with its Bind values.
 ///
 /// `wire_params` names the parameter each Bind value goes to, in wire
 /// order (see [`wire_params`]).
@@ -80,6 +83,7 @@ enum Statement {
     },
     Dml {
         sql: String,
+        write: PreparedWrite,
         param_oids: Vec<i32>,
         wire_params: Vec<String>,
     },
@@ -501,40 +505,32 @@ impl Conn {
         }
     }
 
-    /// Compile the statement text once at Parse. Queries become engine
-    /// [`Prepared`] templates — wire prepared statements land on the same
-    /// recycler fingerprints as embedded ones.
+    /// Compile the statement text at Parse, through the engine's
+    /// statement cache: a text any connection compiled before skips
+    /// parse, bind and normalize. Queries become engine [`Prepared`]
+    /// templates — wire prepared statements land on the same recycler
+    /// fingerprints as embedded ones — and DML a [`PreparedWrite`]. Both
+    /// take their Bind arity from the compiled statement's parameters.
     fn classify(&self, sql: &str, param_oids: Vec<i32>) -> Result<Statement, SqlError> {
         let text = sql.trim();
         if text.is_empty() {
             return Ok(Statement::Empty);
         }
-        let provider = CatalogWithFunctions {
-            catalog: self.engine.catalog().as_ref(),
-            functions: self.engine.functions().as_ref(),
-        };
-        match rdb_sql::compile(text, &provider)? {
-            BoundStatement::Query(plan) => {
-                let prepared = self
-                    .session
-                    .as_ref()
-                    .expect("startup completed")
-                    .prepare(&plan)
-                    .map_err(|pe| SqlError::from_plan(Span::new(0, text.len()), pe))?;
-                let wire_params = wire_params(prepared.param_names(), text)?;
-                Ok(Statement::Query {
-                    sql: text.to_string(),
-                    prepared,
-                    param_oids,
-                    wire_params,
-                })
-            }
-            BoundStatement::Insert { .. } | BoundStatement::Delete { .. } => Ok(Statement::Dml {
+        let session = self.session.as_ref().expect("startup completed");
+        Ok(match session.prepare_statement(text)? {
+            SqlStatement::Query(prepared) => Statement::Query {
+                wire_params: wire_params(prepared.param_names(), text)?,
                 sql: text.to_string(),
-                wire_params: numbered_params(positional_param_count(text), text)?,
+                prepared,
                 param_oids,
-            }),
-        }
+            },
+            SqlStatement::Write(write) => Statement::Dml {
+                wire_params: wire_params(write.param_names(), text)?,
+                sql: text.to_string(),
+                write,
+                param_oids,
+            },
+        })
     }
 
     fn on_bind(&mut self, portal: String, statement: String, raw: &[Option<Vec<u8>>]) {
@@ -549,21 +545,22 @@ impl Conn {
             self.fail_extended();
             return;
         };
-        // `template`: the names a query's execute accepts. A numbered
+        // `template`: the names the statement accepts. A numbered
         // statement may skip a number; its value is decoded and dropped.
-        let (names, template, oids): (&[String], Option<&[String]>, &[i32]) = match stmt {
+        let (names, template, oids): (&[String], &[String], &[i32]) = match stmt {
             Statement::Query {
                 prepared,
                 param_oids,
                 wire_params,
                 ..
-            } => (wire_params, Some(prepared.param_names()), param_oids),
+            } => (wire_params, prepared.param_names(), param_oids),
             Statement::Dml {
-                wire_params,
+                write,
                 param_oids,
+                wire_params,
                 ..
-            } => (wire_params, None, param_oids),
-            Statement::Empty => (&[], None, &[]),
+            } => (wire_params, write.param_names(), param_oids),
+            Statement::Empty => (&[], &[], &[]),
         };
         if raw.len() != names.len() {
             let (got, want) = (raw.len(), names.len());
@@ -585,7 +582,7 @@ impl Conn {
             let oid = oids.get(i).copied().unwrap_or(0);
             match pg::decode_param(oid, value.as_deref()) {
                 Ok(v) => {
-                    if template.is_none_or(|t| t.contains(&names[i])) {
+                    if template.contains(&names[i]) {
                         params = params.set(names[i].clone(), v);
                     }
                 }
@@ -708,21 +705,18 @@ impl Conn {
                     err: SqlError::from_plan(Span::new(0, sql.len()), pe),
                 },
             },
-            Some(Statement::Dml { sql, .. }) => {
-                match self
-                    .session
-                    .as_ref()
-                    .expect("startup completed")
-                    .sql(sql, &params)
-                {
-                    Ok(SqlOutcome::Write(w)) => Exec::Write(w),
-                    Ok(SqlOutcome::Rows(handle)) => Exec::Handle(handle),
-                    Err(e) => Exec::Fail {
-                        sql: sql.clone(),
-                        err: e,
-                    },
-                }
-            }
+            Some(Statement::Dml { sql, write, .. }) => match self
+                .session
+                .as_ref()
+                .expect("startup completed")
+                .write(write, &params)
+            {
+                Ok(w) => Exec::Write(w),
+                Err(pe) => Exec::Fail {
+                    sql: sql.clone(),
+                    err: SqlError::from_plan(Span::new(0, sql.len()), pe),
+                },
+            },
         };
         let ok = match exec {
             Exec::Empty => {
@@ -869,49 +863,9 @@ fn numbered_params(n: usize, sql: &str) -> Result<Vec<String>, SqlError> {
     Ok((1..=n).map(|i| i.to_string()).collect())
 }
 
-/// Highest `$N` positional parameter in `sql` (outside single-quoted
-/// strings); the parameter count of a DML statement.
-fn positional_param_count(sql: &str) -> usize {
-    let bytes = sql.as_bytes();
-    let mut max = 0usize;
-    let mut in_str = false;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\'' => in_str = !in_str,
-            b'$' if !in_str => {
-                let mut j = i + 1;
-                let mut n = 0usize;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    n = n
-                        .saturating_mul(10)
-                        .saturating_add((bytes[j] - b'0') as usize);
-                    j += 1;
-                }
-                if j > i + 1 {
-                    max = max.max(n);
-                }
-                i = j;
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn positional_params_counted_outside_strings() {
-        assert_eq!(positional_param_count("INSERT INTO t VALUES ($1, $2)"), 2);
-        assert_eq!(positional_param_count("DELETE FROM t WHERE k = $3"), 3);
-        assert_eq!(positional_param_count("SELECT '$9'"), 0);
-        assert_eq!(positional_param_count("SELECT 1"), 0);
-    }
 
     #[test]
     fn write_tags_distinguish_insert_and_delete() {

@@ -14,8 +14,8 @@
 //! |---|---|
 //! | connection startup | [`rdb_engine::Engine::session`] |
 //! | simple `Query` | [`rdb_engine::Session::sql`] per statement |
-//! | `Parse` | [`rdb_engine::Session::prepare`] (queries) / kept text (DML) |
-//! | `Bind` + `Execute` | [`rdb_engine::Prepared::execute`] with [`rdb_expr::Params`] |
+//! | `Parse` | [`rdb_engine::Session::prepare_statement`] (through the engine's statement cache) |
+//! | `Bind` + `Execute` | [`rdb_engine::Prepared::execute`] / [`rdb_engine::Session::write`] with [`rdb_expr::Params`] |
 //! | `CancelRequest` | dropping the [`rdb_engine::QueryHandle`] mid-stream |
 //! | `ErrorResponse` | [`rdb_sql::SqlError`] with SQLSTATE, position, caret detail |
 //! | `SELECT * FROM rdb_stats()` | [`ServerStatsSnapshot`] as a volatile table function |

@@ -8,6 +8,17 @@
 //! because the function is declared *volatile* the engine never routes it
 //! through the recycler (a cached stats result would be stale by
 //! definition).
+//!
+//! Three rows report the engine's compiled-statement cache (SQL text →
+//! template, see `rdb_engine::statements`), which every Parse and simple
+//! `Q` statement goes through, `rdb_stats()` queries included:
+//!
+//! * `statement_cache_hits` — texts served compiled, skipping parse, bind
+//!   and normalize;
+//! * `statement_cache_misses` — texts compiled, successfully or not (the
+//!   count of compiles);
+//! * `statement_cache_entries` — compiled statements held right now (a
+//!   constant bound, `rdb_engine::statements::ENTRIES`).
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -174,6 +185,10 @@ impl ServerShared {
         s.queries_in_flight = adm.in_flight as u64;
         s.queue_depth = adm.queued as u64;
         s.subscriptions_active = engine.subscriptions_active() as u64;
+        let statements = engine.statement_cache_stats();
+        s.statement_cache_hits = statements.hits;
+        s.statement_cache_misses = statements.misses;
+        s.statement_cache_entries = statements.entries;
         if let Some(r) = engine.recycler() {
             let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
             s.recycler_hits = load(&r.stats.reuses) + load(&r.stats.subsumption_reuses);
@@ -243,6 +258,12 @@ pub struct ServerStatsSnapshot {
     pub deltas_applied: u64,
     /// Live query subscriptions registered on the engine right now.
     pub subscriptions_active: u64,
+    /// Statement texts served from the engine's compiled-statement cache.
+    pub statement_cache_hits: u64,
+    /// Statement texts compiled (the cache missed).
+    pub statement_cache_misses: u64,
+    /// Compiled statements the cache holds.
+    pub statement_cache_entries: u64,
     /// Whether the server is draining.
     pub draining: bool,
     /// Bytes across all live WAL segments (0 without a data directory).
@@ -290,6 +311,12 @@ impl ServerStatsSnapshot {
             ("repair_fallbacks", self.repair_fallbacks as f64),
             ("deltas_applied", self.deltas_applied as f64),
             ("subscriptions_active", self.subscriptions_active as f64),
+            ("statement_cache_hits", self.statement_cache_hits as f64),
+            ("statement_cache_misses", self.statement_cache_misses as f64),
+            (
+                "statement_cache_entries",
+                self.statement_cache_entries as f64,
+            ),
             ("draining", if self.draining { 1.0 } else { 0.0 }),
             ("wal_bytes", self.wal_bytes as f64),
             ("last_checkpoint_epoch", self.last_checkpoint_epoch as f64),

@@ -847,3 +847,102 @@ fn a_request_split_across_a_linger_expiry_is_answered_once() {
     assert_eq!(cycle.command_tags(), vec!["SELECT 10".to_string()]);
     client.terminate();
 }
+
+// ---------------------------------------------------------------------------
+// The engine's compiled-statement cache over the wire
+// ---------------------------------------------------------------------------
+
+#[test]
+fn dml_bind_arity_comes_from_the_compiled_statement() {
+    let server = recycling_server(1000);
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    // A `$2` inside a comment is no parameter: one value binds.
+    let cycle = client
+        .extended("DELETE FROM t WHERE k = $1 -- was $2", &[Some("7")])
+        .unwrap();
+    assert!(cycle.errors().is_empty(), "{:?}", cycle.errors());
+    assert_eq!(cycle.command_tags(), vec!["DELETE 10".to_string()]);
+    // Named parameters take one value each, in template order.
+    let cycle = client
+        .extended("DELETE FROM t WHERE k = $lo", &[Some("8")])
+        .unwrap();
+    assert!(cycle.errors().is_empty(), "{:?}", cycle.errors());
+    assert_eq!(cycle.command_tags(), vec!["DELETE 10".to_string()]);
+    let cycle = client
+        .extended(
+            "INSERT INTO t VALUES ($k, $v, $s)",
+            &[Some("8"), Some("0.5"), Some("red")],
+        )
+        .unwrap();
+    assert!(cycle.errors().is_empty(), "{:?}", cycle.errors());
+    assert_eq!(cycle.command_tags(), vec!["INSERT 0 1".to_string()]);
+    let cycle = client
+        .query("SELECT k FROM t WHERE k >= 7 AND k <= 8")
+        .unwrap();
+    assert_eq!(cycle.rows(), vec![vec![Some("8".to_string())]]);
+    client.terminate();
+}
+
+#[test]
+fn connections_share_compiled_statements() {
+    let server = recycling_server(1000);
+    let mut a = PgClient::connect(server.local_addr()).unwrap();
+    let mut b = PgClient::connect(server.local_addr()).unwrap();
+    let stats = "SELECT * FROM rdb_stats()";
+    // Seen twice, the stats text is cached itself and reads as one hit.
+    a.query(stats).unwrap();
+    let before = a.query(stats).unwrap();
+    let sql = "SELECT k, v FROM t WHERE k < $1";
+    for round in 0..3 {
+        for client in [&mut a, &mut b] {
+            let cycle = client.extended(sql, &[Some("4")]).unwrap();
+            assert!(
+                cycle.errors().is_empty(),
+                "round {round}: {:?}",
+                cycle.errors()
+            );
+            assert_eq!(cycle.rows().len(), 40);
+        }
+    }
+    let after = b.query(stats).unwrap();
+    let delta = |name: &str| metric(&after, name) - metric(&before, name);
+    // Admitted on its second sighting: two compiles, then four hits.
+    assert_eq!(delta("statement_cache_misses"), 2.0);
+    assert_eq!(
+        delta("statement_cache_hits"),
+        5.0,
+        "four Parses and the stats query"
+    );
+    assert_eq!(metric(&after, "statement_cache_entries"), 2.0);
+}
+
+#[test]
+fn a_statement_that_fails_to_bind_fails_again_with_its_span() {
+    let server = recycling_server(100);
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    let sql = "SELECT k, nope FROM t WHERE k < $1";
+    let fields = |cycle: &pg_client::Cycle| {
+        let err = cycle.first_error();
+        let fields = err.error_fields();
+        let field = |code: u8| {
+            fields
+                .iter()
+                .find(|(c, _)| *c == code)
+                .map(|(_, v)| v.clone())
+        };
+        (err.sqlstate(), field(b'P'), field(b'D'))
+    };
+    let first = fields(&client.extended(sql, &[Some("1")]).unwrap());
+    assert_eq!(first.0, "42703");
+    assert_eq!(first.1.as_deref(), Some("11"), "1-based offset of 'nope'");
+    assert!(
+        first.2.as_deref().is_some_and(|d| d.contains("^^^^")),
+        "{first:?}"
+    );
+    for _ in 0..3 {
+        assert_eq!(fields(&client.extended(sql, &[Some("1")]).unwrap()), first);
+    }
+    let stats = client.query("SELECT * FROM rdb_stats()").unwrap();
+    assert_eq!(metric(&stats, "statement_cache_misses"), 5.0);
+    assert_eq!(metric(&stats, "statement_cache_entries"), 0.0);
+}

@@ -443,3 +443,20 @@ fn substring_and_like_count_characters() {
         vec![vec![Value::str("héllo")]]
     );
 }
+
+#[test]
+fn explain_tags_a_span_below_a_breaker_that_sources_a_span() {
+    let engine = det_engine(1_000);
+    let sql = "SELECT k, sum(v) AS sv FROM facts WHERE k < 12 GROUP BY k HAVING sum(v) > 0";
+    let explain = engine.session().prepare_sql(sql).unwrap().explain();
+    // HAVING's select is a span over the aggregate; the aggregate folds
+    // its own pipeline, whose WHERE select is a span of its own.
+    assert_eq!(explain.matches("[fused x").count(), 2, "{explain}");
+    for stage in ["select ($1 > 0)", "select ($0 < 12)"] {
+        let line = explain
+            .lines()
+            .find(|l| l.trim_start().starts_with(stage))
+            .unwrap_or_else(|| panic!("no {stage} line:\n{explain}"));
+        assert!(line.contains("[fused x"), "{stage} untagged:\n{explain}");
+    }
+}
