@@ -36,7 +36,7 @@ impl Interval {
     }
 
     /// Tighten with a lower bound.
-    fn add_lo(&mut self, v: Value, inclusive: bool) {
+    pub(crate) fn add_lo(&mut self, v: Value, inclusive: bool) {
         let replace = match &self.lo {
             None => true,
             Some((cur, cur_inc)) => match v.cmp(cur) {
@@ -51,7 +51,7 @@ impl Interval {
     }
 
     /// Tighten with an upper bound.
-    fn add_hi(&mut self, v: Value, inclusive: bool) {
+    pub(crate) fn add_hi(&mut self, v: Value, inclusive: bool) {
         let replace = match &self.hi {
             None => true,
             Some((cur, cur_inc)) => match v.cmp(cur) {
