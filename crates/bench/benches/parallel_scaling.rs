@@ -183,8 +183,8 @@ fn main() {
             );
         }
         if cores == 1 {
-            // The engine clamps effective DOP to the available cores
-            // (`effective_dop`; these engines don't set
+            // The engine clamps DOP to the cap it resolved at build, the
+            // available cores (these engines are built without
             // RDB_ALLOW_OVERSUBSCRIBE), so a DOP=8 request runs serial and
             // oversubscription must be free: no thread pool to spin up, no
             // gather reordering, no morsel hand-off tax.

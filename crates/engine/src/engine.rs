@@ -29,24 +29,6 @@ use crate::session::Session;
 use crate::statements::{self, Compiled, StatementCache, StatementCacheStats};
 use crate::subscribe::{DeltaEvent, SubEntry, SubQueue, Subscription};
 
-/// Effective DOP for a request of `n` workers: `min(n, available
-/// parallelism)`. Oversubscribing the host makes morsel pipelines
-/// *slower*, not faster — extra workers add context switches and contend
-/// on the morsel dispenser without adding compute — so requests beyond the
-/// core count are clamped. Setting `RDB_ALLOW_OVERSUBSCRIBE` (any value)
-/// disables the clamp: the CI DOP matrix runs DOP 8 on small hosts to
-/// exercise determinism, not speed, and needs the literal worker count.
-pub fn effective_dop(n: usize) -> usize {
-    let n = n.max(1);
-    if std::env::var_os("RDB_ALLOW_OVERSUBSCRIBE").is_some() {
-        return n;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    n.min(cores)
-}
-
 /// Fluent constructor for [`Engine`]:
 ///
 /// ```text
@@ -156,8 +138,9 @@ impl EngineBuilder {
     /// morsel-driven pipelines run on; `1` executes serially. Per-session
     /// overrides ([`crate::session::Session::set_parallelism`]) can exceed
     /// the pool size — excess workers run on overflow threads. Results
-    /// are byte-identical at every DOP; requests beyond the host's cores
-    /// are clamped (see [`effective_dop`]).
+    /// are byte-identical at every DOP. Requests beyond the host's cores,
+    /// here and per session, are clamped to the cap
+    /// [`EngineBuilder::try_build`] resolves once per engine.
     pub fn parallelism(mut self, n: usize) -> EngineBuilder {
         self.parallelism = n.max(1);
         self
@@ -175,8 +158,24 @@ impl EngineBuilder {
     /// WAL as every table's commit hook, (3) re-executes persisted
     /// lineage to warm the recycler, and (4) spawns the background
     /// checkpointer.
+    ///
+    /// It also resolves the engine's DOP cap, once: the host's available
+    /// cores, or no cap when `RDB_ALLOW_OVERSUBSCRIBE` (any value) is set
+    /// at this call. Oversubscribing the host makes morsel pipelines
+    /// slower, not faster: extra workers add context switches and contend
+    /// on the morsel dispenser without adding compute. The CI DOP matrix
+    /// sets the variable to run DOP 8 on small hosts, testing determinism
+    /// rather than speed. Changing the variable later does not move the
+    /// cap of an engine already built.
     pub fn try_build(self) -> Result<Arc<Engine>, PlanError> {
-        let parallelism = effective_dop(self.parallelism);
+        // `available_parallelism` re-reads the cgroup and CPU-quota files
+        // on every call (its docs: "It should not be called from hot
+        // code"), so it is read here and never per statement.
+        let dop_cap = match std::env::var_os("RDB_ALLOW_OVERSUBSCRIBE") {
+            Some(_) => usize::MAX,
+            None => std::thread::available_parallelism().map_or(1, |c| c.get()),
+        };
+        let parallelism = self.parallelism.min(dop_cap);
         let (durability, lineage) = match self.data_dir {
             Some(dir) => {
                 let (state, report) =
@@ -203,6 +202,7 @@ impl EngineBuilder {
             )),
             pool: (parallelism > 1).then(|| WorkerPool::new(parallelism)),
             parallelism,
+            dop_cap,
             epoch: Instant::now(),
             durability,
             subscriptions: Mutex::new(Vec::new()),
@@ -562,8 +562,12 @@ pub struct Engine {
     /// engine default DOP is 1; session overrides then run on plain
     /// threads).
     pub(crate) pool: Option<Arc<WorkerPool>>,
-    /// Engine-default DOP.
+    /// Engine-default DOP, at most `dop_cap`.
     pub(crate) parallelism: usize,
+    /// The most workers one execution is granted: the host's cores, or
+    /// `usize::MAX` when built with `RDB_ALLOW_OVERSUBSCRIBE` set.
+    /// Resolved once in [`EngineBuilder::try_build`].
+    pub(crate) dop_cap: usize,
     pub(crate) epoch: Instant,
     /// WAL + checkpoint state (`None` without a data directory).
     pub(crate) durability: Option<DurabilityState>,
@@ -606,6 +610,16 @@ impl Engine {
     /// The engine-default degree of intra-query parallelism.
     pub fn parallelism(&self) -> usize {
         self.parallelism
+    }
+
+    /// The DOP an execution is granted for a session override of
+    /// `requested` workers (0: none): the override if set, else the engine
+    /// default, both at most the DOP cap. A compare, never a host probe.
+    pub(crate) fn granted_dop(&self, requested: usize) -> usize {
+        match requested {
+            0 => self.parallelism,
+            n => n.min(self.dop_cap),
+        }
     }
 
     /// Hits, misses and entries of the engine's compiled-statement cache.

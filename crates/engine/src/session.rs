@@ -31,7 +31,7 @@ use rdb_sql::{Span, SqlError};
 use rdb_storage::CatalogSnapshot;
 use rdb_vector::{Batch, Schema, Value};
 
-use crate::engine::{effective_dop, Engine, GateGuard, QueryOutcome, WriteOutcome};
+use crate::engine::{Engine, GateGuard, QueryOutcome, WriteOutcome};
 use crate::statements::{self, Compiled, Template, Write, WriteStmt};
 
 /// Monotonic counters describing one session's activity.
@@ -189,9 +189,10 @@ impl Session {
     /// engine's shared worker pool is sized by
     /// [`crate::engine::EngineBuilder::parallelism`]; a larger session DOP
     /// still works, with the excess running on overflow threads. Like the
-    /// builder, the override is clamped to the host's available cores at
-    /// execution time ([`crate::engine::effective_dop`]) — oversubscribing
-    /// a small host only adds scheduling overhead.
+    /// builder's DOP, the override is clamped at execution to the engine's
+    /// DOP cap: the host's available cores, resolved once when the engine
+    /// was built ([`crate::engine::EngineBuilder::try_build`]), so a small
+    /// host is not oversubscribed.
     pub fn set_parallelism(&self, dop: usize) {
         self.parallelism.store(dop.max(1), Ordering::Relaxed);
     }
@@ -203,10 +204,8 @@ impl Session {
 
     /// The DOP this session's executions currently get.
     pub fn parallelism(&self) -> usize {
-        match self.parallelism.load(Ordering::Relaxed) {
-            0 => self.engine.parallelism(),
-            n => n,
-        }
+        self.engine
+            .granted_dop(self.parallelism.load(Ordering::Relaxed))
     }
 
     /// Prepare a query template: resolve every named column against the
@@ -214,7 +213,9 @@ impl Session {
     /// template's parameter slots — all exactly once, however many times
     /// the statement is executed afterwards.
     pub fn prepare(&self, plan: &Plan) -> Result<Prepared, PlanError> {
-        Ok(self.prepared(Arc::new(statements::template(plan, &self.engine.catalog)?)))
+        let engine = &self.engine;
+        let template = statements::template(plan, &engine.catalog, &engine.functions)?;
+        Ok(self.prepared(Arc::new(template)))
     }
 
     /// A prepared statement over a compiled template, fingerprinted
@@ -369,7 +370,7 @@ impl Session {
             .validated_concrete(params)
             .map_err(wrap)?
             .into_owned();
-        if contains_volatile_fn(&concrete, &self.engine.functions) {
+        if prepared.template.volatile {
             return Err(wrap(PlanError::msg(
                 "cannot subscribe to a volatile table function",
             )));
@@ -462,19 +463,6 @@ fn whole_span(text: &str) -> Span {
 /// table epochs.
 fn fingerprint_against(template: &Plan, catalog: &rdb_storage::Catalog) -> u64 {
     structural_hash_at(template, &|t| catalog.epoch_of(t).unwrap_or(0))
-}
-
-/// Whether the plan reads any table function registered as volatile
-/// (per-call results; never recycled).
-fn contains_volatile_fn(plan: &Plan, functions: &rdb_exec::FnRegistry) -> bool {
-    if let Plan::FnScan { name, .. } = plan {
-        if functions.is_volatile(name) {
-            return true;
-        }
-    }
-    plan.children()
-        .iter()
-        .any(|c| contains_volatile_fn(c, functions))
 }
 
 /// A prepared statement: a bound template plus its fingerprint, executable
@@ -653,7 +641,9 @@ impl Prepared {
         &'a self,
         params: &Params,
     ) -> Result<std::borrow::Cow<'a, Plan>, PlanError> {
-        let Template { plan, param_names } = &*self.template;
+        let Template {
+            plan, param_names, ..
+        } = &*self.template;
         for name in param_names {
             if params.get(name).is_none() {
                 return Err(PlanError::unbound_parameter(name.clone()));
@@ -681,16 +671,10 @@ impl Prepared {
         let engine = &self.engine;
         let started_at = engine.epoch.elapsed();
         let start = Instant::now();
-        // DOP: the session override if set, else the engine default, both
-        // clamped to the host's cores (the engine default already is; the
-        // session override is clamped here, at the point of use). The
-        // builder splits eligible pipelines across the engine's worker
+        // The builder splits eligible pipelines across the engine's worker
         // pool; every scan still reads the one snapshot pinned below, so
         // all workers of this query see the same epoch vector.
-        let dop = effective_dop(match self.parallelism.load(Ordering::Relaxed) {
-            0 => engine.parallelism,
-            n => n,
-        });
+        let dop = engine.granted_dop(self.parallelism.load(Ordering::Relaxed));
         if dop > 1 {
             self.stats.parallel.fetch_add(1, Ordering::Relaxed);
         }
@@ -711,10 +695,8 @@ impl Prepared {
         // A plan touching a volatile table function (e.g. the server's
         // `rdb_stats()`) must bypass the recycler entirely: caching its
         // result would both serve stale values and evict useful entries.
-        let recycling = engine
-            .recycler
-            .as_ref()
-            .filter(|_| !contains_volatile_fn(concrete, &engine.functions));
+        // The template knows whether it does; binding cannot change that.
+        let recycling = engine.recycler.as_ref().filter(|_| !self.template.volatile);
         let (stream, recycler) = match recycling {
             None => {
                 let ctx = with_parallelism(

@@ -41,11 +41,16 @@ pub const ENTRIES: usize = 256;
 /// Buckets of the first-sighting array (a power of two).
 const SIGHTINGS: usize = 4096;
 
-/// A query template: the normalized plan and its parameter slots.
+/// A query template: the normalized plan, its parameter slots, and
+/// whether it reads a volatile table function.
 #[derive(Debug)]
 pub(crate) struct Template {
     pub(crate) plan: Plan,
     pub(crate) param_names: Vec<String>,
+    /// The plan reads a table function registered as volatile (e.g. the
+    /// server's `rdb_stats()`): every execution bypasses the recycler.
+    /// Binding parameters never changes which functions a plan reads.
+    pub(crate) volatile: bool,
 }
 
 /// A bound `INSERT` or `DELETE` and its parameter slots.
@@ -229,9 +234,9 @@ pub(crate) fn compile(
     let provider = CatalogWithFunctions { catalog, functions };
     let whole = |e: PlanError| SqlError::from_plan(Span::new(0, text.len()), e);
     Ok(match rdb_sql::compile(text, &provider)? {
-        BoundStatement::Query(plan) => {
-            Compiled::Query(Arc::new(template(&plan, catalog).map_err(whole)?))
-        }
+        BoundStatement::Query(plan) => Compiled::Query(Arc::new(
+            template(&plan, catalog, functions).map_err(whole)?,
+        )),
         BoundStatement::Insert { table, rows } => {
             let mut param_names = Vec::new();
             rows.iter()
@@ -254,9 +259,14 @@ pub(crate) fn compile(
 }
 
 /// Resolve every named column of `plan` against the catalog, check its
-/// scans, normalize it and collect its parameter slots: everything a
-/// prepared query computes once, whatever the table epochs.
-pub(crate) fn template(plan: &Plan, catalog: &Catalog) -> Result<Template, PlanError> {
+/// scans, normalize it, collect its parameter slots and note whether it
+/// reads a volatile table function: everything a prepared query computes
+/// once, whatever the table epochs.
+pub(crate) fn template(
+    plan: &Plan,
+    catalog: &Catalog,
+    functions: &FnRegistry,
+) -> Result<Template, PlanError> {
     if let Some(name) = plan.param_in_typed_position() {
         // Schema derivation (which binding needs) would have to type
         // the placeholder; reject up front rather than panic inside it.
@@ -296,7 +306,25 @@ pub(crate) fn template(plan: &Plan, catalog: &Catalog) -> Result<Template, PlanE
     // comparisons, redundant projections) share recycler-graph nodes.
     let plan = rdb_plan::normalize(&bound, catalog);
     let param_names = plan.param_names();
-    Ok(Template { plan, param_names })
+    let volatile = contains_volatile_fn(&plan, functions);
+    Ok(Template {
+        plan,
+        param_names,
+        volatile,
+    })
+}
+
+/// Whether the plan reads any table function registered as volatile
+/// (per-call results; never recycled).
+fn contains_volatile_fn(plan: &Plan, functions: &FnRegistry) -> bool {
+    if let Plan::FnScan { name, .. } = plan {
+        if functions.is_volatile(name) {
+            return true;
+        }
+    }
+    plan.children()
+        .iter()
+        .any(|c| contains_volatile_fn(c, functions))
 }
 
 /// Check every base-table scan in the subtree against the catalog (table

@@ -33,9 +33,10 @@ use recycler_db::storage::{Catalog, TableBuilder};
 use recycler_db::vector::{Batch, ColumnBuilder, DataType, Schema, Value};
 
 /// This suite asserts exact DOPs up to 8 regardless of host width, so it
-/// opts out of the engine's available-core clamp (`effective_dop`) — the
-/// equivalence contract is precisely that oversubscribed execution still
-/// produces serial bytes.
+/// opts out of the engine's available-core clamp — the equivalence
+/// contract is precisely that oversubscribed execution still produces
+/// serial bytes. Engines read the variable when they are built, so each
+/// test sets it before building any.
 fn allow_oversubscribe() {
     std::env::set_var("RDB_ALLOW_OVERSUBSCRIBE", "1");
 }

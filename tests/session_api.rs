@@ -2,14 +2,16 @@
 //! parameter binding, streaming batch results, and structured execution
 //! failures.
 
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use recycler_db::engine::Engine;
+use recycler_db::exec::{FnRegistry, TableFunction};
 use recycler_db::expr::{AggFunc, Expr, Params};
-use recycler_db::plan::{scan, Plan};
+use recycler_db::plan::{fn_scan, scan, Plan};
 use recycler_db::recycler::RecyclerConfig;
 use recycler_db::storage::{Catalog, TableBuilder};
-use recycler_db::vector::{DataType, Schema, Value, BATCH_CAPACITY};
+use recycler_db::vector::{Batch, DataType, Schema, Value, BATCH_CAPACITY};
 
 fn catalog(rows: i64) -> Arc<Catalog> {
     let mut cat = Catalog::new();
@@ -230,4 +232,86 @@ fn collect_batch_is_the_explicit_materialization_point() {
         .unwrap()
         .collect_batch();
     assert_eq!(batch.rows(), 8);
+}
+
+/// `ticks()`: one row holding how many times it has been called. Volatile,
+/// like the server's `rdb_stats()`.
+#[derive(Default)]
+struct Ticks(AtomicI64);
+
+impl TableFunction for Ticks {
+    fn schema(&self, _args: &[Value]) -> Schema {
+        Schema::from_pairs([("tick", DataType::Int)])
+    }
+
+    fn execute(&self, _args: &[Value], work: &mut u64) -> Vec<Batch> {
+        *work += 1;
+        let tick = self.0.fetch_add(1, Ordering::Relaxed) + 1;
+        vec![Batch::from_rows(
+            &self.schema(&[]),
+            &[vec![Value::Int(tick)]],
+        )]
+    }
+
+    fn volatile(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn volatile_functions_bypass_the_recycler_on_every_execution() {
+    // Whether a statement reads a volatile function is decided once per
+    // compiled template; every execution of it, from one prepared
+    // statement or from one cached SQL text, must still compute afresh
+    // and leave nothing in the recycler.
+    let mut fns = FnRegistry::new();
+    fns.register("ticks", Arc::new(Ticks::default()));
+    let mut c = RecyclerConfig::deterministic(1 << 24);
+    c.spec_min_progress = 0.0;
+    let engine = Engine::builder(catalog(1_000))
+        .recycler(c)
+        .functions(Arc::new(fns))
+        .build();
+    let session = engine.session();
+    let ticks = fn_scan(
+        "ticks",
+        vec![],
+        Schema::from_pairs([("tick", DataType::Int)]),
+    )
+    .select(Expr::name("tick").gt(Expr::lit(0)));
+    let prepared = session.prepare(&ticks).unwrap();
+    let mut want = 0;
+    let mut check = |handle: recycler_db::engine::QueryHandle, how: &str| {
+        want += 1;
+        assert!(handle.events().is_empty(), "{how}: recycler events");
+        let out = handle.into_outcome();
+        assert_eq!(
+            out.batch.to_rows(),
+            vec![vec![Value::Int(want)]],
+            "{how}: a fresh result"
+        );
+    };
+    for _ in 0..3 {
+        check(prepared.execute(&Params::none()).unwrap(), "prepared");
+    }
+    let sql = "SELECT tick FROM ticks() WHERE tick > 0";
+    for _ in 0..4 {
+        check(
+            session.sql(sql, &Params::none()).unwrap().expect_rows(),
+            "sql",
+        );
+    }
+    assert!(
+        engine.statement_cache_stats().hits >= 2,
+        "the later SQL executions reuse the cached template"
+    );
+    let recycler = engine.recycler().unwrap();
+    assert_eq!(recycler.stats.queries.load(Ordering::Relaxed), 0);
+    assert_eq!((recycler.graph_len(), recycler.cache_len()), (0, 0));
+
+    // The same engine still recycles a plain query.
+    let p = Params::new().set("limit", 8i64);
+    let plain = session.prepare(&template()).unwrap();
+    assert!(!plain.execute(&p).unwrap().into_outcome().reused());
+    assert!(plain.execute(&p).unwrap().into_outcome().reused());
 }
