@@ -31,8 +31,9 @@
 //! (`rdb_storage::VersionedTable`), queries pin an epoch vector via a
 //! catalog snapshot, and freshness is enforced at three points:
 //!
-//! 1. **One reaction to a commit** — every committed write is one typed
-//!    [`rdb_delta::Delta`] (append, delete or replace), and
+//! 1. **One reaction to a commit** — every committed write is one
+//!    [`rdb_storage::Commit`] (append, delete or replace), the value
+//!    storage built and the write-ahead log recorded, and
 //!    [`Recycler::repair`] is the only write entry: it walks the
 //!    operator graph upward from the changed table's scan leaves (every
 //!    [`graph::GraphNode`] records its base-table footprint), repairs a

@@ -33,13 +33,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use rdb_delta::{Change, Delta};
 use rdb_exec::{
     ArtifactKind, BuildSide, FnRegistry, MaterializedResult, MetricsNode, ResultStore,
     SpeculationEstimate, StateCost, StoreVerdict,
 };
 use rdb_plan::{Plan, StoreMode};
 use rdb_storage::{Catalog, CatalogSnapshot};
+use rdb_storage::{Change, Commit};
 use rdb_vector::Schema;
 
 use crate::cache::{ArtifactId, CacheArtifact, CacheEntry, RecyclerCache, Removed};
@@ -425,8 +425,9 @@ impl Recycler {
         st.evicted(flushed);
     }
 
-    /// A base table committed a typed [`Delta`] — the one entry point for
-    /// every write. Walk the operator graph upward from the changed leaf
+    /// A base table committed `delta` — the storage [`Commit`], the same
+    /// value the write-ahead log recorded; the one entry point for every
+    /// write. Walk the operator graph upward from the changed leaf
     /// (PAPER.md §V): dependent cache entries over other tables stay
     /// untouched, stale dependents are repaired in place where the
     /// insert-time classification allows it, and the rest are evicted
@@ -439,12 +440,12 @@ impl Recycler {
     /// gate in [`ResultStore::publish`].
     ///
     /// `snapshot` must be the post-commit snapshot. Repair requires
-    /// `snapshot.epoch_of(delta.table) == delta.epoch` and a non-empty
-    /// append or delete; a [`Change::Replace`], or a snapshot that has
-    /// moved on, yields no repair candidates, so every stale dependent
-    /// evicts. Must be called *after* the table's new version is
-    /// committed (the engine's DML path does this); callers mutating
-    /// storage behind the engine's back get stale reuse until they do.
+    /// `snapshot.epoch_of(delta.table) == delta.epoch` and an append or a
+    /// delete; a [`Change::Replace`], or a snapshot that has moved on,
+    /// yields no repair candidates, so every stale dependent evicts. Must
+    /// be called *after* the table's new version is committed (the
+    /// engine's DML path does this); callers mutating storage behind the
+    /// engine's back get stale reuse until they do.
     ///
     /// Structure: candidates are collected under the recycler lock, the
     /// repair kernels run **unlocked** (they evaluate subplans), and
@@ -454,20 +455,15 @@ impl Recycler {
     /// is positional and cheap to rebuild relative to re-verifying it.
     pub fn repair(
         &self,
-        delta: &Delta,
+        delta: &Commit,
         snapshot: &CatalogSnapshot,
         functions: &Arc<FnRegistry>,
     ) -> RepairOutcome {
         let table = delta.table.as_str();
         let new_epoch = delta.epoch;
         let mut out = RepairOutcome::default();
-        // No-op fast path: an empty delta repairs nothing and must not
-        // walk the graph (the engine never commits one, but be safe).
-        if delta.is_empty() {
-            return out;
-        }
-        let repairing =
-            !matches!(delta.change, Change::Replace) && snapshot.epoch_of(table) == Some(new_epoch);
+        let repairing = !matches!(delta.change, Change::Replace(_))
+            && snapshot.epoch_of(table) == Some(new_epoch);
         if repairing {
             bump!(self.stats, deltas_applied);
             out.deltas_applied = 1;
@@ -491,13 +487,14 @@ impl Recycler {
             *cur = (*cur).max(new_epoch);
             for id in st.graph.dependents_of_table(table) {
                 // Cost gate: when the delta carries more rows than the
-                // node's own true cost (in work units this is rows
-                // processed), recomputing on demand is no worse than
-                // repairing eagerly. Unmeasured nodes always repair.
+                // node's own true cost in work units (rows processed,
+                // kept whatever the configured cost model), recomputing on
+                // demand is no worse than repairing eagerly. Unmeasured
+                // nodes always repair.
                 let repairable = repairing
                     && st.graph.node(id).repairability_for(table).repairable()
                     && (!st.graph.node(id).stats.measured
-                        || (delta.rows() as f64) <= st.graph.true_cost(id, model));
+                        || (delta.rows() as f64) <= st.graph.true_cost(id, CostModel::WorkUnits));
                 for aid in st.cache.artifacts_of(id) {
                     let Some(entry) = st.cache.get_artifact(aid) else {
                         continue;

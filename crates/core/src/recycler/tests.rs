@@ -19,11 +19,10 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rdb_delta::Delta;
 use rdb_exec::{build, ExecContext, ExecTree, FnRegistry};
 use rdb_expr::{AggFunc, Expr};
 use rdb_plan::{scan, Plan, SortKeyExpr};
-use rdb_storage::{Catalog, TableBuilder};
+use rdb_storage::{Catalog, Change, ChunkList, Commit, TableBuilder};
 use rdb_vector::{DataType, Schema, Value};
 
 use super::*;
@@ -243,15 +242,14 @@ fn open(rc: &Arc<Recycler>, catalog: &Arc<Catalog>, plan: &Plan) -> Open {
     }
 }
 
-/// Commit a small append or delete to `t` or `u`; returns its delta.
-fn write(rng: &mut SmallRng, catalog: &Catalog) -> Option<Delta> {
+/// Commit a small append or delete to `t` or `u`; returns its commit.
+fn write(rng: &mut SmallRng, catalog: &Catalog) -> Option<Commit> {
     let (name, width) = if rng.gen_bool(0.7) {
         ("t", 3)
     } else {
         ("u", 2)
     };
     let vt = catalog.versioned(name).expect("table exists");
-    let schema = vt.schema().clone();
     if rng.gen_bool(0.7) {
         let rows: Vec<Vec<Value>> = (0..rng.gen_range(1..4))
             .map(|_| {
@@ -260,18 +258,15 @@ fn write(rng: &mut SmallRng, catalog: &Catalog) -> Option<Delta> {
                     .collect()
             })
             .collect();
-        let after = vt.append(&rows).expect("append commits");
-        Some(Delta::append(name, schema, after.epoch(), &rows))
+        vt.append(&rows).expect("append commits").0
     } else {
         let doomed = Value::Int(rng.gen_range(0..60));
-        let (rows, after) = vt
-            .delete_where(|t| {
-                (0..t.rows())
-                    .map(|i| t.row_values(i)[0] == doomed)
-                    .collect()
-            })
-            .expect("delete commits");
-        (!rows.is_empty()).then(|| Delta::delete(name, schema, after.epoch(), &rows))
+        vt.delete_where(|t| {
+            let keys = t.column(0).to_values();
+            keys.into_iter().map(|k| k == doomed).collect()
+        })
+        .expect("delete commits")
+        .0
     }
 }
 
@@ -322,7 +317,11 @@ fn interleaving(seed: u64) -> Arc<Recycler> {
                     } else {
                         // The same commit as a replace: no candidates,
                         // every stale dependent evicts.
-                        let replace = Delta::replace(delta.table, delta.schema, delta.epoch);
+                        let contents = catalog.get(&delta.table).expect("table exists");
+                        let replace = Commit {
+                            change: Change::Replace(ChunkList::new(contents.chunks().to_vec())),
+                            ..delta
+                        };
                         rc.repair(&replace, &catalog.snapshot(), &functions);
                     }
                 }
@@ -621,9 +620,12 @@ fn a_build_from_a_superseded_snapshot_is_rejected() {
     // `u` moves on after the query pinned it, before its join builds.
     let vt = catalog.versioned("u").unwrap();
     let rows = vec![vec![Value::Int(1), Value::Int(99)]];
-    let after = vt.append(&rows).unwrap();
-    let delta = Delta::append("u", vt.schema().clone(), after.epoch(), &rows);
-    rc.repair(&delta, &catalog.snapshot(), &Arc::new(FnRegistry::new()));
+    let (delta, _) = vt.append(&rows).unwrap();
+    rc.repair(
+        &delta.unwrap(),
+        &catalog.snapshot(),
+        &Arc::new(FnRegistry::new()),
+    );
     q.tree.drain().expect("query runs");
     assert_eq!(rc.stats.stale_rejections.load(Ordering::Relaxed), 1);
     assert_eq!(cached_builds(&rc), 0);
@@ -633,6 +635,52 @@ fn a_build_from_a_superseded_snapshot_is_rejected() {
         "a build target emits no event: {events:?}"
     );
     assert_eq!(rc.stats.abandoned.load(Ordering::Relaxed), 0);
+}
+
+/// The repair gate weighs a delta's rows against a node's cost in work
+/// units (rows processed), which the graph keeps under every cost model:
+/// under the time model a tiny node's cost in nanoseconds would let any
+/// delta through.
+#[test]
+fn a_delta_larger_than_a_tiny_node_evicts_it_under_the_time_model() {
+    let catalog = catalog(5);
+    let mut cfg = RecyclerConfig::deterministic(1 << 24);
+    cfg.cost_model = CostModel::Time;
+    cfg.spec_min_progress = 0.0;
+    let rc = Recycler::new(cfg);
+    let plan = scan("u", &["k", "d"]).select(Expr::name("k").lt(Expr::lit(3)));
+    run(&rc, &catalog, &plan);
+    let id = rc
+        .with_graph(|g| g.find_exact(&plan.bind(&catalog).unwrap()))
+        .expect("plan is in the graph");
+    assert!(rc.with_graph(|g| g.node(id).materialized && g.node(id).stats.measured));
+    let rows: Vec<Vec<Value>> = (0..40)
+        .map(|k| vec![Value::Int(k % 6), Value::Int(100 + k)])
+        .collect();
+    let (work, time) = rc.with_graph(|g| {
+        (
+            g.true_cost(id, CostModel::WorkUnits),
+            g.true_cost(id, CostModel::Time),
+        )
+    });
+    assert!(
+        work < rows.len() as f64 && time > rows.len() as f64,
+        "{work} {time}"
+    );
+    let (delta, _) = catalog.versioned("u").unwrap().append(&rows).unwrap();
+    let out = rc.repair(
+        &delta.unwrap(),
+        &catalog.snapshot(),
+        &Arc::new(FnRegistry::new()),
+    );
+    assert_eq!((out.repaired, out.fallbacks), (0, 0), "{out:?}");
+    assert!(
+        out.events
+            .iter()
+            .any(|e| matches!(e, RecyclerEvent::Invalidated { node, .. } if *node == id)),
+        "{out:?}"
+    );
+    assert!(!rc.with_graph(|g| g.node(id).materialized));
 }
 
 #[test]

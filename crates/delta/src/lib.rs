@@ -1,15 +1,15 @@
 //! Incremental repair of cached results from DML deltas.
 //!
-//! PR 3's invalidation path is evict-on-write: any epoch commit against a
-//! base table throws away every dependent cache entry, and under a mixed
-//! read/write workload the recycler loses exactly the entries that are most
-//! expensive to rebuild. This crate turns eviction into a continuum
-//! (following "Revisiting Reuse in Main Memory Database Systems"): an epoch
-//! commit carries a typed [`Delta`] — the appended or deleted rows
-//! themselves, not just the new epoch, or [`Change::Replace`] for a
-//! wholesale replace — and each dependent entry is either
-//! **repaired in place** or evicted, depending on a conservative
-//! classification of its plan.
+//! Evicting every dependent cache entry on each write to a base table
+//! loses, under a mixed read/write workload, exactly the entries that are
+//! most expensive to rebuild. This crate turns eviction into a continuum
+//! (following "Revisiting Reuse in Main Memory Database Systems"). The
+//! delta is the storage commit itself, [`rdb_storage::Commit`] — the
+//! value the write-ahead log records: the appended rows as one batch, a
+//! delete's positions (whose values are gathered from the predecessor
+//! snapshot only when a kernel reads them), or a wholesale replacement —
+//! and each dependent entry is either **repaired in place** or evicted,
+//! depending on a conservative classification of its plan.
 //!
 //! # Repairability rules
 //!
@@ -79,90 +79,9 @@ use std::sync::Arc;
 use rdb_exec::{ExecContext, FnRegistry, MaterializedResult, ResumedAgg};
 use rdb_expr::{eval, AggFunc};
 use rdb_plan::{JoinKind, Plan};
-use rdb_storage::{Catalog, CatalogSnapshot, Table};
+use rdb_storage::{Catalog, CatalogSnapshot, Change, Commit, Table};
 use rdb_vector::row::{cmp_cell, SortOrder};
-use rdb_vector::{Batch, Column, Schema, Value};
-
-/// What one epoch commit did to its table.
-#[derive(Debug, Clone)]
-pub enum Change {
-    /// Rows appended after the predecessor's last row, in append order.
-    Append(Batch),
-    /// Deleted rows' full values, in ascending predecessor-position order.
-    Delete(Batch),
-    /// The contents were replaced wholesale: there is no row-level delta,
-    /// so every stale dependent evicts and subscriptions refresh.
-    Replace,
-}
-
-/// The typed change one epoch commit applies to one table — every
-/// committed write is exactly one of these, and [`Change`] says which
-/// kind.
-#[derive(Debug, Clone)]
-pub struct Delta {
-    /// The committed table.
-    pub table: String,
-    /// Its (epoch-invariant) schema.
-    pub schema: Schema,
-    /// The epoch the commit produced.
-    pub epoch: u64,
-    /// What the commit did.
-    pub change: Change,
-}
-
-impl Delta {
-    /// Delta for an append commit.
-    pub fn append(
-        table: impl Into<String>,
-        schema: Schema,
-        epoch: u64,
-        rows: &[Vec<Value>],
-    ) -> Delta {
-        let change = Change::Append(Batch::from_rows(&schema, rows));
-        Delta::new(table, schema, epoch, change)
-    }
-
-    /// Delta for a delete commit; `rows` are the deleted rows' captured
-    /// values in predecessor order.
-    pub fn delete(
-        table: impl Into<String>,
-        schema: Schema,
-        epoch: u64,
-        rows: &[Vec<Value>],
-    ) -> Delta {
-        let change = Change::Delete(Batch::from_rows(&schema, rows));
-        Delta::new(table, schema, epoch, change)
-    }
-
-    /// Delta for a wholesale replace commit.
-    pub fn replace(table: impl Into<String>, schema: Schema, epoch: u64) -> Delta {
-        Delta::new(table, schema, epoch, Change::Replace)
-    }
-
-    fn new(table: impl Into<String>, schema: Schema, epoch: u64, change: Change) -> Delta {
-        Delta {
-            table: table.into(),
-            schema,
-            epoch,
-            change,
-        }
-    }
-
-    /// Rows the delta carries (0 for a replace).
-    pub fn rows(&self) -> usize {
-        match &self.change {
-            Change::Append(rows) | Change::Delete(rows) => rows.rows(),
-            Change::Replace => 0,
-        }
-    }
-
-    /// Whether this delta changes nothing: an append or delete of no rows
-    /// (the engine never emits these — no-op DML commits no epoch — but
-    /// repair guards on it anyway). A replace is never empty.
-    pub fn is_empty(&self) -> bool {
-        !matches!(self.change, Change::Replace) && self.rows() == 0
-    }
-}
+use rdb_vector::{Batch, Column, Schema};
 
 /// How a cached entry can react to a change of one of its base tables.
 /// See the module docs for the full rules table.
@@ -290,7 +209,7 @@ pub fn classify_node(plan: &Plan) -> Repairability {
 /// holding only `rows` (the delta). Plans evaluated over this catalog see
 /// every other table at its pinned version and the changed table as just
 /// its delta.
-fn delta_catalog(snapshot: &CatalogSnapshot, delta: &Delta, rows: &Batch) -> Catalog {
+fn delta_catalog(snapshot: &CatalogSnapshot, delta: &Commit, rows: &Batch) -> Catalog {
     let mut cat = Catalog::new();
     for (name, _) in snapshot.epochs() {
         if name == delta.table {
@@ -327,7 +246,7 @@ fn run_serial(plan: &Plan, catalog: Catalog, functions: &Arc<FnRegistry>) -> Opt
 pub fn eval_append(
     plan: &Plan,
     schema: &Schema,
-    delta: &Delta,
+    delta: &Commit,
     snapshot: &CatalogSnapshot,
     functions: &Arc<FnRegistry>,
 ) -> Option<Batch> {
@@ -357,18 +276,10 @@ pub fn eval_full(
 pub fn repair(
     plan: &Plan,
     cached: &MaterializedResult,
-    delta: &Delta,
+    delta: &Commit,
     snapshot: &CatalogSnapshot,
     functions: &Arc<FnRegistry>,
 ) -> Option<MaterializedResult> {
-    let (rows, appending) = match &delta.change {
-        Change::Append(rows) => (rows, true),
-        Change::Delete(rows) => (rows, false),
-        Change::Replace => return None,
-    };
-    if rows.rows() == 0 {
-        return None;
-    }
     let schema = &cached.schema;
     match classify(plan, &delta.table) {
         Repairability::EvictOnly => None,
@@ -390,7 +301,14 @@ pub fn repair(
             else {
                 return None;
             };
-            let cat = delta_catalog(snapshot, delta, rows);
+            // Only count retraction reads a delete's values: it gathers
+            // them by position from the predecessor snapshot.
+            let (rows, appending) = match &delta.change {
+                Change::Append(rows) => (rows.clone(), true),
+                Change::Delete { .. } if count_only(aggs) => (delta.deleted_rows()?, false),
+                _ => return None,
+            };
+            let cat = delta_catalog(snapshot, delta, &rows);
             let input_types: Vec<_> = child
                 .schema(&cat)
                 .ok()?
@@ -414,9 +332,6 @@ pub fn repair(
                 }
                 resumed.finish()
             } else {
-                if !count_only(aggs) {
-                    return None;
-                }
                 rdb_exec::retract_count_groups(
                     &old,
                     group_by.clone(),
@@ -489,7 +404,7 @@ mod tests {
     use rdb_plan::builder::scan;
     use rdb_plan::SortKeyExpr;
     use rdb_storage::{TableBuilder, SEAL_ROWS};
-    use rdb_vector::DataType;
+    use rdb_vector::{DataType, Value};
 
     fn catalog_with(rows: &[(i64, f64)]) -> Catalog {
         let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Float)]);
@@ -618,9 +533,9 @@ mod tests {
             vec![Value::Int(0), Value::Float(0.25)],
             vec![Value::Int(9), Value::Float(9.5)],
         ];
-        cat.versioned("t").unwrap().append(&new_rows).unwrap();
+        let (delta, _) = cat.versioned("t").unwrap().append(&new_rows).unwrap();
+        let delta = delta.unwrap();
         let snap = cat.snapshot();
-        let delta = Delta::append("t", snap.get("t").unwrap().schema().clone(), 1, &new_rows);
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
@@ -654,9 +569,9 @@ mod tests {
         let new_rows: Vec<Vec<Value>> = (0..17)
             .map(|i| vec![Value::Int(i % 4), Value::Float(0.01 * i as f64 + 1e-10)])
             .collect();
-        cat.versioned("t").unwrap().append(&new_rows).unwrap();
+        let (delta, _) = cat.versioned("t").unwrap().append(&new_rows).unwrap();
+        let delta = delta.unwrap();
         let snap = cat.snapshot();
-        let delta = Delta::append("t", snap.get("t").unwrap().schema().clone(), 1, &new_rows);
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
@@ -684,12 +599,15 @@ mod tests {
         let cached = materialize(&plan, &cat, &schema);
         // Delete every k == 2 row.
         let vt = cat.versioned("t").unwrap();
-        let (deleted, _) = vt
+        let (delta, _) = vt
             .delete_where(|t| t.column(0).as_ints().iter().map(|&k| k == 2).collect())
             .unwrap();
-        assert_eq!(deleted, [vec![Value::Int(2), Value::Float(3.0)]]);
+        let delta = delta.unwrap();
+        assert_eq!(
+            delta.deleted_rows().unwrap().to_rows(),
+            [vec![Value::Int(2), Value::Float(3.0)]]
+        );
         let snap = cat.snapshot();
-        let delta = Delta::delete("t", snap.get("t").unwrap().schema().clone(), 1, &deleted);
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("count-gated repair");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
@@ -712,13 +630,13 @@ mod tests {
         );
         let schema = plan.schema(&cat).unwrap();
         let cached = materialize(&plan, &cat, &schema);
+        let (delta, _) = cat
+            .versioned("t")
+            .unwrap()
+            .delete_where(|t| vec![true; t.rows()])
+            .unwrap();
+        let delta = delta.unwrap();
         let snap = cat.snapshot();
-        let delta = Delta::delete(
-            "t",
-            snap.get("t").unwrap().schema().clone(),
-            1,
-            &[vec![Value::Int(1), Value::Float(1.0)]],
-        );
         let fns = Arc::new(FnRegistry::new());
         assert!(
             repair(&plan, &cached, &delta, &snap, &fns).is_none(),
@@ -742,9 +660,9 @@ mod tests {
             vec![Value::Int(0), Value::Float(0.0)],
             vec![Value::Int(2), Value::Float(0.21)],
         ];
-        cat.versioned("t").unwrap().append(&new_rows).unwrap();
+        let (delta, _) = cat.versioned("t").unwrap().append(&new_rows).unwrap();
+        let delta = delta.unwrap();
         let snap = cat.snapshot();
-        let delta = Delta::append("t", snap.get("t").unwrap().schema().clone(), 1, &new_rows);
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
@@ -764,9 +682,9 @@ mod tests {
         let schema = plan.schema(&cat).unwrap();
         let cached = materialize(&plan, &cat, &schema);
         let new_rows = vec![vec![Value::Int(2), Value::Float(2.0)]];
-        cat.versioned("t").unwrap().append(&new_rows).unwrap();
+        let (delta, _) = cat.versioned("t").unwrap().append(&new_rows).unwrap();
+        let delta = delta.unwrap();
         let snap = cat.snapshot();
-        let delta = Delta::append("t", snap.get("t").unwrap().schema().clone(), 1, &new_rows);
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         assert_eq!(repaired.rows(), 0, "no delta row passes the predicate");
@@ -990,9 +908,9 @@ mod tests {
                     .map(|k| appended_row(&mut rng, k))
                     .collect();
                 next_key += n;
-                let table = cat.versioned("t").unwrap().append(&rows).unwrap();
+                let (delta, _) = cat.versioned("t").unwrap().append(&rows).unwrap();
+                let delta = delta.unwrap();
                 let snap = cat.snapshot();
-                let delta = Delta::append("t", wide_schema(), table.epoch(), &rows);
                 for ((what, plan, _), prev) in plans.iter().zip(cached.iter_mut()) {
                     let what = format!("seed {seed} step {step} {what}");
                     let repaired = repair(plan, prev, &delta, &snap, &fns)

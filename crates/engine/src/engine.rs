@@ -12,13 +12,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use rdb_delta::{Delta, Repairability};
+use rdb_delta::Repairability;
 use rdb_exec::{FnRegistry, WorkerPool};
 use rdb_expr::{CompiledPredicate, Expr};
 use rdb_plan::{Plan, PlanError};
 use rdb_recycler::{Recycler, RecyclerConfig, RecyclerEvent, RepairOutcome};
 use rdb_sql::SqlError;
-use rdb_storage::{Catalog, Table};
+use rdb_storage::{Catalog, Commit, Table};
 use rdb_vector::{Batch, Schema, Value};
 
 use crate::durability::{
@@ -660,13 +660,8 @@ impl Engine {
             .catalog
             .versioned(table)
             .ok_or_else(|| PlanError::unknown_table(table))?;
-        let schema = vt.schema().clone();
-        let snap = vt.append(rows).map_err(|e| self.write_error(e))?;
-        let repair = if rows.is_empty() {
-            RepairOutcome::default()
-        } else {
-            self.notify_update(&Delta::append(table, schema, snap.epoch(), rows))
-        };
+        let (commit, snap) = vt.append(rows).map_err(|e| self.write_error(e))?;
+        let repair = self.notify_update(commit.as_ref());
         Ok(WriteOutcome {
             kind: WriteKind::Append,
             table: table.to_string(),
@@ -709,8 +704,8 @@ impl Engine {
         // The mask is evaluated against the exact snapshot being replaced
         // (VersionedTable::delete_where re-runs it if a concurrent writer
         // commits first), so interleaved writers compose linearizably. The
-        // deleted rows are captured inside the commit — they are the typed
-        // delta the repair path retracts from dependent cache entries.
+        // commit holds the deleted positions and that snapshot, which is
+        // where count retraction reads the deleted rows from.
         // Only the columns the predicate reads are scanned (one column, for
         // the row count, when it reads none: `WHERE TRUE`).
         let mut used = Vec::new();
@@ -750,27 +745,19 @@ impl Engine {
                 rdb_exec::error::panic_message(panic.as_ref())
             ))
         })?;
-        let (captured, snap) = committed.map_err(|e| self.write_error(e))?;
-        let deleted = captured.len();
-        let repair = if deleted == 0 {
-            // No-op delete: no epoch committed, cache stays hot.
-            RepairOutcome::default()
-        } else {
-            let schema = vt.schema().clone();
-            self.notify_update(&Delta::delete(table, schema, snap.epoch(), &captured))
-        };
+        let (commit, snap) = committed.map_err(|e| self.write_error(e))?;
         Ok(WriteOutcome {
             kind: WriteKind::Delete,
             table: table.to_string(),
             epoch: snap.epoch(),
-            rows_affected: deleted,
-            repair,
+            rows_affected: commit.as_ref().map_or(0, Commit::rows),
+            repair: self.notify_update(commit.as_ref()),
         })
     }
 
     /// Replace a base table's contents wholesale, committing the new
     /// contents as the next epoch. Unlike raw `Catalog::replace`, this
-    /// routes a [`Change::Replace`](rdb_delta::Change::Replace) delta
+    /// routes the [`Change::Replace`](rdb_storage::Change::Replace) commit
     /// through [`Recycler::repair`], which evicts every cache entry that
     /// depended on the old contents, so none can serve stale rows.
     /// In-flight queries keep reading their pinned snapshots.
@@ -783,17 +770,15 @@ impl Engine {
             .catalog
             .versioned(&name)
             .ok_or_else(|| PlanError::unknown_table(&name))?;
-        let rows = table.rows();
-        let snap = vt.replace(&table).map_err(|e| self.write_error(e))?;
         // A wholesale replacement has no row-level delta: dependent cache
         // entries evict, subscriptions refresh.
-        let delta = Delta::replace(&name, vt.schema().clone(), snap.epoch());
+        let (commit, snap) = vt.replace(&table).map_err(|e| self.write_error(e))?;
         Ok(WriteOutcome {
             kind: WriteKind::Replace,
             table: name,
             epoch: snap.epoch(),
-            rows_affected: rows,
-            repair: self.notify_update(&delta),
+            rows_affected: table.rows(),
+            repair: self.notify_update(commit.as_ref()),
         })
     }
 
@@ -808,15 +793,20 @@ impl Engine {
     }
 
     /// Tell the recycler (and live subscriptions) a table committed
-    /// `delta`. The recycler *repairs* dependent cache entries in place
-    /// where their classification allows it and evicts the rest (every
-    /// one, for a replace).
-    fn notify_update(&self, delta: &Delta) -> RepairOutcome {
+    /// `commit`, the value storage built and the WAL logged; a no-op write
+    /// (`None`) committed nothing and leaves the cache hot. The recycler
+    /// *repairs* dependent cache entries in place where their
+    /// classification allows it and evicts the rest (every one, for a
+    /// replace).
+    fn notify_update(&self, commit: Option<&Commit>) -> RepairOutcome {
+        let Some(commit) = commit else {
+            return RepairOutcome::default();
+        };
         let out = match &self.recycler {
-            Some(r) => r.repair(delta, &self.catalog.snapshot(), &self.functions),
+            Some(r) => r.repair(commit, &self.catalog.snapshot(), &self.functions),
             None => RepairOutcome::default(),
         };
-        self.fan_out(delta);
+        self.fan_out(commit);
         out
     }
 
@@ -826,7 +816,7 @@ impl Engine {
     /// a full [`DeltaEvent::Refresh`] otherwise. Runs under the registry
     /// lock so fan-out serializes with registration (gapless handoff) and
     /// per-subscription event order follows epoch order.
-    fn fan_out(&self, delta: &Delta) {
+    fn fan_out(&self, delta: &Commit) {
         let mut subs = self.subscriptions.lock();
         if subs.is_empty() {
             return;

@@ -9,7 +9,7 @@
 //! either
 //!
 //! * [`DeltaEvent::Delta`] — the rows the write *added* to the result,
-//!   computed by running the plan over the delta rows alone
+//!   computed by running the plan over the commit's appended rows alone
 //!   ([`rdb_delta::eval_append`]). Only select-class plans w.r.t. the
 //!   changed table (see [`rdb_delta::Repairability`]) and pure appends
 //!   qualify; the cached result concatenated with these rows is

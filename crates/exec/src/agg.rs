@@ -674,7 +674,12 @@ impl State {
             let State::Count(n) = self else {
                 unreachable!("only count(*) has no argument")
             };
-            rows.for_each(|_, g| n[g] += 1);
+            match n.as_mut_slice() {
+                // One group holds every live row: count them once, not
+                // one read-modify-write of the same slot per row.
+                [only] => *only += rows.gids.len() as i64,
+                _ => rows.for_each(|_, g| n[g] += 1),
+            }
             return;
         };
         let mask = col.validity();

@@ -263,11 +263,25 @@ impl ChunkList {
         }
     }
 
-    /// One row as owned values.
-    pub fn row_values(&self, i: usize) -> Vec<Value> {
-        assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
-        let k = self.starts.partition_point(|&s| s <= i) - 1;
-        self.chunks[k].row_values(i - self.starts[k])
+    /// The rows at ascending `positions`, gathered into one batch of
+    /// `schema`'s columns: one `take` per chunk holding any of them.
+    pub(crate) fn take(&self, schema: &Schema, positions: &[u64]) -> Batch {
+        let mut parts = Vec::new();
+        let mut rest = positions;
+        for (chunk, &start) in self.chunks.iter().zip(&self.starts) {
+            let n = rest.partition_point(|&p| (p as usize) < start + chunk.rows);
+            if n > 0 {
+                let local: Vec<u32> = rest[..n]
+                    .iter()
+                    .map(|&p| (p as usize - start) as u32)
+                    .collect();
+                parts.push(Batch::new(
+                    chunk.columns.iter().map(|c| c.take(&local)).collect(),
+                ));
+            }
+            rest = &rest[n..];
+        }
+        Batch::concat_or_empty(schema, &parts)
     }
 
     /// All rows as owned values, row-major.

@@ -22,11 +22,14 @@
 //! * [`Catalog`] maps names to versioned tables and hands out
 //!   [`CatalogSnapshot`]s — the per-query unit of consistency whose epoch
 //!   vector also keys the recycler's cache-freshness checks;
-//! * every commit can be observed through a [`CommitHook`] invoked in
-//!   exact epoch order before the version swap — the anchor point for the
-//!   `rdb_wal` write-ahead log ([`TableDelta`]/[`CommitRecord`] are the
-//!   loggable form of a commit, [`VersionedTable::apply_logged`] and
-//!   [`VersionedTable::restore`] the replay entry points).
+//! * every write is described once, by the [`Commit`] its table builds:
+//!   the table, schema and epoch, and the [`Change`] — the appended rows
+//!   as one batch, a delete's positions, a replacement's chunks. The
+//!   [`CommitHook`] sees it in exact epoch order before the version swap
+//!   (the anchor point for the `rdb_wal` write-ahead log, which encodes
+//!   it), and the writer gets the same value back to repair cached
+//!   results and feed live subscriptions. [`VersionedTable::apply_logged`]
+//!   and [`VersionedTable::restore`] are the replay entry points.
 
 use std::fmt;
 
@@ -36,7 +39,7 @@ pub mod table;
 
 pub use catalog::{Catalog, CatalogSnapshot};
 pub use chunks::{Chunk, ChunkList, SEAL_ROWS};
-pub use table::{CommitHook, CommitRecord, Table, TableBuilder, TableDelta, VersionedTable};
+pub use table::{rows_to_batch, Change, Commit, CommitHook, Table, TableBuilder, VersionedTable};
 
 /// Errors from catalog registration and table mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -136,64 +136,108 @@ impl Table {
         out
     }
 
-    /// One row as owned values (serialization helper; scans go through
-    /// [`Table::scan_batch`]).
-    pub fn row_values(&self, i: usize) -> Vec<Value> {
-        self.data.row_values(i)
-    }
-
-    /// All rows as owned values, row-major (test helper, and the logged
-    /// form of a wholesale replacement).
+    /// All rows as owned values, row-major (test and inspection helper;
+    /// nothing on a write path calls it).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         self.data.to_rows()
     }
 }
 
-/// The logical change one epoch commit applies, in a replayable,
-/// value-level form. This is exactly what a write-ahead log must record
-/// to reproduce the commit against the predecessor snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TableDelta {
-    /// Rows appended after the predecessor's last row.
-    Append {
-        /// Appended rows, schema order.
-        rows: Vec<Vec<Value>>,
-    },
-    /// Row positions (into the predecessor snapshot, ascending) removed.
+/// What one epoch commit did to its table, in the form the commit
+/// already holds it: nothing here is rebuilt for the log or for the
+/// recycler.
+#[derive(Debug, Clone)]
+pub enum Change {
+    /// Rows appended after the predecessor's last row: one dense batch (no
+    /// selection) in schema order, the columns the new tail chunk shares.
+    Append(Batch),
+    /// Rows removed, by ascending position in the predecessor snapshot.
+    /// `before` is that snapshot (an `Arc` clone) when the commit was made
+    /// in this process; a delete read back from a log has positions only.
     Delete {
-        /// Deleted row indices.
-        deleted: Vec<u64>,
+        /// Deleted row positions.
+        positions: Vec<u64>,
+        /// The predecessor snapshot, when there is one to read.
+        before: Option<Arc<Table>>,
     },
-    /// Wholesale replacement of the contents.
-    Replace {
-        /// The full new contents, schema order.
-        rows: Vec<Vec<Value>>,
-    },
+    /// Wholesale replacement: the new contents, sharing their chunks.
+    Replace(ChunkList),
 }
 
-impl TableDelta {
-    /// Rows touched (appended, deleted, or installed).
-    pub fn rows_affected(&self) -> usize {
-        match self {
-            TableDelta::Append { rows } | TableDelta::Replace { rows } => rows.len(),
-            TableDelta::Delete { deleted } => deleted.len(),
-        }
-    }
-}
-
-/// Everything a durability layer needs to persist one epoch commit: which
-/// table, under what schema (so replay can detect drift), the epoch the
-/// commit produces, and the delta itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommitRecord {
+/// One epoch commit: which table, under what schema (so replay can detect
+/// drift), the epoch it produced, and the [`Change`]. This is the only
+/// description of a write. [`VersionedTable`] builds it once per commit,
+/// hands it to the [`CommitHook`] (the write-ahead log encodes it) and
+/// returns it to the writer, who passes the same value on to cache repair
+/// and live subscriptions; log replay decodes it and
+/// [`VersionedTable::apply_logged`] applies it.
+#[derive(Debug, Clone)]
+pub struct Commit {
     /// Committing table.
     pub table: String,
     /// The table's schema at commit time.
     pub schema: Schema,
     /// Epoch the commit produces (predecessor epoch + 1).
     pub epoch: u64,
-    /// The change being committed.
-    pub delta: TableDelta,
+    /// What the commit did.
+    pub change: Change,
+}
+
+impl Commit {
+    /// Rows the change touches: appended, deleted, or installed.
+    pub fn rows(&self) -> usize {
+        match &self.change {
+            Change::Append(rows) => rows.rows(),
+            Change::Delete { positions, .. } => positions.len(),
+            Change::Replace(data) => data.rows(),
+        }
+    }
+
+    /// The deleted rows' values, gathered by position from the
+    /// predecessor snapshot. `None` for an append or a replace, and for a
+    /// delete read back from a log.
+    pub fn deleted_rows(&self) -> Option<Batch> {
+        match &self.change {
+            Change::Delete {
+                positions,
+                before: Some(before),
+            } => Some(before.data.take(&self.schema, positions)),
+            _ => None,
+        }
+    }
+}
+
+/// `rows` as one batch of `schema`'s columns, each row first checked
+/// against the schema's arity and types (NULL anywhere, ints promote to
+/// float, as `ColumnBuilder::push` does). Rows from outside the program,
+/// a client's or a log's, for table `table`, become columns here.
+pub fn rows_to_batch(
+    table: &str,
+    schema: &Schema,
+    rows: &[Vec<Value>],
+) -> Result<Batch, StorageError> {
+    for row in rows {
+        if row.len() != schema.len() {
+            return Err(StorageError(format!(
+                "row arity {} does not match schema arity {} of '{table}'",
+                row.len(),
+                schema.len(),
+            )));
+        }
+        for (v, f) in row.iter().zip(schema.fields()) {
+            let ok = match v.data_type() {
+                None => true,
+                Some(dt) => dt == f.dtype || (dt == DataType::Int && f.dtype == DataType::Float),
+            };
+            if !ok {
+                return Err(StorageError(format!(
+                    "value {v} does not match column '{}' type {:?} of '{table}'",
+                    f.name, f.dtype
+                )));
+            }
+        }
+    }
+    Ok(Batch::from_rows(schema, rows))
 }
 
 /// Observer invoked for every [`VersionedTable`] commit, **under the
@@ -209,8 +253,8 @@ pub struct CommitRecord {
 /// `FsyncPolicy::Always`; other tables and all snapshots already taken
 /// are unaffected).
 pub trait CommitHook: Send + Sync {
-    /// Log `record`; an error aborts the commit (nothing is swapped).
-    fn before_commit(&self, record: &CommitRecord) -> Result<(), StorageError>;
+    /// Log `commit`; an error aborts it (nothing is swapped).
+    fn before_commit(&self, commit: &Commit) -> Result<(), StorageError>;
 }
 
 /// Row-oriented builder used by the data generators.
@@ -298,14 +342,6 @@ impl std::fmt::Debug for VersionedTable {
     }
 }
 
-/// What a writer's build step produced: a new chunk list (plus its
-/// loggable delta) to commit as the next epoch, or nothing to change (no
-/// epoch is spent on no-ops).
-enum NextVersion<R> {
-    Commit(R, ChunkList, TableDelta),
-    Noop(R),
-}
-
 impl VersionedTable {
     /// Wrap an initial snapshot (its epoch is preserved).
     pub fn new(initial: Arc<Table>) -> Self {
@@ -356,86 +392,80 @@ impl VersionedTable {
     }
 
     /// Commit `next(old)` as the successor of the current snapshot, or
-    /// keep the current one if the build reports a no-op. The build runs
-    /// outside any lock; the commit re-checks the epoch under the write
-    /// lock (held only for the swap) and rebuilds on a lost race, so
-    /// writers serialize logically without ever blocking readers behind
-    /// the build.
+    /// keep the current one if the build returns `None` (no epoch is spent
+    /// on a no-op). The build runs outside any lock; the commit re-checks
+    /// the epoch under the write lock (held only for the swap) and
+    /// rebuilds on a lost race, so writers serialize logically without
+    /// ever blocking readers behind the build.
     ///
     /// If a [`CommitHook`] is installed it runs under the write lock,
     /// after the epoch check and before the swap: only the CAS winner
     /// reaches the hook, so per-table hook invocations are exactly the
     /// committed epoch sequence. A hook error aborts the commit — the
-    /// current snapshot stays in place and the error propagates.
-    fn commit<R>(
+    /// current snapshot stays in place and the error propagates. Returns
+    /// the [`Commit`] (none for a no-op) and the snapshot now current.
+    fn commit(
         &self,
-        mut next: impl FnMut(&Table) -> Result<NextVersion<R>, StorageError>,
-    ) -> Result<(R, Arc<Table>), StorageError> {
+        mut next: impl FnMut(&Arc<Table>) -> Result<Option<(ChunkList, Change)>, StorageError>,
+    ) -> Result<(Option<Commit>, Arc<Table>), StorageError> {
         loop {
             let old = self.snapshot();
-            let (out, data, delta) = match next(&old)? {
-                NextVersion::Commit(out, data, delta) => (out, data, delta),
-                // Nothing changed: no new epoch, no snapshot churn.
-                NextVersion::Noop(out) => return Ok((out, old)),
+            let Some((data, change)) = next(&old)? else {
+                return Ok((None, old));
             };
             let candidate = self.version(data, old.epoch() + 1);
             let mut cur = self.current.write();
             if cur.epoch() == old.epoch() {
+                let commit = Commit {
+                    table: self.name.clone(),
+                    schema: self.schema.clone(),
+                    epoch: candidate.epoch(),
+                    change,
+                };
                 let hook = self.hook.read().clone();
                 if let Some(hook) = hook {
-                    hook.before_commit(&CommitRecord {
-                        table: self.name.clone(),
-                        schema: self.schema.clone(),
-                        epoch: candidate.epoch(),
-                        delta,
-                    })?;
+                    hook.before_commit(&commit)?;
                 }
                 *cur = candidate.clone();
-                return Ok((out, candidate));
+                return Ok((Some(commit), candidate));
             }
             // Another writer committed first: rebuild against its result.
         }
     }
 
     /// Append `rows` (validated against the schema) and commit a new
-    /// snapshot, which is returned. The commit costs the new rows plus
-    /// the tail merges they trigger (see the type-level cost model); every
-    /// older chunk is shared with the snapshots that already hold it. An
-    /// empty `rows` is a no-op: the current snapshot is returned and no
-    /// epoch is committed.
-    pub fn append(&self, rows: &[Vec<Value>]) -> Result<Arc<Table>, StorageError> {
-        self.validate_rows(rows)?;
-        let ((), next) = self.commit(|old| {
-            if rows.is_empty() {
-                return Ok(NextVersion::Noop(()));
-            }
-            Ok(NextVersion::Commit(
-                (),
-                old.data.push_tail(Chunk::new(
-                    Batch::from_rows(&self.schema, rows).into_columns(),
-                )),
-                TableDelta::Append {
-                    rows: rows.to_vec(),
-                },
-            ))
-        })?;
-        Ok(next)
+    /// snapshot. The rows become columns once, before the commit loop;
+    /// the new tail chunk and the commit's [`Change::Append`] share them.
+    /// The commit costs the new rows plus the tail merges they trigger
+    /// (see the type-level cost model); every older chunk is shared with
+    /// the snapshots that already hold it. An empty `rows` is a no-op: no
+    /// epoch is committed and no [`Commit`] returned.
+    pub fn append(
+        &self,
+        rows: &[Vec<Value>],
+    ) -> Result<(Option<Commit>, Arc<Table>), StorageError> {
+        let batch = rows_to_batch(&self.name, &self.schema, rows)?;
+        self.commit(|old| {
+            Ok((batch.rows() > 0).then(|| {
+                let tail = Chunk::new(batch.columns().to_vec());
+                (old.data.push_tail(tail), Change::Append(batch.clone()))
+            }))
+        })
     }
 
     /// Delete the rows for which `mask_of` returns `true` and commit a new
     /// snapshot. The mask is always evaluated against the snapshot
     /// actually being replaced (re-evaluated if a concurrent writer commits
-    /// first), so interleaved deletes compose linearizably. Returns the
-    /// deleted rows' full values (in predecessor order, captured inside
-    /// the commit so callers can derive a typed delta without racing other
-    /// writers) and the new snapshot. Only chunks holding a deleted row
-    /// are rewritten. A mask matching no rows is a no-op: nothing is
-    /// rebuilt and no epoch is committed. The logged
-    /// [`TableDelta::Delete`] carries positions only.
+    /// first), so interleaved deletes compose linearizably. Only chunks
+    /// holding a deleted row are rewritten. The [`Change::Delete`] holds
+    /// the deleted positions and the predecessor snapshot, so the deleted
+    /// values are gathered only by a reader that wants them
+    /// ([`Commit::deleted_rows`]). A mask matching no rows is a no-op:
+    /// nothing is rebuilt and no epoch is committed.
     pub fn delete_where(
         &self,
         mask_of: impl Fn(&Table) -> Vec<bool>,
-    ) -> Result<(Vec<Vec<Value>>, Arc<Table>), StorageError> {
+    ) -> Result<(Option<Commit>, Arc<Table>), StorageError> {
         self.commit(|old| {
             let doomed = mask_of(old);
             if doomed.len() != old.rows() {
@@ -446,46 +476,38 @@ impl VersionedTable {
                     self.name
                 )));
             }
-            let indices: Vec<u64> = doomed
+            let positions: Vec<u64> = doomed
                 .iter()
                 .enumerate()
                 .filter_map(|(i, &d)| d.then_some(i as u64))
                 .collect();
-            if indices.is_empty() {
-                return Ok(NextVersion::Noop(Vec::new()));
-            }
-            let captured = indices
-                .iter()
-                .map(|&i| old.row_values(i as usize))
-                .collect();
-            Ok(NextVersion::Commit(
-                captured,
-                old.data.without_rows(&doomed),
-                TableDelta::Delete { deleted: indices },
-            ))
+            Ok((!positions.is_empty()).then(|| {
+                let change = Change::Delete {
+                    positions,
+                    before: Some(old.clone()),
+                };
+                (old.data.without_rows(&doomed), change)
+            }))
         })
     }
 
     /// Replace the contents wholesale with `table` (same schema required),
-    /// committing it as the next epoch. The new version shares `table`'s
-    /// chunks. Returns the new snapshot.
-    pub fn replace(&self, table: &Table) -> Result<Arc<Table>, StorageError> {
+    /// committing it as the next epoch. The new version and the commit's
+    /// [`Change::Replace`] share `table`'s chunks. A replace always
+    /// commits.
+    pub fn replace(&self, table: &Table) -> Result<(Option<Commit>, Arc<Table>), StorageError> {
         if table.schema() != &self.schema {
             return Err(StorageError(format!(
                 "replacement schema for '{}' does not match",
                 self.name
             )));
         }
-        let ((), next) = self.commit(|_| {
-            Ok(NextVersion::Commit(
-                (),
+        self.commit(|_| {
+            Ok(Some((
                 table.data.clone(),
-                TableDelta::Replace {
-                    rows: table.to_rows(),
-                },
-            ))
-        })?;
-        Ok(next)
+                Change::Replace(table.data.clone()),
+            )))
+        })
     }
 
     /// Force-install `chunks` as the contents at `epoch`, bypassing the
@@ -494,26 +516,22 @@ impl VersionedTable {
     /// against concurrent writers — recovery runs single-threaded before
     /// the engine serves anything.
     pub fn restore(&self, chunks: Vec<Arc<Chunk>>, epoch: u64) -> Result<Arc<Table>, StorageError> {
-        if let Some(why) = chunks.iter().find_map(|c| c.mismatch(&self.schema)) {
-            return Err(StorageError(format!(
-                "restored chunk does not fit '{}': {why}",
-                self.name
-            )));
-        }
+        chunks.iter().try_for_each(|c| self.check_fit(c))?;
         let table = self.version(ChunkList::new(chunks), epoch);
         *self.current.write() = table.clone();
         Ok(table)
     }
 
-    /// Re-apply a logged delta as epoch `epoch`, bypassing the commit
-    /// hook (recovery: WAL replay). `epoch` must be exactly the successor
-    /// of the current epoch; records at or below the current epoch are
-    /// already reflected (covered by a checkpoint) and report `Ok(false)`.
-    /// A gap is an error — the log is missing records. Costs what the
-    /// original commit cost: an append adds a tail chunk, a delete
-    /// rewrites the chunks it touches.
-    pub fn apply_logged(&self, delta: &TableDelta, epoch: u64) -> Result<bool, StorageError> {
+    /// Re-apply a logged commit, bypassing the commit hook (recovery: WAL
+    /// replay). Its epoch must be exactly the successor of the current
+    /// epoch; commits at or below the current epoch are already reflected
+    /// (covered by a checkpoint) and report `Ok(false)`. A gap is an
+    /// error — the log is missing records. Costs what the original commit
+    /// cost: an append adds a tail chunk, a delete rewrites the chunks it
+    /// touches, a replace installs its chunks.
+    pub fn apply_logged(&self, commit: &Commit) -> Result<bool, StorageError> {
         let old = self.snapshot();
+        let epoch = commit.epoch;
         if epoch <= old.epoch() {
             return Ok(false);
         }
@@ -525,16 +543,15 @@ impl VersionedTable {
                 epoch
             )));
         }
-        let data = match delta {
-            TableDelta::Append { rows } => {
-                self.validate_rows(rows)?;
-                old.data.push_tail(Chunk::new(
-                    Batch::from_rows(&self.schema, rows).into_columns(),
-                ))
+        let data = match &commit.change {
+            Change::Append(rows) => {
+                let tail = Chunk::new(rows.columns().to_vec());
+                self.check_fit(&tail)?;
+                old.data.push_tail(tail)
             }
-            TableDelta::Delete { deleted } => {
+            Change::Delete { positions, .. } => {
                 let mut doomed = vec![false; old.rows()];
-                for &i in deleted {
+                for &i in positions {
                     let slot = doomed.get_mut(i as usize).ok_or_else(|| {
                         StorageError(format!(
                             "replay delete index {} out of range for {} rows of '{}'",
@@ -547,45 +564,24 @@ impl VersionedTable {
                 }
                 old.data.without_rows(&doomed)
             }
-            TableDelta::Replace { rows } => {
-                self.validate_rows(rows)?;
-                ChunkList::new(vec![Arc::new(Chunk::new(
-                    Batch::from_rows(&self.schema, rows).into_columns(),
-                ))])
+            Change::Replace(data) => {
+                data.chunks().iter().try_for_each(|c| self.check_fit(c))?;
+                data.clone()
             }
         };
         *self.current.write() = self.version(data, epoch);
         Ok(true)
     }
 
-    fn validate_rows(&self, rows: &[Vec<Value>]) -> Result<(), StorageError> {
-        rows.iter().try_for_each(|row| self.validate_row(row))
-    }
-
-    fn validate_row(&self, row: &[Value]) -> Result<(), StorageError> {
-        if row.len() != self.schema.len() {
-            return Err(StorageError(format!(
-                "row arity {} does not match schema arity {} of '{}'",
-                row.len(),
-                self.schema.len(),
+    /// Whether `chunk` can hold rows of this table.
+    fn check_fit(&self, chunk: &Chunk) -> Result<(), StorageError> {
+        match chunk.mismatch(&self.schema) {
+            Some(why) => Err(StorageError(format!(
+                "chunk does not fit '{}': {why}",
                 self.name
-            )));
+            ))),
+            None => Ok(()),
         }
-        for (v, f) in row.iter().zip(self.schema.fields()) {
-            // Same coercions as ColumnBuilder::push: NULL anywhere, ints
-            // promote to float.
-            let ok = match v.data_type() {
-                None => true,
-                Some(dt) => dt == f.dtype || (dt == DataType::Int && f.dtype == DataType::Float),
-            };
-            if !ok {
-                return Err(StorageError(format!(
-                    "value {v} does not match column '{}' type {:?} of '{}'",
-                    f.name, f.dtype, self.name
-                )));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -676,7 +672,7 @@ mod tests {
         let vt = versioned();
         let before = vt.snapshot();
         assert_eq!(before.epoch(), 0);
-        let after = vt
+        let (_, after) = vt
             .append(&[
                 vec![Value::Int(4), Value::str("r4")],
                 vec![Value::Int(5), Value::Null],
@@ -711,7 +707,7 @@ mod tests {
         let vt = versioned();
         let (deleted, after) = vt.delete_where(id_in(|x| x % 2 == 0)).unwrap();
         assert_eq!(
-            deleted,
+            deleted.unwrap().deleted_rows().unwrap().to_rows(),
             vec![
                 vec![Value::Int(0), Value::str("r0")],
                 vec![Value::Int(2), Value::str("r2")]
@@ -721,7 +717,7 @@ mod tests {
         assert_eq!(ids(&after), &[1, 3]);
         // A mask matching nothing spends no epoch.
         let (deleted, same) = vt.delete_where(id_in(|_| false)).unwrap();
-        assert!(deleted.is_empty());
+        assert!(deleted.is_none());
         assert!(Arc::ptr_eq(&same, &after));
         // Mask length is checked against the locked snapshot.
         assert!(vt.delete_where(|_| vec![true]).is_err());
@@ -730,16 +726,16 @@ mod tests {
 
     #[derive(Default)]
     struct RecordingHook {
-        records: parking_lot::Mutex<Vec<CommitRecord>>,
+        records: parking_lot::Mutex<Vec<Commit>>,
         fail: std::sync::atomic::AtomicBool,
     }
 
     impl CommitHook for RecordingHook {
-        fn before_commit(&self, record: &CommitRecord) -> Result<(), StorageError> {
+        fn before_commit(&self, commit: &Commit) -> Result<(), StorageError> {
             if self.fail.load(std::sync::atomic::Ordering::Relaxed) {
                 return Err(StorageError("injected hook failure".to_string()));
             }
-            self.records.lock().push(record.clone());
+            self.records.lock().push(commit.clone());
             Ok(())
         }
     }
@@ -756,11 +752,10 @@ mod tests {
         let records = hook.records.lock();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].epoch, 1);
-        assert!(matches!(&records[0].delta, TableDelta::Append { rows } if rows.len() == 1));
+        assert!(matches!(&records[0].change, Change::Append(rows) if rows.rows() == 1));
         assert_eq!(records[1].epoch, 2);
-        assert_eq!(
-            records[1].delta,
-            TableDelta::Delete { deleted: vec![0] },
+        assert!(
+            matches!(&records[1].change, Change::Delete { positions, .. } if *positions == [0]),
             "delete logs predecessor row positions"
         );
     }
@@ -794,7 +789,7 @@ mod tests {
 
         let replica = versioned();
         for record in hook.records.lock().iter() {
-            assert!(replica.apply_logged(&record.delta, record.epoch).unwrap());
+            assert!(replica.apply_logged(record).unwrap());
         }
         let (a, b) = (source.snapshot(), replica.snapshot());
         assert_eq!(a.epoch(), b.epoch());
@@ -803,10 +798,22 @@ mod tests {
         // Already-applied records are skipped, gaps are errors, and so is
         // a delete of a row that is not there.
         let first = hook.records.lock()[0].clone();
-        assert!(!replica.apply_logged(&first.delta, first.epoch).unwrap());
-        assert!(replica.apply_logged(&first.delta, 99).is_err());
-        let wild = TableDelta::Delete { deleted: vec![77] };
-        assert!(replica.apply_logged(&wild, b.epoch() + 1).is_err());
+        assert!(!replica.apply_logged(&first).unwrap());
+        assert!(replica
+            .apply_logged(&Commit {
+                epoch: 99,
+                ..first.clone()
+            })
+            .is_err());
+        let wild = Commit {
+            epoch: b.epoch() + 1,
+            change: Change::Delete {
+                positions: vec![77],
+                before: None,
+            },
+            ..first
+        };
+        assert!(replica.apply_logged(&wild).is_err());
         assert_eq!(replica.epoch(), b.epoch());
     }
 
@@ -919,21 +926,21 @@ mod tests {
         let base = vt.snapshot();
         assert_eq!(chunk_rows(&base), [4096]);
         // 4096 >= 2 * 10: the base is shared, the tail is its own chunk.
-        let one = vt.append(&wide_rows(4096..4106)).unwrap();
+        let (_, one) = vt.append(&wide_rows(4096..4106)).unwrap();
         assert_eq!(chunk_rows(&one), [4096, 10]);
         assert!(Arc::ptr_eq(&one.chunks()[0], &base.chunks()[0]));
         // 10 < 2 * 10: the two tails merge; the base is still shared.
-        let two = vt.append(&wide_rows(4106..4116)).unwrap();
+        let (_, two) = vt.append(&wide_rows(4106..4116)).unwrap();
         assert_eq!(chunk_rows(&two), [4096, 20]);
         assert!(Arc::ptr_eq(&two.chunks()[0], &base.chunks()[0]));
         // 20 >= 2 * 5: nothing merges, both prior chunks are shared.
-        let three = vt.append(&wide_rows(4116..4121)).unwrap();
+        let (_, three) = vt.append(&wide_rows(4116..4121)).unwrap();
         assert_eq!(chunk_rows(&three), [4096, 20, 5]);
         for k in 0..2 {
             assert!(Arc::ptr_eq(&three.chunks()[k], &two.chunks()[k]));
         }
         // A tail that outgrows everything unsealed before it folds it all.
-        let four = vt.append(&wide_rows(4121..7000)).unwrap();
+        let (_, four) = vt.append(&wide_rows(4121..7000)).unwrap();
         assert_eq!(chunk_rows(&four), [7000]);
         assert_matches(&four, &wide_rows(0..7000), "after four appends");
         // Older snapshots kept their own chunk lists.
@@ -949,14 +956,14 @@ mod tests {
         // A tail larger than half the base would merge with an unsealed
         // base; a sealed one is left alone.
         let big = sealed + SEAL_ROWS as i64 - 1;
-        let after = vt.append(&wide_rows(sealed..big)).unwrap();
+        let (_, after) = vt.append(&wide_rows(sealed..big)).unwrap();
         assert_eq!(chunk_rows(&after), [sealed as usize, SEAL_ROWS - 1]);
         assert!(Arc::ptr_eq(&after.chunks()[0], &base.chunks()[0]));
         // Single-row appends: sizes at least halve from chunk to chunk, so
         // there are never more than log2(SEAL_ROWS) + 1 unsealed chunks.
         let mut next = big;
         for _ in 0..300 {
-            let t = vt.append(&wide_rows(next..next + 1)).unwrap();
+            let (_, t) = vt.append(&wide_rows(next..next + 1)).unwrap();
             next += 1;
             let sizes = chunk_rows(&t);
             assert!(Arc::ptr_eq(&t.chunks()[0], &base.chunks()[0]));
@@ -972,10 +979,11 @@ mod tests {
     fn delete_shares_every_untouched_chunk() {
         let vt = wide_table(4096);
         vt.append(&wide_rows(4096..4106)).unwrap();
-        let before = vt.append(&wide_rows(4106..4110)).unwrap();
+        let (_, before) = vt.append(&wide_rows(4106..4110)).unwrap();
         assert_eq!(chunk_rows(&before), [4096, 10, 4]);
         // A doomed row in the middle chunk: only that chunk is rewritten.
         let (gone, after) = vt.delete_where(id_in(|k| k == 4100)).unwrap();
+        let gone = gone.unwrap().deleted_rows().unwrap().to_rows();
         assert_eq!(gone, vec![wide_row(4100)]);
         assert_eq!(chunk_rows(&after), [4096, 9, 4]);
         assert!(Arc::ptr_eq(&after.chunks()[0], &before.chunks()[0]));
@@ -983,13 +991,13 @@ mod tests {
         assert!(Arc::ptr_eq(&after.chunks()[2], &before.chunks()[2]));
         // A chunk emptied by a delete disappears; its neighbours are shared.
         let (gone, last) = vt.delete_where(id_in(|k| k >= 4106)).unwrap();
-        assert_eq!(gone.len(), 4);
+        assert_eq!(gone.unwrap().rows(), 4);
         assert_eq!(chunk_rows(&last), [4096, 9]);
         assert!(Arc::ptr_eq(&last.chunks()[0], &before.chunks()[0]));
         assert!(Arc::ptr_eq(&last.chunks()[1], &after.chunks()[1]));
         // Replacement shares the replacement's chunks, not the old ones.
         let fresh = wide_table(3).snapshot();
-        let replaced = vt.replace(&fresh).unwrap();
+        let (_, replaced) = vt.replace(&fresh).unwrap();
         assert!(Arc::ptr_eq(&replaced.chunks()[0], &fresh.chunks()[0]));
         assert_matches(&before, &wide_rows(0..4110), "snapshot before the deletes");
     }
@@ -1027,7 +1035,7 @@ mod tests {
         // NULLs survive the gather on both sides of a seam.
         assert_eq!(seam3.physical_row(1005), wide_row(1005)); // k % 11 == 5
         assert_eq!(seam3.physical_row(1011), wide_row(1011)); // k % 7 == 3
-        assert_eq!(t.row_values(1039), wide_row(1039));
+        assert_eq!(t.to_rows()[1039], wide_row(1039));
         assert_eq!(t.column(1).to_values()[1039], wide_row(1039)[1]);
     }
 
@@ -1078,7 +1086,9 @@ mod tests {
                             }
                             _ => doomed.iter_mut().for_each(|d| *d = rng.gen_bool(0.05)),
                         }
-                        let (gone, _) = vt.delete_where(|_| doomed.clone()).unwrap();
+                        let (commit, _) = vt.delete_where(|_| doomed.clone()).unwrap();
+                        let gone =
+                            commit.map_or(Vec::new(), |c| c.deleted_rows().unwrap().to_rows());
                         let mut flags = doomed.iter();
                         let mut expect_gone = Vec::new();
                         model.retain(|row| {

@@ -13,9 +13,11 @@
 use rdb_expr::{AggFunc, ArithOp, CmpOp, Expr};
 use rdb_plan::{JoinKind, Plan, SortKeyExpr};
 use rdb_recycler::LineageEntry;
-use rdb_storage::{CommitRecord, TableDelta};
+use std::sync::Arc;
+
+use rdb_storage::{rows_to_batch, Change, Chunk, ChunkList, Commit};
 use rdb_vector::column::{Column, ColumnBuilder, ColumnData, ColumnSlice};
-use rdb_vector::{DataType, Schema, SortOrder, Value};
+use rdb_vector::{Batch, DataType, Schema, SortOrder, Value};
 
 use crate::WalError;
 
@@ -218,17 +220,22 @@ pub(crate) fn read_schema(r: &mut Reader) -> Result<Schema, WalError> {
     ))
 }
 
-fn put_rows(out: &mut Vec<u8>, rows: &[Vec<Value>]) {
-    put_u32(out, rows.len() as u32);
-    for row in rows {
-        put_u32(out, row.len() as u32);
-        for v in row {
-            put_value(out, v);
+/// `rows` rows held as runs of equal-length columns (a batch, or a table's
+/// chunks), written row-major: a row count, then per row its arity and
+/// each cell's value as [`put_value`] writes it.
+fn put_rows<'a>(out: &mut Vec<u8>, rows: usize, runs: impl IntoIterator<Item = &'a [Column]>) {
+    put_u32(out, rows as u32);
+    for cols in runs {
+        for i in 0..cols.first().map_or(0, Column::len) {
+            put_u32(out, cols.len() as u32);
+            cols.iter().for_each(|c| put_value(out, &c.get(i)));
         }
     }
 }
 
-fn read_rows(r: &mut Reader) -> Result<Vec<Vec<Value>>, WalError> {
+/// Rows written by [`put_rows`], type-checked against `schema` (logged
+/// bytes are input from outside the program) and turned into columns.
+fn read_rows(r: &mut Reader, table: &str, schema: &Schema) -> Result<Batch, WalError> {
     let n = r.count()?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
@@ -239,7 +246,7 @@ fn read_rows(r: &mut Reader) -> Result<Vec<Vec<Value>>, WalError> {
         }
         rows.push(row);
     }
-    Ok(rows)
+    rows_to_batch(table, schema, &rows).map_err(|e| corrupt(e.to_string()))
 }
 
 // ---- columns --------------------------------------------------------------
@@ -330,23 +337,29 @@ pub(crate) fn read_column(
 
 // ---- commit records -------------------------------------------------------
 
-/// Encode one commit record (a WAL frame payload).
-pub fn encode_record(rec: &CommitRecord) -> Vec<u8> {
+/// Encode one commit (a WAL frame payload): kind, table, epoch, schema,
+/// then an append's or a replacement's rows, or a delete's positions.
+pub fn encode_record(rec: &Commit) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    let kind = match &rec.delta {
-        TableDelta::Append { .. } => 1u8,
-        TableDelta::Delete { .. } => 2,
-        TableDelta::Replace { .. } => 3,
+    let kind = match &rec.change {
+        Change::Append(_) => 1u8,
+        Change::Delete { .. } => 2,
+        Change::Replace(_) => 3,
     };
     put_u8(&mut out, kind);
     put_str(&mut out, &rec.table);
     put_u64(&mut out, rec.epoch);
     put_schema(&mut out, &rec.schema);
-    match &rec.delta {
-        TableDelta::Append { rows } | TableDelta::Replace { rows } => put_rows(&mut out, rows),
-        TableDelta::Delete { deleted } => {
-            put_u32(&mut out, deleted.len() as u32);
-            for &i in deleted {
+    match &rec.change {
+        Change::Append(rows) => put_rows(&mut out, rows.rows(), [rows.columns()]),
+        Change::Replace(data) => put_rows(
+            &mut out,
+            data.rows(),
+            data.chunks().iter().map(|c| c.columns()),
+        ),
+        Change::Delete { positions, .. } => {
+            put_u32(&mut out, positions.len() as u32);
+            for &i in positions {
                 put_u64(&mut out, i);
             }
         }
@@ -354,38 +367,43 @@ pub fn encode_record(rec: &CommitRecord) -> Vec<u8> {
     out
 }
 
-/// Decode one commit record from a frame payload.
-pub fn decode_record(payload: &[u8]) -> Result<CommitRecord, WalError> {
+/// Decode one commit from a frame payload. A delete comes back with
+/// positions only (no predecessor snapshot).
+pub fn decode_record(payload: &[u8]) -> Result<Commit, WalError> {
     let mut r = Reader::new(payload);
     let kind = r.u8()?;
     let table = r.str()?;
     let epoch = r.u64()?;
     let schema = read_schema(&mut r)?;
-    let delta = match kind {
-        1 => TableDelta::Append {
-            rows: read_rows(&mut r)?,
-        },
-        3 => TableDelta::Replace {
-            rows: read_rows(&mut r)?,
-        },
+    let change = match kind {
+        1 => Change::Append(read_rows(&mut r, &table, &schema)?),
+        3 => {
+            let rows = read_rows(&mut r, &table, &schema)?;
+            Change::Replace(ChunkList::new(vec![Arc::new(Chunk::new(
+                rows.into_columns(),
+            ))]))
+        }
         2 => {
             let n = r.count()?;
-            let mut deleted = Vec::with_capacity(n);
+            let mut positions = Vec::with_capacity(n);
             for _ in 0..n {
-                deleted.push(r.u64()?);
+                positions.push(r.u64()?);
             }
-            TableDelta::Delete { deleted }
+            Change::Delete {
+                positions,
+                before: None,
+            }
         }
         t => return Err(corrupt(format!("unknown record kind {t}"))),
     };
     if !r.is_empty() {
         return Err(corrupt("trailing bytes after record"));
     }
-    Ok(CommitRecord {
+    Ok(Commit {
         table,
         schema,
         epoch,
-        delta,
+        change,
     })
 }
 
@@ -966,27 +984,61 @@ mod tests {
     #[test]
     fn record_roundtrip() {
         let schema = Schema::from_pairs([("x", DataType::Int), ("s", DataType::Str)]);
-        for delta in [
-            TableDelta::Append {
-                rows: vec![
-                    vec![Value::Int(1), Value::str("a")],
-                    vec![Value::Int(2), Value::Null],
-                ],
+        let rows = vec![
+            vec![Value::Int(1), Value::str("a")],
+            vec![Value::Int(2), Value::Null],
+        ];
+        for change in [
+            Change::Append(Batch::from_rows(&schema, &rows)),
+            Change::Delete {
+                positions: vec![0, 7, 9],
+                before: None,
             },
-            TableDelta::Delete {
-                deleted: vec![0, 7, 9],
-            },
-            TableDelta::Replace { rows: vec![] },
+            Change::Replace(ChunkList::default()),
         ] {
-            let rec = CommitRecord {
+            let rec = Commit {
                 table: "t".to_string(),
                 schema: schema.clone(),
                 epoch: 42,
-                delta,
+                change,
             };
             let bytes = encode_record(&rec);
-            assert_eq!(decode_record(&bytes).unwrap(), rec);
+            let back = decode_record(&bytes).unwrap();
+            assert_eq!(
+                (back.table.as_str(), &back.schema, back.epoch),
+                ("t", &schema, 42)
+            );
+            assert_eq!(encode_record(&back), bytes);
+            match (&back.change, &rec.change) {
+                (Change::Append(a), Change::Append(b)) => assert_eq!(a, b),
+                (Change::Delete { positions: a, .. }, Change::Delete { positions: b, .. }) => {
+                    assert_eq!(a, b)
+                }
+                (Change::Replace(a), Change::Replace(b)) => assert_eq!(a.rows(), b.rows()),
+                (a, b) => panic!("{a:?} came back from {b:?}"),
+            }
         }
+    }
+
+    /// Logged values are input from outside the program: a value that
+    /// does not fit its logged column type is a corrupt record, not a
+    /// panic in the rows-to-columns pass.
+    #[test]
+    fn mistyped_logged_values_are_corrupt() {
+        let schema = Schema::from_pairs([("x", DataType::Str)]);
+        let rec = Commit {
+            table: "t".to_string(),
+            change: Change::Append(Batch::from_rows(&schema, &[vec![Value::str("a")]])),
+            schema,
+            epoch: 1,
+        };
+        let mut bytes = encode_record(&rec);
+        // The schema's one dtype tag follows kind, table, epoch, the
+        // field count and the field name: Str (3) becomes Int (1).
+        let at = 1 + (4 + 1) + 8 + 4 + (4 + 1);
+        assert_eq!(bytes[at], 3);
+        bytes[at] = 1;
+        assert!(matches!(decode_record(&bytes), Err(WalError::Corrupt(_))));
     }
 
     #[test]
@@ -1077,13 +1129,12 @@ mod tests {
 
     #[test]
     fn corrupt_payloads_error_cleanly() {
-        let rec = CommitRecord {
+        let schema = Schema::from_pairs([("x", DataType::Int)]);
+        let rec = Commit {
             table: "t".to_string(),
-            schema: Schema::from_pairs([("x", DataType::Int)]),
+            change: Change::Append(Batch::from_rows(&schema, &[vec![Value::Int(1)]])),
+            schema,
             epoch: 1,
-            delta: TableDelta::Append {
-                rows: vec![vec![Value::Int(1)]],
-            },
         };
         let bytes = encode_record(&rec);
         // Every truncation of a valid payload must error, never panic.

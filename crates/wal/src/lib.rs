@@ -23,9 +23,12 @@
 //! ```
 //!
 //! `crc32` is the IEEE CRC-32 of the payload. A frame payload is one
-//! [`CommitRecord`]: kind (append / delete / replace), table name, the
-//! schema it committed under (so replay detects drift), the epoch it
-//! produced, and the row data or deleted row positions. The manifest
+//! [`Commit`], the value the committing table built and handed to this
+//! log: kind (append / delete / replace), table name, the schema it
+//! committed under (so replay detects drift), the epoch it produced, then
+//! an append's or a replacement's rows, written row-major from its
+//! columns, or a delete's row positions. Replay decodes the same type,
+//! type-checking the logged values against the logged schema. The manifest
 //! carries every base table (name, epoch, schema, ordered chunk ids) plus
 //! the top-K benefit entries of the recycler cache as [`LineageEntry`]
 //! lineage — plans and statistics, not result bytes; each chunk file holds
@@ -71,7 +74,7 @@
 //! operator replaces the volume and restarts. Degradation is a mode, not
 //! a crash.
 //!
-//! [`CommitRecord`]: rdb_storage::CommitRecord
+//! [`Commit`]: rdb_storage::Commit
 //! [`CommitHook`]: rdb_storage::CommitHook
 //! [`LineageEntry`]: rdb_recycler::LineageEntry
 

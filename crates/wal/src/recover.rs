@@ -132,7 +132,7 @@ pub fn recover(dir: &Path, catalog: &Catalog) -> Result<RecoveryReport, WalError
                 )));
             }
             let applied = vt
-                .apply_logged(&rec.delta, rec.epoch)
+                .apply_logged(rec)
                 .map_err(|e| WalError::Corrupt(e.to_string()))?;
             if applied {
                 report.replayed_records += 1;

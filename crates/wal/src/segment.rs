@@ -8,7 +8,7 @@
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
-use rdb_storage::CommitRecord;
+use rdb_storage::Commit;
 
 use crate::frame::{scan_frames, TailDefect};
 use crate::{codec, WalError};
@@ -76,7 +76,7 @@ pub struct SegmentScan {
     /// Sequence number from the header.
     pub seq: u64,
     /// Every complete, CRC-valid record, in log order.
-    pub records: Vec<CommitRecord>,
+    pub records: Vec<Commit>,
     /// Byte length of the valid prefix (header + good frames).
     pub clean_len: u64,
     /// Total file length on disk.

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rdb_storage::{CommitHook, CommitRecord, StorageError};
+use rdb_storage::{Commit, CommitHook, StorageError};
 
 use crate::fault::{sync_through, write_through, IoFault};
 use crate::frame::encode_frame;
@@ -156,9 +156,9 @@ impl Wal {
         self.poisoned.store(true, Ordering::Release);
     }
 
-    /// Append one commit record, honouring the fsync policy. Any failure
+    /// Append one commit, honouring the fsync policy. Any failure
     /// poisons the log (see the module docs).
-    pub fn append(&self, rec: &CommitRecord) -> Result<(), WalError> {
+    pub fn append(&self, rec: &Commit) -> Result<(), WalError> {
         if self.is_poisoned() {
             return Err(WalError::Poisoned);
         }
@@ -289,8 +289,8 @@ fn new_segment(dir: &Path, seq: u64) -> Result<SegmentMeta, WalError> {
 }
 
 impl CommitHook for Wal {
-    fn before_commit(&self, record: &CommitRecord) -> Result<(), StorageError> {
-        self.append(record)
+    fn before_commit(&self, commit: &Commit) -> Result<(), StorageError> {
+        self.append(commit)
             .map_err(|e| StorageError(format!("wal append failed: {e}")))
     }
 }
@@ -299,7 +299,8 @@ impl CommitHook for Wal {
 mod tests {
     use super::*;
     use crate::{recover, NoFault};
-    use rdb_storage::{Catalog, TableBuilder, TableDelta};
+    use rdb_storage::{Catalog, Change, TableBuilder};
+    use rdb_vector::Batch;
     use rdb_vector::{DataType, Schema, Value};
 
     #[test]
@@ -325,11 +326,11 @@ mod tests {
                 })
                 .collect();
             expected.extend(rows.iter().cloned());
-            let rec = CommitRecord {
+            let rec = Commit {
                 table: "t".to_string(),
                 schema: schema.clone(),
                 epoch,
-                delta: TableDelta::Append { rows },
+                change: Change::Append(Batch::from_rows(&schema, &rows)),
             };
             wal.append(&rec).unwrap();
         }

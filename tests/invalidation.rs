@@ -10,13 +10,12 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use recycler_db::delta::Delta;
 use recycler_db::engine::{Engine, MaterializingEngine};
 use recycler_db::exec::ArtifactKind;
 use recycler_db::expr::{AggFunc, Expr};
 use recycler_db::plan::{scan, Plan};
 use recycler_db::recycler::{RecyclerConfig, RecyclerEvent};
-use recycler_db::storage::{Catalog, TableBuilder};
+use recycler_db::storage::{Catalog, Change, ChunkList, Commit, TableBuilder};
 use recycler_db::tpch::{generate, templates, TpchConfig};
 use recycler_db::vector::{Batch, DataType, Schema, Value};
 
@@ -515,8 +514,13 @@ fn replace_spares_entries_already_at_the_new_epoch() {
     // write-catches-up ordering) must not evict the fresh entries. A
     // replace delta repairs nothing, so only eviction can act here.
     let replace = |epoch| {
-        let schema = engine.catalog().get("t").unwrap().schema().clone();
-        let delta = Delta::replace("t", schema, epoch);
+        let table = engine.catalog().get("t").unwrap();
+        let delta = Commit {
+            table: "t".to_string(),
+            schema: table.schema().clone(),
+            epoch,
+            change: Change::Replace(ChunkList::new(table.chunks().to_vec())),
+        };
         let snapshot = engine.catalog().snapshot();
         recycler
             .repair(&delta, &snapshot, engine.functions())
